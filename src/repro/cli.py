@@ -879,12 +879,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     ``serve_forever()`` — calling it from the signal handler on the
     serving thread deadlocks — so the handler spawns one.
     """
+    import gc
     import signal
     import threading
 
     from repro.serve import ServeConfig, ServerCore, serve_http
 
     engine = _engine(args.files, args)
+    # This process owns its heap and the index lives as long as it does:
+    # move it out of the collector's reach, so no full collection walks
+    # its ~10^5 containers in the middle of a request.
+    gc.collect()
+    gc.freeze()
     if args.slow_ms > 0:
         from repro.testing.faults import SlowEngine
 

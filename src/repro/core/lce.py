@@ -30,11 +30,13 @@ from repro.core.budget import SearchBudget
 from repro.core.lcp import LCPList
 from repro.index.builder import GKSIndex
 from repro.index.postings import MergedEntry
-from repro.xmltree.dewey import (Dewey, ancestors_of, is_ancestor_or_self,
-                                 parent_of)
+from repro.xmltree.dewey import Dewey, is_ancestor_or_self
 
 
-@dataclass
+_UNKNOWN = object()  # memo miss (``None`` is a real answer)
+
+
+@dataclass(slots=True)
 class LCEInfo:
     """Bookkeeping for one (candidate) LCE node."""
 
@@ -106,39 +108,6 @@ class LCEResult:
         return survivors
 
 
-def _lift_attribute(dewey: Dewey, index: GKSIndex) -> Dewey:
-    """Lift an LCP candidate off an attribute node (Def 2.1.1).
-
-    "The parent node of an attribute node is considered the lowest ancestor
-    for keyword(s) in its value."  An element in neither hash table is an
-    AN; ANs are leaves, so a single lift suffices.
-    """
-    if len(dewey) > 1 and index.hashes.is_attribute(dewey):
-        return parent_of(dewey)
-    return dewey
-
-
-def _independent_witness(candidate: Dewey, left: int, right: int,
-                         sl: list[MergedEntry],
-                         index: GKSIndex) -> Dewey | None:
-    """Smallest-Dewey independent witness for *candidate* in block [l, r].
-
-    A keyword occurrence is an independent witness when its nearest entity
-    ancestor-or-self is *candidate* itself (no deeper entity contains it).
-    Lemma 4 says checking the block boundaries suffices; we scan from the
-    left boundary so the smallest qualifying Dewey id is returned, which is
-    also what the eviction rule needs.
-    """
-    for position in range(left, right + 1):
-        occurrence = sl[position].dewey
-        if not is_ancestor_or_self(candidate, occurrence):
-            continue
-        anchor = _lift_attribute(occurrence, index)
-        if index.hashes.nearest_entity(anchor) == candidate:
-            return occurrence
-    return None
-
-
 def discover_lce(lcp: LCPList, sl: list[MergedEntry],
                  index: GKSIndex,
                  budget: SearchBudget | None = None) -> LCEResult:
@@ -146,88 +115,146 @@ def discover_lce(lcp: LCPList, sl: list[MergedEntry],
 
     With a budget the walk polls the deadline between LCP entries and
     stops early when it trips; already-discovered LCE nodes are kept.
+
+    The hash tables are asked three questions — attribute lift, nearest
+    entity, nearest entity strictly above (= nearest entity of the
+    parent) — about the same few nodes over and over: block windows
+    overlap and siblings share their ancestors.  Each answer is memoised
+    for the duration of the call.  The tables are only ever reached
+    through ``index.hashes`` methods: routed, stacked and lazily decoded
+    tables answer the same way.
     """
     result = LCEResult()
-    total = len(lcp.entries)
+    lce, rejected = result.lce, result.rejected
+    mapping, unmapped = result.mapping, result.unmapped
+    is_attribute = index.hashes.is_attribute
+    nearest_entity = index.hashes.nearest_entity
+    entities: dict[Dewey, Dewey | None] = {}
+    owners: dict[Dewey, Dewey | None] = {}
 
+    def lift(dewey: Dewey) -> Dewey:
+        """Lift a node off an attribute node (Def 2.1.1).
+
+        "The parent node of an attribute node is considered the lowest
+        ancestor for keyword(s) in its value."  An element in neither
+        hash table is an AN; ANs are leaves, so a single lift suffices.
+        """
+        if len(dewey) > 1 and is_attribute(dewey):
+            return dewey[:-1]
+        return dewey
+
+    def entity_of(node: Dewey) -> Dewey | None:
+        """Nearest entity ancestor-or-self of *node*."""
+        entity = entities.get(node, _UNKNOWN)
+        if entity is _UNKNOWN:
+            entity = entities[node] = nearest_entity(node)
+        return entity
+
+    def independent_witness(candidate: Dewey, left: int,
+                            right: int) -> Dewey | None:
+        """Smallest-Dewey independent witness for *candidate* in [l, r].
+
+        A keyword occurrence is an independent witness when its nearest
+        entity ancestor-or-self is *candidate* itself (no deeper entity
+        contains it).  Lemma 4 says checking the block boundaries
+        suffices; we scan from the left boundary so the smallest
+        qualifying Dewey id is returned, which is also what the eviction
+        rule needs.
+        """
+        for position in range(left, right + 1):
+            occurrence = sl[position][0]
+            owner = owners.get(occurrence, _UNKNOWN)
+            if owner is _UNKNOWN:
+                owner = owners[occurrence] = entity_of(lift(occurrence))
+            if owner == candidate:
+                return occurrence
+        return None
+
+    def maintain_ancestors(entity: Dewey, entry) -> None:
+        """Witness eviction + statistics update for entity ancestors
+        (Fig. 6).
+
+        When *entity* enters (or grows), every entity ancestor already in
+        the LCE list either (a) loses its recorded witness because the
+        new entity's subtree swallowed it — then we try to re-witness it
+        from the current block, evicting it when that fails — or (b)
+        keeps its witness and gets its keyword estimate refreshed: the
+        current entry's blocks also fall in the ancestor's subtree
+        (Example 4: did.0.1 grows to 4 as did.0.1.1.0's two blocks are
+        filed).  Only entities are ever in the LCE list, so the walk
+        hops from entity to entity instead of visiting every prefix.
+        """
+        depth = len(entity)
+        ancestor = entity
+        while len(ancestor) > 1:
+            ancestor = entity_of(ancestor[:-1])
+            if ancestor is None:
+                break
+            info = lce.get(ancestor)
+            if info is None:
+                continue
+            if info.witness is not None and info.witness[:depth] == entity:
+                replacement = independent_witness(
+                    ancestor, entry.first_left, entry.first_right)
+                if replacement is None:
+                    rejected[ancestor] = lce.pop(ancestor)
+                    continue
+                info.witness = replacement
+            # the ancestor survives: its subtree also covers this entry's
+            # blocks
+            info.estimated_keywords += entry.counter
+
+    total = len(lcp.entries)
     for position, (dewey, entry) in enumerate(lcp.entries.items()):
         if budget is not None and budget.checkpoint("lce", position, total):
             break
-        candidate = _lift_attribute(dewey, index)
-        entity = index.hashes.nearest_entity(candidate)
+        candidate = lift(dewey)
+        entity = owners[dewey] = entity_of(candidate)
         if entity is None:
             estimate = lcp.s - 1 + entry.counter
-            previous = result.unmapped.get(candidate)
-            result.unmapped[candidate] = (estimate if previous is None
-                                          else previous + entry.counter)
+            previous = unmapped.get(candidate)
+            unmapped[candidate] = (estimate if previous is None
+                                   else previous + entry.counter)
             continue
-        result.mapping[dewey] = entity
+        mapping[dewey] = entity
 
-        info = result.lce.get(entity)
+        info = lce.get(entity)
         if info is None:
-            info = result.rejected.pop(entity, None)
+            info = rejected.pop(entity, None)
             if info is not None:
                 # the entity lost its witness earlier; a new block can
                 # re-establish it ("e can come back in LCE list", §4.2)
-                info.witness = _independent_witness(
-                    entity, entry.first_left, entry.first_right, sl, index)
+                info.witness = independent_witness(
+                    entity, entry.first_left, entry.first_right)
                 info.blocks += 1
                 info.estimated_keywords += entry.counter
                 info.candidates.append(candidate)
                 if info.witness is not None:
-                    result.lce[entity] = info
+                    lce[entity] = info
                 else:
-                    result.rejected[entity] = info
+                    rejected[entity] = info
                     continue
             else:
                 # First block for this entity: s + counter − 1 keywords
                 # (Example 4: did.0.1 enters with 2, did.0.1.1.0 with 3).
-                witness = _independent_witness(
-                    entity, entry.first_left, entry.first_right, sl, index)
-                info = LCEInfo(dewey=entity, witness=witness,
-                               estimated_keywords=lcp.s - 1 + entry.counter,
-                               candidates=[candidate])
-                result.lce[entity] = info
+                lce[entity] = LCEInfo(
+                    dewey=entity,
+                    witness=independent_witness(
+                        entity, entry.first_left, entry.first_right),
+                    estimated_keywords=lcp.s - 1 + entry.counter,
+                    candidates=[candidate])
         else:
             # Another LCP entry mapped to the same entity: its blocks each
             # contribute one further keyword occurrence to the estimate.
             info.blocks += 1
             info.estimated_keywords += entry.counter
             info.candidates.append(candidate)
-        _maintain_ancestors(entity, entry, sl, index, result)
+        maintain_ancestors(entity, entry)
 
     # Entities that never obtained an independent witness are not LCE
     # nodes by Def 2.2.1: their mapped LCP candidates fall back into the
     # response pool (handled by fallback_candidates / response_deweys).
-    for dewey in [dewey for dewey, info in result.lce.items()
+    for dewey in [dewey for dewey, info in lce.items()
                   if info.witness is None]:
-        result.rejected[dewey] = result.lce.pop(dewey)
+        rejected[dewey] = lce.pop(dewey)
     return result
-
-
-def _maintain_ancestors(entity: Dewey, entry, sl: list[MergedEntry],
-                        index: GKSIndex, result: LCEResult) -> None:
-    """Witness eviction + statistics update for entity ancestors (Fig. 6).
-
-    When *entity* enters (or grows), every entity ancestor already in the
-    LCE list either (a) loses its recorded witness because the new entity's
-    subtree swallowed it — then we try to re-witness it from the current
-    block, evicting it when that fails — or (b) keeps its witness and gets
-    its keyword estimate refreshed: the current entry's blocks also fall in
-    the ancestor's subtree (Example 4: did.0.1 grows to 4 as did.0.1.1.0's
-    two blocks are filed).
-    """
-    for ancestor in ancestors_of(entity):
-        info = result.lce.get(ancestor)
-        if info is None:
-            continue
-        if info.witness is not None and is_ancestor_or_self(
-                entity, info.witness):
-            replacement = _independent_witness(
-                ancestor, entry.first_left, entry.first_right, sl, index)
-            if replacement is None:
-                result.rejected[ancestor] = result.lce.pop(ancestor)
-                continue
-            info.witness = replacement
-        # the ancestor survives: its subtree also covers this entry's blocks
-        info.estimated_keywords += entry.counter

@@ -21,14 +21,14 @@ skipped (their common prefix is empty).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from operator import itemgetter
 
 from repro.core.budget import SearchBudget
 from repro.index.postings import MergedEntry
 from repro.xmltree.dewey import Dewey, common_prefix
 
 
-@dataclass
+@dataclass(slots=True)
 class LCPEntry:
     """One candidate GKS node: an LCP-list row plus its first block."""
 
@@ -72,13 +72,15 @@ class LCPList:
         return list(self.entries)
 
 
-def iter_sliding_blocks(sl: list[MergedEntry],
-                        s: int) -> Iterator[tuple[int, int, Dewey]]:
-    """Lazily generate the minimal ``s``-unique blocks of the sweep.
+def sliding_blocks(sl: list[MergedEntry],
+                   s: int) -> list[tuple[int, int, Dewey]]:
+    """All minimal ``s``-unique blocks as ``(l, r, prefix)`` triples.
 
-    The generator form lets a :class:`SearchBudget` interrupt the sweep
-    between blocks without computing the tail.
+    The readable form of the sweep: tests check the window invariants on
+    it and hold :func:`compute_lcp_list` to it.  Cross-document blocks
+    are reported with an empty prefix.
     """
+    blocks: list[tuple[int, int, Dewey]] = []
     counts: dict[int, int] = {}
     unique = 0
     right = -1
@@ -91,36 +93,70 @@ def iter_sliding_blocks(sl: list[MergedEntry],
                 unique += 1
         if unique < s:
             break  # no block with s unique keywords starts at or after left
-        yield (left, right,
-               common_prefix(sl[left].dewey, sl[right].dewey))
+        blocks.append((left, right,
+                       common_prefix(sl[left].dewey, sl[right].dewey)))
         keyword = sl[left].keyword
         counts[keyword] -= 1
         if counts[keyword] == 0:
             unique -= 1
-
-
-def sliding_blocks(sl: list[MergedEntry],
-                   s: int) -> list[tuple[int, int, Dewey]]:
-    """All minimal ``s``-unique blocks as ``(l, r, prefix)`` triples.
-
-    Exposed separately so tests can check the window invariants; cross-
-    document blocks are reported with an empty prefix.
-    """
-    return list(iter_sliding_blocks(sl, s))
+    return blocks
 
 
 def compute_lcp_list(sl: list[MergedEntry], s: int,
                      budget: SearchBudget | None = None) -> LCPList:
     """Sweep ``SL`` and build the LCP list (the candidate GKS nodes).
 
-    With a budget the sweep polls the deadline between blocks and stops
-    early when it trips, leaving a coherent partial LCP list.
+    Files exactly the blocks of :func:`sliding_blocks`, in one loop with
+    no per-block call: keyword counts sit in a list, the block prefix is
+    computed in place and filed straight into ``lcp.entries``.  With a
+    budget the sweep polls the deadline between blocks and stops early
+    when it trips, leaving a coherent partial LCP list.
     """
     lcp = LCPList(s=s)
+    entries = lcp.entries
     total = len(sl)
-    for left, right, prefix in iter_sliding_blocks(sl, s):
-        if budget is not None and budget.checkpoint("lcp", left, total):
+    checkpoint = None if budget is None else budget.checkpoint
+
+    if s == 1:
+        # every entry is its own minimal block: no window, prefix = Dewey
+        for left, (dewey, _) in enumerate(sl):
+            if checkpoint is not None and checkpoint("lcp", left, total):
+                break
+            entry = entries.get(dewey)
+            if entry is None:
+                entries[dewey] = LCPEntry(dewey, 1, left, left)
+            else:
+                entry.counter += 1
+        return lcp
+
+    counts = [0] * (1 + max(map(itemgetter(1), sl), default=0))
+    unique = 0
+    right = -1
+    for left, (first, leaving) in enumerate(sl):
+        while unique < s and right + 1 < total:
+            right += 1
+            keyword = sl[right][1]
+            if not counts[keyword]:
+                unique += 1
+            counts[keyword] += 1
+        if unique < s:
+            break  # no block with s unique keywords starts at or after left
+        if checkpoint is not None and checkpoint("lcp", left, total):
             break
-        if prefix:  # same-document block only
-            lcp.file(prefix, left, right)
+        last = sl[right][0]
+        if first[0] == last[0]:  # same document: the block has an LCA
+            length = 0
+            for a, b in zip(first, last):
+                if a != b:
+                    break
+                length += 1
+            prefix = first[:length]
+            entry = entries.get(prefix)
+            if entry is None:
+                entries[prefix] = LCPEntry(prefix, 1, left, right)
+            else:
+                entry.counter += 1
+        counts[leaving] -= 1
+        if not counts[leaving]:
+            unique -= 1
     return lcp

@@ -23,6 +23,7 @@ one with many.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from repro.core.query import Query
@@ -86,20 +87,63 @@ def received_potential(index: GKSIndex, root: Dewey, terminal: Dewey,
     return flowed
 
 
-def rank_node(index: GKSIndex, query: Query, dewey: Dewey) -> RankBreakdown:
-    """Rank one response node for *query* with the potential-flow model."""
+def subtree_terminals(index: GKSIndex, query: Query,
+                      dewey: Dewey) -> dict[str, tuple[Dewey, ...]]:
+    """Matched query keyword → its terminal points in ``subtree(dewey)``.
+
+    Per keyword this is ``terminal_points(keyword_occurrences(...))``,
+    found with as few probes of the posting list as the answer allows:
+    one bisect lands on the first posting at or after *dewey*, which
+    lies in the subtree iff *dewey* is a prefix of it (for about half
+    of all (node, keyword) pairs it is not, and the keyword is done);
+    a look at the next posting settles the common single-occurrence
+    case; only a longer run pays the second bisect, the slice and the
+    minimum-depth scan.
+    """
+    depth = len(dewey)
+    postings_of = index.postings
     terminals: dict[str, tuple[Dewey, ...]] = {}
     for keyword in query.keywords:
-        points = terminal_points(keyword_occurrences(index, keyword, dewey))
-        if points:
-            terminals[keyword] = points
+        postings = postings_of(keyword)
+        lo = bisect_left(postings, dewey)
+        size = len(postings)
+        if lo == size:
+            continue
+        first = postings[lo]
+        if first[:depth] != dewey:
+            continue
+        if lo + 1 == size or postings[lo + 1][:depth] != dewey:
+            terminals[keyword] = (first,)
+        else:
+            hi = bisect_left(postings, dewey[:-1] + (dewey[-1] + 1,),
+                             lo + 2)
+            terminals[keyword] = terminal_points(postings[lo:hi])
+    return terminals
 
+
+def rank_node(index: GKSIndex, query: Query, dewey: Dewey) -> RankBreakdown:
+    """Rank one response node for *query* with the potential-flow model.
+
+    The score is a float sum, so its value depends on the order of the
+    operations: each terminal's share is divided top-down, one
+    ``flowed /= children`` per path node (:func:`received_potential`),
+    and the shares are added keyword by keyword, terminals in document
+    order.  Keep that order — recorded rankings compare scores exactly.
+    """
+    terminals = subtree_terminals(index, query, dewey)
     potential = len(terminals)
+    source = float(potential)
+    depth = len(dewey)
+    child_count = index.hashes.child_count
     score = 0.0
     for points in terminals.values():
         for terminal in points:
-            score += received_potential(index, dewey, terminal,
-                                        float(potential))
+            flowed = source
+            for length in range(depth, len(terminal)):
+                children = child_count(terminal[:length])
+                if children and children > 1:
+                    flowed /= children
+            score += flowed
     return RankBreakdown(dewey=dewey, score=score,
                          initial_potential=potential, terminals=terminals)
 
@@ -110,11 +154,7 @@ def rank_by_keyword_count(index: GKSIndex, query: Query,
 
     Shares the terminal bookkeeping so the two rankers are comparable.
     """
-    terminals: dict[str, tuple[Dewey, ...]] = {}
-    for keyword in query.keywords:
-        points = terminal_points(keyword_occurrences(index, keyword, dewey))
-        if points:
-            terminals[keyword] = points
+    terminals = subtree_terminals(index, query, dewey)
     return RankBreakdown(dewey=dewey, score=float(len(terminals)),
                          initial_potential=len(terminals),
                          terminals=terminals)

@@ -316,8 +316,9 @@ def sharded_top_k(index: ShardedIndex, query: Query, k: int,
     Per-shard candidate discovery followed by one global bound-ordered
     ranking loop: candidates from all shards are processed in decreasing
     ``P²`` bound and ranking stops as soon as the current k-th best
-    score beats the next candidate's bound — identical early-termination
-    (and identical result) to the monolithic top-k.
+    cannot be displaced by the next candidate or any after it —
+    identical early-termination (and identical result) to the
+    monolithic top-k.
     """
     from repro.errors import ConfigError
 
@@ -352,8 +353,8 @@ def sharded_top_k(index: ShardedIndex, query: Query, k: int,
             best: list[tuple[tuple, int, RankedNode]] = []
             ranked_count = 0
             for sequence, (count, candidate) in enumerate(bounded):
-                bound = float(count * count)
-                if len(best) >= k and best[0][0] >= _bound_key(bound):
+                if (len(best) >= k and best[0][2].sort_key()
+                        <= _bound_key(count, candidate.dewey)):
                     break
                 if (budget is not None and not pre_tripped
                         and budget.checkpoint("rank", sequence,

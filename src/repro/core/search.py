@@ -121,7 +121,7 @@ def rank_response(index: GKSIndex, query: Query, lce: LCEResult,
     shard's own LCE result against the shard's index, then merge the
     per-shard rankings (see :mod:`repro.core.scatter`).
     """
-    lce_set = set(lce.lce)
+    lce_nodes = lce.lce
     fallback = lce.fallback_candidates()
     deweys = lce.response_deweys()
     pre_tripped = budget is not None and budget.tripped
@@ -139,17 +139,15 @@ def rank_response(index: GKSIndex, query: Query, lce: LCEResult,
                 and not budget.admit_node(len(ranked), total)):
             break
         breakdown = ranker(index, query, dewey)
-        if dewey in lce.lce:
-            estimate = lce.lce[dewey].estimated_keywords
-        else:
-            estimate = fallback.get(dewey, query.s)
+        info = lce_nodes.get(dewey)
         ranked.append(RankedNode(
             dewey=dewey,
             score=breakdown.score,
             distinct_keywords=breakdown.distinct_keywords,
             matched_keywords=breakdown.matched_keywords,
-            is_lce=dewey in lce_set,
-            estimated_keywords=estimate,
+            is_lce=info is not None,
+            estimated_keywords=(info.estimated_keywords if info is not None
+                                else fallback.get(dewey, query.s)),
             breakdown=breakdown))
     ranked.sort(key=RankedNode.sort_key)
     return ranked

@@ -9,21 +9,29 @@ The potential-flow rank of a node with ``P`` distinct query keywords is
 bounded by ``P²``: flowing potential is conserved — the terminals of one
 keyword are disjoint nodes and jointly receive at most the source
 potential ``P``; summing over at most ``P`` matched keywords gives
-``P²``.  Distinct-keyword counts cost one pair of binary searches per
-keyword, so the algorithm:
+``P²``.  Distinct-keyword counts cost one binary search per keyword, so
+the algorithm:
 
 1. assembles the response node set exactly as :func:`repro.core.search`,
 2. counts distinct keywords per node (cheap),
-3. processes nodes in decreasing ``P²`` bound, computing exact ranks,
-4. stops as soon as the current k-th best score ≥ the next node's bound.
+3. processes nodes in ``(-P², dewey)`` order, computing exact ranks,
+4. stops as soon as the current k-th best cannot be displaced by the next
+   node or any after it (:func:`_bound_key`).
 
 The result equals the head of the full ranking (same sort key), with the
 skipped tail never ranked.
+
+Ranker contract the stop rule relies on: for a node with ``P`` distinct
+query keywords in its subtree a ranker returns ``score ≤ P²`` and
+``distinct_keywords ≤ P``.  :func:`repro.core.ranking.rank_node` and
+``rank_by_keyword_count`` do; a ranker that can score above ``P²`` must
+be run through the full :func:`repro.core.search.search` instead.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 
 from repro.core.budget import SearchBudget
 from repro.core.lce import discover_lce
@@ -35,7 +43,6 @@ from repro.core.results import GKSResponse, RankedNode, SearchProfile
 from repro.core.search import Ranker
 from repro.errors import ConfigError
 from repro.index.builder import GKSIndex
-from repro.index.postings import subtree_range
 from repro.obs.stats import QueryStats
 from repro.obs.trace import NOOP_TRACER, NullTracer, Tracer
 from repro.xmltree.dewey import Dewey
@@ -44,11 +51,14 @@ from repro.xmltree.dewey import Dewey
 def distinct_keyword_count(index: GKSIndex, query: Query,
                            dewey: Dewey) -> int:
     """Number of distinct query keywords in ``subtree(dewey)``."""
+    depth = len(dewey)
     count = 0
     for keyword in query.keywords:
         postings = index.postings(keyword)
-        lo, hi = subtree_range(postings, dewey)
-        if lo != hi:
+        # the first posting at or after dewey is the subtree's first, if
+        # the subtree has any: no need to find where the range ends
+        lo = bisect_left(postings, dewey)
+        if lo < len(postings) and postings[lo][:depth] == dewey:
             count += 1
     return count
 
@@ -91,7 +101,7 @@ def search_top_k(index: GKSIndex, query: Query, k: int,
             span.add("nodes", len(lce.lce))
         after_lce = clock()
         fallback = lce.fallback_candidates()
-        lce_set = set(lce.lce)
+        lce_nodes = lce.lce
 
         candidates = lce.response_deweys()
         pre_tripped = budget is not None and budget.tripped
@@ -109,8 +119,8 @@ def search_top_k(index: GKSIndex, query: Query, k: int,
             best: list[tuple[tuple, int, RankedNode]] = []
             ranked_count = 0
             for sequence, (count, dewey) in enumerate(bounded):
-                bound = float(count * count)
-                if len(best) >= k and best[0][0] >= _bound_key(bound):
+                if (len(best) >= k and best[0][2].sort_key()
+                        <= _bound_key(count, dewey)):
                     break  # nothing later can displace the current top k
                 if (budget is not None and not pre_tripped
                         and budget.checkpoint("rank", sequence,
@@ -118,14 +128,14 @@ def search_top_k(index: GKSIndex, query: Query, k: int,
                     break
                 breakdown = ranker(index, effective, dewey)
                 ranked_count += 1
+                info = lce_nodes.get(dewey)
                 node = RankedNode(
                     dewey=dewey, score=breakdown.score,
                     distinct_keywords=breakdown.distinct_keywords,
                     matched_keywords=breakdown.matched_keywords,
-                    is_lce=dewey in lce_set,
+                    is_lce=info is not None,
                     estimated_keywords=(
-                        lce.lce[dewey].estimated_keywords
-                        if dewey in lce.lce
+                        info.estimated_keywords if info is not None
                         else fallback.get(dewey, effective.s)),
                     breakdown=breakdown)
                 entry = (_heap_key(node), sequence, node)
@@ -184,6 +194,16 @@ def _heap_key(node: RankedNode) -> tuple:
             tuple(-component for component in node.dewey) + (1,))
 
 
-def _bound_key(bound: float) -> tuple:
-    """The best conceivable heap key for a node with the given bound."""
-    return (bound, float("inf"), ())
+def _bound_key(count: int, dewey: Dewey) -> tuple:
+    """The best :meth:`RankedNode.sort_key` the candidate ``(count,
+    dewey)`` — or any candidate after it in ``(-P², dewey)`` order — can
+    still reach.
+
+    Under the ranker contract (module docstring) such a candidate scores
+    at most ``count²``; one that reaches it has exactly ``count``
+    distinct keywords and sits at or after *dewey* in document order.  A
+    k-th best whose sort key is at or before this one is final —
+    including one that *ties* the bound from an earlier document
+    position.
+    """
+    return (-float(count * count), -count, dewey)

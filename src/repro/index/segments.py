@@ -38,7 +38,6 @@ import json
 import re
 import zlib
 from dataclasses import dataclass, field
-from heapq import merge as heap_merge
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -46,6 +45,7 @@ from repro.errors import StorageError, ValidationError
 from repro.index.builder import GKSIndex
 from repro.index.hashtables import NodeHashes
 from repro.index.inverted import InvertedIndex
+from repro.index.postings import merge_sorted_runs
 from repro.index.sharding import ShardedIndex
 from repro.index.statistics import IndexStats
 from repro.index.storage import (atomic_write_json_gz, load_index,
@@ -118,7 +118,7 @@ def merge_indexes(indexes: Sequence[GKSIndex],
         for keyword, postings in index.inverted.items():
             collected.setdefault(keyword, []).append(postings)
     inverted = InvertedIndex()
-    inverted._postings = {keyword: list(heap_merge(*lists))
+    inverted._postings = {keyword: merge_sorted_runs(lists)
                           for keyword, lists in collected.items()}
     entity: dict[Dewey, int] = {}
     element: dict[Dewey, int] = {}
@@ -264,8 +264,8 @@ class StackedIndex:
         all word occurrences of one element live in one document)."""
         cached = self._postings_cache.get(keyword)
         if cached is None:
-            cached = list(heap_merge(
-                *(unit.postings(keyword) for unit in self.units)))
+            cached = merge_sorted_runs(
+                unit.postings(keyword) for unit in self.units)
             self._postings_cache[keyword] = cached
         return cached
 
@@ -277,7 +277,7 @@ class StackedIndex:
                 for keyword, postings in unit.inverted.items():
                     collected.setdefault(keyword, []).append(postings)
             index = InvertedIndex()
-            index._postings = {keyword: list(heap_merge(*lists))
+            index._postings = {keyword: merge_sorted_runs(lists)
                                for keyword, lists in collected.items()}
             self._merged_inverted = index
         return self._merged_inverted

@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from heapq import merge as heap_merge
 from typing import Iterator, Sequence
 
 from repro.errors import ConfigError, IndexError_
 from repro.index.builder import GKSIndex, IndexBuilder
 from repro.index.hashtables import NodeHashes
 from repro.index.inverted import InvertedIndex
+from repro.index.postings import merge_sorted_runs
 from repro.index.statistics import IndexStats
 from repro.obs.locks import new_lock
 from repro.text.analyzer import DEFAULT_ANALYZER, Analyzer
@@ -237,8 +237,8 @@ class ShardedIndex:
         with self._cache_lock:
             cached = self._postings_cache.get(keyword)
         if cached is None:
-            merged = list(heap_merge(
-                *(shard.index.postings(keyword) for shard in self.shards)))
+            merged = merge_sorted_runs(
+                shard.index.postings(keyword) for shard in self.shards)
             with self._cache_lock:
                 # setdefault publishes exactly one list per keyword even
                 # when two threads merged it concurrently
@@ -256,7 +256,7 @@ class ShardedIndex:
                         merged.setdefault(keyword, []).append(postings)
                 index = InvertedIndex()
                 index._postings = {
-                    keyword: list(heap_merge(*lists))
+                    keyword: merge_sorted_runs(lists)
                     for keyword, lists in merged.items()}
                 self._merged_inverted = index
             return self._merged_inverted

@@ -1,9 +1,13 @@
 """Unit tests for the merged list + LCP sliding window (paper §4.1)."""
 
+import heapq
+
+import pytest
+
 from repro.core.lcp import LCPList, compute_lcp_list, sliding_blocks
 from repro.core.merge import merged_list
 from repro.core.query import Query
-from repro.index.postings import MergedEntry
+from repro.index.postings import MergedEntry, merge_posting_lists
 
 
 def entries(*pairs):
@@ -116,3 +120,74 @@ class TestMergedList:
         query = Query.of(["a", "zzz"])
         sl = merged_list(figure1_index, query)
         assert all(entry.keyword == 0 for entry in sl)
+
+
+def heap_merged(lists):
+    """The tagged ``heapq.merge`` that ``merge_posting_lists`` replaced."""
+    return [MergedEntry(dewey, index)
+            for dewey, index in heapq.merge(
+                *([(dewey, index) for dewey in posting_list]
+                  for index, posting_list in enumerate(lists)))]
+
+
+def filed_blocks(sl, s):
+    """The LCP list obtained by filing ``sliding_blocks(sl, s)``."""
+    expected = LCPList(s=s)
+    for left, right, prefix in sliding_blocks(sl, s):
+        if prefix:
+            expected.file(prefix, left, right)
+    return expected
+
+
+class TestMergeAgainstHeapReference:
+    """``merge_posting_lists`` equals :func:`heap_merged`."""
+
+    @pytest.mark.parametrize("lists", [
+        [],
+        [[]],
+        [[], [(0, 1)], []],
+        [[(0, 1), (0, 5)], [(0, 3)]],
+        # one Dewey id under several keywords: ties order by keyword index
+        [[(0, 2), (0, 4)], [(0, 2)], [(0, 1), (0, 2), (1, 0)]],
+        # interleaved documents and ancestor/descendant neighbours
+        [[(0,), (0, 1, 0), (2, 0)], [(0, 1), (1,), (1, 0, 0)]],
+    ])
+    def test_equals_reference(self, lists):
+        merged = merge_posting_lists(lists)
+        assert merged == heap_merged(lists)
+        assert all(isinstance(entry, MergedEntry) for entry in merged)
+
+    def test_accepts_a_generator_of_lists(self):
+        lists = [[(0, 1)], [(0, 0)]]
+        assert merge_posting_lists(lst for lst in lists) == \
+            heap_merged(lists)
+
+
+class TestSweepAgainstReferenceBlocks:
+    """``compute_lcp_list`` files exactly the blocks ``sliding_blocks``
+    reports: entries in creation order, counters, first block."""
+
+    def check(self, sl, width):
+        for s in range(1, width + 1):
+            lcp = compute_lcp_list(sl, s)
+            expected = filed_blocks(sl, s)
+            assert lcp == expected
+            assert lcp.deweys() == expected.deweys()
+
+    def test_paper_example(self):
+        self.check(TestPaperExample4.SL, 2)
+
+    def test_same_dewey_under_several_keywords(self):
+        sl = entries(((0, 1), 0), ((0, 1), 1), ((0, 1), 2), ((0, 2), 1),
+                     ((1, 0), 0), ((1, 0), 2))
+        self.check(sl, 3)
+
+    def test_empty_and_single_keyword_lists(self):
+        self.check([], 2)
+        self.check(entries(((0, 0), 0), ((0, 1), 0)), 2)
+
+    @pytest.mark.parametrize("keywords", [["a", "b"], ["a", "b", "c", "d"],
+                                          ["d", "zzz", "a"]])
+    def test_figure1_queries(self, figure1_index, keywords):
+        query = Query.of(keywords)
+        self.check(merged_list(figure1_index, query), len(keywords))

@@ -11,18 +11,21 @@ from repro.baselines.bruteforce import (brute_candidates, brute_elca,
                                         brute_slca, subtree_keyword_map)
 from repro.baselines.elca import elca
 from repro.baselines.slca import slca_indexed_lookup_eager, slca_scan
-from repro.core.lcp import sliding_blocks
+from repro.core.lcp import compute_lcp_list, sliding_blocks
 from repro.core.merge import merged_list
 from repro.core.query import Query
 from repro.core.ranking import rank_node
 from repro.core.search import search
 from repro.index.builder import build_index
+from repro.index.postings import MergedEntry, merge_posting_lists
 from repro.text.analyzer import Analyzer
 from repro.xmltree.dewey import is_ancestor_or_self
 from repro.xmltree.node import build_tree
 from repro.xmltree.parser import parse_document
 from repro.xmltree.repository import Repository
 from repro.xmltree.serialize import serialize_node
+from tests.test_lcp import filed_blocks, heap_merged
+from tests.test_ranking import composed_rank
 
 # Text keywords use an alphabet the analyzer maps to itself.
 KEYWORDS = ["kilo", "lima", "mike", "november", "oscar"]
@@ -142,6 +145,57 @@ def test_lcp_blocks_have_s_unique_keywords(case):
         if prefix:
             for position in range(left, right + 1):
                 assert is_ancestor_or_self(prefix, sl[position].dewey)
+
+
+DEWEYS = st.lists(st.integers(min_value=0, max_value=3), min_size=1,
+                  max_size=4).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(DEWEYS, max_size=8, unique=True).map(sorted),
+                max_size=5))
+def test_merge_equals_tagged_heap_merge(lists):
+    """The run-sort merge is the tagged k-way heap merge it replaced:
+    document order, equal Dewey ids ordered by keyword index, empty
+    lists contributing nothing."""
+    reference = heap_merged(lists)
+    merged = merge_posting_lists(lists)
+    assert merged == reference
+    assert all(type(entry) is MergedEntry for entry in merged)
+    assert [(entry.dewey, entry.keyword) for entry in merged] == \
+        [tuple(entry) for entry in reference]
+
+
+@settings(max_examples=100, deadline=None)
+@given(repo_and_query())
+def test_lcp_list_equals_filing_the_reference_blocks(case):
+    """The production sweep files exactly the blocks of the readable
+    ``sliding_blocks`` — same entries in the same creation order, same
+    counters, same first block — for every s up to |Q|."""
+    repo, query = case
+    index = build_index(repo, analyzer=ANALYZER)
+    sl = merged_list(index, query)
+    for s in range(1, len(query.keywords) + 1):
+        expected = filed_blocks(sl, s)
+        lcp = compute_lcp_list(sl, s)
+        assert lcp == expected
+        assert lcp.deweys() == expected.deweys()
+
+
+@settings(max_examples=100, deadline=None)
+@given(repo_and_query())
+def test_rank_node_equals_the_readable_composition(case):
+    """Exact equality — floats included — on every node of the tree, so
+    subtrees with no, one and many occurrences are all covered."""
+    repo, query = case
+    index = build_index(repo, analyzer=ANALYZER)
+    for node in repo.iter_nodes():
+        breakdown = rank_node(index, query, node.dewey)
+        score, terminals = composed_rank(index, query, node.dewey)
+        assert breakdown.score == score
+        assert breakdown.terminals == terminals
+        assert list(breakdown.terminals) == list(terminals)
+        assert breakdown.initial_potential == len(terminals)
 
 
 @settings(max_examples=100, deadline=None)

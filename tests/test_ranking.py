@@ -3,8 +3,13 @@
 import pytest
 
 from repro.core.query import Query
-from repro.core.ranking import (rank_by_keyword_count, rank_node,
-                                received_potential, terminal_points)
+from repro.core.ranking import (keyword_occurrences, rank_by_keyword_count,
+                                rank_node, received_potential,
+                                terminal_points)
+from repro.index.builder import build_index
+from repro.index.sharding import build_sharded_index
+from repro.index.storage import load_index, save_index
+from repro.xmltree.repository import Repository
 
 
 class TestTerminalPoints:
@@ -100,3 +105,71 @@ class TestKeywordCountBaseline:
         flow = rank_node(figure1_index, query, fig1_ids["x3"])
         count = rank_by_keyword_count(figure1_index, query, fig1_ids["x3"])
         assert flow.terminals == count.terminals
+
+
+def composed_rank(index, query, dewey):
+    """``rank_node`` spelled with the readable single-purpose helpers:
+    the reference its one-loop form is held to."""
+    terminals = {}
+    for keyword in query.keywords:
+        points = terminal_points(keyword_occurrences(index, keyword, dewey))
+        if points:
+            terminals[keyword] = points
+    score = 0.0
+    for points in terminals.values():
+        for terminal in points:
+            score += received_potential(index, dewey, terminal,
+                                        float(len(terminals)))
+    return score, terminals
+
+
+class TestRankNodeEqualsComposition:
+    """Exact equality (``==`` on the float, same terminals in the same
+    order) on every node of a corpus, behind each kind of index."""
+
+    CORPUS = [
+        "<bib><paper><author>peter buneman</author>"
+        "<title>keyword search</title><note>keyword</note></paper>"
+        "<paper><author>wenfei fan</author><title>graph search</title>"
+        "<cites><paper><title>keyword graph</title></paper>"
+        "<paper><title>search</title></paper></cites></paper></bib>",
+        "<bib><book><author>wenfei fan</author>"
+        "<title>keyword mining</title><chapter><title>search</title>"
+        "<title>keyword search</title><title>mining</title></chapter>"
+        "</book></bib>",
+        "<bib><paper><title>search engines</title></paper></bib>",
+    ]
+    QUERIES = [Query.of(["keyword"]), Query.of(["keyword", "search"]),
+               Query.of(["search", "fan", "graph", "mining", "zzz"]),
+               Query.of(["wenfei fan", "search"]), Query.of(["title"])]
+
+    def check(self, index, deweys):
+        for query in self.QUERIES:
+            for dewey in deweys:
+                breakdown = rank_node(index, query, dewey)
+                score, terminals = composed_rank(index, query, dewey)
+                assert breakdown.score == score
+                assert breakdown.terminals == terminals
+                assert list(breakdown.terminals) == list(terminals)
+                assert breakdown.initial_potential == len(terminals)
+
+    @pytest.fixture(scope="class")
+    def repository(self):
+        return Repository.from_texts(self.CORPUS)
+
+    def test_monolithic_index(self, repository):
+        self.check(build_index(repository),
+                   [node.dewey for node in repository.iter_nodes()])
+
+    def test_shard_of_a_sharded_index(self, repository):
+        sharded = build_sharded_index(repository, shards=2)
+        for shard in sharded.shards:
+            self.check(shard.index,
+                       [node.dewey for node in repository.iter_nodes()
+                        if node.dewey[0] in shard.doc_ids])
+
+    def test_varint_dag_loaded_index(self, repository, tmp_path):
+        path = save_index(build_index(repository), tmp_path / "dag.idx",
+                          codec="varint-dag")
+        self.check(load_index(path),
+                   [node.dewey for node in repository.iter_nodes()])

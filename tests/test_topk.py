@@ -3,10 +3,14 @@
 import pytest
 
 from repro.core.query import Query
+from repro.core.ranking import rank_node
+from repro.core.scatter import sharded_top_k
 from repro.core.search import search
 from repro.core.topk import distinct_keyword_count, search_top_k
 from repro.datasets.registry import load_dataset
 from repro.index.builder import build_index
+from repro.index.sharding import build_sharded_index
+from repro.xmltree.repository import Repository
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +71,62 @@ class TestExactness:
         flags = {node.dewey: node.is_lce for node in full}
         for node in top:
             assert node.is_lce == flags[node.dewey]
+
+
+class TestStopRuleOnTies:
+    """Many candidates score exactly their ``P²`` bound (the keywords
+    share one element, nothing dilutes the flow): once k of them are
+    ranked, no later one — same bound, later in document order — can
+    displace them, so ranking stops there."""
+
+    K = 3
+    QUERY = Query.of(["alpha", "beta"], s=2)
+
+    @pytest.fixture(scope="class")
+    def repository(self):
+        book = "<book><title>alpha beta</title></book>"
+        diluted = "<book><title>alpha</title><note>beta gamma</note></book>"
+        return Repository.from_texts(
+            [f"<shelf>{book * 4}{diluted}</shelf>"] * 3)
+
+    @staticmethod
+    def counting_ranker(calls):
+        def ranker(index, query, dewey):
+            calls.append(dewey)
+            return rank_node(index, query, dewey)
+        return ranker
+
+    def check(self, repository, top_k):
+        full = search(build_index(repository), self.QUERY)
+        bound = float(len(self.QUERY.keywords) ** 2)
+        assert sum(node.score == bound for node in full) > self.K
+        calls = []
+        top = top_k(self.K, self.counting_ranker(calls))
+        assert len(calls) < len(full)
+        assert [(node.dewey, node.score) for node in top] == \
+            [(node.dewey, node.score) for node in full][:self.K]
+
+    def test_monolithic(self, repository):
+        index = build_index(repository)
+        self.check(repository, lambda k, ranker: search_top_k(
+            index, self.QUERY, k, ranker=ranker))
+
+    def test_two_shards(self, repository):
+        sharded = build_sharded_index(repository, shards=2)
+        self.check(repository, lambda k, ranker: sharded_top_k(
+            sharded, self.QUERY, k, ranker=ranker))
+
+    def test_late_full_score_node_is_still_found(self):
+        """The tie rule only ever stops on nodes *before* the remaining
+        candidates: a full-score node late in the corpus is still found
+        when the early ones fall short of their bound."""
+        texts = ["<shelf><book><title>alpha</title><note>beta x</note>"
+                 "</book></shelf>"] * 2
+        texts.append("<shelf><book><title>alpha beta</title></book></shelf>")
+        index = build_index(Repository.from_texts(texts))
+        full = search(index, self.QUERY)
+        top = search_top_k(index, self.QUERY, 1)
+        assert top.deweys == full.deweys[:1] == [(2, 0)]
 
 
 class TestBehaviour:
