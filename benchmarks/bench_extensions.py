@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.engine import GKSEngine
 from repro.core.query import Query
 from repro.core.search import search
 from repro.core.topk import search_top_k
@@ -17,11 +18,9 @@ from repro.datasets.registry import load_dataset
 from repro.eval.reporting import render_table
 from repro.eval.runner import engine_for, frequency_ladder
 from repro.index.builder import build_index
-from repro.index.incremental import append_document
 from repro.schema import (build_schema_index, compare_with_instance_level,
                           infer_schema)
 from repro.xmltree.json_adapter import json_to_document
-from repro.xmltree.parser import parse_document
 from repro.xmltree.serialize import serialize_document
 
 
@@ -86,14 +85,12 @@ def test_topk_matches_and_reports(results_writer, benchmark):
 
 def test_incremental_append_speed(benchmark):
     """Appending one document must not re-index the corpus."""
-    base_repo = load_dataset("swissprot")
     new_doc_text = serialize_document(load_dataset("figure2a")[0])
 
     def append_once():
-        index = build_index(base_repo)
-        document = parse_document(new_doc_text,
-                                  doc_id=len(index.document_names))
-        return append_document(index, document)
+        engine = GKSEngine(load_dataset("swissprot"))
+        engine.add_document(new_doc_text)
+        return engine.index
 
     index = benchmark.pedantic(append_once, rounds=3, iterations=1)
     assert index.stats.documents == 2

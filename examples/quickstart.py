@@ -12,7 +12,7 @@ university document of Fig. 2(a):
 Run:  python examples/quickstart.py
 """
 
-from repro import GKSEngine
+from repro import GKSEngine, Texts
 
 UNIVERSITY_XML = """
 <Dept>
@@ -47,7 +47,7 @@ UNIVERSITY_XML = """
 
 
 def main() -> None:
-    engine = GKSEngine.from_texts([UNIVERSITY_XML])
+    engine = GKSEngine.open(Texts([UNIVERSITY_XML]))
 
     # Example 3's 'imperfect' query: the user lists students without
     # knowing who shares a course; harry is not even in the data.

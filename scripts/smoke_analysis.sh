@@ -26,7 +26,7 @@ echo "lint --json parses"
 
 echo "== lock inventory =="
 LOCKS="$(python -m repro lint --locks src 2>/dev/null)"
-for name in serve.core engine.cache engine.mutation sharding.cache index.wal; do
+for name in serve.core engine.cache engine.mutation composite.cache index.wal; do
     grep -q "$name" <<<"$LOCKS" || {
         echo "FAIL: lock inventory is missing $name" >&2; exit 1; }
 done

@@ -18,9 +18,7 @@ Quickstart::
         print(insight.render())
 
 :mod:`repro.api` is the stable import surface (engine, configs,
-response types, errors, codecs); the legacy ``GKSEngine.from_texts`` /
-``from_paths`` shims are deprecated in favour of ``GKSEngine.open``
-(lint rule ``D001``).
+response types, errors, codecs).
 
 See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
@@ -38,9 +36,8 @@ from repro.datasets import load_dataset
 from repro.errors import (ConfigError, GKSError, Overloaded, SearchTimeout,
                           StorageError)
 from repro.index import (GKSIndex, IndexBuilder, NodeCategory,
-                         ParallelIndexBuilder, ShardedIndex,
-                         append_document, build_index, build_sharded_index,
-                         categorize_tree, load_index, remove_last_document,
+                         ParallelIndexBuilder, ShardedIndex, build_index,
+                         build_sharded_index, categorize_tree, load_index,
                          save_index)
 from repro.schema import build_schema_index, infer_schema
 from repro.serve import ServeConfig, ServerCore
@@ -61,11 +58,11 @@ __all__ = [
     "SearchOptions", "SearchTimeout", "ServeConfig", "ServerCore",
     "ShardedIndex", "StorageError", "Texts",
     "XMLDocument", "XMLNode", "aggregate",
-    "append_document", "build_index", "build_schema_index",
+    "build_index", "build_schema_index",
     "build_sharded_index",
     "categorize_tree", "elca", "facets", "histogram", "infer_schema",
     "load_dataset", "load_index", "naive_gks", "parse_document",
-    "parse_json_document", "remove_last_document", "save_index", "search",
+    "parse_json_document", "save_index", "search",
     "search_top_k", "sharded_search", "sharded_top_k",
     "slca_indexed_lookup_eager", "slca_scan",
 ]

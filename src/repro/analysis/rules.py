@@ -22,11 +22,6 @@ Rule catalog (ids are what ``# gks: ignore[...]`` takes):
 ``M002``  ``@dataclass`` in ``repro.core.config`` / ``repro.obs.stats``
           not declared ``frozen=True`` — config and stats records are
           part of the cached/hashable surface and must stay immutable.
-``D001``  Deprecated engine factory: ``GKSEngine.from_texts`` /
-          ``GKSEngine.from_paths`` referenced — both are thin legacy
-          shims; new code goes through ``GKSEngine.open`` with an
-          :class:`~repro.core.config.EngineConfig` (the one factory
-          that understands every knob, including ``codec``).
 ``F001``  Module-level mutable state mutated inside a function used as
           a process-pool worker target — each forked worker mutates
           its private copy, so the write is silently lost (and under a
@@ -207,33 +202,6 @@ class FrozenDataclassRule(Rule):
                     return False
             return True
         return False
-
-
-#: Legacy engine factories; ``GKSEngine.open`` is the one blessed path.
-_DEPRECATED_FACTORIES = ("from_texts", "from_paths")
-
-
-@register
-class DeprecatedFactoryRule(Rule):
-    """D001 — ``GKSEngine.from_texts``/``from_paths`` are legacy shims."""
-
-    rule_id = "D001"
-    title = ("GKSEngine.from_texts/from_paths are deprecated; use "
-             "GKSEngine.open(source, config=EngineConfig(...))")
-
-    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        for node in module.walk():
-            if (isinstance(node, ast.Attribute)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "GKSEngine"
-                    and node.attr in _DEPRECATED_FACTORIES):
-                yield self.finding(
-                    module, node.lineno,
-                    f"GKSEngine.{node.attr} is a deprecated shim; use "
-                    f"GKSEngine.open(source, config=EngineConfig(...)) "
-                    f"— it sniffs texts/paths/Repository and understands "
-                    f"every EngineConfig knob (shards, index_path, "
-                    f"codec, ...)")
 
 
 _MUTATING_METHODS = ("append", "extend", "insert", "add", "update",

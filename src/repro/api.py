@@ -31,9 +31,7 @@ responses describe themselves in ``GKSResponse.semantics``
 texts, corpus paths and :class:`~repro.xmltree.repository.Repository`
 objects (wrap iterables in :class:`Texts` / :class:`Paths` to skip the
 sniff) and consumes every :class:`EngineConfig` knob, including the
-``codec`` that picks the on-disk index representation.  The legacy
-``from_texts`` / ``from_paths`` classmethods still work but are
-deprecated (lint rule ``D001`` flags them).
+``codec`` that picks the on-disk index representation.
 """
 
 from __future__ import annotations

@@ -1,7 +1,5 @@
 """Unified engine configuration (the `EngineConfig` API).
 
-Engine construction used to thread 8+ kwargs through ``from_texts`` /
-``from_paths`` and the constructor, each copy drifting independently.
 :class:`EngineConfig` is the one frozen record of every tuning knob —
 analysis, search defaults, caching, budgeting, ingestion recovery,
 sharding and index persistence — and :meth:`GKSEngine.open` is the one
@@ -15,9 +13,7 @@ factory that consumes it::
 
 ``open`` accepts a :class:`~repro.xmltree.repository.Repository`, a
 single XML text or corpus path, or an iterable of either; wrap the
-iterable in :class:`Texts` / :class:`Paths` to skip sniffing.  The
-legacy ``from_texts`` / ``from_paths`` classmethods remain as thin
-shims over ``open``.
+iterable in :class:`Texts` / :class:`Paths` to skip sniffing.
 """
 
 from __future__ import annotations
@@ -217,18 +213,21 @@ class EngineConfig:
         Optional persisted-index location: loaded when present and
         compatible, (re)built and saved otherwise.
     store_path:
-        Optional segmented-store directory.  When set, the engine opens
-        (or initialises) a durable write path there: every
+        Optional segmented-store directory.  When set, the engine's
+        write path becomes durable there: every
         ``add_document`` is write-ahead logged before it is applied, the
         memtable flushes to immutable segments, and ``open`` recovers
         the exact index after a crash at any byte offset.  Mutually
         exclusive with ``index_path`` (the store owns persistence).
     memtable_docs:
-        Memtable flush threshold — pending documents are flushed to a
-        new on-disk segment once this many accumulate.
+        Memtable flush threshold — once this many added documents are
+        pending, their one-document units are merged into one run per
+        shard (written as a new on-disk segment when ``store_path`` is
+        set; governs store-less engines too).
     compact_segments:
-        Auto-compaction threshold — after a flush, any shard whose
-        segment chain reaches this length is compacted down to one run.
+        Auto-compaction threshold — after a flush, any shard whose run
+        chain reaches this length is merged down to one run (replacing
+        its segments on disk when ``store_path`` is set).
     codec:
         On-disk representation used when persisting through
         ``index_path``: ``"raw"`` (the JSON envelope formats, eager
@@ -302,10 +301,6 @@ class EngineConfig:
                 "segmented store owns persistence")
         _check_mode(self.mode)
         _check_threshold(self.threshold)
-        if self.mode == "probabilistic" and self.store_path is not None:
-            raise ConfigError(
-                "probabilistic mode is incompatible with store_path: the "
-                "durable write path serves strict/relaxed queries only")
         # normalise early so a typo'd policy fails at config time, not
         # at first ingest
         object.__setattr__(self, "recovery",

@@ -1,22 +1,27 @@
-"""Durable-engine glue: opening, recovering and composing a store.
+"""The unit algebra of the write path: run chains, memtable, store.
 
 :class:`~repro.core.engine.GKSEngine` stays the facade; this module owns
-the mechanics of the segmented write path — turning a
-:class:`~repro.index.segments.SegmentStore` back into a serving index
-and vice versa:
+the mechanics underneath ``add_document``.  Every engine — with a
+:class:`~repro.index.segments.SegmentStore` or without — keeps, per
+shard, an ordered *chain* of immutable runs plus a memtable of
+one-document units, all document-disjoint in the sense of
+:mod:`repro.index.composite`:
 
-* **open** — no manifest yet: build the base index as usual, seed the
-  store with generation-1 segments and an empty WAL.
-* **recover** — manifest present: verify compatibility with the engine
-  config and the base corpus (never silently serve a different corpus),
-  re-parse the flushed appended documents from the texts sidecars,
-  load the verified segment runs, then re-apply the WAL tail.  The
-  composed index is node-for-node the one a from-scratch rebuild over
-  the same documents would produce.
-* **compose** — wrap the per-shard unit runs (segments + memtable
-  mini-indexes) into :class:`~repro.index.segments.StackedIndex` stacks:
-  one stack for a monolithic engine, a stack per shard inside a
+* **compose** — the serving index over chains + memtable: one
+  :class:`~repro.index.composite.CompositeIndex` per shard (the bare
+  unit when a shard is a single run), wrapped in a
   :class:`~repro.index.sharding.ShardedIndex` for scatter-gather.
+* **merge** — the memtable into one run per shard (a flush), a chain
+  into one run (a compaction).  Merging happens here, on the in-memory
+  units; the store only persists the finished runs.
+* **open / recover** — no manifest yet: build the base index as usual,
+  seed the store with generation-1 segments and an empty WAL.  Manifest
+  present: verify compatibility with the engine config and the base
+  corpus (never silently serve a different corpus), re-parse the
+  flushed appended documents from the texts sidecars, load the verified
+  segment runs, then re-apply the WAL tail.  The composed index is
+  node-for-node the one a from-scratch rebuild over the same documents
+  would produce.
 """
 
 from __future__ import annotations
@@ -27,24 +32,25 @@ from typing import Callable, Sequence
 from repro.core.config import EngineConfig
 from repro.errors import StorageError, XMLSyntaxError
 from repro.index.builder import GKSIndex, IndexBuilder
+from repro.index.composite import CompositeIndex, Run, merge_indexes
 from repro.index.segments import (MANIFEST_NAME, PendingDocument,
-                                  SegmentStore, StackedIndex, StoreManifest)
+                                  SegmentStore, StoreManifest)
 from repro.index.sharding import Shard, ShardedIndex, shard_of
 from repro.text.analyzer import Analyzer
 from repro.xmltree.parser import parse_document
 from repro.xmltree.repository import Repository
 from repro.xmltree.tree import XMLDocument
 
-# per shard: the ordered run chain, each run = (owned doc ids, unit index)
-UnitRuns = dict[int, list[tuple[tuple[int, ...], GKSIndex]]]
+# per shard: the ordered run chain
+UnitRuns = dict[int, list[Run]]
 
 
 def build_unit(document: XMLDocument, analyzer: Analyzer,
                index_tags: bool) -> GKSIndex:
     """Index a single document as an immutable memtable unit.
 
-    The unit keeps the document's **global** Dewey ids, so stacking it
-    onto the serving index is a disjoint sorted union — the same
+    The unit keeps the document's **global** Dewey ids, so composing it
+    with the serving index is a disjoint sorted union — the same
     guarantee shard builds rely on.
     """
     builder = IndexBuilder(analyzer=analyzer, index_tags=index_tags)
@@ -52,45 +58,83 @@ def build_unit(document: XMLDocument, analyzer: Analyzer,
     return builder.build()
 
 
+def pending_document(document: XMLDocument, text: str, lsn: int | None,
+                     config: EngineConfig) -> PendingDocument:
+    """The memtable entry of a just-acknowledged *document*."""
+    return PendingDocument(
+        lsn=lsn, doc_id=document.doc_id,
+        shard_id=shard_of(document.doc_id, document.name, config.shards,
+                          config.shard_strategy),
+        name=document.name, text=text,
+        unit=build_unit(document, config.analyzer, config.index_tags))
+
+
 def compose_serving(durable_units: UnitRuns,
                     pending: Sequence[PendingDocument],
-                    config: EngineConfig,
-                    names: Sequence[str]
-                    ) -> StackedIndex | ShardedIndex:
+                    config: EngineConfig, repository: Repository
+                    ) -> GKSIndex | CompositeIndex | ShardedIndex:
     """The serving index over *durable_units* plus the memtable tail.
 
-    Monolithic configs get the shard-0 stack directly (plain dispatch);
-    sharded configs get a :class:`ShardedIndex` whose shard indexes are
-    stacks — scatter-gather works unchanged through duck typing.
+    A shard that is a single run is served by that run's index itself,
+    so an engine that never added a document runs exactly the code a
+    plain build runs.  Monolithic configs get the shard-0 index
+    directly (plain dispatch); sharded configs get a
+    :class:`ShardedIndex` over the per-shard indexes.
     """
-    per_shard: dict[int, list[tuple[tuple[int, ...], GKSIndex]]] = {
+    per_shard: UnitRuns = {
         shard_id: list(durable_units.get(shard_id, ()))
         for shard_id in range(config.shards)}
     for doc in pending:
         per_shard[doc.shard_id].append(((doc.doc_id,), doc.unit))
-    stacks = {
-        shard_id: StackedIndex([unit for _, unit in runs],
-                               [doc_ids for doc_ids, _ in runs],
-                               analyzer=config.analyzer)
-        for shard_id, runs in per_shard.items()}
+
+    def serving(runs: list[Run]) -> GKSIndex | CompositeIndex:
+        if len(runs) == 1:
+            return runs[0][1]
+        return CompositeIndex(runs, analyzer=config.analyzer)
+
     if config.shards == 1:
-        return stacks[0]
-    shards = [Shard(shard_id=shard_id, doc_ids=stacks[shard_id].doc_ids,
-                    index=stacks[shard_id])
-              for shard_id in range(config.shards)]
-    return ShardedIndex(shards, strategy=config.shard_strategy,
-                        document_names=tuple(names),
-                        analyzer=config.analyzer)
+        return serving(per_shard[0])
+    shards = [Shard(shard_id=shard_id,
+                    doc_ids=tuple(doc_id for doc_ids, _ in runs
+                                  for doc_id in doc_ids),
+                    index=serving(runs))
+              for shard_id, runs in per_shard.items()]
+    return ShardedIndex(
+        shards, strategy=config.shard_strategy, analyzer=config.analyzer,
+        document_names=[document.name for document in repository])
 
 
-def units_from_base(base: GKSIndex | ShardedIndex,
-                    config: EngineConfig) -> UnitRuns:
+def units_from_base(base: GKSIndex | ShardedIndex) -> UnitRuns:
     """Seed the per-shard run chains from a freshly built base index."""
     if isinstance(base, ShardedIndex):
         return {shard.shard_id: [(shard.doc_ids, shard.index)]
                 for shard in base.shards if shard.doc_ids}
     count = len(base.document_names)
     return {0: [(tuple(range(count)), base)]} if count else {}
+
+
+def _merge_runs(runs: Sequence[Run]) -> Run:
+    return (tuple(doc_id for doc_ids, _ in runs for doc_id in doc_ids),
+            merge_indexes(runs))
+
+
+def merge_memtable(pending: Sequence[PendingDocument]) -> dict[int, Run]:
+    """The memtable (in document order, as the engine keeps it) merged
+    into one run per shard holding documents."""
+    by_shard: UnitRuns = {}
+    for doc in pending:
+        by_shard.setdefault(doc.shard_id, []).append(
+            ((doc.doc_id,), doc.unit))
+    return {shard_id: _merge_runs(by_shard[shard_id])
+            for shard_id in sorted(by_shard)}
+
+
+def merge_chains(durable_units: UnitRuns) -> dict[int, Run]:
+    """Every multi-run chain merged down to one run (single-run shards
+    are left alone)."""
+    return {shard_id: _merge_runs(durable_units[shard_id])
+            for shard_id in sorted(durable_units)
+            if len(durable_units[shard_id]) >= 2}
 
 
 def check_compatible(manifest: StoreManifest, repository: Repository,
@@ -133,26 +177,25 @@ def check_compatible(manifest: StoreManifest, repository: Repository,
 def open_durable(repository: Repository, config: EngineConfig,
                  build_index: Callable[[Repository, EngineConfig],
                                        GKSIndex | ShardedIndex]
-                 ) -> tuple[StackedIndex | ShardedIndex, SegmentStore,
-                            UnitRuns, list[PendingDocument]]:
+                 ) -> tuple[SegmentStore, UnitRuns, list[PendingDocument]]:
     """Open or recover the segmented store named by ``config.store_path``.
 
-    Returns ``(serving_index, store, durable_units, pending)``.  The
-    repository is extended in place with every recovered post-base
-    document (sidecar texts first, then the WAL tail) so snippets and
-    exports see the full corpus.
+    Returns ``(store, durable_units, pending)``.  The repository is
+    extended in place with every recovered post-base document (sidecar
+    texts first, then the WAL tail) so snippets and exports see the full
+    corpus.
     """
     directory = Path(config.store_path)
     if not (directory / MANIFEST_NAME).exists():
-        base = build_index(repository, config)
+        durable_units = units_from_base(build_index(repository, config))
         store = SegmentStore.create(
-            directory, base, shards=config.shards,
+            directory,
+            {shard_id: chain[0]
+             for shard_id, chain in durable_units.items()},
+            document_names=[document.name for document in repository],
+            analyzer=config.analyzer, shards=config.shards,
             strategy=config.shard_strategy, index_tags=config.index_tags)
-        durable_units = units_from_base(base, config)
-        serving = compose_serving(
-            durable_units, [], config,
-            names=tuple(document.name for document in repository))
-        return serving, store, durable_units, []
+        return store, durable_units, []
 
     store = SegmentStore.open(directory)
     manifest = store.manifest
@@ -160,10 +203,7 @@ def open_durable(repository: Repository, config: EngineConfig,
     for doc_id, name, text in store.appended_documents():
         document = _replay_parse(text, doc_id, name, store)
         repository.add(document)
-    runs = store.load_segment_units()
-    durable_units: UnitRuns = {
-        shard_id: [(record.doc_ids, unit) for record, unit in chain]
-        for shard_id, chain in runs.items()}
+    durable_units = store.load_runs()
     covered = sorted(doc_id
                      for chain in durable_units.values()
                      for doc_ids, _ in chain
@@ -174,7 +214,7 @@ def open_durable(repository: Repository, config: EngineConfig,
             f"manifest names {len(manifest.document_names)}",
             diagnosis="corrupted", path=directory / MANIFEST_NAME)
     pending: list[PendingDocument] = []
-    for frame in store.pending_frames():
+    for frame in store.tail:
         record = frame.record
         doc_id = len(repository)
         if (not isinstance(record, dict) or record.get("op") != "add"
@@ -187,16 +227,9 @@ def open_durable(repository: Repository, config: EngineConfig,
         document = _replay_parse(record["text"], doc_id,
                                  record.get("name"), store)
         repository.add(document)
-        unit = build_unit(document, config.analyzer, config.index_tags)
-        pending.append(PendingDocument(
-            lsn=frame.lsn, doc_id=doc_id,
-            shard_id=shard_of(doc_id, document.name, config.shards,
-                              config.shard_strategy),
-            name=document.name, text=record["text"], unit=unit))
-    serving = compose_serving(
-        durable_units, pending, config,
-        names=tuple(document.name for document in repository))
-    return serving, store, durable_units, pending
+        pending.append(pending_document(document, record["text"],
+                                        frame.lsn, config))
+    return store, durable_units, pending
 
 
 def _replay_parse(text: str, doc_id: int, name: str | None,

@@ -30,20 +30,23 @@ from repro.core.refinement import Refinement, suggest
 from repro.core.ranking import rank_node
 from repro.core.results import GKSResponse, RankedNode, SemanticsInfo
 from repro.core.search import Ranker, search
-from repro.core.durable import build_unit, compose_serving, open_durable
+from repro.core.durable import (compose_serving, merge_chains,
+                                merge_memtable, open_durable,
+                                pending_document, units_from_base)
 from repro.errors import (ConfigError, SearchTimeout, StorageError,
                           ValidationError)
-from repro.index.builder import GKSIndex, IndexBuilder
+from repro.index.builder import GKSIndex, build_index
+from repro.index.composite import CompositeIndex
 from repro.index.segments import PendingDocument, SegmentStore
-from repro.index.sharding import ParallelIndexBuilder, ShardedIndex, shard_of
+from repro.index.sharding import ShardedIndex, build_sharded_index
 from repro.obs.locks import new_lock, new_rlock
 from repro.obs.metrics import MetricsRegistry, global_registry
 from repro.obs.stats import SlowQuery, SlowQueryLog
 from repro.obs.trace import NullTracer, Span, Tracer
-from repro.text.analyzer import DEFAULT_ANALYZER, Analyzer
+from repro.text.analyzer import Analyzer
 from repro.xmltree.dewey import Dewey, format_dewey
 from repro.xmltree.node import XMLNode
-from repro.xmltree.parser import RecoveryPolicy, parse_document
+from repro.xmltree.parser import parse_document
 from repro.xmltree.repository import Repository
 from repro.xmltree.serialize import serialize_node
 
@@ -53,7 +56,7 @@ class GKSEngine:
 
     def __init__(self, repository: Repository,
                  analyzer: Analyzer | None = None,
-                 index: GKSIndex | ShardedIndex | None = None,
+                 index: GKSIndex | CompositeIndex | None = None,
                  index_tags: bool | None = None,
                  cache_size: int | None = None,
                  metrics: MetricsRegistry | None = None,
@@ -71,10 +74,18 @@ class GKSEngine:
             config = config.replace(index_tags=index_tags)
         if cache_size is not None and cache_size != config.cache_size:
             config = config.replace(cache_size=cache_size)
+        if index is not None:
+            # the write path routes new documents by the layout the
+            # index was built with, whatever the config record says
+            layout = ((index.num_shards, index.strategy)
+                      if isinstance(index, ShardedIndex)
+                      else (1, config.shard_strategy))
+            if layout != (config.shards, config.shard_strategy):
+                config = config.replace(shards=layout[0],
+                                        shard_strategy=layout[1])
         self.config = config
         self.repository = repository
         self.analyzer = config.analyzer
-        self.index_tags = config.index_tags
         # Observability: the shared metrics registry (process-global by
         # default), the slow-query ring buffer, and the recent-trace ring.
         self.metrics_registry = (metrics if metrics is not None
@@ -85,7 +96,7 @@ class GKSEngine:
                                                             trace_capacity))
         if index is None:
             index = self._build_index(repository, config)
-        self.index = index
+        self.index = self._with_tables(index)
         # LRU response cache; keyed by (keywords, s, ranker); responses
         # are immutable so sharing them is safe.  Invalidated whenever
         # the corpus changes (add_document).  The lock makes the
@@ -98,15 +109,17 @@ class GKSEngine:
         self._cache_hits = 0
         self._cache_misses = 0
         self._cache_evictions = 0
-        # Durable write path (attached by open() when config.store_path
-        # is set).  The RLock serializes mutations — an add_document that
-        # crosses the memtable threshold flushes inside the same hold.
+        # The write path: per-shard run chains plus a memtable of
+        # one-document units (repro.core.durable); open() attaches the
+        # store when config.store_path is set.  The RLock serializes
+        # mutations — an add_document that crosses the memtable
+        # threshold flushes inside the same hold.
         # guards: index, _generation, _pending, _durable_units
         self._mutation_lock = new_rlock("engine.mutation")
         self._mutation_listeners: list = []
         self._generation = 0
         self._store: SegmentStore | None = None
-        self._durable_units: dict = {}
+        self._durable_units = units_from_base(index)
         self._pending: list[PendingDocument] = []
         # Relaxed-mode rewrite vocabulary, cached per serving generation
         # (the corpus walk is linear; redoing it per query would dominate
@@ -117,20 +130,23 @@ class GKSEngine:
     def _build_index(repository: Repository,
                      config: EngineConfig) -> GKSIndex | ShardedIndex:
         if config.shards > 1:
-            index = ParallelIndexBuilder(
-                analyzer=config.analyzer, index_tags=config.index_tags,
-                shards=config.shards, workers=config.workers,
-                strategy=config.shard_strategy).build(repository)
-        else:
-            builder = IndexBuilder(analyzer=config.analyzer,
-                                   index_tags=config.index_tags)
-            builder.add_repository(repository)
-            index = builder.build()
-        if config.mode == "probabilistic":
-            from repro.semantics import attach_tables
+            return build_sharded_index(
+                repository, analyzer=config.analyzer,
+                index_tags=config.index_tags, shards=config.shards,
+                workers=config.workers, strategy=config.shard_strategy)
+        return build_index(repository, analyzer=config.analyzer,
+                           index_tags=config.index_tags)
 
-            index = attach_tables(index, repository)
-        return index
+    def _with_tables(self, index):
+        """*index* as published: probabilistic engines attach the
+        p-document tables here.  They are compiled from the repository
+        (which recovery rebuilds), so units, merged runs and on-disk
+        segments never carry them."""
+        if self.config.mode != "probabilistic":
+            return index
+        from repro.semantics import attach_tables
+
+        return attach_tables(index, self.repository)
 
     # ------------------------------------------------------------------
     # Construction conveniences
@@ -173,9 +189,10 @@ class GKSEngine:
         repository = _resolve_source(source, config)
 
         if config.store_path is not None:
-            serving, store, durable_units, pending = open_durable(
+            store, durable_units, pending = open_durable(
                 repository, config, cls._build_index)
-            engine = cls(repository, index=serving, config=config)
+            engine = cls(repository, config=config, index=compose_serving(
+                durable_units, pending, config, repository))
             engine._store = store
             engine._durable_units = durable_units
             engine._pending = pending
@@ -214,31 +231,6 @@ class GKSEngine:
             save_index(engine.index, config.index_path,
                        codec=config.codec)
         return engine
-
-    @classmethod
-    def from_texts(cls, texts: Iterable[str],
-                   analyzer: Analyzer = DEFAULT_ANALYZER,
-                   index_tags: bool = True,
-                   policy: RecoveryPolicy | str = RecoveryPolicy.STRICT,
-                   config: EngineConfig | None = None) -> "GKSEngine":
-        """Thin shim over :meth:`open` for raw XML strings."""
-        if config is None:
-            config = EngineConfig(analyzer=analyzer, index_tags=index_tags,
-                                  recovery=policy)
-        return cls.open(Texts(texts), config=config)
-
-    @classmethod
-    def from_paths(cls, paths: Iterable[str | Path],
-                   analyzer: Analyzer = DEFAULT_ANALYZER,
-                   index_tags: bool = True,
-                   policy: RecoveryPolicy | str = RecoveryPolicy.STRICT,
-                   index_path: str | Path | None = None,
-                   config: EngineConfig | None = None) -> "GKSEngine":
-        """Thin shim over :meth:`open` for corpus files on disk."""
-        if config is None:
-            config = EngineConfig(analyzer=analyzer, index_tags=index_tags,
-                                  recovery=policy, index_path=index_path)
-        return cls.open(Paths(paths), config=config)
 
     # ------------------------------------------------------------------
     # Search Engine
@@ -678,75 +670,56 @@ class GKSEngine:
     def add_document(self, text: str, name: str | None = None) -> dict:
         """Append one XML document to the repository and the index.
 
-        On a durable engine (``config.store_path``) the write is
-        crash-safe: the document is parsed (validated) first, appended
-        to the fsync'd write-ahead log, *then* applied to the memtable
-        and published as a new immutable serving snapshot; crossing
-        ``memtable_docs`` pending documents triggers a flush (and, past
-        ``compact_segments`` runs per shard, a compaction) inside the
-        same mutation hold.  On a legacy engine only the shard owning
-        the new document is rebuilt; the others are reused as-is.
+        The document is parsed (validated) first, appended to the
+        fsync'd write-ahead log when the engine has a store
+        (``config.store_path`` — the write is crash-safe from there),
+        *then* indexed as a one-document memtable unit and published in
+        a new immutable serving snapshot: the previous snapshot is never
+        touched, so in-flight searches finish on the one they captured.
+        Crossing ``memtable_docs`` pending documents merges the memtable
+        into one run per shard (and, past ``compact_segments`` runs per
+        shard, merges the chain) inside the same mutation hold; with a
+        store both are persisted.  Runs of shards the document does not
+        land in are reused as they are.
 
-        Either way the response cache is cleared — the repository has
-        already grown, so any cached response may be stale — and the
-        returned info dict (``doc_id``, ``name``, ``generation``, plus
-        ``lsn``/``pending``/``flushed`` when durable) is passed to the
-        mutation listeners.
+        The response cache is cleared — the repository has grown, so any
+        cached response may be stale — and the returned info dict
+        (``doc_id``, ``name``, ``generation``, ``pending``, ``flushed``,
+        plus ``lsn`` and ``"durable": True`` with a store) is passed to
+        the mutation listeners.
         """
         with self._mutation_lock:
-            if self._store is not None:
-                info = self._add_durable(text, name)
-            else:
-                info = self._add_legacy(text, name)
+            info = self._add_locked(text, name)
         self._notify_mutation(info)
         return info
 
-    def _add_legacy(self, text: str, name: str | None) -> dict:  # holds: _mutation_lock
-        from repro.index.incremental import append_document
-
-        document = self.repository.parse(text, name=name)
-        try:
-            if isinstance(self.index, ShardedIndex):
-                self.index = self.index.with_appended(
-                    document, index_tags=self.index_tags)
-            else:
-                self.index = append_document(self.index, document)
-            if self.config.mode == "probabilistic":
-                from repro.semantics import attach_tables
-
-                self.index = attach_tables(self.index, self.repository)
-            self._generation += 1
-        finally:
-            with self._cache_lock:
-                self._response_cache.clear()  # cached responses now stale
-        return {"doc_id": document.doc_id, "name": document.name,
-                "generation": self._generation, "durable": False}
-
-    def _add_durable(self, text: str, name: str | None) -> dict:  # holds: _mutation_lock
-        doc_id = len(self.repository)
+    def _add_locked(self, text: str, name: str | None) -> dict:  # holds: _mutation_lock
         # Parse *before* the WAL append: a malformed document must fail
         # the caller, never poison the log that recovery replays.
-        document = parse_document(text, doc_id=doc_id,
+        document = parse_document(text, doc_id=len(self.repository),
                                   attributes_as_children=True, name=name)
-        lsn = self._store.append(doc_id, document.name, text)
-        # From here the write is durable; apply it to memory.
+        info = {"doc_id": document.doc_id, "name": document.name}
+        lsn = None
+        if self._store is not None:
+            lsn = self._store.append(document.doc_id, document.name, text)
+            info.update(lsn=lsn, durable=True)
+        # With a store the write is durable from here; apply it to memory.
         self.repository.add(document)
-        unit = build_unit(document, self.config.analyzer,
-                          self.config.index_tags)
-        self._pending.append(PendingDocument(
-            lsn=lsn, doc_id=doc_id,
-            shard_id=shard_of(doc_id, document.name, self.config.shards,
-                              self.config.shard_strategy),
-            name=document.name, text=text, unit=unit))
-        self._recompose()
-        flushed = False
-        if len(self._pending) >= self.config.memtable_docs:
+        try:
+            self._pending.append(
+                pending_document(document, text, lsn, self.config))
+            self._recompose()
+        finally:
+            # the repository already grew: even when indexing failed,
+            # cached responses may be stale
+            with self._cache_lock:
+                self._response_cache.clear()
+        flushed = len(self._pending) >= self.config.memtable_docs
+        if flushed:
             self._flush_locked()
-            flushed = True
-        return {"doc_id": doc_id, "name": document.name, "lsn": lsn,
-                "generation": self._generation,
-                "pending": len(self._pending), "flushed": flushed,
-                "durable": True}
+        info.update(generation=self._generation,
+                    pending=len(self._pending), flushed=flushed)
+        return info
 
     def flush(self) -> dict:
         """Flush the memtable to an immutable on-disk segment.
@@ -762,7 +735,7 @@ class GKSEngine:
             if count:
                 self._flush_locked()
             info = {"flushed": count, "generation": self._generation,
-                    "store_generation": self._store.manifest.generation}
+                    **self._store_generation()}
         if count:
             self._notify_mutation(info)
         return info
@@ -778,7 +751,7 @@ class GKSEngine:
             compacted = self._compact_locked()
             info = {"compacted_shards": sorted(compacted),
                     "generation": self._generation,
-                    "store_generation": self._store.manifest.generation}
+                    **self._store_generation()}
         if compacted:
             self._notify_mutation(info)
         return info
@@ -795,27 +768,35 @@ class GKSEngine:
                 f"cannot {operation}: engine has no segmented store "
                 f"(open it with config.store_path)", diagnosis="unwritable")
 
+    def _store_generation(self) -> dict:
+        if self._store is None:
+            return {}
+        return {"store_generation": self._store.manifest.generation}
+
     def _flush_locked(self) -> None:
-        """Flush pending docs; caller holds the mutation lock.
+        """Merge the memtable into one run per shard; caller holds the
+        mutation lock.  With a store the runs are persisted and the WAL
+        checkpointed before memory changes.
 
         The whole operation is traced (a ``flush`` root span retained in
         :meth:`recent_traces`) and timed into the
-        ``gks_store_flush_seconds`` histogram, so the durability path is
-        as observable through ``/metrics`` as the query path.
+        ``gks_store_flush_seconds`` histogram, so the write path is as
+        observable through ``/metrics`` as the query path.
         """
         tracer = Tracer()
         count = len(self._pending)
         with tracer.span("flush") as span:
             with tracer.span("segments"):
-                merged = self._store.flush(self._pending)
-            for shard_id, (record, unit) in merged.items():
-                self._durable_units.setdefault(shard_id, []).append(
-                    (record.doc_ids, unit))
+                runs = merge_memtable(self._pending)
+                if self._store is not None:
+                    self._store.flush(self._pending, runs)
+            for shard_id, run in runs.items():
+                self._durable_units.setdefault(shard_id, []).append(run)
             self._pending = []
             with tracer.span("recompose"):
                 self._recompose()
-            span.set(documents=count, shards=len(merged),
-                     store_generation=self._store.manifest.generation)
+            span.set(documents=count, shards=len(runs),
+                     **self._store_generation())
         self._recent_traces.append(tracer.roots[-1])
         self.metrics_registry.histogram(
             "gks_store_flush_seconds",
@@ -826,35 +807,38 @@ class GKSEngine:
             self._compact_locked()
 
     def _compact_locked(self) -> set[int]:
-        """Compact multi-run shards; caller holds the mutation lock."""
+        """Merge every multi-run chain down to one run; caller holds the
+        mutation lock.  With a store the merged runs replace the chain's
+        segments on disk before memory changes."""
         tracer = Tracer()
         with tracer.span("compact") as span:
             with tracer.span("segments"):
-                merged = self._store.compact()
-            if merged:
-                for shard_id, (record, unit) in merged.items():
-                    self._durable_units[shard_id] = [(record.doc_ids, unit)]
+                runs = merge_chains(self._durable_units)
+                if self._store is not None:
+                    self._store.compact(runs)
+            if runs:
+                for shard_id, run in runs.items():
+                    self._durable_units[shard_id] = [run]
                 with tracer.span("recompose"):
                     self._recompose()
-            span.set(shards=len(merged),
-                     store_generation=self._store.manifest.generation)
-        if not merged:
+            span.set(shards=len(runs), **self._store_generation())
+        if not runs:
             return set()
         self._recent_traces.append(tracer.roots[-1])
         self.metrics_registry.histogram(
             "gks_store_compaction_seconds",
             help="Wall time of segment compactions (merge + recompose)."
         ).observe(tracer.roots[-1].duration_s)
-        return set(merged)
+        return set(runs)
 
     def _recompose(self) -> None:  # holds: _mutation_lock
         """Publish a fresh immutable serving snapshot (caller holds the
         mutation lock).  In-flight searches finish on the snapshot they
         captured; the generation bump keeps their responses out of the
         cache."""
-        self.index = compose_serving(
+        self.index = self._with_tables(compose_serving(
             self._durable_units, self._pending, self.config,
-            names=tuple(document.name for document in self.repository))
+            self.repository))
         self._generation += 1
         self.metrics_registry.gauge(
             "gks_memtable_pending",

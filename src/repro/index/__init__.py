@@ -5,8 +5,8 @@ from repro.index.builder import GKSIndex, IndexBuilder, build_index
 from repro.index.categorize import (CategoryRecord, NodeCategory,
                                     StreamingCategorizer, categorize_tree,
                                     iter_categories)
+from repro.index.composite import CompositeIndex, merge_indexes
 from repro.index.hashtables import NodeHashes
-from repro.index.incremental import append_document, remove_last_document
 from repro.index.inverted import InvertedIndex
 from repro.index.postings import (MergedEntry, count_in_subtree,
                                   merge_posting_lists, subtree_range)
@@ -14,25 +14,23 @@ from repro.index.sharding import (ParallelIndexBuilder, Shard, ShardedIndex,
                                   build_sharded_index, partition_documents,
                                   shard_of)
 from repro.index.segments import (PendingDocument, SegmentRecord,
-                                  SegmentStore, StackedIndex, StoreManifest,
-                                  TextsRecord, merge_indexes, read_manifest,
-                                  write_manifest)
+                                  SegmentStore, StoreManifest, TextsRecord,
+                                  read_manifest, write_manifest)
 from repro.index.statistics import IndexStats
 from repro.index.storage import (atomic_write_json_gz, index_size_bytes,
                                  load_index, save_index)
 from repro.index.wal import (WALFrame, WALReplay, WriteAheadLog, replay_wal)
 
 __all__ = [
-    "CategoryRecord", "GKSIndex", "IndexBuilder", "IndexStats",
-    "InvertedIndex", "MergedEntry", "NodeCategory", "NodeHashes",
-    "ParallelIndexBuilder", "PendingDocument", "SegmentRecord",
-    "SegmentStore", "Shard", "ShardedIndex", "StackedIndex",
+    "CategoryRecord", "CompositeIndex", "GKSIndex", "IndexBuilder",
+    "IndexStats", "InvertedIndex", "MergedEntry", "NodeCategory",
+    "NodeHashes", "ParallelIndexBuilder", "PendingDocument",
+    "SegmentRecord", "SegmentStore", "Shard", "ShardedIndex",
     "StoreManifest", "StreamingCategorizer", "TextsRecord", "WALFrame",
-    "WALReplay", "WriteAheadLog", "append_document",
-    "atomic_write_json_gz", "build_index", "build_sharded_index",
-    "categorize_tree", "count_in_subtree", "index_size_bytes",
-    "iter_categories", "load_index", "merge_indexes",
+    "WALReplay", "WriteAheadLog", "atomic_write_json_gz", "build_index",
+    "build_sharded_index", "categorize_tree", "count_in_subtree",
+    "index_size_bytes", "iter_categories", "load_index", "merge_indexes",
     "merge_posting_lists", "partition_documents", "read_manifest",
-    "remove_last_document", "replay_wal", "save_index", "shard_of",
-    "subtree_range", "write_manifest",
+    "replay_wal", "save_index", "shard_of", "subtree_range",
+    "write_manifest",
 ]

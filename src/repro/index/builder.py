@@ -16,7 +16,7 @@ streaming parser — the latter never builds a tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.errors import IndexError_
@@ -60,6 +60,10 @@ class GKSIndex:
     def depth(self) -> int:
         """Maximum element depth ``d`` over the repository (§4.2)."""
         return self.stats.max_depth
+
+    def with_probabilities(self, tables) -> "GKSIndex":
+        """A copy carrying *tables*; every structure is shared."""
+        return replace(self, probabilities=tables)
 
     def postings(self, keyword: str):
         """Posting list for a keyword — or a phrase keyword.

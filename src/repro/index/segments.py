@@ -23,12 +23,10 @@ frames in the log, which recovery skips by comparing against the
 manifest's ``wal_lsn``.  At no point is there a state from which the
 index cannot be reconstructed node-for-node.
 
-Serving reads go through :class:`StackedIndex`, an immutable stack of
-index units (on-disk segments plus one mini-index per unflushed
-document) that duck-types :class:`~repro.index.builder.GKSIndex`.
-Appending produces a *new* stack sharing the old units — in-flight
-searches keep the snapshot they started on, which is what makes the
-serve layer's hot swap race-free.
+The store persists and recovers runs; it never merges them.  The
+durable layer (:mod:`repro.core.durable`) merges the in-memory units it
+already holds (:func:`repro.index.composite.merge_indexes`) and hands
+the store finished runs to write and commit.
 """
 
 from __future__ import annotations
@@ -37,23 +35,18 @@ import gzip
 import json
 import re
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Mapping, Sequence
 
 from repro.errors import StorageError, ValidationError
 from repro.index.builder import GKSIndex
-from repro.index.hashtables import NodeHashes
-from repro.index.inverted import InvertedIndex
-from repro.index.postings import merge_sorted_runs
-from repro.index.sharding import ShardedIndex
-from repro.index.statistics import IndexStats
+from repro.index.composite import Run
 from repro.index.storage import (atomic_write_json_gz, load_index,
                                  payload_crc32, save_index)
 from repro.index.wal import WALFrame, WriteAheadLog, fsync_directory
 from repro.obs.metrics import global_registry
-from repro.text.analyzer import DEFAULT_ANALYZER, Analyzer
-from repro.xmltree.dewey import Dewey
+from repro.text.analyzer import Analyzer
 
 MANIFEST_NAME = "MANIFEST"
 WAL_NAME = "wal.log"
@@ -77,229 +70,6 @@ def file_crc32(path: str | Path) -> int:
     except OSError as exc:
         raise StorageError(f"cannot read {path}: {exc}",
                            diagnosis="unreadable", path=path) from exc
-
-
-# ----------------------------------------------------------------------
-# Merging immutable runs
-# ----------------------------------------------------------------------
-def merge_stats(stats_list: Sequence[IndexStats]) -> IndexStats:
-    """Sum per-run :class:`IndexStats` (max depth maxes, counters add)."""
-    total = IndexStats()
-    for stats in stats_list:
-        total.documents += stats.documents
-        total.total_nodes += stats.total_nodes
-        total.attribute_nodes += stats.attribute_nodes
-        total.entity_nodes += stats.entity_nodes
-        total.repeating_nodes += stats.repeating_nodes
-        total.connecting_nodes += stats.connecting_nodes
-        total.text_keywords += stats.text_keywords
-        total.tag_keywords += stats.tag_keywords
-        total.max_depth = max(total.max_depth, stats.max_depth)
-        total.build_seconds += stats.build_seconds
-        for tag, category in stats.category_by_tag.items():
-            total.category_by_tag.setdefault(tag, category)
-    return total
-
-
-def merge_indexes(indexes: Sequence[GKSIndex],
-                  analyzer: Analyzer | None = None) -> GKSIndex:
-    """K-way merge of indexes over disjoint document sets.
-
-    Callers pass runs in ascending document order (runs are built
-    append-only, so their doc-id ranges are disjoint and ordered); the
-    merged posting lists are then the exact disjoint sorted unions a
-    monolithic build over the same documents would produce.
-    """
-    indexes = list(indexes)
-    if analyzer is None:
-        analyzer = indexes[0].analyzer if indexes else DEFAULT_ANALYZER
-    collected: dict[str, list] = {}
-    for index in indexes:
-        for keyword, postings in index.inverted.items():
-            collected.setdefault(keyword, []).append(postings)
-    inverted = InvertedIndex()
-    inverted._postings = {keyword: merge_sorted_runs(lists)
-                          for keyword, lists in collected.items()}
-    entity: dict[Dewey, int] = {}
-    element: dict[Dewey, int] = {}
-    for index in indexes:
-        entity.update(index.hashes.entity_table)
-        element.update(index.hashes.element_table)
-    return GKSIndex(
-        inverted=inverted,
-        hashes=NodeHashes.from_mappings(entity=entity, element=element),
-        stats=merge_stats([index.stats for index in indexes]),
-        analyzer=analyzer,
-        document_names=tuple(name for index in indexes
-                             for name in index.document_names))
-
-
-# ----------------------------------------------------------------------
-# Snapshot-safe serving facade
-# ----------------------------------------------------------------------
-class _StackedHashes:
-    """A :class:`NodeHashes` view over a unit stack, routed by document.
-
-    Same contract as the sharded router: every hash key's first Dewey
-    component is its document number and a document lives in exactly one
-    unit, so lookups forward to the owning unit's tables and ancestor
-    walks never cross a unit boundary.
-    """
-
-    def __init__(self, stacked: "StackedIndex") -> None:
-        self._stacked = stacked
-
-    def _tables_for(self, dewey: Dewey) -> NodeHashes | None:
-        unit = self._stacked.unit_for_document(dewey[0]) if dewey else None
-        return None if unit is None else unit.hashes
-
-    def is_entity(self, dewey: Dewey) -> int | None:
-        hashes = self._tables_for(dewey)
-        return None if hashes is None else hashes.is_entity(dewey)
-
-    def is_element(self, dewey: Dewey) -> int | None:
-        hashes = self._tables_for(dewey)
-        return None if hashes is None else hashes.is_element(dewey)
-
-    def child_count(self, dewey: Dewey) -> int | None:
-        hashes = self._tables_for(dewey)
-        return None if hashes is None else hashes.child_count(dewey)
-
-    def is_attribute(self, dewey: Dewey) -> bool:
-        hashes = self._tables_for(dewey)
-        return True if hashes is None else hashes.is_attribute(dewey)
-
-    def nearest_entity(self, dewey: Dewey) -> Dewey | None:
-        hashes = self._tables_for(dewey)
-        return None if hashes is None else hashes.nearest_entity(dewey)
-
-    def entity_ancestors(self, dewey: Dewey) -> Iterator[Dewey]:
-        hashes = self._tables_for(dewey)
-        if hashes is not None:
-            yield from hashes.entity_ancestors(dewey)
-
-    @property
-    def entity_count(self) -> int:
-        return sum(unit.hashes.entity_count
-                   for unit in self._stacked.units)
-
-    @property
-    def element_count(self) -> int:
-        return sum(unit.hashes.element_count
-                   for unit in self._stacked.units)
-
-    @property
-    def entity_table(self) -> dict[Dewey, int]:
-        merged: dict[Dewey, int] = {}
-        for unit in self._stacked.units:
-            merged.update(unit.hashes.entity_table)
-        return merged
-
-    @property
-    def element_table(self) -> dict[Dewey, int]:
-        merged: dict[Dewey, int] = {}
-        for unit in self._stacked.units:
-            merged.update(unit.hashes.element_table)
-        return merged
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<StackedHashes units={len(self._stacked.units)} "
-                f"entities={self.entity_count}>")
-
-
-class StackedIndex:
-    """Immutable stack of index units behind the GKSIndex interface.
-
-    A unit is an ordinary :class:`GKSIndex` over a subset of the
-    repository's documents with **global** Dewey ids — an on-disk
-    segment or an in-memory mini-index of one just-added document.
-    Units own disjoint document sets in ascending order, so
-    ``postings()`` is a disjoint sorted union (cached per keyword),
-    exactly the monolithic list.
-
-    The stack itself is never mutated: :meth:`with_unit` returns a new
-    stack sharing the old units.  A search that captured the previous
-    stack keeps a consistent snapshot for its whole run — the invariant
-    the serving layer's zero-downtime swap rests on.
-    """
-
-    def __init__(self, units: Sequence[GKSIndex],
-                 unit_doc_ids: Sequence[Sequence[int]],
-                 analyzer: Analyzer = DEFAULT_ANALYZER) -> None:
-        self.units: tuple[GKSIndex, ...] = tuple(units)
-        self.unit_doc_ids: tuple[tuple[int, ...], ...] = tuple(
-            tuple(ids) for ids in unit_doc_ids)
-        if len(self.units) != len(self.unit_doc_ids):
-            raise ValidationError(
-                f"{len(self.units)} units but {len(self.unit_doc_ids)} "
-                f"doc-id groups")
-        self.analyzer = analyzer
-        self.document_names: tuple[str, ...] = tuple(
-            name for unit in self.units for name in unit.document_names)
-        self.hashes = _StackedHashes(self)
-        self._doc_to_unit: dict[int, int] = {
-            doc_id: position
-            for position, ids in enumerate(self.unit_doc_ids)
-            for doc_id in ids}
-        self._postings_cache: dict[str, list[Dewey]] = {}
-        self._merged_inverted: InvertedIndex | None = None
-        self._merged_stats: IndexStats | None = None
-
-    # -- routing --------------------------------------------------------
-    def unit_for_document(self, doc_id: int) -> GKSIndex | None:
-        position = self._doc_to_unit.get(doc_id)
-        return None if position is None else self.units[position]
-
-    @property
-    def doc_ids(self) -> tuple[int, ...]:
-        return tuple(doc_id for ids in self.unit_doc_ids for doc_id in ids)
-
-    # -- GKSIndex interface ---------------------------------------------
-    @property
-    def depth(self) -> int:
-        return max((unit.depth for unit in self.units), default=0)
-
-    def postings(self, keyword: str) -> list[Dewey]:
-        """Disjoint sorted union over units (phrases intersect per unit:
-        all word occurrences of one element live in one document)."""
-        cached = self._postings_cache.get(keyword)
-        if cached is None:
-            cached = merge_sorted_runs(
-                unit.postings(keyword) for unit in self.units)
-            self._postings_cache[keyword] = cached
-        return cached
-
-    @property
-    def inverted(self) -> InvertedIndex:
-        if self._merged_inverted is None:
-            collected: dict[str, list] = {}
-            for unit in self.units:
-                for keyword, postings in unit.inverted.items():
-                    collected.setdefault(keyword, []).append(postings)
-            index = InvertedIndex()
-            index._postings = {keyword: merge_sorted_runs(lists)
-                               for keyword, lists in collected.items()}
-            self._merged_inverted = index
-        return self._merged_inverted
-
-    @property
-    def stats(self) -> IndexStats:
-        if self._merged_stats is None:
-            self._merged_stats = merge_stats(
-                [unit.stats for unit in self.units])
-        return self._merged_stats
-
-    # -- snapshot append ------------------------------------------------
-    def with_unit(self, unit: GKSIndex,
-                  doc_ids: Sequence[int]) -> "StackedIndex":
-        """A new stack with *unit* appended; this stack is untouched."""
-        return StackedIndex(self.units + (unit,),
-                            self.unit_doc_ids + (tuple(doc_ids),),
-                            analyzer=self.analyzer)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<StackedIndex units={len(self.units)} "
-                f"docs={len(self.document_names)}>")
 
 
 # ----------------------------------------------------------------------
@@ -456,14 +226,30 @@ def write_manifest(directory: str | Path, manifest: StoreManifest) -> Path:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class PendingDocument:
-    """One acknowledged-but-unflushed document (WAL + memtable unit)."""
+    """One acknowledged-but-unflushed document: its memtable unit, plus
+    the WAL position when the engine has a store (``None`` otherwise)."""
 
-    lsn: int
+    lsn: int | None
     doc_id: int
     shard_id: int
     name: str
     text: str
     unit: GKSIndex = field(compare=False)
+
+
+def _write_segments(directory: Path, generation: int,
+                    runs: Mapping[int, Run]) -> tuple[SegmentRecord, ...]:
+    """Write one immutable segment file per run; returns their records."""
+    records = []
+    for shard_id in sorted(runs):
+        doc_ids, index = runs[shard_id]
+        file_name = segment_file_name(generation, shard_id)
+        save_index(index, directory / file_name)
+        records.append(SegmentRecord(
+            file=file_name, crc32=file_crc32(directory / file_name),
+            shard_id=shard_id, doc_ids=tuple(doc_ids),
+            generation=generation))
+    return tuple(records)
 
 
 def _read_texts_file(path: Path) -> list[tuple[int, str, str]]:
@@ -486,17 +272,19 @@ def _read_texts_file(path: Path) -> list[tuple[int, str, str]]:
 class SegmentStore:
     """The on-disk half of a durable engine: WAL + segments + manifest.
 
-    The store knows nothing about searching; it persists and recovers
-    immutable index runs and the raw texts needed to rebuild the
-    repository.  The engine composes what the store returns into its
-    serving :class:`StackedIndex` stacks.
+    The store knows nothing about searching or merging; it persists and
+    recovers immutable index runs and the raw texts needed to rebuild
+    the repository.  Runs arrive as ``shard_id -> (doc_ids, index)``.
     """
 
     def __init__(self, directory: Path, manifest: StoreManifest,
-                 wal: WriteAheadLog) -> None:
+                 wal: WriteAheadLog,
+                 tail: Sequence[WALFrame] = ()) -> None:
         self.directory = directory
         self.manifest = manifest
         self.wal = wal
+        #: WAL frames past the manifest's ``wal_lsn`` (the unflushed tail)
+        self.tail: tuple[WALFrame, ...] = tuple(tail)
         self._observe_manifest()
 
     def _observe_manifest(self) -> None:
@@ -519,37 +307,22 @@ class SegmentStore:
     # Lifecycle
     # ------------------------------------------------------------------
     @classmethod
-    def create(cls, directory: str | Path,
-               index: GKSIndex | ShardedIndex, *, shards: int,
-               strategy: str, index_tags: bool,
+    def create(cls, directory: str | Path, runs: Mapping[int, Run], *,
+               document_names: Sequence[str], analyzer: Analyzer,
+               shards: int, strategy: str, index_tags: bool,
                fsync: bool = True) -> "SegmentStore":
-        """Initialise a store from a freshly built base index (gen 1)."""
+        """Initialise a store from a freshly built base index (gen 1):
+        one segment per shard that holds documents."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        if isinstance(index, ShardedIndex):
-            parts = [(shard.shard_id, shard.doc_ids, shard.index)
-                     for shard in index.shards if shard.doc_ids]
-            analyzer = index.analyzer
-            names = index.document_names
-        else:
-            names = index.document_names
-            parts = ([(0, tuple(range(len(names))), index)]
-                     if names else [])
-            analyzer = index.analyzer
-        records = []
-        for shard_id, doc_ids, unit in parts:
-            file_name = segment_file_name(1, shard_id)
-            save_index(unit, directory / file_name)
-            records.append(SegmentRecord(
-                file=file_name, crc32=file_crc32(directory / file_name),
-                shard_id=shard_id, doc_ids=tuple(doc_ids), generation=1))
         manifest = StoreManifest(
             generation=1, wal_lsn=0, shards=shards, strategy=strategy,
             index_tags=index_tags,
             use_stopwords=analyzer.use_stopwords,
             use_stemming=analyzer.use_stemming,
-            base_documents=len(names), document_names=tuple(names),
-            segments=tuple(records))
+            base_documents=len(document_names),
+            document_names=tuple(document_names),
+            segments=_write_segments(directory, 1, runs))
         write_manifest(directory, manifest)
         wal = WriteAheadLog.create(directory / WAL_NAME, fsync=fsync)
         return cls(directory, manifest, wal)
@@ -584,11 +357,7 @@ class SegmentStore:
                 f"WAL at {wal_path} skips lsns {manifest.wal_lsn + 1}.."
                 f"{tail[0].lsn - 1} — acknowledged writes are missing",
                 diagnosis="corrupted", path=wal_path)
-        store = cls(directory, manifest, wal)
-        store._tail = tuple(tail)
-        return store
-
-    _tail: tuple[WALFrame, ...] = ()
+        return cls(directory, manifest, wal, tail)
 
     def close(self) -> None:
         self.wal.close()
@@ -621,9 +390,15 @@ class SegmentStore:
     # ------------------------------------------------------------------
     # Recovery reads
     # ------------------------------------------------------------------
-    def pending_frames(self) -> tuple[WALFrame, ...]:
-        """WAL frames past the manifest's ``wal_lsn`` (unflushed tail)."""
-        return self._tail
+    def _verified(self, record: SegmentRecord | TextsRecord,
+                  what: str) -> Path:
+        """The path of *record*'s file once its bytes match the CRC the
+        manifest committed."""
+        path = self.directory / record.file
+        if file_crc32(path) != record.crc32:
+            raise StorageError(f"{what} checksum mismatch for {path}",
+                               diagnosis="corrupted", path=path)
+        return path
 
     def appended_documents(self) -> list[tuple[int, str, str]]:
         """Flushed post-base documents as ``(doc_id, name, text)``.
@@ -634,11 +409,7 @@ class SegmentStore:
         """
         collected: dict[int, tuple[str, str]] = {}
         for record in self.manifest.texts:
-            path = self.directory / record.file
-            if file_crc32(path) != record.crc32:
-                raise StorageError(
-                    f"texts sidecar checksum mismatch for {path}",
-                    diagnosis="corrupted", path=path)
+            path = self._verified(record, "texts sidecar")
             for doc_id, name, text in _read_texts_file(path):
                 if doc_id in collected:
                     raise StorageError(
@@ -657,20 +428,15 @@ class SegmentStore:
         return [(doc_id, name, text)
                 for doc_id, (name, text) in sorted(collected.items())]
 
-    def load_segment_units(self) -> dict[int, list[tuple[SegmentRecord,
-                                                         GKSIndex]]]:
+    def load_runs(self) -> dict[int, list[Run]]:
         """Verified segment indexes grouped per shard, in run order."""
-        by_shard: dict[int, list[tuple[SegmentRecord, GKSIndex]]] = {}
+        by_shard: dict[int, list[Run]] = {}
         for record in self.manifest.segments:
-            path = self.directory / record.file
-            if file_crc32(path) != record.crc32:
-                raise StorageError(
-                    f"segment checksum mismatch for {path}",
-                    diagnosis="corrupted", path=path)
-            unit = load_index(path)
-            by_shard.setdefault(record.shard_id, []).append((record, unit))
-        for runs in by_shard.values():
-            runs.sort(key=lambda pair: min(pair[0].doc_ids))
+            unit = load_index(self._verified(record, "segment"))
+            by_shard.setdefault(record.shard_id, []).append(
+                (record.doc_ids, unit))
+        for chain in by_shard.values():
+            chain.sort(key=lambda run: min(run[0]))
         return by_shard
 
     # ------------------------------------------------------------------
@@ -681,19 +447,37 @@ class SegmentStore:
         return self.wal.append({"op": "add", "doc_id": doc_id,
                                 "name": name, "text": text})
 
-    def flush(self, pending: Sequence[PendingDocument]
-              ) -> dict[int, tuple[SegmentRecord, GKSIndex]]:
+    def _write_texts(self, generation: int,
+                     documents: Sequence[tuple[int, str, str]]
+                     ) -> TextsRecord:
+        name = texts_file_name(generation)
+        atomic_write_json_gz(
+            {"version": 1,
+             "documents": [list(entry) for entry in documents]},
+            self.directory / name)
+        return TextsRecord(
+            file=name, crc32=file_crc32(self.directory / name),
+            doc_ids=tuple(entry[0] for entry in documents))
+
+    def _commit(self, **changes) -> None:
+        """Publish the next manifest: the single commit point."""
+        manifest = replace(self.manifest, **changes)
+        write_manifest(self.directory, manifest)
+        self.manifest = manifest
+        self._observe_manifest()
+
+    def flush(self, pending: Sequence[PendingDocument],
+              runs: Mapping[int, Run]) -> None:
         """Persist the memtable: new segments + sidecar, then commit.
 
-        Writes one merged segment per shard holding pending documents
-        and one texts sidecar, publishes a manifest with the next
-        generation, and finally truncates the WAL through the flushed
-        frames.  Returns the merged per-shard units so the engine can
-        collapse its in-memory stacks without re-reading the files.
+        *runs* is the memtable merged to one run per shard.  Writes one
+        segment per run and one texts sidecar, publishes a manifest with
+        the next generation, and finally truncates the WAL through the
+        flushed frames.
         """
         pending = sorted(pending, key=lambda doc: doc.doc_id)
         if not pending:
-            return {}
+            return
         manifest = self.manifest
         expected = list(range(len(manifest.document_names),
                               len(manifest.document_names) + len(pending)))
@@ -701,46 +485,26 @@ class SegmentStore:
             raise ValidationError(
                 f"flush expects documents {expected}, got "
                 f"{[doc.doc_id for doc in pending]}")
-        generation = manifest.generation + 1
-        by_shard: dict[int, list[PendingDocument]] = {}
+        owned: dict[int, tuple[int, ...]] = {}
         for doc in pending:
-            by_shard.setdefault(doc.shard_id, []).append(doc)
-        merged_units: dict[int, tuple[SegmentRecord, GKSIndex]] = {}
-        for shard_id in sorted(by_shard):
-            docs = by_shard[shard_id]
-            merged = merge_indexes([doc.unit for doc in docs])
-            file_name = segment_file_name(generation, shard_id)
-            save_index(merged, self.directory / file_name)
-            record = SegmentRecord(
-                file=file_name,
-                crc32=file_crc32(self.directory / file_name),
-                shard_id=shard_id,
-                doc_ids=tuple(doc.doc_id for doc in docs),
-                generation=generation)
-            merged_units[shard_id] = (record, merged)
-        texts_name = texts_file_name(generation)
-        atomic_write_json_gz(
-            {"version": 1,
-             "documents": [[doc.doc_id, doc.name, doc.text]
-                           for doc in pending]},
-            self.directory / texts_name)
-        texts_record = TextsRecord(
-            file=texts_name, crc32=file_crc32(self.directory / texts_name),
-            doc_ids=tuple(doc.doc_id for doc in pending))
+            owned[doc.shard_id] = owned.get(doc.shard_id, ()) + (doc.doc_id,)
+        handed = {shard_id: tuple(doc_ids)
+                  for shard_id, (doc_ids, _) in runs.items()}
+        if handed != owned:
+            raise ValidationError(
+                f"flush runs cover {handed} but the memtable holds {owned}")
+        generation = manifest.generation + 1
+        segments = _write_segments(self.directory, generation, runs)
+        texts = self._write_texts(
+            generation, [(doc.doc_id, doc.name, doc.text)
+                         for doc in pending])
         last_lsn = max(doc.lsn for doc in pending)
-        self.manifest = StoreManifest(
+        self._commit(
             generation=generation, wal_lsn=last_lsn,
-            shards=manifest.shards, strategy=manifest.strategy,
-            index_tags=manifest.index_tags,
-            use_stopwords=manifest.use_stopwords,
-            use_stemming=manifest.use_stemming,
-            base_documents=manifest.base_documents,
             document_names=manifest.document_names
             + tuple(doc.name for doc in pending),
-            segments=manifest.segments
-            + tuple(record for record, _ in merged_units.values()),
-            texts=manifest.texts + (texts_record,))
-        write_manifest(self.directory, self.manifest)
+            segments=manifest.segments + segments,
+            texts=manifest.texts + (texts,))
         # checkpoint: flushed frames are now redundant with the manifest
         self.wal.truncate_through(last_lsn)
         global_registry().counter(
@@ -750,84 +514,49 @@ class SegmentStore:
             "gks_store_flushed_documents_total",
             help="Documents flushed from the memtable to segments."
         ).inc(len(pending))
-        self._observe_manifest()
-        return merged_units
 
-    def compact(self) -> dict[int, tuple[SegmentRecord, GKSIndex]]:
-        """Merge each shard's segment chain down to one run.
+    def compact(self, runs: Mapping[int, Run]) -> None:
+        """Replace each shard's segment chain in *runs* by its merged run.
 
-        Shards with a single segment are left alone; texts sidecars are
-        merged alongside.  The replaced files are deleted only *after*
-        the new manifest is durable — a crash anywhere in between leaves
-        orphans for the next open, never a dangling reference.  Returns
-        the compacted per-shard units ({} when there was nothing to do).
+        Texts sidecars are merged alongside.  Every replaced segment is
+        CRC-verified before anything is written, and the replaced files
+        are deleted only *after* the new manifest is durable — a crash
+        anywhere in between leaves orphans for the next open, never a
+        dangling reference.  No-op when there is nothing to replace.
         """
         manifest = self.manifest
-        by_shard: dict[int, list[SegmentRecord]] = {}
-        for record in manifest.segments:
-            by_shard.setdefault(record.shard_id, []).append(record)
-        todo = {shard_id: records for shard_id, records in by_shard.items()
-                if len(records) >= 2}
         merge_texts = len(manifest.texts) >= 2
-        if not todo and not merge_texts:
-            return {}
+        if not runs and not merge_texts:
+            return
+        replaced = [record for record in manifest.segments
+                    if record.shard_id in runs]
+        for shard_id, (doc_ids, _) in runs.items():
+            covered = sorted(doc_id for record in replaced
+                             if record.shard_id == shard_id
+                             for doc_id in record.doc_ids)
+            if covered != sorted(doc_ids):
+                raise ValidationError(
+                    f"compaction run of shard {shard_id} covers "
+                    f"documents {sorted(doc_ids)} but its segments hold "
+                    f"{covered}")
+        for record in replaced:
+            self._verified(record, "segment")
         generation = manifest.generation + 1
-        merged_units: dict[int, tuple[SegmentRecord, GKSIndex]] = {}
-        replaced: list[str] = []
-        for shard_id in sorted(todo):
-            records = sorted(todo[shard_id],
-                             key=lambda record: min(record.doc_ids))
-            units = []
-            for record in records:
-                path = self.directory / record.file
-                if file_crc32(path) != record.crc32:
-                    raise StorageError(
-                        f"segment checksum mismatch for {path}",
-                        diagnosis="corrupted", path=path)
-                units.append(load_index(path))
-            merged = merge_indexes(units)
-            file_name = segment_file_name(generation, shard_id)
-            save_index(merged, self.directory / file_name)
-            merged_units[shard_id] = (SegmentRecord(
-                file=file_name,
-                crc32=file_crc32(self.directory / file_name),
-                shard_id=shard_id,
-                doc_ids=tuple(doc_id for record in records
-                              for doc_id in record.doc_ids),
-                generation=generation), merged)
-            replaced.extend(record.file for record in records)
-        texts_records = manifest.texts
+        segments = _write_segments(self.directory, generation, runs)
+        texts = manifest.texts
+        stale = [record.file for record in replaced]
         if merge_texts:
-            documents: list[tuple[int, str, str]] = []
-            for record in manifest.texts:
-                documents.extend(_read_texts_file(self.directory
-                                                  / record.file))
-            documents.sort(key=lambda entry: entry[0])
-            texts_name = texts_file_name(generation)
-            atomic_write_json_gz(
-                {"version": 1,
-                 "documents": [list(entry) for entry in documents]},
-                self.directory / texts_name)
-            texts_records = (TextsRecord(
-                file=texts_name,
-                crc32=file_crc32(self.directory / texts_name),
-                doc_ids=tuple(entry[0] for entry in documents)),)
-            replaced.extend(record.file for record in manifest.texts)
-        segments = tuple(
-            record for record in manifest.segments
-            if record.shard_id not in merged_units
-        ) + tuple(record for record, _ in merged_units.values())
-        self.manifest = StoreManifest(
-            generation=generation, wal_lsn=manifest.wal_lsn,
-            shards=manifest.shards, strategy=manifest.strategy,
-            index_tags=manifest.index_tags,
-            use_stopwords=manifest.use_stopwords,
-            use_stemming=manifest.use_stemming,
-            base_documents=manifest.base_documents,
-            document_names=manifest.document_names,
-            segments=segments, texts=texts_records)
-        write_manifest(self.directory, self.manifest)
-        for file_name in replaced:
+            documents = sorted(
+                entry for record in manifest.texts
+                for entry in _read_texts_file(self.directory / record.file))
+            texts = (self._write_texts(generation, documents),)
+            stale.extend(record.file for record in manifest.texts)
+        self._commit(
+            generation=generation,
+            segments=tuple(record for record in manifest.segments
+                           if record.shard_id not in runs) + segments,
+            texts=texts)
+        for file_name in stale:
             try:
                 (self.directory / file_name).unlink()
             except OSError:
@@ -835,8 +564,6 @@ class SegmentStore:
         global_registry().counter(
             "gks_store_compactions_total",
             help="Segment compactions committed to the store.").inc()
-        self._observe_manifest()
-        return merged_units
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<SegmentStore {self.directory} "

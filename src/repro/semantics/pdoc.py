@@ -24,11 +24,10 @@ see the same trees) and documented in DESIGN.md §5.10.
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.errors import ValidationError
 from repro.index.builder import GKSIndex
-from repro.index.probtables import DIST_KINDS, ProbTables
+from repro.index.composite import CompositeIndex
+from repro.index.probtables import DIST_KINDS, ProbTables, merge_tables
 from repro.index.sharding import Shard, ShardedIndex
 from repro.xmltree.dewey import format_dewey
 from repro.xmltree.node import XMLNode
@@ -110,28 +109,18 @@ def extract_pdoc(root: XMLNode) -> ProbTables:
 
 def compile_tables(repository: Repository) -> ProbTables:
     """Extract and union the p-document tables of every document."""
-    kinds: dict[tuple, str] = {}
-    edge_p: dict[tuple, float] = {}
-    for document in repository:
-        tables = extract_pdoc(document.root)
-        kinds.update(tables.kinds)
-        edge_p.update(tables.edge_p)
-    return ProbTables(kinds=kinds, edge_p=edge_p)
+    return merge_tables([extract_pdoc(document.root)
+                         for document in repository])
 
 
-def has_prob_tables(index: "GKSIndex | ShardedIndex") -> bool:
+def has_prob_tables(index: "GKSIndex | CompositeIndex") -> bool:
     """True when *index* (or any of its shards) carries non-empty tables."""
-    if isinstance(index, ShardedIndex):
-        return any(bool(shard.index.probabilities)
-                   for shard in index.shards)
-    return bool(index.probabilities)
+    return bool(tables_of(index))
 
 
-def tables_of(index: "GKSIndex | ShardedIndex") -> ProbTables:
+def tables_of(index: "GKSIndex | CompositeIndex") -> ProbTables:
     """The index's probability tables, merged across shards (empty when
     the index carries none)."""
-    from repro.index.probtables import merge_tables
-
     if isinstance(index, ShardedIndex):
         return merge_tables([shard.index.probabilities
                              for shard in index.shards
@@ -142,22 +131,22 @@ def tables_of(index: "GKSIndex | ShardedIndex") -> ProbTables:
     return ProbTables()
 
 
-def attach_tables(index: "GKSIndex | ShardedIndex",
-                  repository: Repository) -> "GKSIndex | ShardedIndex":
+def attach_tables(index: "GKSIndex | CompositeIndex",
+                  repository: Repository) -> "GKSIndex | CompositeIndex":
     """Return *index* with probability tables compiled from *repository*.
 
-    Monolithic indexes get the corpus-wide table; sharded indexes get
-    each shard's restriction (documents live whole in one shard, so the
-    per-shard tables partition the corpus table exactly).
+    Monolithic indexes (plain or composite) get the corpus-wide table;
+    sharded indexes get each shard's restriction (documents live whole
+    in one shard, so the per-shard tables partition the corpus table
+    exactly).
     """
     tables = compile_tables(repository)
     if isinstance(index, ShardedIndex):
         shards = tuple(
             Shard(shard_id=shard.shard_id, doc_ids=shard.doc_ids,
-                  index=dataclasses.replace(
-                      shard.index,
-                      probabilities=tables.restrict(set(shard.doc_ids))))
+                  index=shard.index.with_probabilities(
+                      tables.restrict(set(shard.doc_ids))))
             for shard in index.shards)
         return ShardedIndex(shards, index.strategy, index.document_names,
                             analyzer=index.analyzer)
-    return dataclasses.replace(index, probabilities=tables)
+    return index.with_probabilities(tables)

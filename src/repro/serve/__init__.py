@@ -23,10 +23,10 @@ mutation invalidates the TTL cache under a generation fence.
 
 Quickstart::
 
-    from repro import GKSEngine
+    from repro import GKSEngine, Texts
     from repro.serve import ServeConfig, ServerCore
 
-    engine = GKSEngine.from_texts(corpus)
+    engine = GKSEngine.open(Texts(corpus))
     with ServerCore(engine, ServeConfig(workers=4)) as core:
         response = core.search("keyword query", deadline_s=0.2)
 """

@@ -288,14 +288,31 @@ class LockOrderInversion:
 # ----------------------------------------------------------------------
 # Scripted workloads (shared by ``gks race`` and the concurrency suite)
 # ----------------------------------------------------------------------
+def _feeder(target) -> Callable[[random.Random], None]:
+    """An operation that feeds *target* (an engine or a broker) one
+    fresh document per call; ``feeder.count`` is how many it fed."""
+    lock = threading.Lock()
+
+    def feed(rng: random.Random) -> None:
+        with lock:
+            feed.count += 1
+            serial = feed.count
+        target.add_document(
+            f"<doc><body>race payload {serial}</body></doc>",
+            name=f"race-{serial}.xml")
+
+    feed.count = 0
+    return feed
+
+
 def drive_cache_workload(engine, queries: Sequence[str],
                          harness: RaceHarness) -> RaceReport:
     """Hammer the engine LRU probe/store/evict path concurrently.
 
     Mixed cached searches (probe + re-insert), uncached searches and
-    occasional mutations; the invariant check is the cache accounting
-    the engine itself exposes (size within capacity, non-negative
-    counters).
+    documents fed beside them (every add publishes a new snapshot and
+    clears the cache); the invariant check is the cache accounting the
+    engine itself exposes (size within capacity, non-negative counters).
     """
     def search_cached(rng: random.Random) -> None:
         engine.search(rng.choice(list(queries)))
@@ -313,14 +330,15 @@ def drive_cache_workload(engine, queries: Sequence[str],
             found.append(f"negative cache counter: {info}")
         return found
 
-    return harness.run([search_cached, search_cached, search_uncached],
-                       check=check)
+    return harness.run([search_cached, search_cached, search_uncached,
+                        _feeder(engine)], check=check)
 
 
 def drive_swap_workload(core, engines: Sequence[object],
                         harness: RaceHarness,
                         queries: Sequence[str]) -> RaceReport:
-    """Hot-swap engines under concurrent search traffic.
+    """Hot-swap engines under concurrent search traffic while the
+    published engine is being fed.
 
     Every search must complete (on whichever snapshot it captured) and
     the broker's accounting must return to rest between rounds.
@@ -341,7 +359,8 @@ def drive_swap_workload(core, engines: Sequence[object],
                 f"running={snapshot['running']}")
         return found
 
-    return harness.run([search, search, search, swap], check=check)
+    return harness.run([search, search, search, swap, _feeder(core)],
+                       check=check)
 
 
 def drive_durable_workload(engine, harness: RaceHarness,
@@ -352,16 +371,7 @@ def drive_durable_workload(engine, harness: RaceHarness,
     append is either pending or flushed, and the repository never loses
     a document.
     """
-    documents = [0]
-    documents_lock = threading.Lock()
-
-    def add(rng: random.Random) -> None:
-        with documents_lock:
-            documents[0] += 1
-            serial = documents[0]
-        engine.add_document(
-            f"<doc><body>race payload {serial}</body></doc>",
-            name=f"race-{serial}.xml")
+    add = _feeder(engine)
 
     def flush(rng: random.Random) -> None:
         engine.flush()
@@ -371,7 +381,7 @@ def drive_durable_workload(engine, harness: RaceHarness,
 
     def check() -> list[str]:
         found = []
-        expected = documents[0]
+        expected = add.count
         actual = len(engine.repository) - check.baseline
         if actual != expected:
             found.append(

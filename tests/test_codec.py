@@ -545,7 +545,7 @@ class TestHTTPOptions:
 
 
 # ---------------------------------------------------------------------------
-# The api facade and the D001 deprecation rule
+# The api facade
 # ---------------------------------------------------------------------------
 class TestApiFacade:
     def test_every_name_resolves(self):
@@ -571,37 +571,3 @@ class TestApiFacade:
         engine = Engine.open(CORPUS, config=config)
         response = engine.search("keyword search", options=Options(s=2))
         assert response.nodes
-
-
-class TestD001:
-    def _findings(self, tmp_path, source: str):
-        from repro.analysis.lint import ModuleInfo, lint_modules
-        from repro.analysis.rules import DeprecatedFactoryRule
-
-        path = tmp_path / "snippet.py"
-        path.write_text(source)
-        return lint_modules([ModuleInfo.from_path(path)],
-                            rules=[DeprecatedFactoryRule()])
-
-    def test_deprecated_factories_flagged(self, tmp_path):
-        findings = self._findings(
-            tmp_path,
-            "engine = GKSEngine.from_texts(['<a/>'])\n"
-            "other = GKSEngine.from_paths(['a.xml'])\n")
-        assert [f.rule_id for f in findings] == ["D001", "D001"]
-        assert "GKSEngine.open" in findings[0].message
-
-    def test_open_is_not_flagged(self, tmp_path):
-        assert self._findings(
-            tmp_path, "engine = GKSEngine.open(['<a/>'])\n") == []
-
-    def test_suppression_marker_works(self, tmp_path):
-        assert self._findings(
-            tmp_path,
-            "engine = GKSEngine.from_texts(x)  # gks: ignore[D001]\n"
-        ) == []
-
-    def test_rule_in_default_catalog(self):
-        from repro.analysis.lint import rule_catalog
-
-        assert any(rule.rule_id == "D001" for rule in rule_catalog())

@@ -367,7 +367,7 @@ class TestLockInventory:
                    for path in sorted(Path("src").rglob("*.py"))]
         by_name = {site.name for site in collect_locks(modules)}
         assert {"serve.core", "engine.cache", "engine.mutation",
-                "sharding.cache", "index.wal"} <= by_name
+                "composite.cache", "index.wal"} <= by_name
 
     def test_cli_locks_json(self, capsys):
         assert main(["lint", "--locks", "--json", "src/repro/serve"]) == 0

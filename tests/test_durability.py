@@ -272,6 +272,42 @@ class TestRecovery:
         assert verify_segmented_store(tmp_path / "store") == []
 
 
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("store", [False, True], ids=["memory", "store"])
+def test_add_document_never_touches_a_published_snapshot(tmp_path, store,
+                                                         shards):
+    """Searches read ``engine.index`` without the mutation lock, so an
+    add must publish a *new* index and leave the captured one answering
+    exactly as before — with a store or without."""
+    engine = GKSEngine.open(Texts(BASE), config=_config(
+        tmp_path, shards=shards, cache_size=0,
+        store_path=tmp_path / "store" if store else None))
+    snapshots = []
+    for i, text in enumerate(EXTRA):
+        captured = engine.index
+        before = _index_signature(captured)
+        engine.add_document(text, name=f"extra{i}.xml")
+        assert engine.index is not captured
+        assert _index_signature(captured) == before
+        snapshots.append((captured, before))
+    # ... and flushes/compactions along the way spared every one of them
+    for captured, before in snapshots:
+        assert _index_signature(captured) == before
+    engine.close()
+
+
+def _index_signature(index) -> list:
+    """Node-for-node answers of a captured serving index."""
+    from repro.core.query import Query
+    from repro.core.scatter import sharded_search
+    from repro.core.search import search
+    from repro.index.sharding import ShardedIndex
+
+    run = sharded_search if isinstance(index, ShardedIndex) else search
+    return [[(node.dewey, node.score) for node in run(
+        index, Query.parse(raw)).nodes] for raw in QUERIES]
+
+
 class TestStoreLifecycle:
     def test_flush_and_compact_generations_are_monotonic(self, tmp_path):
         config = _config(tmp_path, shards=2, memtable_docs=100,
@@ -306,6 +342,29 @@ class TestStoreLifecycle:
         TornWriter(seed=7).tear(segment, fraction=0.5)
         with pytest.raises(StorageError):
             GKSEngine.open(Texts(BASE), config=config)
+
+    def test_compact_refuses_a_corrupted_segment(self, tmp_path):
+        """Compaction merges the in-memory runs but still verifies every
+        segment it is about to replace: rotted bytes stop it before the
+        manifest moves."""
+        config = _config(tmp_path, compact_segments=100)
+        engine = GKSEngine.open(Texts(BASE), config=config)
+        for i, text in enumerate(EXTRA[:4]):
+            engine.add_document(text, name=f"e{i}.xml")
+        store_dir = tmp_path / "store"
+        manifest = read_manifest(store_dir)
+        assert len(manifest.segments) >= 2
+        victim = store_dir / manifest.segments[0].file
+        data = bytearray(victim.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        victim.write_bytes(bytes(data))
+        with pytest.raises(StorageError) as excinfo:
+            engine.compact()
+        assert excinfo.value.diagnosis == "corrupted"
+        assert read_manifest(store_dir) == manifest
+        assert _signature(engine, QUERIES) == _signature(
+            _reference(BASE + EXTRA[:4]), QUERIES)
+        engine.close()
 
     def test_missing_wal_refuses_to_open(self, tmp_path):
         config = _config(tmp_path)

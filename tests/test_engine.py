@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import Paths, Texts
 from repro.core.engine import GKSEngine
 from repro.datasets.toy import figure2a
 from repro.index.storage import load_index, save_index
@@ -11,13 +12,13 @@ from repro.xmltree.serialize import serialize_node
 
 class TestConstruction:
     def test_from_texts(self):
-        engine = GKSEngine.from_texts(["<r><a>karen</a></r>"])  # gks: ignore[D001]
+        engine = GKSEngine.open(Texts(["<r><a>karen</a></r>"]))
         assert len(engine.search("karen")) == 1
 
     def test_from_paths(self, tmp_path):
         path = tmp_path / "doc.xml"
         path.write_text("<r><a>karen</a></r>")
-        engine = GKSEngine.from_paths([path])  # gks: ignore[D001]
+        engine = GKSEngine.open(Paths([path]))
         assert len(engine.search("karen")) == 1
 
     def test_prebuilt_index_is_reused(self, figure2a_repo):

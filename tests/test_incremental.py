@@ -1,30 +1,109 @@
-"""Tests for incremental index maintenance (append / remove-last)."""
+"""Incremental maintenance: document-disjoint units compose exactly.
+
+Appending a document never touches existing entries — its postings and
+hash keys all start with its document number — so an index grown one
+unit at a time must equal a from-scratch build over the same corpus,
+whichever way the units are currently grouped (memtable, merged runs,
+compacted chains; with a store or without; one shard or several).
+"""
 
 import pytest
 
+from repro.core.config import EngineConfig, Texts
+from repro.core.durable import build_unit
 from repro.core.engine import GKSEngine
 from repro.core.query import Query
 from repro.core.search import search
-from repro.errors import IndexError_
 from repro.index.builder import build_index
-from repro.index.incremental import append_document, remove_last_document
+from repro.index.composite import CompositeIndex, merge_indexes
+from repro.text.analyzer import DEFAULT_ANALYZER
 from repro.xmltree.parser import parse_document
 from repro.xmltree.repository import Repository
 
 DOC0 = "<r><a>karen</a><b>mike</b></r>"
 DOC1 = "<r><a>karen</a><c>zoe</c></r>"
-DOC2 = "<r><d>mike</d></r>"
+
+BASE = [
+    "<bib><paper><author>Peter Buneman</author>"
+    "<title>keyword search</title></paper></bib>",
+    "<bib><paper><author>Wenfei Fan</author>"
+    "<title>graph search</title></paper></bib>",
+]
+FEED = [
+    f"<bib><paper><author>Author{i} Buneman</author>"
+    f"<title>keyword paper {i} search</title></paper>"
+    f"<book><title>graph {i}</title></book></bib>"
+    for i in range(9)
+]
+QUERIES = ["keyword", "keyword search", "buneman fan", "graph paper author3",
+           '"keyword search"']
+COUNTERS = ("documents", "total_nodes", "attribute_nodes", "entity_nodes",
+            "repeating_nodes", "connecting_nodes", "text_keywords",
+            "tag_keywords", "max_depth")
 
 
 def fresh_index(*texts):
     return build_index(Repository.from_texts(list(texts)))
 
 
+def runs_with(index, text):
+    """The runs of *index* plus *text* indexed as the next document."""
+    count = len(index.document_names)
+    unit = build_unit(parse_document(text, doc_id=count),
+                      DEFAULT_ANALYZER, True)
+    return [(tuple(range(count)), index), ((count,), unit)]
+
+
+def _answers(engine):
+    out = []
+    for raw in QUERIES:
+        for response in (engine.search(raw, use_cache=False),
+                         engine.search(raw, s=2, use_cache=False),
+                         engine.search_top_k(raw, 3)):
+            out.append([(node.dewey, node.score, node.matched_keywords,
+                         node.is_lce) for node in response.nodes])
+    return out
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("store", [False, True], ids=["memory", "store"])
+def test_every_add_equals_a_rebuild(tmp_path, store, shards):
+    """After every add — through memtable, flushes and compactions — the
+    serving index is the from-scratch index and answers like a monolithic
+    engine over the same corpus."""
+    engine = GKSEngine.open(Texts(BASE), config=EngineConfig(
+        shards=shards, memtable_docs=2, compact_segments=2, cache_size=0,
+        store_path=tmp_path / "store" if store else None))
+    for position, text in enumerate(FEED):
+        info = engine.add_document(text, name=f"feed{position}.xml")
+        assert set(info) == {"doc_id", "name", "generation", "pending",
+                             "flushed"} | ({"lsn", "durable"} if store
+                                           else set())
+        assert info["doc_id"] == len(BASE) + position
+
+        corpus = BASE + FEED[:position + 1]
+        rebuilt = fresh_index(*corpus)
+        served = engine.index
+        assert dict(served.inverted.items()) == \
+            dict(rebuilt.inverted.items())
+        assert served.hashes.entity_table == rebuilt.hashes.entity_table
+        assert served.hashes.element_table == rebuilt.hashes.element_table
+        for counter in COUNTERS:
+            assert getattr(served.stats, counter) == \
+                getattr(rebuilt.stats, counter), counter
+        assert served.document_names == tuple(
+            document.name for document in engine.repository)
+        assert _answers(engine) == _answers(
+            GKSEngine.open(Texts(corpus), config=EngineConfig(cache_size=0)))
+    maintenance = [span.name for span in engine.recent_traces()]
+    assert maintenance.count("flush") >= 4
+    assert maintenance.count("compact") >= 2
+    engine.close()
+
+
 class TestAppend:
     def test_appended_index_equals_batch_index(self):
-        incremental = fresh_index(DOC0)
-        incremental = append_document(
-            incremental, parse_document(DOC1, doc_id=1))
+        incremental = merge_indexes(runs_with(fresh_index(DOC0), DOC1))
         batch = fresh_index(DOC0, DOC1)
         assert dict(incremental.inverted.items()) == \
             dict(batch.inverted.items())
@@ -35,44 +114,17 @@ class TestAppend:
         assert incremental.document_names == batch.document_names
 
     def test_search_after_append(self):
-        index = fresh_index(DOC0)
-        index = append_document(index, parse_document(DOC1, doc_id=1))
+        index = CompositeIndex(runs_with(fresh_index(DOC0), DOC1))
         response = search(index, Query.of(["karen"], s=1))
         docs = {node.dewey[0] for node in response}
         assert docs == {0, 1}
 
-    def test_wrong_doc_id_rejected(self):
-        index = fresh_index(DOC0)
-        with pytest.raises(IndexError_):
-            append_document(index, parse_document(DOC1, doc_id=5))
-
     def test_stats_continue(self):
         index = fresh_index(DOC0)
         before = index.stats.total_nodes
-        index = append_document(index, parse_document(DOC1, doc_id=1))
+        index = merge_indexes(runs_with(index, DOC1))
         assert index.stats.documents == 2
         assert index.stats.total_nodes > before
-
-
-class TestRemoveLast:
-    def test_remove_restores_previous_state(self):
-        grown = fresh_index(DOC0, DOC1)
-        shrunk = remove_last_document(grown)
-        baseline = fresh_index(DOC0)
-        assert dict(shrunk.inverted.items()) == \
-            dict(baseline.inverted.items())
-        assert shrunk.hashes.entity_table == baseline.hashes.entity_table
-        assert shrunk.document_names == ("doc0",)
-
-    def test_removed_document_is_unsearchable(self):
-        index = remove_last_document(fresh_index(DOC0, DOC2))
-        response = search(index, Query.of(["mike"], s=1))
-        assert all(node.dewey[0] == 0 for node in response)
-
-    def test_remove_from_empty_rejected(self):
-        empty = remove_last_document(fresh_index(DOC0))
-        with pytest.raises(IndexError_):
-            remove_last_document(empty)
 
 
 class TestEngineMaintenance:

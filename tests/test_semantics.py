@@ -26,7 +26,7 @@ from repro.index.storage import (check_index, describe_layout, load_index,
                                  save_index)
 from repro.semantics import (compile_tables, extract_pdoc,
                              probabilistic_search, tables_of)
-from repro.testing import KEYWORD_POOL, pdoc_corpus
+from repro.testing import KEYWORD_POOL, pdoc_corpus, pdoc_documents
 from repro.xmltree.repository import Repository
 
 pytestmark = pytest.mark.semantics
@@ -74,7 +74,10 @@ def corpus_and_query(draw):
 @given(corpus_and_query(), st.sampled_from([1, 2, 4]))
 def test_probabilistic_matches_possible_worlds(case, shards):
     documents, query = case
-    engine = _engine(documents, shards=shards)
+    _assert_matches_oracle(_engine(documents, shards=shards), query)
+
+
+def _assert_matches_oracle(engine: GKSEngine, query: Query) -> None:
     oracle = possible_worlds_probabilities(engine.repository, query)
     response = engine.search(query)
     assert response.semantics is not None
@@ -86,6 +89,42 @@ def test_probabilistic_matches_possible_worlds(case, shards):
     for dewey, probability in oracle.items():
         if probability > TOLERANCE:
             assert dewey in produced, (dewey, probability)
+
+
+@settings(max_examples=15, deadline=None)
+@given(documents=st.lists(pdoc_documents(max_uncertain=3),
+                          min_size=2, max_size=4),
+       query=st.composite(_query)(),
+       shards=st.sampled_from([1, 2]), store=st.booleans())
+def test_probabilistic_add_path_matches_possible_worlds(documents, query,
+                                                        shards, store):
+    """Tables are compiled from the repository, so a fed engine serves
+    probabilistic queries — with a store through add → flush → compact
+    → reopen, nothing about them persisted."""
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as tmp:
+        config = EngineConfig(mode="probabilistic", shards=shards,
+                              store_path=(Path(tmp) / "store" if store
+                                          else None),
+                              memtable_docs=2, compact_segments=2)
+        engine = GKSEngine.open(_repository(documents[:1]), config=config)
+        for number, text in enumerate(documents[1:], start=1):
+            engine.add_document(text, name=f"pdoc{number}.xml")
+            _assert_matches_oracle(engine, query)
+        if not store:
+            return
+        engine.flush()
+        _assert_matches_oracle(engine, query)
+        engine.compact()
+        _assert_matches_oracle(engine, query)
+        engine.close()
+        reopened = GKSEngine.open(_repository(documents[:1]),
+                                  config=config)
+        assert len(reopened.repository) == len(documents)
+        _assert_matches_oracle(reopened, query)
+        reopened.close()
 
 
 @settings(max_examples=15, deadline=None)
@@ -264,11 +303,6 @@ def test_table_carrying_index_needs_probabilistic_config(tmp_path):
         _repository(documents),
         config=EngineConfig(mode="probabilistic", index_path=path))
     assert tables_of(reopened.index) == tables_of(engine.index)
-
-
-def test_engine_config_rejects_probabilistic_store():
-    with pytest.raises(ConfigError):
-        EngineConfig(mode="probabilistic", store_path="/tmp/nope")
 
 
 def test_search_options_validate_mode_and_threshold():

@@ -338,13 +338,6 @@ class TestEngineConfig:
         with pytest.raises(ConfigError):
             GKSEngine.open(["<a/>", str(path)])
 
-    def test_shims_equal_open(self):
-        via_shim = GKSEngine.from_texts(CORPUS)  # gks: ignore[D001]
-        via_open = GKSEngine.open(Texts(CORPUS))
-        query = "keyword search"
-        assert _signature(via_shim.search(query)) == \
-            _signature(via_open.search(query))
-
     def test_search_tuning_params_are_keyword_only(self):
         engine = GKSEngine.open(CORPUS)
         with pytest.raises(TypeError):
@@ -423,12 +416,12 @@ class TestAddDocument:
         engine.search("keyword")
         assert engine.cache_info()["size"] == 1
 
-        import repro.index.incremental as incremental
+        import repro.core.durable as durable
 
-        def boom(index, document):
+        def boom(document, analyzer, index_tags):
             raise RuntimeError("mid-append crash")
 
-        monkeypatch.setattr(incremental, "append_document", boom)
+        monkeypatch.setattr(durable, "build_unit", boom)
         with pytest.raises(RuntimeError):
             engine.add_document(self.NEW_DOC)
         # the repository already grew, so stale responses must be gone
