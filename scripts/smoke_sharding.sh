@@ -39,6 +39,10 @@ grep -q "node(s) for" <<<"$OUT" || {
     echo "FAIL: no search results printed" >&2; exit 1; }
 grep -q "2 shard(s)" <<<"$OUT" || {
     echo "FAIL: search did not report the shard layout" >&2; exit 1; }
+# one driver for every layout: same nodes, same scores
+PLAIN="$(python -m repro search "$WORKDIR"/figure*.xml -q "karen mike" -s 2)"
+diff <(grep '^  <' <<<"$PLAIN") <(grep '^  <' <<<"$OUT") || {
+    echo "FAIL: sharded and unsharded answers differ" >&2; exit 1; }
 
 echo "== shard table in stats =="
 OUT="$(python -m repro stats "$WORKDIR"/figure*.xml \

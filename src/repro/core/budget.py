@@ -132,7 +132,7 @@ class SearchBudget:
 
         ``None`` when the budget has no deadline.  This is the one place
         deadline arithmetic lives — serve admission polls it to shed
-        already-expired requests before any engine work, scatter-gather
+        already-expired requests before any engine work, rebased
         children derive their deadlines from it (via
         :meth:`subbudget`), and every :class:`DegradationReport` carries
         the value observed at its trip.
@@ -144,14 +144,14 @@ class SearchBudget:
     def subbudget(self, *, rebase: bool = False) -> "SearchBudget":
         """A child budget policing this budget's deadline.
 
-        With ``rebase=False`` (the scatter-gather default) the child
-        shares this budget's clock *and* start time: each shard pipeline
-        polls the **same** wall-clock deadline the monolithic pipeline
-        would — a query that would have timed out unsharded times out
-        sharded at the same instant.  ``max_sl`` and ``max_nodes`` are
-        deliberately *not* copied: the SL cap is applied globally across
-        shards by the gather step, and ranking runs on the parent budget
-        (see :mod:`repro.core.scatter`), so per-shard children only
+        With ``rebase=False`` (what the search driver hands each unit of
+        a multi-unit index) the child shares this budget's clock *and*
+        start time: each unit polls the **same** wall-clock deadline a
+        single pipeline would — a query that would have timed out
+        unsharded times out sharded at the same instant.  ``max_sl`` and
+        ``max_nodes`` are deliberately *not* copied: the SL cap is
+        applied globally across units, and ranking runs on the parent
+        budget (see :mod:`repro.core.search`), so per-unit children only
         police the shared deadline.
 
         With ``rebase=True`` the child's deadline is this budget's
@@ -160,8 +160,8 @@ class SearchBudget:
         budget starts at arrival, and the engine call receives a rebased
         child whose deadline already has the queue wait subtracted, so
         ``engine.search``'s own ``start()`` cannot erase time the
-        request spent waiting.  Resource caps *are* copied here (there
-        is no gather step to apply them globally).
+        request spent waiting.  Resource caps *are* copied here (nothing
+        downstream applies them globally).
         """
         if rebase:
             return SearchBudget(deadline_s=self.remaining_s(),
@@ -175,17 +175,6 @@ class SearchBudget:
         child._started = self._started
         return child
 
-    def trip(self, stage: str, reason: str, processed: int,
-             total: int | None = None) -> None:
-        """Record a degradation externally observed (first trip wins).
-
-        The gather step uses this when the *global* SL admission cut
-        across shards — the sharded counterpart of :meth:`admit_sl` —
-        so the combined response reports degradation exactly like the
-        monolithic path.  Records the trip metric.
-        """
-        self._trip(stage, reason, processed, total)
-
     def adopt(self, report: DegradationReport | None) -> None:
         """Adopt a child budget's trip as this budget's own (first wins).
 
@@ -195,8 +184,15 @@ class SearchBudget:
         if report is not None and self.report is None:
             self.report = report
 
-    def _trip(self, stage: str, reason: str, processed: int,
-              total: int | None) -> None:
+    def trip(self, stage: str, reason: str, processed: int,
+             total: int | None = None) -> None:
+        """Record a degradation and count it (first trip wins).
+
+        The checkpoints below call this; so does the search driver when
+        the *global* SL admission cuts across units — the multi-unit
+        counterpart of :meth:`admit_sl` — so the combined response
+        reports degradation exactly like a single pipeline.
+        """
         if self.report is None:  # first trip wins: it names the stage
             # one clock read for both fields: a second elapsed() call
             # would advance injected FakeClocks and skew deterministic
@@ -230,7 +226,7 @@ class SearchBudget:
             self._started = self._clock()
         if (self.deadline_s is not None
                 and self.elapsed() > self.deadline_s):
-            self._trip(stage, "deadline", processed, total)
+            self.trip(stage, "deadline", processed, total)
             return True
         return False
 
@@ -241,7 +237,7 @@ class SearchBudget:
         had to cut.
         """
         if self.max_sl is not None and len(sl) > self.max_sl:
-            self._trip("merge", "max_sl", self.max_sl, len(sl))
+            self.trip("merge", "max_sl", self.max_sl, len(sl))
             return sl[:self.max_sl]
         return sl
 
@@ -249,7 +245,7 @@ class SearchBudget:
                    total: int | None = None) -> bool:
         """``True`` while one more response node may be ranked."""
         if self.max_nodes is not None and ranked_so_far >= self.max_nodes:
-            self._trip("rank", "max_nodes", ranked_so_far, total)
+            self.trip("rank", "max_nodes", ranked_so_far, total)
             return False
         return not self.checkpoint("rank", ranked_so_far, total)
 

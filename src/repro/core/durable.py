@@ -78,7 +78,7 @@ def compose_serving(durable_units: UnitRuns,
     A shard that is a single run is served by that run's index itself,
     so an engine that never added a document runs exactly the code a
     plain build runs.  Monolithic configs get the shard-0 index
-    directly (plain dispatch); sharded configs get a
+    directly (one search unit); sharded configs get a
     :class:`ShardedIndex` over the per-shard indexes.
     """
     per_shard: UnitRuns = {

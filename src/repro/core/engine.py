@@ -30,6 +30,7 @@ from repro.core.refinement import Refinement, suggest
 from repro.core.ranking import rank_node
 from repro.core.results import GKSResponse, RankedNode, SemanticsInfo
 from repro.core.search import Ranker, search
+from repro.core.topk import search_top_k
 from repro.core.durable import (compose_serving, merge_chains,
                                 merge_memtable, open_durable,
                                 pending_document, units_from_base)
@@ -94,6 +95,22 @@ class GKSEngine:
                                      capacity=slow_log_capacity)
         self._recent_traces: deque[Span] = deque(maxlen=max(1,
                                                             trace_capacity))
+        # Per-shard series exist only on engines that scatter-gather;
+        # looked up once, fed from each response's per-unit profile.
+        self._shard_metrics = None
+        if config.shards > 1:
+            registry = self.metrics_registry
+            self._shard_metrics = (
+                registry.counter(
+                    "gks_shard_searches_total",
+                    help="Per-shard discovery pipeline executions."),
+                registry.histogram(
+                    "gks_shard_search_seconds",
+                    help="Wall time of one shard's lcp + lce stages."),
+                registry.counter(
+                    "gks_shard_postings_scanned_total",
+                    help="SL entries processed per shard (after global "
+                         "admission)."))
         if index is None:
             index = self._build_index(repository, config)
         self.index = self._with_tables(index)
@@ -238,44 +255,6 @@ class GKSEngine:
     def parse_query(self, raw: str, s: int = 1) -> Query:
         return Query.parse(raw, s=s, analyzer=self.analyzer)
 
-    def _resolve_options(self, options: SearchOptions | None, *,
-                         s: int | None, use_cache: bool | None,
-                         strict_deadline: bool | None,
-                         budget: SearchBudget | None,
-                         mode: str | None = None,
-                         threshold: float | None = None):
-        """Fold a :class:`SearchOptions` into explicit keyword args.
-
-        Precedence: explicit keyword argument > ``options`` field >
-        engine config / built-in default.  ``options.deadline_s``
-        becomes a :class:`SearchBudget` only when the caller brought no
-        budget of their own.
-        """
-        if options is not None:
-            if s is None:
-                s = options.s
-            if use_cache is None:
-                use_cache = options.use_cache
-            if strict_deadline is None:
-                strict_deadline = options.strict_deadline
-            if budget is None and options.deadline_s is not None:
-                budget = SearchBudget(deadline_s=options.deadline_s)
-            if mode is None:
-                mode = options.mode
-            if threshold is None:
-                threshold = options.threshold
-        if use_cache is None:
-            use_cache = True
-        if strict_deadline is None:
-            strict_deadline = False
-        if budget is None:
-            budget = self.config.budget
-        if mode is None:
-            mode = self.config.mode
-        if threshold is None:
-            threshold = self.config.threshold
-        return s, use_cache, strict_deadline, budget, mode, threshold
-
     def search(self, query: str | Query, s: int | None = None, *,
                ranker: Ranker | None = None,
                use_cache: bool | None = None,
@@ -324,11 +303,45 @@ class GKSEngine:
         ``EngineConfig``.  Non-strict responses never touch the LRU
         cache, so strict output stays byte-identical.
         """
-        s, use_cache, strict_deadline, budget, mode, threshold = (
-            self._resolve_options(
-                options, s=s, use_cache=use_cache,
-                strict_deadline=strict_deadline, budget=budget,
-                mode=mode, threshold=threshold))
+        return self._run(query, None, s, ranker=ranker, use_cache=use_cache,
+                         budget=budget, strict_deadline=strict_deadline,
+                         options=options, mode=mode, threshold=threshold,
+                         tracer=tracer, request_id=request_id)
+
+    def _run(self, query: str | Query, k: int | None, s: int | None, *,
+             ranker: Ranker | None, use_cache: bool | None,
+             budget: SearchBudget | None, strict_deadline: bool | None,
+             options: SearchOptions | None, mode: str | None,
+             threshold: float | None,
+             tracer: Tracer | NullTracer | None,
+             request_id: str | None) -> GKSResponse:
+        """The one request path behind :meth:`search` (``k is None``) and
+        :meth:`search_top_k`: options, parse, mode dispatch, cache,
+        pipeline, bookkeeping."""
+        # Precedence: explicit keyword argument > ``options`` field >
+        # engine config / built-in default.  ``options.deadline_s``
+        # becomes a budget only when the caller brought none of their own.
+        if options is not None:
+            if s is None:
+                s = options.s
+            if use_cache is None:
+                use_cache = options.use_cache
+            if strict_deadline is None:
+                strict_deadline = options.strict_deadline
+            if budget is None and options.deadline_s is not None:
+                budget = SearchBudget(deadline_s=options.deadline_s)
+            if mode is None:
+                mode = options.mode
+            if threshold is None:
+                threshold = options.threshold
+        if use_cache is None:
+            use_cache = True
+        if budget is None:
+            budget = self.config.budget
+        if mode is None:
+            mode = self.config.mode
+        if threshold is None:
+            threshold = self.config.threshold
         if ranker is None:
             ranker = self.config.ranker
         if isinstance(query, str):
@@ -337,12 +350,19 @@ class GKSEngine:
         elif s is not None:
             query = query.with_s(s)
         if mode != "strict":
-            return self._semantic_search(
+            # Non-strict modes run the full semantic pipeline, then
+            # truncate: the semantic ranks (probability, penalty) are
+            # global properties early termination cannot preserve.
+            response = self._semantic_search(
                 query, mode=mode, threshold=threshold, ranker=ranker,
                 budget=budget, strict_deadline=strict_deadline,
                 tracer=tracer, request_id=request_id)
+            if k is not None:
+                response = replace(response, nodes=response.nodes[:k])
+            return response
 
-        use_cache = use_cache and budget is None
+        # top-k responses are never cached: the key carries no k
+        use_cache = use_cache and budget is None and k is None
         # Keyed on the ranker object itself (not id(): ids are recycled
         # after GC, which can silently serve another ranker's response).
         cache_key = (query.keywords, query.effective_s, ranker)
@@ -368,22 +388,14 @@ class GKSEngine:
         # wholly on whichever snapshot it captured.
         index = self.index
         generation = self._generation
-        if isinstance(index, ShardedIndex):
-            from repro.core.scatter import sharded_search
-
-            response = sharded_search(index, query, ranker=ranker,
-                                      budget=budget, tracer=tracer)
+        if k is None:
+            response = search(index, query, ranker=ranker, budget=budget,
+                              tracer=tracer)
         else:
-            response = search(index, query, ranker=ranker,
-                              budget=budget, tracer=tracer)
-        response = self._stamp_request_id(response, request_id, tracer)
-        self._record_search(response, tracer=tracer)
-        if (strict_deadline and response.degraded
-                and response.degradation.reason == "deadline"):
-            raise SearchTimeout(
-                f"query {query} exceeded its deadline: "
-                f"{response.degradation.render()}",
-                report=response.degradation)
+            response = search_top_k(index, query, k, ranker=ranker,
+                                    budget=budget, tracer=tracer)
+        response = self._finish(response, query, strict_deadline, tracer,
+                                request_id)
         # the generation guard keeps a response computed on a pre-swap
         # snapshot from re-entering the cache after invalidation
         if use_cache and self._cache_size and generation == self._generation:
@@ -396,6 +408,22 @@ class GKSEngine:
                     del self._response_cache[oldest]
                     self._count_cache("evictions")
                 self._response_cache[cache_key] = response
+        return response
+
+    def _finish(self, response: GKSResponse, query: Query,
+                strict_deadline: bool | None,
+                tracer: Tracer | NullTracer | None,
+                request_id: str | None) -> GKSResponse:
+        """Stamp, record, and — under ``strict_deadline`` — turn a
+        deadline-degraded response into :class:`SearchTimeout`."""
+        response = self._stamp_request_id(response, request_id, tracer)
+        self._record_search(response, tracer=tracer)
+        if (strict_deadline and response.degraded
+                and response.degradation.reason == "deadline"):
+            raise SearchTimeout(
+                f"query {query} exceeded its deadline: "
+                f"{response.degradation.render()}",
+                report=response.degradation)
         return response
 
     def _relaxation_vocabulary(self):
@@ -413,7 +441,7 @@ class GKSEngine:
     def _semantic_search(self, query: Query, *, mode: str,
                          threshold: float, ranker: Ranker,
                          budget: SearchBudget | None,
-                         strict_deadline: bool,
+                         strict_deadline: bool | None,
                          tracer: Tracer | NullTracer | None,
                          request_id: str | None) -> GKSResponse:
         """Dispatch a non-strict query through ``repro.semantics``.
@@ -462,20 +490,14 @@ class GKSEngine:
             response = relax_search(query, vocabulary, search_fn,
                                     budget=budget, tracer=tracer,
                                     registry=self.metrics_registry)
-        response = self._stamp_request_id(response, request_id, tracer)
-        self._record_search(response, tracer=tracer)
-        if (strict_deadline and response.degraded
-                and response.degradation.reason == "deadline"):
-            raise SearchTimeout(
-                f"query {query} exceeded its deadline: "
-                f"{response.degradation.render()}",
-                report=response.degradation)
-        return response
+        return self._finish(response, query, strict_deadline, tracer,
+                            request_id)
 
     def search_top_k(self, query: str | Query, k: int | None = None,
                      s: int | None = None, *,
                      ranker: Ranker | None = None,
                      budget: SearchBudget | None = None,
+                     strict_deadline: bool | None = None,
                      options: SearchOptions | None = None,
                      mode: str | None = None,
                      threshold: float | None = None,
@@ -488,48 +510,20 @@ class GKSEngine:
         back first to *options*, then to the engine's
         :class:`EngineConfig`.  ``k`` may come positionally or from
         ``options.k``; omitting both is a
-        :class:`~repro.errors.ValidationError`.  Non-strict modes run
-        the full semantic pipeline, then truncate (the semantic ranks —
-        probability, penalty — are global properties early termination
-        cannot preserve).
+        :class:`~repro.errors.ValidationError`.  Budgets,
+        ``strict_deadline``, modes, tracing and ``request_id`` behave as
+        in :meth:`search`; top-k responses are never cached.
         """
-        from repro.core.topk import search_top_k
-
-        s, _use_cache, _strict, budget, mode, threshold = (
-            self._resolve_options(
-                options, s=s, use_cache=None, strict_deadline=None,
-                budget=budget, mode=mode, threshold=threshold))
         if k is None and options is not None:
             k = options.k
         if k is None:
             raise ValidationError(
                 "search_top_k needs k — positionally or via "
                 "SearchOptions(k=...)")
-        if ranker is None:
-            ranker = self.config.ranker
-        if isinstance(query, str):
-            query = self.parse_query(query,
-                                     s=s if s is not None else self.config.s)
-        elif s is not None:
-            query = query.with_s(s)
-        if mode != "strict":
-            response = self._semantic_search(
-                query, mode=mode, threshold=threshold, ranker=ranker,
-                budget=budget, strict_deadline=False, tracer=tracer,
-                request_id=request_id)
-            return replace(response, nodes=response.nodes[:k])
-        index = self.index  # one read: run wholly on one snapshot
-        if isinstance(index, ShardedIndex):
-            from repro.core.scatter import sharded_top_k
-
-            response = sharded_top_k(index, query, k, ranker=ranker,
-                                     budget=budget, tracer=tracer)
-        else:
-            response = search_top_k(index, query, k, ranker=ranker,
-                                    budget=budget, tracer=tracer)
-        response = self._stamp_request_id(response, request_id, tracer)
-        self._record_search(response, tracer=tracer)
-        return response
+        return self._run(query, k, s, ranker=ranker, use_cache=None,
+                         budget=budget, strict_deadline=strict_deadline,
+                         options=options, mode=mode, threshold=threshold,
+                         tracer=tracer, request_id=request_id)
 
     # ------------------------------------------------------------------
     # Observability
@@ -587,6 +581,13 @@ class GKSEngine:
             registry.counter(
                 "gks_search_degraded_total",
                 help="Responses degraded by an exhausted budget.").inc()
+        if self._shard_metrics is not None:
+            searches, seconds, postings = self._shard_metrics
+            for shard_id, unit_seconds, sl_entries in response.profile.units:
+                labels = {"shard": str(shard_id)}
+                searches.inc(labels=labels)
+                seconds.observe(unit_seconds, labels=labels)
+                postings.inc(sl_entries, labels=labels)
         self.slow_log.observe(str(response.query), response.query.s, stats)
         if tracer is not None and tracer.enabled and tracer.roots:
             self._recent_traces.append(tracer.roots[-1])
@@ -998,9 +999,8 @@ def _index_compatible(index: GKSIndex | ShardedIndex,
                       config: EngineConfig) -> bool:
     """Is a persisted index usable for this repository under this config?
 
-    The shard layout must match the config exactly — a monolithic cache
-    cannot serve a sharded engine (and vice versa) because the dispatch
-    path is chosen by the index type.  Document names and the persisted
+    The shard layout must match the config exactly — the write path
+    routes new documents by it.  Document names and the persisted
     analyzer flags must also match, else the index describes a different
     corpus.
     """

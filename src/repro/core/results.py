@@ -118,6 +118,9 @@ class SearchProfile:
     lcp_seconds: float = 0.0
     lce_seconds: float = 0.0
     rank_seconds: float = 0.0
+    #: ``(shard id, lcp + lce seconds, SL entries)`` per unit when the
+    #: query ran over several; what the engine files under ``gks_shard_*``
+    units: tuple[tuple[int, float, int], ...] = ()
 
     def stage_breakdown(self) -> dict[str, float]:
         return {

@@ -1,22 +1,41 @@
-"""The GKS search pipeline (paper §4, Fig. 6 ``GKSNodes``).
+"""The GKS search pipeline (paper §4, Fig. 6 ``GKSNodes``) — one driver.
 
-``search`` strings the pieces together:
+:func:`run_pipeline` is the only place the stages are strung together,
+for every entry point and every index layout:
 
-1. merge the query keywords' posting lists into ``SL`` (§4.1),
-2. sweep ``SL`` with the ``s``-unique sliding window into the LCP list,
-3. map LCP entries to LCE nodes with witness maintenance (§4.2),
-4. assemble ``RQ(s)`` = surviving LCE nodes + unmapped LCP nodes,
-5. rank every response node with the potential-flow model (§5).
+1. **discover** — per document-disjoint *unit* (:func:`units_of`: the
+   shards of a sharded index, otherwise the index itself): merge the
+   query keywords' posting lists into ``SL`` (§4.1), sweep it with the
+   ``s``-unique sliding window into the LCP list, map LCP entries to LCE
+   nodes with witness maintenance (§4.2);
+2. **candidates** — ``RQ(s)`` = surviving LCE nodes + unmapped LCP
+   nodes, in the creation order a single index over all the documents
+   would produce;
+3. **select** — a policy ranks candidates with the potential-flow model
+   (§5), each against the unit owning its document: :func:`rank_all`
+   here, the bound-ordered top-k in :mod:`repro.core.topk`;
+4. **respond** — one :class:`GKSResponse` with per-stage seconds summed
+   over the units.
 
-Total cost is O(d·|SL|·log n) for steps 1–4 (the paper's bound) plus the
+Total cost is O(d·|SL|·log n) for steps 1–2 (the paper's bound) plus the
 ranking pass.  Distinct keyword counts reported per node are *exact* —
 recounted over posting-list subtree ranges — while the paper's
 ``s + counter − 1`` estimate is preserved in
 :attr:`RankedNode.estimated_keywords` (ablation bench A1 compares them).
+
+Budget semantics: one unit runs under the caller's budget itself.
+Several units each get a child (:meth:`SearchBudget.subbudget`) sharing
+the parent's clock **and start time**, so every child reads the headroom
+a single pipeline would — all deadline arithmetic lives in the budget,
+none here; ``max_sl`` is applied globally across the unit SLs (the kept
+prefix is the same document-order prefix); ``max_nodes`` caps the one
+global select loop.  The first trip — a unit's or the global
+admission's — becomes the response's degradation report.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable
 
 from repro.core.budget import SearchBudget
@@ -27,11 +46,48 @@ from repro.core.query import Query
 from repro.core.ranking import RankBreakdown, rank_node
 from repro.core.results import GKSResponse, RankedNode, SearchProfile
 from repro.index.builder import GKSIndex
+from repro.index.postings import merge_sorted_runs
+from repro.index.sharding import ShardedIndex
 from repro.obs.stats import QueryStats
 from repro.obs.trace import NOOP_TRACER, NullTracer, Tracer
 from repro.xmltree.dewey import Dewey
 
 Ranker = Callable[[GKSIndex, Query, Dewey], RankBreakdown]
+
+_STAGE_ORDER = {"merge": 0, "lcp": 1, "lce": 2, "rank": 3}
+
+
+def units_of(index) -> list[tuple[int, GKSIndex]]:
+    """``(label, unit)`` per document-disjoint unit a query runs over.
+
+    The one layout test on the query path: everything downstream only
+    asks whether there is more than one unit.
+    """
+    if isinstance(index, ShardedIndex):
+        return [(shard.shard_id, shard.index) for shard in index.shards]
+    return [(0, index)]
+
+
+class _Unit:
+    """One unit's trip through discovery, and what selection needs of it."""
+
+    __slots__ = ("label", "index", "budget", "sl", "lcp_entries", "lce",
+                 "lce_nodes", "fallback", "lcp_seconds", "lce_seconds")
+
+    def __init__(self, label: int, index: GKSIndex,
+                 budget: SearchBudget | None) -> None:
+        self.label = label
+        self.index = index
+        self.budget = budget
+
+    def found(self, lce: LCEResult) -> None:
+        self.lce = lce
+        self.lce_nodes = lce.lce
+        self.fallback = lce.fallback_candidates()
+
+
+#: a response candidate with the unit that owns its document
+Candidate = tuple[Dewey, _Unit]
 
 
 def search(index: GKSIndex, query: Query,
@@ -53,63 +109,181 @@ def search(index: GKSIndex, query: Query,
     :class:`~repro.obs.trace.Tracer` to additionally capture the nested
     span tree ``gks search --trace`` renders.
     """
+    return run_pipeline(index, query, rank_all, ranker, budget, tracer,
+                        "search")
+
+
+def run_pipeline(index, query: Query, select, ranker: Ranker,
+                 budget: SearchBudget | None,
+                 tracer: Tracer | NullTracer | None,
+                 root_name: str, **attributes) -> GKSResponse:
+    """Discover per unit, order the candidates, *select*, respond.
+
+    *select* is the ranking policy — ``select(query, ranker, candidates,
+    budget, span)`` returning the response nodes in final order;
+    *attributes* are stamped on the root span.
+    """
     if tracer is None:
         tracer = NOOP_TRACER
     clock = tracer.clock
     effective = query.with_s(query.effective_s)
     if budget is not None:
         budget.start()
+    layout = units_of(index)
+    many = len(layout) > 1
+    if many:
+        attributes["shards"] = len(layout)
+    units = [_Unit(label, unit, budget.subbudget()
+                   if many and budget is not None else budget)
+             for label, unit in layout]
 
-    with tracer.span("search", query=" ".join(effective.keywords),
-                     s=effective.s) as root:
+    with tracer.span(root_name, query=" ".join(effective.keywords),
+                     s=effective.s, **attributes) as root:
         started = clock()
-        with tracer.span("merge") as span:
-            sl = merged_list(index, effective, budget=budget)
-            span.add("sl_entries", len(sl))
-        after_merge = clock()
-        with tracer.span("lcp") as span:
-            lcp = compute_lcp_list(sl, effective.s, budget=budget)
-            span.add("entries", len(lcp))
-        after_lcp = clock()
-        with tracer.span("lce") as span:
-            lce = discover_lce(lcp, sl, index, budget=budget)
-            span.add("nodes", len(lce.lce))
-        after_lce = clock()
+        after_merge, discovered = _discover(units, effective, budget,
+                                            tracer, clock)
         with tracer.span("rank") as span:
-            nodes = rank_response(index, effective, lce, ranker,
-                                  budget=budget)
-            span.add("ranked", len(nodes))
+            candidates, polled = _candidates(units, budget)
+            nodes = select(effective, ranker, candidates, polled, span)
         finished = clock()
-        tripped = budget is not None and budget.tripped
-        if tripped:
+        if budget is not None and budget.tripped:
             root.set(degraded=True, trip_stage=budget.report.stage,
                      trip_reason=budget.report.reason)
+    return _respond(effective, nodes, units, budget,
+                    (started, after_merge, discovered, finished))
 
-    profile = SearchProfile(merged_list_size=len(sl),
-                            lcp_entries=len(lcp),
-                            lce_nodes=len(lce.lce),
-                            seconds=finished - started,
-                            merge_seconds=after_merge - started,
-                            lcp_seconds=after_lcp - after_merge,
-                            lce_seconds=after_lce - after_lcp,
-                            rank_seconds=finished - after_lce)
-    stats = QueryStats(total_seconds=profile.seconds,
-                       merge_seconds=profile.merge_seconds,
-                       lcp_seconds=profile.lcp_seconds,
-                       lce_seconds=profile.lce_seconds,
-                       rank_seconds=profile.rank_seconds,
-                       postings_scanned=len(sl),
-                       lcp_entries=len(lcp),
-                       lce_nodes=len(lce.lce),
-                       nodes_emitted=len(nodes),
-                       budget_trips=1 if tripped else 0,
-                       trip_stage=budget.report.stage if tripped else None,
-                       trip_reason=budget.report.reason if tripped else None,
-                       degraded=tripped)
-    return GKSResponse(query=effective, nodes=tuple(nodes), profile=profile,
-                       degraded=tripped,
-                       degradation=budget.report if tripped else None,
-                       stats=stats)
+
+def _discover(units: list[_Unit], query: Query,
+              budget: SearchBudget | None, tracer,
+              clock) -> tuple[float, float]:
+    """``merge → lcp → lce`` on every unit.
+
+    All SLs are merged before any LCP sweep because the ``max_sl`` cap is
+    global.  Returns the clock readings after the merge phase and at the
+    end; each unit keeps its own LCP and LCE seconds, read off one chain
+    of readings so the stage seconds add up to the wall time.
+    """
+    many = len(units) > 1
+    # the per-unit wrapper spans exist only where there are units to tell
+    # apart: a plain index keeps the flat merge/lcp/lce/rank tree
+    unit_tracer = tracer if many else NOOP_TRACER
+    with tracer.span("merge") as span:
+        for unit in units:
+            with unit_tracer.span("shard_merge", shard=unit.label):
+                unit.sl = merged_list(unit.index, query, budget=unit.budget)
+        span.add("sl_entries", _admit_global_sl(units, budget))
+    mark = after_merge = clock()
+    for unit in units:
+        with unit_tracer.span("shard", shard=unit.label) as unit_span:
+            with tracer.span("lcp") as span:
+                lcp = compute_lcp_list(unit.sl, query.s, budget=unit.budget)
+                span.add("entries", len(lcp))
+            after_lcp = clock()
+            with tracer.span("lce") as span:
+                unit.found(discover_lce(lcp, unit.sl, unit.index,
+                                        budget=unit.budget))
+                span.add("nodes", len(unit.lce_nodes))
+            unit.lcp_entries = len(lcp)
+            unit_span.set(sl_entries=len(unit.sl), lcp_entries=len(lcp),
+                          lce_nodes=len(unit.lce_nodes))
+        unit.lcp_seconds = after_lcp - mark
+        mark = clock()
+        unit.lce_seconds = mark - after_lcp
+    if many and budget is not None:
+        # the earliest-stage unit trip (ties: first unit) is the query's
+        budget.adopt(min(
+            (unit.budget.report for unit in units
+             if unit.budget.report is not None),
+            key=lambda report: _STAGE_ORDER.get(report.stage, 9),
+            default=None))
+    return after_merge, mark
+
+
+def _admit_global_sl(units: list[_Unit],
+                     budget: SearchBudget | None) -> int:
+    """Apply the parent ``max_sl`` cap *across* units; returns the total
+    kept SL size.
+
+    A single unit already applied it in :func:`merged_list`.  For
+    several, a single pipeline would keep the first ``max_sl`` entries of
+    the global SL in document order; the same prefix is recovered here
+    by merging the (sorted, disjoint) unit SLs, and each unit keeps its
+    part of that prefix.  Trips the parent budget exactly like
+    :meth:`SearchBudget.admit_sl`.
+    """
+    total = sum(len(unit.sl) for unit in units)
+    if (len(units) == 1 or budget is None or budget.max_sl is None
+            or total <= budget.max_sl):
+        return total
+    # entries of different units differ (other documents), so the last
+    # kept entry splits every unit's SL exactly
+    last = merge_sorted_runs(unit.sl for unit in units)[budget.max_sl - 1]
+    for unit in units:
+        unit.sl = unit.sl[:bisect_right(unit.sl, last)]
+    budget.trip("merge", "max_sl", budget.max_sl, total)
+    return budget.max_sl
+
+
+def _document(candidate: Candidate) -> int:
+    return candidate[0][0]
+
+
+def _candidates(units: list[_Unit], budget: SearchBudget | None
+                ) -> tuple[list[Candidate], SearchBudget | None]:
+    """The response candidates in global creation order — every unit's
+    LCE nodes, then every unit's fallback nodes, the units interleaved
+    by a stable sort on the document number (``docs/ALGORITHMS.md`` §3.4
+    has the argument) — and the budget the select loop still has to poll.
+    """
+    entities: list[Candidate] = []
+    others: list[Candidate] = []
+    for unit in units:
+        deweys = unit.lce.response_deweys()
+        split = len(unit.lce_nodes)
+        entities += [(dewey, unit) for dewey in deweys[:split]]
+        others += [(dewey, unit) for dewey in deweys[split:]]
+    if len(units) > 1:
+        entities.sort(key=_document)
+        others.sort(key=_document)
+    candidates = entities + others
+    if budget is not None and budget.tripped:
+        # An earlier stage tripped: salvage a bounded top-k of what was
+        # discovered.  LCE nodes come first, so the cap favours entity
+        # results (§4.2 semantics).  The recovery ranking itself is
+        # bounded by recovery_k, not the (already spent) deadline — there
+        # is nothing left to poll.
+        return candidates[:budget.recovery_k], None
+    return candidates, budget
+
+
+def ranked_node(query: Query, ranker: Ranker, dewey: Dewey,
+                unit: _Unit) -> RankedNode:
+    """Rank one candidate against the unit that owns its document."""
+    breakdown = ranker(unit.index, query, dewey)
+    info = unit.lce_nodes.get(dewey)
+    return RankedNode(
+        dewey=dewey,
+        score=breakdown.score,
+        distinct_keywords=breakdown.distinct_keywords,
+        matched_keywords=breakdown.matched_keywords,
+        is_lce=info is not None,
+        estimated_keywords=(info.estimated_keywords if info is not None
+                            else unit.fallback.get(dewey, query.s)),
+        breakdown=breakdown)
+
+
+def rank_all(query: Query, ranker: Ranker, candidates: list[Candidate],
+             budget: SearchBudget | None, span) -> list[RankedNode]:
+    """The full-search select policy: rank every admitted candidate."""
+    ranked: list[RankedNode] = []
+    total = len(candidates)
+    for dewey, unit in candidates:
+        if budget is not None and not budget.admit_node(len(ranked), total):
+            break
+        ranked.append(ranked_node(query, ranker, dewey, unit))
+    ranked.sort(key=RankedNode.sort_key)
+    span.add("ranked", len(ranked))
+    return ranked
 
 
 def rank_response(index: GKSIndex, query: Query, lce: LCEResult,
@@ -117,37 +291,49 @@ def rank_response(index: GKSIndex, query: Query, lce: LCEResult,
                   budget: SearchBudget | None = None) -> list[RankedNode]:
     """Rank the response node set of an already-run LCE stage.
 
-    Public because scatter-gather execution reuses it per shard: rank a
-    shard's own LCE result against the shard's index, then merge the
-    per-shard rankings (see :mod:`repro.core.scatter`).
+    Public for callers that drive the stages themselves (the benchmark's
+    stage-by-stage replay): candidates + :func:`rank_all` on one unit.
     """
-    lce_nodes = lce.lce
-    fallback = lce.fallback_candidates()
-    deweys = lce.response_deweys()
-    pre_tripped = budget is not None and budget.tripped
-    if pre_tripped:
-        # An earlier stage tripped: salvage a bounded top-k of what was
-        # discovered.  response_deweys() lists the LCE nodes first, so
-        # the cap favours entity results (§4.2 semantics).  The recovery
-        # ranking itself is bounded by recovery_k, not the (already
-        # spent) deadline.
-        deweys = deweys[:budget.recovery_k]
-    ranked: list[RankedNode] = []
-    total = len(deweys)
-    for dewey in deweys:
-        if (budget is not None and not pre_tripped
-                and not budget.admit_node(len(ranked), total)):
-            break
-        breakdown = ranker(index, query, dewey)
-        info = lce_nodes.get(dewey)
-        ranked.append(RankedNode(
-            dewey=dewey,
-            score=breakdown.score,
-            distinct_keywords=breakdown.distinct_keywords,
-            matched_keywords=breakdown.matched_keywords,
-            is_lce=info is not None,
-            estimated_keywords=(info.estimated_keywords if info is not None
-                                else fallback.get(dewey, query.s)),
-            breakdown=breakdown))
-    ranked.sort(key=RankedNode.sort_key)
-    return ranked
+    unit = _Unit(0, index, budget)
+    unit.found(lce)
+    return rank_all(query, ranker, *_candidates([unit], budget),
+                    NOOP_TRACER.span("rank"))
+
+
+def _respond(query: Query, nodes: list[RankedNode], units: list[_Unit],
+             budget: SearchBudget | None,
+             readings: tuple[float, float, float, float]) -> GKSResponse:
+    started, after_merge, discovered, finished = readings
+    sl_total = sum(len(unit.sl) for unit in units)
+    lcp_total = sum(unit.lcp_entries for unit in units)
+    lce_total = sum(len(unit.lce_nodes) for unit in units)
+    tripped = budget is not None and budget.tripped
+    profile = SearchProfile(
+        merged_list_size=sl_total,
+        lcp_entries=lcp_total,
+        lce_nodes=lce_total,
+        seconds=finished - started,
+        merge_seconds=after_merge - started,
+        lcp_seconds=sum(unit.lcp_seconds for unit in units),
+        lce_seconds=sum(unit.lce_seconds for unit in units),
+        rank_seconds=finished - discovered,
+        units=(tuple((unit.label, unit.lcp_seconds + unit.lce_seconds,
+                      len(unit.sl)) for unit in units)
+               if len(units) > 1 else ()))
+    stats = QueryStats(total_seconds=profile.seconds,
+                       merge_seconds=profile.merge_seconds,
+                       lcp_seconds=profile.lcp_seconds,
+                       lce_seconds=profile.lce_seconds,
+                       rank_seconds=profile.rank_seconds,
+                       postings_scanned=sl_total,
+                       lcp_entries=lcp_total,
+                       lce_nodes=lce_total,
+                       nodes_emitted=len(nodes),
+                       budget_trips=1 if tripped else 0,
+                       trip_stage=budget.report.stage if tripped else None,
+                       trip_reason=budget.report.reason if tripped else None,
+                       degraded=tripped)
+    return GKSResponse(query=query, nodes=tuple(nodes), profile=profile,
+                       degraded=tripped,
+                       degradation=budget.report if tripped else None,
+                       stats=stats)

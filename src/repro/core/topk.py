@@ -12,7 +12,10 @@ potential ``P``; summing over at most ``P`` matched keywords gives
 ``P²``.  Distinct-keyword counts cost one binary search per keyword, so
 the algorithm:
 
-1. assembles the response node set exactly as :func:`repro.core.search`,
+1. takes the response candidates exactly as :func:`repro.core.search`
+   does — top-k is the second *select* policy of the one driver
+   (:func:`repro.core.search.run_pipeline`), so it covers every index
+   layout the full search covers,
 2. counts distinct keywords per node (cheap),
 3. processes nodes in ``(-P², dewey)`` order, computing exact ranks,
 4. stops as soon as the current k-th best cannot be displaced by the next
@@ -32,19 +35,16 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
+from functools import partial
 
 from repro.core.budget import SearchBudget
-from repro.core.lce import discover_lce
-from repro.core.lcp import compute_lcp_list
-from repro.core.merge import merged_list
 from repro.core.query import Query
 from repro.core.ranking import rank_node
-from repro.core.results import GKSResponse, RankedNode, SearchProfile
-from repro.core.search import Ranker
+from repro.core.results import GKSResponse, RankedNode
+from repro.core.search import Candidate, Ranker, ranked_node, run_pipeline
 from repro.errors import ConfigError
 from repro.index.builder import GKSIndex
-from repro.obs.stats import QueryStats
-from repro.obs.trace import NOOP_TRACER, NullTracer, Tracer
+from repro.obs.trace import NullTracer, Tracer
 from repro.xmltree.dewey import Dewey
 
 
@@ -77,108 +77,40 @@ def search_top_k(index: GKSIndex, query: Query, k: int,
     """
     if k < 1:
         raise ConfigError(f"k must be positive: {k}")
-    if tracer is None:
-        tracer = NOOP_TRACER
-    clock = tracer.clock
-    effective = query.with_s(query.effective_s)
-    if budget is not None:
-        budget.start()
+    return run_pipeline(index, query, partial(_top_k, k), ranker, budget,
+                        tracer, "search_top_k", k=k)
 
-    with tracer.span("search_top_k",
-                     query=" ".join(effective.keywords),
-                     s=effective.s, k=k) as root:
-        started = clock()
-        with tracer.span("merge") as span:
-            sl = merged_list(index, effective, budget=budget)
-            span.add("sl_entries", len(sl))
-        after_merge = clock()
-        with tracer.span("lcp") as span:
-            lcp = compute_lcp_list(sl, effective.s, budget=budget)
-            span.add("entries", len(lcp))
-        after_lcp = clock()
-        with tracer.span("lce") as span:
-            lce = discover_lce(lcp, sl, index, budget=budget)
-            span.add("nodes", len(lce.lce))
-        after_lce = clock()
-        fallback = lce.fallback_candidates()
-        lce_nodes = lce.lce
 
-        candidates = lce.response_deweys()
-        pre_tripped = budget is not None and budget.tripped
-        if pre_tripped:
-            candidates = candidates[:budget.recovery_k]
+def _top_k(k: int, query: Query, ranker: Ranker,
+           candidates: list[Candidate], budget: SearchBudget | None,
+           span) -> list[RankedNode]:
+    """The top-k select policy: rank in bound order, stop when settled."""
+    bounded = sorted(
+        ((distinct_keyword_count(unit.index, query, dewey), dewey, unit)
+         for dewey, unit in candidates),
+        key=lambda item: (-(item[0] ** 2), item[1]))
 
-        with tracer.span("rank") as rank_span:
-            bounded = sorted(
-                ((distinct_keyword_count(index, effective, dewey), dewey)
-                 for dewey in candidates),
-                key=lambda pair: (-(pair[0] ** 2), pair[1]))
-
-            # min-heap over the current best k, ordered so the root is the
-            # *worst* of the best; a sequence number breaks exact key ties.
-            best: list[tuple[tuple, int, RankedNode]] = []
-            ranked_count = 0
-            for sequence, (count, dewey) in enumerate(bounded):
-                if (len(best) >= k and best[0][2].sort_key()
-                        <= _bound_key(count, dewey)):
-                    break  # nothing later can displace the current top k
-                if (budget is not None and not pre_tripped
-                        and budget.checkpoint("rank", sequence,
-                                              len(bounded))):
-                    break
-                breakdown = ranker(index, effective, dewey)
-                ranked_count += 1
-                info = lce_nodes.get(dewey)
-                node = RankedNode(
-                    dewey=dewey, score=breakdown.score,
-                    distinct_keywords=breakdown.distinct_keywords,
-                    matched_keywords=breakdown.matched_keywords,
-                    is_lce=info is not None,
-                    estimated_keywords=(
-                        info.estimated_keywords if info is not None
-                        else fallback.get(dewey, effective.s)),
-                    breakdown=breakdown)
-                entry = (_heap_key(node), sequence, node)
-                if len(best) < k:
-                    heapq.heappush(best, entry)
-                elif entry[0] > best[0][0]:
-                    heapq.heapreplace(best, entry)
-            rank_span.add("ranked", ranked_count)
-            rank_span.add("skipped", len(bounded) - ranked_count)
-
-        nodes = sorted((node for _, _, node in best),
-                       key=RankedNode.sort_key)
-        finished = clock()
-        tripped = budget is not None and budget.tripped
-        if tripped:
-            root.set(degraded=True, trip_stage=budget.report.stage,
-                     trip_reason=budget.report.reason)
-
-    profile = SearchProfile(merged_list_size=len(sl),
-                            lcp_entries=len(lcp),
-                            lce_nodes=len(lce.lce),
-                            seconds=finished - started,
-                            merge_seconds=after_merge - started,
-                            lcp_seconds=after_lcp - after_merge,
-                            lce_seconds=after_lce - after_lcp,
-                            rank_seconds=finished - after_lce)
-    stats = QueryStats(total_seconds=profile.seconds,
-                       merge_seconds=profile.merge_seconds,
-                       lcp_seconds=profile.lcp_seconds,
-                       lce_seconds=profile.lce_seconds,
-                       rank_seconds=profile.rank_seconds,
-                       postings_scanned=len(sl),
-                       lcp_entries=len(lcp),
-                       lce_nodes=len(lce.lce),
-                       nodes_emitted=len(nodes),
-                       budget_trips=1 if tripped else 0,
-                       trip_stage=budget.report.stage if tripped else None,
-                       trip_reason=budget.report.reason if tripped else None,
-                       degraded=tripped)
-    return GKSResponse(query=effective, nodes=tuple(nodes),
-                       profile=profile, degraded=tripped,
-                       degradation=budget.report if tripped else None,
-                       stats=stats)
+    # min-heap over the current best k, ordered so the root is the
+    # *worst* of the best; a sequence number breaks exact key ties.
+    best: list[tuple[tuple, int, RankedNode]] = []
+    ranked_count = 0
+    for sequence, (count, dewey, unit) in enumerate(bounded):
+        if (len(best) >= k and best[0][2].sort_key()
+                <= _bound_key(count, dewey)):
+            break  # nothing later can displace the current top k
+        if (budget is not None
+                and budget.checkpoint("rank", sequence, len(bounded))):
+            break
+        node = ranked_node(query, ranker, dewey, unit)
+        ranked_count += 1
+        entry = (_heap_key(node), sequence, node)
+        if len(best) < k:
+            heapq.heappush(best, entry)
+        elif entry[0] > best[0][0]:
+            heapq.heapreplace(best, entry)
+    span.add("ranked", ranked_count)
+    span.add("skipped", len(bounded) - ranked_count)
+    return sorted((node for _, _, node in best), key=RankedNode.sort_key)
 
 
 def _heap_key(node: RankedNode) -> tuple:

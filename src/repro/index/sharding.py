@@ -3,9 +3,9 @@
 A shard owns a subset of the repository's documents; because every
 posting and hash entry carries its document number, shards are
 document-disjoint *units* in the sense of :mod:`repro.index.composite`
-and the union of per-shard responses, re-sorted by the global ranking
-key, equals the monolithic response node-for-node and score-for-score
-(:mod:`repro.core.scatter` exploits this).
+and the search driver (:mod:`repro.core.search`) runs discovery per
+shard and ranks once globally, node-for-node and score-for-score what
+a monolithic index answers.
 
 This module provides what is shard-specific: partitioning strategies,
 the :class:`ShardedIndex` layout on top of the composite, and
@@ -79,9 +79,8 @@ class Shard:
 class ShardedIndex(CompositeIndex):
     """N document shards: a :class:`CompositeIndex` that knows its layout.
 
-    Scatter-gather search (:mod:`repro.core.scatter`) runs the pipeline
-    per shard; everything else talks to the inherited composite
-    interface.  What is shard-specific lives here: the partitioning
+    The search driver (:mod:`repro.core.search`) takes the shards as its
+    units; everything else talks to the inherited composite interface.  What is shard-specific lives here: the partitioning
     ``strategy`` and the :class:`Shard` records, positioned by shard id.
     """
 

@@ -36,10 +36,10 @@ from repro.core.budget import SearchBudget
 from repro.core.query import Query
 from repro.core.results import (GKSResponse, RankedNode, SearchProfile,
                                 SemanticsInfo)
+from repro.core.search import units_of
 from repro.errors import ConfigError
 from repro.index.builder import GKSIndex
 from repro.index.probtables import ProbTables
-from repro.index.sharding import ShardedIndex
 from repro.obs.metrics import MetricsRegistry, global_registry
 from repro.obs.stats import QueryStats
 from repro.obs.trace import NOOP_TRACER
@@ -183,7 +183,7 @@ def _evaluate_index(index: GKSIndex, query: Query, threshold: float,
     return nodes, halted
 
 
-def probabilistic_search(index: "GKSIndex | ShardedIndex", query: Query,
+def probabilistic_search(index: GKSIndex, query: Query,
                          *, threshold: float = 0.0,
                          budget: SearchBudget | None = None,
                          tracer=None,
@@ -215,18 +215,15 @@ def probabilistic_search(index: "GKSIndex | ShardedIndex", query: Query,
     with tracer.span("prob_search", query=" ".join(effective.keywords),
                      s=effective.s, threshold=threshold) as root:
         started = clock()
-        if isinstance(index, ShardedIndex):
-            for shard in index.shards:
-                with tracer.span("shard", shard=shard.shard_id):
-                    part, halted = _evaluate_index(
-                        shard.index, effective, threshold, budget, tracer,
-                        counters)
-                nodes.extend(part)
-                if halted:
-                    break
-        else:
-            nodes, _ = _evaluate_index(index, effective, threshold,
-                                       budget, tracer, counters)
+        units = units_of(index)
+        unit_tracer = tracer if len(units) > 1 else NOOP_TRACER
+        for shard_id, unit in units:
+            with unit_tracer.span("shard", shard=shard_id):
+                part, halted = _evaluate_index(
+                    unit, effective, threshold, budget, tracer, counters)
+            nodes.extend(part)
+            if halted:
+                break
         nodes.sort(key=lambda node: (-node.score, node.dewey))
         finished = clock()
         tripped = budget is not None and budget.tripped

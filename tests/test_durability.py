@@ -299,12 +299,9 @@ def test_add_document_never_touches_a_published_snapshot(tmp_path, store,
 def _index_signature(index) -> list:
     """Node-for-node answers of a captured serving index."""
     from repro.core.query import Query
-    from repro.core.scatter import sharded_search
     from repro.core.search import search
-    from repro.index.sharding import ShardedIndex
 
-    run = sharded_search if isinstance(index, ShardedIndex) else search
-    return [[(node.dewey, node.score) for node in run(
+    return [[(node.dewey, node.score) for node in search(
         index, Query.parse(raw)).nodes] for raw in QUERIES]
 
 

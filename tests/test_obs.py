@@ -14,12 +14,15 @@ import time
 import pytest
 
 from repro.core.budget import SearchBudget
+from repro.core.config import EngineConfig
 from repro.core.engine import GKSEngine
 from repro.core.query import Query
+from repro.core.scatter import sharded_search
 from repro.core.search import search
 from repro.core.topk import search_top_k
 from repro.datasets.registry import load_dataset
 from repro.index.builder import build_index
+from repro.index.sharding import build_sharded_index
 from repro.obs.metrics import MetricsRegistry, global_registry
 from repro.obs.stats import QueryStats, SlowQueryLog
 from repro.obs.trace import (NOOP_TRACER, NullTracer, Tracer,
@@ -80,11 +83,19 @@ class TestTracer:
         assert root.find("merge").counters["sl_entries"] > 0
 
     def test_stage_durations_sum_to_at_most_total(self, index):
-        tracer = Tracer()
-        search(index, Query.of(["karen", "mike"]), tracer=tracer)
-        root = tracer.roots[0]
-        child_sum = sum(child.duration_s for child in root.children)
-        assert 0 < child_sum <= root.duration_s
+        sharded = build_sharded_index(load_dataset("plays"), shards=2)
+        for run, target, keywords in (
+                (search, index, ["karen", "mike"]),
+                (sharded_search, sharded, ["king", "lear"])):
+            # a ticking clock (whole seconds: float sums stay exact)
+            tracer = Tracer(clock=FakeClock(auto_advance=1.0))
+            stats = run(target, Query.of(keywords), tracer=tracer).stats
+            root = tracer.roots[0]
+            child_sum = sum(child.duration_s for child in root.children)
+            assert 0 < child_sum <= root.duration_s
+            # every layout reports four real stages that fit the total
+            assert min(stats.stage_breakdown().values()) > 0
+            assert stats.stage_sum() <= stats.total_seconds
 
     def test_degraded_search_still_emits_ordered_spans(self, index):
         # an always-expired deadline trips the very first checkpoint
@@ -349,6 +360,28 @@ class TestEngineObservability:
         snapshot = engine.metrics()
         assert "gks_searches_total" in snapshot
         assert snapshot["gks_searches_total"]["values"][""] == 1
+
+
+    def test_shard_metrics_land_on_the_engine_registry(self):
+        series = ("gks_shard_searches_total", "gks_shard_search_seconds",
+                  "gks_shard_postings_scanned_total")
+        global_before = {name: global_registry().snapshot().get(name)
+                         for name in series}
+        engine = GKSEngine(load_dataset("plays"), metrics=MetricsRegistry(),
+                           config=EngineConfig(shards=2))
+        engine.search("king lear")
+        engine.search_top_k("king lear", k=2)
+        snapshot = engine.metrics()
+        for name in series:
+            assert set(snapshot[name]["values"]) == \
+                {'{shard="0"}', '{shard="1"}'}
+        assert engine.metrics_registry.counter(series[0]).value(
+            labels={"shard": "0"}) == 2
+        # the private registry is the only one written to ...
+        assert {name: global_registry().snapshot().get(name)
+                for name in series} == global_before
+        # ... and the driver itself needs no engine (or registry) at all
+        assert len(sharded_search(engine.index, Query.of(["king"])))
 
 
 class TestSlowQueryLog:

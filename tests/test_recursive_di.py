@@ -61,3 +61,15 @@ class TestRecursion:
         reports = dblp_engine.recursive_insights(response, rounds=2,
                                                  seed_keywords=3)
         assert len(reports) >= 1
+
+    def test_engine_facade_on_two_shards(self):
+        # three documents over two shards: the layout must not show
+        engines = [GKSEngine.open(load_dataset("plays"), shards=shards)
+                   for shards in (1, 2)]
+        rendered = [
+            [[insight.render() for insight in report]
+             for report in engine.recursive_insights(
+                 engine.search("king lear", s=1), rounds=2,
+                 seed_keywords=3)]
+            for engine in engines]
+        assert len(rendered[0]) == 3 and rendered[0] == rendered[1]

@@ -23,6 +23,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.budget import DegradationReport, SearchBudget
+from repro.core.config import SearchOptions
 from repro.core.engine import GKSEngine
 from repro.core.query import Query
 from repro.core.search import search
@@ -292,6 +293,21 @@ class TestEngineBudget:
         response = engine.search("karen", budget=SearchBudget(max_sl=4),
                                  strict_deadline=True)
         assert response.degraded is True  # max_sl degrades, never raises
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_strict_deadline_raises_on_top_k(self, shards):
+        # via the keyword and via options; resource caps still degrade
+        engine = GKSEngine.open(make_corpus(30), shards=shards)
+        for how in ({"strict_deadline": True},
+                    {"options": SearchOptions(strict_deadline=True)}):
+            budget = SearchBudget(deadline_s=0.5,
+                                  clock=FakeClock(auto_advance=1.0))
+            with pytest.raises(SearchTimeout) as excinfo:
+                engine.search_top_k("karen", k=3, budget=budget, **how)
+            assert excinfo.value.report.reason == "deadline"
+        response = engine.search_top_k("karen", k=3, strict_deadline=True,
+                                       budget=SearchBudget(max_sl=4))
+        assert response.degraded is True
 
     def test_degraded_responses_bypass_cache(self):
         engine = GKSEngine.open(make_corpus(30))

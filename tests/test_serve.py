@@ -640,6 +640,31 @@ class TestHTTP:
             server.server_close()
             core.close()
 
+    def test_strict_deadline_top_k_is_504(self):
+        # the engine's own budget trips inside the pipeline (an always
+        # expired fake deadline), so this is the engine's strict raise,
+        # not the admission queue's
+        engine = _engine(budget=SearchBudget(
+            deadline_s=0.5, clock=FakeClock(auto_advance=1.0)))
+        core = ServerCore(engine, ServeConfig(workers=1),
+                          registry=MetricsRegistry())
+        server = serve_http(core)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        body = json.dumps({"q": "apple", "k": 2,
+                           "options": {"strict_deadline": True}}).encode()
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{server.server_address[1]}/search",
+            data=body, headers={"Content-Type": "application/json"})
+        try:
+            with pytest.raises(urllib.error.HTTPError) as caught:
+                urllib.request.urlopen(request, timeout=10)
+            assert caught.value.code == 504
+            assert caught.value.headers["X-Request-Id"]
+        finally:
+            server.shutdown()
+            server.server_close()
+            core.close()
+
     def test_server_carries_the_broker(self, http_server):
         _, core = http_server
         server = serve_http(core)

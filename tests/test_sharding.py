@@ -75,14 +75,27 @@ def _signature(response):
     )
 
 
+def _counters(response):
+    """The work counters of the §4.2 bound: layout must not move them."""
+    stats = response.stats
+    return (stats.postings_scanned, stats.lcp_entries, stats.lce_nodes,
+            stats.nodes_emitted)
+
+
 def _assert_equivalent(repository, query, shards, **budget_kwargs):
     mono = _monolithic(repository)
     sharded = build_sharded_index(repository, shards=shards)
-    mono_budget = SearchBudget(**budget_kwargs) if budget_kwargs else None
-    shard_budget = SearchBudget(**budget_kwargs) if budget_kwargs else None
-    expected = search(mono, query, budget=mono_budget)
-    actual = sharded_search(sharded, query, budget=shard_budget)
-    assert _signature(actual) == _signature(expected)
+
+    def budget():
+        return SearchBudget(**budget_kwargs) if budget_kwargs else None
+
+    expected = search(mono, query, budget=budget())
+    # both names of the one driver: the plain entry point on a sharded
+    # layout scatter-gathers too
+    for entry_point in (sharded_search, search):
+        actual = entry_point(sharded, query, budget=budget())
+        assert _signature(actual) == _signature(expected)
+        assert _counters(actual) == _counters(expected)
 
 
 class TestPartitioning:
@@ -185,8 +198,11 @@ class TestEquivalence:
         for raw in QUERIES:
             query = Query.parse(raw)
             expected = search_top_k(mono, query, k)
-            actual = sharded_top_k(sharded, query, k)
-            assert _signature(actual) == _signature(expected)
+            assert _signature(expected)[0] == \
+                _signature(search(mono, query))[0][:k]
+            for entry_point in (sharded_top_k, search_top_k):
+                actual = entry_point(sharded, query, k)
+                assert _signature(actual) == _signature(expected)
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_max_sl_trip_identical(self, shards):

@@ -63,6 +63,14 @@ class TestSuggestS:
     def test_engine_facade(self, dblp_engine):
         assert dblp_engine.suggest_s('"Peter Buneman" "Wenfei Fan"') == 2
 
+    @pytest.mark.parametrize("raw,expected", [
+        ("king lear night", 2), ("king queen night storm", 3)])
+    def test_engine_facade_on_two_shards(self, raw, expected):
+        # three documents over two shards: the layout must not show
+        for shards in (1, 2):
+            engine = GKSEngine.open(load_dataset("plays"), shards=shards)
+            assert engine.suggest_s(raw) == expected
+
 
 class TestHighlightText:
     QUERY = Query.parse("karen publications")

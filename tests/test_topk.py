@@ -113,8 +113,9 @@ class TestStopRuleOnTies:
 
     def test_two_shards(self, repository):
         sharded = build_sharded_index(repository, shards=2)
-        self.check(repository, lambda k, ranker: sharded_top_k(
-            sharded, self.QUERY, k, ranker=ranker))
+        for entry_point in (sharded_top_k, search_top_k):
+            self.check(repository, lambda k, ranker: entry_point(
+                sharded, self.QUERY, k, ranker=ranker))
 
     def test_late_full_score_node_is_still_found(self):
         """The tie rule only ever stops on nodes *before* the remaining
