@@ -2,8 +2,9 @@
 # Serving smoke test: boot `gks serve` on an ephemeral port over the toy
 # corpus (with an injected per-query delay so requests overlap), fire
 # concurrent duplicate queries, and assert from /metrics that the broker
-# coalesced them onto one in-flight computation.  Finish with a SIGTERM
-# and require a clean drain.
+# coalesced them onto one in-flight computation.  Then post wrong-typed
+# bodies and require typed 400s (no traceback in the server log).
+# Finish with a SIGTERM and require a clean drain.
 #
 # Usage:  bash scripts/smoke_serve.sh
 set -euo pipefail
@@ -63,6 +64,26 @@ echo "gks_serve_coalesced_total = ${COALESCED:-absent}"
 [ "${COALESCED:-0}" -gt 0 ] || {
     echo "FAIL: concurrent duplicates were not coalesced" >&2
     grep "^gks_serve" <<<"$METRICS" >&2; exit 1; }
+
+echo "== wrong-typed bodies answer 400 + a JSON type =="
+post_expect_400() {  # route, body
+    local code
+    code="$(curl -sS -o "$WORKDIR/err.json" -w '%{http_code}' \
+        -H 'Content-Type: application/json' -d "$2" "$BASE$1")"
+    [ "$code" = "400" ] || {
+        echo "FAIL: POST $1 $2 answered $code, expected 400" >&2
+        cat "$WORKDIR/err.json" >&2; exit 1; }
+    grep -q '"type": *"ValidationError"' "$WORKDIR/err.json" || {
+        echo "FAIL: POST $1 $2 carried no typed JSON error" >&2
+        cat "$WORKDIR/err.json" >&2; exit 1; }
+}
+post_expect_400 /search '{"q": 5}'
+post_expect_400 /search '{"q": "karen", "s": null}'
+post_expect_400 /documents '{"text": 5}'
+if grep -q "Traceback" "$WORKDIR/serve.log"; then
+    echo "FAIL: the server logged a traceback" >&2
+    cat "$WORKDIR/serve.log" >&2; exit 1
+fi
 
 echo "== SIGTERM drains cleanly =="
 kill -TERM "$SERVER_PID"

@@ -41,6 +41,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from repro.core.config import SearchOptions
 from repro.core.engine import GKSEngine
 from repro.datasets.registry import dataset_names, load_dataset
 from repro.errors import GKSError
@@ -133,9 +134,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--deadline-ms", type=float, default=None,
                            help="default per-request deadline in "
                                 "milliseconds (none by default)")
-    serve_cmd.add_argument("--ttl-s", type=float, default=None,
-                           help="serve-side TTL result cache lifetime "
-                                "in seconds (cache off by default)")
     serve_cmd.add_argument("--no-coalesce", action="store_true",
                            help="disable singleflight coalescing of "
                                 "identical in-flight requests")
@@ -821,13 +819,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
     engine = _engine(args.files, args)
     tracer = Tracer() if args.trace else None
-    budget = None
+    options = None
     if args.deadline_ms is not None:
-        from repro.core.budget import SearchBudget
-
-        budget = SearchBudget(deadline_s=args.deadline_ms / 1000.0)
+        options = SearchOptions(deadline_s=args.deadline_ms / 1000.0)
     response = engine.search(args.query, s=args.s, tracer=tracer,
-                             budget=budget)
+                             options=options)
     if response.degraded:
         print(f"warning: {response.degradation.render()}",
               file=sys.stderr)
@@ -900,7 +896,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_capacity=args.queue_capacity,
         deadline_s=(args.deadline_ms / 1000.0
                     if args.deadline_ms is not None else None),
-        ttl_s=args.ttl_s,
         coalesce=not args.no_coalesce)
     core = ServerCore(engine, config)
     httpd = serve_http(core, host=args.host, port=args.port)
@@ -923,7 +918,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"gks serve: drained; {stats['ok']:.0f} ok, "
               f"{stats['shed']:.0f} shed, "
               f"{stats['coalesced']:.0f} coalesced, "
-              f"{stats['ttl_hits']:.0f} ttl hit(s), "
               f"{stats['timeouts']:.0f} timeout(s)", flush=True)
     return 0
 

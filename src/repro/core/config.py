@@ -18,16 +18,16 @@ iterable in :class:`Texts` / :class:`Paths` to skip sniffing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import Callable, NamedTuple
 
-from repro.errors import ConfigError
+from repro.core.budget import SearchBudget
+from repro.core.query import Query
+from repro.errors import ConfigError, ValidationError
 from repro.text.analyzer import DEFAULT_ANALYZER, Analyzer
 from repro.xmltree.parser import RecoveryPolicy
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.budget import SearchBudget
 
 
 class Texts(tuple):
@@ -68,16 +68,60 @@ def _check_threshold(threshold: float) -> None:
             f"probability threshold must be in [0, 1]: {threshold}")
 
 
+_WIRE_FLAGS = {True: True, "true": True, "1": True,
+               False: False, "false": False, "0": False}
+
+#: What a wire value may be: kind -> (accepted types, parser).  Values
+#: arrive JSON-typed (a request body) or as strings (a query string), so
+#: each kind admits the type itself or its string spelling and nothing
+#: else — ``1.9`` is not an integer, ``"yes"`` is not a flag, JSON
+#: ``null`` / lists / objects are never a value.  ``bool`` is an ``int``
+#: to Python but not on the wire: only a flag may be one.
+_WIRE_KINDS = {
+    "an integer": ((int, str), int),
+    "a number": ((int, float, str), float),
+    "true or false": ((bool, str), _WIRE_FLAGS.__getitem__),
+    "a string": ((str,), str),
+}
+
+#: Wire name -> kind (the dataclass fields plus ``deadline_ms``).
+_WIRE_FIELDS = {
+    "s": "an integer",
+    "k": "an integer",
+    "use_cache": "true or false",
+    "strict_deadline": "true or false",
+    "deadline_s": "a number",
+    "deadline_ms": "a number",
+    "mode": "a string",
+    "threshold": "a number",
+}
+
+
+def _wire_value(name: str, value):
+    kind = _WIRE_FIELDS[name]
+    types, parse = _WIRE_KINDS[kind]
+    if isinstance(value, types) and (
+            not isinstance(value, bool) or kind == "true or false"):
+        try:
+            return parse(value)
+        except (ValueError, OverflowError, KeyError):
+            pass
+    # the value is echoed bounded: it may be a hostile 64 KB string
+    raise ValidationError(
+        f"search option {name!r} must be {kind}: {value!r:.40}")
+
+
 @dataclass(frozen=True)
 class SearchOptions:
     """Per-request tuning knobs, one frozen record for every surface.
 
     ``GKSEngine.search`` / ``search_top_k``, ``ServerCore.submit`` and
-    the HTTP envelope all accept the same record, so a request's tuning
-    travels unchanged from the wire to the engine.  Every field is
-    optional; ``None`` means "use the caller's default" (an explicit
-    keyword argument beats the option, the option beats the engine /
-    broker configuration).
+    the HTTP envelope all accept the same record and hand it, untouched,
+    to :func:`resolve_request` — the one place its fields are read — so
+    a request's tuning means the same thing at the wire, the broker and
+    the engine.  Every field is optional; ``None`` means "use the
+    caller's default" (an explicit keyword argument beats the option,
+    the option beats the engine / broker configuration).
 
     Attributes
     ----------
@@ -91,7 +135,9 @@ class SearchOptions:
         Raise :class:`~repro.errors.SearchTimeout` on a deadline trip
         instead of returning a degraded partial response.
     deadline_s:
-        Wall-clock allowance for the request, in seconds.
+        Wall-clock allowance for the request, in seconds (finite).  The
+        budget built from it keeps the operator's ``max_sl`` /
+        ``max_nodes`` caps from ``EngineConfig.budget``.
     mode:
         Query semantics for this request: ``"strict"``,
         ``"probabilistic"`` or ``"relaxed"``; ``None`` uses the
@@ -116,9 +162,12 @@ class SearchOptions:
             raise ConfigError(f"s must be >= 1: {self.s}")
         if self.k is not None and self.k < 1:
             raise ConfigError(f"k must be >= 1: {self.k}")
-        if self.deadline_s is not None and self.deadline_s < 0:
+        # written as a chain so NaN (which fails every comparison) and
+        # infinity are rejected along with negatives
+        if (self.deadline_s is not None
+                and not 0 <= self.deadline_s < math.inf):
             raise ConfigError(
-                f"deadline_s must be >= 0: {self.deadline_s}")
+                f"deadline_s must be finite and >= 0: {self.deadline_s}")
         if self.mode is not None:
             _check_mode(self.mode)
         if self.threshold is not None:
@@ -126,44 +175,28 @@ class SearchOptions:
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "SearchOptions":
-        """Build options from a wire mapping (the HTTP ``options`` object).
+        """Build options from a wire mapping — the one site where wire
+        values are validated.
 
         Accepts the dataclass field names plus ``deadline_ms`` (the wire
-        spelling); unknown keys and untyped values raise
-        :class:`~repro.errors.ValidationError` so a typo'd option is a
+        spelling, which wins over ``deadline_s``).  Values are checked,
+        not coerced (see ``_WIRE_KINDS``); unknown keys, wrongly typed
+        and out-of-range values raise
+        :class:`~repro.errors.ValidationError`, so a typo'd option is a
         client error, not a silently ignored one.
         """
-        from repro.errors import ValidationError
-
         if not isinstance(raw, dict):
             raise ValidationError("options must be a JSON object")
-        known = {"s", "k", "use_cache", "strict_deadline", "deadline_s",
-                 "deadline_ms", "mode", "threshold"}
-        unknown = set(raw) - known
+        unknown = set(raw) - set(_WIRE_FIELDS)
         if unknown:
             raise ValidationError(
                 f"unknown search option(s): {sorted(unknown)}")
-        values: dict = {}
+        values = {name: _wire_value(name, value)
+                  for name, value in raw.items()}
+        if "deadline_ms" in values:
+            values["deadline_s"] = values.pop("deadline_ms") / 1000.0
         try:
-            if raw.get("s") is not None:
-                values["s"] = int(raw["s"])
-            if raw.get("k") is not None:
-                values["k"] = int(raw["k"])
-            if raw.get("use_cache") is not None:
-                values["use_cache"] = bool(raw["use_cache"])
-            if raw.get("strict_deadline") is not None:
-                values["strict_deadline"] = bool(raw["strict_deadline"])
-            if raw.get("deadline_ms") is not None:
-                values["deadline_s"] = float(raw["deadline_ms"]) / 1000.0
-            elif raw.get("deadline_s") is not None:
-                values["deadline_s"] = float(raw["deadline_s"])
-            if raw.get("mode") is not None:
-                values["mode"] = str(raw["mode"])
-            if raw.get("threshold") is not None:
-                values["threshold"] = float(raw["threshold"])
             return cls(**values)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"invalid search option: {exc}") from exc
         except ConfigError as exc:
             raise ValidationError(str(exc)) from exc
 
@@ -252,7 +285,7 @@ class EngineConfig:
     ranker: Callable = field(default_factory=_default_ranker)
     index_tags: bool = True
     cache_size: int = 64
-    budget: "SearchBudget | None" = None
+    budget: SearchBudget | None = None
     recovery: RecoveryPolicy | str = RecoveryPolicy.STRICT
     shards: int = 1
     workers: int = 1
@@ -314,6 +347,106 @@ class EngineConfig:
             raise ConfigError(
                 f"unknown EngineConfig field(s): {sorted(unknown)}")
         return replace(self, **overrides)
+
+
+class SearchRequest(NamedTuple):
+    """One search request after :func:`resolve_request`: nothing left to
+    default, nothing left to look up in a :class:`SearchOptions`."""
+
+    query: Query
+    k: int | None
+    ranker: Callable
+    use_cache: bool
+    strict_deadline: bool
+    #: the budget the pipeline runs under (``None`` = unbounded)
+    budget: SearchBudget | None
+    #: the request's own deadline, ``None`` when ``budget`` is the
+    #: caller's or the operator's — what the broker arms at admission
+    deadline_s: float | None
+    mode: str
+    threshold: float
+    #: the request names no budget, deadline or engine-side knob, so its
+    #: response depends on ``(keywords, s, ranker, k)`` alone and
+    #: identical requests may share one
+    shareable: bool
+
+
+def resolve_request(config: EngineConfig, query: str | Query,
+                    options: SearchOptions | None = None, *,
+                    s: int | None = None,
+                    k: int | None = None,
+                    ranker: Callable | None = None,
+                    use_cache: bool | None = None,
+                    strict_deadline: bool | None = None,
+                    budget: SearchBudget | None = None,
+                    deadline_s: float | None = None,
+                    mode: str | None = None,
+                    threshold: float | None = None,
+                    default_deadline_s: float | None = None,
+                    clock: Callable[[], float] | None = None
+                    ) -> SearchRequest:
+    """Resolve one search request against *config* — once, here.
+
+    The precedence rule, for every field: **explicit argument >
+    ``options`` field > configuration** (*default_deadline_s*, the
+    broker's ``ServeConfig.deadline_s``, then the engine's *config*).
+    ``GKSEngine.search`` / ``search_top_k`` and ``ServerCore.submit``
+    all call this function and read no :class:`SearchOptions` field
+    themselves, so a record means the same thing at every layer.
+
+    A deadline becomes a :class:`SearchBudget` here and nowhere else
+    (on *clock* when the broker brings its own), and that budget keeps
+    the operator's ``max_sl`` / ``max_nodes`` caps from
+    ``config.budget``: asking for a deadline must not lift a resource
+    cap.  An explicit *budget* wins over any deadline.
+    """
+    if options is not None:
+        if s is None:
+            s = options.s
+        if k is None:
+            k = options.k
+        if use_cache is None:
+            use_cache = options.use_cache
+        if strict_deadline is None:
+            strict_deadline = options.strict_deadline
+        if deadline_s is None:
+            deadline_s = options.deadline_s
+        if mode is None:
+            mode = options.mode
+        if threshold is None:
+            threshold = options.threshold
+    if deadline_s is None:
+        deadline_s = default_deadline_s
+    shareable = (budget is None and deadline_s is None
+                 and use_cache is None and strict_deadline is None
+                 and mode is None and threshold is None)
+    if budget is not None:
+        deadline_s = None
+    elif deadline_s is not None:
+        caps = config.budget
+        # a deadline already in the past (the broker sheds those) is a
+        # spent budget, not a configuration error
+        budget = SearchBudget(
+            deadline_s=max(0.0, deadline_s),
+            max_sl=caps.max_sl if caps is not None else None,
+            max_nodes=caps.max_nodes if caps is not None else None,
+            clock=clock)
+    else:
+        budget = config.budget
+    if isinstance(query, str):
+        query = Query.parse(query, s=s if s is not None else config.s,
+                            analyzer=config.analyzer)
+    elif s is not None:
+        query = query.with_s(s)
+    return SearchRequest(
+        query=query, k=k,
+        ranker=ranker if ranker is not None else config.ranker,
+        use_cache=use_cache if use_cache is not None else True,
+        strict_deadline=bool(strict_deadline),
+        budget=budget, deadline_s=deadline_s,
+        mode=mode if mode is not None else config.mode,
+        threshold=threshold if threshold is not None else config.threshold,
+        shareable=shareable)
 
 
 def _coerce_policy(policy: RecoveryPolicy | str) -> RecoveryPolicy:

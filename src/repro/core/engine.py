@@ -22,7 +22,8 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.core.budget import SearchBudget
-from repro.core.config import EngineConfig, Paths, SearchOptions, Texts
+from repro.core.config import (EngineConfig, Paths, SearchOptions,
+                               SearchRequest, Texts, resolve_request)
 from repro.core.insights import (InsightReport, discover_insights,
                                  discover_recursive)
 from repro.core.query import Query
@@ -114,12 +115,18 @@ class GKSEngine:
         if index is None:
             index = self._build_index(repository, config)
         self.index = self._with_tables(index)
-        # LRU response cache; keyed by (keywords, s, ranker); responses
-        # are immutable so sharing them is safe.  Invalidated whenever
-        # the corpus changes (add_document).  The lock makes the
-        # pop/evict/insert sequences atomic — the serving layer runs
-        # searches from a worker thread pool, and two threads evicting
-        # the same oldest key would otherwise race into a KeyError.
+        # LRU response cache — the system's one result cache; keyed by
+        # (keywords, s, ranker); responses are immutable so sharing them
+        # is safe.  Every event that can change an answer (add_document,
+        # a flush/compact recompose; a hot swap replaces the engine and
+        # its cache with it) clears it and bumps ``_generation``, and a
+        # response computed on an older generation is not stored — so an
+        # entry is never stale, and a wall-clock expiry on top could only
+        # evict answers that are still right.  That is why no layer above
+        # keeps a time-bounded copy.  The lock makes the pop/evict/insert
+        # sequences atomic — the serving layer runs searches from a
+        # worker thread pool, and two threads evicting the same oldest
+        # key would otherwise race into a KeyError.
         self._cache_size = max(0, config.cache_size)
         self._response_cache: dict = {}
         self._cache_lock = new_lock("engine.cache")  # guards: _response_cache
@@ -133,7 +140,6 @@ class GKSEngine:
         # threshold flushes inside the same hold.
         # guards: index, _generation, _pending, _durable_units
         self._mutation_lock = new_rlock("engine.mutation")
-        self._mutation_listeners: list = []
         self._generation = 0
         self._store: SegmentStore | None = None
         self._durable_units = units_from_base(index)
@@ -256,6 +262,7 @@ class GKSEngine:
         return Query.parse(raw, s=s, analyzer=self.analyzer)
 
     def search(self, query: str | Query, s: int | None = None, *,
+               k: int | None = None,
                ranker: Ranker | None = None,
                use_cache: bool | None = None,
                budget: SearchBudget | None = None,
@@ -271,17 +278,22 @@ class GKSEngine:
         back first to *options* (a frozen
         :class:`~repro.core.config.SearchOptions` — the same record the
         broker and HTTP surface accept), then to the engine's
-        :class:`EngineConfig` (``ranker``, ``budget``).  Responses are
-        LRU-cached per (keywords, s, ranker); pass ``use_cache=False``
-        to force a fresh run (timing harnesses do).
+        :class:`EngineConfig` — the precedence
+        :func:`~repro.core.config.resolve_request` implements for every
+        layer.  With a ``k`` (here or in *options*) only the ``k`` best
+        nodes are ranked and returned, as :meth:`search_top_k` does.
+        Responses are LRU-cached per (keywords, s, ranker); pass
+        ``use_cache=False`` to force a fresh run (timing harnesses do).
 
         A :class:`SearchBudget` bounds the query's cost; an exhausted
         budget yields a partial response flagged ``degraded=True``.  With
         ``strict_deadline=True`` a deadline trip raises
         :class:`SearchTimeout` instead (resource-cap trips — ``max_sl``,
-        ``max_nodes`` — still degrade gracefully).  Budgeted responses
-        bypass the cache in both directions: a partial answer must never
-        be served to an unbudgeted caller, nor vice versa.
+        ``max_nodes`` — still degrade gracefully).  ``options.deadline_s``
+        becomes a budget that keeps ``config.budget``'s resource caps.
+        Budgeted responses bypass the cache in both directions: a
+        partial answer must never be served to an unbudgeted caller, nor
+        vice versa.
 
         Pass a :class:`~repro.obs.trace.Tracer` to capture the query's
         span tree (also retained in :meth:`recent_traces`); every search,
@@ -299,70 +311,35 @@ class GKSEngine:
         ``"strict"`` is the classic pipeline, ``"probabilistic"``
         evaluates p-document probabilities (filtered by ``threshold``),
         ``"relaxed"`` rescues an empty strict result with penalty-ranked
-        single-edit rewrites.  Unset, both fall back to *options* then
-        ``EngineConfig``.  Non-strict responses never touch the LRU
+        single-edit rewrites.  Non-strict responses never touch the LRU
         cache, so strict output stays byte-identical.
         """
-        return self._run(query, None, s, ranker=ranker, use_cache=use_cache,
-                         budget=budget, strict_deadline=strict_deadline,
-                         options=options, mode=mode, threshold=threshold,
-                         tracer=tracer, request_id=request_id)
+        return self._run(
+            resolve_request(self.config, query, options, s=s, k=k,
+                            ranker=ranker, use_cache=use_cache,
+                            budget=budget, strict_deadline=strict_deadline,
+                            mode=mode, threshold=threshold),
+            tracer, request_id)
 
-    def _run(self, query: str | Query, k: int | None, s: int | None, *,
-             ranker: Ranker | None, use_cache: bool | None,
-             budget: SearchBudget | None, strict_deadline: bool | None,
-             options: SearchOptions | None, mode: str | None,
-             threshold: float | None,
+    def _run(self, request: SearchRequest,
              tracer: Tracer | NullTracer | None,
              request_id: str | None) -> GKSResponse:
-        """The one request path behind :meth:`search` (``k is None``) and
-        :meth:`search_top_k`: options, parse, mode dispatch, cache,
-        pipeline, bookkeeping."""
-        # Precedence: explicit keyword argument > ``options`` field >
-        # engine config / built-in default.  ``options.deadline_s``
-        # becomes a budget only when the caller brought none of their own.
-        if options is not None:
-            if s is None:
-                s = options.s
-            if use_cache is None:
-                use_cache = options.use_cache
-            if strict_deadline is None:
-                strict_deadline = options.strict_deadline
-            if budget is None and options.deadline_s is not None:
-                budget = SearchBudget(deadline_s=options.deadline_s)
-            if mode is None:
-                mode = options.mode
-            if threshold is None:
-                threshold = options.threshold
-        if use_cache is None:
-            use_cache = True
-        if budget is None:
-            budget = self.config.budget
-        if mode is None:
-            mode = self.config.mode
-        if threshold is None:
-            threshold = self.config.threshold
-        if ranker is None:
-            ranker = self.config.ranker
-        if isinstance(query, str):
-            query = self.parse_query(query,
-                                     s=s if s is not None else self.config.s)
-        elif s is not None:
-            query = query.with_s(s)
-        if mode != "strict":
+        """The one request path behind :meth:`search` and
+        :meth:`search_top_k`: mode dispatch, cache, pipeline,
+        bookkeeping."""
+        query, k, ranker, budget = (request.query, request.k,
+                                    request.ranker, request.budget)
+        if request.mode != "strict":
             # Non-strict modes run the full semantic pipeline, then
             # truncate: the semantic ranks (probability, penalty) are
             # global properties early termination cannot preserve.
-            response = self._semantic_search(
-                query, mode=mode, threshold=threshold, ranker=ranker,
-                budget=budget, strict_deadline=strict_deadline,
-                tracer=tracer, request_id=request_id)
+            response = self._semantic_search(request, tracer, request_id)
             if k is not None:
                 response = replace(response, nodes=response.nodes[:k])
             return response
 
         # top-k responses are never cached: the key carries no k
-        use_cache = use_cache and budget is None and k is None
+        use_cache = request.use_cache and budget is None and k is None
         # Keyed on the ranker object itself (not id(): ids are recycled
         # after GC, which can silently serve another ranker's response).
         cache_key = (query.keywords, query.effective_s, ranker)
@@ -394,8 +371,7 @@ class GKSEngine:
         else:
             response = search_top_k(index, query, k, ranker=ranker,
                                     budget=budget, tracer=tracer)
-        response = self._finish(response, query, strict_deadline, tracer,
-                                request_id)
+        response = self._finish(response, request, tracer, request_id)
         # the generation guard keeps a response computed on a pre-swap
         # snapshot from re-entering the cache after invalidation
         if use_cache and self._cache_size and generation == self._generation:
@@ -410,18 +386,17 @@ class GKSEngine:
                 self._response_cache[cache_key] = response
         return response
 
-    def _finish(self, response: GKSResponse, query: Query,
-                strict_deadline: bool | None,
+    def _finish(self, response: GKSResponse, request: SearchRequest,
                 tracer: Tracer | NullTracer | None,
                 request_id: str | None) -> GKSResponse:
         """Stamp, record, and — under ``strict_deadline`` — turn a
         deadline-degraded response into :class:`SearchTimeout`."""
         response = self._stamp_request_id(response, request_id, tracer)
         self._record_search(response, tracer=tracer)
-        if (strict_deadline and response.degraded
+        if (request.strict_deadline and response.degraded
                 and response.degradation.reason == "deadline"):
             raise SearchTimeout(
-                f"query {query} exceeded its deadline: "
+                f"query {request.query} exceeded its deadline: "
                 f"{response.degradation.render()}",
                 report=response.degradation)
         return response
@@ -438,10 +413,7 @@ class GKSEngine:
         self._relax_vocab = (generation, vocabulary)
         return vocabulary
 
-    def _semantic_search(self, query: Query, *, mode: str,
-                         threshold: float, ranker: Ranker,
-                         budget: SearchBudget | None,
-                         strict_deadline: bool | None,
+    def _semantic_search(self, request: SearchRequest,
                          tracer: Tracer | NullTracer | None,
                          request_id: str | None) -> GKSResponse:
         """Dispatch a non-strict query through ``repro.semantics``.
@@ -450,10 +422,11 @@ class GKSEngine:
         this facade must not pay for it on the strict path.  Non-strict
         responses bypass the LRU cache entirely (in both directions).
         Note the relaxed flow runs strict sub-searches through
-        :meth:`search`, so ``gks_searches_total`` counts them too —
+        :meth:`_run`, so ``gks_searches_total`` counts them too —
         documented in DESIGN.md §5.10.
         """
-        if mode == "probabilistic":
+        query, budget = request.query, request.budget
+        if request.mode == "probabilistic":
             if self.config.mode != "probabilistic":
                 raise ConfigError(
                     "probabilistic query on a non-probabilistic engine: "
@@ -462,12 +435,15 @@ class GKSEngine:
             from repro.semantics import probabilistic_search
 
             response = probabilistic_search(
-                self.index, query, threshold=threshold, budget=budget,
-                tracer=tracer, registry=self.metrics_registry)
+                self.index, query, threshold=request.threshold,
+                budget=budget, tracer=tracer,
+                registry=self.metrics_registry)
         else:  # relaxed
-            strict = self.search(query, mode="strict", use_cache=False,
-                                 ranker=ranker, budget=budget,
-                                 tracer=tracer)
+            # the sub-searches: same ranker and budget, plain strict
+            # pipeline — uncached, never truncated, never raising
+            inner = request._replace(mode="strict", use_cache=False,
+                                     strict_deadline=False, k=None)
+            strict = self._run(inner, tracer, None)
             if strict.nodes:
                 # Strict answered: same nodes, provenance says "relaxed
                 # mode, no relaxation needed".  The inner search already
@@ -483,15 +459,13 @@ class GKSEngine:
             def search_fn(rewritten: Query) -> GKSResponse:
                 sub = (budget.subbudget(rebase=True)
                        if budget is not None else None)
-                return self.search(rewritten, mode="strict",
-                                   use_cache=False, ranker=ranker,
-                                   budget=sub)
+                return self._run(
+                    inner._replace(query=rewritten, budget=sub), None, None)
 
             response = relax_search(query, vocabulary, search_fn,
                                     budget=budget, tracer=tracer,
                                     registry=self.metrics_registry)
-        return self._finish(response, query, strict_deadline, tracer,
-                            request_id)
+        return self._finish(response, request, tracer, request_id)
 
     def search_top_k(self, query: str | Query, k: int | None = None,
                      s: int | None = None, *,
@@ -514,16 +488,15 @@ class GKSEngine:
         ``strict_deadline``, modes, tracing and ``request_id`` behave as
         in :meth:`search`; top-k responses are never cached.
         """
-        if k is None and options is not None:
-            k = options.k
-        if k is None:
+        request = resolve_request(
+            self.config, query, options, s=s, k=k, ranker=ranker,
+            budget=budget, strict_deadline=strict_deadline, mode=mode,
+            threshold=threshold)
+        if request.k is None:
             raise ValidationError(
                 "search_top_k needs k — positionally or via "
                 "SearchOptions(k=...)")
-        return self._run(query, k, s, ranker=ranker, use_cache=None,
-                         budget=budget, strict_deadline=strict_deadline,
-                         options=options, mode=mode, threshold=threshold,
-                         tracer=tracer, request_id=request_id)
+        return self._run(request, tracer, request_id)
 
     # ------------------------------------------------------------------
     # Observability
@@ -642,32 +615,6 @@ class GKSEngine:
         """Monotonic counter bumped on every serving-index publication."""
         return self._generation
 
-    def add_mutation_listener(self, listener) -> None:
-        """Register ``listener(info)`` to run after every mutation.
-
-        The serve layer uses this to invalidate its TTL cache the moment
-        the corpus changes.  Listeners run outside the mutation lock and
-        must not raise (exceptions are swallowed — a broken observer must
-        not fail an acknowledged write).
-        """
-        with self._mutation_lock:
-            if listener not in self._mutation_listeners:
-                self._mutation_listeners.append(listener)
-
-    def remove_mutation_listener(self, listener) -> None:
-        with self._mutation_lock:
-            try:
-                self._mutation_listeners.remove(listener)
-            except ValueError:
-                pass
-
-    def _notify_mutation(self, info: dict) -> None:
-        for listener in list(self._mutation_listeners):
-            try:
-                listener(info)
-            except Exception:  # noqa: BLE001 - observer must not fail writes
-                pass
-
     def add_document(self, text: str, name: str | None = None) -> dict:
         """Append one XML document to the repository and the index.
 
@@ -686,13 +633,11 @@ class GKSEngine:
         The response cache is cleared — the repository has grown, so any
         cached response may be stale — and the returned info dict
         (``doc_id``, ``name``, ``generation``, ``pending``, ``flushed``,
-        plus ``lsn`` and ``"durable": True`` with a store) is passed to
-        the mutation listeners.
+        plus ``lsn`` and ``"durable": True`` with a store) names the
+        serving generation the document became visible in.
         """
         with self._mutation_lock:
-            info = self._add_locked(text, name)
-        self._notify_mutation(info)
-        return info
+            return self._add_locked(text, name)
 
     def _add_locked(self, text: str, name: str | None) -> dict:  # holds: _mutation_lock
         # Parse *before* the WAL append: a malformed document must fail
@@ -735,11 +680,8 @@ class GKSEngine:
             count = len(self._pending)
             if count:
                 self._flush_locked()
-            info = {"flushed": count, "generation": self._generation,
+            return {"flushed": count, "generation": self._generation,
                     **self._store_generation()}
-        if count:
-            self._notify_mutation(info)
-        return info
 
     def compact(self) -> dict:
         """Merge multi-run shards down to one segment each.
@@ -750,12 +692,9 @@ class GKSEngine:
         with self._mutation_lock:
             self._require_store("compact")
             compacted = self._compact_locked()
-            info = {"compacted_shards": sorted(compacted),
+            return {"compacted_shards": sorted(compacted),
                     "generation": self._generation,
                     **self._store_generation()}
-        if compacted:
-            self._notify_mutation(info)
-        return info
 
     def close(self) -> None:
         """Release the store's file handles (durable engines only)."""

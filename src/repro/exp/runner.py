@@ -206,7 +206,6 @@ class ExperimentRunner:
             queue_capacity=int(serve.get("queue_capacity", 64)),
             deadline_s=(float(serve["deadline_ms"]) / 1000.0
                         if serve.get("deadline_ms") is not None else None),
-            ttl_s=serve.get("ttl_s"),
             coalesce=bool(serve.get("coalesce", True)),
             trace=bool(serve.get("trace", True)))
         with ServerCore(engine, config, registry=registry) as core:
@@ -279,8 +278,6 @@ class ExperimentRunner:
                    "--shards", str(get_path(params, "engine.shards", 1))]
         if serve.get("deadline_ms") is not None:
             command += ["--deadline-ms", str(serve["deadline_ms"])]
-        if serve.get("ttl_s") is not None:
-            command += ["--ttl-s", str(serve["ttl_s"])]
         if not serve.get("coalesce", True):
             command += ["--no-coalesce"]
         env = dict(os.environ)

@@ -4,8 +4,8 @@ The serving subsystem in three parts, each importable from here:
 
 * :class:`ServerCore` (:mod:`repro.serve.core`) — the transport-agnostic
   request broker: worker pool, bounded admission with typed load
-  shedding, per-request deadlines, singleflight coalescing, TTL result
-  cache, graceful drain.
+  shedding, per-request deadlines, singleflight coalescing, graceful
+  drain.
 * :func:`serve_http` (:mod:`repro.serve.http`) — the stdlib JSON/HTTP
   front end (``/search``, ``/documents``, ``/admin/flush``,
   ``/admin/compact``, ``/healthz``, ``/metrics``) wired up as
@@ -18,8 +18,9 @@ The serving subsystem in three parts, each importable from here:
 The broker also fronts the engine's durable mutation path:
 :meth:`ServerCore.add_document` WAL-appends through the engine,
 :meth:`ServerCore.swap_engine` atomically publishes a new engine
-snapshot (in-flight searches finish on the old one), and every observed
-mutation invalidates the TTL cache under a generation fence.
+snapshot (in-flight searches finish on the old one).  Repeated answers
+come from the engine's own LRU, which every mutation invalidates under
+the engine's generation fence — the broker caches nothing.
 
 Quickstart::
 

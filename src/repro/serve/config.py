@@ -29,16 +29,12 @@ class ServeConfig:
         Default per-request deadline applied when a request brings none;
         ``None`` leaves deadline-less requests unbudgeted (they then use
         the engine's own ``config.budget``, exactly like a direct call).
-    ttl_s:
-        Lifetime of entries in the serve-side TTL result cache; ``None``
-        disables the cache.  The TTL cache sits *above* the engine LRU:
-        it absorbs repeat traffic without even dispatching to a worker.
-    ttl_capacity:
-        Maximum entries in the TTL cache (oldest evicted first).
     coalesce:
         Whether identical in-flight requests share one engine search
         (singleflight).  Disable for timing harnesses that need every
-        submission to do real work.
+        submission to do real work.  Finished answers are repeated by
+        the engine's LRU (``EngineConfig.cache_size``) — the broker
+        keeps no result cache of its own.
     trace:
         Capture a per-request span tree for every served search (the
         engine retains them in :meth:`GKSEngine.recent_traces`).
@@ -47,8 +43,6 @@ class ServeConfig:
     workers: int = 4
     queue_capacity: int = 64
     deadline_s: float | None = None
-    ttl_s: float | None = None
-    ttl_capacity: int = 256
     coalesce: bool = True
     trace: bool = False
 
@@ -61,11 +55,6 @@ class ServeConfig:
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ConfigError(
                 f"deadline_s must be > 0: {self.deadline_s}")
-        if self.ttl_s is not None and self.ttl_s <= 0:
-            raise ConfigError(f"ttl_s must be > 0: {self.ttl_s}")
-        if self.ttl_capacity < 1:
-            raise ConfigError(
-                f"ttl_capacity must be >= 1: {self.ttl_capacity}")
 
     def replace(self, **overrides) -> "ServeConfig":
         """A copy with *overrides* applied (re-validated)."""

@@ -18,25 +18,28 @@ serving-side concerns the engine deliberately does not:
   :class:`~repro.errors.SearchTimeout` without touching the engine.
 * **Singleflight coalescing.**  N concurrent identical requests
   (same keywords, ``s``, ranker and ``k``) share one engine search:
-  followers attach to the leader's future.  Only deadline-less requests
-  participate — budgeted responses are request-specific (their degraded
-  shape depends on the budget), mirroring the engine LRU's rule that
-  budgeted responses bypass the cache.
-* **TTL result cache.**  A small time-bounded cache above the engine
-  LRU absorbs repeat traffic without dispatching to a worker at all.
-  Same eligibility rule: deadline-less, non-degraded responses only.
+  followers attach to the leader's future.  Only requests that name no
+  deadline and no engine-side knob participate — budgeted responses are
+  request-specific (their degraded shape depends on the budget),
+  mirroring the engine LRU's rule that budgeted responses bypass the
+  cache.  The in-flight table sits here, apart from the one result
+  cache (the engine LRU), because a follower must attach at admission,
+  before it takes a queue slot or a worker, which a cache reached only
+  from a worker cannot do.
 * **Graceful drain.**  :meth:`drain` sheds new arrivals (reason
   ``"draining"``) while letting queued work finish; :meth:`close` then
   stops the workers.
 
 Equivalence contract: a request with no deadline is executed as
-``engine.search(query, ranker=..., budget=None)`` — byte-for-byte the
-same call a direct caller makes — so a served response (cold cache, no
-coalesce hit) is node-for-node identical to the direct one, including
-every budget-degraded path of the engine's own ``config.budget``.
+``engine.search(query, ranker=..., budget=None, options=...)`` with the
+caller's own options record — the same call a direct caller makes — so
+a served response (cold cache, no coalesce hit) is node-for-node
+identical to the direct one, including every budget-degraded path of
+the engine's own ``config.budget``.  Finished answers are repeated from
+the engine LRU alone; the broker keeps none.
 
 Thread-safety: one lock guards the queue accounting, the in-flight
-table, the TTL cache and every exact-count metric increment, so
+table and every exact-count metric increment, so
 ``gks_serve_shed_total`` accounts for *every* rejection with no
 read-modify-write races.  The lock is never held across an engine call
 (checked statically by lint rule ``C001``), its protected fields are
@@ -51,12 +54,12 @@ import itertools
 import queue
 import threading
 import uuid
-from collections import OrderedDict
 from concurrent.futures import Future
-from dataclasses import replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.core.budget import SearchBudget
+from repro.core.config import (SearchOptions, SearchRequest,
+                               resolve_request)
 from repro.core.query import Query
 from repro.core.results import GKSResponse
 from repro.errors import Overloaded, SearchTimeout
@@ -85,26 +88,16 @@ def _default_id_source() -> Callable[[], str]:
     return mint
 
 
-class _Request:
+class _Request(NamedTuple):
     """One admitted request travelling from submit to finish."""
 
-    __slots__ = ("query", "ranker", "k", "key", "admission", "future",
-                 "arrived_s", "generation", "request_id", "options")
-
-    def __init__(self, query: Query, ranker, k: int | None, key: tuple,
-                 admission: SearchBudget | None, arrived_s: float,
-                 generation: int, request_id: str,
-                 options: "SearchOptions | None" = None) -> None:
-        self.query = query
-        self.ranker = ranker
-        self.k = k
-        self.key = key
-        self.admission = admission
-        self.future: Future = Future()
-        self.arrived_s = arrived_s
-        self.generation = generation
-        self.request_id = request_id
-        self.options = options
+    resolved: SearchRequest
+    options: SearchOptions | None  # the caller's record, as it came
+    key: tuple
+    admission: SearchBudget | None
+    arrived_s: float
+    request_id: str
+    future: Future
 
 
 class ServerCore:
@@ -121,8 +114,8 @@ class ServerCore:
         :func:`~repro.obs.metrics.global_registry` by default.  Tests
         asserting exact counts pass their own.
     clock:
-        Monotonic time source (arrival stamps, latency, TTL expiry,
-        admission budgets); injectable for deterministic tests.
+        Monotonic time source (arrival stamps, latency, admission
+        budgets); injectable for deterministic tests.
 
     Use as a context manager, or call :meth:`close` when done::
 
@@ -143,7 +136,7 @@ class ServerCore:
         self._id_source = id_source
 
         # guards: _queued, _running, _draining, _closed, _inflight,
-        # guards: _ttl_cache, _generation
+        # guards: _swaps
         self._lock = new_lock("serve.core")
         self._queue: queue.Queue = queue.Queue()
         self._queued = 0          # waiting for a worker (capacity bound)
@@ -151,13 +144,7 @@ class ServerCore:
         self._draining = False
         self._closed = False
         self._inflight: dict[tuple, _Request] = {}
-        self._ttl_cache: OrderedDict[tuple, tuple[float, GKSResponse]] = \
-            OrderedDict()
-        # Serving generation: bumped on every mutation, cache
-        # invalidation or engine swap.  A finishing request whose stamped
-        # generation is stale skips the TTL insert — a response computed
-        # on a pre-mutation snapshot must not outlive the invalidation.
-        self._generation = 0
+        self._swaps = 0           # engine hot swaps performed
 
         reg = self.registry
         self._m_requests = reg.counter(
@@ -169,9 +156,6 @@ class ServerCore:
         self._m_coalesced = reg.counter(
             "gks_serve_coalesced_total",
             help="Requests that joined an identical in-flight search.")
-        self._m_ttl_hits = reg.counter(
-            "gks_serve_ttl_hits_total",
-            help="Requests answered from the serve-side TTL cache.")
         self._m_timeouts = reg.counter(
             "gks_serve_timeouts_total",
             help="Requests whose deadline expired while queued.")
@@ -186,22 +170,13 @@ class ServerCore:
             help="Arrival-to-completion latency of accepted requests.")
         self._m_mutations = reg.counter(
             "gks_serve_mutations_total",
-            help="Engine mutations observed by the serving layer.")
+            help="Engine mutations made through the serving layer.")
         self._m_swaps = reg.counter(
             "gks_serve_engine_swaps_total",
             help="Atomic engine hot swaps performed.")
-        self._m_generation = reg.gauge(
-            "gks_serve_generation",
-            help="Current serving-cache generation.")
         self._m_swap_seconds = reg.histogram(
             "gks_serve_swap_seconds",
             help="Wall time of atomic engine hot swaps.")
-
-        # observe engine mutations (durable engines expose the hook;
-        # plain doubles in tests may not)
-        register = getattr(engine, "add_mutation_listener", None)
-        if callable(register):
-            register(self._on_mutation)
 
         self._workers = [
             threading.Thread(target=self._worker_loop,
@@ -227,7 +202,7 @@ class ServerCore:
                k: int | None = None,
                ranker=None,
                deadline_s: float | None = None,
-               options: "SearchOptions | None" = None,
+               options: SearchOptions | None = None,
                request_id: str | None = None) -> Future:
         """Admit one request; returns a future for its response.
 
@@ -239,52 +214,37 @@ class ServerCore:
         queue) surface through the future.
 
         *options* is the shared frozen
-        :class:`~repro.core.config.SearchOptions` record; its ``s`` /
-        ``k`` / ``deadline_s`` fields fill in whichever of the explicit
-        parameters are unset, and its engine-side knobs (``use_cache``,
-        ``strict_deadline``, ``mode``, ``threshold``) travel with the
-        request to the engine call.  Requests carrying engine-side
-        knobs are excluded from
-        the TTL cache and coalescing, exactly like budgeted requests —
-        their responses are request-specific.
+        :class:`~repro.core.config.SearchOptions` record.  It is
+        resolved by :func:`~repro.core.config.resolve_request` (explicit
+        parameter > option field > ``ServeConfig.deadline_s`` / engine
+        config) and handed to the engine call as it came.  A request
+        that names a deadline or an engine-side knob (``use_cache``,
+        ``strict_deadline``, ``mode``, ``threshold``) is excluded from
+        coalescing — its response is request-specific.
 
         Every admitted request carries a correlation id (*request_id*,
         minted from the broker's id source when the caller brings none);
         the response's :class:`~repro.obs.stats.QueryStats` comes back
-        stamped with it — including TTL hits, which are restamped with
-        *this* request's id.  Coalesced followers are the one exception:
-        they share the leader's future and therefore its id.
+        stamped with it — engine cache hits included, which the engine
+        restamps with *this* request's id.  Coalesced followers are the
+        one exception: they share the leader's future and therefore its
+        id.
         """
-        engine_options = None
-        if options is not None:
-            if s is None:
-                s = options.s
-            if k is None:
-                k = options.k
-            if deadline_s is None:
-                deadline_s = options.deadline_s
-            if (options.use_cache is not None
-                    or options.strict_deadline is not None
-                    or options.mode is not None
-                    or options.threshold is not None):
-                from repro.core.config import SearchOptions
-
-                engine_options = SearchOptions(
-                    use_cache=options.use_cache,
-                    strict_deadline=options.strict_deadline,
-                    mode=options.mode,
-                    threshold=options.threshold)
-        if ranker is None:
-            ranker = self.engine.config.ranker
-        if isinstance(query, str):
-            query = self.engine.parse_query(
-                query, s=s if s is not None else self.engine.config.s)
-        elif s is not None:
-            query = query.with_s(s)
-        if deadline_s is None:
-            deadline_s = self.config.deadline_s
-        key = (query.keywords, query.effective_s, ranker, k)
+        resolved = resolve_request(
+            self.engine.config, query, options, s=s, k=k, ranker=ranker,
+            deadline_s=deadline_s,
+            default_deadline_s=self.config.deadline_s, clock=self._clock)
         arrived = self._clock()
+        query, deadline_s = resolved.query, resolved.deadline_s
+        key = (query.keywords, query.effective_s, resolved.ranker,
+               resolved.k)
+        coalesce = resolved.shareable and self.config.coalesce
+        admission = None
+        if deadline_s is not None:
+            admission = resolved.budget
+            # arm at the arrival stamp already taken: a second clock
+            # read here would skew injected FakeClock timelines
+            admission._started = arrived
         if request_id is None:
             request_id = self._id_source()
 
@@ -298,26 +258,12 @@ class ServerCore:
                 raise Overloaded(
                     f"request arrived with no deadline budget left "
                     f"({deadline_s}s)", reason="deadline")
-            if deadline_s is None and engine_options is None:
-                cached = self._ttl_get_locked(key, now=arrived)
-                if cached is not None:
-                    self._m_ttl_hits.inc()
-                    self._m_requests.inc(labels={"outcome": "ttl-hit"})
-                    future: Future = Future()
-                    # restamp the shared cached response with *this*
-                    # request's id (replace copies; the cached entry
-                    # keeps its own stats untouched)
-                    future.set_result(replace(
-                        cached,
-                        stats=cached.stats.with_request_id(request_id)))
-                    return future
-                if self.config.coalesce:
-                    leader = self._inflight.get(key)
-                    if leader is not None:
-                        self._m_coalesced.inc()
-                        self._m_requests.inc(
-                            labels={"outcome": "coalesced"})
-                        return leader.future
+            if coalesce:
+                leader = self._inflight.get(key)
+                if leader is not None:
+                    self._m_coalesced.inc()
+                    self._m_requests.inc(labels={"outcome": "coalesced"})
+                    return leader.future
             if self._queued >= self.config.queue_capacity:
                 self._count_shed("queue-full")
                 raise Overloaded(
@@ -325,22 +271,9 @@ class ServerCore:
                     f"({self._queued}/{self.config.queue_capacity})",
                     reason="queue-full",
                     retry_after_s=deadline_s)
-            admission = None
-            if deadline_s is not None:
-                caps = self.engine.config.budget
-                admission = SearchBudget(
-                    deadline_s=deadline_s,
-                    max_sl=caps.max_sl if caps is not None else None,
-                    max_nodes=caps.max_nodes if caps is not None else None,
-                    clock=self._clock)
-                # arm at the arrival stamp already taken: a second clock
-                # read here would skew injected FakeClock timelines
-                admission._started = arrived
-            request = _Request(query, ranker, k, key, admission, arrived,
-                               self._generation, request_id,
-                               options=engine_options)
-            if (deadline_s is None and engine_options is None
-                    and self.config.coalesce):
+            request = _Request(resolved, options, key, admission, arrived,
+                               request_id, Future())
+            if coalesce:
                 self._inflight[key] = request
             self._queued += 1
             self._m_queue_depth.set(self._queued)
@@ -351,7 +284,7 @@ class ServerCore:
                k: int | None = None,
                ranker=None,
                deadline_s: float | None = None,
-               options: "SearchOptions | None" = None,
+               options: SearchOptions | None = None,
                request_id: str | None = None) -> GKSResponse:
         """Blocking convenience over :meth:`submit`."""
         return self.submit(query, s, k=k, ranker=ranker,
@@ -388,16 +321,14 @@ class ServerCore:
                       if admission is not None else None)
             waited = self._clock() - request.arrived_s
             tracer = Tracer(clock=self._clock) if self.config.trace else None
-            if request.k is not None:
-                response = self.engine.search_top_k(
-                    request.query, request.k, ranker=request.ranker,
-                    budget=budget, options=request.options,
-                    tracer=tracer, request_id=request.request_id)
-            else:
-                response = self.engine.search(
-                    request.query, ranker=request.ranker,
-                    budget=budget, options=request.options,
-                    tracer=tracer, request_id=request.request_id)
+            # s, k and the ranker go explicitly — the broker's own
+            # arguments already won over the options record at submit
+            resolved = request.resolved
+            response = self.engine.search(
+                resolved.query, resolved.query.s, k=resolved.k,
+                ranker=resolved.ranker, budget=budget,
+                options=request.options, tracer=tracer,
+                request_id=request.request_id)
             if tracer is not None and tracer.roots:
                 # stamp serve-side context on the search's root span so
                 # the span tree alone answers "how long did it queue?"
@@ -420,12 +351,6 @@ class ServerCore:
                 del self._inflight[request.key]
             self._m_latency.observe(finished - request.arrived_s)
             if error is None:
-                if (request.admission is None
-                        and request.options is None
-                        and self.config.ttl_s is not None
-                        and not response.degraded
-                        and request.generation == self._generation):
-                    self._ttl_put_locked(request.key, response, now=finished)
                 self._m_requests.inc(labels={"outcome": "ok"})
             elif isinstance(error, SearchTimeout):
                 self._m_timeouts.inc()
@@ -447,106 +372,64 @@ class ServerCore:
 
     @property
     def generation(self) -> int:
-        """Serving generation; bumped on mutation, swap or invalidation."""
-        with self._lock:
-            return self._generation
+        """How many engine hot swaps this broker has performed.
 
-    def invalidate_cache(self) -> None:
-        """Drop the TTL cache and fence out in-flight stale inserts.
-
-        Called automatically after every observed engine mutation; also
-        the public hook for callers who mutate the engine behind the
-        broker's back.
+        Corpus changes are fenced by the *engine's* generation (see
+        :attr:`GKSEngine.generation`), the one fence result caching
+        needs; this counter only orders swaps.
         """
         with self._lock:
-            self._invalidate_locked()
-
-    def _invalidate_locked(self) -> None:
-        self._ttl_cache.clear()
-        self._generation += 1
-        self._m_generation.set(self._generation)
-
-    def _on_mutation(self, info: dict) -> None:
-        self._m_mutations.inc()
-        self.invalidate_cache()
+            return self._swaps
 
     def swap_engine(self, engine) -> int:
         """Atomically publish *engine* as the serving snapshot.
 
         In-flight requests finish on the engine they dispatched against;
         everything admitted after this call runs on the new one.  The
-        TTL cache and the coalescing table are invalidated (a follower
-        must not join a leader bound to the retired engine), and the
-        generation fence keeps late responses from the old engine out of
-        the cache.  Returns the new generation.
+        coalescing table is cleared (a follower must not join a leader
+        bound to the retired engine); cached answers need no
+        invalidation — they live in the retired engine's LRU and leave
+        with it.  Returns the new swap count.
         """
         started = self._clock()
-        old = self._engine
-        unregister = getattr(old, "remove_mutation_listener", None)
-        if callable(unregister) and old is not engine:
-            unregister(self._on_mutation)
-        register = getattr(engine, "add_mutation_listener", None)
-        if callable(register):
-            register(self._on_mutation)
         with self._lock:
             self._engine = engine
             self._inflight.clear()
-            self._invalidate_locked()
+            self._swaps += 1
             self._m_swaps.inc()
             self._m_swap_seconds.observe(self._clock() - started)
-            return self._generation
+            return self._swaps
 
     def add_document(self, text: str, name: str | None = None) -> dict:
         """Append one document through the serving layer.
 
         Sheds with :class:`~repro.errors.Overloaded` while draining.
         The engine call runs outside the broker lock (searches keep
-        flowing during the mutation); the engine's mutation hook then
-        invalidates the TTL cache, so a search admitted after this
-        returns can never observe the pre-mutation corpus.
+        flowing during the mutation).  The engine publishes the new
+        snapshot and clears its result cache before this returns, so a
+        search admitted afterwards can never observe the pre-mutation
+        corpus.
         """
         with self._lock:
             if self._draining or self._closed:
                 self._count_shed("draining")
                 raise Overloaded("server is draining; not accepting "
                                  "mutations", reason="draining")
-        info = dict(self._engine.add_document(text, name=name))
-        if not hasattr(self._engine, "add_mutation_listener"):
-            self.invalidate_cache()  # engines without the hook
-        info["serve_generation"] = self.generation
-        return info
+        return self._mutate(self._engine.add_document, text, name=name)
 
     def flush(self) -> dict:
         """Flush the engine's memtable to a durable segment."""
-        return self._engine.flush()
+        return self._mutate(self._engine.flush)
 
     def compact(self) -> dict:
         """Compact the engine's multi-run shards."""
-        return self._engine.compact()
+        return self._mutate(self._engine.compact)
 
-    # ------------------------------------------------------------------
-    # TTL cache (the `_locked` suffix is the C002 convention: the
-    # caller holds self._lock)
-    # ------------------------------------------------------------------
-    def _ttl_get_locked(self, key: tuple, now: float) -> GKSResponse | None:
-        if self.config.ttl_s is None:
-            return None
-        entry = self._ttl_cache.get(key)
-        if entry is None:
-            return None
-        expires_at, response = entry
-        if now >= expires_at:
-            del self._ttl_cache[key]
-            return None
-        return response
-
-    def _ttl_put_locked(self, key: tuple, response: GKSResponse,
-                        now: float) -> None:
-        if key in self._ttl_cache:
-            del self._ttl_cache[key]
-        elif len(self._ttl_cache) >= self.config.ttl_capacity:
-            self._ttl_cache.popitem(last=False)
-        self._ttl_cache[key] = (now + self.config.ttl_s, response)
+    def _mutate(self, operation, *args, **kwargs) -> dict:
+        info = operation(*args, **kwargs)
+        with self._lock:
+            self._m_mutations.inc()
+        return info
 
     def _count_shed(self, reason: str) -> None:
         self._m_shed.inc(labels={"reason": reason})
@@ -566,15 +449,13 @@ class ServerCore:
                 "queued": self._queued,
                 "running": self._running,
                 "inflight_keys": len(self._inflight),
-                "ttl_entries": len(self._ttl_cache),
-                "generation": self._generation,
+                "generation": self._swaps,
                 "draining": self._draining,
                 "workers": self.config.workers,
                 "queue_capacity": self.config.queue_capacity,
                 "ok": self._m_requests.value({"outcome": "ok"}),
                 "shed": self._m_shed.total(),
                 "coalesced": self._m_coalesced.total(),
-                "ttl_hits": self._m_ttl_hits.total(),
                 "timeouts": self._m_timeouts.total(),
                 "errors": self._m_requests.value({"outcome": "error"}),
             }
@@ -608,9 +489,6 @@ class ServerCore:
             if self._closed:
                 return
             self._closed = True
-        unregister = getattr(self._engine, "remove_mutation_listener", None)
-        if callable(unregister):
-            unregister(self._on_mutation)
         for _ in self._workers:
             self._queue.put(_SENTINEL)
         for worker in self._workers:

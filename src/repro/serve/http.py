@@ -13,8 +13,11 @@ Routes
     fields as a JSON body.  A JSON body may also carry an ``options``
     object — the wire form of
     :class:`~repro.core.config.SearchOptions` (``s``, ``k``,
-    ``use_cache``, ``strict_deadline``, ``deadline_ms``); explicit
-    top-level parameters win over its fields.  Responds with the
+    ``use_cache``, ``strict_deadline``, ``deadline_ms``, ``mode``,
+    ``threshold``); the same names given top-level win over its fields.
+    The merged mapping is validated in one place,
+    :meth:`SearchOptions.from_mapping`, and the resulting record travels
+    to the engine as it is.  Responds with the
     :func:`repro.core.export.response_to_dict` payload plus a ``serve``
     envelope (degradation report, cache/coalesce provenance).
 ``POST /documents``
@@ -29,12 +32,15 @@ Routes
 ``GET /metrics``
     The metrics registry in Prometheus text exposition format.
 
-Error mapping: client errors (bad query, bad parameters, a query mode
-the serving engine was not configured for) are 400;
-:class:`~repro.errors.Overloaded` is 429 with a ``Retry-After`` header
-when the broker can suggest one; :class:`~repro.errors.SearchTimeout`
-is 504; any other :class:`~repro.errors.GKSError` is 500.  Bodies are
-always JSON: ``{"error": ..., "type": ..., "reason"?: ...}``.
+Error mapping: client errors (bad query, wrongly typed or out-of-range
+parameters, an unreadable body, a query mode the serving engine was not
+configured for) are 400; :class:`~repro.errors.Overloaded` is 429 with a
+``Retry-After`` header when the broker can suggest one;
+:class:`~repro.errors.SearchTimeout` is 504; any other
+:class:`~repro.errors.GKSError` is 500, and so is an exception nobody
+anticipated (``"type": "InternalError"``) — every exchange ends in a
+response, never in a dropped connection.  Bodies are always JSON:
+``{"error": ..., "type": ..., "reason"?: ...}``.
 
 Correlation: every ``/search`` exchange — success *or* error — answers
 with an ``X-Request-Id`` header (the client's own when it sent one,
@@ -88,26 +94,68 @@ class GKSRequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_error_json(self, status: int, exc: Exception,
-                         headers: dict[str, str] | None = None) -> None:
+    def _send_failure(self, exc: Exception, client_errors: tuple,
+                      headers: dict[str, str] | None = None) -> None:
+        """Answer a failed exchange; *client_errors* are the route's 400s."""
+        headers = dict(headers or {})
         payload = {"error": str(exc), "type": type(exc).__name__}
         if isinstance(exc, Overloaded):
+            status = 429
             payload["reason"] = exc.reason
+            if exc.retry_after_s is not None:
+                headers["Retry-After"] = f"{exc.retry_after_s:.3f}"
+        elif isinstance(exc, SearchTimeout):
+            status = 504
+        elif isinstance(exc, client_errors):
+            status = 400
+        else:
+            status = 500
+            if not isinstance(exc, GKSError):
+                payload["type"] = "InternalError"
         self._send_json(status, payload, headers=headers)
 
     def _params(self) -> dict:
-        """Merged query-string + JSON-body parameters."""
+        """Merged query-string + JSON-body parameters (body wins)."""
         split = urlsplit(self.path)
         params = {name: values[-1]
                   for name, values in parse_qs(split.query).items()}
-        length = int(self.headers.get("Content-Length") or 0)
-        if length:
-            raw = self.rfile.read(length)
-            body = json.loads(raw.decode("utf-8"))
-            if not isinstance(body, dict):
-                raise ValidationError("request body must be a JSON object")
-            params.update(body)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+            # (a negative length would make the read wait for EOF)
+            body = (json.loads(self.rfile.read(length).decode("utf-8"))
+                    if length > 0 else {})
+        except ValueError as exc:  # bad length, bad UTF-8, bad JSON
+            raise ValidationError(f"unreadable request body: {exc}") from exc
+        if length < 0:
+            raise ValidationError(f"negative Content-Length: {length}")
+        if not isinstance(body, dict):
+            raise ValidationError("request body must be a JSON object")
+        params.update(body)
         return params
+
+    @staticmethod
+    def _pop_text(params: dict, *names: str) -> str:
+        """Remove *names* from *params*; the first one present is the
+        value, and it must be a non-empty string."""
+        values = [params.pop(name) for name in names if name in params]
+        if not values:
+            raise ValidationError(
+                f"missing required parameter {names[0]!r}")
+        if not isinstance(values[0], str) or not values[0]:
+            raise ValidationError(
+                f"parameter {names[0]!r} must be a non-empty string")
+        return values[0]
+
+    def _answer(self, work, client_errors: tuple = (),
+                headers: dict[str, str] | None = None) -> None:
+        """Send ``work()``'s payload, or the failure it raised: whatever
+        happens in a route, the exchange ends in a response."""
+        try:
+            payload = work()
+        except Exception as exc:  # noqa: BLE001 - answered, not dropped
+            self._send_failure(exc, client_errors, headers)
+            return
+        self._send_json(200, payload, headers=headers)
 
     # -- routes ---------------------------------------------------------
     def do_GET(self) -> None:
@@ -135,110 +183,62 @@ class GKSRequestHandler(BaseHTTPRequestHandler):
         if route == "/search":
             self._search()
         elif route == "/documents":
-            self._add_document()
+            # malformed XML is the client's fault; storage failures ours
+            self._answer(self._add_document,
+                         (XMLSyntaxError, ValidationError))
         elif route == "/admin/flush":
-            self._admin("flush")
+            self._answer(self.core.flush)
         elif route == "/admin/compact":
-            self._admin("compact")
+            self._answer(self.core.compact)
         else:
             self._send_json(404, {"error": f"no route {route!r}",
                                   "type": "NotFound"})
 
     def _search(self) -> None:
         # the correlation id is minted (or taken from the client) before
-        # admission so even a shed or parse error answers with one
+        # admission so even a shed or parse error answers with one;
+        # coalesced followers share the leader's stamped id, the header
+        # still reports the id minted for *this* HTTP exchange
         rid = self.headers.get("X-Request-Id") or \
             self.core.mint_request_id()
-        rid_header = {"X-Request-Id": rid}
-        try:
-            params = self._params()
-            raw = params.get("q") or params.get("query")
-            if not raw:
-                raise ValidationError("missing required parameter 'q'")
-            s = int(params["s"]) if "s" in params else None
-            k = int(params["k"]) if "k" in params else None
-            deadline_s = (float(params["deadline_ms"]) / 1000.0
-                          if "deadline_ms" in params else None)
-            # the shared tuning record: ``{"options": {...}}`` in the
-            # body (or a JSON object in the query string); explicit
-            # top-level parameters win over its fields
-            options = None
-            raw_options = None
-            if "options" in params:
-                raw_options = params["options"]
-                if isinstance(raw_options, str):
-                    raw_options = json.loads(raw_options)
-            # top-level mode/threshold are shorthand for options fields
-            extra = {key: params[key] for key in ("mode", "threshold")
-                     if key in params}
-            if extra:
-                raw_options = {**(raw_options or {}), **extra}
-            if raw_options is not None:
-                options = SearchOptions.from_mapping(raw_options)
-        except (ValueError, json.JSONDecodeError) as exc:
-            self._send_error_json(400, exc, headers=rid_header)
-            return
-        try:
-            response = self.core.search(raw, s, k=k, deadline_s=deadline_s,
-                                        options=options, request_id=rid)
-        except Overloaded as exc:
-            headers = dict(rid_header)
-            if exc.retry_after_s is not None:
-                headers["Retry-After"] = f"{exc.retry_after_s:.3f}"
-            self._send_error_json(429, exc, headers=headers)
-            return
-        except SearchTimeout as exc:
-            self._send_error_json(504, exc, headers=rid_header)
-            return
-        except GKSError as exc:
-            # bad queries and mode-capability mismatches (asking a
-            # strict server for probabilistic results) are the
-            # client's fault; the rest are ours
-            status = 400 if isinstance(
-                exc, (QueryError, ValidationError, ConfigError)) else 500
-            self._send_error_json(status, exc, headers=rid_header)
-            return
-        payload = response_to_dict(response,
-                                   repository=self.core.engine.repository)
-        payload["serve"] = _serve_envelope(response)
-        # coalesced followers share the leader's stamped id; the header
-        # still reports the id minted for *this* HTTP exchange
-        self._send_json(200, payload, headers=rid_header)
 
-    def _add_document(self) -> None:
-        try:
+        def work() -> dict:
             params = self._params()
-            text = params.get("text") or params.get("xml")
-            if not text:
-                raise ValidationError("missing required parameter 'text'")
-            name = params.get("name")
-        except (ValueError, json.JSONDecodeError) as exc:
-            self._send_error_json(400, exc)
-            return
-        try:
-            info = self.core.add_document(text, name=name)
-        except Overloaded as exc:
-            headers = {}
-            if exc.retry_after_s is not None:
-                headers["Retry-After"] = f"{exc.retry_after_s:.3f}"
-            self._send_error_json(429, exc, headers=headers)
-            return
-        except GKSError as exc:
-            # malformed XML is the client's fault; storage failures ours
-            status = 400 if isinstance(
-                exc, (XMLSyntaxError, ValidationError)) else 500
-            self._send_error_json(status, exc)
-            return
-        self._send_json(200, info)
+            raw = self._pop_text(params, "q", "query")
+            # ``{"options": {...}}`` in the body (or a JSON object in the
+            # query string) is the tuning record; every other parameter
+            # is one of its fields given top-level, and wins
+            tuning = params.pop("options", {})
+            if isinstance(tuning, str):
+                try:
+                    tuning = json.loads(tuning)
+                except ValueError as exc:
+                    raise ValidationError(
+                        f"options is not JSON: {exc}") from exc
+            if not isinstance(tuning, dict):
+                raise ValidationError("options must be a JSON object")
+            tuning = {**tuning, **params}
+            options = SearchOptions.from_mapping(tuning) if tuning else None
+            response = self.core.search(raw, options=options,
+                                        request_id=rid)
+            payload = response_to_dict(
+                response, repository=self.core.engine.repository)
+            payload["serve"] = _serve_envelope(response)
+            return payload
 
-    def _admin(self, action: str) -> None:
-        try:
-            info = (self.core.flush() if action == "flush"
-                    else self.core.compact())
-        except GKSError as exc:
-            self._send_error_json(500, exc)
-            return
-        self._send_json(200, info)
+        # bad queries and mode-capability mismatches (asking a strict
+        # server for probabilistic results) are the client's fault; the
+        # rest are ours
+        self._answer(work, (QueryError, ValidationError, ConfigError),
+                     headers={"X-Request-Id": rid})
+
+    def _add_document(self) -> dict:
+        params = self._params()
+        text = self._pop_text(params, "text", "xml")
+        name = params.get("name")
+        if name is not None and not isinstance(name, str):
+            raise ValidationError("parameter 'name' must be a string")
+        return self.core.add_document(text, name=name)
 
 
 def _serve_envelope(response) -> dict:

@@ -419,6 +419,24 @@ class TestSearchOptions:
         with pytest.raises(ValidationError):
             SearchOptions.from_mapping([1, 2])
 
+    def test_from_mapping_validates_and_never_coerces(self):
+        # query strings carry strings, bodies carry JSON types: each
+        # field admits its type or that type's spelling, nothing else
+        assert SearchOptions.from_mapping(
+            {"use_cache": "false"}).use_cache is False
+        assert SearchOptions.from_mapping(
+            {"s": "2", "strict_deadline": "1", "threshold": 1}) == \
+            SearchOptions(s=2, strict_deadline=True, threshold=1.0)
+        for raw in ({"s": 1.9}, {"k": True}, {"s": None}, {"k": []},
+                    {"use_cache": "yes"}, {"use_cache": 2},
+                    {"deadline_ms": None}, {"deadline_ms": "nan"},
+                    {"deadline_s": "inf"}, {"deadline_ms": {}},
+                    {"threshold": "nan"}, {"mode": 5}):
+            with pytest.raises(ValidationError):
+                SearchOptions.from_mapping(raw)
+        with pytest.raises(ConfigError):
+            SearchOptions(deadline_s=float("nan"))
+
     def test_from_mapping_wire_spelling(self):
         options = SearchOptions.from_mapping(
             {"s": 2, "k": 3, "deadline_ms": 1500, "use_cache": False})
@@ -473,24 +491,20 @@ class TestSearchOptions:
         finally:
             core.close()
 
-    def test_option_requests_skip_ttl_cache(self):
-        from repro.obs.metrics import MetricsRegistry
-        from repro.serve.config import ServeConfig
+    def test_option_requests_skip_the_engine_cache(self):
         from repro.serve.core import ServerCore
 
         engine = GKSEngine.open(Texts(CORPUS))
-        registry = MetricsRegistry()
-        core = ServerCore(engine, ServeConfig(ttl_s=60.0),
-                          registry=registry)
+        core = ServerCore(engine)
         try:
             core.search("keyword")
-            core.search("keyword")   # TTL hit: identical, option-less
-            hits = registry.counter("gks_serve_ttl_hits_total")
-            assert hits.total() == 1
-            # an engine-tuning option excludes the request from the
-            # serve cache in both directions: no hit, no store
+            core.search("keyword")   # LRU hit: identical, option-less
+            assert engine.cache_info()["hits"] == 1
+            before = engine.cache_info()
+            # the record reaches the engine as it came: use_cache=False
+            # excludes the request in both directions — no hit, no store
             core.search("keyword", options=SearchOptions(use_cache=False))
-            assert hits.total() == 1
+            assert engine.cache_info() == before
         finally:
             core.close()
 

@@ -458,15 +458,13 @@ class TestStoreCorruption:
 # ----------------------------------------------------------------------
 
 class TestServeMutation:
-    def test_add_document_invalidates_ttl_cache(self, tmp_path):
+    def test_add_document_invalidates_the_result_cache(self, tmp_path):
         config = _config(tmp_path)
         engine = GKSEngine.open(Texts(BASE), config=config)
-        fake = FakeClock()
-        with ServerCore(engine, ServeConfig(workers=1, ttl_s=60.0),
-                        clock=fake) as core:
+        with ServerCore(engine, ServeConfig()) as core:
             before = core.search("keys")
             cached = core.search("keys")
-            # TTL hit: no recompute — the hit shares the entry's nodes
+            # LRU hit: no recompute — the hit shares the entry's nodes
             # (restamped with the new request id, so not the same object)
             assert cached.nodes is before.nodes
             core.add_document(
@@ -491,8 +489,9 @@ class TestServeMutation:
         old = GKSEngine.open(Texts(BASE), config=EngineConfig())
         new = GKSEngine.open(Texts(BASE + [EXTRA[0]]),
                              config=EngineConfig())
-        with ServerCore(old, ServeConfig(workers=1, ttl_s=60.0)) as core:
+        with ServerCore(old, ServeConfig()) as core:
             before = core.search("keys")
+            assert core.search("keys").stats.cache_hit
             generation = core.generation
             assert core.swap_engine(new) > generation
             assert core.engine is new

@@ -352,7 +352,7 @@ class TestRequestIdCorrelation:
     def _core(self, **engine_kwargs):
         engine = _engine(metrics=MetricsRegistry(), **engine_kwargs)
         core = ServerCore(
-            engine, ServeConfig(workers=2, trace=True, ttl_s=60.0),
+            engine, ServeConfig(workers=2, trace=True),
             registry=engine.metrics_registry,
             id_source=iter(f"rid-{n}" for n in range(100)).__next__)
         return engine, core
@@ -375,14 +375,17 @@ class TestRequestIdCorrelation:
             response = core.search("xml", request_id="mine-42")
         assert response.stats.request_id == "mine-42"
 
-    def test_ttl_hit_restamps_with_the_new_request_id(self):
-        _, core = self._core()
+    def test_served_repeat_is_an_lru_hit_with_the_new_request_id(self):
+        engine, core = self._core()
         with core:
             first = core.search("xml")
             second = core.search("xml")
         assert first.stats.request_id == "rid-0"
         assert second.stats.request_id == "rid-1"
-        assert second.nodes == first.nodes
+        assert second.stats.cache_hit and not first.stats.cache_hit
+        # the hit shares the first answer's nodes; only the stats differ
+        assert second.nodes is first.nodes
+        assert engine.cache_info()["hits"] == 1
 
     def test_engine_lru_hit_restamps_too(self):
         engine = _engine(metrics=MetricsRegistry())

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.budget import SearchBudget
-from repro.core.config import EngineConfig, Texts
+from repro.core.config import EngineConfig, SearchOptions, Texts
 from repro.core.engine import GKSEngine
 from repro.errors import ConfigError, Overloaded, QueryError, SearchTimeout
 from repro.obs.metrics import MetricsRegistry
@@ -203,6 +203,29 @@ class TestEquivalence:
         _assert_equivalent(served, direct)
 
 
+@pytest.mark.parametrize("surface", ["engine", "broker"])
+@pytest.mark.parametrize("case", ["k", "deadline_caps"])
+def test_search_options_mean_the_same_at_engine_and_broker(surface, case):
+    # one resolver: the same record gives the same answer at both layers
+    if case == "k":
+        engine, options = _engine(), SearchOptions(k=3)
+    else:
+        engine = _engine(budget=SearchBudget(max_nodes=5))
+        options = SearchOptions(deadline_s=10.0)
+    if surface == "engine":
+        response = engine.search("apple", options=options)
+    else:
+        with ServerCore(engine, registry=MetricsRegistry()) as core:
+            response = core.search("apple", options=options)
+    if case == "k":
+        assert len(response.nodes) == 3
+        _assert_equivalent(response, engine.search_top_k("apple", 3))
+    else:
+        # asking for a deadline must not lift the operator's cap
+        assert len(response.nodes) == 5 and response.degraded
+        assert response.degradation.reason == "max_nodes"
+
+
 @settings(max_examples=20, deadline=None)
 @given(keywords=st.lists(st.sampled_from(WORDS), min_size=1, max_size=4,
                          unique=True),
@@ -340,8 +363,10 @@ class TestShedding:
             with pytest.raises(Overloaded) as caught:
                 core.submit("apple", deadline_s=0.0)
             assert caught.value.reason == "deadline"
+            with pytest.raises(Overloaded):  # overdue, not misconfigured
+                core.submit("apple", deadline_s=-1.0)
         assert registry.counter("gks_serve_shed_total").value(
-            {"reason": "deadline"}) == 1
+            {"reason": "deadline"}) == 2
 
     def test_draining_sheds_new_arrivals(self):
         registry = MetricsRegistry()
@@ -405,55 +430,23 @@ class TestShedding:
 
 
 # ---------------------------------------------------------------------------
-# TTL cache
+# One result cache: the engine LRU (the broker keeps none)
 # ---------------------------------------------------------------------------
-class TestTTLCache:
-    def test_hit_within_ttl_and_expiry_after(self):
+class TestOneResultCache:
+    def test_deadlined_requests_bypass_the_engine_cache(self):
+        engine = _engine()
         fake = FakeClock()
-        registry = MetricsRegistry()
-        gate = GateEngine(_engine())
-        gate.release.set()
-        config = ServeConfig(workers=1, ttl_s=10.0)
-        with ServerCore(gate, config, registry=registry,
-                        clock=fake) as core:
-            first = core.search("apple banana")
-            second = core.search("apple banana")   # TTL hit: no dispatch
-            assert gate.calls == 1
-            assert second.nodes == first.nodes
-            fake.advance(11.0)
-            third = core.search("apple banana")    # expired: real search
-            assert gate.calls == 2
-            assert third.nodes == first.nodes
-        assert registry.counter("gks_serve_ttl_hits_total").total() == 1
-        assert registry.counter("gks_serve_requests_total").value(
-            {"outcome": "ttl-hit"}) == 1
-
-    def test_capacity_evicts_oldest(self):
-        fake = FakeClock()
-        gate = GateEngine(_engine())
-        gate.release.set()
-        config = ServeConfig(workers=1, ttl_s=100.0, ttl_capacity=2)
-        with ServerCore(gate, config, registry=MetricsRegistry(),
-                        clock=fake) as core:
-            core.search("apple")
-            core.search("banana")
-            core.search("cherry")   # evicts "apple"
-            calls = gate.calls
-            core.search("banana")   # still cached
-            assert gate.calls == calls
-            core.search("apple")    # evicted: searches again
-            assert gate.calls == calls + 1
-
-    def test_deadlined_requests_bypass_ttl(self):
-        fake = FakeClock()
-        gate = GateEngine(_engine())
-        gate.release.set()
-        config = ServeConfig(workers=1, ttl_s=100.0)
-        with ServerCore(gate, config, registry=MetricsRegistry(),
-                        clock=fake) as core:
+        with ServerCore(engine, ServeConfig(workers=1),
+                        registry=MetricsRegistry(), clock=fake) as core:
             core.search("apple banana", deadline_s=50.0)
             core.search("apple banana", deadline_s=50.0)
-            assert gate.calls == 2  # budgeted: never stored, never hit
+            # budgeted: never stored, never hit
+            info = engine.cache_info()
+            assert (info["hits"], info["misses"], info["size"]) == (0, 0, 0)
+            core.search("apple banana")
+            core.search("apple banana")   # the repeat is an LRU hit
+            info = engine.cache_info()
+            assert (info["hits"], info["misses"], info["size"]) == (1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +500,6 @@ class TestLifecycle:
         with pytest.raises(ConfigError):
             ServeConfig(queue_capacity=0)
         with pytest.raises(ConfigError):
-            ServeConfig(ttl_s=0.0)
-        with pytest.raises(ConfigError):
             ServeConfig(deadline_s=-1.0)
         with pytest.raises(ConfigError):
             ServeConfig().replace(no_such_knob=1)
@@ -534,7 +525,10 @@ def http_server():
     core = ServerCore(engine, ServeConfig(workers=2),
                       registry=MetricsRegistry())
     server = serve_http(core)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll keeps shutdown() (one poll interval) off the clock:
+    # this fixture is torn down once per parametrised wire case
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     port = server.server_address[1]
     yield f"http://127.0.0.1:{port}", core
@@ -586,6 +580,50 @@ class TestHTTP:
         with pytest.raises(urllib.error.HTTPError) as caught:
             _get(f"{base}/search")
         assert caught.value.code == 400
+
+    @pytest.mark.parametrize("route, body", [
+        pytest.param("/search", {"q": 5}, id="q-int"),
+        pytest.param("/search", {"q": "apple", "s": None}, id="s-null"),
+        pytest.param("/search", {"q": "apple", "deadline_ms": None},
+                     id="deadline-null"),
+        pytest.param("/search", {"q": "apple", "deadline_ms": "nan"},
+                     id="deadline-nan"),
+        pytest.param("/search", {"q": "apple", "s": 1.9}, id="s-float"),
+        pytest.param("/search", {"q": "apple", "k": True}, id="k-bool"),
+        pytest.param("/search",
+                     {"q": "apple", "options": {"use_cache": "maybe"}},
+                     id="flag-word"),
+        pytest.param("/search", {"q": "apple", "no_such_option": 1},
+                     id="unknown-option"),
+        pytest.param("/documents", {"text": 5}, id="text-int"),
+        pytest.param("/documents",
+                     {"text": "<doc>fine</doc>", "name": 5}, id="name-int"),
+    ])
+    def test_wrong_wire_types_are_400(self, http_server, route, body):
+        # never a traceback and a dropped connection: a typed JSON error
+        base, _ = http_server
+        request = urllib.request.Request(
+            f"{base}{route}", data=json.dumps(body).encode(),
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(request, timeout=10)
+        assert caught.value.code == 400
+        assert json.load(caught.value)["type"] == "ValidationError"
+        if route == "/search":
+            assert caught.value.headers["X-Request-Id"]
+
+    def test_unexpected_exception_is_a_500_response(self, http_server):
+        base, core = http_server
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("not a GKSError")
+
+        core.search = boom
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            _get(f"{base}/search?q=apple")
+        assert caught.value.code == 500
+        assert json.load(caught.value)["type"] == "InternalError"
+        assert caught.value.headers["X-Request-Id"]
 
     def test_unknown_route_is_404(self, http_server):
         base, _ = http_server
@@ -673,6 +711,88 @@ class TestHTTP:
             assert server.core is core
         finally:
             server.server_close()
+
+
+# ---------------------------------------------------------------------------
+# Wire fuzzer: garbage in, a typed JSON answer out — always
+# ---------------------------------------------------------------------------
+FUZZ_VALUES = [None, True, -1, 1.5, "nan", [], {}, "x" * 65536]
+FUZZ_BODIES = {
+    "/search": {"q": "apple banana", "s": 2, "k": 3, "deadline_ms": 5000,
+                "options": {"use_cache": False}},
+    "/documents": {"text": "<doc><item>zeta</item></doc>",
+                   "name": "fuzz.xml"},
+}
+
+
+def _fuzz_request(rng: random.Random) -> tuple[str, str, dict, bytes]:
+    """One seeded hostile exchange: (method, path, headers, body)."""
+    route = rng.choice(sorted(FUZZ_BODIES))
+    body = json.dumps(FUZZ_BODIES[route]).encode()
+    kind = rng.choice(["field", "field", "bytes", "length", "route"])
+    if kind == "field":
+        mutated = dict(FUZZ_BODIES[route])
+        mutated[rng.choice(sorted(mutated))] = rng.choice(FUZZ_VALUES)
+        body = json.dumps(mutated).encode()
+    elif kind == "bytes":
+        if rng.random() < 0.5:
+            body = body[:rng.randrange(1, len(body))]
+        else:
+            garbled = bytearray(body)
+            for _ in range(rng.randint(1, 4)):
+                garbled[rng.randrange(len(garbled))] = rng.randrange(256)
+            body = bytes(garbled)
+    elif kind == "length":
+        # no body follows: the server must refuse before reading any
+        return "POST", route, {
+            "Content-Length": rng.choice(["abc", "-5", "1e3", ""])}, b""
+    else:
+        method = rng.choice(["GET", "POST"])
+        return method, rng.choice(["/", "/searchx", "/admin", "/%00"]), \
+            {}, b""
+    return "POST", route, {"Content-Length": str(len(body))}, body
+
+
+def test_wire_fuzzer_always_gets_a_typed_json_answer(http_server,
+                                                     monkeypatch):
+    import http.client
+
+    base, core = http_server
+    server_errors: list = []
+    # what the stdlib calls when an exception escapes a handler
+    monkeypatch.setattr(
+        ServeHTTPServer, "handle_error",
+        lambda self, request, address: server_errors.append(address))
+    rng = random.Random(20261001)
+    port = int(base.rsplit(":", 1)[1])
+    seen: dict[int, int] = {}
+    for _ in range(200):
+        method, path, headers, body = _fuzz_request(rng)
+        connection = http.client.HTTPConnection("127.0.0.1", port,
+                                                timeout=10)
+        try:
+            connection.putrequest(method, path)
+            for name, value in headers.items():
+                connection.putheader(name, value)
+            connection.endheaders(body or None)
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status in (200, 400, 404, 429, 504), \
+            (method, path, headers, body[:80], payload)
+        assert isinstance(payload, dict)
+        if response.status != 200:
+            assert payload["type"]
+        if path == "/search":
+            assert response.getheader("X-Request-Id")
+        seen[response.status] = seen.get(response.status, 0) + 1
+    assert not server_errors
+    assert seen.get(400, 0) > 50 and seen.get(200, 0) > 5 \
+        and seen.get(404, 0) > 5, seen
+    # the broker is still healthy after the barrage
+    assert core.healthz()["status"] == "ok"
+    assert core.search("apple").nodes
 
 
 # ---------------------------------------------------------------------------
