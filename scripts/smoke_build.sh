@@ -1,0 +1,66 @@
+#!/usr/bin/env bash
+# Build-path smoke test: index one generated corpus from its raw texts
+# and from a parsed repository, monolithic and in 2 shards, and confirm
+# `gks check-index --json` describes the same index either way — both
+# entry points run one walk over one definition of an element's text.
+#
+# Usage:  bash scripts/smoke_build.sh
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+export PYTHONPATH=src
+
+WORKDIR="$(mktemp -d)"
+trap 'rm -rf "$WORKDIR"' EXIT
+
+echo "== generate the corpora (mirrors: many documents; mondial: attributes) =="
+python -m repro dataset mirrors -o "$WORKDIR" >/dev/null
+python -m repro dataset mondial -o "$WORKDIR" >/dev/null
+ls "$WORKDIR"/*.xml
+
+echo "== from a parsed repository (the CLI), monolithic and 2 shards =="
+python -m repro index "$WORKDIR"/*.xml -o "$WORKDIR/repo-mono.gks"
+python -m repro index "$WORKDIR"/*.xml -o "$WORKDIR/repo-sharded.gks" \
+    --shards 2
+
+echo "== from the raw texts (the library), monolithic and 2 shards =="
+python - "$WORKDIR" <<'EOF'
+import sys
+from pathlib import Path
+
+from repro.index.builder import IndexBuilder
+from repro.index.sharding import ParallelIndexBuilder
+from repro.index.storage import save_index
+
+workdir = Path(sys.argv[1])
+paths = sorted(workdir.glob("*.xml"))
+names = [path.name for path in paths]
+texts = [path.read_text(encoding="utf-8") for path in paths]
+builder = IndexBuilder()
+for name, text in zip(names, texts):
+    builder.add_xml(text, name=name)
+save_index(builder.build(), workdir / "text-mono.gks")
+save_index(ParallelIndexBuilder(shards=2).build_from_texts(texts, names),
+           workdir / "text-sharded.gks")
+EOF
+
+report() {  # the check-index report minus what names the file itself
+    python -m repro check-index "$1" --json | python -c '
+import json, sys
+report = json.load(sys.stdin)
+del report["path"], report["summary"]["size_bytes"]  # build time is inside
+print(json.dumps(report, indent=1, sort_keys=True))'
+}
+
+for LAYOUT in mono sharded; do
+    echo "== check-index --json: text build == repository build ($LAYOUT) =="
+    report "$WORKDIR/repo-$LAYOUT.gks" | tee "$WORKDIR/repo-$LAYOUT.json"
+    report "$WORKDIR/text-$LAYOUT.gks" > "$WORKDIR/text-$LAYOUT.json"
+    grep -q '"ok": true' "$WORKDIR/repo-$LAYOUT.json" || {
+        echo "FAIL: check-index rejected the $LAYOUT index" >&2; exit 1; }
+    diff "$WORKDIR/repo-$LAYOUT.json" "$WORKDIR/text-$LAYOUT.json" || {
+        echo "FAIL: text and repository builds differ ($LAYOUT)" >&2
+        exit 1; }
+done
+
+echo "smoke_build OK"

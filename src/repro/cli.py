@@ -1024,6 +1024,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(f"index: {stats.entity_nodes} entities, "
           f"{len(dict(engine.index.inverted.items()))} keywords, "
           f"built in {stats.build_seconds * 1000:.1f} ms")
+    parse = registry.histogram("gks_ingest_parse_seconds")
+    build = registry.histogram("gks_index_build_seconds")
+    print(f"ingest: parse {parse.sum() * 1000:.1f} ms over "
+          f"{parse.count()} document(s), build "
+          f"{build.sum() * 1000:.1f} ms over {build.count()} index(es)")
     from repro.index.sharding import ShardedIndex
 
     if isinstance(engine.index, ShardedIndex):

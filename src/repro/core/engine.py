@@ -30,7 +30,7 @@ from repro.core.query import Query
 from repro.core.refinement import Refinement, suggest
 from repro.core.ranking import rank_node
 from repro.core.results import GKSResponse, RankedNode, SemanticsInfo
-from repro.core.search import Ranker, search
+from repro.core.search import Ranker, search, units_of
 from repro.core.topk import search_top_k
 from repro.core.durable import (compose_serving, merge_chains,
                                 merge_memtable, open_durable,
@@ -49,7 +49,7 @@ from repro.text.analyzer import Analyzer
 from repro.xmltree.dewey import Dewey, format_dewey
 from repro.xmltree.node import XMLNode
 from repro.xmltree.parser import parse_document
-from repro.xmltree.repository import Repository
+from repro.xmltree.repository import Repository, observe_parse_seconds
 from repro.xmltree.serialize import serialize_node
 
 
@@ -175,8 +175,8 @@ class GKSEngine:
     # Construction conveniences
     # ------------------------------------------------------------------
     @classmethod
-    def open(cls, source, config: EngineConfig | None = None,
-             **overrides) -> "GKSEngine":
+    def open(cls, source, config: EngineConfig | None = None, *,
+             tracer: Tracer | None = None, **overrides) -> "GKSEngine":
         """The one engine factory: open *source* under *config*.
 
         *source* may be a :class:`Repository`, one XML text, one corpus
@@ -204,18 +204,43 @@ class GKSEngine:
         :class:`~repro.errors.StorageError` rather than rebuilding:
         the store holds documents the source corpus does not, so
         silently starting over would be data loss.
+
+        The open is traced: an ``open`` root span (on *tracer* when
+        given, and retained in :meth:`recent_traces`) with a ``parse``
+        child around reading the source and a ``build`` child — carrying
+        ``nodes``, ``tokens`` and ``postings`` — around indexing it; a
+        durable open nests its build under a ``store`` child.
         """
         if config is None:
             config = EngineConfig()
         if overrides:
             config = config.replace(**overrides)
-        repository = _resolve_source(source, config)
+        if tracer is None:
+            tracer = Tracer()
+        with tracer.span("open") as root:
+            with tracer.span("parse") as span:
+                repository = _resolve_source(source, config)
+                span.set(documents=len(repository))
+            engine = cls._open(repository, config, tracer)
+        engine._recent_traces.append(root)
+        return engine
+
+    @classmethod
+    def _open(cls, repository: Repository, config: EngineConfig,
+              tracer: Tracer) -> "GKSEngine":
+        def build(repository: Repository, config: EngineConfig):
+            with tracer.span("build") as span:
+                index = cls._build_index(repository, config)
+                span.set(**_build_facts(index))
+            return index
 
         if config.store_path is not None:
-            store, durable_units, pending = open_durable(
-                repository, config, cls._build_index)
-            engine = cls(repository, config=config, index=compose_serving(
-                durable_units, pending, config, repository))
+            with tracer.span("store"):
+                store, durable_units, pending = open_durable(
+                    repository, config, build)
+                engine = cls(repository, config=config,
+                             index=compose_serving(durable_units, pending,
+                                                   config, repository))
             engine._store = store
             engine._durable_units = durable_units
             engine._pending = pending
@@ -249,8 +274,11 @@ class GKSEngine:
                     and on_disk_codec == config.codec
                     and _index_compatible(loaded, repository, config)):
                 index = loaded
+        rebuilt = index is None
+        if rebuilt:
+            index = build(repository, config)
         engine = cls(repository, index=index, config=config)
-        if config.index_path is not None and index is None:
+        if config.index_path is not None and rebuilt:
             save_index(engine.index, config.index_path,
                        codec=config.codec)
         return engine
@@ -615,7 +643,8 @@ class GKSEngine:
         """Monotonic counter bumped on every serving-index publication."""
         return self._generation
 
-    def add_document(self, text: str, name: str | None = None) -> dict:
+    def add_document(self, text: str, name: str | None = None, *,
+                     tracer: Tracer | None = None) -> dict:
         """Append one XML document to the repository and the index.
 
         The document is parsed (validated) first, appended to the
@@ -635,31 +664,52 @@ class GKSEngine:
         (``doc_id``, ``name``, ``generation``, ``pending``, ``flushed``,
         plus ``lsn`` and ``"durable": True`` with a store) names the
         serving generation the document became visible in.
-        """
-        with self._mutation_lock:
-            return self._add_locked(text, name)
 
-    def _add_locked(self, text: str, name: str | None) -> dict:  # holds: _mutation_lock
-        # Parse *before* the WAL append: a malformed document must fail
-        # the caller, never poison the log that recovery replays.
-        document = parse_document(text, doc_id=len(self.repository),
-                                  attributes_as_children=True, name=name)
-        info = {"doc_id": document.doc_id, "name": document.name}
-        lsn = None
-        if self._store is not None:
-            lsn = self._store.append(document.doc_id, document.name, text)
-            info.update(lsn=lsn, durable=True)
-        # With a store the write is durable from here; apply it to memory.
-        self.repository.add(document)
-        try:
-            self._pending.append(
-                pending_document(document, text, lsn, self.config))
-            self._recompose()
-        finally:
-            # the repository already grew: even when indexing failed,
-            # cached responses may be stale
-            with self._cache_lock:
-                self._response_cache.clear()
+        Traced like :meth:`open`: an ``add_document`` root span (on
+        *tracer* when given, retained in :meth:`recent_traces`) with
+        ``parse``, ``wal`` (durable engines), ``build`` and
+        ``recompose`` children; a flush it triggers is its own root.
+        """
+        if tracer is None:
+            tracer = Tracer()
+        with self._mutation_lock:
+            return self._add_locked(text, name, tracer)
+
+    def _add_locked(self, text: str, name: str | None,
+                    tracer: Tracer) -> dict:  # holds: _mutation_lock
+        with tracer.span("add_document") as root:
+            # Parse *before* the WAL append: a malformed document must
+            # fail the caller, never poison the log that recovery replays.
+            with tracer.span("parse") as span:
+                document = parse_document(
+                    text, doc_id=len(self.repository),
+                    attributes_as_children=True, name=name)
+            observe_parse_seconds(span.duration_s)
+            info = {"doc_id": document.doc_id, "name": document.name}
+            lsn = None
+            if self._store is not None:
+                with tracer.span("wal"):
+                    lsn = self._store.append(document.doc_id,
+                                             document.name, text)
+                info.update(lsn=lsn, durable=True)
+            # With a store the write is durable from here; apply it to
+            # memory.
+            self.repository.add(document)
+            try:
+                with tracer.span("build") as span:
+                    pending = pending_document(document, text, lsn,
+                                               self.config)
+                    span.set(**_build_facts(pending.unit))
+                self._pending.append(pending)
+                with tracer.span("recompose"):
+                    self._recompose()
+            finally:
+                # the repository already grew: even when indexing failed,
+                # cached responses may be stale
+                with self._cache_lock:
+                    self._response_cache.clear()
+            root.set(doc_id=document.doc_id)
+        self._recent_traces.append(root)
         flushed = len(self._pending) >= self.config.memtable_docs
         if flushed:
             self._flush_locked()
@@ -906,6 +956,14 @@ class GKSEngine:
 # ----------------------------------------------------------------------
 def _looks_like_xml(item) -> bool:
     return isinstance(item, str) and item.lstrip().startswith("<")
+
+
+def _build_facts(index) -> dict:
+    """What a ``build`` span reports about the index it produced."""
+    stats = index.stats
+    return {"nodes": stats.total_nodes, "tokens": stats.total_keywords,
+            "postings": sum(unit.inverted.total_postings
+                            for _, unit in units_of(index))}
 
 
 def _resolve_source(source, config: EngineConfig) -> Repository:

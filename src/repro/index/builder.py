@@ -9,9 +9,11 @@ queries run against:
 
 "Since XML nodes arrive pre-order (an ancestor of an XML node always
 appears before it), the hash tables and the inverted index are created in a
-single pass over XML data."  The builder therefore accepts either
-materialised documents/repositories or raw XML text driven through the
-streaming parser — the latter never builds a tree.
+single pass over XML data."  The builder accepts materialised
+documents/repositories or raw XML text; text is parsed one document at a
+time and every document goes through the same walk
+(:meth:`IndexBuilder._walk`), so the two entry points cannot disagree and
+a text build never holds more than one document's tree.
 """
 
 from __future__ import annotations
@@ -20,17 +22,15 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.errors import IndexError_
-from repro.index.categorize import StreamingCategorizer
+from repro.index.categorize import NodeCategory, StreamingCategorizer
 from repro.index.hashtables import NodeHashes
 from repro.index.inverted import InvertedIndex
 from repro.index.statistics import IndexStats
 from repro.obs.metrics import global_registry
 from repro.obs.trace import DEFAULT_CLOCK
 from repro.text.analyzer import DEFAULT_ANALYZER, Analyzer
-from repro.xmltree.dewey import Dewey
-from repro.xmltree.events import EndElement, StartElement, Text
 from repro.xmltree.node import XMLNode
-from repro.xmltree.parser import iter_events
+from repro.xmltree.parser import parse_document
 from repro.xmltree.repository import Repository
 from repro.xmltree.tree import XMLDocument
 
@@ -142,8 +142,7 @@ class IndexBuilder:
     def _ingest(self, document: XMLDocument) -> None:
         self._names.append(document.name)
         self._stats.documents += 1
-        categorizer = StreamingCategorizer()
-        self._walk(document.root, categorizer)
+        self._walk(document.root)
 
     def add_repository(self, repository: Repository) -> None:
         """Index every document of *repository* in order."""
@@ -152,86 +151,89 @@ class IndexBuilder:
 
     def add_xml(self, text: str, name: str | None = None,
                 doc_id: int | None = None) -> None:
-        """Index raw XML text without materialising the tree.
+        """Index raw XML text; its tree lives only for this call.
 
         With an explicit *doc_id* the document is indexed under that
         global document number instead of the next consecutive one —
-        the streaming counterpart of :meth:`add_document_unchecked` that
-        shard builds drive from raw corpus texts.
+        the text counterpart of :meth:`add_document_unchecked` that
+        shard builds drive from raw corpus texts.  Malformed text raises
+        before the builder has recorded anything of the document.
         """
         self._check_open()
         if doc_id is None:
             doc_id = len(self._names)
-        self._names.append(name or f"doc{doc_id}")
-        self._stats.documents += 1
-        categorizer = StreamingCategorizer()
-        path: list[int] = []       # child ordinals of the open elements
-        counts: list[int] = [0]    # children seen at each open level
-        for event in iter_events(text):
-            if isinstance(event, StartElement):
-                ordinal = counts[-1]
-                counts[-1] += 1
-                path.append(ordinal)
-                counts.append(0)
-                dewey: Dewey = (doc_id, *path[1:]) if len(path) > 1 \
-                    else (doc_id,)
-                categorizer.start(dewey, event.tag)
-                self._post_tag(event.tag, dewey)
-                for key, value in event.attributes.items():
-                    # attributes-as-children, mirroring the tree builder
-                    attr_ordinal = counts[-1]
-                    counts[-1] += 1
-                    attr_dewey = dewey + (attr_ordinal,)
-                    categorizer.start(attr_dewey, key)
-                    categorizer.text(value)
-                    self._post_tag(key, attr_dewey)
-                    self._post_text(value, attr_dewey)
-                    self._file_records(categorizer.end())
-            elif isinstance(event, EndElement):
-                path.pop()
-                counts.pop()
-                self._file_records(categorizer.end())
-            elif isinstance(event, Text):
-                if event.content.strip():
-                    categorizer.text(event.content)
-                    dewey = (doc_id, *path[1:]) if len(path) > 1 \
-                        else (doc_id,)
-                    self._post_text(event.content, dewey)
+        self._ingest(parse_document(text, doc_id=doc_id, name=name))
 
     # ------------------------------------------------------------------
-    def _walk(self, node: XMLNode, categorizer: StreamingCategorizer) -> None:
-        stack: list[tuple[XMLNode, bool]] = [(node, False)]
+    def _walk(self, root: XMLNode) -> None:
+        """The one build driver: every document, however it arrived, is
+        indexed by this pre-order walk of its tree.
+
+        An element's tag keywords and then the keywords of its direct
+        text (``XMLNode.text`` — the parser's single definition) are
+        posted at its Dewey id when it opens; when it closes, the
+        categorizer releases the records of its children.
+        """
+        categorizer = StreamingCategorizer()
+        start, end = categorizer.start, categorizer.end
+        analyze = self.analyzer.analyze
+        analyze_tag = self.analyzer.analyze_tag
+        index_tags = self.index_tags
+        add_all = self._inverted.add_all
+        file_records = self._file_records
+        text_keywords = tag_keywords = 0
+        stack: list[XMLNode | None] = [root]  # None closes the open element
         while stack:
-            current, closed = stack.pop()
-            if closed:
-                self._file_records(categorizer.end())
+            node = stack.pop()
+            if node is None:
+                file_records(end())
                 continue
-            categorizer.start(current.dewey, current.tag)
-            self._post_tag(current.tag, current.dewey)
-            if current.has_text:
-                assert current.text is not None
-                categorizer.text(current.text)
-                self._post_text(current.text, current.dewey)
-            stack.append((current, True))
-            stack.extend((child, False)
-                         for child in reversed(current.children))
-
-    def _post_text(self, text: str, dewey: Dewey) -> None:
-        keywords = self.analyzer.analyze(text)
-        self._stats.text_keywords += len(keywords)
-        self._inverted.add_all(keywords, dewey)
-
-    def _post_tag(self, tag: str, dewey: Dewey) -> None:
-        if not self.index_tags:
-            return
-        keywords = self.analyzer.analyze_tag(tag)
-        self._stats.tag_keywords += len(keywords)
-        self._inverted.add_all(keywords, dewey)
+            dewey, tag, has_text = node.dewey, node.tag, node.has_text
+            start(dewey, tag, has_text)
+            if index_tags:
+                keywords = analyze_tag(tag)
+                tag_keywords += len(keywords)
+                add_all(keywords, dewey)
+            if has_text:
+                keywords = analyze(node.text)
+                text_keywords += len(keywords)
+                add_all(keywords, dewey)
+            stack.append(None)
+            stack.extend(reversed(node.children))
+        self._stats.text_keywords += text_keywords
+        self._stats.tag_keywords += tag_keywords
 
     def _file_records(self, records) -> None:
+        """File categorization records into the hash tables and the
+        Table 4/5 counters.
+
+        An element that is both entity and repeating counts as an entity
+        node for the primary-category histogram *and* as a repeating
+        node — matching Table 5, whose four counts sum to more than the
+        "Total Nodes" column would otherwise allow for some corpora (the
+        paper files dual-role nodes in both hash tables, §2.4).
+        """
+        stats = self._stats
+        add_record = self._hashes.add_record
+        by_tag = stats.category_by_tag
         for record in records:
-            self._hashes.add_record(record)
-            self._stats.record_category(record)
+            add_record(record)
+            category = record.category
+            stats.total_nodes += 1
+            if category is NodeCategory.ATTRIBUTE:
+                stats.attribute_nodes += 1
+            elif category is NodeCategory.ENTITY:
+                stats.entity_nodes += 1
+                if record.is_repeating:
+                    stats.repeating_nodes += 1
+            elif category is NodeCategory.REPEATING:
+                stats.repeating_nodes += 1
+            else:
+                stats.connecting_nodes += 1
+            if len(record.dewey) > stats.max_depth + 1:
+                stats.max_depth = len(record.dewey) - 1
+            if record.tag not in by_tag:
+                by_tag[record.tag] = category.value
 
     def _check_open(self) -> None:
         if self._built:

@@ -57,7 +57,7 @@ class NodeCategory(str, Enum):
     CONNECTING = "CN"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CategoryRecord:
     """Categorization result for one element node."""
 
@@ -72,17 +72,25 @@ class CategoryRecord:
         return self.category is NodeCategory.ENTITY
 
 
-@dataclass(frozen=True)
-class _Partial:
-    """Category info of a closed element, pending its RN resolution."""
+class _Frame:
+    """Per-element state while streaming in document order.
 
-    dewey: Dewey
-    tag: str
-    is_entity: bool
-    is_attribute_shape: bool
-    has_qualifying_attr: bool
-    has_group: bool
-    child_count: int
+    While the element is open the frame collects its children; once it
+    closes, the same object carries the element's summary (the last five
+    slots) on its parent's ``pending`` list until the parent closes and
+    the sibling counts that decide RN status are complete.
+    """
+
+    __slots__ = ("dewey", "tag", "child_tags", "has_text", "pending",
+                 "is_entity", "is_attribute_shape", "has_qualifying_attr",
+                 "has_group", "child_count")
+
+    def __init__(self, dewey: Dewey, tag: str, has_text: bool) -> None:
+        self.dewey = dewey
+        self.tag = tag
+        self.child_tags: dict[str, int] = {}
+        self.has_text = has_text
+        self.pending: list[_Frame] = []
 
     def finalize(self, repeated: bool) -> CategoryRecord:
         if self.is_entity:
@@ -93,31 +101,19 @@ class _Partial:
             category = NodeCategory.ATTRIBUTE
         else:
             category = NodeCategory.CONNECTING
-        return CategoryRecord(dewey=self.dewey, tag=self.tag,
-                              category=category, is_repeating=repeated,
-                              child_count=self.child_count)
-
-
-class _Frame:
-    """Per-open-element state while streaming in document order."""
-
-    __slots__ = ("dewey", "tag", "child_tags", "has_text", "pending")
-
-    def __init__(self, dewey: Dewey, tag: str) -> None:
-        self.dewey = dewey
-        self.tag = tag
-        self.child_tags: dict[str, int] = {}
-        self.has_text = False
-        self.pending: list[_Partial] = []
+        return CategoryRecord(self.dewey, self.tag, category, repeated,
+                              self.child_count)
 
 
 class StreamingCategorizer:
     """Single-pass categorizer fed with start/text/end callbacks.
 
     Call :meth:`start` when an element opens, :meth:`text` for character
-    data, :meth:`end` when it closes.  :meth:`end` returns the records it
-    could finalize: the closed element's *children* (their sibling counts
-    are now complete), plus — when the root closes — the root itself.
+    data (or pass ``has_text`` to :meth:`start` when it is known up
+    front), :meth:`end` when it closes.  :meth:`end` returns the records
+    it could finalize: the closed element's *children* (their sibling
+    counts are now complete), plus — when the root closes — the root
+    itself.
     """
 
     def __init__(self) -> None:
@@ -127,11 +123,11 @@ class StreamingCategorizer:
     def depth(self) -> int:
         return len(self._stack)
 
-    def start(self, dewey: Dewey, tag: str) -> None:
+    def start(self, dewey: Dewey, tag: str, has_text: bool = False) -> None:
         if self._stack:
-            parent = self._stack[-1]
-            parent.child_tags[tag] = parent.child_tags.get(tag, 0) + 1
-        self._stack.append(_Frame(dewey, tag))
+            child_tags = self._stack[-1].child_tags
+            child_tags[tag] = child_tags.get(tag, 0) + 1
+        self._stack.append(_Frame(dewey, tag, has_text))
 
     def text(self, content: str) -> None:
         if self._stack and content.strip():
@@ -139,46 +135,53 @@ class StreamingCategorizer:
 
     def end(self) -> list[CategoryRecord]:
         frame = self._stack.pop()
-        records, partial = _close_frame(frame)
+        records = _close_frame(frame)
         if self._stack:
-            self._stack[-1].pending.append(partial)
+            self._stack[-1].pending.append(frame)
         else:
-            records.append(partial.finalize(repeated=False))
+            records.append(frame.finalize(repeated=False))
         return records
 
 
-def _close_frame(frame: _Frame) -> tuple[list[CategoryRecord], _Partial]:
+def _close_frame(frame: _Frame) -> list[CategoryRecord]:
     """Finalize the closed frame's children; summarise the frame itself."""
-    own_group = any(count >= 2 for count in frame.child_tags.values())
-    qual_attr_children: set[int] = set()
-    group_children: set[int] = set()
+    children = frame.pending
+    frame.child_count = len(children)
+    if not children:  # a leaf: nothing to finalize, nothing to relate
+        frame.is_attribute_shape = frame.has_qualifying_attr = frame.has_text
+        frame.is_entity = frame.has_group = False
+        return []
+    child_tags = frame.child_tags
+    # Children holding a qualifying attribute / a repeating group: how
+    # many, and one of each.  A group and an attribute under *different*
+    # children exist unless both counts are 1 and name the same child.
+    attr_children = group_children = 0
+    attr_child = group_child = -1
+    own_group = False
     records: list[CategoryRecord] = []
-
-    for ordinal, child in enumerate(frame.pending):
-        repeated = frame.child_tags[child.tag] >= 2
+    for ordinal, child in enumerate(children):
+        repeated = child_tags[child.tag] >= 2
         records.append(child.finalize(repeated))
         if repeated:
-            group_children.add(ordinal)
-        elif child.is_attribute_shape or child.has_qualifying_attr:
+            own_group = True
+        elif child.has_qualifying_attr:
             # Attributes propagate upward through non-repeating children
             # only: an AN inside a repeating node describes that repetition,
             # not the ancestor's context.
-            qual_attr_children.add(ordinal)
-        if child.has_group:
-            group_children.add(ordinal)
-
-    is_attribute_shape = not frame.pending and frame.has_text
-    is_entity = bool(qual_attr_children) and (
-        own_group or any(g != a for g in group_children
-                         for a in qual_attr_children))
-
-    partial = _Partial(
-        dewey=frame.dewey, tag=frame.tag, is_entity=is_entity,
-        is_attribute_shape=is_attribute_shape,
-        has_qualifying_attr=bool(qual_attr_children) or is_attribute_shape,
-        has_group=own_group or bool(group_children),
-        child_count=len(frame.pending))
-    return records, partial
+            attr_children += 1
+            attr_child = ordinal
+        if repeated or child.has_group:
+            group_children += 1
+            group_child = ordinal
+    frame.is_attribute_shape = False
+    frame.has_qualifying_attr = attr_children > 0
+    frame.has_group = group_children > 0
+    frame.is_entity = attr_children > 0 and (
+        own_group or (group_children > 0 and (
+            attr_children > 1 or group_children > 1
+            or attr_child != group_child)))
+    frame.pending = frame.child_tags = None  # the summary needs neither
+    return records
 
 
 def categorize_tree(root: XMLNode) -> dict[Dewey, CategoryRecord]:
@@ -191,19 +194,16 @@ def categorize_tree(root: XMLNode) -> dict[Dewey, CategoryRecord]:
     """
     categorizer = StreamingCategorizer()
     records: dict[Dewey, CategoryRecord] = {}
-    stack: list[tuple[XMLNode, bool]] = [(root, False)]
+    stack: list[XMLNode | None] = [root]  # None closes the open element
     while stack:
-        node, closing = stack.pop()
-        if closing:
+        node = stack.pop()
+        if node is None:
             for record in categorizer.end():
                 records[record.dewey] = record
             continue
-        categorizer.start(node.dewey, node.tag)
-        if node.has_text:
-            assert node.text is not None
-            categorizer.text(node.text)
-        stack.append((node, True))
-        stack.extend((child, False) for child in reversed(node.children))
+        categorizer.start(node.dewey, node.tag, node.has_text)
+        stack.append(None)
+        stack.extend(reversed(node.children))
     return records
 
 

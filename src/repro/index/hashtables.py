@@ -34,14 +34,15 @@ class NodeHashes:
     # ------------------------------------------------------------------
     def add_record(self, record: CategoryRecord) -> None:
         """File one categorization record into the right table(s)."""
-        if record.category is NodeCategory.ENTITY:
+        category = record.category
+        if category is NodeCategory.ENTITY:
             self._entity[record.dewey] = record.child_count
             if record.is_repeating:
                 self._element[record.dewey] = record.child_count
-        elif record.category in (NodeCategory.REPEATING,
-                                 NodeCategory.CONNECTING):
+        elif category is not NodeCategory.ATTRIBUTE:
+            # repeating and connecting nodes; attribute nodes are
+            # deliberately kept out of both tables
             self._element[record.dewey] = record.child_count
-        # attribute nodes are deliberately kept out of both tables
 
     @classmethod
     def from_mappings(cls, entity: dict[Dewey, int],

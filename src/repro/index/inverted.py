@@ -26,26 +26,28 @@ class InvertedIndex:
     # Construction
     # ------------------------------------------------------------------
     def add(self, keyword: str, dewey: Dewey) -> None:
-        """Post *keyword* at *dewey*.
-
-        The builder emits postings in document order, so appends dominate;
-        the rare out-of-order posting (mixed content whose trailing text is
-        seen after the element's children) is insorted, and duplicates
-        (same keyword twice in one element) collapse to a single entry.
-        """
-        posting_list = self._postings.setdefault(keyword, [])
-        if not posting_list or posting_list[-1] < dewey:
-            posting_list.append(dewey)
-            return
-        if posting_list[-1] == dewey:
-            return
-        position = bisect_left(posting_list, dewey)
-        if position >= len(posting_list) or posting_list[position] != dewey:
-            posting_list.insert(position, dewey)
+        """Post *keyword* at *dewey*."""
+        self.add_all((keyword,), dewey)
 
     def add_all(self, keywords: Iterable[str], dewey: Dewey) -> None:
+        """Post every keyword of *keywords* at *dewey*.
+
+        The builder emits postings in document order, so appends dominate;
+        the rare out-of-order posting (a document fed after one with a
+        higher number) is insorted, and duplicates (same keyword twice in
+        one element) collapse to a single entry.
+        """
+        postings = self._postings
         for keyword in keywords:
-            self.add(keyword, dewey)
+            posting_list = postings.get(keyword)
+            if posting_list is None:
+                postings[keyword] = [dewey]
+            elif posting_list[-1] < dewey:
+                posting_list.append(dewey)
+            elif posting_list[-1] != dewey:
+                position = bisect_left(posting_list, dewey)
+                if posting_list[position] != dewey:
+                    posting_list.insert(position, dewey)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Iterable[Dewey]]

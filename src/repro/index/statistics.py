@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.index.categorize import CategoryRecord, NodeCategory
-
 
 @dataclass
 class IndexStats:
@@ -28,31 +26,6 @@ class IndexStats:
     max_depth: int = 0
     build_seconds: float = 0.0
     category_by_tag: dict[str, str] = field(default_factory=dict)
-
-    def record_category(self, record: CategoryRecord) -> None:
-        """Count one categorized element.
-
-        Elements that are both entity and repeating count as entity nodes
-        for the primary-category histogram *and* as repeating nodes —
-        matching Table 5, whose four counts sum to more than the "Total
-        Nodes" column would otherwise allow for some corpora (the paper
-        files dual-role nodes in both hash tables, §2.4).
-        """
-        self.total_nodes += 1
-        if record.category is NodeCategory.ATTRIBUTE:
-            self.attribute_nodes += 1
-        elif record.category is NodeCategory.ENTITY:
-            self.entity_nodes += 1
-        elif record.category is NodeCategory.REPEATING:
-            self.repeating_nodes += 1
-        else:
-            self.connecting_nodes += 1
-        if record.is_repeating and record.category is NodeCategory.ENTITY:
-            self.repeating_nodes += 1
-        depth = len(record.dewey) - 1
-        if depth > self.max_depth:
-            self.max_depth = depth
-        self.category_by_tag.setdefault(record.tag, record.category.value)
 
     # ------------------------------------------------------------------
     def category_row(self) -> dict[str, int]:

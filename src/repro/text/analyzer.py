@@ -10,9 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.text.stemmer import porter_stem
+from repro.text.stemmer import memoise, porter_stem
 from repro.text.stopwords import DEFAULT_STOPWORDS
-from repro.text.tokenizer import iter_tokens
+from repro.text.tokenizer import tokenize
+
+# tag -> keywords, one memo per ``use_stemming`` value (the only analyzer
+# field a tag's keywords depend on).  Same contract as the stem memo in
+# :mod:`repro.text.stemmer`: bounded, cleared on overflow, lock-free
+# because a racing reader can only miss.  A corpus has a few dozen tags.
+_TAG_KEYWORDS: tuple[dict[str, tuple[str, ...]], ...] = ({}, {})
 
 
 @dataclass(frozen=True)
@@ -39,14 +45,13 @@ class Analyzer:
         Order and multiplicity are preserved: the inverted index posts one
         entry per keyword occurrence.
         """
-        keywords = []
-        for token in iter_tokens(text):
-            if self.use_stopwords and token in self.stopwords:
-                continue
-            if self.use_stemming:
-                token = porter_stem(token)
-            if token:
-                keywords.append(token)
+        keywords = tokenize(text)
+        if self.use_stopwords:
+            stopwords = self.stopwords
+            keywords = [token for token in keywords
+                        if token not in stopwords]
+        if self.use_stemming:
+            keywords = [stem for stem in map(porter_stem, keywords) if stem]
         return keywords
 
     def analyze_unique(self, text: str) -> list[str]:
@@ -70,13 +75,15 @@ class Analyzer:
         but never stop-word filtered: a tag called ``<for>`` must stay
         searchable.
         """
-        keywords = []
-        for token in iter_tokens(tag):
+        memo = _TAG_KEYWORDS[self.use_stemming]
+        keywords = memo.get(tag)
+        if keywords is None:
+            tokens = tokenize(tag)
             if self.use_stemming:
-                token = porter_stem(token)
-            if token:
-                keywords.append(token)
-        return keywords
+                tokens = [stem for stem in map(porter_stem, tokens) if stem]
+            keywords = tuple(tokens)
+            memoise(memo, tag, keywords)
+        return list(keywords)
 
 
 #: Default pipeline shared across the library.

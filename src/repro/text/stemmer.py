@@ -180,12 +180,46 @@ def _step_5b(word: str) -> str:
     return word
 
 
+#: Fixed bound of the analysis memos (this one and the analyzer's tag
+#: memo): entries, and the longest key worth a slot — together they bound
+#: the bytes held.  A memo that fills up is cleared and refills from the
+#: live vocabulary.
+MEMO_CAP = 1 << 15
+MEMO_KEY_LEN = 32
+# token -> stem.  Deliberately lock-free: the values are pure functions of
+# the keys, and ``get``, item assignment and ``clear`` are each atomic under
+# the interpreter lock — a lookup racing a store or an overflow-clear can
+# only miss and recompute the same string, never read a wrong one (and
+# overshoot the cap by at most the one entry each racing thread stores).
+# A forked worker starts from a copy of its parent's memo and fills its own.
+_STEMS: dict[str, str] = {}
+
+
+def memoise(memo: dict, key: str, value) -> None:
+    """Store ``memo[key] = value`` under the bound above (misses only)."""
+    if len(key) <= MEMO_KEY_LEN:
+        if len(memo) >= MEMO_CAP:
+            memo.clear()
+        memo[key] = value
+
+
 def porter_stem(token: str) -> str:
     """Stem one lower-case token with the Porter algorithm.
 
     Tokens shorter than three characters or containing non-letters are
     returned unchanged (the reference implementation's convention).
+    Repeats are answered from a bounded memo: a corpus deals its tokens
+    from a vocabulary orders of magnitude smaller than its length.
     """
+    stem = _STEMS.get(token)
+    if stem is None:
+        stem = _stem(token)
+        memoise(_STEMS, token, stem)
+    return stem
+
+
+def _stem(token: str) -> str:
+    """The five Porter steps, un-memoised."""
     if len(token) <= 2 or not token.isalpha() or not token.isascii():
         return token
     word = _step_1a(token)

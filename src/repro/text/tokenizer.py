@@ -10,7 +10,14 @@ numbers survive intact.
 
 from __future__ import annotations
 
+import re
 from typing import Iterator
+
+# ``\w`` is ``str.isalnum`` plus the underscore (CPython's sre tests a
+# str pattern's ``\w`` with Py_UNICODE_ISALNUM || '_'), so ``[^\W_]`` is
+# exactly the class the tokenizer is defined by; tests/test_text.py holds
+# the pattern to ``str.isalnum`` over every code point.
+_WORDS = re.compile(r"[^\W_]+").findall
 
 
 def tokenize(text: str) -> list[str]:
@@ -20,19 +27,12 @@ def tokenize(text: str) -> list[str]:
     hyphens *inside* a word are treated as separators (``Jean-Marc`` →
     ``jean``, ``marc``), matching how inverted indexes for the paper's
     bibliographic queries must behave ("Jean-Marc Cadiou" is two keywords).
+    Lower-casing is per token, after the split: ``İ`` lower-cases to ``i``
+    plus a combining dot, which must not split the word it ends up in.
     """
-    return list(iter_tokens(text))
+    return [word.lower() for word in _WORDS(text)]
 
 
 def iter_tokens(text: str) -> Iterator[str]:
-    """Generator form of :func:`tokenize`."""
-    word_start = -1
-    for index, char in enumerate(text):
-        if char.isalnum():
-            if word_start < 0:
-                word_start = index
-        elif word_start >= 0:
-            yield text[word_start:index].lower()
-            word_start = -1
-    if word_start >= 0:
-        yield text[word_start:].lower()
+    """Iterator form of :func:`tokenize`."""
+    return iter(tokenize(text))

@@ -20,6 +20,7 @@ from repro.errors import (DocumentLoadError,
                           ValidationError,
                           XMLSyntaxError)
 from repro.obs.metrics import global_registry
+from repro.obs.trace import DEFAULT_CLOCK
 from repro.xmltree import dewey as dw
 from repro.xmltree.dewey import Dewey
 from repro.xmltree.node import XMLNode
@@ -27,7 +28,7 @@ from repro.xmltree.parser import (RecoveryPolicy, SalvageLog,
                                   parse_document)
 from repro.xmltree.tree import XMLDocument
 
-__all__ = ["IngestFailure", "Repository"]
+__all__ = ["IngestFailure", "Repository", "observe_parse_seconds"]
 
 
 def _failure_for(name: str, error: GKSError) -> IngestFailure:
@@ -39,6 +40,13 @@ def _failure_for(name: str, error: GKSError) -> IngestFailure:
 
 def _ingest_counter(name: str, help: str):
     return global_registry().counter(f"gks_ingest_{name}_total", help=help)
+
+
+def observe_parse_seconds(seconds: float) -> None:
+    """File one document's parse time beside ``gks_index_build_seconds``."""
+    global_registry().histogram(
+        "gks_ingest_parse_seconds",
+        help="Wall time of parsing one document.").observe(seconds)
 
 
 class Repository:
@@ -107,6 +115,7 @@ class Repository:
             label = (name if name is not None
                      else f"text[{len(self._documents)}]")
         salvage_log = SalvageLog()
+        started = DEFAULT_CLOCK()
         try:
             document = parse_document(
                 text, doc_id=len(self._documents),
@@ -119,6 +128,7 @@ class Repository:
             _ingest_counter("quarantined_documents",
                             "Documents quarantined during ingestion").inc()
             return None
+        observe_parse_seconds(DEFAULT_CLOCK() - started)
         self._documents.append(document)
         _ingest_counter("documents",
                         "Documents successfully ingested").inc()

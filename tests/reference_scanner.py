@@ -1,119 +1,23 @@
-"""A from-scratch streaming XML parser.
+"""The predicate-loop scanner the compiled patterns replaced — a reference.
 
-The paper's system ingests raw XML repositories; rather than leaning on a
-third-party parser we implement the substrate ourselves: a tokenizer that
-turns a character stream into :mod:`repro.xmltree.events` parse events, and a
-tree builder that assigns Dewey ids on the fly.
-
-Supported XML subset (ample for the corpora the paper evaluates on):
-
-* elements with attributes, self-closing tags,
-* character data with the five predefined entities plus decimal/hex
-  character references,
-* CDATA sections, comments, processing instructions and the XML declaration,
-* a permissive DOCTYPE skipper (internal subsets are skipped, not parsed).
-
-Design notes
-------------
-``iter_events`` is a generator, so indexing large inputs never materialises
-the document; ``parse_document`` builds an :class:`XMLDocument` for callers
-that want the tree.  Malformed input raises :class:`XMLSyntaxError` with a
-1-based line/column and a 0-based character offset.
-
-Recovery
---------
-Real multi-file corpora (§2.4) contain the occasional malformed document.
-:class:`RecoveryPolicy` selects what happens:
-
-* ``STRICT`` — raise on the first error (the default, unchanged behaviour);
-* ``SKIP_DOCUMENT`` — parser-level behaviour equals STRICT; the
-  *repository* catches the error and quarantines the document instead of
-  aborting the whole ingest;
-* ``SALVAGE`` — :func:`iter_events_salvage` resynchronises after malformed
-  markup (skips to the next ``<``), drops stray closing tags, closes
-  unbalanced open tags at end of input, ignores extra root elements, and
-  keeps unknown entities as literal text.  Every repair is recorded in a
-  :class:`SalvageLog`.
+This is the event layer of ``repro.xmltree.parser`` as it stood before
+the scanner moved to compiled patterns: ``read_name`` and
+``skip_whitespace`` walk characters through the ``_is_name_start`` /
+``_is_name_char`` predicates, ``decode_entities`` walks the text, and
+``_scan_markup`` tries six ``startswith`` tests in order.  It is kept
+only so ``tests/test_parser*.py`` can hold the fast scanner to it —
+event for event, repair for repair, error position for error position.
 """
 
 from __future__ import annotations
 
-import enum
-import re
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from repro.errors import ConfigError, XMLSyntaxError
+from repro.errors import XMLSyntaxError
 from repro.xmltree.events import (Comment, EndElement, ParseEvent,
                                   ProcessingInstruction, StartElement, Text)
-from repro.xmltree.node import XMLNode
-from repro.xmltree.tree import XMLDocument
-
-_PREDEFINED_ENTITIES = {
-    "amp": "&",
-    "lt": "<",
-    "gt": ">",
-    "quot": '"',
-    "apos": "'",
-}
-
-_NAME_START_EXTRA = "_:"
-_NAME_EXTRA = "_:.-"
-
-
-class RecoveryPolicy(enum.Enum):
-    """How ingestion reacts to malformed XML (see module docstring)."""
-
-    STRICT = "strict"
-    SKIP_DOCUMENT = "skip_document"
-    SALVAGE = "salvage"
-
-    @classmethod
-    def coerce(cls, value: "RecoveryPolicy | str") -> "RecoveryPolicy":
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(value)
-        except ValueError:
-            choices = ", ".join(policy.value for policy in cls)
-            raise ConfigError(
-                f"unknown recovery policy {value!r} (choose from {choices})")
-
-
-class SalvageLog:
-    """The repairs a salvage parse had to make, in input order."""
-
-    def __init__(self) -> None:
-        self.problems: list[XMLSyntaxError] = []
-
-    def note(self, problem: XMLSyntaxError) -> None:
-        self.problems.append(problem)
-
-    def __len__(self) -> int:
-        return len(self.problems)
-
-    def __iter__(self):
-        return iter(self.problems)
-
-    def render(self) -> str:
-        return "; ".join(str(problem) for problem in self.problems)
-
-
-def _is_name_start(ch: str) -> bool:
-    return ch.isalpha() or ch in _NAME_START_EXTRA
-
-
-def _is_name_char(ch: str) -> bool:
-    return ch.isalnum() or ch in _NAME_EXTRA
-
-
-# The scanner's compiled patterns, each matched at the cursor.  The two
-# predicates above are the definition; the patterns are held to them over
-# every code point by tests/test_parser.py.  ``\w`` is ``str.isalnum``
-# plus ``_``, so the name-character class is exact; ``str.isalpha`` has
-# no regex spelling, so a name's first character is tested directly.
-_NAME_RUN = re.compile(r"[\w:.\-]+").match
-_WHITESPACE = re.compile(r"[ \t\r\n]*").match
-_REFERENCE = re.compile(r"&([^;]*);")
+from repro.xmltree.parser import (_PREDEFINED_ENTITIES, SalvageLog,
+                                  _is_name_char, _is_name_start)
 
 
 class _Scanner:
@@ -136,6 +40,9 @@ class _Scanner:
     def startswith(self, token: str) -> bool:
         return self.text.startswith(token, self.pos)
 
+    def advance(self, count: int = 1) -> None:
+        self.pos += count
+
     def take_until(self, token: str, description: str) -> str:
         """Consume text up to *token*, consume the token, return the text."""
         end = self.text.find(token, self.pos)
@@ -146,19 +53,20 @@ class _Scanner:
         return chunk
 
     def skip_whitespace(self) -> None:
-        self.pos = _WHITESPACE(self.text, self.pos).end()
+        while self.pos < self.length and self.text[self.pos] in " \t\r\n":
+            self.pos += 1
 
     def read_name(self, description: str) -> str:
-        run = _NAME_RUN(self.text, self.pos)
-        # a name start is a name character, so no run means no name
-        if run is None or not ((first := self.text[self.pos]).isalpha()
-                               or first in _NAME_START_EXTRA):
+        start = self.pos
+        if self.at_end() or not _is_name_start(self.text[self.pos]):
             raise self.error(f"expected {description}")
-        self.pos = run.end()
-        return run.group()
+        self.pos += 1
+        while self.pos < self.length and _is_name_char(self.text[self.pos]):
+            self.pos += 1
+        return self.text[start:self.pos]
 
     def expect(self, token: str) -> None:
-        if not self.text.startswith(token, self.pos):
+        if not self.startswith(token):
             raise self.error(f"expected {token!r}")
         self.pos += len(token)
 
@@ -179,21 +87,29 @@ def decode_entities(raw: str, scanner: _Scanner | None = None,
     """
     if "&" not in raw:
         return raw
-
-    def resolve(reference: re.Match) -> str:
+    out: list[str] = []
+    i = 0
+    while i < len(raw):
+        ch = raw[i]
+        if ch != "&":
+            out.append(ch)
+            i += 1
+            continue
+        end = raw.find(";", i + 1)
+        if end < 0:
+            if lenient:
+                out.append(raw[i:])
+                break
+            raise _entity_error("unterminated entity reference", scanner)
+        name = raw[i + 1:end]
         try:
-            return _resolve_entity(reference.group(1), scanner)
+            out.append(_resolve_entity(name, scanner))
         except XMLSyntaxError:
             if not lenient:
                 raise
-            return reference.group()
-
-    decoded = _REFERENCE.sub(resolve, raw)
-    # References resolve left to right, so an ``&`` that no ``;`` follows
-    # is the last thing wrong with *raw*; lenient mode keeps it as text.
-    if not lenient and raw.rfind("&") > raw.rfind(";"):
-        raise _entity_error("unterminated entity reference", scanner)
-    return decoded
+            out.append(raw[i:end + 1])
+        i = end + 1
+    return "".join(out)
 
 
 def _resolve_entity(name: str, scanner: _Scanner | None) -> str:
@@ -231,12 +147,11 @@ def iter_events(text: str) -> Iterator[ParseEvent]:
     open_tags: list[str] = []
     roots_seen = 0
 
-    length = scanner.length
-    while scanner.pos < length:
-        if text[scanner.pos] == "<":
+    while not scanner.at_end():
+        if scanner.peek() == "<":
             at_top_level = not open_tags
             for event in _scan_markup(scanner, open_tags):
-                if at_top_level and isinstance(event, StartElement):
+                if isinstance(event, StartElement) and at_top_level:
                     roots_seen += 1
                     if roots_seen > 1:
                         raise scanner.error("multiple root elements")
@@ -366,45 +281,41 @@ def _scan_markup(scanner: _Scanner, open_tags: list[str],
     errors in attribute values are tolerated; structural errors still
     raise and are handled by the salvage driver.
     """
-    text, pos = scanner.text, scanner.pos
-    second = text[pos + 1:pos + 2]  # every kind of markup differs here
-    if second == "/":
-        if recover:
-            return _scan_end_tag_salvage(scanner, open_tags)
-        return [_scan_end_tag(scanner, open_tags)]
-    if second == "?":
-        scanner.pos = pos + 2
+    if scanner.startswith("<!--"):
+        scanner.advance(4)
+        return [Comment(scanner.take_until("-->", "comment"))]
+    if scanner.startswith("<![CDATA["):
+        scanner.advance(9)
+        content = scanner.take_until("]]>", "CDATA section")
+        if open_tags:
+            return [Text(content)]
+        if content.strip() and not recover:
+            raise scanner.error("character data outside the root element")
+        return []
+    if scanner.startswith("<?"):
+        scanner.advance(2)
         body = scanner.take_until("?>", "processing instruction")
         target, _, data = body.partition(" ")
         if target.lower() == "xml":
             return []  # the XML declaration carries no content
         return [ProcessingInstruction(target, data.strip())]
-    if second == "!":
-        if text.startswith("--", pos + 2):
-            scanner.pos = pos + 4
-            return [Comment(scanner.take_until("-->", "comment"))]
-        if text.startswith("[CDATA[", pos + 2):
-            scanner.pos = pos + 9
-            content = scanner.take_until("]]>", "CDATA section")
-            if open_tags:
-                return [Text(content)]
-            if content.strip() and not recover:
-                raise scanner.error(
-                    "character data outside the root element")
-            return []
-        if text.startswith(("DOCTYPE", "doctype"), pos + 2):
-            _skip_doctype(scanner)
-            return []
+    if scanner.startswith("<!DOCTYPE") or scanner.startswith("<!doctype"):
+        _skip_doctype(scanner)
+        return []
+    if scanner.startswith("</"):
+        if recover:
+            return _scan_end_tag_salvage(scanner, open_tags)
+        return [_scan_end_tag(scanner, open_tags)]
     return _scan_start_tag(scanner, open_tags, recover=recover)
 
 
 def _skip_doctype(scanner: _Scanner) -> None:
     """Skip a DOCTYPE declaration, tolerating an internal subset."""
     depth = 0
-    scanner.pos += 1  # consume '<'
+    scanner.advance(1)  # consume '<'
     while not scanner.at_end():
         ch = scanner.peek()
-        scanner.pos += 1
+        scanner.advance()
         if ch == "[":
             depth += 1
         elif ch == "]":
@@ -415,7 +326,7 @@ def _skip_doctype(scanner: _Scanner) -> None:
 
 
 def _scan_end_tag(scanner: _Scanner, open_tags: list[str]) -> EndElement:
-    scanner.pos += 2
+    scanner.advance(2)
     tag = scanner.read_name("element name in closing tag")
     scanner.skip_whitespace()
     scanner.expect(">")
@@ -437,7 +348,7 @@ def _scan_end_tag_salvage(scanner: _Scanner,
     "forgot-to-close-a-child" corruption.  A closing tag matching nothing
     is dropped.
     """
-    scanner.pos += 2
+    scanner.advance(2)
     tag = scanner.read_name("element name in closing tag")
     scanner.skip_whitespace()
     scanner.expect(">")
@@ -454,11 +365,12 @@ def _scan_end_tag_salvage(scanner: _Scanner,
 
 def _scan_start_tag(scanner: _Scanner, open_tags: list[str],
                     recover: bool = False) -> list[ParseEvent]:
-    scanner.pos += 1
+    scanner.advance(1)
     tag = scanner.read_name("element name")
     attributes = _scan_attributes(scanner, lenient=recover)
+    scanner.skip_whitespace()
     if scanner.startswith("/>"):
-        scanner.pos += 2
+        scanner.advance(2)
         return [StartElement(tag, attributes), EndElement(tag)]
     scanner.expect(">")
     open_tags.append(tag)
@@ -467,12 +379,11 @@ def _scan_start_tag(scanner: _Scanner, open_tags: list[str],
 
 def _scan_attributes(scanner: _Scanner,
                      lenient: bool = False) -> dict[str, str]:
-    """The attributes of a start tag; the cursor is left on its ``>``
-    or ``/`` (or at end of input), past any whitespace."""
     attributes: dict[str, str] = {}
     while True:
         scanner.skip_whitespace()
-        if scanner.peek() in ("", ">", "/"):
+        ch = scanner.peek()
+        if ch in (">", "/") or scanner.at_end():
             return attributes
         name = scanner.read_name("attribute name")
         scanner.skip_whitespace()
@@ -481,115 +392,45 @@ def _scan_attributes(scanner: _Scanner,
         quote = scanner.peek()
         if quote not in ("'", '"'):
             raise scanner.error("attribute value must be quoted")
-        scanner.pos += 1
+        scanner.advance(1)
         value = scanner.take_until(quote, "attribute value")
         if name in attributes:
             raise scanner.error(f"duplicate attribute {name!r}")
         attributes[name] = decode_entities(value, scanner, lenient=lenient)
 
 
-class TreeBuilder:
-    """Assemble an :class:`XMLDocument` from a stream of parse events.
-
-    Parameters
-    ----------
-    doc_id:
-        Document number used as the Dewey prefix.
-    attributes_as_children:
-        When true (the default), each XML attribute ``k="v"`` becomes a child
-        element ``<k>v</k>`` — the representation keyword search operates on
-        (the paper's model has no separate attribute axis, and corpora such
-        as Mondial carry their data in XML attributes).
-    name:
-        Optional document name, e.g. a file name.
-    """
-
-    def __init__(self, doc_id: int = 0, attributes_as_children: bool = True,
-                 name: str | None = None) -> None:
-        self.doc_id = doc_id
-        self.attributes_as_children = attributes_as_children
-        self.name = name
-        self._root: XMLNode | None = None
-        self._stack: list[XMLNode] = []
-        self._text_parts: list[list[str]] = []
-
-    def feed(self, event: ParseEvent) -> None:
-        """Consume one parse event."""
-        handler = self._HANDLERS.get(type(event))
-        if handler is not None:  # comments and PIs carry no searchable content
-            handler(self, event)
-
-    def _start(self, event: StartElement) -> None:
-        if self._stack:
-            node = self._stack[-1].add_child(event.tag)
-        else:
-            node = XMLNode(event.tag, (self.doc_id,))
-            self._root = node
-        if self.attributes_as_children:
-            for key, value in event.attributes.items():
-                node.add_child(key, text=value)
-        else:
-            node.xml_attributes = dict(event.attributes)
-        self._stack.append(node)
-        self._text_parts.append([])
-
-    def _text(self, event: Text) -> None:
-        if self._stack:
-            self._text_parts[-1].append(event.content)
-
-    def _end(self, event: EndElement) -> None:
-        """Close the open element; its *direct text* — the one definition
-        indexing, snippets and exports share — is every character-data
-        and CDATA piece directly inside it, joined in document order
-        (comments, PIs and child elements neither contribute nor
-        separate), with surrounding whitespace stripped."""
-        node = self._stack.pop()
-        text = "".join(self._text_parts.pop()).strip()
-        if text:
-            node.text = text
-
-    _HANDLERS = {StartElement: _start, Text: _text, EndElement: _end}
-
-    def document(self) -> XMLDocument:
-        """Return the finished document (after all events were fed)."""
-        if self._root is None or self._stack:
-            raise XMLSyntaxError("document incomplete: unbalanced events")
-        return XMLDocument(self._root, name=self.name)
+# ----------------------------------------------------------------------
+# Comparing a scanner with this reference
+# ----------------------------------------------------------------------
+def _problem(error: XMLSyntaxError) -> tuple:
+    return error.message, error.line, error.column, error.offset
 
 
-def parse_document(text: str, doc_id: int = 0,
-                   attributes_as_children: bool = True,
-                   name: str | None = None,
-                   policy: RecoveryPolicy | str = RecoveryPolicy.STRICT,
-                   salvage_log: SalvageLog | None = None) -> XMLDocument:
-    """Parse an XML string into an :class:`XMLDocument` with Dewey ids.
-
-    ``policy=RecoveryPolicy.SALVAGE`` parses through malformed markup
-    (repairs are recorded on *salvage_log* when given); ``STRICT`` and
-    ``SKIP_DOCUMENT`` raise :class:`XMLSyntaxError` on the first error —
-    the skip decision belongs to the repository, not the parser.
-    """
-    policy = RecoveryPolicy.coerce(policy)
-    builder = TreeBuilder(doc_id=doc_id,
-                          attributes_as_children=attributes_as_children,
-                          name=name)
-    if policy is RecoveryPolicy.SALVAGE:
-        events = iter_events_salvage(text, log=salvage_log)
-    else:
-        events = iter_events(text)
-    for event in events:
-        builder.feed(event)
-    return builder.document()
+def strict_outcome(events_of, text: str) -> tuple:
+    """``(events before the error, error-or-None)`` of a strict scan."""
+    events = []
+    try:
+        for event in events_of(text):
+            events.append(event)
+    except XMLSyntaxError as error:
+        return events, _problem(error)
+    return events, None
 
 
-def parse_documents(texts: Iterable[str], first_doc_id: int = 0,
-                    attributes_as_children: bool = True,
-                    policy: RecoveryPolicy | str = RecoveryPolicy.STRICT,
-                    ) -> list[XMLDocument]:
-    """Parse several XML strings into consecutively numbered documents."""
-    return [
-        parse_document(text, doc_id=first_doc_id + offset,
-                       attributes_as_children=attributes_as_children,
-                       policy=policy)
-        for offset, text in enumerate(texts)
-    ]
+def salvage_outcome(salvage_events_of, text: str) -> tuple:
+    """``(events, repairs logged, error-or-None)`` of a salvaging scan."""
+    log = SalvageLog()
+    events, error = strict_outcome(
+        lambda source: salvage_events_of(source, log=log), text)
+    return events, [_problem(problem) for problem in log], error
+
+
+def assert_same_scan(text: str) -> None:
+    """The production scanner reads *text* exactly as this reference does,
+    strict and salvaging."""
+    from repro.xmltree import parser
+
+    assert strict_outcome(parser.iter_events, text) == \
+        strict_outcome(iter_events, text)
+    assert salvage_outcome(parser.iter_events_salvage, text) == \
+        salvage_outcome(iter_events_salvage, text)

@@ -1,18 +1,58 @@
 """Unit tests for the indexing engine: inverted index, hash tables,
 builder, statistics (paper §2.4)."""
 
+from dataclasses import asdict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.toy import figure2a
-from repro.errors import IndexError_
+from repro.errors import IndexError_, XMLSyntaxError
 from repro.index.builder import IndexBuilder, build_index
 from repro.index.inverted import InvertedIndex
 from repro.index.postings import (count_in_subtree, intersect_postings,
                                   merge_posting_lists, subtree_range)
+from repro.index.sharding import ParallelIndexBuilder, build_sharded_index
 from repro.text.analyzer import Analyzer
 from repro.xmltree.repository import Repository
 from repro.xmltree.serialize import serialize_node
 from repro.xmltree.tree import XMLDocument
+
+
+def index_facts(index) -> tuple:
+    """Everything a build decides: the postings in vocabulary order, both
+    hash tables in filing order, every counter but the stopwatch."""
+    stats = asdict(index.stats)
+    del stats["build_seconds"]
+    return (list(index.inverted.items()),
+            list(index.hashes.entity_table.items()),
+            list(index.hashes.element_table.items()), stats,
+            index.document_names)
+
+
+WORDS = ["foo", "bar", "baz", "qux", "Karen", "publications", "2001"]
+# what can sit directly inside an element besides child elements: text,
+# CDATA, and the comments / PIs / entity references that split a run of
+# character data without separating its words
+pieces = st.one_of(
+    st.sampled_from(WORDS), st.sampled_from([" ", "\n", "  "]),
+    st.sampled_from(WORDS).map(lambda word: f"<![CDATA[{word}]]>"),
+    st.sampled_from(["<!-- c -->", "<?pi d?>", "&amp;", "&#65;",
+                     "<![CDATA[ ]]>", "<![CDATA[]]>"]))
+attributes = st.lists(st.sampled_from(WORDS), max_size=2, unique=True).map(
+    lambda words: "".join(f' k{n}="{word} &lt;{word}"'
+                          for n, word in enumerate(words)))
+
+
+@st.composite
+def elements(draw, depth=0):
+    tag = draw(st.sampled_from(["a", "b", "item", "Dept_Name"]))
+    content = st.lists(
+        pieces if depth >= 3 else pieces | elements(depth=depth + 1),
+        max_size=5)
+    body = "".join(draw(content))
+    return f"<{tag}{draw(attributes)}>{body}</{tag}>"
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +175,47 @@ class TestBuilder:
             from_text.hashes.entity_table
         assert from_tree.hashes.element_table == \
             from_text.hashes.element_table
+
+    def test_direct_text_is_defined_once(self):
+        # The drift this pins: the text build used to analyse each
+        # character-data event on its own ("foo", "bar", " baz", "qux")
+        # while the tree build analysed the element's joined text.
+        xml = "<b>foo<![CDATA[bar]]> baz<!-- c -->qux</b>"
+        index = build_index(xml)
+        assert [keyword for keyword, _ in index.inverted.items()] == \
+            ["b", "foobar", "bazqux"]
+        assert index.stats.text_keywords == 2
+        assert index_facts(index) == \
+            index_facts(build_index(Repository.from_texts([xml])))
+
+    @given(st.lists(elements(), min_size=1, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_text_and_tree_builds_cannot_disagree(self, texts):
+        repository = Repository.from_texts(texts)
+        from_tree = build_index(repository)
+        builder = IndexBuilder()
+        for text in texts:
+            builder.add_xml(text)
+        assert index_facts(builder.build()) == index_facts(from_tree)
+        assert index_facts(build_index(texts[0])) == \
+            index_facts(build_index(repository[0]))
+        sharded_tree = build_sharded_index(repository, shards=2)
+        sharded_text = ParallelIndexBuilder(shards=2).build_from_texts(
+            texts, names=[document.name for document in repository])
+        assert [(shard.doc_ids, index_facts(shard.index))
+                for shard in sharded_text.shards] == \
+            [(shard.doc_ids, index_facts(shard.index))
+             for shard in sharded_tree.shards]
+
+    def test_malformed_text_leaves_the_builder_untouched(self):
+        builder = IndexBuilder()
+        builder.add_xml("<a>x</a>")
+        with pytest.raises(XMLSyntaxError):
+            builder.add_xml("<b>y<c>z</b>")
+        builder.add_xml("<b>y</b>")
+        index = builder.build()
+        assert index.document_names == ("doc0", "doc1")
+        assert index.postings("z") == [] and index.stats.documents == 2
 
     def test_multi_document_postings_carry_doc_ids(self):
         repo = Repository.from_texts(["<r><a>karen</a></r>",

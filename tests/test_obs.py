@@ -28,6 +28,7 @@ from repro.obs.stats import QueryStats, SlowQueryLog
 from repro.obs.trace import (NOOP_TRACER, NullTracer, Tracer,
                              render_span_tree)
 from repro.testing.faults import FakeClock
+from repro.text.analyzer import Analyzer
 
 pytestmark = pytest.mark.obs
 
@@ -382,6 +383,81 @@ class TestEngineObservability:
                 for name in series} == global_before
         # ... and the driver itself needs no engine (or registry) at all
         assert len(sharded_search(engine.index, Query.of(["king"])))
+
+
+class TestIngestObservability:
+    """``open`` and ``add_document`` explain where ingest time went."""
+
+    @staticmethod
+    def _book(n: int) -> str:
+        return (f"<book><title>alpha entry {n}</title>"
+                f"<author>karen</author></book>")
+
+    @staticmethod
+    def _coverage(root) -> float:
+        return sum(child.duration_s
+                   for child in root.children) / root.duration_s
+
+    def test_parse_and_build_children_cover_the_root(self):
+        # A ticking clock charges 1 per reading; on top of that, time
+        # passes where ingest work is done: pulling a document from the
+        # source (parse) and analysing a text (build).  Work that moved
+        # out of the two children would show as uncovered root time.
+        clock = FakeClock(auto_advance=1.0)
+
+        class Busy(Analyzer):
+            def analyze(self, text):
+                clock.advance(50.0)
+                return super().analyze(text)
+
+        def source():
+            for n in range(4):
+                clock.advance(50.0)
+                yield self._book(n)
+
+        parsed = global_registry().histogram("gks_ingest_parse_seconds")
+        before = parsed.count()
+        tracer = Tracer(clock=clock)
+        engine = GKSEngine.open(source(), EngineConfig(analyzer=Busy()),
+                                tracer=tracer)
+        root = tracer.roots[-1]
+        assert root.name == "open"
+        assert [child.name for child in root.children] == ["parse", "build"]
+        assert root.find("parse").attributes == {"documents": 4}
+        stats = engine.index.stats
+        assert root.find("build").attributes == {
+            "nodes": stats.total_nodes, "tokens": stats.total_keywords,
+            "postings": engine.index.inverted.total_postings}
+        assert stats.total_nodes == 12
+        assert self._coverage(root) >= 0.9
+        assert engine.recent_traces()[-1] is root
+        assert parsed.count() == before + 4
+
+        info = engine.add_document(self._book(4), tracer=tracer)
+        root = tracer.roots[-1]
+        assert root.name == "add_document"
+        assert root.attributes == {"doc_id": info["doc_id"]}
+        assert [child.name for child in root.children] == \
+            ["parse", "build", "recompose"]
+        assert root.find("build").attributes["nodes"] == 3
+        assert self._coverage(root) >= 0.9
+        assert engine.recent_traces()[-1] is root
+        assert parsed.count() == before + 5
+
+    def test_durable_open_nests_its_build_under_store(self, tmp_path):
+        tracer = Tracer()
+        engine = GKSEngine.open([self._book(0)], tracer=tracer,
+                                store_path=tmp_path / "store")
+        try:
+            root = tracer.roots[-1]
+            assert [child.name for child in root.children] == \
+                ["parse", "store"]
+            assert root.find("store").find("build").attributes["nodes"] == 3
+            engine.add_document(self._book(1), tracer=tracer)
+            assert [child.name for child in tracer.roots[-1].children] == \
+                ["parse", "wal", "build", "recompose"]
+        finally:
+            engine.close()
 
 
 class TestSlowQueryLog:

@@ -1,12 +1,19 @@
 """Unit tests for the from-scratch streaming XML parser."""
 
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import XMLSyntaxError
+from repro.xmltree import parser
 from repro.xmltree.events import (Comment, EndElement,
                                   ProcessingInstruction, StartElement, Text)
 from repro.xmltree.parser import (decode_entities, iter_events,
                                   parse_document)
+from tests import reference_scanner
+from tests.reference_scanner import assert_same_scan
 
 
 class TestTokenizer:
@@ -44,6 +51,72 @@ class TestTokenizer:
     def test_unknown_entity_fails(self):
         with pytest.raises(XMLSyntaxError):
             list(iter_events("<a>&nope;</a>"))
+
+
+#: the pieces malformed and well-formed markup is made of; characters
+#: where ``\\w``, ``isalnum`` and ``isalpha`` part ways ride along
+FRAGMENTS = [
+    "<", ">", "/", "</", "/>", "<a", "<a>", "</a>", "<b>", "</b>", "<b/>",
+    "<ns:c", "<_d.e-f>", "</_d.e-f>", "<1x>", "<²>", "<é>", "</é>", "<一/>",
+    "<½>", "<x²>", "</x²>", " ", "\n", "\t", "\r", "=", '"', "'", ' k="v"',
+    " k='v'", " k=v", ' k = "v"', ' k="1" k="2"', ' k="&lt;&nope;"',
+    "text", "&", ";", "&amp;", "&lt;", "&#65;", "&#x41;", "&#xZZ;", "&#;",
+    "&nope;", "&;", "<!--", "-->", "<!-- c -->", "<![CDATA[", "]]>",
+    "<![CDATA[x<y]]>", "<?", "?>", "<?pi d?>", "<?xml version='1.0'?>",
+    "<!DOCTYPE a>", "<!doctype a [<!ELEMENT a ANY>]>", "<!DOCTYPE", "[",
+    "]", "<!", "<!x", "\ufeff",
+]
+soup = st.lists(st.sampled_from(FRAGMENTS) | st.text(max_size=3),
+                max_size=14).map("".join)
+
+
+class TestCompiledPatterns:
+    """The scanner's patterns against the predicate loops they replaced
+    (kept in ``tests/reference_scanner.py``)."""
+
+    def test_name_classes_are_the_predicates_on_every_code_point(self):
+        points = [chr(point) for point in range(sys.maxunicode + 1)]
+        name_chars = {char for char in points if parser._is_name_char(char)}
+        runs = parser._NAME_RUN.__self__.findall(" ".join(points))
+        assert set("".join(runs)) == name_chars
+        # a name may start with exactly the name-start characters (all of
+        # which are name characters, so these are the only candidates)
+        starts = set()
+        for char in name_chars:
+            try:
+                parser._Scanner(char).read_name("name")
+                starts.add(char)
+            except XMLSyntaxError:
+                pass
+        assert starts == {char for char in points
+                          if parser._is_name_start(char)}
+
+    def test_whitespace_class(self):
+        text = "".join(chr(point) for point in range(sys.maxunicode + 1))
+        pattern = parser._WHITESPACE.__self__
+        assert sorted(set("".join(pattern.findall(text)))) == \
+            ["\t", "\n", "\r", " "]
+
+    @given(soup)
+    @settings(max_examples=600, deadline=None)
+    def test_markup_soup_scans_as_before(self, text):
+        assert_same_scan(text)
+        assert_same_scan("<r>" + text + "</r>")
+
+    @given(st.lists(st.sampled_from(
+        ["&", ";", "#", "x", "X", "amp", "lt", "41", "zz", " ", "a", "<",
+         "&amp;", "&#65;", "&#x41;", "&nope;", "&#xZZ;", "&;"]),
+        max_size=10).map("".join), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_decode_entities_as_before(self, raw, lenient):
+        def outcome(decode):
+            try:
+                return decode(raw, None, lenient=lenient)
+            except XMLSyntaxError as error:
+                return ("error", error.message)
+
+        assert outcome(decode_entities) == \
+            outcome(reference_scanner.decode_entities)
 
 
 class TestWellFormedness:

@@ -9,7 +9,9 @@ whitespace — all covered here.
 import pytest
 
 from repro.errors import XMLSyntaxError
+from repro.testing.faults import XMLCorruptor
 from repro.xmltree.parser import iter_events, parse_document
+from tests.reference_scanner import assert_same_scan
 
 WELL_FORMED = [
     "<a/>",
@@ -80,6 +82,28 @@ def test_well_formed_accepted(text):
 def test_malformed_rejected(text):
     with pytest.raises(XMLSyntaxError):
         parse_document(text)
+
+
+@pytest.mark.parametrize("text", WELL_FORMED + MALFORMED)
+def test_scanned_as_the_predicate_loop_scanner_did(text):
+    assert_same_scan(text)
+
+
+@pytest.mark.parametrize("family", [
+    "_drop_closing_tag", "_break_tag_name", "_truncate_tail",
+    "_stray_open", "_unbalance_quote"])
+def test_corrupted_documents_scanned_as_before(family):
+    """Every ``XMLCorruptor`` mutation family, over the whole battery:
+    same events, same salvage repairs, same error at the same place."""
+    corruptor = XMLCorruptor(seed=20)
+    mutate = getattr(corruptor, family)
+    for text in WELL_FORMED:
+        if len(text) > 1000:
+            continue  # the large-text document: one mutation site in 1e5
+        for _ in range(6):
+            assert_same_scan(mutate(text))
+    for text in WELL_FORMED[:12]:
+        assert_same_scan(corruptor.corrupt(text))
 
 
 class TestDetails:
