@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config import EngineConfig
 from repro.core.engine import GKSEngine
 from repro.core.ranking import rank_by_keyword_count
 from repro.datasets.registry import load_dataset
@@ -79,10 +80,11 @@ def test_a3_indexing_variants(variant, results_writer, benchmark):
 
     def build_and_run():
         if variant == "no_stemming":
-            engine = GKSEngine(repository,
-                               analyzer=Analyzer(use_stemming=False))
+            engine = GKSEngine(repository, config=EngineConfig(
+                analyzer=Analyzer(use_stemming=False)))
         else:
-            engine = GKSEngine(repository, index_tags=False)
+            engine = GKSEngine(repository,
+                               config=EngineConfig(index_tags=False))
         baseline = GKSEngine(repository)
         rows = []
         for workload in TABLE6:

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Sharding smoke test: build a 2-shard index over the toy corpora with
-# parallel workers, verify the persisted file, and confirm a sharded
-# search answers with the shard layout reported.
+# Sharding smoke test: build a 2-shard index over the toy corpora,
+# verify the persisted file, and confirm a sharded search answers with
+# the shard layout reported.
 #
 # Usage:  bash scripts/smoke_sharding.sh
 set -euo pipefail
@@ -16,9 +16,9 @@ echo "== generate toy corpora =="
 python -m repro dataset figure1 -o "$WORKDIR"
 python -m repro dataset figure2a -o "$WORKDIR"
 
-echo "== sharded parallel index build =="
+echo "== sharded index build =="
 OUT="$(python -m repro index "$WORKDIR"/figure*.xml \
-        -o "$WORKDIR/sharded.gks" --shards 2 --workers 2)"
+        -o "$WORKDIR/sharded.gks" --shards 2)"
 echo "$OUT"
 grep -q "across 2 shard(s)" <<<"$OUT" || {
     echo "FAIL: index build did not report the shard layout" >&2; exit 1; }
@@ -33,7 +33,7 @@ grep -q "shards: 2" <<<"$OUT" || {
 
 echo "== scatter-gather search =="
 OUT="$(python -m repro search "$WORKDIR"/figure*.xml \
-        -q "karen mike" -s 2 --shards 2 --workers 2)"
+        -q "karen mike" -s 2 --shards 2)"
 echo "$OUT"
 grep -q "node(s) for" <<<"$OUT" || {
     echo "FAIL: no search results printed" >&2; exit 1; }

@@ -35,10 +35,9 @@ from repro.core import (DegradationReport, EngineConfig, GKSEngine,
 from repro.datasets import load_dataset
 from repro.errors import (ConfigError, GKSError, Overloaded, SearchTimeout,
                           StorageError)
-from repro.index import (GKSIndex, IndexBuilder, NodeCategory,
-                         ParallelIndexBuilder, ShardedIndex, build_index,
-                         build_sharded_index, categorize_tree, load_index,
-                         save_index)
+from repro.index import (GKSIndex, IndexBuilder, NodeCategory, ShardedIndex,
+                         build_index, build_sharded_index, categorize_tree,
+                         load_index, save_index)
 from repro.schema import build_schema_index, infer_schema
 from repro.serve import ServeConfig, ServerCore
 from repro.text import Analyzer
@@ -52,7 +51,7 @@ __all__ = [
     "Analyzer", "ConfigError", "DegradationReport", "EngineConfig",
     "GKSEngine", "GKSError", "GKSIndex",
     "GKSResponse", "IndexBuilder", "IngestFailure",
-    "Insight", "InsightReport", "NodeCategory", "ParallelIndexBuilder",
+    "Insight", "InsightReport", "NodeCategory",
     "Overloaded", "Paths", "Query", "RankedNode",
     "RecoveryPolicy", "Refinement", "Repository", "SearchBudget",
     "SearchOptions", "SearchTimeout", "ServeConfig", "ServerCore",

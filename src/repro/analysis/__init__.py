@@ -4,7 +4,7 @@ Two complementary halves:
 
 * :mod:`repro.analysis.lint` — an AST lint engine with a pluggable rule
   registry enforcing the architecture DAG, timing discipline, the typed
-  error surface, mutability hygiene and fork safety
+  error surface and mutability hygiene
   (:mod:`repro.analysis.rules`, :mod:`repro.analysis.layering`);
 * :mod:`repro.analysis.invariants` — a deep data-level verifier auditing
   built indexes and saved stores beyond what checksums can prove.

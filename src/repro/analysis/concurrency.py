@@ -66,7 +66,7 @@ _ENGINE_NAMES = ("engine", "_engine")
 #: Constructors that build lock objects (lock inventory + C002 anchors).
 _LOCK_FACTORIES = ("Lock", "RLock", "new_lock", "new_rlock")
 
-#: In-place mutating methods (same list the fork-safety rule uses).
+#: In-place mutating methods.
 _MUTATING_METHODS = ("append", "extend", "insert", "add", "update",
                      "clear", "pop", "popitem", "setdefault", "remove",
                      "discard", "sort")

@@ -23,7 +23,7 @@ file- or block-level escape hatch, so every waiver is visible exactly
 where the violation lives.
 
 Project rules live in :mod:`repro.analysis.rules` (timing, error
-surface, mutability, fork safety) and :mod:`repro.analysis.layering`
+surface, mutability) and :mod:`repro.analysis.layering`
 (the architecture DAG); both register themselves on import via
 :func:`register`.
 """

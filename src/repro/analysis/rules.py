@@ -1,5 +1,4 @@
-"""Project-specific lint rules: timing, error surface, mutability, fork
-safety.
+"""Project-specific lint rules: timing, error surface, mutability.
 
 Rule catalog (ids are what ``# gks: ignore[...]`` takes):
 
@@ -22,12 +21,6 @@ Rule catalog (ids are what ``# gks: ignore[...]`` takes):
 ``M002``  ``@dataclass`` in ``repro.core.config`` / ``repro.obs.stats``
           not declared ``frozen=True`` — config and stats records are
           part of the cached/hashable surface and must stay immutable.
-``F001``  Module-level mutable state mutated inside a function used as
-          a process-pool worker target — each forked worker mutates
-          its private copy, so the write is silently lost (and under a
-          ``spawn``/``forkserver`` start method the global may not
-          even exist).  Workers may *read* fork-inherited state;
-          mutation belongs to the parent.
 ========  ==========================================================
 
 The architecture (layering) rules ``L001``/``L002`` live in
@@ -37,7 +30,7 @@ The architecture (layering) rules ``L001``/``L002`` live in
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.analysis.findings import Finding
 from repro.analysis.lint import ModuleInfo, Rule, register
@@ -202,107 +195,3 @@ class FrozenDataclassRule(Rule):
                     return False
             return True
         return False
-
-
-_MUTATING_METHODS = ("append", "extend", "insert", "add", "update",
-                     "clear", "pop", "popitem", "setdefault", "remove",
-                     "discard", "sort")
-
-
-@register
-class ForkSafetyRule(Rule):
-    """F001 — pool-worker functions must not mutate module globals."""
-
-    rule_id = "F001"
-    title = ("functions used as process-pool worker targets must not "
-             "mutate module-level mutable state")
-
-    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        if module.role != "library" or module.tree is None:
-            return
-        mutable_globals = self._module_level_mutables(module.tree)
-        if not mutable_globals:
-            return
-        worker_names = self._worker_targets(module.tree)
-        if not worker_names:
-            return
-        for node in ast.iter_child_nodes(module.tree):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name in worker_names):
-                yield from self._mutations_in(module, node,
-                                              mutable_globals)
-
-    @staticmethod
-    def _module_level_mutables(tree: ast.AST) -> set[str]:
-        names: set[str] = set()
-        for node in ast.iter_child_nodes(tree):
-            targets: list[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets, value = node.targets, node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets, value = [node.target], node.value
-            else:
-                continue
-            if isinstance(value, (ast.List, ast.Dict, ast.Set)) or (
-                    isinstance(value, ast.Call)
-                    and isinstance(value.func, ast.Name)
-                    and value.func.id in ("list", "dict", "set",
-                                          "defaultdict", "deque")):
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-        return names
-
-    @staticmethod
-    def _worker_targets(tree: ast.AST) -> set[str]:
-        """Function names handed to pool.map/submit or Process(target=)."""
-        workers: set[str] = set()
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if (isinstance(func, ast.Attribute)
-                    and func.attr in ("map", "submit", "apply_async")
-                    and node.args
-                    and isinstance(node.args[0], ast.Name)):
-                workers.add(node.args[0].id)
-            for keyword in node.keywords:
-                if (keyword.arg == "target"
-                        and isinstance(keyword.value, ast.Name)):
-                    workers.add(keyword.value.id)
-        return workers
-
-    def _mutations_in(self, module: ModuleInfo, function: ast.AST,
-                      globals_: set[str]) -> Iterable[Finding]:
-        for node in ast.walk(function):
-            # NAME.method(...) where method mutates in place
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _MUTATING_METHODS
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id in globals_):
-                yield self.finding(
-                    module, node.lineno,
-                    f"worker function {function.name}() mutates "
-                    f"module-level {node.func.value.id}."
-                    f"{node.func.attr}(); fork-inherited state is "
-                    f"read-only in workers")
-            # NAME[...] = ... / del NAME[...] / NAME = ... via `global`
-            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target]
-                           if isinstance(node, ast.AugAssign)
-                           else node.targets)
-                for target in targets:
-                    base = target
-                    if isinstance(base, ast.Subscript):
-                        base = base.value
-                    if (isinstance(base, ast.Name)
-                            and base.id in globals_
-                            and not isinstance(target, ast.Name)):
-                        yield self.finding(
-                            module, node.lineno,
-                            f"worker function {function.name}() assigns "
-                            f"into module-level {base.id}; "
-                            f"fork-inherited state is read-only in "
-                            f"workers")

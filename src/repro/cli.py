@@ -39,18 +39,74 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from repro.core.config import SearchOptions
+from repro.core.config import MODES, EngineConfig, Paths, SearchOptions
 from repro.core.engine import GKSEngine
 from repro.datasets.registry import dataset_names, load_dataset
 from repro.errors import GKSError
 from repro.eval.reporting import render_table
-from repro.index.builder import IndexBuilder
+from repro.index.codec import CODEC_NAMES
+from repro.index.sharding import PARTITION_STRATEGIES
 from repro.index.storage import save_index
 from repro.xmltree.parser import RecoveryPolicy
 from repro.xmltree.repository import Repository
 from repro.xmltree.serialize import serialize_document
+
+#: The flags that set an :class:`EngineConfig` field, declared once:
+#: flag -> (field, choices, help).  ``default=`` and ``type=`` come from
+#: the dataclass field; a subcommand lists the flags it offers and
+#: :func:`_engine` builds the config from whichever of them it finds.
+_CONFIG_FLAGS = {
+    "--shards": ("shards", None,
+                 "document shards; >1 builds a sharded index served "
+                 "scatter-gather"),
+    "--strategy": ("shard_strategy", PARTITION_STRATEGIES,
+                   "document-to-shard partitioning"),
+    "--store": ("store_path", None,
+                "segmented store directory; enables the durable write "
+                "path (POST /documents is WAL'd and crash-safe, "
+                "/admin/flush and /admin/compact manage segments)"),
+    "--memtable-docs": ("memtable_docs", None,
+                        "pending documents that trigger an automatic "
+                        "flush"),
+    "--compact-segments": ("compact_segments", None,
+                           "per-shard segment runs that trigger "
+                           "automatic compaction"),
+    "--mode": ("mode", MODES,
+               "query semantics: exact matching (strict), p-document "
+               "probability scoring (probabilistic; compiles "
+               "probability tables at index time), or "
+               "no-but-semantic-match rewrites when the strict answer "
+               "is empty (relaxed); a served request's ?mode= still "
+               "wins, the shell switches with :mode"),
+    "--threshold": ("threshold", None,
+                    "probabilistic mode: drop results with probability "
+                    "below this"),
+    "--codec": ("codec", CODEC_NAMES,
+                "on-disk representation: raw (gzip JSON envelope) or "
+                "varint-dag (v4 binary codec: delta+varint blocks, "
+                "DAG-shared subtrees, lazy loading)"),
+    "--recover": ("recovery", [policy.value for policy in RecoveryPolicy],
+                  "malformed-input handling: abort (strict), quarantine "
+                  "bad documents (skip_document), or repair markup in "
+                  "stream (salvage)"),
+}
+_CONFIG_DEFAULTS = {field.name: field.default
+                    for field in fields(EngineConfig)}
+
+
+def _add_config_flags(command: argparse.ArgumentParser,
+                      *flags: str) -> None:
+    for flag in flags:
+        field, choices, text = _CONFIG_FLAGS[flag]
+        default = _CONFIG_DEFAULTS[field]
+        shown = getattr(default, "value", default)
+        command.add_argument(
+            flag, dest=field, default=default, choices=choices,
+            type=type(default) if type(default) in (int, float) else str,
+            help=text if default is None else f"{text} (default {shown})")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -64,20 +120,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     index_cmd.add_argument("files", nargs="+", help="XML files to index")
     index_cmd.add_argument("-o", "--output", required=True,
                            help="index output path")
-    index_cmd.add_argument("--codec", default="raw",
-                           choices=["raw", "varint-dag"],
-                           help="on-disk representation: raw (gzip "
-                                "JSON envelope, default) or varint-dag "
-                                "(v4 binary codec: delta+varint "
-                                "blocks, DAG-shared subtrees, lazy "
-                                "loading)")
-    index_cmd.add_argument(
-        "--recover", default="strict",
-        choices=[policy.value for policy in RecoveryPolicy],
-        help="malformed-input handling: abort (strict, default), "
-             "quarantine bad documents (skip_document), or repair "
-             "markup in stream (salvage)")
-    _add_sharding_flags(index_cmd)
+    _add_config_flags(index_cmd, "--codec", "--recover", "--shards",
+                      "--strategy")
 
     search_cmd = commands.add_parser("search", help="run a keyword query")
     search_cmd.add_argument("files", nargs="+", help="XML files to search")
@@ -103,19 +147,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                             help="per-query deadline in milliseconds; an "
                                  "exhausted deadline degrades the "
                                  "response rather than failing it")
-    search_cmd.add_argument("--mode", default="strict",
-                            choices=["strict", "probabilistic", "relaxed"],
-                            help="query semantics: exact matching "
-                                 "(strict, default), p-document "
-                                 "probability scoring (probabilistic; "
-                                 "compiles probability tables at index "
-                                 "time), or no-but-semantic-match "
-                                 "rewrites when the strict answer is "
-                                 "empty (relaxed)")
-    search_cmd.add_argument("--threshold", type=float, default=0.0,
-                            help="probabilistic mode: drop results with "
-                                 "probability below this (default 0.0)")
-    _add_sharding_flags(search_cmd)
+    _add_config_flags(search_cmd, "--mode", "--threshold", "--shards",
+                      "--strategy")
 
     serve_cmd = commands.add_parser(
         "serve", help="serve queries over JSON/HTTP "
@@ -137,31 +170,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--no-coalesce", action="store_true",
                            help="disable singleflight coalescing of "
                                 "identical in-flight requests")
-    serve_cmd.add_argument("--mode", default="strict",
-                           choices=["strict", "probabilistic", "relaxed"],
-                           help="default query semantics for served "
-                                "requests (per-request ?mode= still "
-                                "wins); probabilistic compiles "
-                                "probability tables at boot")
-    serve_cmd.add_argument("--threshold", type=float, default=0.0,
-                           help="probabilistic mode: default probability "
-                                "floor for served results (default 0.0)")
     serve_cmd.add_argument("--slow-ms", type=float, default=0.0,
                            help="testing hook: delay every engine "
                                 "search by this many milliseconds "
                                 "(makes coalescing observable)")
-    serve_cmd.add_argument("--store", default=None,
-                           help="segmented store directory; enables the "
-                                "durable write path (POST /documents is "
-                                "WAL'd and crash-safe, /admin/flush and "
-                                "/admin/compact manage segments)")
-    serve_cmd.add_argument("--memtable-docs", type=int, default=64,
-                           help="pending documents that trigger an "
-                                "automatic flush (default 64)")
-    serve_cmd.add_argument("--compact-segments", type=int, default=4,
-                           help="per-shard segment runs that trigger "
-                                "automatic compaction (default 4)")
-    _add_sharding_flags(serve_cmd)
+    _add_config_flags(serve_cmd, "--mode", "--threshold", "--store",
+                      "--memtable-docs", "--compact-segments", "--shards",
+                      "--strategy")
 
     topk_cmd = commands.add_parser(
         "topk", help="top-k search with early-terminated ranking")
@@ -202,14 +217,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     shell_cmd = commands.add_parser(
         "shell", help="interactive exploration REPL")
     shell_cmd.add_argument("files", nargs="+")
-    shell_cmd.add_argument("--mode", default="strict",
-                           choices=["strict", "probabilistic", "relaxed"],
-                           help="initial query semantics (switch at the "
-                                "prompt with :mode); probabilistic "
-                                "compiles p-document tables at startup")
-    shell_cmd.add_argument("--threshold", type=float, default=0.0,
-                           help="initial probability threshold "
-                                "(default 0.0)")
+    _add_config_flags(shell_cmd, "--mode", "--threshold")
 
     validate_cmd = commands.add_parser(
         "validate", help="check a persisted index's integrity")
@@ -292,7 +300,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     stats_cmd.add_argument("--slow-ms", type=float, default=500.0,
                            help="slow-query threshold in milliseconds "
                                 "(default 500)")
-    _add_sharding_flags(stats_cmd)
+    _add_config_flags(stats_cmd, "--shards", "--strategy")
 
     data_cmd = commands.add_parser("dataset",
                                    help="emit a synthetic corpus as XML")
@@ -327,19 +335,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                          help="aggregate.json to check (or its directory)")
     exp_cmp.add_argument("baseline", help="committed baseline aggregate")
     return parser
-
-
-def _add_sharding_flags(command: argparse.ArgumentParser) -> None:
-    command.add_argument("--shards", type=int, default=1,
-                         help="document shards; >1 builds a sharded "
-                              "index served scatter-gather (default 1)")
-    command.add_argument("--workers", type=int, default=1,
-                         help="processes for parallel shard builds "
-                              "(default 1 = serial)")
-    command.add_argument("--strategy", default="round_robin",
-                         choices=["round_robin", "hash"],
-                         help="document-to-shard partitioning "
-                              "(default round_robin)")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -380,8 +375,7 @@ def main(argv: list[str] | None = None) -> int:
 def _cmd_shell(args: argparse.Namespace) -> int:
     from repro.shell import run_shell
 
-    engine = _engine(args.files, args)
-    run_shell(engine, sys.stdin, print)
+    run_shell(_engine(args), sys.stdin, print)
     return 0
 
 
@@ -393,7 +387,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     index = load_index(args.index)
     if args.against:
         problems = validate_against_repository(
-            index, _load_repository(args.against))
+            index, Repository.from_paths(args.against))
     else:
         problems = validate_index(index)
     if not problems:
@@ -684,7 +678,6 @@ def _cmd_race(args: argparse.Namespace) -> int:
     import json as json_module
     import tempfile
 
-    from repro.core.config import EngineConfig
     from repro.obs.locks import monitoring
     from repro.testing.race import (RaceHarness, drive_cache_workload,
                                     drive_durable_workload,
@@ -701,21 +694,19 @@ def _cmd_race(args: argparse.Namespace) -> int:
     reports: dict[str, object] = {}
     with monitoring() as monitor:
         if "cache" in scenarios:
-            engine = _engine(args.files)
+            engine = _engine(args)
             reports["cache"] = drive_cache_workload(
                 engine, queries_of(engine), harness)
         if "swap" in scenarios:
-            engine = _engine(args.files)
-            spare = _engine(args.files)
+            engine = _engine(args)
+            spare = _engine(args)
             with engine.serve(workers=max(2, args.threads)) as core:
                 reports["swap"] = drive_swap_workload(
                     core, [engine, spare], harness, queries_of(engine))
         if "durable" in scenarios:
             with tempfile.TemporaryDirectory() as store_dir:
-                config = EngineConfig(store_path=store_dir,
-                                      memtable_docs=8)
-                engine = GKSEngine.open(_load_repository(args.files),
-                                        config=config)
+                engine = _engine(args, store_path=store_dir,
+                                 memtable_docs=8)
                 try:
                     reports["durable"] = drive_durable_workload(
                         engine, harness, queries_of(engine))
@@ -752,64 +743,26 @@ def _cmd_race(args: argparse.Namespace) -> int:
     return 1
 
 
-def _load_repository(files: list[str]) -> Repository:
-    """Build a repository; ``.json`` files go through the JSON adapter."""
-    from pathlib import Path as _Path
-
-    repository = Repository()
-    for file in files:
-        path = _Path(file)
-        text = path.read_text(encoding="utf-8")
-        if path.suffix.lower() == ".json":
-            repository.parse_json(text, name=path.name)
-        else:
-            repository.parse(text, name=path.name)
-    return repository
-
-
-def _engine(files: list[str],
-            args: argparse.Namespace | None = None, **kwargs) -> GKSEngine:
-    """Build an engine; sharding flags (when present on *args*) apply."""
-    from repro.core.config import EngineConfig
-
-    config = EngineConfig(shards=getattr(args, "shards", 1),
-                          workers=getattr(args, "workers", 1),
-                          shard_strategy=getattr(args, "strategy",
-                                                 "round_robin"),
-                          store_path=getattr(args, "store", None),
-                          memtable_docs=getattr(args, "memtable_docs", 64),
-                          compact_segments=getattr(args, "compact_segments",
-                                                   4),
-                          mode=getattr(args, "mode", "strict") or "strict",
-                          threshold=getattr(args, "threshold", 0.0))
-    if config.store_path is not None:
-        # the durable open path: initialise or recover the store
-        return GKSEngine.open(_load_repository(files), config=config,
-                              **kwargs)
-    return GKSEngine(_load_repository(files), config=config, **kwargs)
+def _engine(args: argparse.Namespace, **overrides) -> GKSEngine:
+    """Open ``args.files`` under the config flags the subcommand declared."""
+    declared = {field: getattr(args, field)
+                for field, _, _ in _CONFIG_FLAGS.values()
+                if hasattr(args, field)}
+    return GKSEngine.open(Paths(args.files), EngineConfig(**declared),
+                          **overrides)
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
-    repository = Repository.from_paths(args.files, policy=args.recover)
-    if args.shards > 1:
-        from repro.index.sharding import build_sharded_index
-
-        index = build_sharded_index(repository, shards=args.shards,
-                                    workers=args.workers,
-                                    strategy=args.strategy)
-    else:
-        builder = IndexBuilder()
-        builder.add_repository(repository)
-        index = builder.build()
-    path = save_index(index, args.output,
-                      codec=getattr(args, "codec", "raw"))
+    engine = _engine(args)
+    index, config = engine.index, engine.config
+    path = save_index(index, args.output, codec=config.codec)
     stats = index.stats
-    layout = (f" across {args.shards} shard(s) [{args.strategy}, "
-              f"{args.workers} worker(s)]" if args.shards > 1 else "")
+    layout = (f" across {config.shards} shard(s) [{config.shard_strategy}]"
+              if config.shards > 1 else "")
     print(f"indexed {stats.total_nodes} nodes "
           f"({stats.entity_nodes} entities) from {stats.documents} "
           f"document(s) in {stats.build_seconds:.2f}s{layout} -> {path}")
-    for failure in repository.quarantine:
+    for failure in engine.repository.quarantine:
         print(f"quarantined {failure.render()}")
     return 0
 
@@ -817,7 +770,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     from repro.obs.trace import Tracer, render_span_tree
 
-    engine = _engine(args.files, args)
+    engine = _engine(args)
     tracer = Tracer() if args.trace else None
     options = None
     if args.deadline_ms is not None:
@@ -828,7 +781,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
         print(f"warning: {response.degradation.render()}",
               file=sys.stderr)
     profile = response.profile
-    layout = (f", {args.shards} shard(s)" if args.shards > 1 else "")
+    shards = engine.config.shards
+    layout = f", {shards} shard(s)" if shards > 1 else ""
     semantics = ""
     if response.semantics is not None:
         semantics = f", mode={response.semantics.mode}"
@@ -881,7 +835,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve import ServeConfig, ServerCore, serve_http
 
-    engine = _engine(args.files, args)
+    engine = _engine(args)
     # This process owns its heap and the index lives as long as it does:
     # move it out of the collector's reach, so no full collection walks
     # its ~10^5 containers in the middle of a request.
@@ -923,7 +877,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_topk(args: argparse.Namespace) -> int:
-    engine = _engine(args.files)
+    engine = _engine(args)
     response = engine.search_top_k(args.query, k=args.k, s=args.s)
     print(f"top {args.k} of RQ(s) for {response.query}")
     for node in response:
@@ -934,14 +888,12 @@ def _cmd_topk(args: argparse.Namespace) -> int:
 def _cmd_schema(args: argparse.Namespace) -> int:
     from repro.schema import infer_schema
 
-    repository = _load_repository(args.files)
-    schema = infer_schema(repository)
-    print(schema.render())
+    print(infer_schema(Repository.from_paths(args.files)).render())
     return 0
 
 
 def _cmd_facet(args: argparse.Namespace) -> int:
-    engine = _engine(args.files)
+    engine = _engine(args)
     response = engine.search(args.query, s=args.s)
     report = engine.facets(response, args.column, top=args.top)
     if not report.buckets:
@@ -957,9 +909,8 @@ def _cmd_xpath(args: argparse.Namespace) -> int:
     from repro.xmltree.serialize import serialize_node
     from repro.xmltree.xpath import select
 
-    repository = _load_repository(args.files)
     total = 0
-    for document in repository:
+    for document in Repository.from_paths(args.files):
         for node in select(document.root, args.path):
             total += 1
             print(serialize_node(node))
@@ -968,7 +919,7 @@ def _cmd_xpath(args: argparse.Namespace) -> int:
 
 
 def _cmd_di(args: argparse.Namespace) -> int:
-    engine = _engine(args.files)
+    engine = _engine(args)
     response = engine.search(args.query, s=args.s)
     report = engine.insights(response, top=args.top)
     if not report.insights:
@@ -981,11 +932,7 @@ def _cmd_di(args: argparse.Namespace) -> int:
 
 
 def _cmd_categorize(args: argparse.Namespace) -> int:
-    repository = Repository.from_paths(args.files)
-    builder = IndexBuilder()
-    builder.add_repository(repository)
-    stats = builder.build().stats
-    row = stats.category_row()
+    row = _engine(args).index.stats.category_row()
     print(render_table(
         ["AN", "EN", "RN", "CN", "total nodes"],
         [(row["AN"], row["EN"], row["RN"], row["CN"], row["total"])]))
@@ -999,12 +946,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.obs.metrics import global_registry
+    from repro.obs.stats import SlowQueryLog
 
     # the CLI is a one-shot process, so the process-wide registry holds
     # exactly this invocation's ingest, build and search metrics
     registry = global_registry()
-    engine = _engine(args.files, args,
-                     slow_query_threshold_s=args.slow_ms / 1000.0)
+    engine = _engine(args)
+    engine.slow_log = SlowQueryLog(threshold_s=args.slow_ms / 1000.0)
     # mint a request id per query so slow-log lines are joinable with
     # serve logs and experiment artifacts (satellite of the exp harness)
     responses = [(text, engine.search(text, s=args.s,

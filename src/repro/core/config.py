@@ -7,8 +7,7 @@ factory that consumes it::
 
     from repro import EngineConfig, GKSEngine
 
-    config = EngineConfig(s=2, shards=4, workers=2,
-                          index_path="corpus.gksindex")
+    config = EngineConfig(s=2, shards=4, index_path="corpus.gksindex")
     engine = GKSEngine.open(["a.xml", "b.xml"], config=config)
 
 ``open`` accepts a :class:`~repro.xmltree.repository.Repository`, a
@@ -237,8 +236,6 @@ class EngineConfig:
         Number of document shards; 1 keeps the classic monolithic
         index, >1 builds a :class:`~repro.index.sharding.ShardedIndex`
         served scatter-gather.
-    workers:
-        Processes used to build shards (1 = serial in-process build).
     shard_strategy:
         ``"round_robin"`` (by document number) or ``"hash"`` (by
         document name).
@@ -288,7 +285,6 @@ class EngineConfig:
     budget: SearchBudget | None = None
     recovery: RecoveryPolicy | str = RecoveryPolicy.STRICT
     shards: int = 1
-    workers: int = 1
     shard_strategy: str = "round_robin"
     index_path: str | Path | None = None
     store_path: str | Path | None = None
@@ -308,8 +304,6 @@ class EngineConfig:
                 f"cache_size must be >= 0: {self.cache_size}")
         if self.shards < 1:
             raise ConfigError(f"shards must be >= 1: {self.shards}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1: {self.workers}")
         if self.shard_strategy not in PARTITION_STRATEGIES:
             raise ConfigError(
                 f"unknown shard strategy {self.shard_strategy!r}; "

@@ -45,7 +45,6 @@ from repro.obs.locks import new_lock, new_rlock
 from repro.obs.metrics import MetricsRegistry, global_registry
 from repro.obs.stats import SlowQuery, SlowQueryLog
 from repro.obs.trace import NullTracer, Span, Tracer
-from repro.text.analyzer import Analyzer
 from repro.xmltree.dewey import Dewey, format_dewey
 from repro.xmltree.node import XMLNode
 from repro.xmltree.parser import parse_document
@@ -57,10 +56,7 @@ class GKSEngine:
     """Generic Keyword Search over one XML repository."""
 
     def __init__(self, repository: Repository,
-                 analyzer: Analyzer | None = None,
                  index: GKSIndex | CompositeIndex | None = None,
-                 index_tags: bool | None = None,
-                 cache_size: int | None = None,
                  metrics: MetricsRegistry | None = None,
                  slow_query_threshold_s: float = 0.5,
                  slow_log_capacity: int = 128,
@@ -68,15 +64,15 @@ class GKSEngine:
                  config: EngineConfig | None = None) -> None:
         if config is None:
             config = EngineConfig()
-        # Explicit constructor arguments override the config record (the
-        # legacy surface); everything unset falls back to the config.
-        if analyzer is not None and analyzer is not config.analyzer:
-            config = config.replace(analyzer=analyzer)
-        if index_tags is not None and index_tags != config.index_tags:
-            config = config.replace(index_tags=index_tags)
-        if cache_size is not None and cache_size != config.cache_size:
-            config = config.replace(cache_size=cache_size)
-        if index is not None:
+        if index is None:
+            # only open() loads, saves, recovers or attaches a store; an
+            # engine built here would silently persist nothing
+            for name in ("store_path", "index_path"):
+                if getattr(config, name) is not None:
+                    raise ConfigError(
+                        f"EngineConfig.{name} takes effect only through "
+                        f"GKSEngine.open(source, config)")
+        else:
             # the write path routes new documents by the layout the
             # index was built with, whatever the config record says
             layout = ((index.num_shards, index.strategy)
@@ -156,7 +152,7 @@ class GKSEngine:
             return build_sharded_index(
                 repository, analyzer=config.analyzer,
                 index_tags=config.index_tags, shards=config.shards,
-                workers=config.workers, strategy=config.shard_strategy)
+                strategy=config.shard_strategy)
         return build_index(repository, analyzer=config.analyzer,
                            index_tags=config.index_tags)
 

@@ -10,9 +10,8 @@ from repro.index.hashtables import NodeHashes
 from repro.index.inverted import InvertedIndex
 from repro.index.postings import (MergedEntry, count_in_subtree,
                                   merge_posting_lists, subtree_range)
-from repro.index.sharding import (ParallelIndexBuilder, Shard, ShardedIndex,
-                                  build_sharded_index, partition_documents,
-                                  shard_of)
+from repro.index.sharding import (Shard, ShardedIndex, build_sharded_index,
+                                  partition_documents, shard_of)
 from repro.index.segments import (PendingDocument, SegmentRecord,
                                   SegmentStore, StoreManifest, TextsRecord,
                                   read_manifest, write_manifest)
@@ -24,7 +23,7 @@ from repro.index.wal import (WALFrame, WALReplay, WriteAheadLog, replay_wal)
 __all__ = [
     "CategoryRecord", "CompositeIndex", "GKSIndex", "IndexBuilder",
     "IndexStats", "InvertedIndex", "MergedEntry", "NodeCategory",
-    "NodeHashes", "ParallelIndexBuilder", "PendingDocument",
+    "NodeHashes", "PendingDocument",
     "SegmentRecord", "SegmentStore", "Shard", "ShardedIndex",
     "StoreManifest", "StreamingCategorizer", "TextsRecord", "WALFrame",
     "WALReplay", "WriteAheadLog", "atomic_write_json_gz", "build_index",

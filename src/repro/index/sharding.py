@@ -1,4 +1,4 @@
-"""Document-partitioned index shards with parallel build (§2.4 scaled up).
+"""Document-partitioned index shards (§2.4 scaled up).
 
 A shard owns a subset of the repository's documents; because every
 posting and hash entry carries its document number, shards are
@@ -9,8 +9,7 @@ a monolithic index answers.
 
 This module provides what is shard-specific: partitioning strategies,
 the :class:`ShardedIndex` layout on top of the composite, and
-:class:`ParallelIndexBuilder`, which builds shards concurrently via
-``multiprocessing`` and falls back to a serial loop when ``workers=1``.
+:func:`build_sharded_index`, the per-shard build loop.
 """
 
 from __future__ import annotations
@@ -118,177 +117,24 @@ class ShardedIndex(CompositeIndex):
         } for shard in self.shards]
 
 
-# ----------------------------------------------------------------------
-# Parallel build
-# ----------------------------------------------------------------------
-
-# Fork-inherited state for repository builds: the parent parks the
-# repository (and build options) here right before spawning the pool;
-# forked children read it without any pickling of XML trees.
-_FORK_STATE: dict = {}
-
-
-def _build_shard_from_fork_state(shard_id: int) -> tuple[int, GKSIndex]:
-    repository = _FORK_STATE["repository"]
-    doc_ids = _FORK_STATE["partitions"][shard_id]
-    builder = IndexBuilder(analyzer=_FORK_STATE["analyzer"],
-                           index_tags=_FORK_STATE["index_tags"])
-    for doc_id in doc_ids:
-        builder.add_document_unchecked(repository[doc_id])
-    return shard_id, builder.build()
-
-
-def _build_shard_from_texts(shard_id: int,
-                            documents: list[tuple[int, str, str]],
-                            analyzer: Analyzer,
-                            index_tags: bool) -> tuple[int, GKSIndex]:
-    """Worker for text-based builds (start-method agnostic: args pickle)."""
-    builder = IndexBuilder(analyzer=analyzer, index_tags=index_tags)
-    for doc_id, name, text in documents:
-        builder.add_xml(text, name=name, doc_id=doc_id)
-    return shard_id, builder.build()
-
-
-class ParallelIndexBuilder:
-    """Builds a :class:`ShardedIndex`, one worker process per shard.
-
-    ``workers=1`` (the default) builds every shard serially in-process —
-    no multiprocessing machinery is touched.  With ``workers>1`` shards
-    build concurrently in a ``fork`` process pool (repository builds
-    inherit the parsed trees through fork, so nothing but the finished
-    shard indexes crosses a process boundary); when the platform offers
-    no ``fork`` start method the builder silently degrades to serial,
-    because shipping whole XML trees through pickle would cost more than
-    it saves.
-    """
-
-    def __init__(self, analyzer: Analyzer = DEFAULT_ANALYZER,
-                 index_tags: bool = True, shards: int = 1,
-                 workers: int = 1,
-                 strategy: str = "round_robin") -> None:
-        if shards < 1:
-            raise ConfigError(f"shard count must be >= 1: {shards}")
-        if workers < 1:
-            raise ConfigError(f"worker count must be >= 1: {workers}")
-        if strategy not in PARTITION_STRATEGIES:
-            raise ConfigError(
-                f"unknown shard strategy {strategy!r}; "
-                f"expected one of {PARTITION_STRATEGIES}")
-        self.analyzer = analyzer
-        self.index_tags = index_tags
-        self.shards = shards
-        self.workers = workers
-        self.strategy = strategy
-
-    # ------------------------------------------------------------------
-    def build(self, repository: Repository) -> ShardedIndex:
-        """Index *repository* into shards (parallel when configured)."""
-        names = [document.name for document in repository]
-        partitions = partition_documents(names, self.shards, self.strategy)
-        if self.workers > 1 and len(repository) > 0:
-            indexes = self._run_forked(repository, partitions)
-        else:
-            indexes = None
-        if indexes is None:
-            indexes = []
-            for doc_ids in partitions:
-                builder = IndexBuilder(analyzer=self.analyzer,
-                                       index_tags=self.index_tags)
-                for doc_id in doc_ids:
-                    builder.add_document_unchecked(repository[doc_id])
-                indexes.append(builder.build())
-        return self._assemble(indexes, partitions, names)
-
-    def build_from_texts(self, texts: Sequence[str],
-                         names: Sequence[str] | None = None) -> ShardedIndex:
-        """Index raw XML texts into shards without materialising trees.
-
-        Workers parse *and* index their shard's texts concurrently, so a
-        parallel text build overlaps the dominant parsing cost — this is
-        the path the sharding benchmark exercises.
-        """
-        resolved = [names[i] if names is not None else f"doc{i}"
-                    for i in range(len(texts))]
-        partitions = partition_documents(resolved, self.shards,
-                                         self.strategy)
-        jobs = [[(doc_id, resolved[doc_id], texts[doc_id])
-                 for doc_id in doc_ids] for doc_ids in partitions]
-        indexes: list[GKSIndex] | None = None
-        if self.workers > 1 and texts:
-            indexes = self._run_pool(jobs)
-        if indexes is None:
-            indexes = [_build_shard_from_texts(shard_id, job, self.analyzer,
-                                               self.index_tags)[1]
-                       for shard_id, job in enumerate(jobs)]
-        return self._assemble(indexes, partitions, resolved)
-
-    # ------------------------------------------------------------------
-    def _pool(self, jobs: int):
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - platform without fork
-            return None
-        max_workers = max(1, min(self.workers, jobs))
-        return ProcessPoolExecutor(max_workers=max_workers,
-                                   mp_context=context)
-
-    def _run_forked(self, repository: Repository,
-                    partitions: list[tuple[int, ...]]
-                    ) -> list[GKSIndex] | None:
-        busy = [shard_id for shard_id, doc_ids in enumerate(partitions)
-                if doc_ids]
-        pool = self._pool(len(busy))
-        if pool is None:  # pragma: no cover - platform without fork
-            return None
-        _FORK_STATE.update(repository=repository, partitions=partitions,
-                           analyzer=self.analyzer,
-                           index_tags=self.index_tags)
-        try:
-            with pool:
-                built = dict(pool.map(_build_shard_from_fork_state, busy))
-        finally:
-            _FORK_STATE.clear()
-        return [built[shard_id] if shard_id in built
-                else IndexBuilder(analyzer=self.analyzer,
-                                  index_tags=self.index_tags).build()
-                for shard_id in range(len(partitions))]
-
-    def _run_pool(self, jobs: list[list[tuple[int, str, str]]]
-                  ) -> list[GKSIndex] | None:
-        busy = [shard_id for shard_id, job in enumerate(jobs) if job]
-        pool = self._pool(len(busy))
-        if pool is None:  # pragma: no cover - platform without fork
-            return None
-        with pool:
-            futures = [pool.submit(_build_shard_from_texts, shard_id,
-                                   jobs[shard_id], self.analyzer,
-                                   self.index_tags)
-                       for shard_id in busy]
-            built = dict(future.result() for future in futures)
-        return [built[shard_id] if shard_id in built
-                else IndexBuilder(analyzer=self.analyzer,
-                                  index_tags=self.index_tags).build()
-                for shard_id in range(len(jobs))]
-
-    def _assemble(self, indexes: list[GKSIndex],
-                  partitions: list[tuple[int, ...]],
-                  names: Sequence[str]) -> ShardedIndex:
-        shards = [Shard(shard_id=shard_id, doc_ids=doc_ids, index=index)
-                  for shard_id, (doc_ids, index)
-                  in enumerate(zip(partitions, indexes))]
-        return ShardedIndex(shards, strategy=self.strategy,
-                            document_names=names, analyzer=self.analyzer)
-
-
 def build_sharded_index(repository: Repository,
                         analyzer: Analyzer = DEFAULT_ANALYZER,
                         index_tags: bool = True, shards: int = 1,
-                        workers: int = 1,
                         strategy: str = "round_robin") -> ShardedIndex:
-    """One-call convenience mirroring :func:`repro.index.builder.build_index`."""
-    return ParallelIndexBuilder(analyzer=analyzer, index_tags=index_tags,
-                                shards=shards, workers=workers,
-                                strategy=strategy).build(repository)
+    """Index *repository* into *shards* document shards, one after another.
+
+    The sharded counterpart of :func:`repro.index.builder.build_index`:
+    partition the documents, then run the ordinary builder over each
+    partition.
+    """
+    names = [document.name for document in repository]
+    built = []
+    for shard_id, doc_ids in enumerate(
+            partition_documents(names, shards, strategy)):
+        builder = IndexBuilder(analyzer=analyzer, index_tags=index_tags)
+        for doc_id in doc_ids:
+            builder.add_document_unchecked(repository[doc_id])
+        built.append(Shard(shard_id=shard_id, doc_ids=doc_ids,
+                           index=builder.build()))
+    return ShardedIndex(built, strategy=strategy, document_names=names,
+                        analyzer=analyzer)

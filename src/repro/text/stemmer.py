@@ -191,7 +191,6 @@ MEMO_KEY_LEN = 32
 # the interpreter lock — a lookup racing a store or an overflow-clear can
 # only miss and recompute the same string, never read a wrong one (and
 # overshoot the cap by at most the one entry each racing thread stores).
-# A forked worker starts from a copy of its parent's memo and fills its own.
 _STEMS: dict[str, str] = {}
 
 

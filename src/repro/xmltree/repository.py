@@ -175,9 +175,11 @@ class Repository:
                    encoding: str = "utf-8",
                    policy: RecoveryPolicy | str = RecoveryPolicy.STRICT,
                    ) -> "Repository":
-        """Build a repository from XML files on disk (one doc per file).
+        """Build a repository from corpus files on disk (one doc per file).
 
-        An unreadable or undecodable file raises
+        The one file loader: a ``.json`` file goes through the JSON
+        adapter (:meth:`parse_json`), everything else is parsed as XML.
+        An unreadable or undecodable file — or malformed JSON — raises
         :class:`DocumentLoadError` naming the offending path (strict
         policy) or is quarantined alongside parse failures otherwise.
         """
@@ -185,9 +187,13 @@ class Repository:
         repository = cls()
         for path in paths:
             path = Path(path)
+            is_json = path.suffix.lower() == ".json"
             try:
                 text = path.read_text(encoding=encoding)
-            except (OSError, UnicodeDecodeError) as exc:
+                if is_json:
+                    repository.parse_json(text, name=path.name)
+            # ValueError: undecodable bytes, or JSON that does not parse
+            except (OSError, ValueError) as exc:
                 error = DocumentLoadError(
                     f"cannot read corpus file {path}: {exc}", path=path)
                 error.__cause__ = exc
@@ -199,7 +205,8 @@ class Repository:
                     "quarantined_documents",
                     "Documents quarantined during ingestion").inc()
                 continue
-            repository.parse(text, name=path.name, policy=policy)
+            if not is_json:
+                repository.parse(text, name=path.name, policy=policy)
         return repository
 
     def extend_replicated(self, times: int) -> "Repository":

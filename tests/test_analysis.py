@@ -22,10 +22,11 @@ from repro.analysis.lint import ModuleInfo, lint_modules
 from repro.cli import main
 from repro.errors import ConfigError, StorageError
 from repro.index.builder import IndexBuilder
-from repro.index.sharding import ParallelIndexBuilder
+from repro.index import sharding
 from repro.index.storage import load_index, save_index
 from repro.testing.faults import IndexCorruptor, TornWriter
 from repro.xmltree.parser import parse_document
+from repro.xmltree.repository import Repository
 
 pytestmark = pytest.mark.analysis
 
@@ -66,7 +67,7 @@ class TestEngine:
         ids = [rule.rule_id for rule in rule_catalog()]
         assert len(ids) == len(set(ids))  # unique
         for expected in ("L001", "L002", "T001", "E001", "E002",
-                         "M001", "M002", "F001", "C001", "C002", "C003"):
+                         "M001", "M002", "C001", "C002", "C003"):
             assert expected in ids
 
     def test_module_roles(self, tmp_path):
@@ -261,64 +262,6 @@ class TestFrozenDataclassRule:
         del source
 
 
-class TestForkSafetyRule:
-    POSITIVE = """\
-        STATE = {}
-
-        def worker(i):
-            STATE[i] = i
-
-        def run(pool):
-            return pool.map(worker, range(4))
-        """
-
-    def test_fires_on_worker_mutation(self, tmp_path):
-        findings = findings_for(tmp_path, "src/repro/index/x.py",
-                                self.POSITIVE, "F001")
-        assert len(findings) == 1
-        assert "read-only" in findings[0].message
-
-    def test_fires_on_mutating_method(self, tmp_path):
-        source = """\
-            JOBS = []
-
-            def worker(i):
-                JOBS.append(i)
-
-            def run(executor):
-                return executor.submit(worker, 1)
-            """
-        assert findings_for(tmp_path, "src/repro/index/x.py",
-                            source, "F001")
-
-    def test_silent_on_parent_side_mutation(self, tmp_path):
-        source = """\
-            STATE = {}
-
-            def worker(i):
-                return STATE[i]
-
-            def run(pool):
-                STATE[0] = 1          # parent mutates before the fork
-                return pool.map(worker, range(4))
-            """
-        assert findings_for(tmp_path, "src/repro/index/x.py",
-                            source, "F001") == []
-
-    def test_suppressed(self, tmp_path):
-        source = """\
-            STATE = {}
-
-            def worker(i):
-                STATE[i] = i  # gks: ignore[F001]
-
-            def run(pool):
-                return pool.map(worker, range(4))
-            """
-        assert findings_for(tmp_path, "src/repro/index/x.py",
-                            source, "F001") == []
-
-
 # ----------------------------------------------------------------------
 # Layering on a synthetic module graph
 # ----------------------------------------------------------------------
@@ -386,8 +329,8 @@ def build_corpus_index():
 
 
 def build_sharded_index(shards: int = 2):
-    return ParallelIndexBuilder(shards=shards, workers=1).build_from_texts(
-        list(BOOKS), names=[f"doc{i}.xml" for i in range(len(BOOKS))])
+    return sharding.build_sharded_index(Repository.from_texts(BOOKS),
+                                        shards=shards)
 
 
 class TestInvariants:
@@ -472,8 +415,7 @@ class TestCli:
     def test_lint_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("L001", "T001", "E002", "F001", "C001", "C002",
-                        "C003"):
+        for rule_id in ("L001", "T001", "E002", "C001", "C002", "C003"):
             assert rule_id in out
 
     def test_check_index_deep_exit_codes(self, tmp_path, capsys):

@@ -1,8 +1,16 @@
 """Tests for the command-line interface."""
 
+import io
+from dataclasses import fields
+
 import pytest
 
-from repro.cli import main
+from repro import cli
+from repro.cli import build_arg_parser, main
+from repro.core.config import MODES, EngineConfig, Paths
+from repro.core.engine import GKSEngine
+from repro.index.codec import CODEC_NAMES
+from repro.index.sharding import PARTITION_STRATEGIES
 
 
 @pytest.fixture
@@ -171,7 +179,100 @@ class TestDataset:
             main(["dataset", "nope", "-o", str(tmp_path)])
 
 
+#: every subcommand that takes corpus files, with the arguments that
+#: make it run to completion on a small corpus
+FILE_COMMANDS = {
+    "search": ["-q", "karen"],
+    "topk": ["-q", "karen"],
+    "di": ["-q", "karen"],
+    "facet": ["-q", "karen", "-c", "name"],
+    "xpath": ["-p", "catalog/name"],
+    "schema": [],
+    "shell": [],
+    "stats": ["-q", "karen"],
+    "race": ["--scenario", "cache", "--threads", "2", "--rounds", "1",
+             "--iterations", "2"],
+    "categorize": [],
+    "index": ["-o", "out.gks"],
+    "serve": ["--port", "0"],
+}
+
+
+class TestOneCorpusLoader:
+    """Every subcommand reads its files through ``Repository.from_paths``."""
+
+    @pytest.fixture
+    def json_corpus(self, tmp_path):
+        path = tmp_path / "courses.json"
+        path.write_text('{"catalog": [{"name": "AI", '
+                        '"students": ["Karen", "Zoe"]}]}')
+        return path
+
+    @pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+    def test_missing_file_is_a_typed_error(self, command, tmp_path,
+                                           capsys):
+        argv = [command, str(tmp_path / "missing.xml"),
+                *FILE_COMMANDS[command]]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "gks: error: cannot read corpus file" in captured.err
+        assert "Traceback" not in captured.err
+
+    # serve blocks until signalled; it opens its corpus through the same
+    # _engine as the rest
+    @pytest.mark.parametrize("command", sorted(set(FILE_COMMANDS)
+                                               - {"serve"}))
+    def test_json_file_goes_through_the_adapter(self, command, json_corpus,
+                                                tmp_path, monkeypatch,
+                                                capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        assert main([command, str(json_corpus),
+                     *FILE_COMMANDS[command]]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_json_routes_list_identical_nodes(self, json_corpus, tmp_path,
+                                              capsys):
+        assert main(["search", str(json_corpus), "-q", "karen zoe"]) == 0
+        printed = [line.strip() for line
+                   in capsys.readouterr().out.splitlines()[1:]]
+        engine = GKSEngine.open(Paths([json_corpus]))
+        assert printed == [engine.describe(node)
+                           for node in engine.search("karen zoe")]
+        assert main(["index", str(json_corpus), "-o",
+                     str(tmp_path / "out.gks")]) == 0
+        assert (f"indexed {engine.index.stats.total_nodes} nodes"
+                in capsys.readouterr().out)
+
+
 class TestParser:
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_workers_flag_is_gone(self, corpus, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["index", str(corpus), "-o", str(tmp_path / "idx.gz"),
+                  "--workers", "2"])
+
+    def test_config_flags_cannot_drift_from_engine_config(self):
+        defaults = EngineConfig()
+        backed = {field: flag for flag, (field, _, _)
+                  in cli._CONFIG_FLAGS.items()}
+        choices = {"--mode": MODES, "--codec": CODEC_NAMES,
+                   "--strategy": PARTITION_STRATEGIES}
+        subcommands = build_arg_parser()._subparsers._group_actions[0]
+        seen = set()
+        for name, command in subcommands.choices.items():
+            for action in command._actions:
+                if action.dest not in backed:
+                    continue
+                # a flag that sets a config field is declared in the table
+                assert action.option_strings == [backed[action.dest]], name
+                flag = action.option_strings[0]
+                seen.add(flag)
+                assert action.default == getattr(defaults, action.dest)
+                if flag in choices:
+                    assert tuple(action.choices) == tuple(choices[flag])
+        assert seen == set(cli._CONFIG_FLAGS)
+        assert set(backed) <= {field.name for field in fields(EngineConfig)}

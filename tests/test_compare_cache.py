@@ -3,6 +3,7 @@ cache."""
 
 import pytest
 
+from repro.core.config import EngineConfig
 from repro.core.engine import GKSEngine
 from repro.core.ranking import rank_by_keyword_count
 from repro.datasets.registry import load_dataset
@@ -91,7 +92,8 @@ class TestResponseCache:
         assert flow is not count
 
     def test_cache_evicts_oldest(self):
-        engine = GKSEngine(load_dataset("figure2a"), cache_size=2)
+        engine = GKSEngine(load_dataset("figure2a"),
+                           config=EngineConfig(cache_size=2))
         first = engine.search("karen", s=1)
         engine.search("mike", s=1)
         engine.search("john", s=1)   # evicts "karen"
@@ -106,5 +108,6 @@ class TestResponseCache:
         assert len(fresh) == 2
 
     def test_cache_can_be_disabled(self):
-        engine = GKSEngine(load_dataset("figure2a"), cache_size=0)
+        engine = GKSEngine(load_dataset("figure2a"),
+                           config=EngineConfig(cache_size=0))
         assert engine.search("karen") is not engine.search("karen")

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core.config import Paths, Texts
+from repro.core.config import EngineConfig, Paths, Texts
 from repro.core.engine import GKSEngine
 from repro.datasets.toy import figure2a
+from repro.errors import ConfigError
 from repro.index.storage import load_index, save_index
 from repro.xmltree.repository import Repository
 from repro.xmltree.serialize import serialize_node
@@ -20,6 +21,25 @@ class TestConstruction:
         path.write_text("<r><a>karen</a></r>")
         engine = GKSEngine.open(Paths([path]))
         assert len(engine.search("karen")) == 1
+
+    def test_from_json_path(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{"a": "karen"}')
+        engine = GKSEngine.open(Paths([path]))
+        assert len(engine.search("karen")) == 1
+        assert engine.repository[0].root.tag == "root"
+
+    @pytest.mark.parametrize("field", ["store_path", "index_path"])
+    def test_persistence_fields_need_open(self, figure2a_repo, tmp_path,
+                                          field):
+        config = EngineConfig(**{field: tmp_path / "persisted"})
+        with pytest.raises(ConfigError, match="GKSEngine.open"):
+            GKSEngine(figure2a_repo, config=config)
+        # what open() itself does: a prebuilt index is the caller's
+        # statement that persistence is handled
+        built = GKSEngine(figure2a_repo)
+        assert GKSEngine(figure2a_repo, index=built.index,
+                         config=config).config == config
 
     def test_prebuilt_index_is_reused(self, figure2a_repo):
         first = GKSEngine(figure2a_repo)

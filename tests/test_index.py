@@ -13,7 +13,7 @@ from repro.index.builder import IndexBuilder, build_index
 from repro.index.inverted import InvertedIndex
 from repro.index.postings import (count_in_subtree, intersect_postings,
                                   merge_posting_lists, subtree_range)
-from repro.index.sharding import ParallelIndexBuilder, build_sharded_index
+from repro.index.sharding import build_sharded_index
 from repro.text.analyzer import Analyzer
 from repro.xmltree.repository import Repository
 from repro.xmltree.serialize import serialize_node
@@ -199,13 +199,13 @@ class TestBuilder:
         assert index_facts(builder.build()) == index_facts(from_tree)
         assert index_facts(build_index(texts[0])) == \
             index_facts(build_index(repository[0]))
-        sharded_tree = build_sharded_index(repository, shards=2)
-        sharded_text = ParallelIndexBuilder(shards=2).build_from_texts(
-            texts, names=[document.name for document in repository])
-        assert [(shard.doc_ids, index_facts(shard.index))
-                for shard in sharded_text.shards] == \
-            [(shard.doc_ids, index_facts(shard.index))
-             for shard in sharded_tree.shards]
+        for shard in build_sharded_index(repository, shards=2).shards:
+            from_text = IndexBuilder()
+            for doc_id in shard.doc_ids:
+                from_text.add_xml(texts[doc_id], doc_id=doc_id,
+                                  name=repository[doc_id].name)
+            assert index_facts(from_text.build()) == \
+                index_facts(shard.index)
 
     def test_malformed_text_leaves_the_builder_untouched(self):
         builder = IndexBuilder()

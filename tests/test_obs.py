@@ -295,7 +295,8 @@ class TestEngineObservability:
         assert info["size"] == 2
 
     def test_eviction_accounting(self):
-        engine = GKSEngine(load_dataset("figure2a"), cache_size=2,
+        engine = GKSEngine(load_dataset("figure2a"),
+                           config=EngineConfig(cache_size=2),
                            metrics=MetricsRegistry())
         for text in ("karen", "mike", "zoe"):
             engine.search(text, s=1)
@@ -308,7 +309,8 @@ class TestEngineObservability:
         assert registry.counter("gks_cache_misses_total").value() == 3
 
     def test_lru_eviction_drops_least_recent(self):
-        engine = GKSEngine(load_dataset("figure2a"), cache_size=2,
+        engine = GKSEngine(load_dataset("figure2a"),
+                           config=EngineConfig(cache_size=2),
                            metrics=MetricsRegistry())
         engine.search("karen", s=1)
         engine.search("mike", s=1)

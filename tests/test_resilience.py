@@ -184,6 +184,20 @@ class TestQuarantine:
         names = {failure.name for failure in repository.quarantine}
         assert names == {"bad.xml", "gone.xml"}
 
+    def test_from_paths_malformed_json(self, tmp_path):
+        good = tmp_path / "good.json"
+        good.write_text('{"a": "karen"}')
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"a": "karen"')
+        with pytest.raises(DocumentLoadError) as excinfo:
+            Repository.from_paths([good, bad])
+        assert excinfo.value.path == bad
+        repository = Repository.from_paths([bad, good],
+                                           policy="skip_document")
+        assert [document.name for document in repository] == ["good.json"]
+        assert [failure.name for failure in repository.quarantine] == \
+            ["bad.json"]
+
 
 # ----------------------------------------------------------------------
 # Search budgets & graceful degradation

@@ -27,9 +27,8 @@ from repro.core.topk import search_top_k
 from repro.datasets.registry import load_dataset
 from repro.errors import ConfigError, GKSError, StorageError
 from repro.index.builder import IndexBuilder
-from repro.index.sharding import (ParallelIndexBuilder, ShardedIndex,
-                                  build_sharded_index, partition_documents,
-                                  shard_of)
+from repro.index.sharding import (ShardedIndex, build_sharded_index,
+                                  partition_documents, shard_of)
 from repro.index.storage import check_index, load_index, save_index
 from repro.testing.faults import FakeClock, TornWriter
 from repro.xmltree.repository import Repository
@@ -140,32 +139,12 @@ class TestShardedBuild:
             assert sharded.hashes.entity_table == mono.hashes.entity_table
             assert sharded.hashes.element_table == mono.hashes.element_table
 
-    def test_parallel_build_equals_serial_build(self):
-        repository = Repository.from_texts(CORPUS)
-        serial = build_sharded_index(repository, shards=3, workers=1)
-        parallel = build_sharded_index(repository, shards=3, workers=2)
-        assert serial.document_names == parallel.document_names
-        for left, right in zip(serial.shards, parallel.shards):
-            assert left.doc_ids == right.doc_ids
-            assert dict(left.index.inverted.items()) == \
-                dict(right.index.inverted.items())
-            assert left.index.hashes.entity_table == \
-                right.index.hashes.entity_table
-
-    def test_build_from_texts_equals_build_from_repository(self):
-        repository = Repository.from_texts(CORPUS)
-        via_repo = ParallelIndexBuilder(shards=2).build(repository)
-        via_texts = ParallelIndexBuilder(shards=2).build_from_texts(CORPUS)
-        for keyword in dict(via_repo.inverted.items()):
-            assert via_texts.postings(keyword) == via_repo.postings(keyword)
-
     def test_invalid_builder_arguments(self):
+        repository = Repository.from_texts(CORPUS)
         with pytest.raises(ConfigError):
-            ParallelIndexBuilder(shards=0)
+            build_sharded_index(repository, shards=0)
         with pytest.raises(ConfigError):
-            ParallelIndexBuilder(workers=0)
-        with pytest.raises(ConfigError):
-            ParallelIndexBuilder(strategy="modulo")
+            build_sharded_index(repository, strategy="modulo")
 
 
 class TestEquivalence:
@@ -325,7 +304,7 @@ class TestEngineConfig:
             config.s = 3
 
     @pytest.mark.parametrize("kwargs", [
-        {"s": 0}, {"cache_size": -1}, {"shards": 0}, {"workers": 0},
+        {"s": 0}, {"cache_size": -1}, {"shards": 0}, {"memtable_docs": 0},
         {"shard_strategy": "alphabetical"}, {"ranker": 42},
         {"recovery": "panic"}])
     def test_invalid_config_raises_config_error(self, kwargs):
@@ -333,12 +312,16 @@ class TestEngineConfig:
             EngineConfig(**kwargs)
 
     def test_replace_validates_and_rejects_unknown_fields(self):
-        config = EngineConfig().replace(shards=4, workers=2)
-        assert config.shards == 4 and config.workers == 2
+        config = EngineConfig().replace(shards=4)
+        assert config.shards == 4
         with pytest.raises(ConfigError):
             config.replace(shard_count=4)
         with pytest.raises(ConfigError):
             config.replace(shards=0)
+
+    def test_workers_is_gone(self):
+        with pytest.raises(ConfigError, match="unknown EngineConfig field"):
+            GKSEngine.open(Texts(CORPUS), workers=2)
 
     def test_open_builds_sharded_engine(self):
         engine = GKSEngine.open(Texts(CORPUS), shards=4)
