@@ -71,4 +71,39 @@ assert sig(raw) == sig(dag), "codecs disagreed on the smoke query"
 print(f"both codecs returned {len(raw.nodes)} identical node(s)")
 EOF
 
+echo "== observability: a query decodes blocks, a bare check-index none =="
+# no CLI flag opens a saved index for searching, so this step reads the
+# process-wide registry directly -- the snapshot `gks search
+# --metrics-json` writes and `gks stats --prom` renders
+python - "$WORKDIR" <<'EOF'
+import sys
+from pathlib import Path
+
+from repro.cli import main
+from repro.core.query import Query
+from repro.core.search import search
+from repro.index.storage import load_index
+from repro.obs.metrics import global_registry
+
+dag = Path(sys.argv[1]) / "dag.gksindex"
+registry = global_registry()
+
+
+def total(name):
+    metric = registry.snapshot().get(f"gks_codec_{name}_total")
+    return int(sum(metric["values"].values())) if metric else 0
+
+
+assert main(["check-index", str(dag)]) == 0, "bare check-index failed"
+assert total("postings_decoded") == 0, \
+    "a bare check-index must not decode postings (that is --deep)"
+search(load_index(dag), Query.parse("databases compression", s=1))
+for name in ("frames_inflated", "blocks_decoded", "postings_decoded"):
+    assert total(name) > 0, f"gks_codec_{name}_total stayed 0"
+assert "gks_codec_decode_seconds_bucket" in registry.render_prometheus()
+print(f"query decoded {total('blocks_decoded')} block(s), "
+      f"{total('postings_decoded')} posting(s) from "
+      f"{total('frames_inflated')} frame(s)")
+EOF
+
 echo "smoke_codec OK"

@@ -970,7 +970,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
           f"{stats.total_nodes} nodes, "
           f"{len(engine.repository.quarantine)} quarantined")
     print(f"index: {stats.entity_nodes} entities, "
-          f"{len(dict(engine.index.inverted.items()))} keywords, "
+          f"{len(engine.index.inverted)} keywords, "
           f"built in {stats.build_seconds * 1000:.1f} ms")
     parse = registry.histogram("gks_ingest_parse_seconds")
     build = registry.histogram("gks_index_build_seconds")

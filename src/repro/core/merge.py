@@ -12,10 +12,12 @@ from repro.core.budget import SearchBudget
 from repro.index.builder import GKSIndex
 from repro.index.postings import MergedEntry, merge_posting_lists
 from repro.core.query import Query
+from repro.obs.trace import NOOP_TRACER
 
 
 def merged_list(index: GKSIndex, query: Query,
-                budget: SearchBudget | None = None) -> list[MergedEntry]:
+                budget: SearchBudget | None = None,
+                tracer=NOOP_TRACER) -> list[MergedEntry]:
     """The sorted merged list ``SL`` of all query-keyword postings.
 
     Entry *i* carries ``keyword`` = the index of its keyword in
@@ -26,10 +28,11 @@ def merged_list(index: GKSIndex, query: Query,
 
     A :class:`SearchBudget` caps the result at ``max_sl`` entries (the
     kept prefix is a coherent leading slice of the corpus in document
-    order) and charges the merge against the deadline.
+    order) and charges the merge against the deadline; *tracer* gets a
+    ``decode`` span per keyword a loaded v4 index decodes on this touch.
     """
     sl = merge_posting_lists(
-        index.postings(keyword) for keyword in query.keywords)
+        index.postings(keyword, tracer) for keyword in query.keywords)
     if budget is not None:
         sl = budget.admit_sl(sl)
         budget.checkpoint("merge", len(sl), len(sl))

@@ -170,7 +170,8 @@ def _discover(units: list[_Unit], query: Query,
     with tracer.span("merge") as span:
         for unit in units:
             with unit_tracer.span("shard_merge", shard=unit.label):
-                unit.sl = merged_list(unit.index, query, budget=unit.budget)
+                unit.sl = merged_list(unit.index, query, budget=unit.budget,
+                                      tracer=tracer)
         span.add("sl_entries", _admit_global_sl(units, budget))
     mark = after_merge = clock()
     for unit in units:

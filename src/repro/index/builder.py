@@ -27,7 +27,7 @@ from repro.index.hashtables import NodeHashes
 from repro.index.inverted import InvertedIndex
 from repro.index.statistics import IndexStats
 from repro.obs.metrics import global_registry
-from repro.obs.trace import DEFAULT_CLOCK
+from repro.obs.trace import DEFAULT_CLOCK, NOOP_TRACER
 from repro.text.analyzer import DEFAULT_ANALYZER, Analyzer
 from repro.xmltree.node import XMLNode
 from repro.xmltree.parser import parse_document
@@ -65,7 +65,7 @@ class GKSIndex:
         """A copy carrying *tables*; every structure is shared."""
         return replace(self, probabilities=tables)
 
-    def postings(self, keyword: str):
+    def postings(self, keyword: str, tracer=NOOP_TRACER):
         """Posting list for a keyword — or a phrase keyword.
 
         A phrase keyword (words joined by spaces, e.g. ``"peter buneman"``)
@@ -75,13 +75,13 @@ class GKSIndex:
         as single keywords (|QD2| = 4).
         """
         if " " not in keyword:
-            return self.inverted.postings(keyword)
+            return self.inverted.postings(keyword, tracer)
         cached = self._phrase_cache.get(keyword)
         if cached is None:
             from repro.index.postings import intersect_postings
 
             cached = intersect_postings(
-                [self.inverted.postings(word)
+                [self.inverted.postings(word, tracer)
                  for word in keyword.split()])
             self._phrase_cache[keyword] = cached
         return cached

@@ -14,8 +14,8 @@ Three ideas, layered:
   blocks of at most ``BLOCK_POSTINGS`` entries.  Inside a block, Dewey
   ids are front-coded (shared-prefix length + suffix components, each
   a varint); each block carries its own CRC32 plus skip metadata
-  (count + first Dewey) in the directory, so a binary search touches
-  O(log n) blocks and corruption is detected at first decode.
+  (count + first Dewey) in the directory, so corruption is detected
+  at first decode and a reader may skip whole blocks (none does yet).
 * **DAG-subtree sharing.**  Repeated XML subtrees with identical
   indexed content (same keywords at the same relative paths, same
   entity/element hash rows — think syndicated records, mirrored
@@ -24,18 +24,20 @@ Three ideas, layered:
   subtree's per-keyword suffix lists and hash rows are stored **once**
   per distinct subtree, and every occurrence costs one front-coded
   prefix in an occurrence table — *not* one reference per keyword.
-  Posting lists of covered keywords are never materialised on disk;
-  they are reconstructed at query time as an ordered sequence of
-  disjoint segments (literal blocks + occurrence × suffix-list
-  expansions), which is exactly "merge/lcp/lce on the compressed
-  representation": the expansion is lazy, per segment, and provably
-  node-for-node identical to the uncompressed engine.
+  Posting lists of covered keywords are never materialised on disk:
+  a keyword's list *in the file* is an ordered sequence of disjoint
+  segments (literal blocks + occurrence × suffix-list expansions).
+  The reader expands it once, on the keyword's first touch, into the
+  plain ``list`` an in-memory build holds (:func:`_decode_keyword`),
+  so the pipeline runs at the same speed on both and is node-for-node
+  identical by construction.
 * **Frames + lazy loading.**  All chunks (blocks, suffix tables, hash
   tables) are concatenated into ~64 KiB frames, each deflated as one
   zlib stream — small chunks share compression context instead of
   paying per-chunk headers.  :func:`load_binary_index` reads only the
   gzip JSON header and the per-shard binary directory; frames inflate
-  on first touch (mmap-backed), so cold open never decodes a posting.
+  on first touch (mmap-backed), so cold open never decodes a posting
+  and a query decodes only its own keywords.
 
 File layout::
 
@@ -66,9 +68,10 @@ import mmap
 import os
 import struct
 import zlib
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 from repro.errors import ConfigError, StorageError
 from repro.index.builder import GKSIndex
@@ -76,6 +79,8 @@ from repro.index.hashtables import NodeHashes
 from repro.index.inverted import InvertedIndex
 from repro.index.sharding import Shard, ShardedIndex
 from repro.index.statistics import IndexStats
+from repro.obs.metrics import global_registry
+from repro.obs.trace import NOOP_TRACER
 from repro.text.analyzer import Analyzer
 from repro.xmltree.dewey import Dewey, format_dewey, subtree_interval
 
@@ -112,18 +117,18 @@ def write_uvarint(out: bytearray, value: int) -> None:
 
 
 def read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
-    value = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise StorageError("truncated varint in codec data",
-                               diagnosis="truncated")
-        byte = data[pos]
-        pos += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, pos
-        shift += 7
+    value = shift = 0
+    try:
+        while True:
+            byte = data[pos]
+            pos += 1
+            if byte < 0x80:
+                return value | byte << shift, pos
+            value |= (byte & 0x7F) << shift
+            shift += 7
+    except IndexError:
+        raise StorageError("truncated varint in codec data",
+                           diagnosis="truncated") from None
 
 
 def write_svarint(out: bytearray, value: int) -> None:
@@ -162,6 +167,62 @@ def _read_dewey(data: bytes, pos: int,
         component, pos = read_uvarint(data, pos)
         components.append(component)
     return tuple(components), pos
+
+
+def _decode_run(payload: bytes, count: int, what: str,
+                path: Path | None, *, counted: bool = False) -> list:
+    """The block decode kernel: *count* front-coded Dewey ids (each one
+    followed by a zigzag child count when *counted*) filling *payload*
+    exactly, decoded in this one frame.
+
+    Equal to a loop over :func:`_read_dewey` (the reference the tests
+    compare against), with the varint reads inlined: nearly every value
+    in real data fits one byte, and a suffix made of single-byte
+    components is one ``tuple(bytes)``.
+    """
+    items: list = []
+    append = items.append
+    previous: Dewey = ()
+    pos = 0
+    try:
+        for _ in range(count):
+            lcp = payload[pos]
+            suffix_len = payload[pos + 1]
+            pos += 2
+            if lcp >= 0x80 or suffix_len >= 0x80:
+                lcp, pos = read_uvarint(payload, pos - 2)
+                suffix_len, pos = read_uvarint(payload, pos)
+            if lcp > len(previous):
+                raise StorageError(
+                    f"{what} in {path} front-codes against a "
+                    f"{lcp}-component prefix but only {len(previous)} "
+                    f"are available", diagnosis="corrupted", path=path)
+            suffix = payload[pos:pos + suffix_len]
+            if len(suffix) == suffix_len and suffix.isascii():
+                pos += suffix_len
+                previous = previous[:lcp] + tuple(suffix)
+            else:
+                components = list(previous[:lcp])
+                for _ in range(suffix_len):
+                    component, pos = read_uvarint(payload, pos)
+                    components.append(component)
+                previous = tuple(components)
+            if counted:
+                raw = payload[pos]
+                pos += 1
+                if raw >= 0x80:
+                    raw, pos = read_uvarint(payload, pos - 1)
+                append((previous,
+                        raw >> 1 if not raw & 1 else -((raw + 1) >> 1)))
+            else:
+                append(previous)
+    except IndexError:
+        raise StorageError(f"{what} in {path} ends inside a varint",
+                           diagnosis="truncated", path=path) from None
+    if pos != len(payload):
+        raise StorageError(f"{what} in {path} has trailing bytes",
+                           diagnosis="corrupted", path=path)
+    return items
 
 
 def _write_bytes_fc(out: bytearray, data: bytes, previous: bytes) -> None:
@@ -368,6 +429,10 @@ class _FrameReader:
                 f"{len(raw)} bytes, header promises {raw_size}",
                 diagnosis="corrupted", path=self._path)
         self._cache[number] = raw
+        global_registry().counter(
+            "gks_codec_frames_inflated_total",
+            help="Frames of v4 index files inflated on first touch."
+        ).inc()
         return raw
 
     def chunk(self, frame: int, offset: int, length: int,
@@ -912,9 +977,24 @@ class _Directory:
                 "codec directory has trailing bytes",
                 diagnosis="corrupted")
 
+    def posting_count(self, keyword: str) -> int:
+        """Length of *keyword*'s posting list, from metadata alone:
+        literal block counts plus, per covering DAG node, its suffix
+        count once per occurrence (0 for an unknown keyword)."""
+        keyword_index = self.keyword_ids.get(keyword)
+        if keyword_index is None:
+            return 0
+        total = sum(block[3] for block in self.blocks[keyword])
+        for dag_id in self.keyword_dags[keyword]:
+            # a missing table counts nothing here; decoding diagnoses it
+            entry = self.suffix_locs.get((dag_id, keyword_index))
+            if entry is not None:
+                total += entry[1] * len(self.occurrences[dag_id])
+        return total
+
 
 class _ShardReader:
-    """Lazy access to one shard's frames, tables and caches."""
+    """Lazy access to one shard's frames and tables."""
 
     def __init__(self, frames: _FrameReader, directory: _Directory,
                  path: Path) -> None:
@@ -922,7 +1002,6 @@ class _ShardReader:
         self.directory = directory
         self.path = path
         self._suffix_cache: dict[tuple[int, int], list[Dewey]] = {}
-        self._hash_cache: dict[tuple[int, int], list] = {}
 
     def _table_chunk(self, entry: tuple, what: str) -> bytes:
         (frame, offset, length), _count, crc = entry
@@ -935,24 +1014,19 @@ class _ShardReader:
         return payload
 
     def block_postings(self, block: tuple, what: str) -> list[Dewey]:
-        frame, offset, length, count, crc, _first = block
+        """One literal block, checked against its CRC and its directory
+        metadata (count, first Dewey); *what* names it in diagnoses."""
+        frame, offset, length, count, crc, first = block
         payload = self.frames.chunk(frame, offset, length, what)
         if _crc(payload) != crc:
             raise StorageError(
-                f"posting block for {what} in {self.path} fails its "
-                f"CRC32 — the block is corrupted",
-                diagnosis="corrupted", path=self.path)
-        postings: list[Dewey] = []
-        pos = 0
-        previous: Dewey = ()
-        for _ in range(count):
-            dewey, pos = _read_dewey(payload, pos, previous)
-            postings.append(dewey)
-            previous = dewey
-        if pos != len(payload):
+                f"{what} in {self.path} fails its CRC32 — the block is "
+                f"corrupted", diagnosis="corrupted", path=self.path)
+        postings = _decode_run(payload, count, what, self.path)
+        if postings and postings[0] != first:
             raise StorageError(
-                f"posting block for {what} in {self.path} has trailing "
-                f"bytes", diagnosis="corrupted", path=self.path)
+                f"{what} in {self.path} disagrees with its directory "
+                f"metadata", diagnosis="corrupted", path=self.path)
         return postings
 
     def suffixes(self, dag_id: int, keyword_index: int) -> list[Dewey]:
@@ -966,56 +1040,28 @@ class _ShardReader:
                 f"keyword references DAG node {dag_id} but no suffix "
                 f"table exists for it in {self.path}",
                 diagnosis="corrupted", path=self.path)
-        payload = self._table_chunk(entry, f"dag suffixes {dag_id}")
-        suffixes: list[Dewey] = []
-        pos = 0
-        previous: Dewey = ()
-        for _ in range(entry[1]):
-            suffix, pos = _read_dewey(payload, pos, previous)
-            suffixes.append(suffix)
-            previous = suffix
+        what = f"dag suffixes {dag_id}"
+        suffixes = _decode_run(self._table_chunk(entry, what), entry[1],
+                               what, self.path)
         self._suffix_cache[key] = suffixes
         return suffixes
 
-    def hash_rows(self, dag_id: int, which: int) -> list:
-        key = (dag_id, which)
-        cached = self._hash_cache.get(key)
-        if cached is not None:
-            return cached
-        entry = self.directory.hash_locs.get(key)
-        if entry is None:
-            self._hash_cache[key] = []
-            return []
-        rows = self._decode_hash(entry, f"dag hash rows {dag_id}")
-        self._hash_cache[key] = rows
-        return rows
-
     def _decode_hash(self, entry: tuple, what: str) -> list:
-        payload = self._table_chunk(entry, what)
-        rows: list[tuple[Dewey, int]] = []
-        pos = 0
-        previous: Dewey = ()
-        for _ in range(entry[1]):
-            suffix, pos = _read_dewey(payload, pos, previous)
-            count, pos = read_svarint(payload, pos)
-            rows.append((suffix, count))
-            previous = suffix
-        return rows
+        return _decode_run(self._table_chunk(entry, what), entry[1],
+                           what, self.path, counted=True)
 
     def hash_table(self, which: int) -> dict:
         """Materialise one full hash table (0 = entity, 1 = element)."""
         directory = self.directory
-        entry = (directory.entity_literal if which == 0
-                 else directory.element_literal)
-        what = "literal entity table" if which == 0 \
-            else "literal element table"
-        table: dict[Dewey, int] = {}
-        for suffix, count in self._decode_hash(entry, what):
-            table[suffix] = count
+        entry, name = ((directory.entity_literal, "entity") if which == 0
+                       else (directory.element_literal, "element"))
+        table: dict[Dewey, int] = dict(
+            self._decode_hash(entry, f"literal {name} table"))
         for dag_id, prefixes in enumerate(directory.occurrences):
-            rows = self.hash_rows(dag_id, which)
-            if not rows:
+            entry = directory.hash_locs.get((dag_id, which))
+            if entry is None:
                 continue
+            rows = self._decode_hash(entry, f"dag hash rows {dag_id}")
             for prefix in prefixes:
                 for suffix, count in rows:
                     table[prefix + suffix] = count
@@ -1023,200 +1069,128 @@ class _ShardReader:
 
 
 # ----------------------------------------------------------------------
-# Lazy runtime structures
+# The loaded index: plain lists and dicts, decoded on first touch
 # ----------------------------------------------------------------------
 
-class LazyPostingList(Sequence):
-    """One keyword's posting list, decoded segment-by-segment on touch.
+def _decode_keyword(reader: _ShardReader, keyword: str,
+                    tracer=NOOP_TRACER) -> list[Dewey]:
+    """One keyword's whole posting list, as the plain sorted list an
+    in-memory build holds.
 
-    The list is the ordered concatenation of disjoint *segments*:
+    On disk the list is an ordered sequence of disjoint *segments*:
     literal blocks (keyed by their first posting, from the directory)
     and (dag node, occurrence) expansions (keyed by the occurrence
     prefix — every expanded posting lies inside that prefix's subtree
     interval, and literal blocks never span a covered gap, so sorting
-    segments by key reproduces exact document order).  Lengths come
-    from directory metadata alone, so ``len`` and bisection never
-    decode anything they don't have to.
+    segments by key reproduces exact document order).
     """
-
-    __slots__ = ("_reader", "_keyword", "_segments", "_starts",
-                 "_total", "_decoded")
-
-    def __init__(self, reader: _ShardReader, keyword: str) -> None:
-        self._reader = reader
-        self._keyword = keyword
-        directory = reader.directory
-        keyword_index = directory.keyword_ids[keyword]
-        segments: list[tuple] = []
-        for block in directory.blocks[keyword]:
-            segments.append((block[5], block[3], 0, block))
+    directory = reader.directory
+    keyword_index = directory.keyword_ids[keyword]
+    what = f"posting block for keyword {keyword!r}"
+    with tracer.span("decode", keyword=keyword) as span:
+        started = tracer.clock()
+        segments: list[tuple] = [(block[5], block, None)
+                                 for block in directory.blocks[keyword]]
+        blocks = len(segments)
         for dag_id in directory.keyword_dags[keyword]:
-            entry = directory.suffix_locs.get((dag_id, keyword_index))
-            if entry is None:
-                raise StorageError(
-                    f"keyword {keyword!r} references DAG node {dag_id} "
-                    f"with no suffix table in {reader.path}",
-                    diagnosis="corrupted", path=reader.path)
-            for prefix in directory.occurrences[dag_id]:
-                segments.append((prefix, entry[1], 1,
-                                 (dag_id, keyword_index, prefix)))
-        segments.sort(key=lambda segment: segment[0])
-        self._segments = segments
-        starts = []
-        total = 0
-        for segment in segments:
-            starts.append(total)
-            total += segment[1]
-        self._starts = starts
-        self._total = total
-        self._decoded: dict[int, list[Dewey]] = {}
-
-    def _segment(self, number: int) -> list[Dewey]:
-        decoded = self._decoded.get(number)
-        if decoded is not None:
-            return decoded
-        key, count, kind, data = self._segments[number]
-        if kind == 0:
-            decoded = self._reader.block_postings(
-                data, f"keyword {self._keyword!r}")
-            if len(decoded) != count or (decoded and decoded[0] != key):
-                raise StorageError(
-                    f"posting block for keyword {self._keyword!r} in "
-                    f"{self._reader.path} disagrees with its directory "
-                    f"metadata", diagnosis="corrupted",
-                    path=self._reader.path)
-        else:
-            dag_id, keyword_index, prefix = data
-            decoded = [prefix + suffix for suffix
-                       in self._reader.suffixes(dag_id, keyword_index)]
-        self._decoded[number] = decoded
-        return decoded
-
-    def __len__(self) -> int:
-        return self._total
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(self._total))]
-        if index < 0:
-            index += self._total
-        if not 0 <= index < self._total:
-            raise IndexError("posting index out of range")
-        segment = bisect_right(self._starts, index) - 1
-        return self._segment(segment)[index - self._starts[segment]]
-
-    def __iter__(self) -> Iterator[Dewey]:
-        for number in range(len(self._segments)):
-            yield from self._segment(number)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (list, tuple, LazyPostingList)):
-            return (len(self) == len(other)
-                    and all(a == b for a, b in zip(self, other)))
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return (f"LazyPostingList({self._keyword!r}, n={self._total}, "
-                f"segments={len(self._segments)})")
+            suffixes = reader.suffixes(dag_id, keyword_index)
+            segments += [(prefix, None, suffixes)
+                         for prefix in directory.occurrences[dag_id]]
+        if len(segments) > blocks:
+            segments.sort(key=itemgetter(0))
+        postings: list[Dewey] = []
+        for key, block, suffixes in segments:
+            if block is not None:
+                postings += reader.block_postings(block, what)
+            else:
+                postings += [key + suffix for suffix in suffixes]
+        seconds = tracer.clock() - started
+        span.add("blocks", blocks)
+        span.add("postings", len(postings))
+    registry = global_registry()
+    registry.counter("gks_codec_blocks_decoded_total",
+                     help="Literal posting blocks decoded from v4 files."
+                     ).inc(blocks)
+    registry.counter("gks_codec_postings_decoded_total",
+                     help="Postings decoded or expanded from v4 files."
+                     ).inc(len(postings))
+    registry.histogram("gks_codec_decode_seconds",
+                       help="Wall time to decode one keyword's postings."
+                       ).observe(seconds)
+    return postings
 
 
 class LazyInvertedIndex(InvertedIndex):
-    """An :class:`InvertedIndex` view over a codec shard.
+    """An :class:`InvertedIndex` over a codec shard.
 
-    Reads never materialise more than the touched segments; the first
-    *mutation* (anything reaching the ``_postings`` dict, e.g.
-    ``add``) materialises every list once so the inherited in-place
-    update logic keeps working.
+    ``postings(keyword)`` decodes the keyword's whole list on first
+    touch and returns that same ``list`` from then on, so the pipeline
+    merges, bisects and slices it in C exactly as on a built index.
+    Vocabulary and counts come from the directory and decode nothing.
     """
 
     def __init__(self, reader: _ShardReader) -> None:
-        # deliberately no super().__init__ — ``_postings`` is lazy here
+        # deliberately no super().__init__ — see __getattr__
         self._reader = reader
-        self._lists: dict[str, LazyPostingList] = {}
-        self._materialized: dict[str, list[Dewey]] | None = None
+        self._decoded: dict[str, list[Dewey]] = {}
 
-    @property
-    def _postings(self) -> dict[str, list]:
-        if self._materialized is None:
-            self._materialized = {
-                keyword: list(self.postings(keyword))
-                for keyword in self._reader.directory.keywords}
-        return self._materialized
+    def __getattr__(self, name: str):
+        """First use of the inherited ``_postings`` dict (``items``,
+        ``check_integrity``, a mutation such as ``add``): decode what is
+        left and *become* a plain :class:`InvertedIndex`, so no answer
+        below can go stale against the file's directory."""
+        if name != "_postings":
+            raise AttributeError(name)
+        self._postings = {keyword: self.postings(keyword)
+                          for keyword in self._reader.directory.keywords}
+        self.__class__ = InvertedIndex
+        return self._postings
 
-    @_postings.setter
-    def _postings(self, value: dict) -> None:
-        self._materialized = value
-
-    def postings(self, keyword: str):
-        if self._materialized is not None:
-            return self._materialized.get(keyword, [])
-        posting_list = self._lists.get(keyword)
-        if posting_list is None:
+    def postings(self, keyword: str, tracer=NOOP_TRACER) -> list[Dewey]:
+        postings = self._decoded.get(keyword)
+        if postings is None:
             if keyword not in self._reader.directory.keyword_ids:
                 return []
-            posting_list = LazyPostingList(self._reader, keyword)
-            self._lists[keyword] = posting_list
-        return posting_list
+            # cached only when whole: a failed decode fails again
+            postings = _decode_keyword(self._reader, keyword, tracer)
+            self._decoded[keyword] = postings
+        return postings
 
     def __contains__(self, keyword: str) -> bool:
-        if self._materialized is not None:
-            return keyword in self._materialized
         return keyword in self._reader.directory.keyword_ids
 
     def __len__(self) -> int:
-        if self._materialized is not None:
-            return len(self._materialized)
         return len(self._reader.directory.keywords)
 
     @property
     def vocabulary(self) -> list[str]:
-        if self._materialized is not None:
-            return sorted(self._materialized)
         return list(self._reader.directory.keywords)
 
     def document_frequency(self, keyword: str) -> int:
-        return len(self.postings(keyword))
+        return self._reader.directory.posting_count(keyword)
 
     @property
     def total_postings(self) -> int:
-        return sum(len(self.postings(keyword))
-                   for keyword in self.vocabulary)
-
-    def items(self):
-        for keyword in self.vocabulary:
-            yield keyword, self.postings(keyword)
+        directory = self._reader.directory
+        return sum(map(directory.posting_count, directory.keywords))
 
 
 class LazyNodeHashes(NodeHashes):
-    """A :class:`NodeHashes` whose tables decode on first touch."""
+    """A :class:`NodeHashes` whose tables decode on first touch and are
+    ordinary instance dicts from then on."""
 
     def __init__(self, reader: _ShardReader) -> None:
-        # deliberately no super().__init__ — tables are lazy here
+        # deliberately no super().__init__ — see __getattr__
         self._reader = reader
-        self._entity_table: dict[Dewey, int] | None = None
-        self._element_table: dict[Dewey, int] | None = None
 
-    @property
-    def _entity(self) -> dict[Dewey, int]:
-        if self._entity_table is None:
-            self._entity_table = self._reader.hash_table(0)
-        return self._entity_table
-
-    @_entity.setter
-    def _entity(self, value: dict) -> None:
-        self._entity_table = value
-
-    @property
-    def _element(self) -> dict[Dewey, int]:
-        if self._element_table is None:
-            self._element_table = self._reader.hash_table(1)
-        return self._element_table
-
-    @_element.setter
-    def _element(self, value: dict) -> None:
-        self._element_table = value
+    def __getattr__(self, name: str):
+        # reached only while the table is missing from the instance
+        which = {"_entity": 0, "_element": 1}.get(name)
+        if which is None:
+            raise AttributeError(name)
+        table = self._reader.hash_table(which)
+        setattr(self, name, table)
+        return table
 
 
 def _section_reader(section: dict, buffer, cursor: int,
@@ -1285,11 +1259,11 @@ def _section_probabilities(section: dict, path: Path):
 
 
 def load_binary_index(path: str | Path) -> "GKSIndex | ShardedIndex":
-    """Open a v4 binary index with lazy, mmap-backed posting lists.
+    """Open a v4 binary index over the mmap'd file.
 
     Only the header and the per-shard directories are parsed up front;
-    posting blocks, DAG suffix tables and hash tables inflate on first
-    touch.
+    a keyword's postings and the two hash tables decode on first touch
+    and are plain lists and dicts from then on.
     """
     path = Path(path)
     header = read_binary_header(path)
@@ -1478,8 +1452,7 @@ def decode_file(path: str | Path, on_violation=None) -> DecodedIndex:
         postings: dict[str, list[Dewey]] = {}
         for keyword in directory.keywords:
             try:
-                postings[keyword] = list(
-                    LazyPostingList(reader, keyword))
+                postings[keyword] = _decode_keyword(reader, keyword)
             except StorageError as exc:
                 report(exc)
                 postings[keyword] = []

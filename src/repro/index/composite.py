@@ -32,6 +32,7 @@ from repro.index.inverted import InvertedIndex
 from repro.index.postings import merge_sorted_runs
 from repro.index.statistics import IndexStats
 from repro.obs.locks import new_lock
+from repro.obs.trace import NOOP_TRACER
 from repro.text.analyzer import DEFAULT_ANALYZER, Analyzer
 from repro.xmltree.dewey import Dewey
 
@@ -180,7 +181,7 @@ class CompositeIndex:
     def depth(self) -> int:
         return max((unit.depth for unit in self.units), default=0)
 
-    def postings(self, keyword: str) -> list[Dewey]:
+    def postings(self, keyword: str, tracer=NOOP_TRACER) -> list[Dewey]:
         """Global posting list: disjoint sorted union over units.
 
         Phrase keywords intersect *within* each unit first — every word
@@ -192,7 +193,7 @@ class CompositeIndex:
             cached = self._postings_cache.get(keyword)
         if cached is None:
             merged = merge_sorted_runs(
-                unit.postings(keyword) for unit in self.units)
+                unit.postings(keyword, tracer) for unit in self.units)
             with self._cache_lock:
                 # setdefault publishes exactly one list per keyword even
                 # when two threads merged it concurrently

@@ -13,6 +13,7 @@ from bisect import bisect_left
 from typing import Iterable, Iterator, Mapping
 
 from repro.index.postings import PostingList, verify_sorted
+from repro.obs.trace import NOOP_TRACER
 from repro.xmltree.dewey import Dewey
 
 
@@ -61,8 +62,12 @@ class InvertedIndex:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def postings(self, keyword: str) -> PostingList:
-        """The sorted posting list ``S_i`` for *keyword* (empty if absent)."""
+    def postings(self, keyword: str, tracer=NOOP_TRACER) -> PostingList:
+        """The sorted posting list ``S_i`` for *keyword* (empty if absent).
+
+        *tracer* is for indexes that decode a list on first touch (a
+        loaded v4 file records a ``decode`` span); nothing to trace here.
+        """
         return self._postings.get(keyword, [])
 
     def __contains__(self, keyword: str) -> bool:

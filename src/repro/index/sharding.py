@@ -113,7 +113,7 @@ class ShardedIndex(CompositeIndex):
             "nodes": shard.index.stats.total_nodes,
             "postings": shard.index.inverted.total_postings,
             "vocabulary": len(shard.index.inverted),
-            "entities": shard.index.hashes.entity_count,
+            "entities": shard.index.stats.entity_nodes,
         } for shard in self.shards]
 
 

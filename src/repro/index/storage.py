@@ -478,12 +478,16 @@ def check_index(path: str | Path) -> dict:
     # tables are first touched, not at load time
     try:
         index = load_index(path)
+        # per shard: a v4 file answers both from its directories, the
+        # merged ``inverted`` of a sharded index would decode every list
+        parts = ([shard.index.inverted for shard in index.shards]
+                 if isinstance(index, ShardedIndex) else [index.inverted])
         summary.update(
             ok=True,
             documents=len(index.document_names),
-            keywords=len(dict(index.inverted.items())),
-            postings=sum(len(posting_list)
-                         for _, posting_list in index.inverted.items()),
+            keywords=len(set().union(*(part.vocabulary
+                                       for part in parts))),
+            postings=sum(part.total_postings for part in parts),
             entity_nodes=len(index.hashes.entity_table),
             element_nodes=len(index.hashes.element_table),
             total_nodes=index.stats.total_nodes)

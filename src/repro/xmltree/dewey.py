@@ -44,11 +44,19 @@ def make_dewey(components: Iterable[int]) -> Dewey:
 
 
 def parse_dewey(text: str) -> Dewey:
-    """Parse the dotted string form (``"0.2.3"``) into a Dewey tuple."""
+    """Parse the dotted string form (``"0.2.3"``) into a Dewey tuple.
+
+    The loaders call this once per stored posting, so it validates in
+    two C-level passes rather than through :func:`make_dewey`; an empty
+    string fails ``int("")`` like any other non-numeric component.
+    """
     try:
-        return make_dewey(int(part) for part in text.split("."))
+        dewey = tuple(map(int, text.split(".")))
     except ValueError as exc:
         raise DeweyError(f"malformed Dewey id {text!r}") from exc
+    if min(dewey) < 0:
+        raise DeweyError(f"Dewey components must be non-negative: {dewey}")
+    return dewey
 
 
 def format_dewey(dewey: Sequence[int]) -> str:

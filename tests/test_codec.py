@@ -27,15 +27,26 @@ from repro.cli import main
 from repro.core.budget import SearchBudget
 from repro.core.config import EngineConfig, SearchOptions, Texts
 from repro.core.engine import GKSEngine
+from repro.core.query import Query
+from repro.core.ranking import rank_node
+from repro.core.search import search
+from repro.core.topk import search_top_k
+from repro.datasets.mirrors import generate_mirrors
 from repro.errors import ConfigError, StorageError, ValidationError
+from repro.eval.querygen import WorkloadSpec, generate_queries
 from repro.index.builder import IndexBuilder, build_index
 from repro.index.codec import (CODEC_NAMES, Codec, RawCodec, VarintDagCodec,
+                               _decode_run, _read_dewey, _write_dewey,
                                decode_file, is_binary_index,
-                               load_binary_index, resolve_codec,
-                               write_binary_index)
+                               load_binary_index, read_svarint,
+                               resolve_codec, write_binary_index,
+                               write_svarint)
+from repro.index.inverted import InvertedIndex
 from repro.index.sharding import build_sharded_index
 from repro.index.storage import check_index, describe_layout, load_index
 from repro.analysis.invariants import INVARIANT_NAMES, verify_store
+from repro.obs.metrics import global_registry
+from repro.obs.trace import Tracer
 from repro.testing.faults import FakeClock, IndexCorruptor, TornWriter
 from repro.xmltree.node import build_tree
 from repro.xmltree.repository import Repository
@@ -352,6 +363,361 @@ class TestDeepAudit:
                     collected.append((name, detail)))
         assert collected, "tampered region must surface a codec violation"
         assert all(name.startswith("codec-") for name, _ in collected)
+
+
+# ---------------------------------------------------------------------------
+# A loaded index is a plain index: decode once per keyword, lazily
+# ---------------------------------------------------------------------------
+def _mirrors_repo():
+    return generate_mirrors(scale=1, seed=3)
+
+
+def _build(repo, shards):
+    return (build_index(repo) if shards == 1
+            else build_sharded_index(repo, shards=shards))
+
+
+def _units(index):
+    """The per-shard (or the one) plain ``GKSIndex`` objects."""
+    return ([shard.index for shard in index.shards]
+            if hasattr(index, "shards") else [index])
+
+
+def _reference_run(payload, count, counted=False):
+    """The per-posting ``_read_dewey`` loop the kernel replaced."""
+    items, pos, previous = [], 0, ()
+    for _ in range(count):
+        previous, pos = _read_dewey(payload, pos, previous)
+        if counted:
+            value, pos = read_svarint(payload, pos)
+            items.append((previous, value))
+        else:
+            items.append(previous)
+    if pos != len(payload):
+        raise StorageError("trailing bytes", diagnosis="corrupted")
+    return items
+
+
+def _encode_run(deweys, counts=None):
+    out, previous = bytearray(), ()
+    for position, dewey in enumerate(deweys):
+        _write_dewey(out, dewey, previous)
+        if counts is not None:
+            write_svarint(out, counts[position])
+        previous = dewey
+    return bytes(out)
+
+
+def _diagnosis(decode, *args, **kwargs):
+    with pytest.raises(StorageError) as caught:
+        decode(*args, **kwargs)
+    return caught.value.diagnosis
+
+
+#: sorted runs of ids with multi-byte components and, rarely, ids deep
+#: enough (>= 128 components) for a multi-byte lcp / suffix length
+dewey_runs = st.lists(
+    st.one_of(
+        st.lists(st.integers(0, 300), min_size=1, max_size=6),
+        st.lists(st.integers(0, 2 ** 40), min_size=1, max_size=4),
+        st.lists(st.integers(0, 3), min_size=120, max_size=140)),
+    min_size=1, max_size=24, unique_by=tuple,
+).map(lambda ids: sorted(map(tuple, ids)))
+
+
+class TestPlainPostings:
+    @pytest.mark.parametrize("shards", (1, 2))
+    def test_mirrors_postings_are_the_built_lists(self, shards, tmp_path):
+        built = _build(_mirrors_repo(), shards)
+        loaded = _roundtrip(built, tmp_path)
+        for want, got in zip(_units(built), _units(loaded)):
+            self._same_lists(want, got)
+        # phrase keywords intersect the decoded word lists
+        for phrase in ("cc by", "public domain", "rivera databases"):
+            assert type(loaded.postings(phrase)) is list
+            assert loaded.postings(phrase) == built.postings(phrase)
+            assert loaded.postings(phrase) is loaded.postings(phrase)
+
+    @settings(max_examples=25, deadline=None)
+    @given(specs=st.lists(spec_strategy(), min_size=2, max_size=4),
+           shards=st.sampled_from((1, 2)))
+    def test_random_postings_are_the_built_lists(self, specs, shards,
+                                                 tmp_path_factory):
+        repo = Repository()
+        for spec in specs:
+            repo.add_root(build_tree(spec))
+        built = _build(repo, shards)
+        loaded = _roundtrip(built, tmp_path_factory.mktemp("plain"))
+        for want, got in zip(_units(built), _units(loaded)):
+            self._same_lists(want, got)
+        assert loaded.postings("kilo lima") == built.postings("kilo lima")
+
+    @staticmethod
+    def _same_lists(built, loaded):
+        assert loaded.inverted.vocabulary == built.inverted.vocabulary
+        for keyword in built.inverted.vocabulary:
+            first = loaded.inverted.postings(keyword)
+            assert type(first) is list
+            assert first == built.inverted.postings(keyword)
+            assert loaded.inverted.postings(keyword) is first
+        assert loaded.inverted.postings("no-such-keyword") == []
+
+    def test_hash_tables_become_instance_dicts(self, tmp_path):
+        built = build_index(_mirrors_repo())
+        hashes = _roundtrip(built, tmp_path).hashes
+        assert "_entity" not in vars(hashes)
+        dewey = next(iter(built.hashes.entity_table))
+        assert hashes.child_count(dewey) == built.hashes.child_count(dewey)
+        assert type(vars(hashes)["_entity"]) is dict
+        assert hashes.entity_table == built.hashes.entity_table
+        assert hashes.element_table == built.hashes.element_table
+        with pytest.raises(AttributeError):
+            hashes._no_such_table
+
+    def test_first_whole_index_use_leaves_a_plain_inverted_index(
+            self, tmp_path):
+        built = build_index(Repository.from_texts(CORPUS))
+        inverted = _roundtrip(built, tmp_path).inverted
+        kept = inverted.postings("keyword")
+        inverted.add("keyword", (9, 0))         # reaches ``_postings``
+        inverted.add("brandnew", (9, 1))
+        assert type(inverted) is InvertedIndex
+        assert inverted.postings("keyword") is kept and kept[-1] == (9, 0)
+        assert "brandnew" in inverted and "brandnew" in inverted.vocabulary
+        assert len(inverted) == len(built.inverted) + 1
+        assert inverted.total_postings == built.inverted.total_postings + 2
+        assert inverted.check_integrity()
+
+
+class TestLaziness:
+    @staticmethod
+    def _readers(loaded):
+        return [unit.inverted._reader for unit in _units(loaded)]
+
+    @pytest.mark.parametrize("shards", (1, 2))
+    def test_counts_come_from_the_directory(self, shards, tmp_path):
+        built = _build(_mirrors_repo(), shards)
+        path = tmp_path / "dag.idx"
+        VarintDagCodec().save(built, path)
+        loaded = load_index(path)
+        for want, got in zip(_units(built), _units(loaded)):
+            assert len(got.inverted) == len(want.inverted)
+            assert got.inverted.total_postings == \
+                want.inverted.total_postings
+            for keyword in want.inverted.vocabulary:
+                assert got.inverted.document_frequency(keyword) == \
+                    want.inverted.document_frequency(keyword)
+            assert got.inverted.document_frequency("no-such-keyword") == 0
+            assert all(keyword in got.inverted
+                       for keyword in want.inverted.vocabulary)
+            assert "no-such-keyword" not in got.inverted
+        if shards > 1:
+            assert loaded.shard_table() == built.shard_table()
+        assert check_index(path)["postings"] == sum(
+            unit.inverted.total_postings for unit in _units(built))
+        # ... and none of it inflated a frame, let alone decoded a list
+        for reader in self._readers(loaded):
+            assert reader.frames._cache == {}
+
+    def test_a_keyword_decodes_only_its_own_blocks(self, tmp_path,
+                                                   monkeypatch):
+        texts = [f"<r><a>alpha w{i}</a><b>beta w{i}</b></r>"
+                 for i in range(300)]
+        built = build_index(Repository.from_texts(texts))
+        loaded = _roundtrip(built, tmp_path)
+        reader, = self._readers(loaded)
+        assert reader.frames._cache == {}
+        touched = []
+        decode_block = reader.block_postings
+        monkeypatch.setattr(
+            reader, "block_postings",
+            lambda block, what: touched.append(block) or
+            decode_block(block, what))
+        assert loaded.postings("alpha") == built.postings("alpha")
+        blocks = reader.directory.blocks
+        assert len(blocks["alpha"]) > 1 and len(blocks["beta"]) > 1
+        assert touched == blocks["alpha"]
+        assert not set(touched) & set(blocks["beta"])
+        assert "beta" not in loaded.inverted._decoded
+
+    def test_a_failed_decode_is_never_cached(self, tmp_path):
+        texts = [f"<r><a>alpha w{i}</a></r>" for i in range(300)]
+        built = build_index(Repository.from_texts(texts))
+        loaded = _roundtrip(built, tmp_path)
+        reader, = self._readers(loaded)
+        blocks = reader.directory.blocks["alpha"]
+        assert len(blocks) > 1
+        # tamper the *last* block behind its now stale CRC: the frame
+        # itself was verified when it was inflated
+        frame, offset = blocks[-1][0], blocks[-1][1]
+        raw = bytearray(reader.frames.frame(frame))
+        raw[offset + 1] ^= 0x01
+        reader.frames._cache[frame] = bytes(raw)
+        for _ in range(2):
+            with pytest.raises(StorageError, match="CRC32") as caught:
+                loaded.postings("alpha")
+            assert caught.value.diagnosis == "corrupted"
+            assert "alpha" not in loaded.inverted._decoded
+        with pytest.raises(StorageError):
+            search(loaded, Query.parse("alpha", s=1))
+
+    def test_block_disagreeing_with_its_directory_is_rejected(
+            self, tmp_path):
+        built = build_index(Repository.from_texts(CORPUS))
+        loaded = _roundtrip(built, tmp_path)
+        reader, = self._readers(loaded)
+        blocks = reader.directory.blocks["keyword"]
+        first = blocks[0]
+        blocks[0] = first[:5] + (first[5] + (7,),)
+        with pytest.raises(StorageError, match="directory metadata"):
+            loaded.postings("keyword")
+        blocks[0] = first[:3] + (first[3] + 1,) + first[4:]
+        assert _diagnosis(loaded.postings, "keyword") == "truncated"
+
+
+class TestDecodeKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(deweys=dewey_runs, data=st.data())
+    def test_equals_the_read_dewey_loop(self, deweys, data):
+        payload = _encode_run(deweys)
+        assert _decode_run(payload, len(deweys), "run", None) == \
+            _reference_run(payload, len(deweys)) == deweys
+        counts = data.draw(st.lists(
+            st.integers(-200, 2 ** 20), min_size=len(deweys),
+            max_size=len(deweys)))
+        payload = _encode_run(deweys, counts)
+        assert _decode_run(payload, len(deweys), "rows", None,
+                           counted=True) == \
+            _reference_run(payload, len(deweys), counted=True) == \
+            list(zip(deweys, counts))
+
+    def test_multi_byte_lcp_and_suffix_length(self):
+        deep = (1,) * 130
+        deweys = [deep, deep + (2,), deep[:129] + (3,) * 200,
+                  deep[:129] + (3,) * 200 + (2 ** 35,)]
+        payload = _encode_run(deweys)
+        assert _decode_run(payload, 4, "run", None) == \
+            _reference_run(payload, 4) == deweys
+
+    @settings(max_examples=60, deadline=None)
+    @given(deweys=dewey_runs, counted=st.booleans())
+    def test_rejects_what_the_reference_rejects(self, deweys, counted):
+        counts = list(range(-3, len(deweys) - 3)) if counted else None
+        payload = _encode_run(deweys, counts)
+        count = len(deweys)
+        for cut in range(len(payload)):
+            assert _diagnosis(_decode_run, payload[:cut], count, "run",
+                              None, counted=counted) == \
+                _diagnosis(_reference_run, payload[:cut], count,
+                           counted) == "truncated"
+        assert _diagnosis(_decode_run, payload + b"\x00", count, "run",
+                          None, counted=counted) == \
+            _diagnosis(_reference_run, payload + b"\x00", count,
+                       counted) == "corrupted"
+
+    @pytest.mark.parametrize("payload, count", [
+        (b"\x01\x01\x05", 1),                    # lcp 1 against ()
+        (b"\x00\x01\x05\x03\x01\x07", 2),        # lcp 3 against (5,)
+        (b"\x00\x01\x05\x81\x01\x00", 2),        # multi-byte lcp 129
+    ])
+    def test_lcp_overrun_is_corruption(self, payload, count):
+        assert _diagnosis(_decode_run, payload, count, "run", None) == \
+            _diagnosis(_reference_run, payload, count) == "corrupted"
+
+
+class TestLoadedEqualsInMemory:
+    @staticmethod
+    def _queries(index):
+        queries = generate_queries(index, WorkloadSpec(
+            queries=40, max_keywords=4, selectivity=0.8, noise=0.05,
+            seed=5))
+        queries += [Query.parse(text, s=s, analyzer=index.analyzer)
+                    for text, s in (('"cc by" databases', 1),
+                                    ('"public domain" rivera', 2),
+                                    ("record title license", 2))]
+        return queries
+
+    @pytest.mark.parametrize("shards", (1, 2))
+    def test_search_top_k_and_rank_node(self, shards, tmp_path):
+        built = _build(_mirrors_repo(), shards)
+        loaded = _roundtrip(built, tmp_path)
+        answered = 0
+        for query in self._queries(built):
+            want = search(built, query)
+            got = search(loaded, query)
+            assert _signature(got) == _signature(want)
+            assert _signature(search_top_k(loaded, query, 5)) == \
+                _signature(search_top_k(built, query, 5))
+            for node in want.nodes[:20]:
+                assert rank_node(loaded, query, node.dewey) == \
+                    rank_node(built, query, node.dewey)
+            answered += bool(want.nodes)
+        assert answered > 20
+
+    @pytest.mark.parametrize("limits", ({"max_sl": 7}, {"max_nodes": 3}))
+    @pytest.mark.parametrize("shards", (1, 2))
+    def test_degraded_answers_are_equal_too(self, shards, limits,
+                                            tmp_path):
+        built = _build(_mirrors_repo(), shards)
+        loaded = _roundtrip(built, tmp_path)
+        degraded = 0
+        for query in self._queries(built):
+            want = search(built, query, budget=SearchBudget(**limits))
+            got = search(loaded, query, budget=SearchBudget(**limits))
+            assert _signature(got) == _signature(want)
+            assert _signature(search_top_k(
+                loaded, query, 5, budget=SearchBudget(**limits))) == \
+                _signature(search_top_k(
+                    built, query, 5, budget=SearchBudget(**limits)))
+            degraded += want.degraded
+        assert degraded > 0
+
+
+class TestCodecObservability:
+    NAMES = ("gks_codec_frames_inflated_total",
+             "gks_codec_blocks_decoded_total",
+             "gks_codec_postings_decoded_total")
+
+    def _totals(self):
+        registry = global_registry()
+        return ([registry.counter(name).total() for name in self.NAMES]
+                + [registry.histogram("gks_codec_decode_seconds").count()])
+
+    def test_counters_move_once_per_keyword(self, tmp_path):
+        built = build_index(_mirrors_repo())
+        loaded = _roundtrip(built, tmp_path)
+        keyword = max(built.inverted.vocabulary,
+                      key=built.inverted.document_frequency)
+        before = self._totals()
+        postings = loaded.postings(keyword)
+        frames, blocks, decoded, keywords = (
+            after - was for after, was in zip(self._totals(), before))
+        assert frames >= 1 and keywords == 1
+        assert decoded == len(postings) > 0
+        assert blocks == len(
+            loaded.inverted._reader.directory.blocks[keyword])
+        loaded.postings(keyword)
+        assert self._totals() == [was + step for was, step in zip(
+            before, (frames, blocks, decoded, keywords))]
+        assert "gks_codec_decode_seconds_bucket" in \
+            global_registry().render_prometheus()
+
+    def test_one_decode_span_per_keyword_on_a_real_tracer(self, tmp_path):
+        built = build_index(_mirrors_repo())
+        loaded = _roundtrip(built, tmp_path)
+        clock = FakeClock()
+        tracer = Tracer(clock=clock)
+        query = Query.parse("license rivera", s=1, analyzer=built.analyzer)
+        search(loaded, query, tracer=tracer)
+        merge = tracer.roots[-1].find("merge")
+        spans = [span for span in merge.children if span.name == "decode"]
+        assert [span.attributes["keyword"] for span in spans] == \
+            list(query.keywords)
+        assert [span.counters["postings"] for span in spans] == \
+            [len(built.postings(keyword)) for keyword in query.keywords]
+        # decoded once: the repeat records none
+        search(loaded, query, tracer=tracer)
+        assert tracer.roots[-1].find("decode") is None
 
 
 # ---------------------------------------------------------------------------

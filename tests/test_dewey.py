@@ -26,6 +26,20 @@ class TestConstruction:
         with pytest.raises(DeweyError):
             dw.parse_dewey("0.two.3")
 
+    @pytest.mark.parametrize("text, complaint", [
+        ("", "malformed"), (".", "malformed"), ("0..1", "malformed"),
+        ("0.1.", "malformed"), ("0.1.5x", "malformed"),
+        ("-1.2", "non-negative"), ("0.-3", "non-negative")])
+    def test_parse_rejects_empty_non_numeric_and_negative(self, text,
+                                                          complaint):
+        with pytest.raises(DeweyError, match=complaint):
+            dw.parse_dewey(text)
+
+    def test_parse_agrees_with_make_dewey(self):
+        for text in ("0", "7.0.12", "3.1415.9", " 1 . 2"):
+            assert dw.parse_dewey(text) == dw.make_dewey(
+                int(part) for part in text.split("."))
+
 
 class TestNavigation:
     def test_parent_strips_last_component(self):
