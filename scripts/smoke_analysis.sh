@@ -43,48 +43,56 @@ grep -q 'engine.mutation -> index.wal' <<<"$RACE" || {
     echo "$RACE" >&2; exit 1; }
 echo "race harness clean; expected lock orderings observed"
 
-echo "== build a sharded index =="
 python -m repro dataset figure1 -o "$WORKDIR"
 python -m repro dataset figure2a -o "$WORKDIR"
-python -m repro index "$WORKDIR"/figure*.xml \
-    -o "$WORKDIR/sharded.gks" --shards 2
 
-echo "== healthy index: deep audit passes (exit 0) =="
-python -m repro check-index "$WORKDIR/sharded.gks" --deep
+# the three health states, once per codec: the audit and the fault
+# injectors go through the codec seam, so neither format is special
+for CODEC in raw varint-dag; do
+    INDEX="$WORKDIR/sharded.$CODEC.gks"
+    WRONG="$WORKDIR/wrong.$CODEC.gks"
 
-echo "== consistent-but-wrong index: deep audit exits 2 =="
-cp "$WORKDIR/sharded.gks" "$WORKDIR/wrong.gks"
-python - "$WORKDIR/wrong.gks" <<'EOF'
-import sys
+    echo "== [$CODEC] build a sharded index =="
+    python -m repro index "$WORKDIR"/figure*.xml \
+        -o "$INDEX" --shards 2 --codec "$CODEC"
+
+    echo "== [$CODEC] healthy index: deep audit passes (exit 0) =="
+    python -m repro check-index "$INDEX" --deep | tee "$WORKDIR/ok.txt"
+    grep -q " $CODEC sharded(2)" "$WORKDIR/ok.txt" || {
+        echo "FAIL: format line does not name codec $CODEC" >&2; exit 1; }
+
+    echo "== [$CODEC] consistent-but-wrong index: deep audit exits 2 =="
+    cp "$INDEX" "$WRONG"
+    python -c 'import sys
 from repro.testing.faults import IndexCorruptor
-IndexCorruptor(seed=42).drop_manifest_document(sys.argv[1])
-EOF
-# the shallow check must NOT see the damage (CRCs were resealed) ...
-python -m repro check-index "$WORKDIR/wrong.gks" || {
-    echo "FAIL: shallow check rejected a structurally clean file" >&2
-    exit 1; }
-# ... while --deep exits 2 and names the violated invariant
-set +e
-OUT="$(python -m repro check-index "$WORKDIR/wrong.gks" --deep)"
-CODE=$?
-set -e
-echo "$OUT"
-[ "$CODE" -eq 2 ] || {
-    echo "FAIL: expected exit 2 from --deep, got $CODE" >&2; exit 1; }
-grep -q "invariant violated" <<<"$OUT" || {
-    echo "FAIL: --deep did not name the violated invariant" >&2; exit 1; }
+IndexCorruptor(seed=42).drop_manifest_document(sys.argv[1])' "$WRONG"
+    # the shallow check must NOT see the damage (CRCs were resealed) ...
+    python -m repro check-index "$WRONG" || {
+        echo "FAIL: shallow check rejected a structurally clean file" >&2
+        exit 1; }
+    # ... while --deep exits 2 and names the violated invariant
+    set +e
+    OUT="$(python -m repro check-index "$WRONG" --deep)"
+    CODE=$?
+    set -e
+    echo "$OUT"
+    [ "$CODE" -eq 2 ] || {
+        echo "FAIL: expected exit 2 from --deep, got $CODE" >&2; exit 1; }
+    grep -q "invariant violated: shard-partition" <<<"$OUT" || {
+        echo "FAIL: --deep did not name the violated invariant" >&2
+        exit 1; }
 
-echo "== structurally broken index: exit 1 =="
-python - "$WORKDIR/sharded.gks" <<'EOF'
-import sys
+    echo "== [$CODEC] structurally broken index: exit 1 =="
+    python -c 'import sys
 from repro.testing.faults import TornWriter
-TornWriter(seed=1).tear(sys.argv[1], fraction=0.5)
-EOF
-set +e
-python -m repro check-index "$WORKDIR/sharded.gks" --deep
-CODE=$?
-set -e
-[ "$CODE" -eq 1 ] || {
-    echo "FAIL: expected exit 1 for a torn file, got $CODE" >&2; exit 1; }
+TornWriter(seed=1).tear(sys.argv[1], fraction=0.5)' "$INDEX"
+    set +e
+    python -m repro check-index "$INDEX" --deep
+    CODE=$?
+    set -e
+    [ "$CODE" -eq 1 ] || {
+        echo "FAIL: expected exit 1 for a torn file, got $CODE" >&2
+        exit 1; }
+done
 
 echo "smoke_analysis OK"

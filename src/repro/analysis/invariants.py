@@ -40,29 +40,31 @@ equivalence and ranking potential-flow sound:
     shared-subtree tables are present, sorted and consistent with
     their occurrence prefixes.
 
-:func:`verify_index` audits an in-memory index (monolithic or sharded);
-:func:`verify_store` audits a saved file through the **raw** envelope
-(:func:`repro.index.storage.read_envelope`), catching on-disk rot that
-``load_index`` would silently repair (its ``from_mapping`` re-sorts
-posting lists).  Binary v4 files are fully expanded block by block via
-:func:`repro.index.codec.decode_file`, which surfaces the codec-layer
-invariants above on top of the same generic content audit.  Both
-return violation lists; empty means sound.  ``gks check-index --deep``
-exits 2 when this audit fails — distinct from exit 1 for
-structural/CRC failures.
+:func:`verify_index` audits an index in memory (monolithic or sharded),
+:func:`verify_store` a saved file of either codec and
+:func:`verify_segmented_store` a store directory, segment by segment.
+All three run **one** content audit over the codecs' decoded view
+(:class:`repro.index.codec.DecodedIndex`): plain tables in stored
+order, so on-disk rot that ``load_index`` would silently repair (its
+``from_mapping`` re-sorts posting lists) is still there to be seen;
+``decode`` reports the format-level invariants (``manifest-crc``, the
+``codec-*`` family) through the same collector.  Each returns a
+violation list; empty means sound.  ``gks check-index --deep`` exits 2
+when this audit fails — distinct from exit 1 for structural/CRC
+failures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
+from repro.errors import StorageError
 from repro.index.builder import GKSIndex
+from repro.index.codec import DecodedIndex, DecodedShard, sniff_codec
 from repro.index.sharding import (PARTITION_STRATEGIES, ShardedIndex,
                                   shard_of)
-from repro.index.storage import payload_crc32, read_envelope
-from repro.xmltree.dewey import Dewey, format_dewey, parse_dewey
+from repro.xmltree.dewey import Dewey, format_dewey
 
 
 @dataclass(frozen=True)
@@ -99,31 +101,61 @@ class _Report:
 
 
 # ----------------------------------------------------------------------
-# In-memory audits
+# The content audit
 # ----------------------------------------------------------------------
 
 def verify_index(index: GKSIndex | ShardedIndex) -> list[InvariantViolation]:
     """Audit a built index; empty list means every invariant holds."""
     report = _Report()
-    if isinstance(index, ShardedIndex):
-        _audit_sharded(index, report)
-    else:
-        _audit_monolithic(index, len(index.document_names), report)
+    _audit_decoded(DecodedIndex.of(index), report)
     return report.violations
 
 
-def _audit_monolithic(index: GKSIndex, documents: int, report: _Report,
-                      owned: Iterable[int] | None = None,
-                      label: str = "") -> None:
+def verify_store(path: str | Path) -> list[InvariantViolation]:
+    """Audit a saved index file of either codec, unrepaired.
+
+    Structural failures (unreadable, truncated, a bad CRC on the file's
+    outermost seal) raise :class:`~repro.errors.StorageError` exactly as
+    ``load_index`` would — callers distinguish *broken file* (exit 1)
+    from *consistent-but-wrong file* (exit 2, the violations returned
+    here).  Below that seal the codec's ``decode`` keeps going and
+    reports ``manifest-crc`` (raw) or ``codec-block-crc`` /
+    ``codec-block-metadata`` / ``codec-dag-suffix`` (varint-dag) as
+    violations next to the content audit's.
+    """
+    report = _Report()
+    _audit_decoded(sniff_codec(path).decode(path, report.add), report)
+    return report.violations
+
+
+def _audit_decoded(decoded: DecodedIndex, report: _Report) -> None:
+    documents = len(decoded.document_names)
+    sharded = decoded.layout == "sharded"
+    if sharded:
+        _audit_partition(
+            [(shard.shard_id, tuple(shard.doc_ids or ()))
+             for shard in decoded.shards],
+            list(decoded.document_names),
+            decoded.strategy or "round_robin", report)
+    for shard in decoded.shards:
+        _audit_shard(shard, documents,
+                     set(shard.doc_ids or ()) if sharded else None, report,
+                     f"shard {shard.shard_id}" if sharded else "")
+
+
+def _audit_shard(shard: DecodedShard, documents: int,
+                 owned: set[int] | None, report: _Report,
+                 label: str = "") -> None:
+    """The one content audit: a shard's (or segment's) postings, hash
+    tables and stats against each other, the *documents* the whole
+    index names and the document ids this shard *owned* (``None`` when
+    it owns them all)."""
     where = f" [{label}]" if label else ""
-    owned_set = None if owned is None else set(owned)
+    for keyword, postings in shard.postings.items():
+        _audit_posting_list(keyword, postings, documents, owned, report,
+                            where)
 
-    for keyword, postings in index.inverted.items():
-        _audit_posting_list(keyword, postings, documents, owned_set,
-                            report, where)
-
-    entity = index.hashes.entity_table
-    element = index.hashes.element_table
+    entity, element = shard.entity, shard.element
     for table_name, table in (("entityHash", entity),
                               ("elementHash", element)):
         for dewey, child_count in table.items():
@@ -135,37 +167,37 @@ def _audit_monolithic(index: GKSIndex, documents: int, report: _Report,
                 report.add("postings-document",
                            f"{table_name}{where} references unknown "
                            f"document {dewey[0]}")
-            elif owned_set is not None and dewey[0] not in owned_set:
+            elif owned is not None and dewey[0] not in owned:
                 report.add("shard-ownership",
                            f"{table_name}{where} holds "
                            f"{format_dewey(dewey)} of unowned document "
                            f"{dewey[0]}")
-    for dewey in set(entity) & set(element):
+    for dewey in entity.keys() & element.keys():
         if entity[dewey] != element[dewey]:
             report.add("hash-cross-consistency",
                        f"dual-role node {format_dewey(dewey)}{where} has "
                        f"child count {entity[dewey]} in entityHash but "
                        f"{element[dewey]} in elementHash")
-    known = set(entity) | set(element)
     for dewey in entity:
         parent = dewey[:-1]
-        if len(parent) >= 1 and parent not in known:
+        if parent and parent not in entity and parent not in element:
             report.add("hash-cross-consistency",
                        f"entity {format_dewey(dewey)}{where} has an "
                        f"unindexed parent")
 
-    stats = index.stats
-    local_documents = len(index.document_names)
-    if stats.documents != local_documents:
+    stats = shard.stats
+    local_documents = len(shard.document_names)
+    if stats.get("documents", local_documents) != local_documents:
         report.add("stats-agreement",
-                   f"stats.documents={stats.documents}{where} but "
+                   f"stats.documents={stats['documents']}{where} but "
                    f"{local_documents} document name(s) recorded")
-    if stats.entity_nodes != len(entity):
+    if stats.get("entity_nodes", len(entity)) != len(entity):
         report.add("stats-agreement",
-                   f"stats.entity_nodes={stats.entity_nodes}{where} but "
-                   f"entityHash holds {len(entity)} node(s)")
-    occurrences = stats.text_keywords + stats.tag_keywords
-    total_postings = index.inverted.total_postings
+                   f"stats.entity_nodes={stats['entity_nodes']}{where} "
+                   f"but entityHash holds {len(entity)} node(s)")
+    occurrences = (stats.get("text_keywords", 0)
+                   + stats.get("tag_keywords", 0))
+    total_postings = sum(map(len, shard.postings.values()))
     if occurrences and total_postings > occurrences:
         report.add("stats-agreement",
                    f"{total_postings} distinct postings{where} exceed "
@@ -205,24 +237,13 @@ def _audit_posting_list(keyword: str, postings: list[Dewey],
             break
 
 
-def _audit_sharded(index: ShardedIndex, report: _Report) -> None:
-    documents = len(index.document_names)
-    _audit_partition(
-        [(shard.shard_id, shard.doc_ids) for shard in index.shards],
-        list(index.document_names), index.strategy, report)
-    for shard in index.shards:
-        _audit_monolithic(shard.index, documents, report,
-                          owned=shard.doc_ids,
-                          label=f"shard {shard.shard_id}")
-
-
 def _audit_partition(assignments: list[tuple[int, tuple[int, ...]]],
                      document_names: list[str], strategy: str,
                      report: _Report, *,
                      invariants: tuple[str, str] = ("shard-partition",
                                                     "shard-routing"),
                      shards: int | None = None) -> None:
-    """Shared by in-memory, raw-store and segmented-store audits.
+    """Shared by the index audit and the segmented-store audit.
 
     ``shards`` defaults to one shard per assignment row; segmented
     stores pass the manifest's shard count explicitly (several segment
@@ -265,155 +286,6 @@ def _audit_partition(assignments: list[tuple[int, tuple[int, ...]]],
                        f"document {doc_id} lives on shard {shard_id} "
                        f"but strategy {strategy!r} routes it to shard "
                        f"{expected}")
-
-
-# ----------------------------------------------------------------------
-# Raw on-disk audits
-# ----------------------------------------------------------------------
-
-def verify_store(path: str | Path) -> list[InvariantViolation]:
-    """Audit a saved index file through the raw (unrepaired) envelope.
-
-    Structural failures (unreadable, truncated, bad CRC at the envelope
-    level) raise :class:`~repro.errors.StorageError` exactly as
-    ``load_index`` would — callers distinguish *broken file* (exit 1)
-    from *consistent-but-wrong file* (exit 2, the violations returned
-    here).
-
-    Binary (v4) files take the codec path: the whole file is expanded
-    block by block, collecting ``codec-block-crc`` /
-    ``codec-block-metadata`` / ``codec-dag-suffix`` violations, then
-    the expanded postings and hash tables get the same content audit
-    as an envelope payload.
-    """
-    from repro.index.codec import is_binary_index
-
-    if is_binary_index(path):
-        return _verify_binary_store(path)
-    envelope = read_envelope(path)
-    report = _Report()
-    version = envelope.get("version")
-    if version == 3:
-        _audit_store_sharded(envelope, report)
-    else:
-        payload = envelope if version == 1 else envelope.get("payload", {})
-        documents = len(payload.get("document_names", ()))
-        _audit_store_payload(payload, documents, None, report)
-    return report.violations
-
-
-def _audit_store_sharded(envelope: dict, report: _Report) -> None:
-    manifest = envelope.get("manifest", {})
-    payloads = envelope.get("shards", [])
-    entries = manifest.get("shards", [])
-    document_names = list(manifest.get("document_names", ()))
-    _audit_partition(
-        [(int(entry.get("shard_id", position)),
-          tuple(entry.get("doc_ids", ())))
-         for position, entry in enumerate(entries)],
-        document_names, manifest.get("strategy", "round_robin"), report)
-    for entry, payload in zip(entries, payloads):
-        shard_id = entry.get("shard_id")
-        if entry.get("crc32") != payload_crc32(payload):
-            report.add("manifest-crc",
-                       f"manifest CRC for shard {shard_id} does not "
-                       f"match its payload")
-        _audit_store_payload(payload, len(document_names),
-                             set(entry.get("doc_ids", ())), report,
-                             label=f"shard {shard_id}")
-
-
-def _audit_store_payload(payload: dict, documents: int,
-                         owned: set[int] | None, report: _Report,
-                         label: str = "") -> None:
-    where = f" [{label}]" if label else ""
-    for keyword, raw_postings in payload.get("postings", {}).items():
-        postings = [parse_dewey(text) for text in raw_postings]
-        _audit_posting_list(keyword, postings, documents, owned, report,
-                            where)
-    entity = {parse_dewey(text): count
-              for text, count in payload.get("entity_hash", {}).items()}
-    element = {parse_dewey(text): count
-               for text, count in payload.get("element_hash", {}).items()}
-    _audit_tables_and_stats(entity, element, payload.get("stats", {}),
-                            len(payload.get("document_names", ())),
-                            documents, owned, report, where)
-
-
-def _audit_tables_and_stats(entity: dict, element: dict, stats: dict,
-                            local_documents: int, documents: int,
-                            owned: set[int] | None, report: _Report,
-                            where: str) -> None:
-    """Hash-table and stats audit shared by the envelope and codec paths."""
-    for table_name, table in (("entityHash", entity),
-                              ("elementHash", element)):
-        for dewey, child_count in table.items():
-            if child_count < 0:
-                report.add("hash-cross-consistency",
-                           f"{table_name}[{format_dewey(dewey)}]{where} "
-                           f"has negative child count {child_count}")
-            if dewey[0] >= documents:
-                report.add("postings-document",
-                           f"{table_name}{where} references unknown "
-                           f"document {dewey[0]}")
-            elif owned is not None and dewey[0] not in owned:
-                report.add("shard-ownership",
-                           f"{table_name}{where} holds "
-                           f"{format_dewey(dewey)} of unowned document "
-                           f"{dewey[0]}")
-    for dewey in set(entity) & set(element):
-        if entity[dewey] != element[dewey]:
-            report.add("hash-cross-consistency",
-                       f"dual-role node {format_dewey(dewey)}{where} "
-                       f"disagrees on child count between the tables")
-    if stats.get("documents", local_documents) != local_documents:
-        report.add("stats-agreement",
-                   f"stats.documents={stats.get('documents')}{where} "
-                   f"but {local_documents} document name(s) recorded")
-    if "entity_nodes" in stats and stats["entity_nodes"] != len(entity):
-        report.add("stats-agreement",
-                   f"stats.entity_nodes={stats['entity_nodes']}{where} "
-                   f"but entityHash holds {len(entity)} node(s)")
-
-
-# ----------------------------------------------------------------------
-# Binary (v4) on-disk audits
-# ----------------------------------------------------------------------
-
-def _verify_binary_store(path: str | Path) -> list[InvariantViolation]:
-    """Audit a v4 binary file: codec invariants plus the content audit.
-
-    :func:`repro.index.codec.decode_file` expands every posting block
-    and DAG table, reporting ``codec-block-crc`` /
-    ``codec-block-metadata`` / ``codec-dag-suffix`` through the
-    collector instead of raising; the expanded shards then get the same
-    generic audit as an envelope payload.  Header-level failures (bad
-    magic, truncated header, header CRC) still raise ``StorageError``.
-    """
-    from repro.index.codec import decode_file
-
-    report = _Report()
-    decoded = decode_file(path, on_violation=report.add)
-    documents = len(decoded.document_names)
-    sharded = decoded.layout == "sharded"
-    if sharded:
-        _audit_partition(
-            [(shard.shard_id, tuple(shard.doc_ids or ()))
-             for shard in decoded.shards],
-            list(decoded.document_names),
-            decoded.strategy or "round_robin", report)
-    for shard in decoded.shards:
-        owned = (set(shard.doc_ids)
-                 if sharded and shard.doc_ids is not None else None)
-        where = f" [shard {shard.shard_id}]" if sharded else ""
-        for keyword, postings in shard.postings.items():
-            _audit_posting_list(keyword, postings, documents, owned,
-                                report, where)
-        _audit_tables_and_stats(shard.entity, shard.element,
-                                dict(shard.stats),
-                                len(shard.document_names), documents,
-                                owned, report, where)
-    return report.violations
 
 
 # ----------------------------------------------------------------------
@@ -530,24 +402,23 @@ def verify_segmented_store(directory: str | Path
 
     _audit_wal_tail(directory / WAL_NAME, manifest, report)
 
-    # deep payload audit of every intact segment
+    # content audit of every segment that decodes; a file that does not
+    # was already reported above (missing / CRC) or is exit 1's business
     for record in manifest.segments:
         path = directory / record.file
         if not path.exists():
             continue
         try:
-            envelope = read_envelope(path)
-        except Exception:  # noqa: BLE001 - broken file already reported
+            decoded = sniff_codec(path).decode(path, report.add)
+        except StorageError:
             continue
-        payload = (envelope if envelope.get("version") == 1
-                   else envelope.get("payload", {}))
-        _audit_store_payload(payload, documents, set(record.doc_ids),
-                             report, label=record.file)
+        for shard in decoded.shards:
+            _audit_shard(shard, documents, set(record.doc_ids), report,
+                         record.file)
     return report.violations
 
 
 def _audit_wal_tail(path: Path, manifest, report: _Report) -> None:
-    from repro.errors import StorageError
     from repro.index.wal import replay_wal
 
     if not path.exists():

@@ -413,8 +413,7 @@ def _cmd_check_index(args: argparse.Namespace) -> int:
     """
     import json as json_module
 
-    from repro.index.storage import check_index, load_index
-    from repro.index.validate import validate_index
+    from repro.index.storage import check_index
 
     as_json = getattr(args, "json", False)
     deep = getattr(args, "deep", False)
@@ -436,11 +435,10 @@ def _cmd_check_index(args: argparse.Namespace) -> int:
                                            "shards", "mode")
                                if key in summary}}
     fmt = report["format"]
-    format_line = (f"v{fmt.get('version', '?')} "
-                   f"{fmt.get('codec', '?')} "
-                   f"{fmt.get('layout', '?')}({fmt.get('shards', '?')}) "
-                   f"{fmt.get('mode', 'strict')}"
-                   if fmt else "unknown")
+    # a file that does not load still names the codec that claims it
+    format_line = (f"v{fmt['version']} {fmt['codec']} "
+                   f"{fmt['layout']}({fmt['shards']}) {fmt['mode']}"
+                   if "version" in fmt else fmt.get("codec", "unknown"))
     if not summary["ok"]:
         report.update(diagnosis=summary["diagnosis"],
                       error=summary["error"])
@@ -451,23 +449,11 @@ def _cmd_check_index(args: argparse.Namespace) -> int:
             print(f"  diagnosis: {summary['diagnosis']}")
             print(f"  error: {summary['error']}")
         return emit(report)
-    # the file loads cleanly; still run the structural self-checks a
-    # checksum can't see (a stale checksum over consistent-but-wrong
-    # data, v1 files with no checksum at all).  Binary (v4) files are
-    # checked bytes-level instead — every region against its CRC —
-    # because materializing the lazy index here would defeat the
-    # format's cold-open story; semantic content checks are --deep.
-    from repro.errors import StorageError
-    from repro.index.codec import is_binary_index, verify_frames
-
-    if is_binary_index(args.index):
-        try:
-            verify_frames(args.index)
-            problems = []
-        except StorageError as exc:
-            problems = [str(exc)]
-    else:
-        problems = validate_index(load_index(args.index))
+    # the file loads cleanly; ``problems`` is the codec's structural
+    # self-check of what a checksum can't see (a stale checksum over
+    # consistent-but-wrong tables; for a binary file every region
+    # against its CRC) — semantic content checks beyond it are --deep
+    problems = summary["problems"]
     if problems:
         report.update(diagnosis="invalid",
                       problems=[str(problem) for problem in problems])

@@ -259,12 +259,14 @@ class EngineConfig:
         chain reaches this length is merged down to one run (replacing
         its segments on disk when ``store_path`` is set).
     codec:
-        On-disk representation used when persisting through
-        ``index_path``: ``"raw"`` (the JSON envelope formats, eager
-        loading) or ``"varint-dag"`` (the v4 binary codec —
+        On-disk representation of every index file the engine
+        writes — the ``index_path`` cache *and* the segments of a
+        ``store_path`` store: ``"raw"`` (the JSON envelope formats,
+        eager loading) or ``"varint-dag"`` (the v4 binary codec —
         delta+varint posting blocks, DAG-shared subtrees, lazy
         mmap-backed loading).  Either codec opens files written by the
-        other; the codec only selects what *new* saves write.
+        other and a store may hold segments of both; the codec only
+        selects what *new* saves write.
     mode:
         Default query semantics (``repro.semantics``): ``"strict"``
         (the classic pipeline), ``"probabilistic"`` (p-document

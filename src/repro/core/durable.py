@@ -194,10 +194,11 @@ def open_durable(repository: Repository, config: EngineConfig,
              for shard_id, chain in durable_units.items()},
             document_names=[document.name for document in repository],
             analyzer=config.analyzer, shards=config.shards,
-            strategy=config.shard_strategy, index_tags=config.index_tags)
+            strategy=config.shard_strategy, index_tags=config.index_tags,
+            codec=config.codec)
         return store, durable_units, []
 
-    store = SegmentStore.open(directory)
+    store = SegmentStore.open(directory, codec=config.codec)
     manifest = store.manifest
     check_compatible(manifest, repository, config)
     for doc_id, name, text in store.appended_documents():

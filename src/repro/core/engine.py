@@ -244,12 +244,12 @@ class GKSEngine:
 
         index: GKSIndex | ShardedIndex | None = None
         if config.index_path is not None:
-            from repro.index.storage import (describe_layout, load_index,
-                                             save_index)
+            from repro.index.codec import sniff_codec
+            from repro.index.storage import load_index, save_index
 
             try:
                 loaded = load_index(config.index_path)
-                on_disk_codec = describe_layout(config.index_path)["codec"]
+                on_disk_codec = sniff_codec(config.index_path).name
             except StorageError:
                 loaded = None  # unreadable cache: rebuild and rewrite
             if loaded is not None:

@@ -1,14 +1,23 @@
-"""Bytes-level index codec: varint postings + DAG-subtree sharing (v4).
+"""Index codecs: the one place that knows how an index lies in a file.
 
-The JSON envelope formats (storage v1-v3) pay twice for scale: dotted
-Dewey strings inflate the on-disk size linearly with repeated XML
-structure, and loading re-parses every posting before the first query
-can run.  This module is the binary alternative — storage format
-version 4, codec name ``varint-dag`` — behind the :class:`Codec`
-protocol that :func:`repro.index.storage.save_index` /
-:func:`~repro.index.storage.load_index` dispatch on.
+A :class:`Codec` is one on-disk representation of the paper's three
+tables (sorted postings, ``entityHash``, ``elementHash``).  Two are
+registered: ``raw`` — the gzip-JSON envelopes, storage versions 2
+(monolithic) and 3 (shard manifest + per-shard payloads), dotted Dewey
+strings, eager loading — and ``varint-dag``, the binary format (storage
+version 4) most of this module is about.  Callers pick a codec by name
+only when they *write* (:func:`resolve_codec`, ``EngineConfig.codec``);
+readers never need the name — :func:`sniff_codec` hands a file to the
+codec that wrote it, so index files and store segments of both codecs
+mix freely.
 
-Three ideas, layered:
+Besides ``save`` / ``load`` every codec offers the *unrepaired* view of
+a file: ``decode`` expands it into a :class:`DecodedIndex` — plain
+dicts and lists in exactly the stored order, nothing re-sorted, which
+is what the deep invariant audit inspects and the fault injectors
+mutate — and ``encode`` seals such a view back with fresh checksums.
+
+The binary format layers three ideas:
 
 * **Postings codec.**  Uncovered ("literal") posting runs are cut into
   blocks of at most ``BLOCK_POSTINGS`` entries.  Inside a block, Dewey
@@ -69,6 +78,7 @@ import os
 import struct
 import zlib
 from bisect import bisect_left
+from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import Protocol, Sequence, runtime_checkable
@@ -77,16 +87,26 @@ from repro.errors import ConfigError, StorageError
 from repro.index.builder import GKSIndex
 from repro.index.hashtables import NodeHashes
 from repro.index.inverted import InvertedIndex
+from repro.index.probtables import ProbTables
 from repro.index.sharding import Shard, ShardedIndex
 from repro.index.statistics import IndexStats
+from repro.index.storage import (atomic_write_json_gz, payload_crc32,
+                                 read_json_gz)
+from repro.index.validate import validate_index
 from repro.obs.metrics import global_registry
 from repro.obs.trace import NOOP_TRACER
 from repro.text.analyzer import Analyzer
-from repro.xmltree.dewey import Dewey, format_dewey, subtree_interval
+from repro.xmltree.dewey import (Dewey, format_dewey, parse_dewey,
+                                 subtree_interval)
+
+#: Storage format versions: the raw envelopes (monolithic, sharded) and
+#: the binary format.  Version 1 (no checksum) is retired and refused.
+FORMAT_VERSION = 2
+FORMAT_VERSION_SHARDED = 3
+FORMAT_VERSION_BINARY = 4
 
 #: File magic of the binary (v4) index format.
 MAGIC = b"GKSIDX04"
-FORMAT_VERSION_BINARY = 4
 
 #: Literal postings per block — the skip + integrity granularity.
 BLOCK_POSTINGS = 128
@@ -99,6 +119,56 @@ FRAME_RAW_TARGET = 64 * 1024
 #: and table bookkeeping costs more than the literals it replaces).
 SHARED_MIN_OCCURRENCES = 2
 SHARED_MIN_ENTRIES = 4
+
+
+# ----------------------------------------------------------------------
+# The decoded view: what every codec reads a file into and seals from
+# ----------------------------------------------------------------------
+
+@dataclass(slots=True)
+class DecodedShard:
+    """One shard's tables as plain dicts and lists, in stored order."""
+
+    shard_id: int
+    doc_ids: tuple[int, ...] | None
+    document_names: tuple[str, ...]
+    stats: dict
+    postings: dict[str, list[Dewey]]
+    entity: dict[Dewey, int]
+    element: dict[Dewey, int]
+    probabilities: dict | None = None
+
+
+@dataclass(slots=True)
+class DecodedIndex:
+    """A whole index in decoded form (``layout`` is ``"monolithic"`` —
+    one shard, no ``doc_ids`` — or ``"sharded"``)."""
+
+    layout: str
+    strategy: str | None
+    analyzer: dict
+    document_names: tuple[str, ...]
+    shards: list[DecodedShard]
+
+    @classmethod
+    def of(cls, index: GKSIndex | ShardedIndex) -> "DecodedIndex":
+        """The view of an index in memory — what ``save`` encodes and
+        ``verify_index`` audits; posting lists are shared, not copied."""
+        sharded = isinstance(index, ShardedIndex)
+        units = ([(shard.shard_id, tuple(shard.doc_ids), shard.index)
+                  for shard in index.shards] if sharded
+                 else [(0, None, index)])
+        return cls(
+            "sharded" if sharded else "monolithic",
+            index.strategy if sharded else None, index.analyzer.flags(),
+            tuple(index.document_names),
+            [DecodedShard(
+                shard_id, doc_ids, tuple(unit.document_names),
+                unit.stats.to_dict(), dict(unit.inverted.items()),
+                unit.hashes.entity_table, unit.hashes.element_table,
+                unit.probabilities.to_dict() if unit.probabilities
+                else None)
+             for shard_id, doc_ids, unit in units])
 
 
 # ----------------------------------------------------------------------
@@ -676,16 +746,6 @@ def _encode_shard_data(postings: dict[str, list[Dewey]],
     return bytes(out), [blobs, frame_table], len(blobs)
 
 
-def _analyzer_flags(analyzer: Analyzer) -> dict:
-    return {"use_stopwords": analyzer.use_stopwords,
-            "use_stemming": analyzer.use_stemming}
-
-
-def _canonical_crc(body: dict) -> int:
-    canonical = json.dumps(body, separators=(",", ":"), sort_keys=True)
-    return zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF
-
-
 def _shard_regions(postings: dict, entity: dict, element: dict,
                    stats: dict, document_names: list[str], *,
                    use_dag: bool) -> tuple[dict, list[bytes]]:
@@ -703,61 +763,41 @@ def _shard_regions(postings: dict, entity: dict, element: dict,
     return section, [directory_z, *blobs]
 
 
-def _index_shard_data(index: GKSIndex) -> tuple[dict, dict, dict]:
-    postings = {keyword: list(posting_list)
-                for keyword, posting_list in index.inverted.items()}
-    return postings, index.hashes.entity_table, index.hashes.element_table
-
-
-def _attach_probabilities(section: dict, index: GKSIndex) -> None:
-    """Carry the shard's probability tables in its header section.
-
-    Conditional key: strict indexes write byte-identical files to the
-    pre-probabilistic format, and the header CRC covers the tables with
-    no extra machinery.  The tables are tiny (one entry per ``p:``
-    annotation) next to the posting regions, so the JSON header is the
-    right place for them.
-    """
-    tables = index.probabilities
-    if tables is not None and tables:
-        section["probabilities"] = tables.to_dict()
-
-
 def write_binary_index(index: GKSIndex | ShardedIndex,
                        path: str | Path, *,
                        use_dag: bool = True) -> Path:
     """Persist *index* in the v4 binary format, atomically."""
+    return _write_decoded(DecodedIndex.of(index), path, use_dag=use_dag)
+
+
+def _write_decoded(decoded: DecodedIndex, path: str | Path, *,
+                   use_dag: bool) -> Path:
+    """Encode a decoded view as a v4 file with fresh CRCs.
+
+    Conditional keys (``strategy`` / ``doc_ids`` for sharded layouts,
+    ``probabilities`` for non-empty tables — they are tiny next to the
+    posting regions, so they ride in the JSON header under its CRC)
+    keep strict and monolithic files byte-identical to the formats
+    that preceded those features.
+    """
+    sharded = decoded.layout == "sharded"
+    body: dict = {"layout": decoded.layout}
+    if sharded:
+        body["strategy"] = decoded.strategy
+    body["analyzer"] = dict(decoded.analyzer)
+    body["document_names"] = list(decoded.document_names)
     sections: list[dict] = []
     regions: list[bytes] = []
-    if isinstance(index, ShardedIndex):
-        body: dict = {
-            "layout": "sharded",
-            "strategy": index.strategy,
-            "analyzer": _analyzer_flags(index.analyzer),
-            "document_names": list(index.document_names),
-        }
-        for shard in index.shards:
-            postings, entity, element = _index_shard_data(shard.index)
-            section, shard_regions = _shard_regions(
-                postings, entity, element, shard.index.stats.to_dict(),
-                list(shard.index.document_names), use_dag=use_dag)
-            section["shard_id"] = shard.shard_id
-            section["doc_ids"] = list(shard.doc_ids)
-            _attach_probabilities(section, shard.index)
-            sections.append(section)
-            regions.extend(shard_regions)
-    else:
-        body = {
-            "layout": "monolithic",
-            "analyzer": _analyzer_flags(index.analyzer),
-            "document_names": list(index.document_names),
-        }
-        postings, entity, element = _index_shard_data(index)
+    for shard in decoded.shards:
         section, shard_regions = _shard_regions(
-            postings, entity, element, index.stats.to_dict(),
-            list(index.document_names), use_dag=use_dag)
-        section["shard_id"] = 0
-        _attach_probabilities(section, index)
+            shard.postings, shard.entity, shard.element,
+            dict(shard.stats), list(shard.document_names),
+            use_dag=use_dag)
+        section["shard_id"] = shard.shard_id
+        if sharded and shard.doc_ids is not None:
+            section["doc_ids"] = list(shard.doc_ids)
+        if shard.probabilities:
+            section["probabilities"] = dict(shard.probabilities)
         sections.append(section)
         regions.extend(shard_regions)
     body["shards"] = sections
@@ -768,7 +808,7 @@ def _write_file(body: dict, regions: list[bytes],
                 path: str | Path) -> Path:
     path = Path(path)
     header = {"version": FORMAT_VERSION_BINARY, "codec": "varint-dag",
-              "crc32": _canonical_crc(body), "body": body}
+              "crc32": payload_crc32(body), "body": body}
     header_gz = gzip.compress(
         json.dumps(header, separators=(",", ":")).encode("utf-8"),
         mtime=0)
@@ -853,7 +893,7 @@ def read_binary_header(path: str | Path) -> dict:
         raise StorageError(
             f"cannot read index from {path}: header has no shard "
             f"sections", diagnosis="corrupted", path=path)
-    if header.get("crc32") != _canonical_crc(body):
+    if header.get("crc32") != payload_crc32(body):
         raise StorageError(
             f"header checksum mismatch in {path} — the file is "
             f"corrupted", diagnosis="corrupted", path=path)
@@ -1241,15 +1281,13 @@ def _shard_index(section: dict, reader: _ShardReader,
         stats=IndexStats.from_dict(section.get("stats", {})),
         analyzer=analyzer,
         document_names=tuple(section.get("document_names", ())),
-        probabilities=_section_probabilities(section, reader.path))
+        probabilities=_prob_tables(section.get("probabilities"),
+                                   reader.path))
 
 
-def _section_probabilities(section: dict, path: Path):
-    raw_tables = section.get("probabilities")
+def _prob_tables(raw_tables: dict | None, path: Path):
     if raw_tables is None:
         return None
-    from repro.index.probtables import ProbTables
-
     try:
         return ProbTables.from_dict(raw_tables)
     except Exception as exc:
@@ -1268,10 +1306,7 @@ def load_binary_index(path: str | Path) -> "GKSIndex | ShardedIndex":
     path = Path(path)
     header = read_binary_header(path)
     body = header["body"]
-    analyzer_config = body.get("analyzer", {})
-    analyzer = Analyzer(
-        use_stopwords=bool(analyzer_config.get("use_stopwords", True)),
-        use_stemming=bool(analyzer_config.get("use_stemming", True)))
+    analyzer = Analyzer.from_flags(body.get("analyzer", {}))
     buffer = _map_blob(path)
     cursor = header["blob_offset"]
     sections = body.get("shards")
@@ -1379,40 +1414,6 @@ def verify_frames(path: str | Path) -> int:
 # Deep decode: eager expansion for audits and fault injection
 # ----------------------------------------------------------------------
 
-class DecodedShard:
-    """One shard of a binary index, fully expanded (audit/corruptor)."""
-
-    __slots__ = ("shard_id", "doc_ids", "document_names", "stats",
-                 "postings", "entity", "element", "probabilities")
-
-    def __init__(self, shard_id: int, doc_ids, document_names,
-                 stats: dict, postings: dict, entity: dict,
-                 element: dict, probabilities: dict | None = None) -> None:
-        self.shard_id = shard_id
-        self.doc_ids = doc_ids
-        self.document_names = document_names
-        self.stats = stats
-        self.postings = postings
-        self.entity = entity
-        self.element = element
-        self.probabilities = probabilities
-
-
-class DecodedIndex:
-    """A fully expanded binary index (all shards, eager postings)."""
-
-    __slots__ = ("layout", "strategy", "analyzer", "document_names",
-                 "shards")
-
-    def __init__(self, layout: str, strategy, analyzer: dict,
-                 document_names, shards: list) -> None:
-        self.layout = layout
-        self.strategy = strategy
-        self.analyzer = analyzer
-        self.document_names = document_names
-        self.shards = shards
-
-
 def _classify_codec_error(error: StorageError) -> str:
     message = str(error)
     if "CRC32" in message:
@@ -1499,48 +1500,30 @@ def decode_file(path: str | Path, on_violation=None) -> DecodedIndex:
         shards=shards)
 
 
-def encode_decoded(decoded: DecodedIndex, path: str | Path) -> Path:
-    """Re-encode a :class:`DecodedIndex` verbatim (all-literal, fresh
-    CRCs) — the fault injector's reseal step: content mutations survive,
-    every checksum is valid again, so only the deep audit notices."""
-    body: dict = {
-        "layout": decoded.layout,
-        "analyzer": dict(decoded.analyzer),
-        "document_names": list(decoded.document_names),
-    }
-    if decoded.layout == "sharded":
-        body["strategy"] = decoded.strategy
-    sections: list[dict] = []
-    regions: list[bytes] = []
-    for shard in decoded.shards:
-        section, shard_regions = _shard_regions(
-            shard.postings, shard.entity, shard.element,
-            dict(shard.stats), list(shard.document_names),
-            use_dag=False)
-        section["shard_id"] = shard.shard_id
-        if shard.doc_ids is not None:
-            section["doc_ids"] = list(shard.doc_ids)
-        if shard.probabilities:
-            section["probabilities"] = dict(shard.probabilities)
-        sections.append(section)
-        regions.extend(shard_regions)
-    body["shards"] = sections
-    return _write_file(body, regions, path)
-
-
 # ----------------------------------------------------------------------
-# The codec registry
+# The codecs
 # ----------------------------------------------------------------------
 
 @runtime_checkable
 class Codec(Protocol):
     """Storage codec: one on-disk representation of a GKS index.
 
-    ``save`` persists, ``load`` reopens (possibly lazily), ``sniff``
-    answers whether a file on disk is this codec's format.  Codecs are
-    stateless singletons registered in :data:`CODECS`; user-facing
-    selection goes through ``EngineConfig.codec`` and
-    :func:`resolve_codec`.
+    ``save`` persists an index and ``load`` reopens one (possibly
+    lazily); ``sniff`` answers whether a file on disk is this codec's.
+    ``decode`` reads a file into its unrepaired :class:`DecodedIndex` —
+    stored order, nothing re-sorted; a checksum or consistency failure
+    below the file's outermost seal goes to ``on_violation(invariant,
+    detail)`` when a collector is given and raises
+    :class:`StorageError` otherwise — and ``encode`` seals a decoded
+    view back under fresh checksums.  ``describe`` states how the file
+    is laid out (``version``, ``codec``, ``layout``, ``shards``,
+    ``mode``) and ``self_check`` lists what is wrong with a file that
+    loaded cleanly; both work from the index ``load`` returned instead
+    of reading the file again (``describe`` loads it when not given
+    one).  Codecs are
+    stateless singletons registered in :data:`CODECS`; a writer picks
+    one by name (``EngineConfig.codec``, :func:`resolve_codec`), a
+    reader never needs the name (:func:`sniff_codec`).
     """
 
     name: str
@@ -1551,22 +1534,191 @@ class Codec(Protocol):
 
     def sniff(self, path) -> bool: ...
 
+    def decode(self, path, on_violation=None) -> DecodedIndex: ...
+
+    def encode(self, decoded: DecodedIndex, path): ...
+
+    def describe(self, path, index=None) -> dict: ...
+
+    def self_check(self, path, index) -> list[str]: ...
+
+
+def _describe(codec: Codec, version: int, index) -> dict:
+    sharded = isinstance(index, ShardedIndex)
+    units = [shard.index for shard in index.shards] if sharded else [index]
+    return {"version": version, "codec": codec.name,
+            "layout": "sharded" if sharded else "monolithic",
+            "shards": len(units),
+            "mode": ("probabilistic"
+                     if any(unit.probabilities for unit in units)
+                     else "strict")}
+
+
+def _corrupted(path: Path, problem: str) -> StorageError:
+    return StorageError(f"cannot read index from {path}: {problem}",
+                        diagnosis="corrupted", path=path)
+
 
 class RawCodec:
-    """The JSON envelope formats (storage v1–v3), eager-loading."""
+    """The gzip-JSON envelopes, eager-loading: v2 is ``{version, crc32,
+    payload}``; v3 is ``{version, crc32, manifest, shards}`` — a shard
+    manifest (strategy, global document names, analyzer flags, one
+    ``{shard_id, doc_ids, crc32}`` entry per shard) sealed by the
+    envelope CRC, and one payload per entry sealed by the entry's.  A
+    payload holds one shard's tables with Dewey ids in the paper's
+    dotted notation; every CRC is over canonical JSON."""
 
     name = "raw"
 
-    def save(self, index, path):
-        from repro.index.storage import save_index
-        return save_index(index, path, codec="raw")
-
-    def load(self, path):
-        from repro.index.storage import load_index
-        return load_index(path)
-
     def sniff(self, path) -> bool:
         return not is_binary_index(path)
+
+    def save(self, index, path):
+        return self.encode(DecodedIndex.of(index), path)
+
+    def encode(self, decoded: DecodedIndex, path):
+        payloads = []
+        for shard in decoded.shards:
+            payload = {
+                "analyzer": dict(decoded.analyzer),
+                "document_names": list(shard.document_names),
+                "stats": shard.stats,
+                "entity_hash": {format_dewey(dewey): count
+                                for dewey, count in shard.entity.items()},
+                "element_hash": {format_dewey(dewey): count
+                                 for dewey, count in shard.element.items()},
+                "postings": {keyword: [format_dewey(dewey)
+                                       for dewey in posting_list]
+                             for keyword, posting_list
+                             in shard.postings.items()},
+            }
+            # conditional key: a strict index's payload (and its CRC32)
+            # stays byte-identical to the pre-probabilistic format
+            if shard.probabilities:
+                payload["probabilities"] = shard.probabilities
+            payloads.append(payload)
+        if decoded.layout == "sharded":
+            manifest = {
+                "strategy": decoded.strategy,
+                "document_names": list(decoded.document_names),
+                "analyzer": dict(decoded.analyzer),
+                "shards": [{"shard_id": shard.shard_id,
+                            "doc_ids": list(shard.doc_ids or ()),
+                            "crc32": payload_crc32(payload)}
+                           for shard, payload
+                           in zip(decoded.shards, payloads)],
+            }
+            envelope = {"version": FORMAT_VERSION_SHARDED,
+                        "crc32": payload_crc32(manifest),
+                        "manifest": manifest, "shards": payloads}
+        else:
+            envelope = {"version": FORMAT_VERSION,
+                        "crc32": payload_crc32(payloads[0]),
+                        "payload": payloads[0]}
+        return atomic_write_json_gz(envelope, path)
+
+    def decode(self, path, on_violation=None) -> DecodedIndex:
+        path = Path(path)
+        envelope = read_json_gz(path)
+        if not isinstance(envelope, dict):
+            raise _corrupted(path, "not an index envelope")
+        version = envelope.get("version")
+        if version == FORMAT_VERSION_SHARDED:
+            sealed, payloads = envelope.get("manifest"), envelope.get("shards")
+            if not isinstance(sealed, dict) or not isinstance(payloads, list):
+                raise _corrupted(path, "sharded envelope has no "
+                                       "manifest/shards")
+            layout, entries = "sharded", sealed.get("shards", [])
+            if len(entries) != len(payloads) or not entries:
+                raise _corrupted(
+                    path, f"manifest lists {len(entries)} shards but "
+                          f"{len(payloads)} payloads are present")
+        elif version == FORMAT_VERSION:
+            sealed = envelope.get("payload")
+            if not isinstance(sealed, dict):
+                raise _corrupted(path, "envelope has no payload")
+            layout, entries, payloads = "monolithic", [None], [sealed]
+        else:
+            raise StorageError(
+                f"unsupported index format version {version!r} in {path}",
+                diagnosis="version-mismatch", path=path)
+        if envelope.get("crc32") != payload_crc32(sealed):
+            raise StorageError(
+                f"checksum mismatch in {path}: stored crc32 "
+                f"{envelope.get('crc32')!r}, computed "
+                f"{payload_crc32(sealed):#010x} — the file is corrupted",
+                diagnosis="corrupted", path=path)
+        shards = []
+        for position, (entry, payload) in enumerate(zip(entries, payloads)):
+            try:
+                if entry is not None and \
+                        entry.get("crc32") != payload_crc32(payload):
+                    error = StorageError(
+                        f"checksum mismatch for shard "
+                        f"{entry.get('shard_id')!r} in {path} — the file "
+                        f"is corrupted", diagnosis="corrupted", path=path)
+                    if on_violation is None:
+                        raise error
+                    on_violation("manifest-crc", str(error))
+                shards.append(DecodedShard(
+                    0 if entry is None
+                    else int(entry.get("shard_id", position)),
+                    None if entry is None
+                    else tuple(entry.get("doc_ids", ())),
+                    tuple(payload.get("document_names", ())),
+                    dict(payload.get("stats", {})),
+                    {keyword: [parse_dewey(text) for text in posting_list]
+                     for keyword, posting_list
+                     in payload["postings"].items()},
+                    {parse_dewey(text): count for text, count
+                     in payload["entity_hash"].items()},
+                    {parse_dewey(text): count for text, count
+                     in payload["element_hash"].items()},
+                    payload.get("probabilities")))
+            except (KeyError, AttributeError, TypeError) as exc:
+                raise _corrupted(
+                    path, f"malformed shard {position} ({exc!r})") from exc
+        return DecodedIndex(
+            layout, sealed.get("strategy"), dict(sealed.get("analyzer", {})),
+            tuple(sealed.get("document_names", ())), shards)
+
+    def load(self, path):
+        path = Path(path)
+        decoded = self.decode(path)
+        analyzer = Analyzer.from_flags(decoded.analyzer)
+        # ``from_mapping`` re-sorts and de-duplicates: a load repairs
+        # what only ``decode`` (and so the deep audit) can show
+        units = [GKSIndex(
+            inverted=InvertedIndex.from_mapping(shard.postings),
+            hashes=NodeHashes.from_mappings(entity=shard.entity,
+                                            element=shard.element),
+            stats=IndexStats.from_dict(shard.stats), analyzer=analyzer,
+            document_names=shard.document_names,
+            probabilities=_prob_tables(shard.probabilities, path))
+            for shard in decoded.shards]
+        if decoded.layout != "sharded":
+            return units[0]
+        try:
+            return ShardedIndex(
+                [Shard(shard_id=shard.shard_id, doc_ids=shard.doc_ids,
+                       index=unit)
+                 for shard, unit in zip(decoded.shards, units)],
+                strategy=decoded.strategy or "round_robin",
+                document_names=decoded.document_names, analyzer=analyzer)
+        except Exception as exc:  # e.g. an unknown strategy string
+            raise _corrupted(
+                path, f"invalid shard manifest ({exc})") from exc
+
+    def describe(self, path, index=None) -> dict:
+        index = self.load(path) if index is None else index
+        return _describe(self, FORMAT_VERSION_SHARDED
+                         if isinstance(index, ShardedIndex)
+                         else FORMAT_VERSION, index)
+
+    def self_check(self, path, index) -> list[str]:
+        """What a checksum cannot see: a stale CRC over tables that
+        contradict each other (:func:`validate_index`)."""
+        return validate_index(index)
 
 
 class VarintDagCodec:
@@ -1574,14 +1726,36 @@ class VarintDagCodec:
 
     name = "varint-dag"
 
+    def sniff(self, path) -> bool:
+        return is_binary_index(path)
+
     def save(self, index, path):
         return write_binary_index(index, path, use_dag=True)
 
     def load(self, path):
         return load_binary_index(path)
 
-    def sniff(self, path) -> bool:
-        return is_binary_index(path)
+    def decode(self, path, on_violation=None) -> DecodedIndex:
+        return decode_file(path, on_violation)
+
+    def encode(self, decoded: DecodedIndex, path):
+        """All-literal: a mutated view must land on disk verbatim, and
+        shared-subtree planning presumes sorted, consistent tables."""
+        return _write_decoded(decoded, path, use_dag=False)
+
+    def describe(self, path, index=None) -> dict:
+        return _describe(self, FORMAT_VERSION_BINARY,
+                         self.load(path) if index is None else index)
+
+    def self_check(self, path, index) -> list[str]:
+        """Bytes-level: every region against its CRC.  Materialising
+        the lazy index to validate content would defeat the format's
+        cold-open story; its content checks are the deep audit's."""
+        try:
+            verify_frames(path)
+        except StorageError as exc:
+            return [str(exc)]
+        return []
 
 
 CODECS: dict[str, Codec] = {"raw": RawCodec(),
@@ -1590,9 +1764,15 @@ CODEC_NAMES: tuple[str, ...] = tuple(sorted(CODECS))
 
 
 def resolve_codec(name: str) -> Codec:
-    """Look up a codec by name; unknown names raise ConfigError."""
+    """The codec a writer named; unknown names raise ConfigError."""
     codec = CODECS.get(name)
     if codec is None:
         raise ConfigError(
             f"unknown codec {name!r}; expected one of {CODEC_NAMES}")
     return codec
+
+
+def sniff_codec(path: str | Path) -> Codec:
+    """The codec a reader needs: the first whose ``sniff`` claims *path*
+    (``raw`` claims whatever lacks the binary magic, so there is one)."""
+    return next(codec for codec in CODECS.values() if codec.sniff(path))

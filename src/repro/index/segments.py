@@ -11,7 +11,8 @@ On-disk layout (one directory per store)::
 
     MANIFEST                   gzip JSON envelope, version 4, atomic
     wal.log                    CRC-framed write-ahead log (repro.index.wal)
-    seg-g000001-s0.gksindex    one v2 index envelope per (generation, shard)
+    seg-g000001-s0.gksindex    one index file per (generation, shard), in
+                               the codec it was written with
     txt-g000002.json.gz        document texts appended at each flush
 
 The MANIFEST is the single commit point: every flush/compaction writes
@@ -23,6 +24,11 @@ frames in the log, which recovery skips by comparing against the
 manifest's ``wal_lsn``.  At no point is there a state from which the
 index cannot be reconstructed node-for-node.
 
+Segments go through the :class:`~repro.index.codec.Codec` seam like any
+saved index: the store writes new ones in the codec it was opened with
+(``EngineConfig.codec``) and reads each by sniffing, so one store may
+hold segments of both codecs.
+
 The store persists and recovers runs; it never merges them.  The
 durable layer (:mod:`repro.core.durable`) merges the in-memory units it
 already holds (:func:`repro.index.composite.merge_indexes`) and hands
@@ -31,8 +37,6 @@ the store finished runs to write and commit.
 
 from __future__ import annotations
 
-import gzip
-import json
 import re
 import zlib
 from dataclasses import dataclass, field, replace
@@ -41,9 +45,10 @@ from typing import Mapping, Sequence
 
 from repro.errors import StorageError, ValidationError
 from repro.index.builder import GKSIndex
+from repro.index.codec import resolve_codec
 from repro.index.composite import Run
 from repro.index.storage import (atomic_write_json_gz, load_index,
-                                 payload_crc32, save_index)
+                                 payload_crc32, read_json_gz)
 from repro.index.wal import WALFrame, WriteAheadLog, fsync_directory
 from repro.obs.metrics import global_registry
 from repro.text.analyzer import Analyzer
@@ -77,7 +82,7 @@ def file_crc32(path: str | Path) -> int:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SegmentRecord:
-    """One immutable on-disk segment: a v2 index envelope for one shard."""
+    """One immutable on-disk segment: one shard's index file."""
 
     file: str
     crc32: int
@@ -139,8 +144,8 @@ class StoreManifest:
             "shards": self.shards,
             "strategy": self.strategy,
             "index_tags": self.index_tags,
-            "analyzer": {"use_stopwords": self.use_stopwords,
-                         "use_stemming": self.use_stemming},
+            "analyzer": Analyzer(self.use_stopwords,
+                                 self.use_stemming).flags(),
             "base_documents": self.base_documents,
             "document_names": list(self.document_names),
             "segments": [record.to_dict() for record in self.segments],
@@ -149,15 +154,15 @@ class StoreManifest:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "StoreManifest":
-        analyzer = raw.get("analyzer", {})
+        analyzer = Analyzer.from_flags(raw.get("analyzer", {}))
         return cls(
             generation=int(raw["generation"]),
             wal_lsn=int(raw["wal_lsn"]),
             shards=int(raw["shards"]),
             strategy=str(raw["strategy"]),
             index_tags=bool(raw["index_tags"]),
-            use_stopwords=bool(analyzer.get("use_stopwords", True)),
-            use_stemming=bool(analyzer.get("use_stemming", True)),
+            use_stopwords=analyzer.use_stopwords,
+            use_stemming=analyzer.use_stemming,
             base_documents=int(raw["base_documents"]),
             document_names=tuple(str(n) for n in raw["document_names"]),
             segments=tuple(SegmentRecord.from_dict(entry)
@@ -170,25 +175,10 @@ def read_manifest(directory: str | Path) -> StoreManifest:
     """Read and verify the MANIFEST of the store at *directory*.
 
     Raises :class:`StorageError` with the storage diagnoses —
-    ``unreadable`` / ``truncated`` / ``corrupted`` / ``version-mismatch``
-    — mirroring :func:`repro.index.storage.read_envelope`.
+    ``unreadable`` / ``truncated`` / ``corrupted`` / ``version-mismatch``.
     """
     path = Path(directory) / MANIFEST_NAME
-    try:
-        with gzip.open(path, "rt", encoding="utf-8") as handle:
-            envelope = json.load(handle)
-    except EOFError as exc:
-        raise StorageError(
-            f"cannot read store manifest {path}: file is truncated "
-            f"({exc})", diagnosis="truncated", path=path) from exc
-    except (gzip.BadGzipFile, json.JSONDecodeError, UnicodeDecodeError,
-            zlib.error) as exc:
-        raise StorageError(
-            f"cannot read store manifest {path}: file is corrupted "
-            f"({exc})", diagnosis="corrupted", path=path) from exc
-    except OSError as exc:
-        raise StorageError(f"cannot read store manifest {path}: {exc}",
-                           diagnosis="unreadable", path=path) from exc
+    envelope = read_json_gz(path, "store manifest")
     if not isinstance(envelope, dict) or "manifest" not in envelope:
         raise StorageError(
             f"cannot read store manifest {path}: not a manifest envelope",
@@ -238,13 +228,16 @@ class PendingDocument:
 
 
 def _write_segments(directory: Path, generation: int,
-                    runs: Mapping[int, Run]) -> tuple[SegmentRecord, ...]:
-    """Write one immutable segment file per run; returns their records."""
+                    runs: Mapping[int, Run],
+                    codec: str) -> tuple[SegmentRecord, ...]:
+    """Write one immutable segment file per run in the named codec's
+    format; returns their records."""
+    save = resolve_codec(codec).save
     records = []
     for shard_id in sorted(runs):
         doc_ids, index = runs[shard_id]
         file_name = segment_file_name(generation, shard_id)
-        save_index(index, directory / file_name)
+        save(index, directory / file_name)
         records.append(SegmentRecord(
             file=file_name, crc32=file_crc32(directory / file_name),
             shard_id=shard_id, doc_ids=tuple(doc_ids),
@@ -253,17 +246,11 @@ def _write_segments(directory: Path, generation: int,
 
 
 def _read_texts_file(path: Path) -> list[tuple[int, str, str]]:
+    body = read_json_gz(path, "texts sidecar")
     try:
-        with gzip.open(path, "rt", encoding="utf-8") as handle:
-            body = json.load(handle)
         return [(int(doc_id), str(name), str(text))
                 for doc_id, name, text in body["documents"]]
-    except OSError as exc:
-        raise StorageError(f"cannot read texts sidecar {path}: {exc}",
-                           diagnosis="unreadable", path=path) from exc
-    except (EOFError, gzip.BadGzipFile, json.JSONDecodeError,
-            UnicodeDecodeError, zlib.error, KeyError, TypeError,
-            ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise StorageError(
             f"cannot read texts sidecar {path}: file is corrupted ({exc})",
             diagnosis="corrupted", path=path) from exc
@@ -274,15 +261,17 @@ class SegmentStore:
 
     The store knows nothing about searching or merging; it persists and
     recovers immutable index runs and the raw texts needed to rebuild
-    the repository.  Runs arrive as ``shard_id -> (doc_ids, index)``.
+    the repository.  Runs arrive as ``shard_id -> (doc_ids, index)``;
+    *codec* names the format new segments are written in.
     """
 
     def __init__(self, directory: Path, manifest: StoreManifest,
-                 wal: WriteAheadLog,
-                 tail: Sequence[WALFrame] = ()) -> None:
+                 wal: WriteAheadLog, tail: Sequence[WALFrame] = (),
+                 codec: str = "raw") -> None:
         self.directory = directory
         self.manifest = manifest
         self.wal = wal
+        self.codec = codec
         #: WAL frames past the manifest's ``wal_lsn`` (the unflushed tail)
         self.tail: tuple[WALFrame, ...] = tuple(tail)
         self._observe_manifest()
@@ -310,7 +299,7 @@ class SegmentStore:
     def create(cls, directory: str | Path, runs: Mapping[int, Run], *,
                document_names: Sequence[str], analyzer: Analyzer,
                shards: int, strategy: str, index_tags: bool,
-               fsync: bool = True) -> "SegmentStore":
+               codec: str = "raw", fsync: bool = True) -> "SegmentStore":
         """Initialise a store from a freshly built base index (gen 1):
         one segment per shard that holds documents."""
         directory = Path(directory)
@@ -322,13 +311,13 @@ class SegmentStore:
             use_stemming=analyzer.use_stemming,
             base_documents=len(document_names),
             document_names=tuple(document_names),
-            segments=_write_segments(directory, 1, runs))
+            segments=_write_segments(directory, 1, runs, codec))
         write_manifest(directory, manifest)
         wal = WriteAheadLog.create(directory / WAL_NAME, fsync=fsync)
-        return cls(directory, manifest, wal)
+        return cls(directory, manifest, wal, codec=codec)
 
     @classmethod
-    def open(cls, directory: str | Path, *,
+    def open(cls, directory: str | Path, *, codec: str = "raw",
              fsync: bool = True) -> "SegmentStore":
         """Recover the store at *directory*.
 
@@ -357,7 +346,7 @@ class SegmentStore:
                 f"WAL at {wal_path} skips lsns {manifest.wal_lsn + 1}.."
                 f"{tail[0].lsn - 1} — acknowledged writes are missing",
                 diagnosis="corrupted", path=wal_path)
-        return cls(directory, manifest, wal, tail)
+        return cls(directory, manifest, wal, tail, codec)
 
     def close(self) -> None:
         self.wal.close()
@@ -494,7 +483,8 @@ class SegmentStore:
             raise ValidationError(
                 f"flush runs cover {handed} but the memtable holds {owned}")
         generation = manifest.generation + 1
-        segments = _write_segments(self.directory, generation, runs)
+        segments = _write_segments(self.directory, generation, runs,
+                                   self.codec)
         texts = self._write_texts(
             generation, [(doc.doc_id, doc.name, doc.text)
                          for doc in pending])
@@ -542,7 +532,8 @@ class SegmentStore:
         for record in replaced:
             self._verified(record, "segment")
         generation = manifest.generation + 1
-        segments = _write_segments(self.directory, generation, runs)
+        segments = _write_segments(self.directory, generation, runs,
+                                   self.codec)
         texts = manifest.texts
         stale = [record.file for record in replaced]
         if merge_texts:

@@ -251,11 +251,13 @@ class IndexCorruptor:
 
     Where :class:`TornWriter` produces *structurally* broken files (bad
     gzip/CRC — ``load_index`` refuses them, ``gks check-index`` exits 1),
-    this injector produces **consistent-but-wrong** files: it edits the
-    persisted payload and then *recomputes every CRC*, so the file loads
-    cleanly and only the deep invariant audit
+    this injector produces **consistent-but-wrong** files: it decodes
+    the file through the codec that wrote it, edits the decoded tables
+    and has the codec seal them again under *fresh CRCs*, so the file
+    loads cleanly and only the deep invariant audit
     (:func:`repro.analysis.verify_store`, ``gks check-index --deep``,
-    exit 2) can tell it from a healthy index.
+    exit 2) can tell it from a healthy index.  Every method works on
+    files of either codec, monolithic or sharded.
 
     Deferred imports keep :mod:`repro.testing` importable without the
     index layer loaded.
@@ -264,34 +266,23 @@ class IndexCorruptor:
     def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(seed)
 
-    # -- helpers --------------------------------------------------------
-    @staticmethod
-    def _reseal(envelope: dict, path: Path) -> Path:
-        """Recompute all CRCs bottom-up and write the envelope back."""
-        from repro.index.storage import payload_crc32, write_envelope
-        if envelope.get("version") == 3:
-            manifest = envelope["manifest"]
-            for entry, payload in zip(manifest.get("shards", ()),
-                                      envelope.get("shards", ())):
-                entry["crc32"] = payload_crc32(payload)
-            envelope["crc32"] = payload_crc32(manifest)
-        else:
-            envelope["crc32"] = payload_crc32(envelope.get("payload", {}))
-        return write_envelope(envelope, path)
+    def _edit(self, path: str | Path, mutate) -> Path:
+        """Decode *path*, let ``mutate(decoded)`` damage it, reseal."""
+        from repro.index.codec import sniff_codec
 
-    def _pick_payload(self, envelope: dict,
-                      want: str = "postings") -> dict:
-        """A payload dict holding a non-empty *want* mapping."""
-        if envelope.get("version") == 3:
-            candidates = [payload for payload in envelope.get("shards", ())
-                          if payload.get(want)]
-        else:
-            payload = envelope.get("payload", envelope)
-            candidates = [payload] if payload.get(want) else []
-        if not candidates:
+        codec = sniff_codec(path)
+        decoded = codec.decode(path)
+        mutate(decoded)
+        return codec.encode(decoded, Path(path))
+
+    def _pick_shard(self, decoded, table: str):
+        """A shard of *decoded* whose *table* is non-empty."""
+        shards = [shard for shard in decoded.shards
+                  if getattr(shard, table)]
+        if not shards:
             raise ValidationError(
-                f"index file has no non-empty {want!r} to corrupt")
-        return self._rng.choice(candidates)
+                f"index file has no non-empty {table!r} to corrupt")
+        return self._rng.choice(shards)
 
     # -- public API -----------------------------------------------------
     def corrupt_postings(self, path: str | Path) -> Path:
@@ -300,124 +291,74 @@ class IndexCorruptor:
         Picks a posting list with at least two entries and either swaps
         its first and last entries (order violation) or duplicates an
         entry (strictness violation) — the seeded RNG decides.  The
-        resulting file still loads (``from_mapping`` would silently
-        re-sort it), but the raw-envelope audit reports
-        ``postings-sorted``.
+        resulting file still loads (a raw load silently re-sorts it, a
+        varint-dag block carries a fresh checksum), but the deep audit
+        reports ``postings-sorted``.
         """
-        from repro.index.storage import read_envelope
-        path = Path(path)
-        envelope = read_envelope(path)
-        payload = self._pick_payload(envelope, "postings")
-        postings = payload["postings"]
-        plural = [keyword for keyword, entries in sorted(postings.items())
-                  if len(entries) >= 2]
-        if plural:
-            keyword = self._rng.choice(plural)
-            entries = postings[keyword]
+        def mutate(decoded) -> None:
+            postings = self._pick_shard(decoded, "postings").postings
+            plural = [keyword
+                      for keyword, entries in sorted(postings.items())
+                      if len(entries) >= 2]
+            if not plural:
+                # every list is a singleton: duplicate one entry
+                keyword = self._rng.choice(sorted(postings))
+                postings[keyword].append(postings[keyword][0])
+                return
+            entries = postings[self._rng.choice(plural)]
             if self._rng.random() < 0.5:
                 entries[0], entries[-1] = entries[-1], entries[0]
                 if entries == sorted(entries):   # palindromic swap: force
                     entries.insert(0, entries[-1])
             else:
                 entries.append(entries[self._rng.randrange(len(entries))])
-        else:
-            # every list is a singleton: duplicate one entry
-            keyword = self._rng.choice(sorted(postings))
-            postings[keyword].append(postings[keyword][0])
-        return self._reseal(envelope, path)
 
-    def corrupt_codec_block(self, path: str | Path) -> Path:
-        """Break posting order inside a binary (v4) index, CRCs resealed.
-
-        The codec's block checksums make byte-level tampering a
-        *structural* failure (exit 1) — so this injector goes through
-        the codec itself: :func:`repro.index.codec.decode_file` expands
-        the file, one posting list is reordered or given a duplicate
-        entry, and :func:`repro.index.codec.encode_decoded` reseals it
-        with fresh block CRCs.  The result loads cleanly and passes
-        ``gks check-index``; only the deep audit (exit 2,
-        ``postings-sorted``) can tell it from a healthy index.
-        """
-        from repro.index.codec import (decode_file, encode_decoded,
-                                       is_binary_index)
-        path = Path(path)
-        if not is_binary_index(path):
-            raise ValidationError(f"{path} is not a binary (v4) index file")
-        decoded = decode_file(path)
-        shards = [shard for shard in decoded.shards if shard.postings]
-        if not shards:
-            raise ValidationError(
-                f"{path} has no non-empty postings to corrupt")
-        shard = self._rng.choice(shards)
-        postings = shard.postings
-        plural = [keyword for keyword, entries in sorted(postings.items())
-                  if len(entries) >= 2]
-        if plural:
-            keyword = self._rng.choice(plural)
-            entries = postings[keyword]
-            if self._rng.random() < 0.5:
-                entries[0], entries[-1] = entries[-1], entries[0]
-                if entries == sorted(entries):   # palindromic swap: force
-                    entries.insert(0, entries[-1])
-            else:
-                entries.append(entries[self._rng.randrange(len(entries))])
-        else:
-            keyword = self._rng.choice(sorted(postings))
-            postings[keyword].append(postings[keyword][0])
-        return encode_decoded(decoded, path)
+        return self._edit(path, mutate)
 
     def drop_manifest_document(self, path: str | Path) -> Path:
-        """Unassign one document from the v3 shard manifest (CRCs resealed).
+        """Unassign one document from a sharded file's shard manifest.
 
-        Removes a document id from its owning shard's ``doc_ids`` entry,
-        so the manifest no longer partitions the document set — the
+        Removes a document id from its owning shard's ``doc_ids``, so
+        the manifest no longer partitions the document set — the
         classic silent data-loss shape scatter-gather cannot detect at
         query time.  The deep audit reports ``shard-partition``.
         """
-        from repro.index.storage import read_envelope
-        path = Path(path)
-        envelope = read_envelope(path)
-        if envelope.get("version") != 3:
-            raise ValidationError(
-                f"{path} is not a sharded (v3) index file")
-        entries = [entry for entry in
-                   envelope["manifest"].get("shards", ())
-                   if entry.get("doc_ids")]
-        if not entries:
-            raise ValidationError(f"{path} assigns no documents to drop")
-        entry = self._rng.choice(entries)
-        doc_ids = list(entry["doc_ids"])
-        doc_ids.pop(self._rng.randrange(len(doc_ids)))
-        entry["doc_ids"] = doc_ids
-        return self._reseal(envelope, path)
+        def mutate(decoded) -> None:
+            if decoded.layout != "sharded":
+                raise ValidationError(f"{path} is not a sharded index file")
+            shard = self._pick_shard(decoded, "doc_ids")
+            doc_ids = list(shard.doc_ids)
+            doc_ids.pop(self._rng.randrange(len(doc_ids)))
+            shard.doc_ids = tuple(doc_ids)
+
+        return self._edit(path, mutate)
 
     def skew_child_count(self, path: str | Path) -> Path:
         """Desynchronise a dual-role node's two hash-table counts.
 
-        Finds a node present in both ``entity_hash`` and
-        ``element_hash`` and bumps one side, violating
+        Finds a node present in both ``entityHash`` and ``elementHash``
+        (in any shard) and bumps one side, violating
         ``hash-cross-consistency``.  When no dual-role node exists it
         negates a count in whichever table is populated — also a
-        ``hash-cross-consistency`` violation.
+        ``hash-cross-consistency`` violation, but one the shallow
+        self-check of a raw file sees too.
         """
-        from repro.index.storage import read_envelope
-        path = Path(path)
-        envelope = read_envelope(path)
-        try:
-            payload = self._pick_payload(envelope, "entity_hash")
-        except ValidationError:
-            payload = self._pick_payload(envelope, "element_hash")
-        entity = payload.get("entity_hash", {})
-        element = payload.get("element_hash", {})
-        dual = sorted(set(entity) & set(element))
-        if dual:
-            key = self._rng.choice(dual)
-            entity[key] = entity[key] + 1 + self._rng.randrange(3)
-        else:
-            table = entity if entity else element
+        def mutate(decoded) -> None:
+            dual = [(shard, key) for shard in decoded.shards
+                    for key in sorted(shard.entity.keys()
+                                      & shard.element.keys())]
+            if dual:
+                shard, key = self._rng.choice(dual)
+                shard.entity[key] += 1 + self._rng.randrange(3)
+                return
+            try:
+                table = self._pick_shard(decoded, "entity").entity
+            except ValidationError:
+                table = self._pick_shard(decoded, "element").element
             key = self._rng.choice(sorted(table))
             table[key] = -abs(table[key]) - 1
-        return self._reseal(envelope, path)
+
+        return self._edit(path, mutate)
 
 
 class StoreCorruptor:
@@ -439,11 +380,9 @@ class StoreCorruptor:
 
     @staticmethod
     def _read_manifest_envelope(directory: Path) -> dict:
-        import gzip
-        import json
+        from repro.index.storage import read_json_gz
 
-        with gzip.open(directory / "MANIFEST", "rb") as handle:
-            return json.loads(handle.read().decode("utf-8"))
+        return read_json_gz(directory / "MANIFEST", "store manifest")
 
     @staticmethod
     def _write_manifest_envelope(directory: Path, envelope: dict) -> Path:

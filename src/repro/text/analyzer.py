@@ -85,6 +85,17 @@ class Analyzer:
             memoise(memo, tag, keywords)
         return list(keywords)
 
+    def flags(self) -> dict:
+        """The persisted form: the two switches every index format and
+        the store manifest record (:meth:`from_flags` reads it back)."""
+        return {"use_stopwords": self.use_stopwords,
+                "use_stemming": self.use_stemming}
+
+    @classmethod
+    def from_flags(cls, flags: dict) -> "Analyzer":
+        return cls(use_stopwords=bool(flags.get("use_stopwords", True)),
+                   use_stemming=bool(flags.get("use_stemming", True)))
+
 
 #: Default pipeline shared across the library.
 DEFAULT_ANALYZER = Analyzer()

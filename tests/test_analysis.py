@@ -20,9 +20,11 @@ from repro.analysis import (InvariantViolation, lint_paths, rule_catalog,
                             verify_index, verify_store)
 from repro.analysis.lint import ModuleInfo, lint_modules
 from repro.cli import main
-from repro.errors import ConfigError, StorageError
-from repro.index.builder import IndexBuilder
+from repro.datasets import load_dataset
+from repro.errors import ConfigError, StorageError, ValidationError
+from repro.index.builder import IndexBuilder, build_index
 from repro.index import sharding
+from repro.index.codec import CODEC_NAMES, sniff_codec
 from repro.index.storage import load_index, save_index
 from repro.testing.faults import IndexCorruptor, TornWriter
 from repro.xmltree.parser import parse_document
@@ -334,45 +336,75 @@ def build_sharded_index(shards: int = 2):
 
 
 class TestInvariants:
+    # every on-disk case below runs once per codec: the audit and the
+    # fault injectors reach a file only through its codec's decode /
+    # encode, so neither format is special
+
     def test_clean_indexes_have_no_violations(self, tmp_path):
         mono, sharded = build_corpus_index(), build_sharded_index()
         assert verify_index(mono) == []
         assert verify_index(sharded) == []
-        for name, index in (("mono.gks", mono), ("shard.gks", sharded)):
-            path = tmp_path / name
-            save_index(index, path)
-            assert verify_store(path) == []
+        for codec in CODEC_NAMES:
+            for name, index in (("mono", mono), ("shard", sharded)):
+                path = tmp_path / f"{name}.{codec}"
+                save_index(index, path, codec=codec)
+                assert verify_store(path) == []
+                assert verify_index(load_index(path)) == []
 
     def test_violation_render_names_invariant(self):
         violation = InvariantViolation("postings-sorted", "detail")
         assert violation.render().startswith("postings-sorted:")
 
+    def _assert_caught(self, fault, invariant, tmp_path):
+        for codec in CODEC_NAMES:
+            for index in (build_corpus_index(), build_sharded_index()):
+                path = tmp_path / "index.gks"
+                save_index(index, path, codec=codec)
+                getattr(IndexCorruptor(seed=11), fault)(path)
+                load_index(path)  # CRCs were resealed: it loads cleanly
+                assert invariant in {
+                    violation.invariant
+                    for violation in verify_store(path)}, (codec, index)
+
     def test_corrupted_postings_detected(self, tmp_path):
-        path = tmp_path / "mono.gks"
-        save_index(build_corpus_index(), path)
-        IndexCorruptor(seed=11).corrupt_postings(path)
-        load_index(path)  # CRCs were resealed: the file loads cleanly
-        violations = verify_store(path)
-        assert any(violation.invariant == "postings-sorted"
-                   for violation in violations)
+        self._assert_caught("corrupt_postings", "postings-sorted", tmp_path)
 
     def test_manifest_drop_detected(self, tmp_path):
         path = tmp_path / "shard.gks"
-        save_index(build_sharded_index(), path)
-        IndexCorruptor(seed=11).drop_manifest_document(path)
-        load_index(path)
-        violations = verify_store(path)
-        assert any(violation.invariant == "shard-partition"
-                   for violation in violations)
+        for codec in CODEC_NAMES:
+            save_index(build_sharded_index(), path, codec=codec)
+            IndexCorruptor(seed=11).drop_manifest_document(path)
+            load_index(path)
+            violations = verify_store(path)
+            assert any(violation.invariant == "shard-partition"
+                       for violation in violations)
+            save_index(build_corpus_index(), path, codec=codec)
+            with pytest.raises(ValidationError):   # no manifest to damage
+                IndexCorruptor(seed=11).drop_manifest_document(path)
 
     def test_skewed_child_count_detected(self, tmp_path):
+        self._assert_caught("skew_child_count", "hash-cross-consistency",
+                            tmp_path)
+
+    def test_on_disk_audit_runs_the_in_memory_checks(self, tmp_path):
+        # an entity whose parent no table knows, postings outnumbering
+        # the occurrences counted at build time
         path = tmp_path / "mono.gks"
-        save_index(build_corpus_index(), path)
-        IndexCorruptor(seed=11).skew_child_count(path)
-        load_index(path)
-        violations = verify_store(path)
-        assert any(violation.invariant == "hash-cross-consistency"
-                   for violation in violations)
+        save_index(build_index(load_dataset("figure2a")), path)
+        assert verify_store(path) == []
+        codec = sniff_codec(path)
+        decoded = codec.decode(path)
+        shard = decoded.shards[0]
+        victim = max(shard.entity, key=len)
+        del shard.element[victim[:-1]]
+        shard.entity.pop(victim[:-1], None)
+        shard.stats["text_keywords"] = shard.stats["tag_keywords"] = 1
+        codec.encode(decoded, path)
+        details = " ".join(violation.render()
+                           for violation in verify_store(path))
+        assert "hash-cross-consistency" in details
+        assert "unindexed parent" in details
+        assert "stats-agreement" in details and "exceed" in details
 
     def test_in_memory_shard_misrouting_detected(self):
         sharded = build_sharded_index()

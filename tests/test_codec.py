@@ -73,6 +73,13 @@ CORPUS = [
 QUERIES = ["keyword", "keyword search", "buneman fan",
            "data mining search"]
 
+# every document holds a dual-role node (``dept``: entity and repeating)
+ENTITY_CORPUS = [
+    f"<uni><dept><name>cs{i}</name><course>algorithms</course>"
+    f"<course>databases</course></dept><dept><name>ee{i}</name>"
+    f"<course>signals</course><course>power</course></dept></uni>"
+    for i in range(4)]
+
 
 def _signature(response):
     """Everything a caller can observe about a response's content."""
@@ -217,6 +224,36 @@ class TestCodecAPI:
         assert VarintDagCodec().sniff(v4_path)
         assert not VarintDagCodec().sniff(raw_path)
 
+    def test_one_read_per_open(self, tmp_path, monkeypatch, capsys):
+        """Reopening a raw ``index_path`` cache, and ``check-index`` on
+        it, each gunzip the file once — the codec name costs a sniff."""
+        from repro.index import codec as codec_module
+
+        reads = []
+        read_json_gz = codec_module.read_json_gz
+        monkeypatch.setattr(
+            codec_module, "read_json_gz",
+            lambda path, *args: reads.append(path)
+            or read_json_gz(path, *args))
+        path = tmp_path / "cache.idx"
+        GKSEngine.open(Texts(CORPUS), index_path=path)
+        reads.clear()   # the miss that made the engine build and save
+        reopened = GKSEngine.open(Texts(CORPUS), index_path=path)
+        assert reads == [path]
+        assert _signature(reopened.search("keyword")) == _signature(
+            GKSEngine.open(Texts(CORPUS)).search("keyword"))
+        assert main(["check-index", str(path)]) == 0
+        assert reads == [path, path]
+        assert "v2 raw monolithic(1) strict" in capsys.readouterr().out
+
+    def test_store_layout_names_what_the_segments_hold(self, tmp_path):
+        for codec in CODEC_NAMES:
+            GKSEngine.open(Texts(CORPUS), shards=2, codec=codec,
+                           store_path=tmp_path / codec).close()
+            layout = describe_layout(tmp_path / codec)
+            assert layout["codec"] == codec and "mode" not in layout
+            assert layout["layout"] == "store" and layout["segments"] == 2
+
     def test_describe_layout_reports_codec(self, tmp_path):
         index = build_index(Repository.from_texts(CORPUS))
         raw_path, v4_path = tmp_path / "raw.idx", tmp_path / "v4.idx"
@@ -299,12 +336,13 @@ class TestEquivalence:
 # Fault injection and the deep audit
 # ---------------------------------------------------------------------------
 class TestDeepAudit:
-    def _binary_index(self, tmp_path, shards=1):
-        repo = Repository.from_texts(CORPUS)
+    def _saved_index(self, tmp_path, codec="varint-dag", shards=1,
+                     corpus=CORPUS):
+        repo = Repository.from_texts(corpus)
         index = (build_index(repo) if shards == 1
                  else build_sharded_index(repo, shards=shards))
         path = tmp_path / "audit.gksindex"
-        write_binary_index(index, path)
+        resolve_codec(codec).save(index, path)
         return path
 
     def test_codec_names_registered(self):
@@ -313,33 +351,71 @@ class TestDeepAudit:
             assert name in INVARIANT_NAMES
 
     def test_healthy_binary_index_audits_clean(self, tmp_path):
-        path = self._binary_index(tmp_path)
+        path = self._saved_index(tmp_path)
         assert check_index(path)["ok"]
         assert verify_store(path) == []
 
     def test_healthy_sharded_binary_audits_clean(self, tmp_path):
-        path = self._binary_index(tmp_path, shards=3)
+        path = self._saved_index(tmp_path, shards=3)
         assert verify_store(path) == []
 
     def test_corrupt_codec_block_is_deep_only(self, tmp_path):
-        path = self._binary_index(tmp_path)
-        IndexCorruptor(seed=11).corrupt_codec_block(path)
-        # structural checks pass end to end: CRCs were resealed
-        assert check_index(path)["ok"]
-        load_binary_index(path)
-        # only the deep audit can tell
-        violations = {v.invariant for v in verify_store(path)}
-        assert "postings-sorted" in violations
+        for codec in CODEC_NAMES:
+            path = self._saved_index(tmp_path, codec)
+            stored = resolve_codec(codec).decode(path)
+            IndexCorruptor(seed=11).corrupt_postings(path)
+            # structural checks pass end to end: CRCs were resealed
+            summary = check_index(path)
+            assert summary["ok"] and summary["problems"] == []
+            load_index(path)
+            # only the deep audit can tell
+            violations = {v.invariant for v in verify_store(path)}
+            assert "postings-sorted" in violations
+            # ... because decode hands back what is stored, not re-sorted
+            damaged = resolve_codec(codec).decode(path)
+            broken = [keyword for keyword, entries
+                      in damaged.shards[0].postings.items()
+                      if entries != stored.shards[0].postings[keyword]]
+            assert len(broken) == 1
+            entries = damaged.shards[0].postings[broken[0]]
+            assert entries != sorted(set(entries))
 
     def test_corrupt_codec_block_exits_2_from_cli(self, tmp_path, capsys):
-        path = self._binary_index(tmp_path)
-        IndexCorruptor(seed=11).corrupt_codec_block(path)
+        path = self._saved_index(tmp_path)
+        IndexCorruptor(seed=11).corrupt_postings(path)
         assert main(["check-index", str(path)]) == 0
         assert main(["check-index", str(path), "--deep"]) == 2
         assert "postings-sorted" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("codec", CODEC_NAMES)
+    @pytest.mark.parametrize("fault, shards, invariant", [
+        ("corrupt_postings", 1, "postings-sorted"),
+        ("corrupt_postings", 2, "postings-sorted"),
+        ("skew_child_count", 1, "hash-cross-consistency"),
+        ("skew_child_count", 2, "hash-cross-consistency"),
+        ("drop_manifest_document", 2, "shard-partition"),
+    ])
+    def test_every_fault_on_every_codec_exits_2_from_cli(
+            self, codec, fault, shards, invariant, tmp_path, capsys):
+        path = self._saved_index(tmp_path, codec, shards, ENTITY_CORPUS)
+        getattr(IndexCorruptor(seed=11), fault)(path)
+        assert main(["check-index", str(path)]) == 0
+        assert main(["check-index", str(path), "--deep"]) == 2
+        assert invariant in capsys.readouterr().out
+
+    @pytest.mark.parametrize("codec", CODEC_NAMES)
+    @pytest.mark.parametrize("shards", (1, 2))
+    def test_decode_encode_round_trip(self, codec, shards, tmp_path):
+        path = self._saved_index(tmp_path, codec, shards)
+        healthy = load_index(path)
+        writer = resolve_codec(codec)
+        writer.encode(writer.decode(path), tmp_path / "resealed")
+        assert _index_fingerprint(load_index(tmp_path / "resealed")) == \
+            _index_fingerprint(healthy)
+        assert verify_store(tmp_path / "resealed") == []
+
     def test_byte_corruption_is_structural(self, tmp_path):
-        path = self._binary_index(tmp_path)
+        path = self._saved_index(tmp_path)
         TornWriter(seed=5).tear(path, fraction=0.6)
         # a torn binary file is a structural failure — exit 1 without
         # needing --deep (the bytes-level region audit catches it even
@@ -347,14 +423,14 @@ class TestDeepAudit:
         assert main(["check-index", str(path)]) == 1
 
     def test_torn_header_fails_at_load(self, tmp_path):
-        path = self._binary_index(tmp_path)
+        path = self._saved_index(tmp_path)
         TornWriter(seed=5).tear(path, fraction=0.01)
         with pytest.raises(StorageError):
             load_binary_index(path)
         assert check_index(path)["ok"] is False
 
     def test_decode_file_collects_instead_of_raising(self, tmp_path):
-        path = self._binary_index(tmp_path)
+        path = self._saved_index(tmp_path)
         data = bytearray(path.read_bytes())
         data[-3] ^= 0xFF  # flip a byte inside the last posting region
         path.write_bytes(bytes(data))

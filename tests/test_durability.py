@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import threading
 import urllib.request
 from pathlib import Path
@@ -23,7 +24,9 @@ from repro.analysis import verify_segmented_store
 from repro.core.config import EngineConfig, Texts
 from repro.core.engine import GKSEngine
 from repro.errors import ConfigError, Overloaded, StorageError
+from repro.index.codec import CODEC_NAMES
 from repro.index.segments import SegmentStore, read_manifest
+from repro.index.storage import describe_layout
 from repro.index.wal import (WAL_MAGIC, WriteAheadLog, replay_wal)
 from repro.serve import (LoadGenerator, RetryPolicy, ServeConfig,
                          ServerCore, serve_http)
@@ -41,6 +44,11 @@ EXTRA = [
     f"<dblp><article><author>Author{i}</author>"
     f"<title>paper {i} keys</title></article></dblp>"
     for i in range(6)
+]
+LATE = [
+    f"<dblp><article><author>Late{i}</author>"
+    f"<title>late xml keys {i}</title></article></dblp>"
+    for i in range(2)
 ]
 QUERIES = ["keys", "xml", "author0 OR author1", "constraints"]
 
@@ -178,15 +186,21 @@ class TestWAL:
 # Segmented store + engine recovery
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("shards", [1, 2])
+# the shards-only ids of the raw rows predate the codec parameter
+@pytest.mark.parametrize("shards, codec", [
+    pytest.param(shards, codec,
+                 id=str(shards) if codec == "raw" else f"{shards}-{codec}")
+    for codec in CODEC_NAMES for shards in (1, 2)])
 class TestRecovery:
-    def test_reopen_equals_rebuild(self, tmp_path, shards):
-        config = _config(tmp_path, shards=shards)
+    def test_reopen_equals_rebuild(self, tmp_path, shards, codec):
+        config = _config(tmp_path, shards=shards, codec=codec)
         engine = GKSEngine.open(Texts(BASE), config=config)
         for i, text in enumerate(EXTRA):
             engine.add_document(text, name=f"extra{i}.xml")
         expected = _signature(engine, QUERIES)
         engine.close()
+        store_dir = tmp_path / "store"
+        assert describe_layout(store_dir)["codec"] == codec
 
         recovered = GKSEngine.open(Texts(BASE), config=config)
         assert _signature(recovered, QUERIES) == expected
@@ -196,11 +210,31 @@ class TestRecovery:
         reference = _reference(BASE + EXTRA, shards=shards)
         assert _signature(reference, QUERIES) == expected
 
-    def test_wal_torn_at_every_frame_boundary(self, tmp_path, shards):
+        # the codec only selects what new segments are written in: the
+        # same store reopened under the other one keeps its old segments
+        # and flushes new ones beside them
+        other, = set(CODEC_NAMES) - {codec}
+        mixed = GKSEngine.open(Texts(BASE), config=_config(
+            tmp_path, shards=shards, codec=other, compact_segments=100))
+        for i, text in enumerate(LATE):
+            mixed.add_document(text, name=f"late{i}.xml")
+        assert describe_layout(store_dir)["codec"] == "raw,varint-dag"
+        reference = _reference(BASE + EXTRA + LATE, shards=shards)
+        assert _signature(mixed, QUERIES) == _signature(reference, QUERIES)
+        mixed.close()
+        assert verify_segmented_store(store_dir) == []
+        StoreCorruptor(seed=17).corrupt_segment_postings(store_dir)
+        assert "postings-sorted" in {
+            violation.invariant
+            for violation in verify_segmented_store(store_dir)}
+
+    def test_wal_torn_at_every_frame_boundary(self, tmp_path, shards,
+                                              codec):
         """Crash the WAL tail at each frame boundary: recovery serves
         exactly the documents whose frames survived, node-for-node equal
         to a rebuild over that prefix."""
-        config = _config(tmp_path, shards=shards, memtable_docs=100)
+        config = _config(tmp_path, shards=shards, memtable_docs=100,
+                         codec=codec)
         engine = GKSEngine.open(Texts(BASE), config=config)
         boundaries = []
         wal_path = tmp_path / "store" / "wal.log"
@@ -221,8 +255,9 @@ class TestRecovery:
             wal_path.write_bytes(data)
 
     def test_wal_torn_mid_frame_loses_only_the_tail(self, tmp_path,
-                                                    shards):
-        config = _config(tmp_path, shards=shards, memtable_docs=100)
+                                                    shards, codec):
+        config = _config(tmp_path, shards=shards, memtable_docs=100,
+                         codec=codec)
         engine = GKSEngine.open(Texts(BASE), config=config)
         for i, text in enumerate(EXTRA[:2]):
             engine.add_document(text, name=f"extra{i}.xml")
@@ -235,10 +270,11 @@ class TestRecovery:
             _signature(reference, QUERIES)
         recovered.close()
 
-    def test_killed_compaction_residue_is_cleaned(self, tmp_path, shards):
+    def test_killed_compaction_residue_is_cleaned(self, tmp_path, shards,
+                                                  codec):
         """A crash mid-compaction leaves tmp files and next-generation
         orphans; reopen must clean them and serve the manifest state."""
-        config = _config(tmp_path, shards=shards)
+        config = _config(tmp_path, shards=shards, codec=codec)
         engine = GKSEngine.open(Texts(BASE), config=config)
         for i, text in enumerate(EXTRA):
             engine.add_document(text, name=f"extra{i}.xml")
@@ -261,15 +297,29 @@ class TestRecovery:
         assert not orphan.exists()
         assert verify_segmented_store(store_dir) == []
 
-    def test_deep_invariants_hold_after_churn(self, tmp_path, shards):
-        config = _config(tmp_path, shards=shards)
+    def test_deep_invariants_hold_after_churn(self, tmp_path, shards,
+                                              codec):
+        config = _config(tmp_path, shards=shards, codec=codec)
         engine = GKSEngine.open(Texts(BASE), config=config)
-        for i, text in enumerate(EXTRA):
+        for i, text in enumerate(EXTRA[:5]):
             engine.add_document(text, name=f"extra{i}.xml")
+        # a crash copy: the directory as a kill -9 would leave it, one
+        # acknowledged document still only in the WAL
+        shutil.copytree(tmp_path / "store", tmp_path / "crashed")
+        expected = _signature(engine, QUERIES)
+        engine.add_document(EXTRA[5], name="extra5.xml")
         engine.flush()
         engine.compact()
         engine.close()
         assert verify_segmented_store(tmp_path / "store") == []
+        assert describe_layout(tmp_path / "store")["codec"] == codec
+
+        recovered = GKSEngine.open(Texts(BASE), config=_config(
+            tmp_path, shards=shards, codec=codec,
+            store_path=tmp_path / "crashed"))
+        assert _signature(recovered, QUERIES) == expected
+        recovered.close()
+        assert verify_segmented_store(tmp_path / "crashed") == []
 
 
 @pytest.mark.parametrize("shards", [1, 2])
@@ -414,43 +464,68 @@ class TestStoreLifecycle:
 # ----------------------------------------------------------------------
 
 class TestStoreCorruption:
-    @pytest.fixture
-    def store(self, tmp_path):
-        config = _config(tmp_path, shards=2)
+    @staticmethod
+    def _store(tmp_path, codec="raw"):
+        config = _config(tmp_path, shards=2, codec=codec,
+                         store_path=tmp_path / codec)
         engine = GKSEngine.open(Texts(BASE), config=config)
         for i, text in enumerate(EXTRA[:4]):
             engine.add_document(text, name=f"e{i}.xml")
         engine.close()
-        return tmp_path / "store"
+        return tmp_path / codec
 
-    def test_clean_store_audits_clean(self, store):
-        assert verify_segmented_store(store) == []
+    @pytest.fixture
+    def store(self, tmp_path):
+        return self._store(tmp_path)
 
-    @pytest.mark.parametrize("method,invariant", [
-        ("orphan_segment", "segment-orphan"),
-        ("regress_generation", "manifest-generation"),
-        ("corrupt_wal_magic", "wal-consistency"),
-        ("corrupt_segment_postings", "postings-sorted"),
-    ])
-    def test_corruptor_is_caught(self, store, method, invariant):
+    def test_clean_store_audits_clean(self, tmp_path):
+        for codec in CODEC_NAMES:
+            assert verify_segmented_store(self._store(tmp_path, codec)) == []
+
+    # the raw rows keep the ids they had before the codec parameter
+    @pytest.mark.parametrize("method,invariant,codec", [
+        pytest.param(method, invariant, codec,
+                     id=f"{method}-{invariant}"
+                     + ("" if codec == "raw" else f"-{codec}"))
+        for codec in CODEC_NAMES
+        for method, invariant in [
+            ("orphan_segment", "segment-orphan"),
+            ("regress_generation", "manifest-generation"),
+            ("corrupt_wal_magic", "wal-consistency"),
+            ("corrupt_segment_postings", "postings-sorted")]])
+    def test_corruptor_is_caught(self, tmp_path, method, invariant, codec):
+        store = self._store(tmp_path, codec)
         getattr(StoreCorruptor(seed=13), method)(store)
         violated = {violation.invariant
                     for violation in verify_segmented_store(store)}
         assert invariant in violated
 
-    def test_check_index_cli_exit_codes(self, store, capsys):
+    def test_decoder_bug_cannot_turn_the_audit_green(self, store,
+                                                     monkeypatch):
+        from repro.index import codec
+
+        def boom(*args):
+            raise RuntimeError("decoder bug")
+        monkeypatch.setattr(codec.RawCodec, "decode", boom)
+        monkeypatch.setattr(codec.VarintDagCodec, "decode", boom)
+        with pytest.raises(RuntimeError):
+            verify_segmented_store(store)
+
+    def test_check_index_cli_exit_codes(self, tmp_path, capsys):
         from repro.cli import main
 
-        assert main(["check-index", str(store), "--deep"]) == 0
-        capsys.readouterr()
-        StoreCorruptor(seed=17).corrupt_segment_postings(store)
-        # resealed CRCs: the structural pass still says OK ...
-        assert main(["check-index", str(store)]) == 0
-        capsys.readouterr()
-        # ... only the deep audit catches it
-        assert main(["check-index", str(store), "--deep"]) == 2
-        out = capsys.readouterr().out
-        assert "postings-sorted" in out
+        for codec in CODEC_NAMES:
+            store = self._store(tmp_path, codec)
+            assert main(["check-index", str(store), "--deep"]) == 0
+            assert f" {codec} store(2)" in capsys.readouterr().out
+            StoreCorruptor(seed=17).corrupt_segment_postings(store)
+            # resealed CRCs: the structural pass still says OK ...
+            assert main(["check-index", str(store)]) == 0
+            capsys.readouterr()
+            # ... only the deep audit catches it
+            assert main(["check-index", str(store), "--deep"]) == 2
+            out = capsys.readouterr().out
+            assert "postings-sorted" in out
 
 
 # ----------------------------------------------------------------------

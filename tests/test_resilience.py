@@ -422,16 +422,19 @@ class TestAtomicStorage:
             save_index(index, tmp_path / "no" / "dir" / "x.gz")
         assert excinfo.value.diagnosis == "unwritable"
 
-    def test_legacy_v1_file_still_loads(self, saved_index, tmp_path):
-        index, path = saved_index
+    def test_legacy_v1_file_is_refused(self, saved_index, tmp_path):
+        # v1 (no checksum, no writer since format 2) is retired
+        _, path = saved_index
         with gzip.open(path, "rt") as handle:
             payload = json.load(handle)["payload"]
         payload["version"] = 1  # v1 kept everything at top level
         legacy = tmp_path / "legacy.gz"
         with gzip.open(legacy, "wt") as handle:
             json.dump(payload, handle)
-        loaded = load_index(legacy)
-        assert dict(loaded.inverted.items()) == dict(index.inverted.items())
+        with pytest.raises(StorageError) as excinfo:
+            load_index(legacy)
+        assert excinfo.value.diagnosis == "version-mismatch"
+        assert check_index(legacy)["diagnosis"] == "version-mismatch"
 
     def test_crc_survives_key_order(self, saved_index, tmp_path):
         # reserializing with a different key order must not fail the CRC
