@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Codec smoke test: build the same corpus under both codecs via the
 # CLI, verify both files shallow and deep, assert the varint-dag file
-# is smaller on the redundancy-heavy mirrors corpus, and confirm the
-# two indexes answer a query identically.
+# is smaller on the redundancy-heavy mirrors corpus, that two saves of
+# one index are byte-identical (printing the raw bytes before/after the
+# compression-level change), and confirm the two indexes answer a query
+# identically.
 #
 # Usage:  bash scripts/smoke_codec.sh
 set -euo pipefail
@@ -51,6 +53,28 @@ echo "raw: $RAW_BYTES bytes   varint-dag: $DAG_BYTES bytes"
 [ "$DAG_BYTES" -lt "$RAW_BYTES" ] || {
     echo "FAIL: varint-dag ($DAG_BYTES) not smaller than raw" \
          "($RAW_BYTES)" >&2; exit 1; }
+
+echo "== determinism: two saves of one index are byte-identical =="
+python - "$WORKDIR" "$RAW_BYTES" <<'EOF'
+import gzip, sys
+from pathlib import Path
+
+from repro.index.storage import load_index, save_index
+
+workdir, cli_bytes = Path(sys.argv[1]), int(sys.argv[2])
+for name, codec in (("raw.gks", "raw"), ("dag.gksindex", "varint-dag")):
+    index = load_index(workdir / name)
+    one = save_index(index, workdir / f"one-{codec}", codec=codec)
+    two = save_index(index, workdir / f"two-{codec}.again", codec=codec)
+    if one.read_bytes() != two.read_bytes():
+        sys.exit(f"FAIL: two {codec} saves of one index differ")
+    print(f"{codec}: two saves, {one.stat().st_size} identical bytes")
+# what the same JSON cost at the library's default level 9
+raw = (workdir / "raw.gks").read_bytes()
+before = len(gzip.compress(gzip.decompress(raw), 9, mtime=0))
+print(f"raw bytes at level 9 (before): {before}   "
+      f"as written (after): {cli_bytes}")
+EOF
 
 echo "== equivalence: both files answer node-for-node identically =="
 python - "$WORKDIR" <<'EOF'

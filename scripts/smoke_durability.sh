@@ -4,7 +4,9 @@
 # mid-stream (no drain, no warning) and restart it on the same store.
 # Every acknowledged document must survive the crash, the recovered
 # server must answer queries over it, and `check-index --deep` must find
-# the store clean.  Finish with a SIGTERM and require a clean drain.
+# the store clean.  Finish with a SIGTERM and require a clean drain, then
+# rewrite the store's segments at gzip level 9 (an old store), recover it
+# and deep-check it again.
 #
 # Usage:  bash scripts/smoke_durability.sh
 set -euo pipefail
@@ -115,6 +117,40 @@ SERVER_PID=""
     cat "$WORKDIR/serve2.log" >&2; exit 1; }
 
 echo "== check-index --deep on the crashed-and-recovered store =="
+python -m repro check-index "$STORE" --deep
+
+echo "== an old store stays readable: segments rewritten at gzip level 9 =="
+# what a store written before the compression level was lowered holds:
+# the same JSON in gzip level-9 streams
+python - "$STORE" "$WORKDIR/figure2a_0.xml" "$POSTED" <<'EOF'
+import gzip, sys, zlib
+from pathlib import Path
+
+from repro.api import EngineConfig, GKSEngine, Paths
+from repro.index.storage import (DEFLATE_LEVEL, atomic_write_json_gz,
+                                 payload_crc32, read_json_gz)
+
+store, corpus, posted = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3])
+assert DEFLATE_LEVEL != 9, "level 9 is what is written: nothing to prove"
+envelope = read_json_gz(store / "MANIFEST")
+body = envelope["manifest"]
+for record in body["segments"] + body["texts"]:
+    path = store / record["file"]
+    written = path.stat().st_size
+    path.write_bytes(gzip.compress(gzip.decompress(path.read_bytes()), 9,
+                                   mtime=0))
+    record["crc32"] = zlib.crc32(path.read_bytes()) & 0xFFFFFFFF
+    print(f"{record['file']}: {written} -> {path.stat().st_size} bytes "
+          "at level 9")
+envelope["crc32"] = payload_crc32(body)
+atomic_write_json_gz(envelope, store / "MANIFEST")
+engine = GKSEngine.open(Paths([corpus]), EngineConfig(
+    store_path=store, memtable_docs=3, compact_segments=2))
+hits = engine.search("smoketest").nodes
+engine.close()
+assert len(hits) >= posted, f"level-9 store lost documents: {len(hits)} hits"
+print(f"level-9 store recovered: {len(hits)} hit(s)")
+EOF
 python -m repro check-index "$STORE" --deep
 
 echo "smoke_durability OK"

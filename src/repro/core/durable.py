@@ -36,6 +36,7 @@ from repro.index.composite import CompositeIndex, Run, merge_indexes
 from repro.index.segments import (MANIFEST_NAME, PendingDocument,
                                   SegmentStore, StoreManifest)
 from repro.index.sharding import Shard, ShardedIndex, shard_of
+from repro.obs.trace import NOOP_TRACER
 from repro.text.analyzer import Analyzer
 from repro.xmltree.parser import parse_document
 from repro.xmltree.repository import Repository
@@ -176,14 +177,17 @@ def check_compatible(manifest: StoreManifest, repository: Repository,
 
 def open_durable(repository: Repository, config: EngineConfig,
                  build_index: Callable[[Repository, EngineConfig],
-                                       GKSIndex | ShardedIndex]
+                                       GKSIndex | ShardedIndex],
+                 tracer=NOOP_TRACER
                  ) -> tuple[SegmentStore, UnitRuns, list[PendingDocument]]:
     """Open or recover the segmented store named by ``config.store_path``.
 
     Returns ``(store, durable_units, pending)``.  The repository is
     extended in place with every recovered post-base document (sidecar
     texts first, then the WAL tail) so snippets and exports see the full
-    corpus.
+    corpus.  A recovery records four spans on *tracer*: ``manifest``
+    (verify, sweep orphans, open the WAL), ``texts`` (re-parse the
+    sidecars), ``segments`` (load every run) and ``wal_tail``.
     """
     directory = Path(config.store_path)
     if not (directory / MANIFEST_NAME).exists():
@@ -198,13 +202,17 @@ def open_durable(repository: Repository, config: EngineConfig,
             codec=config.codec)
         return store, durable_units, []
 
-    store = SegmentStore.open(directory, codec=config.codec)
-    manifest = store.manifest
-    check_compatible(manifest, repository, config)
-    for doc_id, name, text in store.appended_documents():
-        document = _replay_parse(text, doc_id, name, store)
-        repository.add(document)
-    durable_units = store.load_runs()
+    with tracer.span("manifest"):
+        store = SegmentStore.open(directory, codec=config.codec)
+        manifest = store.manifest
+        check_compatible(manifest, repository, config)
+    with tracer.span("texts") as span:
+        for doc_id, name, text in store.appended_documents():
+            document = _replay_parse(text, doc_id, name, store)
+            repository.add(document)
+        span.set(documents=len(repository) - manifest.base_documents)
+    with tracer.span("segments", files=len(manifest.segments)):
+        durable_units = store.load_runs()
     covered = sorted(doc_id
                      for chain in durable_units.values()
                      for doc_ids, _ in chain
@@ -215,21 +223,23 @@ def open_durable(repository: Repository, config: EngineConfig,
             f"manifest names {len(manifest.document_names)}",
             diagnosis="corrupted", path=directory / MANIFEST_NAME)
     pending: list[PendingDocument] = []
-    for frame in store.tail:
-        record = frame.record
-        doc_id = len(repository)
-        if (not isinstance(record, dict) or record.get("op") != "add"
-                or record.get("doc_id") != doc_id
-                or not isinstance(record.get("text"), str)):
-            raise StorageError(
-                f"WAL frame {frame.lsn} of {directory} does not continue "
-                f"the manifest (expected add of document {doc_id})",
-                diagnosis="corrupted", path=directory / MANIFEST_NAME)
-        document = _replay_parse(record["text"], doc_id,
-                                 record.get("name"), store)
-        repository.add(document)
-        pending.append(pending_document(document, record["text"],
-                                        frame.lsn, config))
+    with tracer.span("wal_tail", frames=len(store.tail)):
+        for frame in store.tail:
+            record = frame.record
+            doc_id = len(repository)
+            if (not isinstance(record, dict) or record.get("op") != "add"
+                    or record.get("doc_id") != doc_id
+                    or not isinstance(record.get("text"), str)):
+                raise StorageError(
+                    f"WAL frame {frame.lsn} of {directory} does not "
+                    f"continue the manifest (expected add of document "
+                    f"{doc_id})", diagnosis="corrupted",
+                    path=directory / MANIFEST_NAME)
+            document = _replay_parse(record["text"], doc_id,
+                                     record.get("name"), store)
+            repository.add(document)
+            pending.append(pending_document(document, record["text"],
+                                            frame.lsn, config))
     return store, durable_units, pending
 
 

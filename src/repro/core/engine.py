@@ -205,7 +205,8 @@ class GKSEngine:
         given, and retained in :meth:`recent_traces`) with a ``parse``
         child around reading the source and a ``build`` child — carrying
         ``nodes``, ``tokens`` and ``postings`` — around indexing it; a
-        durable open nests its build under a ``store`` child.
+        durable open nests its build — or, recovering, ``manifest``,
+        ``texts``, ``segments`` and ``wal_tail`` — under a ``store`` child.
         """
         if config is None:
             config = EngineConfig()
@@ -233,7 +234,7 @@ class GKSEngine:
         if config.store_path is not None:
             with tracer.span("store"):
                 store, durable_units, pending = open_durable(
-                    repository, config, build)
+                    repository, config, build, tracer)
                 engine = cls(repository, config=config,
                              index=compose_serving(durable_units, pending,
                                                    config, repository))
@@ -765,7 +766,9 @@ class GKSEngine:
         checkpointed before memory changes.
 
         The whole operation is traced (a ``flush`` root span retained in
-        :meth:`recent_traces`) and timed into the
+        :meth:`recent_traces`; its ``segments`` child holds ``merge``,
+        then per segment ``encode`` and ``write``, then ``texts`` and
+        ``commit`` — a compaction's likewise) and timed into the
         ``gks_store_flush_seconds`` histogram, so the write path is as
         observable through ``/metrics`` as the query path.
         """
@@ -773,9 +776,10 @@ class GKSEngine:
         count = len(self._pending)
         with tracer.span("flush") as span:
             with tracer.span("segments"):
-                runs = merge_memtable(self._pending)
+                with tracer.span("merge"):
+                    runs = merge_memtable(self._pending)
                 if self._store is not None:
-                    self._store.flush(self._pending, runs)
+                    self._store.flush(self._pending, runs, tracer)
             for shard_id, run in runs.items():
                 self._durable_units.setdefault(shard_id, []).append(run)
             self._pending = []
@@ -799,9 +803,10 @@ class GKSEngine:
         tracer = Tracer()
         with tracer.span("compact") as span:
             with tracer.span("segments"):
-                runs = merge_chains(self._durable_units)
+                with tracer.span("merge"):
+                    runs = merge_chains(self._durable_units)
                 if self._store is not None:
-                    self._store.compact(runs)
+                    self._store.compact(runs, tracer)
             if runs:
                 for shard_id, run in runs.items():
                     self._durable_units[shard_id] = [run]

@@ -74,11 +74,11 @@ from __future__ import annotations
 import gzip
 import json
 import mmap
-import os
 import struct
 import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import itemgetter
 from pathlib import Path
 from typing import Protocol, Sequence, runtime_checkable
@@ -90,14 +90,15 @@ from repro.index.inverted import InvertedIndex
 from repro.index.probtables import ProbTables
 from repro.index.sharding import Shard, ShardedIndex
 from repro.index.statistics import IndexStats
-from repro.index.storage import (atomic_write_json_gz, payload_crc32,
-                                 read_json_gz)
+from repro.index.storage import (DEFLATE_LEVEL, atomic_write_bytes,
+                                 atomic_write_gz, canonical_json,
+                                 payload_crc32, read_json_gz)
 from repro.index.validate import validate_index
 from repro.obs.metrics import global_registry
 from repro.obs.trace import NOOP_TRACER
 from repro.text.analyzer import Analyzer
-from repro.xmltree.dewey import (Dewey, format_dewey, parse_dewey,
-                                 subtree_interval)
+from repro.xmltree.dewey import (Dewey, DeweyError, format_dewey,
+                                 parse_dewey, subtree_interval)
 
 #: Storage format versions: the raw envelopes (monolithic, sharded) and
 #: the binary format.  Version 1 (no checksum) is retired and refused.
@@ -306,16 +307,6 @@ def _write_bytes_fc(out: bytearray, data: bytes, previous: bytes) -> None:
     out.extend(data[lcp:])
 
 
-def _read_bytes_fc(data: bytes, pos: int,
-                   previous: bytes) -> tuple[bytes, int]:
-    lcp, pos = read_uvarint(data, pos)
-    suffix_len, pos = read_uvarint(data, pos)
-    if lcp > len(previous) or pos + suffix_len > len(data):
-        raise StorageError("corrupt front-coded string in directory",
-                           diagnosis="corrupted")
-    return previous[:lcp] + data[pos:pos + suffix_len], pos + suffix_len
-
-
 def _crc(stored: bytes) -> int:
     return zlib.crc32(stored) & 0xFFFFFFFF
 
@@ -443,7 +434,7 @@ class _FrameWriter:
         table: list[list[int]] = []
         for frame in self._frames:
             raw = bytes(frame)
-            stored = zlib.compress(raw, 9)
+            stored = zlib.compress(raw, DEFLATE_LEVEL)
             if len(stored) >= len(raw):
                 stored = raw  # incompressible frame: store verbatim
             blobs.append(stored)
@@ -752,7 +743,7 @@ def _shard_regions(postings: dict, entity: dict, element: dict,
     """One shard's header section + its on-disk regions (dir + frames)."""
     directory, (blobs, frame_table), _ = _encode_shard_data(
         postings, entity, element, use_dag=use_dag)
-    directory_z = zlib.compress(directory, 9)
+    directory_z = zlib.compress(directory, DEFLATE_LEVEL)
     section = {
         "document_names": document_names,
         "stats": stats,
@@ -764,14 +755,15 @@ def _shard_regions(postings: dict, entity: dict, element: dict,
 
 
 def write_binary_index(index: GKSIndex | ShardedIndex,
-                       path: str | Path, *,
-                       use_dag: bool = True) -> Path:
+                       path: str | Path, *, use_dag: bool = True,
+                       tracer=NOOP_TRACER) -> Path:
     """Persist *index* in the v4 binary format, atomically."""
-    return _write_decoded(DecodedIndex.of(index), path, use_dag=use_dag)
+    return _write_decoded(DecodedIndex.of(index), path, use_dag=use_dag,
+                          tracer=tracer)
 
 
 def _write_decoded(decoded: DecodedIndex, path: str | Path, *,
-                   use_dag: bool) -> Path:
+                   use_dag: bool, tracer=NOOP_TRACER) -> Path:
     """Encode a decoded view as a v4 file with fresh CRCs.
 
     Conditional keys (``strategy`` / ``doc_ids`` for sharded layouts,
@@ -788,49 +780,34 @@ def _write_decoded(decoded: DecodedIndex, path: str | Path, *,
     body["document_names"] = list(decoded.document_names)
     sections: list[dict] = []
     regions: list[bytes] = []
-    for shard in decoded.shards:
-        section, shard_regions = _shard_regions(
-            shard.postings, shard.entity, shard.element,
-            dict(shard.stats), list(shard.document_names),
-            use_dag=use_dag)
-        section["shard_id"] = shard.shard_id
-        if sharded and shard.doc_ids is not None:
-            section["doc_ids"] = list(shard.doc_ids)
-        if shard.probabilities:
-            section["probabilities"] = dict(shard.probabilities)
-        sections.append(section)
-        regions.extend(shard_regions)
+    with tracer.span("encode"):
+        for shard in decoded.shards:
+            section, shard_regions = _shard_regions(
+                shard.postings, shard.entity, shard.element,
+                dict(shard.stats), list(shard.document_names),
+                use_dag=use_dag)
+            section["shard_id"] = shard.shard_id
+            if sharded and shard.doc_ids is not None:
+                section["doc_ids"] = list(shard.doc_ids)
+            if shard.probabilities:
+                section["probabilities"] = dict(shard.probabilities)
+            sections.append(section)
+            regions.extend(shard_regions)
     body["shards"] = sections
-    return _write_file(body, regions, path)
+    with tracer.span("write"):
+        return _write_file(body, regions, path)
 
 
 def _write_file(body: dict, regions: list[bytes],
                 path: str | Path) -> Path:
-    path = Path(path)
     header = {"version": FORMAT_VERSION_BINARY, "codec": "varint-dag",
               "crc32": payload_crc32(body), "body": body}
     header_gz = gzip.compress(
         json.dumps(header, separators=(",", ":")).encode("utf-8"),
-        mtime=0)
-    temp_path = path.with_name(path.name + ".tmp")
-    try:
-        with open(temp_path, "wb") as handle:
-            handle.write(MAGIC)
-            handle.write(struct.pack(">I", len(header_gz)))
-            handle.write(header_gz)
-            for region in regions:
-                handle.write(region)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp_path, path)
-    except OSError as exc:
-        try:
-            temp_path.unlink()
-        except OSError:
-            pass
-        raise StorageError(f"cannot write {path}: {exc}",
-                           diagnosis="unwritable", path=path) from exc
-    return path
+        DEFLATE_LEVEL, mtime=0)
+    return atomic_write_bytes(
+        b"".join([MAGIC, struct.pack(">I", len(header_gz)), header_gz,
+                  *regions]), path)
 
 
 # ----------------------------------------------------------------------
@@ -934,82 +911,105 @@ class _Directory:
                 diagnosis="corrupted", path=path) from exc
 
     def _parse(self, payload: bytes) -> None:
+        """One pass, varint reads inlined as in :func:`_decode_run`:
+        *ints* reads a run of plain uvarints per call (a block row plus
+        the head of its first Dewey id, a node's whole table list)."""
         pos = 0
-        n_keywords, pos = read_uvarint(payload, pos)
+
+        def ints(count: int):
+            nonlocal pos
+            run = payload[pos:pos + count]
+            if len(run) == count and run.isascii():  # all one-byte
+                pos += count
+                return run
+            values = []
+            append = values.append
+            at = pos
+            try:
+                for _ in range(count):
+                    value = payload[at]
+                    at += 1
+                    if value >= 0x80:
+                        value &= 0x7F
+                        shift = 7
+                        while True:
+                            byte = payload[at]
+                            at += 1
+                            if byte < 0x80:
+                                break
+                            value |= (byte & 0x7F) << shift
+                            shift += 7
+                        value |= byte << shift
+                    append(value)
+            except IndexError:
+                raise StorageError("truncated varint in codec data",
+                                   diagnosis="truncated") from None
+            pos = at
+            return values
+
+        def dewey(lcp: int, suffix_len: int, previous: Dewey) -> Dewey:
+            if lcp > len(previous):
+                raise StorageError(
+                    f"codec data front-codes against a {lcp}-component "
+                    f"prefix but only {len(previous)} are available",
+                    diagnosis="corrupted")
+            return previous[:lcp] + tuple(ints(suffix_len))
+
+        n_keywords, = ints(1)
         self.keywords: list[str] = []
         self.blocks: dict[str, list] = {}
         self.keyword_dags: dict[str, list[int]] = {}
         previous_kw = b""
         for _ in range(n_keywords):
-            raw, pos = _read_bytes_fc(payload, pos, previous_kw)
-            previous_kw = raw
-            keyword = raw.decode("utf-8")
+            lcp, suffix_len = ints(2)
+            if lcp > len(previous_kw) or pos + suffix_len > len(payload):
+                raise StorageError("corrupt front-coded string in directory",
+                                   diagnosis="corrupted")
+            previous_kw = previous_kw[:lcp] + payload[pos:pos + suffix_len]
+            pos += suffix_len
+            keyword = previous_kw.decode("utf-8")
             self.keywords.append(keyword)
-            n_blocks, pos = read_uvarint(payload, pos)
+            n_blocks, = ints(1)
             blocks = []
-            previous_first: Dewey = ()
+            first: Dewey = ()
             for _ in range(n_blocks):
-                frame, pos = read_uvarint(payload, pos)
-                offset, pos = read_uvarint(payload, pos)
-                length, pos = read_uvarint(payload, pos)
-                count, pos = read_uvarint(payload, pos)
-                crc, pos = read_uvarint(payload, pos)
-                first, pos = _read_dewey(payload, pos, previous_first)
-                previous_first = first
+                frame, offset, length, count, crc, lcp, suffix_len = ints(7)
+                first = dewey(lcp, suffix_len, first)
                 blocks.append((frame, offset, length, count, crc, first))
             self.blocks[keyword] = blocks
-            n_dags, pos = read_uvarint(payload, pos)
-            dag_ids = []
-            current = 0
-            for position in range(n_dags):
-                delta, pos = read_uvarint(payload, pos)
-                current += delta
-                dag_ids.append(current)
-            self.keyword_dags[keyword] = dag_ids
+            n_dags, = ints(1)
+            self.keyword_dags[keyword] = list(accumulate(ints(n_dags)))
         self.keyword_ids = {keyword: i
                             for i, keyword in enumerate(self.keywords)}
-        n_dag_nodes, pos = read_uvarint(payload, pos)
+        n_dag_nodes, = ints(1)
         self.occurrences: list[list[Dewey]] = []
         self.suffix_locs: dict[tuple[int, int], tuple] = {}
         self.hash_locs: dict[tuple[int, int], tuple] = {}
         for dag_id in range(n_dag_nodes):
-            n_occ, pos = read_uvarint(payload, pos)
+            n_occ, = ints(1)
             prefixes = []
-            previous_prefix: Dewey = ()
+            prefix: Dewey = ()
             for _ in range(n_occ):
-                prefix, pos = _read_dewey(payload, pos, previous_prefix)
-                previous_prefix = prefix
+                prefix = dewey(*ints(2), prefix)
                 prefixes.append(prefix)
             self.occurrences.append(prefixes)
-            n_tables, pos = read_uvarint(payload, pos)
+            n_tables, = ints(1)
+            rows = iter(ints(6 * n_tables))
             keyword_index = 0
-            for position in range(n_tables):
-                delta, pos = read_uvarint(payload, pos)
+            for delta, frame, offset, length, count, crc in zip(*[rows] * 6):
                 keyword_index += delta
-                frame, pos = read_uvarint(payload, pos)
-                offset, pos = read_uvarint(payload, pos)
-                length, pos = read_uvarint(payload, pos)
-                count, pos = read_uvarint(payload, pos)
-                crc, pos = read_uvarint(payload, pos)
                 self.suffix_locs[(dag_id, keyword_index)] = (
                     (frame, offset, length), count, crc)
             for which in (0, 1):
-                count, pos = read_uvarint(payload, pos)
+                count, = ints(1)
                 if not count:
                     continue
-                frame, pos = read_uvarint(payload, pos)
-                offset, pos = read_uvarint(payload, pos)
-                length, pos = read_uvarint(payload, pos)
-                crc, pos = read_uvarint(payload, pos)
+                frame, offset, length, crc = ints(4)
                 self.hash_locs[(dag_id, which)] = (
                     (frame, offset, length), count, crc)
         literals = []
         for _ in range(2):
-            count, pos = read_uvarint(payload, pos)
-            frame, pos = read_uvarint(payload, pos)
-            offset, pos = read_uvarint(payload, pos)
-            length, pos = read_uvarint(payload, pos)
-            crc, pos = read_uvarint(payload, pos)
+            count, frame, offset, length, crc = ints(5)
             literals.append(((frame, offset, length), count, crc))
         self.entity_literal, self.element_literal = literals
         if pos != len(payload):
@@ -1508,8 +1508,10 @@ def decode_file(path: str | Path, on_violation=None) -> DecodedIndex:
 class Codec(Protocol):
     """Storage codec: one on-disk representation of a GKS index.
 
-    ``save`` persists an index and ``load`` reopens one (possibly
-    lazily); ``sniff`` answers whether a file on disk is this codec's.
+    ``save`` persists an index (an ``encode`` and a ``write`` span on
+    *tracer*: building the bytes, then compressing and syncing them) and
+    ``load`` reopens one (possibly lazily); ``sniff`` answers whether a
+    file on disk is this codec's.
     ``decode`` reads a file into its unrepaired :class:`DecodedIndex` —
     stored order, nothing re-sorted; a checksum or consistency failure
     below the file's outermost seal goes to ``on_violation(invariant,
@@ -1528,7 +1530,7 @@ class Codec(Protocol):
 
     name: str
 
-    def save(self, index, path): ...
+    def save(self, index, path, tracer=NOOP_TRACER): ...
 
     def load(self, path): ...
 
@@ -1559,6 +1561,62 @@ def _corrupted(path: Path, problem: str) -> StorageError:
                         diagnosis="corrupted", path=path)
 
 
+class _Memo(dict):
+    """``memo[key]`` is ``compute(key)``, computed on first request
+    (``map(memo.__getitem__, ...)`` answers every repeat inside C).
+    One per raw file: postings and both hash tables name each node, so
+    its Dewey id is rendered — or parsed and validated — once, and the
+    decoded tables share one tuple per node."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute) -> None:
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+def _hash_rows(parse, table: dict) -> dict[Dewey, int]:
+    """A stored hash table with its keys parsed; counts must be ints."""
+    if not set(map(type, table.values())) <= {int}:
+        raise TypeError("hash count is not an integer")
+    return dict(zip(map(parse, table), table.values()))
+
+
+def _seal_payload(shard: DecodedShard, analyzer: dict,
+                  render) -> tuple[bytes, int]:
+    """One shard's payload as stored JSON, and the CRC32 of its
+    canonical form.  The two differ in keyword order alone — the file
+    keeps ``postings`` in index order (sorted keywords deflate 5 %
+    larger), the checksum is defined over sorted keys — so every value
+    is serialised once and the fragments are joined twice."""
+    payload = {"analyzer": analyzer,
+               "document_names": shard.document_names,
+               "stats": shard.stats,
+               "entity_hash": dict(zip(map(render, shard.entity),
+                                       shard.entity.values())),
+               "element_hash": dict(zip(map(render, shard.element),
+                                        shard.element.values()))}
+    # conditional key: a strict index's payload (and its CRC32) is the
+    # same as before probabilistic tables
+    if shard.probabilities:
+        payload["probabilities"] = shard.probabilities
+    parts = {key: canonical_json({key: value})[1:-1]
+             for key, value in payload.items()}
+    lists = {keyword: canonical_json(
+                 {keyword: list(map(render, posting_list))})[1:-1]
+             for keyword, posting_list in shard.postings.items()}
+
+    def joined(keywords) -> bytes:
+        whole = {**parts, "postings": b'"postings":{%b}' % b",".join(
+            map(lists.get, keywords))}
+        return b"{%b}" % b",".join(map(whole.get, sorted(whole)))
+
+    return joined(lists), _crc(joined(sorted(lists)))
+
+
 class RawCodec:
     """The gzip-JSON envelopes, eager-loading: v2 is ``{version, crc32,
     payload}``; v3 is ``{version, crc32, manifest, shards}`` — a shard
@@ -1573,49 +1631,38 @@ class RawCodec:
     def sniff(self, path) -> bool:
         return not is_binary_index(path)
 
-    def save(self, index, path):
-        return self.encode(DecodedIndex.of(index), path)
+    def save(self, index, path, tracer=NOOP_TRACER):
+        return self.encode(DecodedIndex.of(index), path, tracer)
 
-    def encode(self, decoded: DecodedIndex, path):
-        payloads = []
-        for shard in decoded.shards:
-            payload = {
-                "analyzer": dict(decoded.analyzer),
-                "document_names": list(shard.document_names),
-                "stats": shard.stats,
-                "entity_hash": {format_dewey(dewey): count
-                                for dewey, count in shard.entity.items()},
-                "element_hash": {format_dewey(dewey): count
-                                 for dewey, count in shard.element.items()},
-                "postings": {keyword: [format_dewey(dewey)
-                                       for dewey in posting_list]
-                             for keyword, posting_list
-                             in shard.postings.items()},
-            }
-            # conditional key: a strict index's payload (and its CRC32)
-            # stays byte-identical to the pre-probabilistic format
-            if shard.probabilities:
-                payload["probabilities"] = shard.probabilities
-            payloads.append(payload)
-        if decoded.layout == "sharded":
-            manifest = {
-                "strategy": decoded.strategy,
-                "document_names": list(decoded.document_names),
-                "analyzer": dict(decoded.analyzer),
-                "shards": [{"shard_id": shard.shard_id,
-                            "doc_ids": list(shard.doc_ids or ()),
-                            "crc32": payload_crc32(payload)}
-                           for shard, payload
-                           in zip(decoded.shards, payloads)],
-            }
-            envelope = {"version": FORMAT_VERSION_SHARDED,
-                        "crc32": payload_crc32(manifest),
-                        "manifest": manifest, "shards": payloads}
-        else:
-            envelope = {"version": FORMAT_VERSION,
-                        "crc32": payload_crc32(payloads[0]),
-                        "payload": payloads[0]}
-        return atomic_write_json_gz(envelope, path)
+    def encode(self, decoded: DecodedIndex, path, tracer=NOOP_TRACER):
+        """One pass per shard: every distinct Dewey id is rendered once
+        (postings and both hash tables repeat it ~3.4x), every payload
+        serialised once (:func:`_seal_payload`), and those bytes spliced
+        into the envelope instead of dumping the envelope again."""
+        with tracer.span("encode"):
+            render = _Memo(format_dewey).__getitem__
+            bodies, crcs = zip(*(
+                _seal_payload(shard, decoded.analyzer, render)
+                for shard in decoded.shards))
+            if decoded.layout == "sharded":
+                manifest = canonical_json({
+                    "strategy": decoded.strategy,
+                    "document_names": decoded.document_names,
+                    "analyzer": decoded.analyzer,
+                    "shards": [{"shard_id": shard.shard_id,
+                                "doc_ids": shard.doc_ids or (),
+                                "crc32": crc}
+                               for shard, crc in zip(decoded.shards, crcs)],
+                })
+                text = (b'{"version":%d,"crc32":%d,"manifest":%b,'
+                        b'"shards":[%b]}') % (
+                    FORMAT_VERSION_SHARDED, _crc(manifest), manifest,
+                    b",".join(bodies))
+            else:
+                text = b'{"version":%d,"crc32":%d,"payload":%b}' % (
+                    FORMAT_VERSION, crcs[0], bodies[0])
+        with tracer.span("write", bytes=len(text)):
+            return atomic_write_gz(text, path)
 
     def decode(self, path, on_violation=None) -> DecodedIndex:
         path = Path(path)
@@ -1649,6 +1696,7 @@ class RawCodec:
                 f"{payload_crc32(sealed):#010x} — the file is corrupted",
                 diagnosis="corrupted", path=path)
         shards = []
+        parse = _Memo(parse_dewey).__getitem__
         for position, (entry, payload) in enumerate(zip(entries, payloads)):
             try:
                 if entry is not None and \
@@ -1667,15 +1715,14 @@ class RawCodec:
                     else tuple(entry.get("doc_ids", ())),
                     tuple(payload.get("document_names", ())),
                     dict(payload.get("stats", {})),
-                    {keyword: [parse_dewey(text) for text in posting_list]
+                    {keyword: list(map(parse, posting_list))
                      for keyword, posting_list
                      in payload["postings"].items()},
-                    {parse_dewey(text): count for text, count
-                     in payload["entity_hash"].items()},
-                    {parse_dewey(text): count for text, count
-                     in payload["element_hash"].items()},
+                    _hash_rows(parse, payload["entity_hash"]),
+                    _hash_rows(parse, payload["element_hash"]),
                     payload.get("probabilities")))
-            except (KeyError, AttributeError, TypeError) as exc:
+            except (KeyError, AttributeError, TypeError,
+                    DeweyError) as exc:
                 raise _corrupted(
                     path, f"malformed shard {position} ({exc!r})") from exc
         return DecodedIndex(
@@ -1729,8 +1776,8 @@ class VarintDagCodec:
     def sniff(self, path) -> bool:
         return is_binary_index(path)
 
-    def save(self, index, path):
-        return write_binary_index(index, path, use_dag=True)
+    def save(self, index, path, tracer=NOOP_TRACER):
+        return write_binary_index(index, path, use_dag=True, tracer=tracer)
 
     def load(self, path):
         return load_binary_index(path)

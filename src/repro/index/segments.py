@@ -51,6 +51,7 @@ from repro.index.storage import (atomic_write_json_gz, load_index,
                                  payload_crc32, read_json_gz)
 from repro.index.wal import WALFrame, WriteAheadLog, fsync_directory
 from repro.obs.metrics import global_registry
+from repro.obs.trace import DEFAULT_CLOCK, NOOP_TRACER
 from repro.text.analyzer import Analyzer
 
 MANIFEST_NAME = "MANIFEST"
@@ -228,16 +229,21 @@ class PendingDocument:
 
 
 def _write_segments(directory: Path, generation: int,
-                    runs: Mapping[int, Run],
-                    codec: str) -> tuple[SegmentRecord, ...]:
+                    runs: Mapping[int, Run], codec: str,
+                    tracer=NOOP_TRACER) -> tuple[SegmentRecord, ...]:
     """Write one immutable segment file per run in the named codec's
-    format; returns their records."""
+    format (``encode`` + ``write`` spans each); returns their records."""
     save = resolve_codec(codec).save
+    seconds = global_registry().histogram(
+        "gks_store_segment_write_seconds",
+        help="Wall time of writing one segment file (encode + write).")
     records = []
     for shard_id in sorted(runs):
         doc_ids, index = runs[shard_id]
         file_name = segment_file_name(generation, shard_id)
-        save(index, directory / file_name)
+        started = DEFAULT_CLOCK()
+        save(index, directory / file_name, tracer)
+        seconds.observe(DEFAULT_CLOCK() - started)
         records.append(SegmentRecord(
             file=file_name, crc32=file_crc32(directory / file_name),
             shard_id=shard_id, doc_ids=tuple(doc_ids),
@@ -456,13 +462,13 @@ class SegmentStore:
         self._observe_manifest()
 
     def flush(self, pending: Sequence[PendingDocument],
-              runs: Mapping[int, Run]) -> None:
+              runs: Mapping[int, Run], tracer=NOOP_TRACER) -> None:
         """Persist the memtable: new segments + sidecar, then commit.
 
         *runs* is the memtable merged to one run per shard.  Writes one
-        segment per run and one texts sidecar, publishes a manifest with
-        the next generation, and finally truncates the WAL through the
-        flushed frames.
+        segment per run and one texts sidecar (span ``texts``), then
+        publishes a manifest with the next generation and truncates the
+        WAL through the flushed frames (span ``commit``).
         """
         pending = sorted(pending, key=lambda doc: doc.doc_id)
         if not pending:
@@ -484,19 +490,21 @@ class SegmentStore:
                 f"flush runs cover {handed} but the memtable holds {owned}")
         generation = manifest.generation + 1
         segments = _write_segments(self.directory, generation, runs,
-                                   self.codec)
-        texts = self._write_texts(
-            generation, [(doc.doc_id, doc.name, doc.text)
-                         for doc in pending])
+                                   self.codec, tracer)
+        with tracer.span("texts"):
+            texts = self._write_texts(
+                generation, [(doc.doc_id, doc.name, doc.text)
+                             for doc in pending])
         last_lsn = max(doc.lsn for doc in pending)
-        self._commit(
-            generation=generation, wal_lsn=last_lsn,
-            document_names=manifest.document_names
-            + tuple(doc.name for doc in pending),
-            segments=manifest.segments + segments,
-            texts=manifest.texts + (texts,))
-        # checkpoint: flushed frames are now redundant with the manifest
-        self.wal.truncate_through(last_lsn)
+        with tracer.span("commit"):
+            self._commit(
+                generation=generation, wal_lsn=last_lsn,
+                document_names=manifest.document_names
+                + tuple(doc.name for doc in pending),
+                segments=manifest.segments + segments,
+                texts=manifest.texts + (texts,))
+            # checkpoint: the manifest now covers the flushed frames
+            self.wal.truncate_through(last_lsn)
         global_registry().counter(
             "gks_store_flushes_total",
             help="Memtable flushes committed to the store.").inc()
@@ -505,11 +513,12 @@ class SegmentStore:
             help="Documents flushed from the memtable to segments."
         ).inc(len(pending))
 
-    def compact(self, runs: Mapping[int, Run]) -> None:
+    def compact(self, runs: Mapping[int, Run], tracer=NOOP_TRACER) -> None:
         """Replace each shard's segment chain in *runs* by its merged run.
 
-        Texts sidecars are merged alongside.  Every replaced segment is
-        CRC-verified before anything is written, and the replaced files
+        Texts sidecars are merged alongside; spans as in :meth:`flush`,
+        plus ``verify`` around the checksum pass.  Every replaced segment
+        is CRC-verified before anything is written, and the replaced files
         are deleted only *after* the new manifest is durable — a crash
         anywhere in between leaves orphans for the next open, never a
         dangling reference.  No-op when there is nothing to replace.
@@ -529,29 +538,32 @@ class SegmentStore:
                     f"compaction run of shard {shard_id} covers "
                     f"documents {sorted(doc_ids)} but its segments hold "
                     f"{covered}")
-        for record in replaced:
-            self._verified(record, "segment")
+        with tracer.span("verify"):
+            for record in replaced:
+                self._verified(record, "segment")
         generation = manifest.generation + 1
         segments = _write_segments(self.directory, generation, runs,
-                                   self.codec)
+                                   self.codec, tracer)
         texts = manifest.texts
         stale = [record.file for record in replaced]
         if merge_texts:
-            documents = sorted(
-                entry for record in manifest.texts
-                for entry in _read_texts_file(self.directory / record.file))
-            texts = (self._write_texts(generation, documents),)
+            with tracer.span("texts"):
+                documents = sorted(
+                    entry for record in manifest.texts for entry
+                    in _read_texts_file(self.directory / record.file))
+                texts = (self._write_texts(generation, documents),)
             stale.extend(record.file for record in manifest.texts)
-        self._commit(
-            generation=generation,
-            segments=tuple(record for record in manifest.segments
-                           if record.shard_id not in runs) + segments,
-            texts=texts)
-        for file_name in stale:
-            try:
-                (self.directory / file_name).unlink()
-            except OSError:
-                pass  # an orphan; the next open removes it
+        with tracer.span("commit"):
+            self._commit(
+                generation=generation,
+                segments=tuple(record for record in manifest.segments
+                               if record.shard_id not in runs) + segments,
+                texts=texts)
+            for file_name in stale:
+                try:
+                    (self.directory / file_name).unlink()
+                except OSError:
+                    pass  # an orphan; the next open removes it
         global_registry().counter(
             "gks_store_compactions_total",
             help="Segment compactions committed to the store.").inc()

@@ -11,10 +11,11 @@ versions 2 and 3; ``varint-dag``, the v4 binary format).
 
 Durability
 ----------
-Every write is atomic (:func:`atomic_write_json_gz` and the v4 writer
-alike): the bytes go to a temporary file in the target directory, are
-fsynced, and renamed over the destination — a crash mid-write can never
-leave a truncated index under the final name.  Every format embeds
+Every write is atomic (:func:`atomic_write_bytes`, under the gzip+JSON
+writers and the v4 writer alike): the bytes go to a temporary file in
+the target directory, are fsynced, and renamed over the destination — a
+crash mid-write can never leave a truncated index under the final name.
+Deflate streams are written at :data:`DEFLATE_LEVEL`.  Every format embeds
 CRC32 checksums; ``load_index`` verifies them and raises
 :class:`StorageError` with a machine-readable ``diagnosis`` —
 ``"truncated"`` (the stream ends early), ``"corrupted"`` (bad bytes or a
@@ -39,36 +40,41 @@ from repro.index.sharding import ShardedIndex
 from repro.obs.metrics import global_registry
 
 
+#: zlib level of every deflate stream written: the gzip+JSON artefacts
+#: (index files, segments, texts sidecars, manifests) and the v4 frames
+#: and directories.  Measured, not the library's default 9 — the sweep
+#: is in EXPERIMENTS.md, "write path: where a compaction goes".
+DEFLATE_LEVEL = 6
+
+
+def canonical_json(payload) -> bytes:
+    """The canonical (compact, key-sorted, ASCII) JSON bytes of *payload*:
+    what every JSON-region checksum is taken over."""
+    return json.dumps(payload, separators=(",", ":"),
+                      sort_keys=True).encode("utf-8")
+
+
 def payload_crc32(payload: dict) -> int:
-    """CRC32 of the canonical (compact, key-sorted) JSON of *payload*.
+    """CRC32 of the canonical JSON of *payload*.
 
     The one checksum of every JSON region on disk — raw envelopes and
     shard manifests, the v4 header, the store MANIFEST — so writers,
     the deep audit and the fault injectors agree byte for byte.
     """
-    canonical = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-    return zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF
+    return zlib.crc32(canonical_json(payload)) & 0xFFFFFFFF
 
 
-def atomic_write_json_gz(envelope: dict, path: str | Path) -> Path:
-    """Write *envelope* as gzip + compact JSON, atomically.
-
-    The shared durability primitive of every on-disk artefact: the bytes
-    go to a temporary file in the target directory, are fsynced, and the
-    temp file is renamed over the destination — a crash mid-write can
-    never leave a truncated file under the final name.  ``mtime=0``
-    keeps the gzip bytes deterministic so file-level CRCs are stable.
-    Raises :class:`StorageError` (``diagnosis="unwritable"``) on any OS
-    failure; the temp file is cleaned up best-effort.
-    """
+def atomic_write_bytes(data: bytes, path: str | Path) -> Path:
+    """Write *data* to *path* atomically — the shared durability
+    primitive of every on-disk artefact (temp file, fsync, rename; see
+    *Durability* above).  Raises :class:`StorageError`
+    (``diagnosis="unwritable"``) on any OS failure; the temp file is
+    cleaned up best-effort."""
     path = Path(path)
     temp_path = path.with_name(path.name + ".tmp")
     try:
         with open(temp_path, "wb") as raw:
-            with gzip.GzipFile(fileobj=raw, mode="wb", mtime=0) as handle:
-                handle.write(
-                    json.dumps(envelope, separators=(",", ":"))
-                    .encode("utf-8"))
+            raw.write(data)
             raw.flush()
             os.fsync(raw.fileno())
         os.replace(temp_path, path)
@@ -80,6 +86,22 @@ def atomic_write_json_gz(envelope: dict, path: str | Path) -> Path:
         raise StorageError(f"cannot write {path}: {exc}",
                            diagnosis="unwritable", path=path) from exc
     return path
+
+
+def atomic_write_gz(text: bytes, path: str | Path) -> Path:
+    """Gzip already-serialised JSON *text* at :data:`DEFLATE_LEVEL` and
+    write it atomically.  ``mtime=0`` and no embedded file name keep the
+    bytes a function of the content alone, so file-level CRCs are stable
+    and two saves of one index compare equal."""
+    return atomic_write_bytes(
+        gzip.compress(text, DEFLATE_LEVEL, mtime=0), path)
+
+
+def atomic_write_json_gz(envelope: dict, path: str | Path) -> Path:
+    """Write *envelope* as gzip + compact JSON, atomically
+    (:func:`atomic_write_gz` of its serialisation)."""
+    return atomic_write_gz(
+        json.dumps(envelope, separators=(",", ":")).encode("utf-8"), path)
 
 
 def read_json_gz(path: str | Path, what: str = "index from"):

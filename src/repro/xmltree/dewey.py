@@ -61,7 +61,7 @@ def parse_dewey(text: str) -> Dewey:
 
 def format_dewey(dewey: Sequence[int]) -> str:
     """Render a Dewey tuple in the paper's dotted notation."""
-    return ".".join(str(c) for c in dewey)
+    return ".".join(map(str, dewey))
 
 
 def document_of(dewey: Sequence[int]) -> int:
