@@ -2,7 +2,8 @@
 # Static-analysis smoke test: the lint gate is clean on the real source
 # trees, and the deep invariant audit distinguishes the three health
 # states of a saved index — healthy (exit 0), structurally broken
-# (exit 1), and consistent-but-wrong (exit 2, only --deep can see it).
+# (exit 1), and consistent-but-wrong (exit 2, only --deep or --against
+# can see it) — with the same verdicts on both codecs.
 #
 # Usage:  bash scripts/smoke_analysis.sh
 set -euo pipefail
@@ -12,6 +13,14 @@ export PYTHONPATH=src
 
 WORKDIR="$(mktemp -d)"
 trap 'rm -rf "$WORKDIR"' EXIT
+
+expect_exit() {  # expect_exit CODE COMMAND...: run it, demand that exit code
+    local want="$1" got=0
+    shift
+    "$@" || got=$?
+    [ "$got" -eq "$want" ] || {
+        echo "FAIL: expected exit $want, got $got from: $*" >&2; exit 1; }
+}
 
 echo "== rule catalog =="
 python -m repro lint --list-rules
@@ -81,6 +90,31 @@ IndexCorruptor(seed=42).drop_manifest_document(sys.argv[1])' "$WRONG"
     grep -q "invariant violated: shard-partition" <<<"$OUT" || {
         echo "FAIL: --deep did not name the violated invariant" >&2
         exit 1; }
+
+    echo "== [$CODEC] re-sealed negative child count: plain 0, --deep 2 =="
+    cp "$INDEX" "$WRONG"
+    python -c 'import sys
+from repro.index.codec import sniff_codec
+codec = sniff_codec(sys.argv[1])
+decoded = codec.decode(sys.argv[1])
+table = decoded.shards[-1].element
+table[min(table)] = -3
+codec.encode(decoded, sys.argv[1])' "$WRONG"
+    expect_exit 0 python -m repro check-index "$WRONG"
+    expect_exit 2 python -m repro check-index "$WRONG" --deep \
+        | tee "$WORKDIR/negative.txt"
+    grep -q "hash-cross-consistency: .*negative child count" \
+        "$WORKDIR/negative.txt" || {
+        echo "FAIL: --deep did not name hash-cross-consistency" >&2
+        exit 1; }
+
+    echo "== [$CODEC] --against: its sources exit 0, other sources exit 2 =="
+    expect_exit 0 python -m repro check-index "$INDEX" \
+        --against "$WORKDIR"/figure*.xml
+    expect_exit 2 python -m repro check-index "$INDEX" \
+        --against "$WORKDIR"/figure1_*.xml | tee "$WORKDIR/against.txt"
+    grep -q "invariant violated: source-agreement" "$WORKDIR/against.txt" || {
+        echo "FAIL: --against did not name source-agreement" >&2; exit 1; }
 
     echo "== [$CODEC] structurally broken index: exit 1 =="
     python -c 'import sys

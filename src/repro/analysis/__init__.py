@@ -15,8 +15,8 @@ CLI entry points: ``gks lint`` and ``gks check-index --deep``.
 from repro.analysis.concurrency import LockSite, collect_locks
 from repro.analysis.findings import Finding, render_findings
 from repro.analysis.invariants import (INVARIANT_NAMES, InvariantViolation,
-                                       verify_index, verify_segmented_store,
-                                       verify_store)
+                                       verify_against, verify_index,
+                                       verify_segmented_store, verify_store)
 from repro.analysis.lint import (ModuleInfo, Rule, default_rules,
                                  lint_modules, lint_paths, register,
                                  rule_catalog)
@@ -26,6 +26,6 @@ __all__ = [
     "ModuleInfo", "Rule", "register", "default_rules", "rule_catalog",
     "lint_modules", "lint_paths",
     "LockSite", "collect_locks",
-    "InvariantViolation", "verify_index", "verify_segmented_store",
-    "verify_store", "INVARIANT_NAMES",
+    "InvariantViolation", "verify_against", "verify_index",
+    "verify_segmented_store", "verify_store", "INVARIANT_NAMES",
 ]

@@ -20,7 +20,8 @@ equivalence and ranking potential-flow sound:
 ``stats-agreement``
     ``stats.documents`` matches the recorded document names;
     ``stats.entity_nodes`` matches the entity table; distinct postings
-    never exceed the keyword occurrences counted at build time.
+    never exceed the keyword occurrences counted at build time; the
+    category counters sum to at most twice the node count.
 ``shard-partition``
     The shard manifest partitions the document set exactly once — no
     document unassigned, none assigned twice (an unassigned document
@@ -39,19 +40,25 @@ equivalence and ranking potential-flow sound:
     metadata (counts, first keys, frame bounds), and the DAG
     shared-subtree tables are present, sorted and consistent with
     their occurrence prefixes.
+``source-agreement``
+    :func:`verify_against` only: the file's postings and hash tables
+    are exactly what a fresh build of its source documents produces.
 
 :func:`verify_index` audits an index in memory (monolithic or sharded),
-:func:`verify_store` a saved file of either codec and
-:func:`verify_segmented_store` a store directory, segment by segment.
-All three run **one** content audit over the codecs' decoded view
+:func:`verify_store` a saved file of either codec,
+:func:`verify_against` a saved file and the documents it was built from
+and :func:`verify_segmented_store` a store directory, segment by
+segment.  All four run **one** content audit over the codecs' decoded view
 (:class:`repro.index.codec.DecodedIndex`): plain tables in stored
 order, so on-disk rot that ``load_index`` would silently repair (its
 ``from_mapping`` re-sorts posting lists) is still there to be seen;
 ``decode`` reports the format-level invariants (``manifest-crc``, the
 ``codec-*`` family) through the same collector.  Each returns a
-violation list; empty means sound.  ``gks check-index --deep`` exits 2
-when this audit fails — distinct from exit 1 for structural/CRC
-failures.
+violation list; empty means sound.  This audit is the one definition
+of a sound index: ``gks check-index --deep`` (``--against FILE...`` for
+:func:`verify_against`) exits 2 when it fails — distinct from exit 1
+for the structural failures :func:`repro.index.storage.check_index`
+reports.
 """
 
 from __future__ import annotations
@@ -60,11 +67,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import StorageError
-from repro.index.builder import GKSIndex
+from repro.index.builder import GKSIndex, build_index
 from repro.index.codec import DecodedIndex, DecodedShard, sniff_codec
 from repro.index.sharding import (PARTITION_STRATEGIES, ShardedIndex,
                                   shard_of)
+from repro.text.analyzer import Analyzer
 from repro.xmltree.dewey import Dewey, format_dewey
+from repro.xmltree.repository import Repository
 
 
 @dataclass(frozen=True)
@@ -125,6 +134,38 @@ def verify_store(path: str | Path) -> list[InvariantViolation]:
     """
     report = _Report()
     _audit_decoded(sniff_codec(path).decode(path, report.add), report)
+    return report.violations
+
+
+def verify_against(path: str | Path,
+                   repository: Repository) -> list[InvariantViolation]:
+    """:func:`verify_store` plus ``source-agreement``: rebuild the
+    index of *repository* under the file's analyzer and diff the tables
+    (slow, authoritative).  Shards are document-disjoint, so a sharded
+    file is compared as the union of its shards."""
+    report = _Report()
+    decoded = sniff_codec(path).decode(path, report.add)
+    _audit_decoded(decoded, report)
+    rebuilt = DecodedIndex.of(build_index(
+        repository, analyzer=Analyzer.from_flags(decoded.analyzer))).shards[0]
+    postings: dict[str, list[Dewey]] = {}
+    entity: dict[Dewey, int] = {}
+    element: dict[Dewey, int] = {}
+    for shard in decoded.shards:
+        for keyword, entries in shard.postings.items():
+            postings.setdefault(keyword, []).extend(entries)
+        entity.update(shard.entity)
+        element.update(shard.element)
+    for keyword in sorted(postings.keys() | rebuilt.postings.keys()):
+        if sorted(postings.get(keyword, ())) != \
+                rebuilt.postings.get(keyword, []):
+            report.add("source-agreement",
+                       f"posting list for {keyword!r} differs from the "
+                       f"sources")
+    if entity != rebuilt.entity:
+        report.add("source-agreement", "entityHash differs from the sources")
+    if element != rebuilt.element:
+        report.add("source-agreement", "elementHash differs from the sources")
     return report.violations
 
 
@@ -203,6 +244,13 @@ def _audit_shard(shard: DecodedShard, documents: int,
                    f"{total_postings} distinct postings{where} exceed "
                    f"the {occurrences} keyword occurrence(s) counted at "
                    f"build time")
+    nodes = stats.get("total_nodes", 0)
+    categorized = sum(stats.get(counter, 0) for counter in (
+        "attribute_nodes", "entity_nodes", "connecting_nodes"))
+    if nodes and categorized > 2 * nodes:
+        report.add("stats-agreement",
+                   f"category counters{where} sum to {categorized}, more "
+                   f"than twice the {nodes} node(s)")
 
 
 def _audit_posting_list(keyword: str, postings: list[Dewey],

@@ -13,8 +13,11 @@ Subcommands mirror the system's three engines (Fig. 3):
 * ``gks dataset NAME -o DIR``          emit a synthetic corpus as XML
 * ``gks stats FILE... [-q QUERY]``     observability report (metrics,
   per-query stats, slow queries; ``--prom``/``--json`` exposition)
-* ``gks check-index INDEX [--deep]``   index health; ``--deep`` audits
-  data-level invariants (exit 2 on violation vs 1 for structural)
+* ``gks check-index INDEX [--deep] [--against FILE...]``  health of an
+  index file or store directory: exit 1 when the bytes are not what
+  was written; ``--deep`` audits the tables' content invariants and
+  ``--against`` also diffs a file against a rebuild of its sources
+  (exit 2 on a violation)
 * ``gks lint [PATH...]``               static-analysis rules over the
   source trees (exit 1 on findings; ``--list-rules`` for the catalog,
   ``--locks`` for the lock inventory, ``--json`` for machine output)
@@ -45,7 +48,7 @@ from pathlib import Path
 from repro.core.config import MODES, EngineConfig, Paths, SearchOptions
 from repro.core.engine import GKSEngine
 from repro.datasets.registry import dataset_names, load_dataset
-from repro.errors import GKSError
+from repro.errors import ConfigError, GKSError
 from repro.eval.reporting import render_table
 from repro.index.codec import CODEC_NAMES
 from repro.index.sharding import PARTITION_STRATEGIES
@@ -219,16 +222,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     shell_cmd.add_argument("files", nargs="+")
     _add_config_flags(shell_cmd, "--mode", "--threshold")
 
-    validate_cmd = commands.add_parser(
-        "validate", help="check a persisted index's integrity")
-    validate_cmd.add_argument("index", help="index file to validate")
-    validate_cmd.add_argument("--against", nargs="*", default=[],
-                              help="data files to diff the index "
-                                   "against (slow, authoritative)")
-
     check_cmd = commands.add_parser(
         "check-index",
-        help="verify an index file's checksum, print a health summary")
+        help="health of an index file or store: structural by default, "
+             "content with --deep / --against")
     check_cmd.add_argument("index",
                            help="index file — or segmented store "
                                 "directory — to check")
@@ -237,6 +234,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
                                 "invariants on the raw stored form; a "
                                 "violated invariant exits 2 (structural "
                                 "or checksum failures still exit 1)")
+    check_cmd.add_argument("--against", nargs="+", metavar="FILE",
+                           help="the deep audit plus a rebuild of these "
+                                "source documents diffed against an "
+                                "index file (source-agreement; slow, "
+                                "authoritative)")
     check_cmd.add_argument("--json", action="store_true",
                            help="emit the health summary as one stable "
                                 "machine-readable JSON object instead "
@@ -338,13 +340,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # ``python -m repro --check-index <path>`` is sugar for the
-    # ``check-index`` subcommand (operational muscle memory: flags work
-    # from anywhere on the command line).
-    if argv and argv[0] == "--check-index":
-        argv = ["check-index", *argv[1:]]
     args = build_arg_parser().parse_args(argv)
     handlers = {
         "index": _cmd_index,
@@ -357,7 +352,6 @@ def main(argv: list[str] | None = None) -> int:
         "facet": _cmd_facet,
         "xpath": _cmd_xpath,
         "shell": _cmd_shell,
-        "validate": _cmd_validate,
         "check-index": _cmd_check_index,
         "lint": _cmd_lint,
         "race": _cmd_race,
@@ -379,237 +373,127 @@ def _cmd_shell(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    from repro.index.storage import load_index
-    from repro.index.validate import (validate_against_repository,
-                                      validate_index)
-
-    index = load_index(args.index)
-    if args.against:
-        problems = validate_against_repository(
-            index, Repository.from_paths(args.against))
-    else:
-        problems = validate_index(index)
-    if not problems:
-        print("index OK")
-        return 0
-    for problem in problems:
-        print(f"PROBLEM: {problem}")
-    return 1
+#: ``check-index`` report keys: what ``format`` takes from the summary
+#: (a store has no ``mode``, a file no ``segments``/``generation``), and
+#: what ``summary`` takes, besides a sharded layout's ``strategy``, for a
+#: file (in text order) and for a store.
+_FORMAT_KEYS = ("version", "codec", "layout", "shards", "mode", "segments",
+                "generation")
+_FILE_COUNTERS = ("size_bytes", "documents", "total_nodes", "entity_nodes",
+                  "element_nodes", "keywords", "postings")
+_STORE_COUNTERS = ("generation", "documents", "wal_tail", "segments",
+                   "shards", "wal_frames", "wal_torn_bytes")
 
 
 def _cmd_check_index(args: argparse.Namespace) -> int:
-    """Exit 0 only for a healthy index.
+    """Exit 0 only for a healthy index file or store.
 
     Exit-code contract (scripts and CI gate on it):
 
-    * ``0`` — readable, checksum-clean, structurally self-consistent
-      (and, with ``--deep``, every deep invariant holds);
+    * ``0`` — the bytes are what was written (and, with ``--deep`` or
+      ``--against``, every content invariant holds);
     * ``1`` — structural failure: unreadable / truncated / checksum
-      mismatch / version mismatch / structural validation problem;
-    * ``2`` — ``--deep`` only: the file is structurally clean but a
-      deep data-level invariant is violated (consistent-but-wrong); the
-      violated invariant is printed by name.
+      mismatch / version mismatch (:func:`repro.index.storage.
+      check_index`);
+    * ``2`` — ``--deep``/``--against`` only: the bytes are right but the
+      tables are wrong (:mod:`repro.analysis.invariants`); the violated
+      invariants are printed by name.
     """
     import json as json_module
 
+    report = _check_report(args)
+    if args.json:
+        print(json_module.dumps(report, sort_keys=True))
+    else:
+        print(_render_check_report(report))
+    return report["exit"]
+
+
+def _check_report(args: argparse.Namespace) -> dict:
+    """The one ``check-index`` report: ``--json`` prints it as is, the
+    text is :func:`_render_check_report` of it."""
+    from repro.analysis import (INVARIANT_NAMES, verify_against,
+                                verify_segmented_store, verify_store)
     from repro.index.storage import check_index
 
-    as_json = getattr(args, "json", False)
-    deep = getattr(args, "deep", False)
-
-    def emit(report: dict) -> int:
-        if as_json:
-            print(json_module.dumps(report, sort_keys=True))
-        return report["exit"]
-
-    target = Path(args.index)
-    if target.is_dir() or target.name == "MANIFEST":
-        directory = target if target.is_dir() else target.parent
-        return _check_segmented_store(directory, deep=deep,
-                                      emit=emit if as_json else None)
     summary = check_index(args.index)
+    store = summary.get("layout") == "store"
+    if store and args.against:
+        raise ConfigError("--against applies to index files only")
     report: dict = {"path": summary["path"], "ok": False, "exit": 1,
-                    "format": {key: summary[key]
-                               for key in ("version", "codec", "layout",
-                                           "shards", "mode")
+                    "format": {key: summary[key] for key in _FORMAT_KEYS
                                if key in summary}}
-    fmt = report["format"]
-    # a file that does not load still names the codec that claims it
-    format_line = (f"v{fmt['version']} {fmt['codec']} "
-                   f"{fmt['layout']}({fmt['shards']}) {fmt['mode']}"
-                   if "version" in fmt else fmt.get("codec", "unknown"))
     if not summary["ok"]:
-        report.update(diagnosis=summary["diagnosis"],
-                      error=summary["error"])
-        if not as_json:
-            print(f"index BAD: {summary['path']}")
-            if fmt:
-                print(f"  format: {format_line}")
-            print(f"  diagnosis: {summary['diagnosis']}")
-            print(f"  error: {summary['error']}")
-        return emit(report)
-    # the file loads cleanly; ``problems`` is the codec's structural
-    # self-check of what a checksum can't see (a stale checksum over
-    # consistent-but-wrong tables; for a binary file every region
-    # against its CRC) — semantic content checks beyond it are --deep
-    problems = summary["problems"]
-    if problems:
-        report.update(diagnosis="invalid",
-                      problems=[str(problem) for problem in problems])
-        if not as_json:
-            print(f"index BAD: {summary['path']}")
-            print(f"  format: {format_line}")
-            print("  diagnosis: invalid")
-            for problem in problems:
-                print(f"  problem: {problem}")
-        return emit(report)
+        report.update(diagnosis=summary["diagnosis"], error=summary["error"])
+        return report
+    deep = args.deep or bool(args.against)
     if deep:
-        from repro.analysis import verify_store
-
-        violations = verify_store(args.index)
+        target = Path(summary["path"])
+        if store:
+            violations = verify_segmented_store(target)
+        elif args.against:
+            violations = verify_against(
+                target, Repository.from_paths(args.against))
+        else:
+            violations = verify_store(target)
         if violations:
             report.update(exit=2, diagnosis="invariant-violation",
                           violations=[violation.render()
                                       for violation in violations])
-            if not as_json:
-                print(f"index BAD: {summary['path']}")
-                print(f"  format: {format_line}")
-                print("  diagnosis: invariant-violation")
-                for violation in violations:
-                    print(f"  invariant violated: {violation.render()}")
-            return emit(report)
-    counter_keys = ("size_bytes", "documents", "total_nodes",
-                    "entity_nodes", "element_nodes", "keywords",
-                    "postings")
+            return report
+    counters = _STORE_COUNTERS if store else _FILE_COUNTERS
     report.update(ok=True, exit=0,
-                  summary={key: summary[key] for key in counter_keys})
-    if "strategy" in summary:
-        report["summary"]["strategy"] = summary["strategy"]
+                  summary={key: summary[key]
+                           for key in (*counters, "strategy")
+                           if key in summary})
     if deep:
-        from repro.analysis import INVARIANT_NAMES
-
-        report["deep_invariants"] = len(INVARIANT_NAMES)
-    if not as_json:
-        print(f"index OK: {summary['path']}")
-        print(f"  {'format':>14}: {format_line}")
-        for key in counter_keys:
-            print(f"  {key:>14}: {summary[key]}")
-        if "strategy" in summary:
-            print(f"  {'shards':>14}: {summary['shards']} "
-                  f"[{summary['strategy']}]")
-        if deep:
-            print(f"  {'deep audit':>14}: {len(INVARIANT_NAMES)} "
-                  f"invariants OK")
-    return emit(report)
+        # ``--against`` checks source-agreement on top of the named set
+        report["deep_invariants"] = len(INVARIANT_NAMES) + bool(args.against)
+    return report
 
 
-def _check_segmented_store(directory: Path, deep: bool,
-                           emit=None) -> int:
-    """check-index for a segmented store directory (same exit contract).
-
-    Structural pass (exit 1 on failure): the manifest reads and
-    checksums, every referenced segment/texts file exists with its
-    recorded CRC32 and loads, and the WAL replays (a torn tail is legal
-    crash residue and is reported, not failed).  ``--deep`` (exit 2)
-    then runs :func:`repro.analysis.verify_segmented_store`.  With
-    *emit* set (``--json``), the report goes through it as one stable
-    JSON object instead of text.
-    """
-    from repro.errors import StorageError
-    from repro.index.segments import file_crc32, read_manifest
-    from repro.index.storage import describe_layout, load_index
-    from repro.index.wal import replay_wal
-
-    try:
-        layout = describe_layout(directory)
-    except StorageError:
-        layout = {}
-
-    def bad(diagnosis: str, error: str) -> int:
-        if emit is not None:
-            return emit({"path": str(directory), "ok": False, "exit": 1,
-                         "format": layout, "diagnosis": diagnosis,
-                         "error": error})
-        print(f"store BAD: {directory}")
-        print(f"  diagnosis: {diagnosis}")
-        print(f"  error: {error}")
-        return 1
-
-    try:
-        manifest = read_manifest(directory)
-    except StorageError as exc:
-        return bad(exc.diagnosis or "corrupted", str(exc))
-    for record in list(manifest.segments) + list(manifest.texts):
-        path = directory / record.file
-        try:
-            if file_crc32(path) != record.crc32:
-                return bad("corrupted",
-                           f"{record.file} does not match its manifest "
-                           f"CRC32")
-        except StorageError as exc:
-            return bad(exc.diagnosis or "unreadable", str(exc))
-    for record in manifest.segments:
-        try:
-            load_index(directory / record.file)
-        except StorageError as exc:
-            return bad(exc.diagnosis or "corrupted",
-                       f"segment {record.file}: {exc}")
-    wal_path = directory / "wal.log"
-    try:
-        replay = replay_wal(wal_path)
-    except StorageError as exc:
-        return bad(exc.diagnosis or "corrupted", f"WAL: {exc}")
-    if deep:
-        from repro.analysis import verify_segmented_store
-
-        violations = verify_segmented_store(directory)
-        if violations:
-            if emit is not None:
-                return emit({"path": str(directory), "ok": False,
-                             "exit": 2, "format": layout,
-                             "diagnosis": "invariant-violation",
-                             "violations": [violation.render()
-                                            for violation in violations]})
-            print(f"store BAD: {directory}")
-            print("  diagnosis: invariant-violation")
-            for violation in violations:
-                print(f"  invariant violated: {violation.render()}")
-            return 2
-    tail = [frame for frame in replay.frames
-            if frame.lsn > manifest.wal_lsn]
-    if emit is not None:
-        report = {"path": str(directory), "ok": True, "exit": 0,
-                  "format": layout,
-                  "summary": {"generation": manifest.generation,
-                              "documents": len(manifest.document_names),
-                              "wal_tail": len(tail),
-                              "segments": len(manifest.segments),
-                              "shards": manifest.shards,
-                              "strategy": manifest.strategy,
-                              "wal_frames": len(replay.frames),
-                              "wal_torn_bytes": replay.torn_bytes}}
-        if deep:
-            from repro.analysis import INVARIANT_NAMES
-
-            report["deep_invariants"] = len(INVARIANT_NAMES)
-        return emit(report)
-    print(f"store OK: {directory}")
-    print(f"  {'format':>14}: v{layout.get('version', '?')} "
-          f"{layout.get('codec', '?')} store({manifest.shards})")
-    print(f"  {'generation':>14}: {manifest.generation}")
-    print(f"  {'documents':>14}: {len(manifest.document_names)} "
-          f"(+{len(tail)} in WAL tail)")
-    print(f"  {'segments':>14}: {len(manifest.segments)}")
-    print(f"  {'shards':>14}: {manifest.shards} [{manifest.strategy}]")
-    print(f"  {'wal':>14}: {len(replay.frames)} frame(s), "
-          f"{replay.torn_bytes} torn byte(s)")
-    if deep:
-        from repro.analysis import INVARIANT_NAMES
-
-        print(f"  {'deep audit':>14}: {len(INVARIANT_NAMES)} "
-              f"invariants OK")
-    return 0
+def _render_check_report(report: dict) -> str:
+    """The text form of a ``check-index`` report — every line is read
+    off the mapping ``--json`` prints."""
+    fmt, counts = report["format"], report.get("summary", {})
+    store = fmt.get("layout") == "store"
+    if store:
+        format_line = (f"v{fmt.get('version', '?')} {fmt.get('codec', '?')}"
+                       f" store({fmt.get('shards', '?')})")
+    elif "version" in fmt:
+        format_line = (f"v{fmt['version']} {fmt['codec']} "
+                       f"{fmt['layout']}({fmt['shards']}) {fmt['mode']}")
+    else:  # a file that does not load still names the codec claiming it
+        format_line = fmt.get("codec", "unknown")
+    verdict = "OK" if report["ok"] else "BAD"
+    lines = [f"{'store' if store else 'index'} {verdict}: {report['path']}"]
+    if not report["ok"]:
+        if fmt and not store:
+            lines.append(f"  format: {format_line}")
+        lines.append(f"  diagnosis: {report['diagnosis']}")
+        if "error" in report:
+            lines.append(f"  error: {report['error']}")
+        lines += [f"  invariant violated: {violation}"
+                  for violation in report.get("violations", ())]
+        return "\n".join(lines)
+    rows = [("format", format_line)]
+    if store:
+        rows += [("generation", counts["generation"]),
+                 ("documents", f"{counts['documents']} "
+                               f"(+{counts['wal_tail']} in WAL tail)"),
+                 ("segments", counts["segments"])]
+    else:
+        rows += [(key, counts[key]) for key in _FILE_COUNTERS]
+    if "strategy" in counts:
+        rows.append(("shards", f"{fmt['shards']} [{counts['strategy']}]"))
+    if store:
+        rows.append(("wal", f"{counts['wal_frames']} frame(s), "
+                            f"{counts['wal_torn_bytes']} torn byte(s)"))
+    if "deep_invariants" in report:
+        rows.append(("deep audit",
+                     f"{report['deep_invariants']} invariants OK"))
+    lines += [f"  {label:>14}: {value}" for label, value in rows]
+    return "\n".join(lines)
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:

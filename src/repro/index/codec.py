@@ -93,7 +93,6 @@ from repro.index.statistics import IndexStats
 from repro.index.storage import (DEFLATE_LEVEL, atomic_write_bytes,
                                  atomic_write_gz, canonical_json,
                                  payload_crc32, read_json_gz)
-from repro.index.validate import validate_index
 from repro.obs.metrics import global_registry
 from repro.obs.trace import NOOP_TRACER
 from repro.text.analyzer import Analyzer
@@ -1175,9 +1174,9 @@ class LazyInvertedIndex(InvertedIndex):
         self._decoded: dict[str, list[Dewey]] = {}
 
     def __getattr__(self, name: str):
-        """First use of the inherited ``_postings`` dict (``items``,
-        ``check_integrity``, a mutation such as ``add``): decode what is
-        left and *become* a plain :class:`InvertedIndex`, so no answer
+        """First use of the inherited ``_postings`` dict (``items``, a
+        mutation such as ``add``): decode what is left and *become* a
+        plain :class:`InvertedIndex`, so no answer
         below can go stale against the file's directory."""
         if name != "_postings":
             raise AttributeError(name)
@@ -1347,7 +1346,7 @@ def load_binary_index(path: str | Path) -> "GKSIndex | ShardedIndex":
             diagnosis="corrupted", path=path) from exc
 
 
-def verify_frames(path: str | Path) -> int:
+def verify_frames(path: str | Path) -> None:
     """Bytes-level structural audit of every stored region.
 
     Checks each shard's directory and frame regions against the
@@ -1357,16 +1356,13 @@ def verify_frames(path: str | Path) -> int:
     complement of :func:`decode_file`: byte rot and truncation fail
     here (``check-index`` exit 1), while *resealed* semantic corruption
     (fresh CRCs over wrong content) passes and is left for the deep
-    invariant audit (exit 2).
-
-    Returns the number of regions verified; raises
-    :class:`StorageError` on the first structural problem.
+    invariant audit (exit 2).  Raises :class:`StorageError` on the
+    first structural problem.
     """
     path = Path(path)
     header = read_binary_header(path)
     buffer = _map_blob(path)
     cursor = header["blob_offset"]
-    checked = 0
     for position, section in enumerate(header["body"].get("shards", [])):
         try:
             regions = [tuple(section["directory"])]
@@ -1402,12 +1398,10 @@ def verify_frames(path: str | Path) -> int:
                         f"to {len(payload)} byte(s), header promises "
                         f"{raw_size}", diagnosis="corrupted", path=path)
             cursor += comp_size
-            checked += 1
     if cursor != len(buffer):
         raise StorageError(
             f"{len(buffer) - cursor} trailing byte(s) after the last "
             f"region in {path}", diagnosis="corrupted", path=path)
-    return checked
 
 
 # ----------------------------------------------------------------------
@@ -1519,10 +1513,11 @@ class Codec(Protocol):
     :class:`StorageError` otherwise — and ``encode`` seals a decoded
     view back under fresh checksums.  ``describe`` states how the file
     is laid out (``version``, ``codec``, ``layout``, ``shards``,
-    ``mode``) and ``self_check`` lists what is wrong with a file that
-    loaded cleanly; both work from the index ``load`` returned instead
-    of reading the file again (``describe`` loads it when not given
-    one).  Codecs are
+    ``mode``), from the index ``load`` returned when given one, and
+    ``check`` raises :class:`StorageError` for what a load that
+    succeeded has not verified — the structural half of ``gks
+    check-index``; whether the tables are right is the deep audit's
+    question (:mod:`repro.analysis.invariants`).  Codecs are
     stateless singletons registered in :data:`CODECS`; a writer picks
     one by name (``EngineConfig.codec``, :func:`resolve_codec`), a
     reader never needs the name (:func:`sniff_codec`).
@@ -1542,7 +1537,7 @@ class Codec(Protocol):
 
     def describe(self, path, index=None) -> dict: ...
 
-    def self_check(self, path, index) -> list[str]: ...
+    def check(self, path) -> None: ...
 
 
 def _describe(codec: Codec, version: int, index) -> dict:
@@ -1762,10 +1757,9 @@ class RawCodec:
                          if isinstance(index, ShardedIndex)
                          else FORMAT_VERSION, index)
 
-    def self_check(self, path, index) -> list[str]:
-        """What a checksum cannot see: a stale CRC over tables that
-        contradict each other (:func:`validate_index`)."""
-        return validate_index(index)
+    def check(self, path) -> None:
+        """Nothing left: the eager load verified every CRC and parsed
+        every Dewey id."""
 
 
 class VarintDagCodec:
@@ -1794,15 +1788,10 @@ class VarintDagCodec:
         return _describe(self, FORMAT_VERSION_BINARY,
                          self.load(path) if index is None else index)
 
-    def self_check(self, path, index) -> list[str]:
-        """Bytes-level: every region against its CRC.  Materialising
-        the lazy index to validate content would defeat the format's
-        cold-open story; its content checks are the deep audit's."""
-        try:
-            verify_frames(path)
-        except StorageError as exc:
-            return [str(exc)]
-        return []
+    def check(self, path) -> None:
+        """Bytes-level: every region against its CRC (:func:`verify_frames`)
+        — the lazy load touched only the header and directories."""
+        verify_frames(path)
 
 
 CODECS: dict[str, Codec] = {"raw": RawCodec(),

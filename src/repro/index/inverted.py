@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Iterator, Mapping
 
-from repro.index.postings import PostingList, verify_sorted
+from repro.index.postings import PostingList
 from repro.obs.trace import NOOP_TRACER
 from repro.xmltree.dewey import Dewey
 
@@ -89,7 +89,3 @@ class InvertedIndex:
 
     def items(self) -> Iterator[tuple[str, PostingList]]:
         yield from self._postings.items()
-
-    def check_integrity(self) -> bool:
-        """True when every posting list is strictly sorted (tests/storage)."""
-        return all(verify_sorted(lst) for lst in self._postings.values())

@@ -21,12 +21,6 @@ from repro.xmltree.dewey import Dewey, subtree_interval
 PostingList = list[Dewey]
 
 
-def verify_sorted(postings: Sequence[Dewey]) -> bool:
-    """True when *postings* is strictly sorted in document order."""
-    return all(postings[i] < postings[i + 1]
-               for i in range(len(postings) - 1))
-
-
 def subtree_range(postings: Sequence[Dewey],
                   ancestor: Dewey) -> tuple[int, int]:
     """Half-open index range of postings inside ``subtree(ancestor)``.

@@ -210,17 +210,25 @@ def describe_layout(path: str | Path) -> dict:
 
 
 def check_index(path: str | Path) -> dict:
-    """Health summary of a persisted index file (``--check-index``).
+    """Structural health of an index file or a segmented store — are the
+    bytes what was written? (``gks check-index``).
 
-    One load answers everything: the layout facts, the counters, and
-    ``problems`` — the codec's structural self-check of a file that
-    loaded cleanly (empty when sound).  Never raises: failures are
-    reported in the returned mapping's ``"ok"``/``"diagnosis"``/
-    ``"error"`` fields.
+    Accepts every form :func:`describe_layout` does.  An index file is
+    checked by its codec's ``load`` (every CRC, every Dewey id) and
+    ``check`` (the regions a lazy load has not touched); a store by its
+    manifest, every file against its recorded CRC32, every segment's
+    load and a WAL replay (a torn tail is legal crash residue, counted
+    in ``wal_torn_bytes``).  Whether the tables are *right* is the deep
+    audit's question (:mod:`repro.analysis.invariants`).
+
+    Returns one flat mapping: ``path``, ``ok``, the layout facts and the
+    counters — or ``diagnosis``/``error`` on failure.  Never raises.
     """
     from repro.index.codec import sniff_codec
 
     path = Path(path)
+    if path.is_dir() or path.name == "MANIFEST":
+        return _check_store(path if path.is_dir() else path.parent)
     summary: dict = {"path": str(path), "ok": False}
     try:
         summary["size_bytes"] = index_size_bytes(path)
@@ -240,21 +248,56 @@ def check_index(path: str | Path) -> dict:
         parts = ([shard.index.inverted for shard in index.shards]
                  if isinstance(index, ShardedIndex) else [index.inverted])
         summary.update(
-            ok=True,
             documents=len(index.document_names),
             keywords=len(set().union(*(part.vocabulary
                                        for part in parts))),
             postings=sum(part.total_postings for part in parts),
-            entity_nodes=len(index.hashes.entity_table),
-            element_nodes=len(index.hashes.element_table),
-            total_nodes=index.stats.total_nodes,
-            problems=codec.self_check(path, index))
+            entity_nodes=index.hashes.entity_count,
+            element_nodes=index.hashes.element_count,
+            total_nodes=index.stats.total_nodes)
+        codec.check(path)
     except StorageError as exc:
-        summary.update(ok=False, diagnosis=exc.diagnosis or "corrupted",
+        summary.update(diagnosis=exc.diagnosis or "corrupted",
                        error=str(exc))
         return summary
+    summary["ok"] = True
     if isinstance(index, ShardedIndex):
         summary.update(strategy=index.strategy)
+    return summary
+
+
+def _check_store(directory: Path) -> dict:
+    """:func:`check_index` of a segmented store directory."""
+    from repro.index.segments import WAL_NAME, file_crc32, read_manifest
+    from repro.index.wal import replay_wal
+
+    # a manifest that does not read still leaves the target a store
+    summary: dict = {"path": str(directory), "ok": False, "layout": "store"}
+    step = ""  # names the file a load or replay error comes from
+    try:
+        manifest = read_manifest(directory)
+        summary.update(describe_layout(directory))
+        for record in (*manifest.segments, *manifest.texts):
+            if file_crc32(directory / record.file) != record.crc32:
+                raise StorageError(f"{record.file} does not match its "
+                                   f"manifest CRC32", diagnosis="corrupted")
+        for record in manifest.segments:
+            step = f"segment {record.file}: "
+            load_index(directory / record.file)
+        step = "WAL: "
+        replay = replay_wal(directory / WAL_NAME)
+    except StorageError as exc:
+        summary.update(diagnosis=exc.diagnosis or "corrupted",
+                       error=f"{step}{exc}")
+        return summary
+    summary.update(
+        ok=True, generation=manifest.generation,
+        documents=len(manifest.document_names),
+        wal_tail=sum(frame.lsn > manifest.wal_lsn
+                     for frame in replay.frames),
+        segments=len(manifest.segments), shards=manifest.shards,
+        strategy=manifest.strategy, wal_frames=len(replay.frames),
+        wal_torn_bytes=replay.torn_bytes)
     return summary
 
 

@@ -340,8 +340,7 @@ class IndexCorruptor:
         (in any shard) and bumps one side, violating
         ``hash-cross-consistency``.  When no dual-role node exists it
         negates a count in whichever table is populated — also a
-        ``hash-cross-consistency`` violation, but one the shallow
-        self-check of a raw file sees too.
+        ``hash-cross-consistency`` violation.
         """
         def mutate(decoded) -> None:
             dual = [(shard, key) for shard in decoded.shards

@@ -406,6 +406,19 @@ class TestInvariants:
         assert "unindexed parent" in details
         assert "stats-agreement" in details and "exceed" in details
 
+    def test_implausible_category_counters_detected(self, tmp_path):
+        for codec in CODEC_NAMES:
+            path = tmp_path / f"mono.{codec}"
+            save_index(build_corpus_index(), path, codec=codec)
+            writer = sniff_codec(path)
+            decoded = writer.decode(path)
+            stats = decoded.shards[0].stats
+            stats["connecting_nodes"] = 2 * stats["total_nodes"] + 1
+            writer.encode(decoded, path)
+            assert [violation.invariant for violation in verify_store(path)
+                    if "category counters" in violation.detail] == \
+                ["stats-agreement"]
+
     def test_in_memory_shard_misrouting_detected(self):
         sharded = build_sharded_index()
         # misdeclare the strategy: hash routing disagrees with the
@@ -472,3 +485,51 @@ class TestCli:
         save_index(build_corpus_index(), path)
         TornWriter(seed=1).tear(path, fraction=0.4)
         assert main(["check-index", str(path), "--deep"]) == 1
+
+    @staticmethod
+    def _saved(tmp_path, codec, shards, repository=None):
+        repository = repository or Repository.from_texts(BOOKS)
+        index = (build_index(repository) if shards == 1 else
+                 sharding.build_sharded_index(repository, shards=shards))
+        return save_index(index, tmp_path / "books.gks", codec=codec)
+
+    @pytest.mark.parametrize("codec", CODEC_NAMES)
+    @pytest.mark.parametrize("shards", (1, 2))
+    def test_resealed_negative_child_count_is_content_damage(
+            self, tmp_path, capsys, codec, shards):
+        # one verdict on every codec and layout: the bytes are what was
+        # written (exit 0), the tables are wrong (--deep exits 2)
+        path = self._saved(tmp_path, codec, shards)
+        writer = sniff_codec(path)
+        decoded = writer.decode(path)
+        shard = decoded.shards[-1]
+        shard.element[min(shard.element)] = -3
+        writer.encode(decoded, path)
+        assert main(["check-index", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["check-index", str(path), "--deep"]) == 2
+        out = capsys.readouterr().out
+        assert "hash-cross-consistency" in out
+        assert "negative child count -3" in out
+
+    @pytest.mark.parametrize("codec", CODEC_NAMES)
+    @pytest.mark.parametrize("shards", (1, 2))
+    def test_check_index_against_sources(self, tmp_path, capsys, codec,
+                                         shards):
+        sources = []
+        for position, text in enumerate(BOOKS):
+            source = tmp_path / f"doc{position}.xml"
+            source.write_text(text)
+            sources.append(str(source))
+        path = self._saved(tmp_path, codec, shards,
+                           Repository.from_paths(sources))
+        assert main(["check-index", str(path), "--against", *sources]) == 0
+        assert "deep audit" in capsys.readouterr().out
+        other = tmp_path / "other.xml"
+        other.write_text("<bib><book><title>other</title></book></bib>")
+        assert main(["check-index", str(path), "--against",
+                     *sources[:-1], str(other)]) == 2
+        assert "source-agreement" in capsys.readouterr().out
+        # a structurally broken file is exit 1 before any rebuild
+        TornWriter(seed=1).tear(path, fraction=0.4)
+        assert main(["check-index", str(path), "--against", *sources]) == 1

@@ -120,7 +120,7 @@ class TestCheckIndex:
         assert main(["check-index", str(tmp_path / "absent.gz")]) == 1
 
     def test_flag_spelling_works(self, index_path):
-        assert main(["--check-index", str(index_path)]) == 0
+        assert main(["check-index", str(index_path)]) == 0
 
 
 class TestObservabilityCLI:

@@ -23,6 +23,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro import cli
 from repro.cli import main
 from repro.core.budget import SearchBudget
 from repro.core.config import EngineConfig, SearchOptions, Texts
@@ -41,13 +42,17 @@ from repro.index.codec import (CODEC_NAMES, Codec, RawCodec, VarintDagCodec,
                                load_binary_index, read_svarint,
                                resolve_codec, write_binary_index,
                                write_svarint)
+from repro.index.composite import _RoutedHashes
+from repro.index.hashtables import NodeHashes
 from repro.index.inverted import InvertedIndex
 from repro.index.sharding import build_sharded_index
 from repro.index.storage import check_index, describe_layout, load_index
-from repro.analysis.invariants import INVARIANT_NAMES, verify_store
+from repro.analysis.invariants import (INVARIANT_NAMES, verify_index,
+                                       verify_store)
 from repro.obs.metrics import global_registry
 from repro.obs.trace import Tracer
-from repro.testing.faults import FakeClock, IndexCorruptor, TornWriter
+from repro.testing.faults import (FakeClock, IndexCorruptor, StoreCorruptor,
+                                  TornWriter)
 from repro.xmltree.node import build_tree
 from repro.xmltree.repository import Repository
 
@@ -365,8 +370,7 @@ class TestDeepAudit:
             stored = resolve_codec(codec).decode(path)
             IndexCorruptor(seed=11).corrupt_postings(path)
             # structural checks pass end to end: CRCs were resealed
-            summary = check_index(path)
-            assert summary["ok"] and summary["problems"] == []
+            assert check_index(path)["ok"]
             load_index(path)
             # only the deep audit can tell
             violations = {v.invariant for v in verify_store(path)}
@@ -553,7 +557,8 @@ class TestPlainPostings:
     def test_first_whole_index_use_leaves_a_plain_inverted_index(
             self, tmp_path):
         built = build_index(Repository.from_texts(CORPUS))
-        inverted = _roundtrip(built, tmp_path).inverted
+        loaded = _roundtrip(built, tmp_path)
+        inverted = loaded.inverted
         kept = inverted.postings("keyword")
         inverted.add("keyword", (9, 0))         # reaches ``_postings``
         inverted.add("brandnew", (9, 1))
@@ -562,7 +567,10 @@ class TestPlainPostings:
         assert "brandnew" in inverted and "brandnew" in inverted.vocabulary
         assert len(inverted) == len(built.inverted) + 1
         assert inverted.total_postings == built.inverted.total_postings + 2
-        assert inverted.check_integrity()
+        # every list still sorted (document 9 and the extra postings are
+        # other invariants' business)
+        assert "postings-sorted" not in {
+            violation.invariant for violation in verify_index(loaded)}
 
 
 class TestLaziness:
@@ -839,6 +847,71 @@ class TestCheckIndexJson:
         assert report["ok"] is True
         assert report["format"]["layout"] == "store"
         assert report["format"]["codec"] == "raw"
+
+    @staticmethod
+    def _target(tmp_path, codec, case) -> list[str]:
+        """check-index argv for one damage *case* of a file or store."""
+        if case.startswith("store"):
+            store = tmp_path / "store"
+            engine = GKSEngine.open(Texts(CORPUS), config=EngineConfig(
+                store_path=store, shards=2, codec=codec, memtable_docs=2))
+            for position, text in enumerate(CORPUS[:3]):
+                engine.add_document(text, name=f"extra{position}.xml")
+            engine.close()
+            if case == "store-crc":
+                segment = next(store.glob("seg-*"))
+                data = bytearray(segment.read_bytes())
+                data[len(data) // 2] ^= 0xFF
+                segment.write_bytes(bytes(data))
+            elif case == "store-deep":
+                StoreCorruptor(seed=17).corrupt_segment_postings(store)
+                return [str(store), "--deep"]
+            return [str(store)]
+        path = tmp_path / "idx"
+        resolve_codec(codec).save(
+            build_sharded_index(Repository.from_texts(CORPUS), shards=2),
+            path)
+        if case == "torn":
+            TornWriter(seed=5).tear(path, fraction=0.5)
+        elif case == "deep":
+            IndexCorruptor(seed=11).corrupt_postings(path)
+            return [str(path), "--deep"]
+        return [str(path)]
+
+    @pytest.mark.parametrize("codec", CODEC_NAMES)
+    @pytest.mark.parametrize("case, exit_code", [
+        ("healthy", 0), ("torn", 1), ("deep", 2),
+        ("store", 0), ("store-crc", 1), ("store-deep", 2)])
+    def test_text_is_rendered_from_the_json_report(
+            self, tmp_path, capsys, codec, case, exit_code):
+        argv = self._target(tmp_path, codec, case)
+        assert main(["check-index", *argv]) == exit_code
+        text = capsys.readouterr().out
+        report = self._report(capsys, *argv)
+        assert report["exit"] == exit_code
+        assert text == cli._render_check_report(report) + "\n"
+        noun = "store" if case.startswith("store") else "index"
+        assert text.startswith(f"{noun} {'OK' if report['ok'] else 'BAD'}")
+
+    @pytest.mark.parametrize("codec", CODEC_NAMES)
+    def test_node_counts_do_not_copy_the_hash_tables(
+            self, tmp_path, monkeypatch, codec):
+        built = build_sharded_index(Repository.from_texts(ENTITY_CORPUS),
+                                    shards=2)
+        entities = len(built.hashes.entity_table)
+        elements = len(built.hashes.element_table)
+        path = tmp_path / "two-shards.idx"
+        resolve_codec(codec).save(built, path)
+
+        def copied(self):
+            raise AssertionError("counted by copying a hash table")
+        for tables in (NodeHashes, _RoutedHashes):
+            monkeypatch.setattr(tables, "entity_table", property(copied))
+            monkeypatch.setattr(tables, "element_table", property(copied))
+        summary = check_index(path)
+        assert summary["ok"]
+        assert (summary["entity_nodes"], summary["element_nodes"]) == \
+            (entities, elements)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import verify_index
 from repro.datasets.toy import figure2a
 from repro.errors import IndexError_, XMLSyntaxError
-from repro.index.builder import IndexBuilder, build_index
+from repro.index.builder import GKSIndex, IndexBuilder, build_index
+from repro.index.hashtables import NodeHashes
 from repro.index.inverted import InvertedIndex
 from repro.index.postings import (count_in_subtree, intersect_postings,
                                   merge_posting_lists, subtree_range)
 from repro.index.sharding import build_sharded_index
+from repro.index.statistics import IndexStats
 from repro.text.analyzer import Analyzer
 from repro.xmltree.repository import Repository
 from repro.xmltree.serialize import serialize_node
@@ -70,7 +73,10 @@ class TestInvertedIndex:
         index.add("k", (0, 5))
         index.add("k", (0, 3))      # out of order (mixed content case)
         assert index.postings("k") == [(0, 2), (0, 3), (0, 5)]
-        assert index.check_integrity()
+        built = GKSIndex(inverted=index, hashes=NodeHashes(),
+                         stats=IndexStats(documents=1),
+                         document_names=("doc",))
+        assert verify_index(built) == []
 
     def test_missing_keyword_is_empty(self):
         assert InvertedIndex().postings("nope") == []

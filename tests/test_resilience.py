@@ -475,7 +475,7 @@ class TestIndexHealth:
     def test_cli_check_index_flag_form(self, saved_index, capsys):
         _, path = saved_index
         TornWriter(seed=3).tear(path, fraction=0.5)
-        assert main(["--check-index", str(path)]) == 1
+        assert main(["check-index", str(path)]) == 1
         out = capsys.readouterr().out
         assert "index BAD" in out
         assert "truncated" in out
