@@ -27,8 +27,7 @@ their dependencies put them: ``datasets``/``testing`` with
 imports ``index`` and ``core.config``, and ``core.engine`` calls it
 through deferred imports) with ``core``/``obs``;
 ``analytics``/``analysis``/``serve`` with ``baselines``/``eval``; the
-experiment harness (``exp``, which drives ``serve`` and ``eval``) and
-the ``__init__``/``__main__`` facades with the CLI.
+``__init__``/``__main__`` facades with the CLI.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ LAYER_OF = {
     "core": 3, "obs": 3, "semantics": 3,
     "baselines": 4, "eval": 4, "analytics": 4, "analysis": 4,
     "serve": 4,
-    "cli": 5, "shell": 5, "exp": 5, "api": 5, "__init__": 5,
+    "cli": 5, "shell": 5, "api": 5, "__init__": 5,
     "__main__": 5,
 }
 

@@ -29,10 +29,6 @@ Subcommands mirror the system's three engines (Fig. 3):
 * ``gks serve FILE... --port N``       JSON-over-HTTP query serving
   (``/search``, ``/healthz``, ``/metrics``) with bounded admission and
   request coalescing; SIGTERM drains gracefully
-* ``gks exp run SPEC -o DIR``          expand a frozen run-table spec
-  and execute it (per-run artifact dirs, aggregate tables); ``gks exp
-  aggregate DIR`` rebuilds the tables, ``gks exp compare CUR BASE``
-  gates an aggregate against a committed baseline (exit 1 on drift)
 
 ``FILE`` arguments ending in ``.json`` are ingested through the JSON
 adapter; everything else is parsed as XML.
@@ -312,30 +308,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     data_cmd.add_argument("--scale", type=int, default=1)
     data_cmd.add_argument("--seed", type=int, default=0)
 
-    exp_cmd = commands.add_parser(
-        "exp", help="run declarative experiment matrices "
-                    "(run tables, aggregates, regression gate)")
-    exp_sub = exp_cmd.add_subparsers(dest="exp_command", required=True)
-    exp_run = exp_sub.add_parser(
-        "run", help="expand a spec and execute every run")
-    exp_run.add_argument("spec", help="run-table spec (.json or .toml)")
-    exp_run.add_argument("-o", "--output", required=True,
-                         help="artifact directory (one subdir per run)")
-    exp_run.add_argument("--mode", choices=["inproc", "http"],
-                         default=None,
-                         help="override the spec's execution mode")
-    exp_run.add_argument("--quiet", action="store_true",
-                         help="suppress per-run progress lines")
-    exp_agg = exp_sub.add_parser(
-        "aggregate", help="rebuild aggregate.json/csv/md from run "
-                          "artifacts")
-    exp_agg.add_argument("dir", help="experiment artifact directory")
-    exp_cmp = exp_sub.add_parser(
-        "compare", help="gate an aggregate against a baseline "
-                        "(exit 1 beyond tolerance)")
-    exp_cmp.add_argument("current",
-                         help="aggregate.json to check (or its directory)")
-    exp_cmp.add_argument("baseline", help="committed baseline aggregate")
     return parser
 
 
@@ -357,7 +329,6 @@ def main(argv: list[str] | None = None) -> int:
         "race": _cmd_race,
         "stats": _cmd_stats,
         "dataset": _cmd_dataset,
-        "exp": _cmd_exp,
     }
     try:
         return handlers[args.command](args)
@@ -824,7 +795,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     engine = _engine(args)
     engine.slow_log = SlowQueryLog(threshold_s=args.slow_ms / 1000.0)
     # mint a request id per query so slow-log lines are joinable with
-    # serve logs and experiment artifacts (satellite of the exp harness)
+    # the per-query stats printed below
     responses = [(text, engine.search(text, s=args.s,
                                       request_id=f"cli-{n:03d}"))
                  for n, text in enumerate(args.query, start=1)]
@@ -871,51 +842,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     for entry in slow:
         print(f"  {entry.render()}")
     return 0
-
-
-def _cmd_exp(args: argparse.Namespace) -> int:
-    """Experiment matrices: run / aggregate / compare."""
-    if args.exp_command == "run":
-        from dataclasses import replace as _replace
-
-        from repro.exp import ExperimentRunner, ExperimentSpec, \
-            write_aggregate
-
-        spec = ExperimentSpec.load(args.spec)
-        if args.mode is not None and args.mode != spec.mode:
-            spec = _replace(spec, mode=args.mode)
-        log = (lambda *_: None) if args.quiet else print
-        runner = ExperimentRunner(spec, args.output, log=log)
-        results = runner.run()
-        aggregate = write_aggregate(args.output)
-        total_ok = sum(result.report.completed for result in results)
-        total = sum(result.report.submitted for result in results)
-        print(f"gks exp: {len(results)} run(s), {total_ok}/{total} "
-              f"requests ok -> {args.output}/aggregate.json")
-        return 0
-    if args.exp_command == "aggregate":
-        from repro.exp import render_markdown, write_aggregate
-
-        aggregate = write_aggregate(args.dir)
-        print(render_markdown(aggregate), end="")
-        return 0
-    if args.exp_command == "compare":
-        from repro.exp import compare_files
-
-        current = Path(args.current)
-        if current.is_dir():
-            current = current / "aggregate.json"
-        violations = compare_files(current, args.baseline)
-        if not violations:
-            print(f"gks exp compare: OK ({current} matches "
-                  f"{args.baseline})")
-            return 0
-        for violation in violations:
-            print(f"REGRESSION: {violation.render()}")
-        print(f"gks exp compare: {len(violations)} violation(s)",
-              file=sys.stderr)
-        return 1
-    raise GKSError(f"unknown exp subcommand {args.exp_command!r}")
 
 
 def _cmd_dataset(args: argparse.Namespace) -> int:

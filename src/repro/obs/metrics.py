@@ -43,31 +43,6 @@ def escape_label_value(value: str) -> str:
                  .replace("\n", "\\n"))
 
 
-def unescape_label_value(value: str) -> str:
-    """Invert :func:`escape_label_value` (scrape parsers need this)."""
-    out: list[str] = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\" and i + 1 < len(value):
-            nxt = value[i + 1]
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-            if nxt == '"':
-                out.append('"')
-                i += 2
-                continue
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
-
-
 def _escape_help(text: str) -> str:
     """HELP lines escape backslash and newline (not double-quote)."""
     return text.replace("\\", "\\\\").replace("\n", "\\n")

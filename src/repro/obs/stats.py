@@ -40,8 +40,8 @@ class QueryStats:
     trip_reason: str | None = None
     degraded: bool = False
     #: Correlation id minted at serving admission (None for direct
-    #: engine calls); joins this record to serve logs, span trees and
-    #: experiment artifacts.
+    #: engine calls); joins this record to the HTTP response header,
+    #: span trees and the slow-query log.
     request_id: str | None = None
     #: Query semantics mode ("strict" | "probabilistic" | "relaxed").
     #: Non-strict values surface in to_dict()/render(); the strict

@@ -43,7 +43,8 @@ response, never in a dropped connection.  Bodies are always JSON:
 ``{"error": ..., "type": ..., "reason"?: ...}``.
 
 Correlation: every ``/search`` exchange — success *or* error — answers
-with an ``X-Request-Id`` header (the client's own when it sent one,
+with an ``X-Request-Id`` header (the client's own when it sent a
+well-formed one — 1 to 64 characters from ``[A-Za-z0-9._:-]`` —
 otherwise minted at admission).  The same id is stamped on the
 response's :class:`~repro.obs.stats.QueryStats`, the slow-query log
 entry and the search's span tree, so one grep joins all four.
@@ -52,6 +53,7 @@ entry and the search's span tree, so one grep joins all four.
 from __future__ import annotations
 
 import json
+import re
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
@@ -60,6 +62,12 @@ from repro.core.export import response_to_dict
 from repro.errors import (ConfigError, GKSError, Overloaded, QueryError,
                           SearchTimeout, ValidationError, XMLSyntaxError)
 from repro.serve.core import ServerCore
+
+#: A client-supplied request id is taken only in this shape: it lands
+#: in the response header, the span tree and the one-line slow log, so
+#: a folded header carrying CR/LF (or an unbounded one) is replaced by
+#: a minted id.
+_CLIENT_REQUEST_ID = re.compile(r"[A-Za-z0-9._:-]{1,64}")
 
 
 class ServeHTTPServer(ThreadingHTTPServer):
@@ -199,8 +207,9 @@ class GKSRequestHandler(BaseHTTPRequestHandler):
         # admission so even a shed or parse error answers with one;
         # coalesced followers share the leader's stamped id, the header
         # still reports the id minted for *this* HTTP exchange
-        rid = self.headers.get("X-Request-Id") or \
-            self.core.mint_request_id()
+        rid = self.headers.get("X-Request-Id") or ""
+        if not _CLIENT_REQUEST_ID.fullmatch(rid):
+            rid = self.core.mint_request_id()
 
         def work() -> dict:
             params = self._params()

@@ -255,6 +255,12 @@ class TestParser:
             main(["index", str(corpus), "-o", str(tmp_path / "idx.gz"),
                   "--workers", "2"])
 
+    def test_exp_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["exp", "run", "spec.json", "-o", "out"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'exp'" in capsys.readouterr().err
+
     def test_config_flags_cannot_drift_from_engine_config(self):
         defaults = EngineConfig()
         backed = {field: flag for flag, (field, _, _)

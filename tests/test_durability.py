@@ -28,6 +28,7 @@ from repro.index.codec import CODEC_NAMES
 from repro.index.segments import SegmentStore, read_manifest
 from repro.index.storage import describe_layout
 from repro.index.wal import (WAL_MAGIC, WriteAheadLog, replay_wal)
+from repro.obs.metrics import MetricsRegistry, global_registry
 from repro.serve import (LoadGenerator, RetryPolicy, ServeConfig,
                          ServerCore, serve_http)
 from repro.testing import FakeClock, StoreCorruptor, TornWriter
@@ -640,6 +641,54 @@ class TestServeMutation:
         recovered = GKSEngine.open(Texts(BASE), config=config)
         assert len(recovered.repository) == len(BASE) + len(added)
         recovered.close()
+
+
+# ----------------------------------------------------------------------
+# Durability-path metrics
+# ----------------------------------------------------------------------
+class TestDurabilityMetrics:
+    def test_wal_flush_and_store_metrics_reach_the_exposition(
+            self, tmp_path):
+        registry = global_registry()
+        appends = registry.counter("gks_wal_appends_total")
+        fsyncs = registry.histogram("gks_wal_fsync_seconds")
+        flushed = registry.counter("gks_store_flushed_documents_total")
+        appends_0 = appends.total()
+        fsyncs_0 = fsyncs.count()
+        flushed_0 = flushed.value()
+
+        engine = GKSEngine.open(Texts(BASE), store_path=tmp_path / "store")
+        engine.add_document("<doc><x>fresh words here</x></doc>",
+                            name="extra.xml")
+        assert appends.total() == appends_0 + 1
+        assert fsyncs.count() >= fsyncs_0 + 1
+        assert registry.gauge("gks_store_documents").value() >= 1
+
+        engine.flush()
+        assert flushed.value() == flushed_0 + 1
+        own = engine.metrics_registry
+        assert own.histogram("gks_store_flush_seconds").count() >= 1
+        assert own.gauge("gks_memtable_pending").value() == 0
+        assert own.gauge("gks_engine_generation").value() >= 1
+        # the flush span is retained for trace inspection
+        assert any(span.name == "flush"
+                   for span in engine.recent_traces())
+        # and everything renders into the text exposition
+        text = registry.render_prometheus()
+        assert "gks_wal_append_seconds" in text
+        assert "gks_wal_appended_bytes_total" in text
+        assert registry.counter("gks_wal_appends_total").total() >= 1
+        assert any(line.startswith("gks_wal_appends_total")
+                   for line in text.splitlines())
+
+    def test_swap_engine_records_duration(self):
+        registry = MetricsRegistry()
+        engine = GKSEngine.open(Texts(BASE))
+        with ServerCore(engine, ServeConfig(workers=1),
+                        registry=registry) as core:
+            core.swap_engine(GKSEngine.open(Texts(BASE)))
+            histogram = registry.histogram("gks_serve_swap_seconds")
+            assert histogram.count() == 1
 
 
 class _FlakyCore:

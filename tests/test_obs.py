@@ -23,7 +23,8 @@ from repro.core.topk import search_top_k
 from repro.datasets.registry import load_dataset
 from repro.index.builder import build_index
 from repro.index.sharding import build_sharded_index
-from repro.obs.metrics import MetricsRegistry, global_registry
+from repro.obs.metrics import (MetricsRegistry, escape_label_value,
+                               global_registry)
 from repro.obs.stats import QueryStats, SlowQueryLog
 from repro.obs.trace import (NOOP_TRACER, NullTracer, Tracer,
                              render_span_tree)
@@ -235,6 +236,38 @@ class TestMetricsRegistry:
             "gks_searches_total 3",
         ]) + "\n"
         assert registry.render_prometheus() == expected
+
+
+class TestLabelEscaping:
+    @pytest.mark.parametrize("raw, escaped", [
+        ('plain', 'plain'),
+        ('back\\slash', 'back\\\\slash'),
+        ('quo"te', 'quo\\"te'),
+        ('new\nline', 'new\\nline'),
+        ('all\\"\n', 'all\\\\\\"\\n'),
+    ])
+    def test_escape_and_inverse(self, raw, escaped):
+        assert escape_label_value(raw) == escaped
+
+    def test_exposition_escapes_label_values(self):
+        registry = MetricsRegistry()
+        registry.counter("evil_total").inc(
+            labels={"q": 'say "hi"\\now\nplease'})
+        text = registry.render_prometheus()
+        line = next(l for l in text.splitlines()
+                    if l.startswith("evil_total"))
+        assert '\\"hi\\"' in line
+        assert "\\\\now" in line
+        assert "\\n" in line
+        assert "\n" not in line.replace("\\n", "")
+
+    def test_help_text_escapes_backslash_and_newline(self):
+        registry = MetricsRegistry()
+        registry.gauge("g", help="line one\nc:\\temp")
+        text = registry.render_prometheus()
+        help_line = next(l for l in text.splitlines()
+                         if l.startswith("# HELP"))
+        assert help_line == "# HELP g line one\\nc:\\\\temp"
 
 
 # ----------------------------------------------------------------------

@@ -24,10 +24,12 @@ from repro.core.config import EngineConfig, SearchOptions, Texts
 from repro.core.engine import GKSEngine
 from repro.errors import ConfigError, Overloaded, QueryError, SearchTimeout
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.stats import QueryStats, SlowQuery
 from repro.serve import (LoadGenerator, OpenLoopSchedule, ServeConfig,
                          ServeHTTPServer, ServerCore, percentile,
                          serve_http)
 from repro.testing import BurstyArrivals, FakeClock, SlowEngine
+from repro.xmltree.repository import Repository
 
 pytestmark = pytest.mark.serve
 
@@ -892,3 +894,164 @@ class TestLoadgen:
             for offset in offsets))
         assert schedule.duration_s == pytest.approx(offsets[-1])
         assert len(schedule.requests) == 6
+
+
+# ---------------------------------------------------------------------------
+# Request-id correlation: HTTP header, stats, span tree and slow-query log
+# ---------------------------------------------------------------------------
+LIBRARY = ("<library><book><title>xml search</title>"
+           "<author>ada byron</author></book>"
+           "<book><title>graph theory</title>"
+           "<author>paul erdos</author></book></library>")
+
+
+def _library_engine(**kwargs) -> GKSEngine:
+    repository = Repository()
+    repository.parse(LIBRARY, name="corpus.xml")
+    return GKSEngine(repository, metrics=MetricsRegistry(), **kwargs)
+
+
+class TestRequestIdCorrelation:
+    def _core(self, **engine_kwargs):
+        engine = _library_engine(**engine_kwargs)
+        core = ServerCore(
+            engine, ServeConfig(workers=2, trace=True),
+            registry=engine.metrics_registry,
+            id_source=iter(f"rid-{n}" for n in range(100)).__next__)
+        return engine, core
+
+    def test_minted_id_lands_on_stats_span_and_slow_log(self):
+        engine, core = self._core(slow_query_threshold_s=0.0)
+        with core:
+            response = core.search("xml ada")
+        assert response.stats.request_id == "rid-0"
+        root = engine.recent_traces()[-1]
+        assert root.attributes["request_id"] == "rid-0"
+        assert "queue_wait_s" in root.attributes
+        slow = engine.slow_queries()[-1]
+        assert slow.request_id == "rid-0"
+        assert "rid=rid-0" in slow.render()
+
+    def test_caller_supplied_id_wins(self):
+        _, core = self._core()
+        with core:
+            response = core.search("xml", request_id="mine-42")
+        assert response.stats.request_id == "mine-42"
+
+    def test_served_repeat_is_an_lru_hit_with_the_new_request_id(self):
+        engine, core = self._core()
+        with core:
+            first = core.search("xml")
+            second = core.search("xml")
+        assert first.stats.request_id == "rid-0"
+        assert second.stats.request_id == "rid-1"
+        assert second.stats.cache_hit and not first.stats.cache_hit
+        # the hit shares the first answer's nodes; only the stats differ
+        assert second.nodes is first.nodes
+        assert engine.cache_info()["hits"] == 1
+
+    def test_engine_lru_hit_restamps_too(self):
+        engine = _library_engine()
+        cold = engine.search("xml", request_id="a")
+        warm = engine.search("xml", request_id="b")
+        assert cold.stats.request_id == "a"
+        assert warm.stats.request_id == "b" and warm.stats.cache_hit
+
+    def test_stats_dict_and_render_carry_the_id(self):
+        stats = QueryStats(total_seconds=1.0, request_id="r-9")
+        assert stats.to_dict()["request_id"] == "r-9"
+        entry = SlowQuery(query_text="q", s=1, stats=stats, unix_time=0.0)
+        assert entry.render().endswith("rid=r-9")
+
+    def test_direct_engine_calls_have_no_id(self):
+        assert _library_engine().search("xml").stats.request_id is None
+
+
+@pytest.fixture()
+def traced_http_server():
+    engine = _library_engine(slow_query_threshold_s=0.0)
+    core = ServerCore(engine, ServeConfig(workers=2, trace=True),
+                      registry=engine.metrics_registry)
+    server = serve_http(core)
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.01}, daemon=True)
+    thread.start()
+    port = server.server_address[1]
+    yield f"http://127.0.0.1:{port}", engine
+    server.shutdown()
+    server.server_close()
+    core.close()
+
+
+class TestHTTPCorrelation:
+    """One id joins the HTTP response, the span tree and the slow-query
+    log for the same query."""
+
+    def test_response_header_spans_and_slow_log_share_one_id(
+            self, traced_http_server):
+        base, engine = traced_http_server
+        with urllib.request.urlopen(f"{base}/search?q=xml+ada",
+                                    timeout=10) as response:
+            rid = response.headers["X-Request-Id"]
+            payload = json.load(response)
+        assert rid
+        assert payload["serve"]["request_id"] == rid
+        root = engine.recent_traces()[-1]
+        assert root.attributes["request_id"] == rid
+        assert engine.slow_queries()[-1].request_id == rid
+
+    def test_client_header_is_respected_end_to_end(
+            self, traced_http_server):
+        base, engine = traced_http_server
+        request = urllib.request.Request(
+            f"{base}/search?q=graph",
+            headers={"X-Request-Id": "client-7"})
+        with urllib.request.urlopen(request, timeout=10) as response:
+            assert response.headers["X-Request-Id"] == "client-7"
+            payload = json.load(response)
+        assert payload["serve"]["request_id"] == "client-7"
+        assert engine.slow_queries()[-1].request_id == "client-7"
+
+    @pytest.mark.parametrize("client_id", ["abc\r\n evil=1", "a" * 65],
+                             ids=["folded", "65-chars"])
+    def test_malformed_client_id_is_replaced_by_a_minted_one(
+            self, traced_http_server, client_id):
+        base, engine = traced_http_server
+        request = urllib.request.Request(
+            f"{base}/search?q=graph",
+            headers={"X-Request-Id": client_id})
+        with urllib.request.urlopen(request, timeout=10) as response:
+            rid = response.headers["X-Request-Id"]
+            payload = json.load(response)
+        assert rid.startswith("req-")
+        assert payload["serve"]["request_id"] == rid
+        line = engine.slow_queries()[-1].render()
+        assert line.endswith(f"rid={rid}")
+        assert "\r" not in line and "\n" not in line
+
+    def test_error_responses_still_carry_the_header(
+            self, traced_http_server):
+        base, _ = traced_http_server
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(f"{base}/search", timeout=10)
+        assert caught.value.code == 400
+        assert caught.value.headers["X-Request-Id"]
+
+
+class TestLoadgenShedClassification:
+    def test_async_overloaded_counts_as_shed(self):
+        from concurrent.futures import Future
+
+        class ShedCore:
+            def submit(self, query, s=None, *, k=None, ranker=None,
+                       deadline_s=None, request_id=None):
+                future: Future = Future()
+                future.set_exception(
+                    Overloaded("late 429", reason="queue-full"))
+                return future
+
+        generator = LoadGenerator(ShedCore())
+        report = generator.run_closed(["q"], concurrency=1, iterations=2)
+        assert report.shed == 2
+        assert report.errors == 0
+        assert report.outcomes[0].error == "queue-full"
