@@ -6,7 +6,7 @@
   single-author articles regain their entity-hood;
 * keyword search over JSON (the format the paper's intro puts next to
   XML);
-* top-k search with early-terminated ranking.
+* top-k search (the head of the full ranking).
 
 Run:  python examples/analytics_and_schema.py
 """

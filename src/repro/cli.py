@@ -4,7 +4,7 @@ Subcommands mirror the system's three engines (Fig. 3):
 
 * ``gks index FILE...  -o INDEX``     build and persist an index
 * ``gks search FILE... -q QUERY -s N``  run a query, print ranked results
-* ``gks topk FILE... -q QUERY -k K``    top-k with early termination
+* ``gks topk FILE... -q QUERY -k K``    top-k: the head of the full ranking
 * ``gks di FILE... -q QUERY``          print the DI for a query
 * ``gks categorize FILE...``           print the Table 5 category counts
 * ``gks schema FILE...``               print the inferred schema
@@ -178,7 +178,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                       "--strategy")
 
     topk_cmd = commands.add_parser(
-        "topk", help="top-k search with early-terminated ranking")
+        "topk", help="top-k search: the k best of the full ranking")
     topk_cmd.add_argument("files", nargs="+")
     topk_cmd.add_argument("-q", "--query", required=True)
     topk_cmd.add_argument("-s", type=int, default=1)

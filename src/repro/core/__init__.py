@@ -25,7 +25,7 @@ from repro.core.refinement import (Refinement, RefinementKind, suggest,
                                    suggest_expansions, suggest_subsets)
 from repro.core.results import GKSResponse, RankedNode, SearchProfile
 from repro.core.search import search
-from repro.core.topk import distinct_keyword_count, search_top_k
+from repro.core.topk import search_top_k
 
 __all__ = [
     "DegradationReport", "EngineConfig", "Paths", "SearchBudget",
@@ -42,7 +42,7 @@ __all__ = [
     "RankedNode", "Refinement", "RefinementKind", "SearchProfile",
     "attribute_nodes_of", "compute_lcp_list", "discover_insights",
     "discover_lce", "discover_recursive", "merged_list",
-    "distinct_keyword_count", "rank_by_keyword_count", "rank_node",
+    "rank_by_keyword_count", "rank_node",
     "received_potential", "search", "search_top_k", "sliding_blocks",
     "split_phrases", "suggest", "suggest_expansions", "suggest_subsets",
     "terminal_points",

@@ -31,7 +31,6 @@ from repro.core.refinement import Refinement, suggest
 from repro.core.ranking import rank_node
 from repro.core.results import GKSResponse, RankedNode, SemanticsInfo
 from repro.core.search import Ranker, search, units_of
-from repro.core.topk import search_top_k
 from repro.core.durable import (compose_serving, merge_chains,
                                 merge_memtable, open_durable,
                                 pending_document, units_from_base)
@@ -305,10 +304,12 @@ class GKSEngine:
         broker and HTTP surface accept), then to the engine's
         :class:`EngineConfig` — the precedence
         :func:`~repro.core.config.resolve_request` implements for every
-        layer.  With a ``k`` (here or in *options*) only the ``k`` best
-        nodes are ranked and returned, as :meth:`search_top_k` does.
-        Responses are LRU-cached per (keywords, s, ranker); pass
-        ``use_cache=False`` to force a fresh run (timing harnesses do).
+        layer.  With a ``k`` (here or in *options*) the response is the
+        :meth:`~GKSResponse.head` of the full ranking, as
+        :meth:`search_top_k` returns.  Full responses are LRU-cached per
+        (keywords, s, ranker) and a top-k request is served the head of
+        the cached one; pass ``use_cache=False`` to force a fresh run
+        (timing harnesses do).
 
         A :class:`SearchBudget` bounds the query's cost; an exhausted
         budget yields a partial response flagged ``degraded=True``.  With
@@ -350,21 +351,26 @@ class GKSEngine:
              tracer: Tracer | NullTracer | None,
              request_id: str | None) -> GKSResponse:
         """The one request path behind :meth:`search` and
-        :meth:`search_top_k`: mode dispatch, cache, pipeline,
-        bookkeeping."""
-        query, k, ranker, budget = (request.query, request.k,
-                                    request.ranker, request.budget)
-        if request.mode != "strict":
-            # Non-strict modes run the full semantic pipeline, then
-            # truncate: the semantic ranks (probability, penalty) are
-            # global properties early termination cannot preserve.
-            response = self._semantic_search(request, tracer, request_id)
-            if k is not None:
-                response = replace(response, nodes=response.nodes[:k])
-            return response
+        :meth:`search_top_k`: the full answer (mode dispatch, cache,
+        pipeline), its :meth:`~GKSResponse.head` when the request has a
+        ``k``, bookkeeping."""
+        if request.mode == "strict":
+            response = self._strict_answer(request, tracer)
+        else:
+            response = self._semantic_search(request, tracer)
+        if request.k is not None:
+            response = response.head(request.k)
+        if response.stats.cache_hit:
+            tracer = None  # a hit ran no pipeline: no span of its own
+        return self._finish(response, request, tracer, request_id)
 
-        # top-k responses are never cached: the key carries no k
-        use_cache = request.use_cache and budget is None and k is None
+    def _strict_answer(self, request: SearchRequest,
+                       tracer: Tracer | NullTracer | None) -> GKSResponse:
+        """The full strict answer, from the LRU or from a pipeline run
+        that fills it.  The cache holds full answers only, so a top-k
+        request is served the head of a cached one."""
+        query, ranker, budget = request.query, request.ranker, request.budget
+        use_cache = request.use_cache and budget is None
         # Keyed on the ranker object itself (not id(): ids are recycled
         # after GC, which can silently serve another ranker's response).
         cache_key = (query.keywords, query.effective_s, ranker)
@@ -378,25 +384,14 @@ class GKSEngine:
                 else:
                     self._count_cache("misses")
             if cached is not None:
-                # the hit reflects *this* request's correlation id, not
-                # the one that originally populated the cache
-                hit_stats = replace(cached.stats.as_cache_hit(),
-                                    request_id=request_id)
-                hit = replace(cached, stats=hit_stats)
-                self._record_search(hit, tracer=None)
-                return hit
+                return replace(cached, stats=cached.stats.as_cache_hit())
         # One read of the index reference: a concurrent add_document
         # swaps in a new immutable snapshot, and this search must run
         # wholly on whichever snapshot it captured.
         index = self.index
         generation = self._generation
-        if k is None:
-            response = search(index, query, ranker=ranker, budget=budget,
-                              tracer=tracer)
-        else:
-            response = search_top_k(index, query, k, ranker=ranker,
-                                    budget=budget, tracer=tracer)
-        response = self._finish(response, request, tracer, request_id)
+        response = search(index, query, ranker=ranker, budget=budget,
+                          tracer=tracer)
         # the generation guard keeps a response computed on a pre-swap
         # snapshot from re-entering the cache after invalidation
         if use_cache and self._cache_size and generation == self._generation:
@@ -439,16 +434,15 @@ class GKSEngine:
         return vocabulary
 
     def _semantic_search(self, request: SearchRequest,
-                         tracer: Tracer | NullTracer | None,
-                         request_id: str | None) -> GKSResponse:
-        """Dispatch a non-strict query through ``repro.semantics``.
+                         tracer: Tracer | NullTracer | None) -> GKSResponse:
+        """The full answer of a non-strict query, via ``repro.semantics``.
 
         Deferred import: semantics sits beside core in the layer DAG but
         this facade must not pay for it on the strict path.  Non-strict
         responses bypass the LRU cache entirely (in both directions).
-        Note the relaxed flow runs strict sub-searches through
-        :meth:`_run`, so ``gks_searches_total`` counts them too —
-        documented in DESIGN.md §5.10.
+        Note the relaxed flow files its strict sub-searches with the
+        metrics, so ``gks_searches_total`` counts them too — documented
+        in DESIGN.md §5.10.
         """
         query, budget = request.query, request.budget
         if request.mode == "probabilistic":
@@ -459,38 +453,34 @@ class GKSEngine:
                     "the index carries compiled probability tables")
             from repro.semantics import probabilistic_search
 
-            response = probabilistic_search(
+            return probabilistic_search(
                 self.index, query, threshold=request.threshold,
                 budget=budget, tracer=tracer,
                 registry=self.metrics_registry)
-        else:  # relaxed
-            # the sub-searches: same ranker and budget, plain strict
-            # pipeline — uncached, never truncated, never raising
-            inner = request._replace(mode="strict", use_cache=False,
-                                     strict_deadline=False, k=None)
-            strict = self._run(inner, tracer, None)
-            if strict.nodes:
-                # Strict answered: same nodes, provenance says "relaxed
-                # mode, no relaxation needed".  The inner search already
-                # recorded itself; don't double-count.
-                response = replace(
-                    strict, stats=replace(strict.stats, mode="relaxed"),
-                    semantics=SemanticsInfo(mode="relaxed", relaxed=False))
-                return self._stamp_request_id(response, request_id, tracer)
-            from repro.semantics import relax_search
+        # relaxed; the sub-searches: same ranker and budget, plain strict
+        # pipeline — uncached, never truncated, never raising
+        inner = request._replace(mode="strict", use_cache=False,
+                                 strict_deadline=False, k=None)
+        strict = self._strict_answer(inner, tracer)
+        if strict.nodes:
+            # Strict answered: same nodes, provenance says "relaxed mode,
+            # no relaxation needed"; filed once, as this request.
+            return replace(
+                strict, stats=replace(strict.stats, mode="relaxed"),
+                semantics=SemanticsInfo(mode="relaxed", relaxed=False))
+        self._record_search(strict, tracer=tracer)
+        from repro.semantics import relax_search
 
-            vocabulary = self._relaxation_vocabulary()
+        vocabulary = self._relaxation_vocabulary()
 
-            def search_fn(rewritten: Query) -> GKSResponse:
-                sub = (budget.subbudget(rebase=True)
-                       if budget is not None else None)
-                return self._run(
-                    inner._replace(query=rewritten, budget=sub), None, None)
+        def search_fn(rewritten: Query) -> GKSResponse:
+            sub = (budget.subbudget(rebase=True)
+                   if budget is not None else None)
+            return self._run(
+                inner._replace(query=rewritten, budget=sub), None, None)
 
-            response = relax_search(query, vocabulary, search_fn,
-                                    budget=budget, tracer=tracer,
-                                    registry=self.metrics_registry)
-        return self._finish(response, request, tracer, request_id)
+        return relax_search(query, vocabulary, search_fn, budget=budget,
+                            tracer=tracer, registry=self.metrics_registry)
 
     def search_top_k(self, query: str | Query, k: int | None = None,
                      s: int | None = None, *,
@@ -503,15 +493,15 @@ class GKSEngine:
                      tracer: Tracer | NullTracer | None = None,
                      request_id: str | None = None
                      ) -> GKSResponse:
-        """The ``k`` best nodes only, with early-terminated ranking.
+        """The ``k`` best nodes: the head of :meth:`search`'s ranking.
 
         Tuning parameters beyond ``s`` are keyword-only; unset ones fall
         back first to *options*, then to the engine's
         :class:`EngineConfig`.  ``k`` may come positionally or from
         ``options.k``; omitting both is a
         :class:`~repro.errors.ValidationError`.  Budgets,
-        ``strict_deadline``, modes, tracing and ``request_id`` behave as
-        in :meth:`search`; top-k responses are never cached.
+        ``strict_deadline``, modes, tracing, ``request_id`` and the cache
+        behave as in :meth:`search`.
         """
         request = resolve_request(
             self.config, query, options, s=s, k=k, ranker=ranker,

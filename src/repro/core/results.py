@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.budget import DegradationReport
 from repro.core.query import Query
 from repro.core.ranking import RankBreakdown
+from repro.errors import ConfigError
 from repro.obs.stats import QueryStats
 from repro.xmltree.dewey import Dewey, format_dewey
 
@@ -176,6 +177,18 @@ class GKSResponse:
 
     def top(self, count: int) -> tuple[RankedNode, ...]:
         return self.nodes[:count]
+
+    def head(self, k: int) -> "GKSResponse":
+        """The top-k answer: this response cut to its ``k`` best nodes.
+
+        The one place a response is truncated by ``k``;
+        ``stats.nodes_emitted`` counts the nodes kept.
+        """
+        if k < 1:
+            raise ConfigError(f"k must be positive: {k}")
+        nodes = self.nodes[:k]
+        return replace(self, nodes=nodes,
+                       stats=replace(self.stats, nodes_emitted=len(nodes)))
 
     def max_distinct_keywords(self) -> int:
         """Table 7's "Max keywords in a GKS node" column."""

@@ -11,9 +11,10 @@ for every entry point and every index layout:
 2. **candidates** — ``RQ(s)`` = surviving LCE nodes + unmapped LCP
    nodes, in the creation order a single index over all the documents
    would produce;
-3. **select** — a policy ranks candidates with the potential-flow model
-   (§5), each against the unit owning its document: :func:`rank_all`
-   here, the bound-ordered top-k in :mod:`repro.core.topk`;
+3. **rank** — :func:`rank_all`, the one ranking loop, scores every
+   admitted candidate with the potential-flow model (§5) against the
+   unit owning its document; top-k (:mod:`repro.core.topk`) is the head
+   of this ranking;
 4. **respond** — one :class:`GKSResponse` with per-stage seconds summed
    over the units.
 
@@ -29,8 +30,9 @@ the parent's clock **and start time**, so every child reads the headroom
 a single pipeline would — all deadline arithmetic lives in the budget,
 none here; ``max_sl`` is applied globally across the unit SLs (the kept
 prefix is the same document-order prefix); ``max_nodes`` caps the one
-global select loop.  The first trip — a unit's or the global
-admission's — becomes the response's degradation report.
+global ranking loop, for full and top-k search alike.  The first trip —
+a unit's or the global admission's — becomes the response's degradation
+report.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def units_of(index) -> list[tuple[int, GKSIndex]]:
 
 
 class _Unit:
-    """One unit's trip through discovery, and what selection needs of it."""
+    """One unit's trip through discovery, and what ranking needs of it."""
 
     __slots__ = ("label", "index", "budget", "sl", "lcp_entries", "lce",
                  "lce_nodes", "fallback", "lcp_seconds", "lce_seconds")
@@ -98,8 +100,8 @@ def search(index: GKSIndex, query: Query,
 
     With a :class:`SearchBudget` every stage runs under cooperative
     checkpoints.  When the budget trips mid-pipeline, downstream stages
-    operate on whatever was discovered so far and ranking falls back to a
-    bounded top-k of the already-discovered nodes — the response comes
+    operate on whatever was discovered so far and ranking falls back to
+    the first ``recovery_k`` already-discovered nodes — the response comes
     back ``degraded=True`` with a
     :class:`~repro.core.budget.DegradationReport` instead of raising.
 
@@ -109,20 +111,15 @@ def search(index: GKSIndex, query: Query,
     :class:`~repro.obs.trace.Tracer` to additionally capture the nested
     span tree ``gks search --trace`` renders.
     """
-    return run_pipeline(index, query, rank_all, ranker, budget, tracer,
-                        "search")
+    return run_pipeline(index, query, ranker, budget, tracer, "search")
 
 
-def run_pipeline(index, query: Query, select, ranker: Ranker,
+def run_pipeline(index, query: Query, ranker: Ranker,
                  budget: SearchBudget | None,
                  tracer: Tracer | NullTracer | None,
                  root_name: str, **attributes) -> GKSResponse:
-    """Discover per unit, order the candidates, *select*, respond.
-
-    *select* is the ranking policy — ``select(query, ranker, candidates,
-    budget, span)`` returning the response nodes in final order;
-    *attributes* are stamped on the root span.
-    """
+    """Discover per unit, order the candidates, rank them all, respond;
+    *attributes* are stamped on the root span."""
     if tracer is None:
         tracer = NOOP_TRACER
     clock = tracer.clock
@@ -144,7 +141,7 @@ def run_pipeline(index, query: Query, select, ranker: Ranker,
                                             tracer, clock)
         with tracer.span("rank") as span:
             candidates, polled = _candidates(units, budget)
-            nodes = select(effective, ranker, candidates, polled, span)
+            nodes = rank_all(effective, ranker, candidates, polled, span)
         finished = clock()
         if budget is not None and budget.tripped:
             root.set(degraded=True, trip_stage=budget.report.stage,
@@ -234,7 +231,7 @@ def _candidates(units: list[_Unit], budget: SearchBudget | None
     """The response candidates in global creation order — every unit's
     LCE nodes, then every unit's fallback nodes, the units interleaved
     by a stable sort on the document number (``docs/ALGORITHMS.md`` §3.4
-    has the argument) — and the budget the select loop still has to poll.
+    has the argument) — and the budget the ranking loop still has to poll.
     """
     entities: list[Candidate] = []
     others: list[Candidate] = []
@@ -257,31 +254,26 @@ def _candidates(units: list[_Unit], budget: SearchBudget | None
     return candidates, budget
 
 
-def ranked_node(query: Query, ranker: Ranker, dewey: Dewey,
-                unit: _Unit) -> RankedNode:
-    """Rank one candidate against the unit that owns its document."""
-    breakdown = ranker(unit.index, query, dewey)
-    info = unit.lce_nodes.get(dewey)
-    return RankedNode(
-        dewey=dewey,
-        score=breakdown.score,
-        distinct_keywords=breakdown.distinct_keywords,
-        matched_keywords=breakdown.matched_keywords,
-        is_lce=info is not None,
-        estimated_keywords=(info.estimated_keywords if info is not None
-                            else unit.fallback.get(dewey, query.s)),
-        breakdown=breakdown)
-
-
 def rank_all(query: Query, ranker: Ranker, candidates: list[Candidate],
              budget: SearchBudget | None, span) -> list[RankedNode]:
-    """The full-search select policy: rank every admitted candidate."""
+    """Rank every admitted candidate, each against the unit that owns its
+    document, and sort by :meth:`RankedNode.sort_key`."""
     ranked: list[RankedNode] = []
     total = len(candidates)
     for dewey, unit in candidates:
         if budget is not None and not budget.admit_node(len(ranked), total):
             break
-        ranked.append(ranked_node(query, ranker, dewey, unit))
+        breakdown = ranker(unit.index, query, dewey)
+        info = unit.lce_nodes.get(dewey)
+        ranked.append(RankedNode(
+            dewey=dewey,
+            score=breakdown.score,
+            distinct_keywords=breakdown.distinct_keywords,
+            matched_keywords=breakdown.matched_keywords,
+            is_lce=info is not None,
+            estimated_keywords=(info.estimated_keywords if info is not None
+                                else unit.fallback.get(dewey, query.s)),
+            breakdown=breakdown))
     ranked.sort(key=RankedNode.sort_key)
     span.add("ranked", len(ranked))
     return ranked

@@ -3,6 +3,7 @@ cache."""
 
 import pytest
 
+from repro.core.budget import SearchBudget
 from repro.core.config import EngineConfig
 from repro.core.engine import GKSEngine
 from repro.core.ranking import rank_by_keyword_count
@@ -78,6 +79,26 @@ class TestResponseCache:
         assert second.nodes is first.nodes
         assert not first.stats.cache_hit
         assert second.stats.cache_hit
+
+    def test_top_k_is_served_the_head_of_a_cached_answer(self):
+        engine = GKSEngine(load_dataset("figure2a"))
+        full = engine.search("karen mike", s=1)
+        top = engine.search_top_k("karen mike", 3, s=1)
+        assert top.stats.cache_hit
+        assert top.nodes == full.nodes[:3]
+        assert top.stats.nodes_emitted == 3
+        # a budgeted top-k still bypasses the cache in both directions
+        budgeted = engine.search_top_k("karen mike", 3, s=1,
+                                       budget=SearchBudget(max_nodes=50))
+        assert not budgeted.stats.cache_hit
+        assert engine.cache_info()["hits"] == 1
+
+    def test_top_k_fills_the_cache(self):
+        engine = GKSEngine(load_dataset("figure2a"))
+        top = engine.search_top_k("karen mike", 2, s=1)
+        full = engine.search("karen mike", s=1)
+        assert full.stats.cache_hit and not top.stats.cache_hit
+        assert full.nodes[:2] == top.nodes
 
     def test_different_s_not_conflated(self):
         engine = GKSEngine(load_dataset("figure2a"))

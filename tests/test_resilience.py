@@ -28,6 +28,7 @@ from repro.core.engine import GKSEngine
 from repro.core.query import Query
 from repro.core.search import search
 from repro.core.topk import search_top_k
+from repro.datasets.registry import load_dataset
 from repro.errors import (DocumentLoadError, SearchTimeout, StorageError,
                           XMLSyntaxError)
 from repro.index.builder import build_index
@@ -276,6 +277,17 @@ class TestSearchBudget:
         assert response.degraded is True
         assert response.degradation.stage == "merge"
         assert len(response) <= 3
+
+    def test_topk_honours_max_nodes(self):
+        # top-k runs the one ranking loop, so the node cap trips exactly
+        # as it does for the full search
+        index = build_index(load_dataset("dblp"))
+        response = search_top_k(index, Query.of(["peter buneman"]), k=5,
+                                budget=SearchBudget(max_nodes=2))
+        assert response.degraded is True
+        assert response.degradation.stage == "rank"
+        assert response.degradation.reason == "max_nodes"
+        assert len(response) <= 2
 
     def test_invalid_budget_parameters(self):
         with pytest.raises(ValueError):

@@ -24,6 +24,7 @@ from repro.core.query import Query
 from repro.errors import ConfigError, ValidationError
 from repro.index.storage import (check_index, describe_layout, load_index,
                                  save_index)
+from repro.obs.metrics import MetricsRegistry
 from repro.semantics import (compile_tables, extract_pdoc,
                              probabilistic_search, tables_of)
 from repro.testing import KEYWORD_POOL, pdoc_corpus, pdoc_documents
@@ -374,6 +375,24 @@ def test_semantics_metrics_emitted():
     names = {name.split("{")[0] for name in snapshot}
     assert "gks_semantics_searches_total" in names
     assert "gks_semantics_seconds" in names
+
+
+@pytest.mark.parametrize("mode", ["relaxed", "probabilistic"])
+def test_top_k_counts_the_nodes_it_returns(mode):
+    """Stats, the emitted-nodes counter and the slow log of a non-strict
+    top-k request all count the head, not the full answer."""
+    documents = ["<root><a>alpha beta</a></root>"] * 3
+    registry = MetricsRegistry()
+    engine = GKSEngine(_repository(documents), metrics=registry,
+                       slow_query_threshold_s=0.0,
+                       config=EngineConfig(mode=mode))
+    assert len(engine.search("alpha beta", mode=mode, use_cache=False)) > 1
+    registry.reset()
+    response = engine.search("alpha beta", k=1, mode=mode)
+    assert len(response) == 1
+    assert response.stats.nodes_emitted == 1
+    assert registry.counter("gks_search_nodes_emitted_total").value() == 1
+    assert engine.slow_log.entries()[-1].stats.nodes_emitted == 1
 
 
 def test_relaxation_provenance_renders():

@@ -1,16 +1,24 @@
-"""Tests for top-k search: exactness vs the full ranking + termination."""
+"""Tests for top-k search: the head of the full ranking, for any ranker."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from repro.baselines.ranking_models import xrank_ranker, xsearch_ranker
 from repro.core.query import Query
-from repro.core.ranking import rank_node
-from repro.core.scatter import sharded_top_k
+from repro.core.ranking import rank_by_keyword_count, rank_node
 from repro.core.search import search
-from repro.core.topk import distinct_keyword_count, search_top_k
+from repro.core.topk import search_top_k
 from repro.datasets.registry import load_dataset
 from repro.index.builder import build_index
 from repro.index.sharding import build_sharded_index
+from repro.text.analyzer import Analyzer
+from repro.xmltree.node import build_tree
 from repro.xmltree.repository import Repository
+
+KEYWORDS = ["alpha", "beta", "gamma"]
+RANKERS = [rank_node, rank_by_keyword_count, xrank_ranker, xsearch_ranker]
+ANALYZER = Analyzer(use_stemming=False)
 
 
 @pytest.fixture(scope="module")
@@ -21,16 +29,6 @@ def dblp_index():
 @pytest.fixture(scope="module")
 def interpro_index():
     return build_index(load_dataset("interpro"))
-
-
-class TestDistinctCount:
-    def test_counts_match_search_results(self, figure1_index, fig1_ids):
-        query = Query.of(["a", "b", "c", "d"], s=2)
-        response = search(figure1_index, query)
-        for node in response:
-            assert distinct_keyword_count(figure1_index, query,
-                                          node.dewey) == \
-                node.distinct_keywords
 
 
 class TestExactness:
@@ -73,61 +71,41 @@ class TestExactness:
             assert node.is_lce == flags[node.dewey]
 
 
-class TestStopRuleOnTies:
-    """Many candidates score exactly their ``P²`` bound (the keywords
-    share one element, nothing dilutes the flow): once k of them are
-    ranked, no later one — same bound, later in document order — can
-    displace them, so ranking stops there."""
+def document_spec():
+    leaf = st.tuples(st.sampled_from(["va", "vb"]),
+                     st.sampled_from(KEYWORDS + ["x"]))
+    return st.recursive(
+        leaf,
+        lambda children: st.tuples(st.sampled_from(["va", "vb"]),
+                                   st.lists(children, min_size=1,
+                                            max_size=3)),
+        max_leaves=8,
+    ).map(lambda spec: ("root", [spec]))
 
-    K = 3
-    QUERY = Query.of(["alpha", "beta"], s=2)
 
-    @pytest.fixture(scope="class")
-    def repository(self):
-        book = "<book><title>alpha beta</title></book>"
-        diluted = "<book><title>alpha</title><note>beta gamma</note></book>"
-        return Repository.from_texts(
-            [f"<shelf>{book * 4}{diluted}</shelf>"] * 3)
-
-    @staticmethod
-    def counting_ranker(calls):
-        def ranker(index, query, dewey):
-            calls.append(dewey)
-            return rank_node(index, query, dewey)
-        return ranker
-
-    def check(self, repository, top_k):
-        full = search(build_index(repository), self.QUERY)
-        bound = float(len(self.QUERY.keywords) ** 2)
-        assert sum(node.score == bound for node in full) > self.K
-        calls = []
-        top = top_k(self.K, self.counting_ranker(calls))
-        assert len(calls) < len(full)
-        assert [(node.dewey, node.score) for node in top] == \
-            [(node.dewey, node.score) for node in full][:self.K]
-
-    def test_monolithic(self, repository):
-        index = build_index(repository)
-        self.check(repository, lambda k, ranker: search_top_k(
-            index, self.QUERY, k, ranker=ranker))
-
-    def test_two_shards(self, repository):
-        sharded = build_sharded_index(repository, shards=2)
-        for entry_point in (sharded_top_k, search_top_k):
-            self.check(repository, lambda k, ranker: entry_point(
-                sharded, self.QUERY, k, ranker=ranker))
-
-    def test_late_full_score_node_is_still_found(self):
-        """The tie rule only ever stops on nodes *before* the remaining
-        candidates: a full-score node late in the corpus is still found
-        when the early ones fall short of their bound."""
-        texts = ["<shelf><book><title>alpha</title><note>beta x</note>"
-                 "</book></shelf>"] * 2
-        texts.append("<shelf><book><title>alpha beta</title></book></shelf>")
-        index = build_index(Repository.from_texts(texts))
-        full = search(index, self.QUERY)
-        top = search_top_k(index, self.QUERY, 1)
-        assert top.deweys == full.deweys[:1] == [(2, 0)]
+@settings(max_examples=120, deadline=None)
+@given(documents=st.lists(document_spec(), min_size=1, max_size=3),
+       keywords=st.lists(st.sampled_from(KEYWORDS), min_size=2,
+                         max_size=3, unique=True),
+       k=st.integers(min_value=1, max_value=4),
+       ranker=st.sampled_from(RANKERS),
+       shards=st.sampled_from([1, 2]))
+def test_topk_is_head_of_full_ranking_for_every_ranker(documents, keywords,
+                                                       k, ranker, shards):
+    """No ranker contract: whatever a ranker scores, top-k is the head of
+    the full ranking it produces, dewey and score."""
+    repository = Repository()
+    for spec in documents:
+        repository.add_root(build_tree(spec))
+    index = (build_index(repository, analyzer=ANALYZER) if shards == 1
+             else build_sharded_index(repository, analyzer=ANALYZER,
+                                      shards=shards))
+    query = Query.of(keywords, s=1)
+    full = search(index, query, ranker=ranker)
+    top = search_top_k(index, query, k, ranker=ranker)
+    assert [(node.dewey, node.score) for node in top] == \
+        [(node.dewey, node.score) for node in full.nodes[:k]]
+    assert top.stats.nodes_emitted == len(top)
 
 
 class TestBehaviour:
