@@ -56,8 +56,8 @@ def main() -> None:
 
     print(f"query: {query!r} (s=2)")
     print(f"{len(response)} result node(s), "
-          f"|SL|={response.profile.merged_list_size}, "
-          f"{response.profile.seconds * 1000:.1f} ms\n")
+          f"|SL|={response.stats.postings_scanned}, "
+          f"{response.stats.total_seconds * 1000:.1f} ms\n")
 
     for node in response:
         print(engine.describe(node))

@@ -27,6 +27,19 @@ done
 grep -q "node(s) for" <<<"$OUT" || {
     echo "FAIL: no search results printed" >&2; exit 1; }
 
+echo "== header and QueryStats line read one record =="
+for layout in "" "--shards 2"; do
+    # shellcheck disable=SC2086  # $layout is zero or two words
+    OUT="$(python -m repro search "$WORKDIR"/figure2a_*.xml \
+            -q "karen mike" -s 2 --trace $layout)"
+    HEADER_SL="$(sed -n 's/.*\[|SL|=\([0-9]*\),.*/\1/p' <<<"$OUT")"
+    STATS_SL="$(sed -n 's/.*  |SL|=\([0-9]*\) lcp=.*/\1/p' <<<"$OUT")"
+    echo "layout '${layout:-mono}': header |SL|=$HEADER_SL, stats |SL|=$STATS_SL"
+    if [[ -z "$HEADER_SL" || "$HEADER_SL" != "$STATS_SL" ]]; then
+        echo "FAIL: header and QueryStats disagree on |SL|" >&2; exit 1
+    fi
+done
+
 echo "== metrics snapshot =="
 test -s "$WORKDIR/metrics.json" || {
     echo "FAIL: metrics JSON missing or empty" >&2; exit 1; }

@@ -147,7 +147,8 @@ def verify_against(path: str | Path,
     decoded = sniff_codec(path).decode(path, report.add)
     _audit_decoded(decoded, report)
     rebuilt = DecodedIndex.of(build_index(
-        repository, analyzer=Analyzer.from_flags(decoded.analyzer))).shards[0]
+        repository, analyzer=Analyzer.from_flags(decoded.analyzer),
+        index_tags=decoded.analyzer.get("index_tags", True))).shards[0]
     postings: dict[str, list[Dewey]] = {}
     entity: dict[Dewey, int] = {}
     element: dict[Dewey, int] = {}

@@ -621,7 +621,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if response.degraded:
         print(f"warning: {response.degradation.render()}",
               file=sys.stderr)
-    profile = response.profile
+    stats = response.stats
     shards = engine.config.shards
     layout = f", {shards} shard(s)" if shards > 1 else ""
     semantics = ""
@@ -632,8 +632,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
         elif not response.semantics.relaxed:
             semantics += " (strict answer non-empty; no rewrites)"
     print(f"{len(response)} node(s) for {response.query}  "
-          f"[|SL|={profile.merged_list_size}, "
-          f"{profile.seconds * 1000:.1f} ms{layout}{semantics}]")
+          f"[|SL|={stats.postings_scanned}, "
+          f"{stats.total_seconds * 1000:.1f} ms{layout}{semantics}]")
     for node in response.top(args.top):
         line = engine.describe(node)
         if node.probability is not None:
@@ -649,7 +649,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if tracer is not None and tracer.roots:
         print()
         print(render_span_tree(tracer.roots[-1]))
-        print(response.stats.render())
+        print(stats.render())
     if args.metrics_json:
         import json as _json
 

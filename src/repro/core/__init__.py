@@ -23,7 +23,7 @@ from repro.core.ranking import (RankBreakdown, rank_by_keyword_count,
                                 terminal_points)
 from repro.core.refinement import (Refinement, RefinementKind, suggest,
                                    suggest_expansions, suggest_subsets)
-from repro.core.results import GKSResponse, RankedNode, SearchProfile
+from repro.core.results import GKSResponse, RankedNode
 from repro.core.search import search
 from repro.core.topk import search_top_k
 
@@ -39,7 +39,7 @@ __all__ = [
     "response_chunk", "response_to_dict", "s_profile", "session_to_dict",
     "suggest_s",
     "LCEResult", "LCPEntry", "LCPList", "Query", "RankBreakdown",
-    "RankedNode", "Refinement", "RefinementKind", "SearchProfile",
+    "RankedNode", "Refinement", "RefinementKind",
     "attribute_nodes_of", "compute_lcp_list", "discover_insights",
     "discover_lce", "discover_recursive", "merged_list",
     "rank_by_keyword_count", "rank_node",

@@ -138,41 +138,45 @@ def merge_chains(durable_units: UnitRuns) -> dict[int, Run]:
             if len(durable_units[shard_id]) >= 2}
 
 
-def check_compatible(manifest: StoreManifest, repository: Repository,
-                     config: EngineConfig) -> None:
-    """Refuse to open a store that describes a different engine/corpus.
+def incompatibilities(persisted: StoreManifest | GKSIndex | ShardedIndex,
+                      repository: Repository,
+                      config: EngineConfig) -> list[str]:
+    """Why a persisted index or store cannot serve *repository* under
+    *config*; empty when it can.
 
-    Silent acceptance would be silent data loss: a store flushed under
-    three shards cannot be recovered under two, and a store whose base
-    documents differ from the source corpus is somebody else's index.
-    Raises :class:`StorageError` (``diagnosis="incompatible"``).
+    One check over the same facts for both: the shard layout (the write
+    path routes new documents by it), whether element names were indexed
+    and the analyzer flags (else the keywords differ), and the base
+    document names (else it is somebody else's corpus).
     """
-    problems = []
-    if manifest.shards != config.shards:
-        problems.append(f"store has {manifest.shards} shards, "
-                        f"config wants {config.shards}")
-    if manifest.strategy != config.shard_strategy:
-        problems.append(f"store strategy {manifest.strategy!r}, "
-                        f"config wants {config.shard_strategy!r}")
-    if manifest.index_tags != config.index_tags:
-        problems.append(f"store index_tags={manifest.index_tags}, "
-                        f"config wants {config.index_tags}")
-    if (manifest.use_stopwords != config.analyzer.use_stopwords
-            or manifest.use_stemming != config.analyzer.use_stemming):
-        problems.append("analyzer flags differ")
-    if manifest.base_documents != len(repository):
-        problems.append(f"store built over {manifest.base_documents} "
-                        f"base documents, source has {len(repository)}")
+    if isinstance(persisted, StoreManifest):
+        shards, strategy = persisted.shards, persisted.strategy
+        flags = (persisted.use_stopwords, persisted.use_stemming)
+        names = persisted.document_names[:persisted.base_documents]
     else:
-        base_names = manifest.document_names[:manifest.base_documents]
-        source_names = tuple(document.name for document in repository)
-        if base_names != source_names:
-            problems.append("base document names differ from the source "
-                            "corpus")
-    if problems:
-        raise StorageError(
-            f"segmented store is incompatible with this engine: "
-            f"{'; '.join(problems)}", diagnosis="incompatible")
+        sharded = isinstance(persisted, ShardedIndex)
+        shards = persisted.num_shards if sharded else 1
+        # one shard routes every document to itself, whatever the strategy
+        strategy = persisted.strategy if sharded else config.shard_strategy
+        flags = (persisted.analyzer.use_stopwords,
+                 persisted.analyzer.use_stemming)
+        names = tuple(persisted.document_names)
+    problems = []
+    if shards != config.shards:
+        problems.append(f"{shards} shard(s), config wants {config.shards}")
+    if strategy != config.shard_strategy:
+        problems.append(f"strategy {strategy!r}, config wants "
+                        f"{config.shard_strategy!r}")
+    if persisted.index_tags != config.index_tags:
+        problems.append(f"index_tags={persisted.index_tags}, config wants "
+                        f"{config.index_tags}")
+    if flags != (config.analyzer.use_stopwords,
+                 config.analyzer.use_stemming):
+        problems.append("analyzer flags differ")
+    if names != tuple(document.name for document in repository):
+        problems.append(f"built over {len(names)} base documents that are "
+                        f"not the source's {len(repository)}")
+    return problems
 
 
 def open_durable(repository: Repository, config: EngineConfig,
@@ -205,7 +209,13 @@ def open_durable(repository: Repository, config: EngineConfig,
     with tracer.span("manifest"):
         store = SegmentStore.open(directory, codec=config.codec)
         manifest = store.manifest
-        check_compatible(manifest, repository, config)
+        # a store holds documents the source corpus does not: opening an
+        # incompatible one anyway would be silent data loss
+        problems = incompatibilities(manifest, repository, config)
+        if problems:
+            raise StorageError(
+                f"segmented store is incompatible with this engine: "
+                f"{'; '.join(problems)}", diagnosis="incompatible")
     with tracer.span("texts") as span:
         for doc_id, name, text in store.appended_documents():
             document = _replay_parse(text, doc_id, name, store)

@@ -31,8 +31,8 @@ from repro.core.refinement import Refinement, suggest
 from repro.core.ranking import rank_node
 from repro.core.results import GKSResponse, RankedNode, SemanticsInfo
 from repro.core.search import Ranker, search, units_of
-from repro.core.durable import (compose_serving, merge_chains,
-                                merge_memtable, open_durable,
+from repro.core.durable import (compose_serving, incompatibilities,
+                                merge_chains, merge_memtable, open_durable,
                                 pending_document, units_from_base)
 from repro.errors import (ConfigError, SearchTimeout, StorageError,
                           ValidationError)
@@ -92,7 +92,7 @@ class GKSEngine:
         self._recent_traces: deque[Span] = deque(maxlen=max(1,
                                                             trace_capacity))
         # Per-shard series exist only on engines that scatter-gather;
-        # looked up once, fed from each response's per-unit profile.
+        # looked up once, fed from each response's per-unit stats.
         self._shard_metrics = None
         if config.shards > 1:
             registry = self.metrics_registry
@@ -185,9 +185,10 @@ class GKSEngine:
 
         With ``config.index_path`` set, a compatible persisted index is
         loaded instead of rebuilding; a missing, corrupted or
-        incompatible file (different shard layout, analyzer or corpus)
-        falls back to a rebuild and the cache is rewritten atomically —
-        a cold cache is a slow start, never a failed one.
+        incompatible file (different shard layout, ``index_tags``,
+        analyzer or corpus) falls back to a rebuild and the cache is
+        rewritten atomically — a cold cache is a slow start, never a
+        failed one.
 
         With ``config.store_path`` set, the engine opens a durable
         segmented store there instead: an empty directory is initialised
@@ -268,7 +269,7 @@ class GKSEngine:
                         "the index cache")
             if (loaded is not None
                     and on_disk_codec == config.codec
-                    and _index_compatible(loaded, repository, config)):
+                    and not incompatibilities(loaded, repository, config)):
                 index = loaded
         rebuilt = index is None
         if rebuilt:
@@ -571,7 +572,7 @@ class GKSEngine:
                 help="Responses degraded by an exhausted budget.").inc()
         if self._shard_metrics is not None:
             searches, seconds, postings = self._shard_metrics
-            for shard_id, unit_seconds, sl_entries in response.profile.units:
+            for shard_id, unit_seconds, sl_entries in stats.units:
                 labels = {"shard": str(shard_id)}
                 searches.inc(labels=labels)
                 seconds.observe(unit_seconds, labels=labels)
@@ -981,35 +982,3 @@ def _resolve_source(source, config: EngineConfig) -> Repository:
         "source mixes XML texts and paths; wrap it in Texts(...) or "
         "Paths(...) to state which it is")
 
-
-def _index_compatible(index: GKSIndex | ShardedIndex,
-                      repository: Repository,
-                      config: EngineConfig) -> bool:
-    """Is a persisted index usable for this repository under this config?
-
-    The shard layout must match the config exactly — the write path
-    routes new documents by it.  Document names and the persisted
-    analyzer flags must also match, else the index describes a different
-    corpus.
-    """
-    if config.shards > 1:
-        if not isinstance(index, ShardedIndex):
-            return False
-        if (index.num_shards != config.shards
-                or index.strategy != config.shard_strategy):
-            return False
-    elif isinstance(index, ShardedIndex):
-        return False
-    if tuple(index.document_names) != tuple(
-            document.name for document in repository):
-        return False
-    if config.mode == "probabilistic":
-        from repro.semantics import compile_tables, tables_of
-
-        # The persisted tables must match what this corpus compiles to —
-        # stale or absent tables mean stale probabilities, so rebuild.
-        if tables_of(index) != compile_tables(repository):
-            return False
-    # storage persists only the analyzer flags, so compare just those
-    return (index.analyzer.use_stopwords == config.analyzer.use_stopwords
-            and index.analyzer.use_stemming == config.analyzer.use_stemming)

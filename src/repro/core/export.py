@@ -44,19 +44,20 @@ def node_to_dict(node: RankedNode,
 def response_to_dict(response: GKSResponse,
                      repository: Repository | None = None
                      ) -> dict[str, Any]:
-    profile = response.profile
+    stats = response.stats
     payload: dict[str, Any] = {
         "query": {
             "keywords": list(response.query.keywords),
             "s": response.query.s,
             "raw": response.query.raw,
         },
+        # the wire's "profile" block, read off the one stats record
         "profile": {
-            "merged_list_size": profile.merged_list_size,
-            "lcp_entries": profile.lcp_entries,
-            "lce_nodes": profile.lce_nodes,
-            "seconds": profile.seconds,
-            "stages": profile.stage_breakdown(),
+            "merged_list_size": stats.postings_scanned,
+            "lcp_entries": stats.lcp_entries,
+            "lce_nodes": stats.lce_nodes,
+            "seconds": stats.total_seconds,
+            "stages": stats.stage_breakdown(),
         },
         "nodes": [node_to_dict(node, repository) for node in response],
     }

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.core.budget import DegradationReport
+from repro.core.budget import DegradationReport, SearchBudget
 from repro.core.query import Query
 from repro.core.ranking import RankBreakdown
 from repro.errors import ConfigError
@@ -102,60 +102,31 @@ class RankedNode:
 
 
 @dataclass(frozen=True)
-class SearchProfile:
-    """Instrumentation for the performance experiments (Figs 8–10).
-
-    The stage timings decompose the total: merge (building ``SL``), LCP
-    (the sliding window), LCE (entity mapping + witnesses), and ranking.
-    They support the §4.2 complexity discussion — merge and LCP dominate
-    and grow with ``|SL|``; ranking grows with the response size.
-    """
-
-    merged_list_size: int
-    lcp_entries: int
-    lce_nodes: int
-    seconds: float
-    merge_seconds: float = 0.0
-    lcp_seconds: float = 0.0
-    lce_seconds: float = 0.0
-    rank_seconds: float = 0.0
-    #: ``(shard id, lcp + lce seconds, SL entries)`` per unit when the
-    #: query ran over several; what the engine files under ``gks_shard_*``
-    units: tuple[tuple[int, float, int], ...] = ()
-
-    def stage_breakdown(self) -> dict[str, float]:
-        return {
-            "merge": self.merge_seconds,
-            "lcp": self.lcp_seconds,
-            "lce": self.lce_seconds,
-            "rank": self.rank_seconds,
-        }
-
-
-@dataclass(frozen=True)
 class GKSResponse:
-    """Ranked GKS response for one query.
+    """Ranked GKS response for one query; built only by :func:`respond`.
 
     ``nodes`` is the full ranked list ``RQ(s)``; ``lce_nodes`` is the
     subset ``EQ`` of entity (LCE) nodes the DI analysis runs on.
 
-    ``degraded`` marks a response produced under an exhausted
-    :class:`~repro.core.budget.SearchBudget`: ``nodes`` then holds the
-    best-effort partial answer and ``degradation`` says which pipeline
-    stage tripped and how much of it completed.
+    ``stats`` is the :class:`~repro.obs.stats.QueryStats` record of what
+    the query cost: stage durations, work counters and serving context
+    (cache hit, budget trip).
 
-    ``stats`` is the :class:`~repro.obs.stats.QueryStats` observability
-    record every search populates: stage durations, work counters and
-    serving context (cache hit, budget trips).
+    ``degradation`` is set when the response was produced under an
+    exhausted :class:`~repro.core.budget.SearchBudget`: ``nodes`` then
+    holds the best-effort partial answer and the report says which
+    pipeline stage tripped and how much of it completed.
     """
 
     query: Query
     nodes: tuple[RankedNode, ...]
-    profile: SearchProfile
-    degraded: bool = False
+    stats: QueryStats
     degradation: DegradationReport | None = None
-    stats: QueryStats = field(default_factory=QueryStats)
     semantics: SemanticsInfo | None = None
+
+    @property
+    def degraded(self) -> bool:
+        return self.degradation is not None
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -201,3 +172,25 @@ class GKSResponse:
         best = self.max_distinct_keywords()
         return tuple(node for node in self.nodes
                      if node.distinct_keywords == best)
+
+
+def respond(query: Query, nodes, budget: SearchBudget | None, root, *,
+            semantics: SemanticsInfo | None = None,
+            **measured) -> GKSResponse:
+    """The one way every query mode answers.
+
+    *measured* are the :class:`QueryStats` fields the caller timed and
+    counted; ``nodes_emitted`` is ``len(nodes)``.  The budget's report is
+    read once: a trip is stamped on the *root* span, fills the stats'
+    trip fields and becomes the response's ``degradation``.
+    """
+    report = budget.report if budget is not None else None
+    if report is not None:
+        root.set(degraded=True, trip_stage=report.stage,
+                 trip_reason=report.reason)
+        measured.update(trip_stage=report.stage, trip_reason=report.reason)
+    nodes = tuple(nodes)
+    return GKSResponse(query=query, nodes=nodes,
+                       stats=QueryStats(nodes_emitted=len(nodes),
+                                        **measured),
+                       degradation=report, semantics=semantics)

@@ -15,8 +15,8 @@ for every entry point and every index layout:
    admitted candidate with the potential-flow model (§5) against the
    unit owning its document; top-k (:mod:`repro.core.topk`) is the head
    of this ranking;
-4. **respond** — one :class:`GKSResponse` with per-stage seconds summed
-   over the units.
+4. **respond** — :func:`repro.core.results.respond` with per-stage
+   seconds summed over the units.
 
 Total cost is O(d·|SL|·log n) for steps 1–2 (the paper's bound) plus the
 ranking pass.  Distinct keyword counts reported per node are *exact* —
@@ -46,11 +46,10 @@ from repro.core.lcp import compute_lcp_list
 from repro.core.merge import merged_list
 from repro.core.query import Query
 from repro.core.ranking import RankBreakdown, rank_node
-from repro.core.results import GKSResponse, RankedNode, SearchProfile
+from repro.core.results import GKSResponse, RankedNode, respond
 from repro.index.builder import GKSIndex
 from repro.index.postings import merge_sorted_runs
 from repro.index.sharding import ShardedIndex
-from repro.obs.stats import QueryStats
 from repro.obs.trace import NOOP_TRACER, NullTracer, Tracer
 from repro.xmltree.dewey import Dewey
 
@@ -143,11 +142,18 @@ def run_pipeline(index, query: Query, ranker: Ranker,
             candidates, polled = _candidates(units, budget)
             nodes = rank_all(effective, ranker, candidates, polled, span)
         finished = clock()
-        if budget is not None and budget.tripped:
-            root.set(degraded=True, trip_stage=budget.report.stage,
-                     trip_reason=budget.report.reason)
-    return _respond(effective, nodes, units, budget,
-                    (started, after_merge, discovered, finished))
+    return respond(
+        effective, nodes, budget, root,
+        total_seconds=finished - started,
+        merge_seconds=after_merge - started,
+        lcp_seconds=sum(unit.lcp_seconds for unit in units),
+        lce_seconds=sum(unit.lce_seconds for unit in units),
+        rank_seconds=finished - discovered,
+        postings_scanned=sum(len(unit.sl) for unit in units),
+        lcp_entries=sum(unit.lcp_entries for unit in units),
+        lce_nodes=sum(len(unit.lce_nodes) for unit in units),
+        units=tuple((unit.label, unit.lcp_seconds + unit.lce_seconds,
+                     len(unit.sl)) for unit in units) if many else ())
 
 
 def _discover(units: list[_Unit], query: Query,
@@ -291,42 +297,3 @@ def rank_response(index: GKSIndex, query: Query, lce: LCEResult,
     unit.found(lce)
     return rank_all(query, ranker, *_candidates([unit], budget),
                     NOOP_TRACER.span("rank"))
-
-
-def _respond(query: Query, nodes: list[RankedNode], units: list[_Unit],
-             budget: SearchBudget | None,
-             readings: tuple[float, float, float, float]) -> GKSResponse:
-    started, after_merge, discovered, finished = readings
-    sl_total = sum(len(unit.sl) for unit in units)
-    lcp_total = sum(unit.lcp_entries for unit in units)
-    lce_total = sum(len(unit.lce_nodes) for unit in units)
-    tripped = budget is not None and budget.tripped
-    profile = SearchProfile(
-        merged_list_size=sl_total,
-        lcp_entries=lcp_total,
-        lce_nodes=lce_total,
-        seconds=finished - started,
-        merge_seconds=after_merge - started,
-        lcp_seconds=sum(unit.lcp_seconds for unit in units),
-        lce_seconds=sum(unit.lce_seconds for unit in units),
-        rank_seconds=finished - discovered,
-        units=(tuple((unit.label, unit.lcp_seconds + unit.lce_seconds,
-                      len(unit.sl)) for unit in units)
-               if len(units) > 1 else ()))
-    stats = QueryStats(total_seconds=profile.seconds,
-                       merge_seconds=profile.merge_seconds,
-                       lcp_seconds=profile.lcp_seconds,
-                       lce_seconds=profile.lce_seconds,
-                       rank_seconds=profile.rank_seconds,
-                       postings_scanned=sl_total,
-                       lcp_entries=lcp_total,
-                       lce_nodes=lce_total,
-                       nodes_emitted=len(nodes),
-                       budget_trips=1 if tripped else 0,
-                       trip_stage=budget.report.stage if tripped else None,
-                       trip_reason=budget.report.reason if tripped else None,
-                       degraded=tripped)
-    return GKSResponse(query=query, nodes=tuple(nodes), profile=profile,
-                       degraded=tripped,
-                       degradation=budget.report if tripped else None,
-                       stats=stats)

@@ -47,6 +47,9 @@ class GKSIndex:
     hashes: NodeHashes
     stats: IndexStats
     analyzer: Analyzer = field(default=DEFAULT_ANALYZER)
+    #: whether element names were indexed (``None``: a saved file that
+    #: does not record it)
+    index_tags: bool | None = True
     document_names: tuple[str, ...] = ()
     #: p-document probability tables (None/empty for deterministic corpora;
     #: compiled by ``repro.semantics`` when the engine runs in
@@ -260,6 +263,7 @@ class IndexBuilder:
                        ).set(self._stats.documents)
         return GKSIndex(inverted=self._inverted, hashes=self._hashes,
                         stats=self._stats, analyzer=self.analyzer,
+                        index_tags=self.index_tags,
                         document_names=tuple(self._names))
 
 

@@ -146,6 +146,7 @@ class DecodedIndex:
 
     layout: str
     strategy: str | None
+    #: the analyzer flags plus ``index_tags``: how text became keywords
     analyzer: dict
     document_names: tuple[str, ...]
     shards: list[DecodedShard]
@@ -160,7 +161,8 @@ class DecodedIndex:
                  else [(0, None, index)])
         return cls(
             "sharded" if sharded else "monolithic",
-            index.strategy if sharded else None, index.analyzer.flags(),
+            index.strategy if sharded else None,
+            {**index.analyzer.flags(), "index_tags": index.index_tags},
             tuple(index.document_names),
             [DecodedShard(
                 shard_id, doc_ids, tuple(unit.document_names),
@@ -1272,13 +1274,13 @@ def _section_reader(section: dict, buffer, cursor: int,
     return _ShardReader(frames, directory, path), cursor
 
 
-def _shard_index(section: dict, reader: _ShardReader,
-                 analyzer: Analyzer) -> GKSIndex:
+def _shard_index(section: dict, reader: _ShardReader, analyzer: Analyzer,
+                 index_tags: bool | None) -> GKSIndex:
     return GKSIndex(
         inverted=LazyInvertedIndex(reader),
         hashes=LazyNodeHashes(reader),
         stats=IndexStats.from_dict(section.get("stats", {})),
-        analyzer=analyzer,
+        analyzer=analyzer, index_tags=index_tags,
         document_names=tuple(section.get("document_names", ())),
         probabilities=_prob_tables(section.get("probabilities"),
                                    reader.path))
@@ -1305,7 +1307,8 @@ def load_binary_index(path: str | Path) -> "GKSIndex | ShardedIndex":
     path = Path(path)
     header = read_binary_header(path)
     body = header["body"]
-    analyzer = Analyzer.from_flags(body.get("analyzer", {}))
+    flags = body.get("analyzer", {})
+    analyzer, index_tags = Analyzer.from_flags(flags), flags.get("index_tags")
     buffer = _map_blob(path)
     cursor = header["blob_offset"]
     sections = body.get("shards")
@@ -1322,7 +1325,7 @@ def load_binary_index(path: str | Path) -> "GKSIndex | ShardedIndex":
                 diagnosis="corrupted", path=path)
         reader, _cursor = _section_reader(sections[0], buffer, cursor,
                                           path)
-        return _shard_index(sections[0], reader, analyzer)
+        return _shard_index(sections[0], reader, analyzer, index_tags)
     if layout != "sharded":
         raise StorageError(
             f"binary index {path} declares unknown layout {layout!r}",
@@ -1330,7 +1333,7 @@ def load_binary_index(path: str | Path) -> "GKSIndex | ShardedIndex":
     shards = []
     for section in sections:
         reader, cursor = _section_reader(section, buffer, cursor, path)
-        index = _shard_index(section, reader, analyzer)
+        index = _shard_index(section, reader, analyzer, index_tags)
         shards.append(Shard(shard_id=int(section.get("shard_id", 0)),
                             doc_ids=tuple(section.get("doc_ids", ())),
                             index=index))
@@ -1735,6 +1738,7 @@ class RawCodec:
             hashes=NodeHashes.from_mappings(entity=shard.entity,
                                             element=shard.element),
             stats=IndexStats.from_dict(shard.stats), analyzer=analyzer,
+            index_tags=decoded.analyzer.get("index_tags"),
             document_names=shard.document_names,
             probabilities=_prob_tables(shard.probabilities, path))
             for shard in decoded.shards]

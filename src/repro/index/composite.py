@@ -156,6 +156,8 @@ class CompositeIndex:
             document_names = [name for unit in self.units
                               for name in unit.document_names]
         self.document_names: tuple[str, ...] = tuple(document_names)
+        #: as on :class:`GKSIndex`; one engine config built every unit
+        self.index_tags = self.units[0].index_tags if self.units else True
         #: p-document probability tables, as on :class:`GKSIndex`
         self.probabilities: "object | None" = None
         self.hashes = _RoutedHashes(runs)
@@ -247,4 +249,5 @@ def merge_indexes(runs: Sequence[Run]) -> GKSIndex:
             entity=merged.hashes.entity_table,
             element=merged.hashes.element_table),
         stats=merged.stats, analyzer=merged.analyzer,
+        index_tags=merged.index_tags,
         document_names=merged.document_names)

@@ -23,7 +23,13 @@ from repro.errors import ConfigError
 
 @dataclass(frozen=True)
 class QueryStats:
-    """Everything measured about one query's trip through the pipeline."""
+    """Everything measured about one query's trip through the pipeline.
+
+    The one record of what a query cost (Figs 8–10): the stage timings
+    decompose the total — merge (building ``SL``), LCP (the sliding
+    window), LCE (entity mapping + witnesses) and ranking — and the
+    counters are what the §4.2 bound is stated in.
+    """
 
     total_seconds: float = 0.0
     merge_seconds: float = 0.0
@@ -35,10 +41,9 @@ class QueryStats:
     lce_nodes: int = 0
     nodes_emitted: int = 0      # response nodes returned to the caller
     cache_hit: bool = False
-    budget_trips: int = 0
+    #: the budget stage and limit that tripped; None when not degraded
     trip_stage: str | None = None
     trip_reason: str | None = None
-    degraded: bool = False
     #: Correlation id minted at serving admission (None for direct
     #: engine calls); joins this record to the HTTP response header,
     #: span trees and the slow-query log.
@@ -52,6 +57,17 @@ class QueryStats:
     semantics_candidates: int = 0
     #: True when an empty strict result was rescued by relaxation.
     relaxed: bool = False
+    #: ``(shard id, lcp + lce seconds, SL entries)`` per unit when the
+    #: query ran over several; what the engine files under ``gks_shard_*``
+    units: tuple[tuple[int, float, int], ...] = ()
+
+    @property
+    def degraded(self) -> bool:
+        return self.trip_stage is not None
+
+    @property
+    def budget_trips(self) -> int:
+        return int(self.degraded)
 
     def stage_breakdown(self) -> dict[str, float]:
         return {

@@ -49,7 +49,7 @@ def build_schema_index(repository: Repository,
     stats = base.stats
     stats.entity_nodes = entity_count
     return GKSIndex(inverted=base.inverted, hashes=hashes, stats=stats,
-                    analyzer=base.analyzer,
+                    analyzer=base.analyzer, index_tags=index_tags,
                     document_names=base.document_names)
 
 

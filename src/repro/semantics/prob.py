@@ -34,14 +34,13 @@ from __future__ import annotations
 
 from repro.core.budget import SearchBudget
 from repro.core.query import Query
-from repro.core.results import (GKSResponse, RankedNode, SearchProfile,
-                                SemanticsInfo)
+from repro.core.results import (GKSResponse, RankedNode, SemanticsInfo,
+                                respond)
 from repro.core.search import units_of
 from repro.errors import ConfigError
 from repro.index.builder import GKSIndex
 from repro.index.probtables import ProbTables
 from repro.obs.metrics import MetricsRegistry, global_registry
-from repro.obs.stats import QueryStats
 from repro.obs.trace import NOOP_TRACER
 from repro.xmltree.dewey import Dewey
 
@@ -226,11 +225,7 @@ def probabilistic_search(index: GKSIndex, query: Query,
                 break
         nodes.sort(key=lambda node: (-node.score, node.dewey))
         finished = clock()
-        tripped = budget is not None and budget.tripped
         root.set(mode="probabilistic", emitted=len(nodes))
-        if tripped:
-            root.set(degraded=True, trip_stage=budget.report.stage,
-                     trip_reason=budget.report.reason)
 
     seconds = finished - started
     registry.counter(
@@ -246,20 +241,10 @@ def probabilistic_search(index: GKSIndex, query: Query,
         help="Wall time of semantics-mode searches."
     ).observe(seconds, labels={"mode": "probabilistic"})
 
-    profile = SearchProfile(merged_list_size=counters["postings"],
-                            lcp_entries=0, lce_nodes=0, seconds=seconds,
-                            merge_seconds=0.0, rank_seconds=seconds)
-    stats = QueryStats(total_seconds=seconds, rank_seconds=seconds,
-                       postings_scanned=counters["postings"],
-                       nodes_emitted=len(nodes),
-                       budget_trips=1 if tripped else 0,
-                       trip_stage=budget.report.stage if tripped else None,
-                       trip_reason=budget.report.reason if tripped else None,
-                       degraded=tripped, mode="probabilistic",
-                       semantics_candidates=counters["candidates"])
-    return GKSResponse(query=effective, nodes=tuple(nodes), profile=profile,
-                       degraded=tripped,
-                       degradation=budget.report if tripped else None,
-                       stats=stats,
-                       semantics=SemanticsInfo(mode="probabilistic",
-                                               threshold=threshold))
+    return respond(effective, nodes, budget, root,
+                   semantics=SemanticsInfo(mode="probabilistic",
+                                           threshold=threshold),
+                   total_seconds=seconds, rank_seconds=seconds,
+                   postings_scanned=counters["postings"],
+                   mode="probabilistic",
+                   semantics_candidates=counters["candidates"])

@@ -34,9 +34,8 @@ from typing import Callable, Iterable
 from repro.core.budget import SearchBudget
 from repro.core.query import Query
 from repro.core.results import (GKSResponse, RankedNode, RelaxationStep,
-                                SearchProfile, SemanticsInfo)
+                                SemanticsInfo, respond)
 from repro.obs.metrics import MetricsRegistry, global_registry
-from repro.obs.stats import QueryStats
 from repro.obs.trace import NOOP_TRACER
 from repro.text.analyzer import Analyzer
 from repro.xmltree.node import XMLNode
@@ -217,11 +216,7 @@ def relax_search(query: Query, vocabulary: RelaxVocabulary,
                 hits.append((step, response))
         nodes = merge_relaxed(hits)
         finished = clock()
-        tripped = budget is not None and budget.tripped
         root.set(mode="relaxed", emitted=len(nodes))
-        if tripped:
-            root.set(degraded=True, trip_stage=budget.report.stage,
-                     trip_reason=budget.report.reason)
 
     seconds = finished - started
     applied = []
@@ -241,19 +236,9 @@ def relax_search(query: Query, vocabulary: RelaxVocabulary,
         help="Wall time of semantics-mode searches."
     ).observe(seconds, labels={"mode": "relaxed"})
 
-    profile = SearchProfile(merged_list_size=0, lcp_entries=0, lce_nodes=0,
-                            seconds=seconds, rank_seconds=seconds)
-    stats = QueryStats(total_seconds=seconds, rank_seconds=seconds,
-                       nodes_emitted=len(nodes),
-                       budget_trips=1 if tripped else 0,
-                       trip_stage=budget.report.stage if tripped else None,
-                       trip_reason=budget.report.reason if tripped else None,
-                       degraded=tripped, mode="relaxed",
-                       semantics_candidates=len(candidates),
-                       relaxed=True)
-    return GKSResponse(query=effective, nodes=tuple(nodes), profile=profile,
-                       degraded=tripped,
-                       degradation=budget.report if tripped else None,
-                       stats=stats,
-                       semantics=SemanticsInfo(mode="relaxed", relaxed=True,
-                                               relaxations=tuple(applied)))
+    return respond(effective, nodes, budget, root,
+                   semantics=SemanticsInfo(mode="relaxed", relaxed=True,
+                                           relaxations=tuple(applied)),
+                   total_seconds=seconds, rank_seconds=seconds,
+                   mode="relaxed", semantics_candidates=len(candidates),
+                   relaxed=True)

@@ -66,7 +66,8 @@ class Shell:
         semantics = (f", mode={response.semantics.mode}"
                      if response.semantics is not None else "")
         self.out(f"{len(response)} node(s) for {response.query}  "
-                 f"[{response.profile.seconds * 1000:.1f} ms{semantics}]")
+                 f"[{response.stats.total_seconds * 1000:.1f} ms"
+                 f"{semantics}]")
         for position, node in enumerate(response.top(self.limit)):
             line = self.engine.describe(node)
             if node.probability is not None:

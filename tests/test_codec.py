@@ -251,6 +251,23 @@ class TestCodecAPI:
         assert reads == [path, path]
         assert "v2 raw monolithic(1) strict" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("codec", CODEC_NAMES)
+    @pytest.mark.parametrize("saved_tags", (True, False))
+    def test_index_path_cache_keys_on_index_tags(self, tmp_path, codec,
+                                                 saved_tags):
+        """A cache saved under one ``index_tags`` is rebuilt, never
+        served, under the other: ``book`` is a keyword only where element
+        names were indexed."""
+        texts = Texts(["<book><title>alpha</title></book>"])
+        path = tmp_path / "cache.idx"
+        GKSEngine.open(texts, index_path=path, codec=codec,
+                       index_tags=saved_tags)
+        reopened = GKSEngine.open(texts, index_path=path, codec=codec,
+                                  index_tags=not saved_tags)
+        assert bool(len(reopened.search("book"))) is (not saved_tags)
+        # the rewritten cache records the flag it was built under
+        assert load_index(path).index_tags is (not saved_tags)
+
     def test_store_layout_names_what_the_segments_hold(self, tmp_path):
         for codec in CODEC_NAMES:
             GKSEngine.open(Texts(CORPUS), shards=2, codec=codec,

@@ -47,7 +47,7 @@ class TestResponseExport:
         assert payload["query"]["s"] == 2
         assert len(payload["nodes"]) == len(response)
         assert payload["profile"]["merged_list_size"] == \
-            response.profile.merged_list_size
+            response.stats.postings_scanned
         assert set(payload["profile"]["stages"]) == \
             {"merge", "lcp", "lce", "rank"}
 

@@ -270,8 +270,8 @@ class TestQueryStats:
     def test_search_populates_stats(self, index):
         response = search(index, Query.of(["karen", "mike"], s=2))
         stats = response.stats
-        assert stats.postings_scanned == \
-            response.profile.merged_list_size
+        assert stats.postings_scanned == len(index.postings("karen")) + \
+            len(index.postings("mike"))
         assert stats.nodes_emitted == len(response)
         assert stats.total_seconds > 0
         assert 0 < stats.stage_sum() <= stats.total_seconds * 1.001
@@ -290,6 +290,39 @@ class TestQueryStats:
         assert stats.budget_trips == 1
         assert stats.trip_stage == "merge"
         assert stats.trip_reason == "deadline"
+
+    @pytest.mark.parametrize("config, query, mode, max_sl", [
+        ({}, "karen mike", None, None),
+        ({"shards": 2}, "karen mike", None, None),
+        ({}, "karen mike", None, 3),
+        ({"shards": 2}, "karen mike", None, 3),
+        ({"mode": "probabilistic"}, "karen mike", "probabilistic", None),
+        ({}, "karen papaya", "relaxed", None),
+    ], ids=["mono", "sharded", "degraded", "sharded-degraded",
+            "probabilistic", "relaxed"])
+    def test_one_account_per_answer(self, config, query, mode, max_sl):
+        """Whether an answer is degraded is one fact, read off the budget
+        once; a sharded answer's per-unit |SL| adds up to its own."""
+        engine = GKSEngine(load_dataset("figure2a"),
+                           config=EngineConfig(**config),
+                           metrics=MetricsRegistry())
+        budget = SearchBudget(max_sl=max_sl) if max_sl else None
+        response = engine.search(query, s=2, mode=mode, budget=budget)
+        stats = response.stats
+        report = budget.report if budget is not None else None
+        assert response.degraded == (max_sl is not None)
+        assert response.degraded == (response.degradation is not None) \
+            == stats.degraded == bool(stats.budget_trips)
+        assert response.degradation is report
+        assert (stats.trip_stage, stats.trip_reason) == (
+            (report.stage, report.reason) if report else (None, None))
+        assert stats.nodes_emitted == len(response)
+        if engine.config.shards > 1:
+            assert len(stats.units) == 2
+            assert sum(sl for _, _, sl in stats.units) == \
+                stats.postings_scanned
+        else:
+            assert stats.units == ()
 
     def test_cache_hit_flag(self, engine):
         first = engine.search("karen mike", s=1)

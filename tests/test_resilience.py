@@ -224,7 +224,7 @@ class TestSearchBudget:
         assert report.reason == "max_sl"
         assert report.processed == 5
         assert report.total == 40
-        assert response.profile.merged_list_size == 5
+        assert response.stats.postings_scanned == 5
         assert response.nodes  # partial answer, not an empty one
         assert "degraded" in report.render()
 

@@ -72,9 +72,9 @@ class TestExample3:
 class TestResponseShape:
     def test_profile_counts(self, figure1_index):
         response = search(figure1_index, Query.of(["a", "b"], s=2))
-        assert response.profile.merged_list_size == 7  # 4×a + 3×b
-        assert response.profile.seconds >= 0.0
-        assert response.profile.lcp_entries >= len(response)
+        assert response.stats.postings_scanned == 7  # 4×a + 3×b
+        assert response.stats.total_seconds >= 0.0
+        assert response.stats.lcp_entries >= len(response)
 
     def test_effective_s_is_clamped(self, figure1_index):
         response = search(figure1_index, Query.of(["a", "b"], s=99))

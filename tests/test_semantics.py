@@ -288,7 +288,8 @@ def test_probabilistic_query_on_strict_engine_is_config_error(
         figure1_engine.search("karen", mode="probabilistic")
 
 
-def test_table_carrying_index_needs_probabilistic_config(tmp_path):
+def test_table_carrying_index_needs_probabilistic_config(tmp_path,
+                                                        monkeypatch):
     documents = ['<root><item p:type="IND">'
                  '<name p:p="0.5">apple</name></item></root>']
     path = tmp_path / "prob.idx"
@@ -300,10 +301,20 @@ def test_table_carrying_index_needs_probabilistic_config(tmp_path):
     with pytest.raises(ConfigError):
         GKSEngine.open(_repository(documents),
                        config=EngineConfig(index_path=path))
+    compiled = []
+
+    def counting(repository):
+        compiled.append(repository)
+        return compile_tables(repository)
+
+    monkeypatch.setattr("repro.semantics.compile_tables", counting)
+    monkeypatch.setattr("repro.semantics.pdoc.compile_tables", counting)
     reopened = GKSEngine.open(
         _repository(documents),
         config=EngineConfig(mode="probabilistic", index_path=path))
     assert tables_of(reopened.index) == tables_of(engine.index)
+    # compiled once, when the engine publishes the loaded index
+    assert len(compiled) == 1
 
 
 def test_search_options_validate_mode_and_threshold():

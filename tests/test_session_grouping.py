@@ -136,12 +136,11 @@ class TestSession:
 
 class TestProfileBreakdown:
     def test_stage_times_sum_to_total(self, dblp_engine):
-        response = dblp_engine.search('"E. F. Codd"')
-        profile = response.profile
-        stages = sum(profile.stage_breakdown().values())
-        assert stages == pytest.approx(profile.seconds, rel=0.05)
+        stats = dblp_engine.search('"E. F. Codd"').stats
+        assert stats.stage_sum() == pytest.approx(stats.total_seconds,
+                                                  rel=0.05)
 
     def test_all_stages_non_negative(self, dblp_engine):
-        profile = dblp_engine.search("codd").profile
-        for value in profile.stage_breakdown().values():
+        stats = dblp_engine.search("codd").stats
+        for value in stats.stage_breakdown().values():
             assert value >= 0
