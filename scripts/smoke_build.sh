@@ -57,4 +57,29 @@ echo "== text build == repository build =="
 report "$WORKDIR/text-mono.gks" | diff "$WORKDIR/repo-mono.json" - || {
     echo "FAIL: text and repository builds differ" >&2; exit 1; }
 
+echo "== behind a declaration, a DOCTYPE, a comment and a PI =="
+# markup only the parser's careful path reads; the index must not notice
+mkdir "$WORKDIR/decorated"
+python - "$WORKDIR" <<'EOF'
+import re
+import sys
+from pathlib import Path
+
+workdir = Path(sys.argv[1])
+prolog = ('<?xml version="1.0" encoding="UTF-8"?>\n'
+          '<!DOCTYPE corpus [\n  <!ELEMENT corpus ANY>\n'
+          '  <!ENTITY source "smoke">\n]>\n'
+          '<!-- a generated corpus file -->\n'
+          '<?gks-smoke build?>\n')
+for path in sorted(workdir.glob("*.xml")):
+    body = re.sub(r"^<\?xml[^>]*\?>\s*", "",
+                  path.read_text(encoding="utf-8"))
+    (workdir / "decorated" / path.name).write_text(prolog + body,
+                                                   encoding="utf-8")
+EOF
+python -m repro index "$WORKDIR"/decorated/*.xml \
+    -o "$WORKDIR/decorated-mono.gks"
+report "$WORKDIR/decorated-mono.gks" | diff "$WORKDIR/repo-mono.json" - || {
+    echo "FAIL: the decorated corpus indexes differently" >&2; exit 1; }
+
 echo "smoke_build OK"

@@ -38,8 +38,7 @@ from repro.index.segments import (MANIFEST_NAME, PendingDocument,
 from repro.index.sharding import Shard, ShardedIndex, shard_of
 from repro.obs.trace import NOOP_TRACER
 from repro.text.analyzer import Analyzer
-from repro.xmltree.parser import parse_document
-from repro.xmltree.repository import Repository
+from repro.xmltree.repository import Repository, ingest_document
 from repro.xmltree.tree import XMLDocument
 
 # per shard: the ordered run chain
@@ -219,7 +218,7 @@ def open_durable(repository: Repository, config: EngineConfig,
     with tracer.span("texts") as span:
         for doc_id, name, text in store.appended_documents():
             document = _replay_parse(text, doc_id, name, store)
-            repository.add(document)
+            repository.add(document, text=text)
         span.set(documents=len(repository) - manifest.base_documents)
     with tracer.span("segments", files=len(manifest.segments)):
         durable_units = store.load_runs()
@@ -247,7 +246,7 @@ def open_durable(repository: Repository, config: EngineConfig,
                     path=directory / MANIFEST_NAME)
             document = _replay_parse(record["text"], doc_id,
                                      record.get("name"), store)
-            repository.add(document)
+            repository.add(document, text=record["text"])
             pending.append(pending_document(document, record["text"],
                                             frame.lsn, config))
     return store, durable_units, pending
@@ -255,11 +254,11 @@ def open_durable(repository: Repository, config: EngineConfig,
 
 def _replay_parse(text: str, doc_id: int, name: str | None,
                   store: SegmentStore) -> XMLDocument:
-    """Parse a recovered document; it was valid when acknowledged, so a
-    parse failure now means the stored bytes rotted."""
+    """Parse a recovered document (timed like any ingest); it was valid
+    when acknowledged, so a parse failure now means the stored bytes
+    rotted."""
     try:
-        return parse_document(text, doc_id=doc_id,
-                              attributes_as_children=True, name=name)
+        return ingest_document(text, doc_id, name=name)
     except XMLSyntaxError as exc:
         raise StorageError(
             f"recovered document {doc_id} of {store.directory} no longer "

@@ -46,8 +46,7 @@ from repro.obs.stats import SlowQuery, SlowQueryLog
 from repro.obs.trace import NullTracer, Span, Tracer
 from repro.xmltree.dewey import Dewey, format_dewey
 from repro.xmltree.node import XMLNode
-from repro.xmltree.parser import parse_document
-from repro.xmltree.repository import Repository, observe_parse_seconds
+from repro.xmltree.repository import Repository, ingest_document
 from repro.xmltree.serialize import serialize_node
 
 
@@ -668,11 +667,9 @@ class GKSEngine:
         with tracer.span("add_document") as root:
             # Parse *before* the WAL append: a malformed document must
             # fail the caller, never poison the log that recovery replays.
-            with tracer.span("parse") as span:
-                document = parse_document(
-                    text, doc_id=len(self.repository),
-                    attributes_as_children=True, name=name)
-            observe_parse_seconds(span.duration_s)
+            with tracer.span("parse"):
+                document = ingest_document(text, len(self.repository),
+                                           name=name)
             info = {"doc_id": document.doc_id, "name": document.name}
             lsn = None
             if self._store is not None:
@@ -682,7 +679,7 @@ class GKSEngine:
                 info.update(lsn=lsn, durable=True)
             # With a store the write is durable from here; apply it to
             # memory.
-            self.repository.add(document)
+            self.repository.add(document, text=text)
             try:
                 with tracer.span("build") as span:
                     pending = pending_document(document, text, lsn,

@@ -28,7 +28,7 @@ from repro.xmltree.parser import (RecoveryPolicy, SalvageLog,
                                   parse_document)
 from repro.xmltree.tree import XMLDocument
 
-__all__ = ["IngestFailure", "Repository", "observe_parse_seconds"]
+__all__ = ["IngestFailure", "Repository", "ingest_document"]
 
 
 def _failure_for(name: str, error: GKSError) -> IngestFailure:
@@ -42,11 +42,27 @@ def _ingest_counter(name: str, help: str):
     return global_registry().counter(f"gks_ingest_{name}_total", help=help)
 
 
-def observe_parse_seconds(seconds: float) -> None:
-    """File one document's parse time beside ``gks_index_build_seconds``."""
+def ingest_document(text: str, doc_id: int, name: str | None = None,
+                    attributes_as_children: bool = True,
+                    policy: RecoveryPolicy = RecoveryPolicy.STRICT,
+                    salvage_log: SalvageLog | None = None) -> XMLDocument:
+    """Parse one XML document bound for a repository — a corpus text, an
+    added document or a recovered one — filing the parse in
+    ``gks_ingest_parse_seconds`` (beside ``gks_index_build_seconds``).
+
+    A document that does not parse raises and is not timed.  It is
+    counted as ingested only when it enters the repository:
+    ``Repository.add(document, text=text)``.
+    """
+    started = DEFAULT_CLOCK()
+    document = parse_document(
+        text, doc_id=doc_id, attributes_as_children=attributes_as_children,
+        name=name, policy=policy, salvage_log=salvage_log)
     global_registry().histogram(
         "gks_ingest_parse_seconds",
-        help="Wall time of parsing one document.").observe(seconds)
+        help="Wall time of parsing one document.").observe(
+            DEFAULT_CLOCK() - started)
+    return document
 
 
 class Repository:
@@ -76,14 +92,27 @@ class Repository:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def add(self, document: XMLDocument) -> XMLDocument:
-        """Add *document*; its doc number must equal its position."""
+    def add(self, document: XMLDocument,
+            text: str | None = None) -> XMLDocument:
+        """Add *document*; its doc number must equal its position.
+
+        Given the *text* it was parsed from, the document and its bytes
+        are counted once in ``gks_ingest_documents_total`` /
+        ``gks_ingest_bytes_total`` — every way a text enters a repository
+        (``parse``, ``parse_json``, ``GKSEngine.add_document``, store
+        recovery) comes through here.
+        """
         expected = len(self._documents)
         if document.doc_id != expected:
             raise ValidationError(
                 f"document {document.name!r} has doc id {document.doc_id}, "
                 f"expected {expected}; use add_root()/parse to renumber")
         self._documents.append(document)
+        if text is not None:
+            _ingest_counter("documents",
+                            "Documents successfully ingested").inc()
+            _ingest_counter("bytes",
+                            "Bytes of document text ingested").inc(len(text))
         return document
 
     def add_root(self, root: XMLNode, name: str | None = None) -> XMLDocument:
@@ -115,11 +144,10 @@ class Repository:
             label = (name if name is not None
                      else f"text[{len(self._documents)}]")
         salvage_log = SalvageLog()
-        started = DEFAULT_CLOCK()
         try:
-            document = parse_document(
-                text, doc_id=len(self._documents),
-                attributes_as_children=attributes_as_children, name=name,
+            document = ingest_document(
+                text, len(self._documents), name=name,
+                attributes_as_children=attributes_as_children,
                 policy=parse_policy, salvage_log=salvage_log)
         except XMLSyntaxError as error:
             if policy is RecoveryPolicy.STRICT:
@@ -128,12 +156,7 @@ class Repository:
             _ingest_counter("quarantined_documents",
                             "Documents quarantined during ingestion").inc()
             return None
-        observe_parse_seconds(DEFAULT_CLOCK() - started)
-        self._documents.append(document)
-        _ingest_counter("documents",
-                        "Documents successfully ingested").inc()
-        _ingest_counter("bytes",
-                        "Bytes of document text ingested").inc(len(text))
+        self.add(document, text=text)
         if len(salvage_log):
             _ingest_counter(
                 "salvage_repairs",
@@ -149,12 +172,7 @@ class Repository:
 
         document = parse_json_document(text, doc_id=len(self._documents),
                                        root_tag=root_tag, name=name)
-        self._documents.append(document)
-        _ingest_counter("documents",
-                        "Documents successfully ingested").inc()
-        _ingest_counter("bytes",
-                        "Bytes of document text ingested").inc(len(text))
-        return document
+        return self.add(document, text=text)
 
     @classmethod
     def from_texts(cls, texts: Iterable[str],

@@ -6,7 +6,8 @@ the scanner moved to compiled patterns: ``read_name`` and
 ``_is_name_char`` predicates, ``decode_entities`` walks the text, and
 ``_scan_markup`` tries six ``startswith`` tests in order.  It is kept
 only so ``tests/test_parser*.py`` can hold the fast scanner to it —
-event for event, repair for repair, error position for error position.
+event for event, repair for repair, error position for error position,
+and, fed to a :class:`TreeBuilder`, tree for tree.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from repro.errors import XMLSyntaxError
 from repro.xmltree.events import (Comment, EndElement, ParseEvent,
                                   ProcessingInstruction, StartElement, Text)
 from repro.xmltree.parser import (_PREDEFINED_ENTITIES, SalvageLog,
-                                  _is_name_char, _is_name_start)
+                                  TreeBuilder, _is_name_char,
+                                  _is_name_start)
 
 
 class _Scanner:
@@ -425,12 +427,48 @@ def salvage_outcome(salvage_events_of, text: str) -> tuple:
     return events, [_problem(problem) for problem in log], error
 
 
+def _nodes(document) -> list[tuple]:
+    """Each node in document order: tag, Dewey id, direct text, XML
+    attributes, its parent's Dewey id, and its children's Dewey ids in
+    order, each with whether the child's parent link points back."""
+    return [(node.tag, node.dewey, node.text, node.xml_attributes,
+             None if node.parent is None else node.parent.dewey,
+             [(child.dewey, child.parent is node)
+              for child in node.children])
+            for node in document.root.iter_subtree()]
+
+
+def tree_outcome(parse, text: str) -> tuple:
+    """``(the parsed tree's nodes, error-or-None)``."""
+    try:
+        return _nodes(parse(text)), None
+    except XMLSyntaxError as error:
+        return None, _problem(error)
+
+
+def reference_document(text: str, attributes_as_children: bool = True):
+    """The tree a :class:`TreeBuilder` builds from this reference's
+    events."""
+    builder = TreeBuilder(attributes_as_children=attributes_as_children)
+    for event in iter_events(text):
+        builder.feed(event)
+    return builder.document()
+
+
 def assert_same_scan(text: str) -> None:
     """The production scanner reads *text* exactly as this reference does,
-    strict and salvaging."""
+    strict and salvaging, and ``parse_document`` builds the tree a
+    :class:`TreeBuilder` fed this reference's events builds — attributes
+    as children and kept raw."""
     from repro.xmltree import parser
 
     assert strict_outcome(parser.iter_events, text) == \
         strict_outcome(iter_events, text)
     assert salvage_outcome(parser.iter_events_salvage, text) == \
         salvage_outcome(iter_events_salvage, text)
+    for as_children in (True, False):
+        assert tree_outcome(
+            lambda source: parser.parse_document(
+                source, attributes_as_children=as_children), text) == \
+            tree_outcome(
+                lambda source: reference_document(source, as_children), text)

@@ -14,13 +14,14 @@ import time
 import pytest
 
 from repro.core.budget import SearchBudget
-from repro.core.config import EngineConfig
+from repro.core.config import EngineConfig, Texts
 from repro.core.engine import GKSEngine
 from repro.core.query import Query
 from repro.core.scatter import sharded_search
 from repro.core.search import search
 from repro.core.topk import search_top_k
 from repro.datasets.registry import load_dataset
+from repro.errors import StorageError
 from repro.index.builder import build_index
 from repro.index.sharding import build_sharded_index
 from repro.obs.metrics import (MetricsRegistry, escape_label_value,
@@ -504,6 +505,62 @@ class TestIngestObservability:
         assert self._coverage(root) >= 0.9
         assert engine.recent_traces()[-1] is root
         assert parsed.count() == before + 5
+
+    def test_every_document_entering_a_repository_is_counted_once(
+            self, tmp_path):
+        # every way in — an open, an add, and a store recovery that
+        # re-parses the base corpus, a flushed document's sidecar and the
+        # WAL tail — times each parse once and counts its document and
+        # bytes once
+        registry = global_registry()
+        documents = registry.counter("gks_ingest_documents_total")
+        ingested = registry.counter("gks_ingest_bytes_total")
+        parsed = registry.histogram("gks_ingest_parse_seconds")
+
+        def readings():
+            return documents.value(), ingested.value(), parsed.count()
+
+        def grown(before):
+            return tuple(now - then for now, then in zip(readings(), before))
+
+        texts = [self._book(n) for n in range(3)]
+        size = sum(len(text) for text in texts)
+        before = readings()
+        engine = GKSEngine.open(Texts(texts[:2]))
+        engine.add_document(texts[2])
+        assert grown(before) == (3, size, 3)
+
+        engine = GKSEngine.open(Texts(texts[:1]),
+                                store_path=tmp_path / "store")
+        engine.add_document(texts[1])
+        engine.flush()
+        engine.add_document(texts[2])  # left in the WAL tail
+        engine.close()
+        before = readings()
+        GKSEngine.open(Texts(texts[:1]),
+                       store_path=tmp_path / "store").close()
+        assert grown(before) == (3, size, 3)
+
+    def test_a_document_the_wal_refuses_is_parsed_but_not_counted(
+            self, tmp_path, monkeypatch):
+        registry = global_registry()
+        documents = registry.counter("gks_ingest_documents_total")
+        ingested = registry.counter("gks_ingest_bytes_total")
+        parsed = registry.histogram("gks_ingest_parse_seconds")
+        engine = GKSEngine.open(Texts([self._book(0)]),
+                                store_path=tmp_path / "store")
+
+        def refuse(*args):
+            raise StorageError("disk full", diagnosis="unwritable")
+
+        monkeypatch.setattr(engine._store, "append", refuse)
+        before = documents.value(), ingested.value(), parsed.count()
+        with pytest.raises(StorageError):
+            engine.add_document(self._book(1))
+        assert (documents.value(), ingested.value(), parsed.count()) == \
+            (before[0], before[1], before[2] + 1)
+        assert len(engine.repository) == 1
+        engine.close()
 
     def test_durable_open_nests_its_build_under_store(self, tmp_path):
         tracer = Tracer()

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets.registry import load_dataset
 from repro.errors import XMLSyntaxError
 from repro.xmltree import parser
 from repro.xmltree.events import (Comment, EndElement,
                                   ProcessingInstruction, StartElement, Text)
 from repro.xmltree.parser import (decode_entities, iter_events,
                                   parse_document)
+from repro.xmltree.serialize import serialize_document, serialize_node
 from tests import reference_scanner
 from tests.reference_scanner import assert_same_scan
 
@@ -178,3 +180,71 @@ class TestTreeBuilding:
         text += "".join(f"</n{i}>" for i in reversed(range(depth)))
         doc = parse_document(text)
         assert doc.depth == depth - 1
+
+
+#: one input per kind of miss, and the careful function that reads it
+MISSES = {
+    "XML declaration": ('<?xml version="1.0"?><a/>', "_scan_markup"),
+    "processing instruction": ("<a><?pi data?></a>", "_scan_markup"),
+    "comment": ("<a>x<!-- c -->y</a>", "_scan_markup"),
+    "CDATA": ("<a><![CDATA[x<y]]></a>", "_scan_markup"),
+    "DOCTYPE": ("<!DOCTYPE a [<!ELEMENT a ANY>]><a/>", "_scan_markup"),
+    "attributes": ("<a x=\"1\" y='2'><b z=\"&amp;\"/></a>", "_scan_markup"),
+    "unspaced attributes": ('<a x="1"y="2"/>', "_scan_markup"),
+    "non-ASCII name start": ("<a><é>x</é></a>", "_scan_markup"),
+    "non-ASCII attribute name start": ('<a é="1"/>', "_scan_markup"),
+    "mismatched close": ("<a><b></a>", "_scan_markup"),
+    "second root": ("<a/><b/>", "_scan_markup"),
+    "spaced self-close": ("<a / >", "_scan_markup"),
+    "duplicate attribute": ('<a x="1" x="2"/>', "_scan_markup"),
+    "bad reference in an attribute": ('<a x="&nope;"/>', "_scan_markup"),
+    "text before the root": ("x<a/>", "_scan_text"),
+    "text after the root": ("<a/>x", "_scan_text"),
+    "blank text after the root": ("<a/>\n", "_scan_text"),
+    "bad reference outside the root": ("&nope;<a/>", "_scan_text"),
+    "blank reference outside the root": ("&#32;<a/>", "_scan_text"),
+    "reference in text": ("<a>x &lt; y<b/>&#x41;</a>", "_scan_text"),
+    "bad reference in text": ("<a>&nope;</a>", "_scan_text"),
+}
+
+
+class TestMasterPattern:
+    """The strict loop matches one master pattern per token: whatever it
+    declines the careful scanner reads, to the reference's tree or
+    error, and the generated corpora never need it."""
+
+    @pytest.mark.parametrize("text, careful", list(MISSES.values()),
+                             ids=list(MISSES))
+    def test_each_miss_is_read_by_the_careful_scanner(
+            self, monkeypatch, text, careful):
+        offsets = []
+        read = getattr(parser, careful)
+
+        def spy(scanner, *args, **kwargs):
+            offsets.append(scanner.pos)
+            return read(scanner, *args, **kwargs)
+
+        monkeypatch.setattr(parser, careful, spy)
+        try:
+            parse_document(text)
+        except XMLSyntaxError:
+            pass
+        monkeypatch.undo()
+        assert offsets
+        assert_same_scan(text)
+
+    @pytest.mark.parametrize("name", ["protein", "mirrors"])
+    def test_generated_corpora_never_miss(self, monkeypatch, name):
+        def refuse(scanner, *args, **kwargs):
+            raise AssertionError(f"a miss at offset {scanner.pos}")
+
+        documents = list(load_dataset(name))
+        monkeypatch.setattr(parser, "_scan_markup", refuse)
+        monkeypatch.setattr(parser, "_scan_text", refuse)
+        for document in documents:
+            text = serialize_document(document, declaration=False)
+            parsed = parse_document(text, doc_id=document.doc_id)
+            assert serialize_node(parsed.root) == \
+                serialize_node(document.root)
+            assert [node.dewey for node in parsed] == \
+                [node.dewey for node in document]
