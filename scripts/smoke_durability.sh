@@ -3,7 +3,9 @@
 # documents under concurrent search traffic, then SIGKILL the server
 # mid-stream (no drain, no warning) and restart it on the same store.
 # Every acknowledged document must survive the crash, the recovered
-# server must answer queries over it, and `check-index --deep` must find
+# server must answer queries over it — describing base, flushed and
+# WAL-tail nodes with the tags it gave them before — and
+# `check-index --deep` must find
 # the store clean.  Finish with a SIGTERM and require a clean drain, then
 # rewrite the store's segments at gzip level 9 (an old store), recover it
 # and deep-check it again.
@@ -78,6 +80,11 @@ curl -fsS -X POST "$BASE/documents" \
     -H 'Content-Type: application/json' \
     -d '{"text": "<dblp><article><title>post-flush straggler</title></article></dblp>", "name": "straggler.xml"}' \
     >"$WORKDIR/post.straggler"
+# one query over base (karen), flushed (smoketest) and WAL-tail
+# (straggler) documents: the recovered server must describe each node
+# with the same tag and tag path, from trees it builds on first read
+SPAN_QUERY="q=karen+smoketest+straggler&s=1"
+curl -fsS "$BASE/search?$SPAN_QUERY" >"$WORKDIR/span.before.json"
 kill -9 "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""
@@ -105,6 +112,23 @@ import json, sys
 payload = json.load(open(sys.argv[1]))
 assert payload["nodes"], "WAL-tail document lost after SIGKILL"
 print("WAL-tail straggler survived the crash")
+EOF
+
+curl -fsS "$BASE/search?$SPAN_QUERY" >"$WORKDIR/span.after.json"
+python - "$WORKDIR/span.before.json" "$WORKDIR/span.after.json" \
+    "$POSTED" <<'EOF'
+import json, sys
+before, after = (json.load(open(path))["nodes"] for path in sys.argv[1:3])
+posted = int(sys.argv[3])
+described = lambda nodes: [(n["dewey"], n["tag"], n["tag_path"])
+                           for n in nodes]
+assert described(after) == described(before), \
+    "recovered nodes carry other tags than before the crash"
+documents = {int(n["dewey"].split(".")[0]) for n in after}
+assert {0, 1, posted + 1} <= documents, \
+    f"the query should span base, flushed and WAL-tail documents: {documents}"
+print(f"{len(after)} node(s) over documents {sorted(documents)} carry "
+      "their pre-crash tags")
 EOF
 
 echo "== SIGTERM drains cleanly =="

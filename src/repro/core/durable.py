@@ -17,11 +17,11 @@ one-document units, all document-disjoint in the sense of
 * **open / recover** — no manifest yet: build the base index as usual,
   seed the store with generation-1 segments and an empty WAL.  Manifest
   present: verify compatibility with the engine config and the base
-  corpus (never silently serve a different corpus), re-parse the
-  flushed appended documents from the texts sidecars, load the verified
-  segment runs, then re-apply the WAL tail.  The composed index is
-  node-for-node the one a from-scratch rebuild over the same documents
-  would produce.
+  corpus (never silently serve a different corpus), check the flushed
+  appended documents from the texts sidecars (their trees wait for a
+  reader), load the verified segment runs, then parse and re-apply the
+  WAL tail.  The composed index is node-for-node the one a from-scratch
+  rebuild over the same documents would produce.
 """
 
 from __future__ import annotations
@@ -146,8 +146,11 @@ def incompatibilities(persisted: StoreManifest | GKSIndex | ShardedIndex,
     One check over the same facts for both: the shard layout (the write
     path routes new documents by it), whether element names were indexed
     and the analyzer flags (else the keywords differ), and the base
-    document names (else it is somebody else's corpus).
+    document names and texts' CRC32 (else it is somebody else's corpus).
+    An index file without the CRC is a stale cache; a store without it
+    opens.
     """
+    crc = persisted.corpus_crc32
     if isinstance(persisted, StoreManifest):
         shards, strategy = persisted.shards, persisted.strategy
         flags = (persisted.use_stopwords, persisted.use_stemming)
@@ -175,6 +178,12 @@ def incompatibilities(persisted: StoreManifest | GKSIndex | ShardedIndex,
     if names != tuple(document.name for document in repository):
         problems.append(f"built over {len(names)} base documents that are "
                         f"not the source's {len(repository)}")
+    if repository.corpus_crc32 is not None and crc != repository.corpus_crc32:
+        if crc is not None:
+            problems.append("built over base texts whose CRC32 differs from "
+                            "the source's")
+        elif not isinstance(persisted, StoreManifest):
+            problems.append("records no corpus CRC32")
     return problems
 
 
@@ -189,7 +198,7 @@ def open_durable(repository: Repository, config: EngineConfig,
     extended in place with every recovered post-base document (sidecar
     texts first, then the WAL tail) so snippets and exports see the full
     corpus.  A recovery records four spans on *tracer*: ``manifest``
-    (verify, sweep orphans, open the WAL), ``texts`` (re-parse the
+    (verify, sweep orphans, open the WAL), ``texts`` (check the
     sidecars), ``segments`` (load every run) and ``wal_tail``.
     """
     directory = Path(config.store_path)
@@ -202,7 +211,7 @@ def open_durable(repository: Repository, config: EngineConfig,
             document_names=[document.name for document in repository],
             analyzer=config.analyzer, shards=config.shards,
             strategy=config.shard_strategy, index_tags=config.index_tags,
-            codec=config.codec)
+            corpus_crc32=repository.corpus_crc32, codec=config.codec)
         return store, durable_units, []
 
     with tracer.span("manifest"):
@@ -217,9 +226,10 @@ def open_durable(repository: Repository, config: EngineConfig,
                 f"{'; '.join(problems)}", diagnosis="incompatible")
     with tracer.span("texts") as span:
         for doc_id, name, text in store.appended_documents():
-            document = _replay_parse(text, doc_id, name, store)
+            document = _replay_parse(text, doc_id, name, store, check=True)
             repository.add(document, text=text)
-        span.set(documents=len(repository) - manifest.base_documents)
+        checked = len(repository) - manifest.base_documents
+        span.set(documents=checked, checked=checked, parsed=0)
     with tracer.span("segments", files=len(manifest.segments)):
         durable_units = store.load_runs()
     covered = sorted(doc_id
@@ -253,12 +263,12 @@ def open_durable(repository: Repository, config: EngineConfig,
 
 
 def _replay_parse(text: str, doc_id: int, name: str | None,
-                  store: SegmentStore) -> XMLDocument:
-    """Parse a recovered document (timed like any ingest); it was valid
-    when acknowledged, so a parse failure now means the stored bytes
+                  store: SegmentStore, check: bool = False) -> XMLDocument:
+    """Parse (or *check*) a recovered document, timed like any ingest; it
+    was valid when acknowledged, so a syntax error means the bytes
     rotted."""
     try:
-        return ingest_document(text, doc_id, name=name)
+        return ingest_document(text, doc_id, name=name, check=check)
     except XMLSyntaxError as exc:
         raise StorageError(
             f"recovered document {doc_id} of {store.directory} no longer "

@@ -38,7 +38,8 @@ from repro.errors import (ConfigError, SearchTimeout, StorageError,
                           ValidationError)
 from repro.index.builder import GKSIndex, build_index
 from repro.index.composite import CompositeIndex
-from repro.index.segments import PendingDocument, SegmentStore
+from repro.index.segments import (MANIFEST_NAME, PendingDocument,
+                                  SegmentStore)
 from repro.index.sharding import ShardedIndex, build_sharded_index
 from repro.obs.locks import new_lock, new_rlock
 from repro.obs.metrics import MetricsRegistry, global_registry
@@ -192,7 +193,7 @@ class GKSEngine:
         With ``config.store_path`` set, the engine opens a durable
         segmented store there instead: an empty directory is initialised
         from a fresh build, an existing one is *recovered* — segments
-        verified, appended documents re-parsed, the WAL tail re-applied
+        verified, appended documents checked, the WAL tail re-applied
         — and ``add_document`` becomes crash-safe (write-ahead logged,
         flushed to immutable segments, compacted per shard).  Unlike the
         ``index_path`` cache, a corrupted or incompatible store raises
@@ -200,9 +201,15 @@ class GKSEngine:
         the store holds documents the source corpus does not, so
         silently starting over would be data loss.
 
+        Parse when it will build, check when it will load: while the
+        index file or store manifest exists, source texts are only
+        checked (same errors; ``salvage`` parses) and each tree is built
+        on first read — search reads only the index.
+
         The open is traced: an ``open`` root span (on *tracer* when
         given, and retained in :meth:`recent_traces`) with a ``parse``
-        child around reading the source and a ``build`` child — carrying
+        child around reading the source (``documents``, ``checked``,
+        ``parsed``) and a ``build`` child — carrying
         ``nodes``, ``tokens`` and ``postings`` — around indexing it; a
         durable open nests its build — or, recovering, ``manifest``,
         ``texts``, ``segments`` and ``wal_tail`` — under a ``store`` child.
@@ -216,7 +223,9 @@ class GKSEngine:
         with tracer.span("open") as root:
             with tracer.span("parse") as span:
                 repository = _resolve_source(source, config)
-                span.set(documents=len(repository))
+                checked = sum(not doc.parsed for doc in repository)
+                span.set(documents=len(repository), checked=checked,
+                         parsed=len(repository) - checked)
             engine = cls._open(repository, config, tracer)
         engine._recent_traces.append(root)
         return engine
@@ -956,26 +965,32 @@ def _build_facts(index) -> dict:
 
 
 def _resolve_source(source, config: EngineConfig) -> Repository:
-    """Turn an ``open`` *source* into a :class:`Repository`."""
+    """Turn an ``open`` *source* into a :class:`Repository` — checking
+    its texts instead of parsing them when an index on disk will serve
+    it."""
     if isinstance(source, Repository):
         return source
+    if not isinstance(source, (Texts, Paths)):
+        if isinstance(source, (str, Path)):
+            source = [source]
+        try:
+            items = list(source)
+        except TypeError:
+            raise ConfigError(
+                f"cannot open source of type {type(source).__name__}; "
+                "expected a Repository, XML text(s) or corpus path(s)")
+        if all(_looks_like_xml(item) for item in items):
+            source = Texts(items)
+        elif not any(_looks_like_xml(item) for item in items):
+            source = Paths(items)
+        else:
+            raise ConfigError(
+                "source mixes XML texts and paths; wrap it in Texts(...) "
+                "or Paths(...) to state which it is")
+    check = ((config.store_path is not None
+              and (Path(config.store_path) / MANIFEST_NAME).exists())
+             or (config.index_path is not None
+                 and Path(config.index_path).exists()))
     if isinstance(source, Texts):
-        return Repository.from_texts(source, policy=config.recovery)
-    if isinstance(source, Paths):
-        return Repository.from_paths(source, policy=config.recovery)
-    if isinstance(source, (str, Path)):
-        source = [source]
-    try:
-        items = list(source)
-    except TypeError:
-        raise ConfigError(
-            f"cannot open source of type {type(source).__name__}; "
-            "expected a Repository, XML text(s) or corpus path(s)")
-    if all(_looks_like_xml(item) for item in items):
-        return Repository.from_texts(items, policy=config.recovery)
-    if not any(_looks_like_xml(item) for item in items):
-        return Repository.from_paths(items, policy=config.recovery)
-    raise ConfigError(
-        "source mixes XML texts and paths; wrap it in Texts(...) or "
-        "Paths(...) to state which it is")
-
+        return Repository._read_texts(source, config.recovery, check)
+    return Repository._read_paths(source, config.recovery, check)

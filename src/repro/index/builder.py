@@ -51,6 +51,9 @@ class GKSIndex:
     #: does not record it)
     index_tags: bool | None = True
     document_names: tuple[str, ...] = ()
+    #: :attr:`Repository.corpus_crc32` of the corpus built over (``None``:
+    #: not built from texts, or a saved file that does not record it)
+    corpus_crc32: int | None = field(default=None, compare=False)
     #: p-document probability tables (None/empty for deterministic corpora;
     #: compiled by ``repro.semantics`` when the engine runs in
     #: probabilistic mode and persisted by both codecs).
@@ -274,7 +277,8 @@ def build_index(source: Repository | XMLDocument | str,
     builder = IndexBuilder(analyzer=analyzer, index_tags=index_tags)
     if isinstance(source, Repository):
         builder.add_repository(source)
-    elif isinstance(source, XMLDocument):
+        return replace(builder.build(), corpus_crc32=source.corpus_crc32)
+    if isinstance(source, XMLDocument):
         builder.add_document(source)
     elif isinstance(source, str):
         builder.add_xml(source)

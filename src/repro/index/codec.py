@@ -146,7 +146,8 @@ class DecodedIndex:
 
     layout: str
     strategy: str | None
-    #: the analyzer flags plus ``index_tags``: how text became keywords
+    #: the analyzer flags plus ``index_tags`` — how text became keywords
+    #: — and, when known, ``corpus_crc32``: which text
     analyzer: dict
     document_names: tuple[str, ...]
     shards: list[DecodedShard]
@@ -159,10 +160,12 @@ class DecodedIndex:
         units = ([(shard.shard_id, tuple(shard.doc_ids), shard.index)
                   for shard in index.shards] if sharded
                  else [(0, None, index)])
+        facts = {**index.analyzer.flags(), "index_tags": index.index_tags}
+        if index.corpus_crc32 is not None:
+            facts["corpus_crc32"] = index.corpus_crc32
         return cls(
             "sharded" if sharded else "monolithic",
-            index.strategy if sharded else None,
-            {**index.analyzer.flags(), "index_tags": index.index_tags},
+            index.strategy if sharded else None, facts,
             tuple(index.document_names),
             [DecodedShard(
                 shard_id, doc_ids, tuple(unit.document_names),
@@ -1275,12 +1278,13 @@ def _section_reader(section: dict, buffer, cursor: int,
 
 
 def _shard_index(section: dict, reader: _ShardReader, analyzer: Analyzer,
-                 index_tags: bool | None) -> GKSIndex:
+                 flags: dict) -> GKSIndex:
     return GKSIndex(
         inverted=LazyInvertedIndex(reader),
         hashes=LazyNodeHashes(reader),
         stats=IndexStats.from_dict(section.get("stats", {})),
-        analyzer=analyzer, index_tags=index_tags,
+        analyzer=analyzer, index_tags=flags.get("index_tags"),
+        corpus_crc32=flags.get("corpus_crc32"),
         document_names=tuple(section.get("document_names", ())),
         probabilities=_prob_tables(section.get("probabilities"),
                                    reader.path))
@@ -1308,7 +1312,7 @@ def load_binary_index(path: str | Path) -> "GKSIndex | ShardedIndex":
     header = read_binary_header(path)
     body = header["body"]
     flags = body.get("analyzer", {})
-    analyzer, index_tags = Analyzer.from_flags(flags), flags.get("index_tags")
+    analyzer = Analyzer.from_flags(flags)
     buffer = _map_blob(path)
     cursor = header["blob_offset"]
     sections = body.get("shards")
@@ -1325,7 +1329,7 @@ def load_binary_index(path: str | Path) -> "GKSIndex | ShardedIndex":
                 diagnosis="corrupted", path=path)
         reader, _cursor = _section_reader(sections[0], buffer, cursor,
                                           path)
-        return _shard_index(sections[0], reader, analyzer, index_tags)
+        return _shard_index(sections[0], reader, analyzer, flags)
     if layout != "sharded":
         raise StorageError(
             f"binary index {path} declares unknown layout {layout!r}",
@@ -1333,14 +1337,15 @@ def load_binary_index(path: str | Path) -> "GKSIndex | ShardedIndex":
     shards = []
     for section in sections:
         reader, cursor = _section_reader(section, buffer, cursor, path)
-        index = _shard_index(section, reader, analyzer, index_tags)
+        index = _shard_index(section, reader, analyzer, flags)
         shards.append(Shard(shard_id=int(section.get("shard_id", 0)),
                             doc_ids=tuple(section.get("doc_ids", ())),
                             index=index))
     try:
         return ShardedIndex(shards, body.get("strategy", "round_robin"),
                             tuple(body.get("document_names", ())),
-                            analyzer=analyzer)
+                            analyzer=analyzer,
+                            corpus_crc32=flags.get("corpus_crc32"))
     except StorageError:
         raise
     except Exception as exc:
@@ -1739,6 +1744,7 @@ class RawCodec:
                                             element=shard.element),
             stats=IndexStats.from_dict(shard.stats), analyzer=analyzer,
             index_tags=decoded.analyzer.get("index_tags"),
+            corpus_crc32=decoded.analyzer.get("corpus_crc32"),
             document_names=shard.document_names,
             probabilities=_prob_tables(shard.probabilities, path))
             for shard in decoded.shards]
@@ -1750,7 +1756,8 @@ class RawCodec:
                        index=unit)
                  for shard, unit in zip(decoded.shards, units)],
                 strategy=decoded.strategy or "round_robin",
-                document_names=decoded.document_names, analyzer=analyzer)
+                document_names=decoded.document_names, analyzer=analyzer,
+                corpus_crc32=decoded.analyzer.get("corpus_crc32"))
         except Exception as exc:  # e.g. an unknown strategy string
             raise _corrupted(
                 path, f"invalid shard manifest ({exc})") from exc

@@ -137,6 +137,9 @@ class StoreManifest:
     document_names: tuple[str, ...]
     segments: tuple[SegmentRecord, ...] = ()
     texts: tuple[TextsRecord, ...] = ()
+    #: CRC32 of the base texts in order (``Repository.corpus_crc32``);
+    #: ``None`` for a store that does not record it
+    corpus_crc32: int | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -151,6 +154,7 @@ class StoreManifest:
             "document_names": list(self.document_names),
             "segments": [record.to_dict() for record in self.segments],
             "texts": [record.to_dict() for record in self.texts],
+            "corpus_crc32": self.corpus_crc32,
         }
 
     @classmethod
@@ -169,7 +173,8 @@ class StoreManifest:
             segments=tuple(SegmentRecord.from_dict(entry)
                            for entry in raw.get("segments", ())),
             texts=tuple(TextsRecord.from_dict(entry)
-                        for entry in raw.get("texts", ())))
+                        for entry in raw.get("texts", ())),
+            corpus_crc32=raw.get("corpus_crc32"))
 
 
 def read_manifest(directory: str | Path) -> StoreManifest:
@@ -305,7 +310,8 @@ class SegmentStore:
     def create(cls, directory: str | Path, runs: Mapping[int, Run], *,
                document_names: Sequence[str], analyzer: Analyzer,
                shards: int, strategy: str, index_tags: bool,
-               codec: str = "raw", fsync: bool = True) -> "SegmentStore":
+               corpus_crc32: int | None = None, codec: str = "raw",
+               fsync: bool = True) -> "SegmentStore":
         """Initialise a store from a freshly built base index (gen 1):
         one segment per shard that holds documents."""
         directory = Path(directory)
@@ -317,7 +323,8 @@ class SegmentStore:
             use_stemming=analyzer.use_stemming,
             base_documents=len(document_names),
             document_names=tuple(document_names),
-            segments=_write_segments(directory, 1, runs, codec))
+            segments=_write_segments(directory, 1, runs, codec),
+            corpus_crc32=corpus_crc32)
         write_manifest(directory, manifest)
         wal = WriteAheadLog.create(directory / WAL_NAME, fsync=fsync)
         return cls(directory, manifest, wal, codec=codec)

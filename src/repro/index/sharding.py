@@ -85,7 +85,8 @@ class ShardedIndex(CompositeIndex):
 
     def __init__(self, shards: Sequence[Shard], strategy: str,
                  document_names: Sequence[str],
-                 analyzer: Analyzer = DEFAULT_ANALYZER) -> None:
+                 analyzer: Analyzer = DEFAULT_ANALYZER,
+                 corpus_crc32: int | None = None) -> None:
         if strategy not in PARTITION_STRATEGIES:
             raise ConfigError(
                 f"unknown shard strategy {strategy!r}; "
@@ -94,6 +95,8 @@ class ShardedIndex(CompositeIndex):
         if not self.shards:
             raise ConfigError("a ShardedIndex needs at least one shard")
         self.strategy = strategy
+        #: as on :class:`GKSIndex`, for the whole corpus
+        self.corpus_crc32 = corpus_crc32
         super().__init__([(shard.doc_ids, shard.index)
                           for shard in self.shards],
                          analyzer=analyzer, document_names=document_names)
@@ -137,4 +140,5 @@ def build_sharded_index(repository: Repository,
         built.append(Shard(shard_id=shard_id, doc_ids=doc_ids,
                            index=builder.build()))
     return ShardedIndex(built, strategy=strategy, document_names=names,
-                        analyzer=analyzer)
+                        analyzer=analyzer,
+                        corpus_crc32=repository.corpus_crc32)

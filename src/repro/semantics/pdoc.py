@@ -148,5 +148,6 @@ def attach_tables(index: "GKSIndex | CompositeIndex",
                       tables.restrict(set(shard.doc_ids))))
             for shard in index.shards)
         return ShardedIndex(shards, index.strategy, index.document_names,
-                            analyzer=index.analyzer)
+                            analyzer=index.analyzer,
+                            corpus_crc32=index.corpus_crc32)
     return index.with_probabilities(tables)

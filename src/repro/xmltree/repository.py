@@ -11,6 +11,7 @@ and the scalability experiment (Fig. 10) replicates a corpus inside one.
 
 from __future__ import annotations
 
+import zlib
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -25,7 +26,7 @@ from repro.xmltree import dewey as dw
 from repro.xmltree.dewey import Dewey
 from repro.xmltree.node import XMLNode
 from repro.xmltree.parser import (RecoveryPolicy, SalvageLog,
-                                  parse_document)
+                                  check_document, parse_document)
 from repro.xmltree.tree import XMLDocument
 
 __all__ = ["IngestFailure", "Repository", "ingest_document"]
@@ -45,19 +46,31 @@ def _ingest_counter(name: str, help: str):
 def ingest_document(text: str, doc_id: int, name: str | None = None,
                     attributes_as_children: bool = True,
                     policy: RecoveryPolicy = RecoveryPolicy.STRICT,
-                    salvage_log: SalvageLog | None = None) -> XMLDocument:
+                    salvage_log: SalvageLog | None = None,
+                    check: bool = False) -> XMLDocument:
     """Parse one XML document bound for a repository — a corpus text, an
     added document or a recovered one — filing the parse in
     ``gks_ingest_parse_seconds`` (beside ``gks_index_build_seconds``).
+
+    With *check* — for texts an index on disk covers — the text is only
+    checked (:func:`check_document`) and the tree built on the first read
+    of ``.root``; ``SALVAGE`` always parses, as only the parser repairs.
 
     A document that does not parse raises and is not timed.  It is
     counted as ingested only when it enters the repository:
     ``Repository.add(document, text=text)``.
     """
     started = DEFAULT_CLOCK()
-    document = parse_document(
-        text, doc_id=doc_id, attributes_as_children=attributes_as_children,
-        name=name, policy=policy, salvage_log=salvage_log)
+    if check and policy is not RecoveryPolicy.SALVAGE:
+        check_document(text)
+        document = XMLDocument(
+            None, name, text=text, doc_id=doc_id,
+            attributes_as_children=attributes_as_children)
+    else:
+        document = parse_document(
+            text, doc_id=doc_id,
+            attributes_as_children=attributes_as_children, name=name,
+            policy=policy, salvage_log=salvage_log)
     global_registry().histogram(
         "gks_ingest_parse_seconds",
         help="Wall time of parsing one document.").observe(
@@ -81,6 +94,9 @@ class Repository:
     def __init__(self, documents: Iterable[XMLDocument] = ()) -> None:
         self._documents: list[XMLDocument] = []
         self.ingest_failures: list[IngestFailure] = []
+        #: CRC32 of the documents' UTF-8 texts in order (``None`` once
+        #: one entered without its text)
+        self.corpus_crc32: int | None = 0
         for document in documents:
             self.add(document)
 
@@ -100,7 +116,7 @@ class Repository:
         are counted once in ``gks_ingest_documents_total`` /
         ``gks_ingest_bytes_total`` — every way a text enters a repository
         (``parse``, ``parse_json``, ``GKSEngine.add_document``, store
-        recovery) comes through here.
+        recovery) comes through here, and extends :attr:`corpus_crc32`.
         """
         expected = len(self._documents)
         if document.doc_id != expected:
@@ -108,7 +124,12 @@ class Repository:
                 f"document {document.name!r} has doc id {document.doc_id}, "
                 f"expected {expected}; use add_root()/parse to renumber")
         self._documents.append(document)
-        if text is not None:
+        if text is None:
+            self.corpus_crc32 = None
+        else:
+            if self.corpus_crc32 is not None:
+                self.corpus_crc32 = zlib.crc32(
+                    text.encode("utf-8", "surrogatepass"), self.corpus_crc32)
             _ingest_counter("documents",
                             "Documents successfully ingested").inc()
             _ingest_counter("bytes",
@@ -123,6 +144,7 @@ class Repository:
         else:
             document = XMLDocument(root, name=name)
         self._documents.append(document)
+        self.corpus_crc32 = None
         return document
 
     def parse(self, text: str, name: str | None = None,
@@ -136,6 +158,13 @@ class Repository:
         quarantined and ``None`` is returned instead of raising.  *label*
         names the document in quarantine reports when *name* is unset.
         """
+        return self._parse(text, name, attributes_as_children, policy,
+                           label)
+
+    def _parse(self, text: str, name: str | None,
+               attributes_as_children: bool, policy: RecoveryPolicy | str,
+               label: str | None, check: bool = False) -> XMLDocument | None:
+        """:meth:`parse`; with *check*, see :func:`ingest_document`."""
         policy = RecoveryPolicy.coerce(policy)
         parse_policy = (RecoveryPolicy.SALVAGE
                         if policy is RecoveryPolicy.SALVAGE
@@ -148,7 +177,7 @@ class Repository:
             document = ingest_document(
                 text, len(self._documents), name=name,
                 attributes_as_children=attributes_as_children,
-                policy=parse_policy, salvage_log=salvage_log)
+                policy=parse_policy, salvage_log=salvage_log, check=check)
         except XMLSyntaxError as error:
             if policy is RecoveryPolicy.STRICT:
                 raise
@@ -183,9 +212,16 @@ class Repository:
         Under a non-strict *policy* malformed texts are quarantined on
         :attr:`quarantine` instead of aborting the whole build.
         """
+        return cls._read_texts(texts, policy)
+
+    @classmethod
+    def _read_texts(cls, texts: Iterable[str],
+                    policy: RecoveryPolicy | str,
+                    check: bool = False) -> "Repository":
         repository = cls()
         for offset, text in enumerate(texts):
-            repository.parse(text, policy=policy, label=f"text[{offset}]")
+            repository._parse(text, None, True, policy, f"text[{offset}]",
+                              check)
         return repository
 
     @classmethod
@@ -201,6 +237,12 @@ class Repository:
         :class:`DocumentLoadError` naming the offending path (strict
         policy) or is quarantined alongside parse failures otherwise.
         """
+        return cls._read_paths(paths, policy, encoding=encoding)
+
+    @classmethod
+    def _read_paths(cls, paths: Iterable[str | Path],
+                    policy: RecoveryPolicy | str, check: bool = False,
+                    encoding: str = "utf-8") -> "Repository":
         policy = RecoveryPolicy.coerce(policy)
         repository = cls()
         for path in paths:
@@ -224,7 +266,7 @@ class Repository:
                     "Documents quarantined during ingestion").inc()
                 continue
             if not is_json:
-                repository.parse(text, name=path.name, policy=policy)
+                repository._parse(text, path.name, True, policy, None, check)
         return repository
 
     def extend_replicated(self, times: int) -> "Repository":
@@ -236,6 +278,7 @@ class Repository:
         if times < 1:
             raise ValidationError(f"replication factor must be >= 1: {times}")
         replicated = Repository()
+        replicated.corpus_crc32 = None
         for round_no in range(times):
             for document in self._documents:
                 doc_id = len(replicated._documents)
@@ -248,6 +291,7 @@ class Repository:
     def merged(*repositories: "Repository") -> "Repository":
         """Concatenate repositories into one shared Dewey space (§7.6)."""
         merged = Repository()
+        merged.corpus_crc32 = None
         for repository in repositories:
             for document in repository:
                 doc_id = len(merged._documents)

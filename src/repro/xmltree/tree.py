@@ -5,6 +5,8 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.errors import ValidationError
+from repro.obs.locks import new_lock
+from repro.obs.metrics import global_registry
 from repro.xmltree import dewey as dw
 from repro.xmltree.dewey import Dewey
 from repro.xmltree.node import XMLNode
@@ -16,20 +18,57 @@ class XMLDocument:
     The document number is the first component of every Dewey id in the tree
     (paper §2.4: "Dewey id for each node has been appended with the document
     id"), which is what lets a single index span a multi-file repository.
+
+    A document whose index is already on disk may be *text-backed*
+    (``root=None`` plus its *text*, checked well-formed): search reads
+    only the index, so the tree is parsed on the first read of
+    :attr:`root`, and the text dropped.
     """
 
-    def __init__(self, root: XMLNode, name: str | None = None) -> None:
-        if len(root.dewey) != 1:
+    def __init__(self, root: XMLNode | None, name: str | None = None, *,
+                 text: str | None = None, doc_id: int = 0,
+                 attributes_as_children: bool = True) -> None:
+        if root is None:
+            self._text = text
+            self._attributes_as_children = attributes_as_children
+            # guards: _root, _text
+            self._build_lock = new_lock("xmltree.document")
+        elif len(root.dewey) != 1:
             raise ValidationError(
                 f"document root must have a one-component Dewey id, got "
                 f"{dw.format_dewey(root.dewey)}")
-        self.root = root
-        self.name = name or f"doc{root.dewey[0]}"
+        else:
+            doc_id = root.dewey[0]
+        self._root = root
+        #: the document number shared by every Dewey id in this tree
+        self.doc_id = doc_id
+        self.name = name or f"doc{doc_id}"
 
     @property
-    def doc_id(self) -> int:
-        """The document number shared by every Dewey id in this tree."""
-        return self.root.dewey[0]
+    def root(self) -> XMLNode:
+        """The root element — of a text-backed document, parsed here on
+        the first read (``gks_ingest_deferred_trees_total``)."""
+        if self._root is None:
+            # the parser builds XMLDocuments: a top-level import is a cycle
+            from repro.xmltree.parser import parse_document
+
+            with self._build_lock:
+                if self._root is None:
+                    self._root = parse_document(
+                        self._text, doc_id=self.doc_id,
+                        attributes_as_children=self._attributes_as_children
+                    ).root
+                    self._text = None
+                    global_registry().counter(
+                        "gks_ingest_deferred_trees_total",
+                        help="Trees of text-backed documents built on "
+                             "first read.").inc()
+        return self._root
+
+    @property
+    def parsed(self) -> bool:
+        """Whether the tree exists yet."""
+        return self._root is not None
 
     # ------------------------------------------------------------------
     def __iter__(self) -> Iterator[XMLNode]:

@@ -485,7 +485,8 @@ class TestIngestObservability:
         root = tracer.roots[-1]
         assert root.name == "open"
         assert [child.name for child in root.children] == ["parse", "build"]
-        assert root.find("parse").attributes == {"documents": 4}
+        assert root.find("parse").attributes == {
+            "documents": 4, "checked": 0, "parsed": 4}
         stats = engine.index.stats
         assert root.find("build").attributes == {
             "nodes": stats.total_nodes, "tokens": stats.total_keywords,
