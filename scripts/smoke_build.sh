@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Build-path smoke test: index one generated corpus from its raw texts
-# and from a parsed repository and confirm `gks check-index --json`
-# describes the same index either way — both entry points run one walk
-# over one definition of an element's text.  The 2-shard build is that
-# same walk per shard; it is checked for health only.
+# Build-path smoke test: index generated corpora from the element stream
+# (`gks index`: the open streams each text into the builder, no tree)
+# and by replaying parsed trees (`build_index(Repository.from_paths(…))`)
+# and confirm `gks check-index --json` describes the same index either
+# way — monolithic and with 2 shards, on the mirrors corpus (many
+# documents), mondial (attributes) and a decorated copy of both.
 #
 # Usage:  bash scripts/smoke_build.sh
 set -euo pipefail
@@ -19,24 +20,27 @@ python -m repro dataset mirrors -o "$WORKDIR" >/dev/null
 python -m repro dataset mondial -o "$WORKDIR" >/dev/null
 ls "$WORKDIR"/*.xml
 
-echo "== from a parsed repository (the CLI), monolithic and 2 shards =="
-python -m repro index "$WORKDIR"/*.xml -o "$WORKDIR/repo-mono.gks"
-python -m repro index "$WORKDIR"/*.xml -o "$WORKDIR/repo-sharded.gks" \
+echo "== streamed (the CLI), monolithic and 2 shards =="
+python -m repro index "$WORKDIR"/*.xml -o "$WORKDIR/stream-mono.gks"
+python -m repro index "$WORKDIR"/*.xml -o "$WORKDIR/stream-sharded.gks" \
     --shards 2
 
-echo "== from the raw texts (the library) =="
+echo "== replayed from parsed trees (the library) =="
 python - "$WORKDIR" <<'EOF'
 import sys
 from pathlib import Path
 
-from repro.index.builder import IndexBuilder
+from repro.index.builder import build_index
+from repro.index.sharding import build_sharded_index
 from repro.index.storage import save_index
+from repro.xmltree.repository import Repository
 
 workdir = Path(sys.argv[1])
-builder = IndexBuilder()
-for path in sorted(workdir.glob("*.xml")):
-    builder.add_xml(path.read_text(encoding="utf-8"), name=path.name)
-save_index(builder.build(), workdir / "text-mono.gks")
+repository = Repository.from_paths(sorted(workdir.glob("*.xml")))
+assert all(document.parsed for document in repository)
+save_index(build_index(repository), workdir / "tree-mono.gks")
+save_index(build_sharded_index(repository, shards=2),
+           workdir / "tree-sharded.gks")
 EOF
 
 report() {  # the check-index report minus what names the file itself
@@ -49,13 +53,14 @@ print(json.dumps(report, indent=1, sort_keys=True))'
 
 for LAYOUT in mono sharded; do
     echo "== check-index --json ($LAYOUT) =="
-    report "$WORKDIR/repo-$LAYOUT.gks" | tee "$WORKDIR/repo-$LAYOUT.json"
-    grep -q '"ok": true' "$WORKDIR/repo-$LAYOUT.json" || {
+    report "$WORKDIR/tree-$LAYOUT.gks" | tee "$WORKDIR/tree-$LAYOUT.json"
+    grep -q '"ok": true' "$WORKDIR/tree-$LAYOUT.json" || {
         echo "FAIL: check-index rejected the $LAYOUT index" >&2; exit 1; }
+    echo "== stream build == tree build ($LAYOUT) =="
+    report "$WORKDIR/stream-$LAYOUT.gks" |
+        diff "$WORKDIR/tree-$LAYOUT.json" - || {
+        echo "FAIL: stream and tree builds differ ($LAYOUT)" >&2; exit 1; }
 done
-echo "== text build == repository build =="
-report "$WORKDIR/text-mono.gks" | diff "$WORKDIR/repo-mono.json" - || {
-    echo "FAIL: text and repository builds differ" >&2; exit 1; }
 
 echo "== behind a declaration, a DOCTYPE, a comment and a PI =="
 # markup only the parser's careful path reads; the index must not notice
@@ -79,7 +84,14 @@ for path in sorted(workdir.glob("*.xml")):
 EOF
 python -m repro index "$WORKDIR"/decorated/*.xml \
     -o "$WORKDIR/decorated-mono.gks"
-report "$WORKDIR/decorated-mono.gks" | diff "$WORKDIR/repo-mono.json" - || {
-    echo "FAIL: the decorated corpus indexes differently" >&2; exit 1; }
+python -m repro index "$WORKDIR"/decorated/*.xml \
+    -o "$WORKDIR/decorated-sharded.gks" --shards 2
+for LAYOUT in mono sharded; do
+    echo "== decorated == tree build ($LAYOUT) =="
+    report "$WORKDIR/decorated-$LAYOUT.gks" |
+        diff "$WORKDIR/tree-$LAYOUT.json" - || {
+        echo "FAIL: the decorated corpus indexes differently ($LAYOUT)" >&2
+        exit 1; }
+done
 
 echo "smoke_build OK"

@@ -18,10 +18,11 @@ one-document units, all document-disjoint in the sense of
   seed the store with generation-1 segments and an empty WAL.  Manifest
   present: verify compatibility with the engine config and the base
   corpus (never silently serve a different corpus), check the flushed
-  appended documents from the texts sidecars (their trees wait for a
-  reader), load the verified segment runs, then parse and re-apply the
-  WAL tail.  The composed index is node-for-node the one a from-scratch
-  rebuild over the same documents would produce.
+  appended documents from the texts sidecars, load the verified segment
+  runs, then stream the WAL tail's texts into memtable units.  No tree
+  is built: each waits for a reader.  The composed index is
+  node-for-node the one a from-scratch rebuild over the same documents
+  would produce.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from repro.index.segments import (MANIFEST_NAME, PendingDocument,
 from repro.index.sharding import Shard, ShardedIndex, shard_of
 from repro.obs.trace import NOOP_TRACER
 from repro.text.analyzer import Analyzer
-from repro.xmltree.repository import Repository, ingest_document
+from repro.xmltree.repository import (Repository, TextCheck,
+                                      ingest_document)
 from repro.xmltree.tree import XMLDocument
 
 # per shard: the ordered run chain
@@ -59,14 +61,15 @@ def build_unit(document: XMLDocument, analyzer: Analyzer,
 
 
 def pending_document(document: XMLDocument, text: str, lsn: int | None,
-                     config: EngineConfig) -> PendingDocument:
-    """The memtable entry of a just-acknowledged *document*."""
+                     unit: GKSIndex, config: EngineConfig
+                     ) -> PendingDocument:
+    """The memtable entry of a just-acknowledged *document*, indexed as
+    *unit* (streamed from its text before the WAL append)."""
     return PendingDocument(
         lsn=lsn, doc_id=document.doc_id,
         shard_id=shard_of(document.doc_id, document.name, config.shards,
                           config.shard_strategy),
-        name=document.name, text=text,
-        unit=build_unit(document, config.analyzer, config.index_tags))
+        name=document.name, text=text, unit=unit)
 
 
 def compose_serving(durable_units: UnitRuns,
@@ -226,7 +229,7 @@ def open_durable(repository: Repository, config: EngineConfig,
                 f"{'; '.join(problems)}", diagnosis="incompatible")
     with tracer.span("texts") as span:
         for doc_id, name, text in store.appended_documents():
-            document = _replay_parse(text, doc_id, name, store, check=True)
+            document = _replay(text, doc_id, name, store, TextCheck)
             repository.add(document, text=text)
         checked = len(repository) - manifest.base_documents
         span.set(documents=checked, checked=checked, parsed=0)
@@ -254,21 +257,24 @@ def open_durable(repository: Repository, config: EngineConfig,
                     f"continue the manifest (expected add of document "
                     f"{doc_id})", diagnosis="corrupted",
                     path=directory / MANIFEST_NAME)
-            document = _replay_parse(record["text"], doc_id,
-                                     record.get("name"), store)
+            builder = IndexBuilder(analyzer=config.analyzer,
+                                   index_tags=config.index_tags)
+            document = _replay(record["text"], doc_id, record.get("name"),
+                               store, builder)
             repository.add(document, text=record["text"])
             pending.append(pending_document(document, record["text"],
-                                            frame.lsn, config))
+                                            frame.lsn, builder.build(),
+                                            config))
     return store, durable_units, pending
 
 
-def _replay_parse(text: str, doc_id: int, name: str | None,
-                  store: SegmentStore, check: bool = False) -> XMLDocument:
-    """Parse (or *check*) a recovered document, timed like any ingest; it
-    was valid when acknowledged, so a syntax error means the bytes
-    rotted."""
+def _replay(text: str, doc_id: int, name: str | None, store: SegmentStore,
+            builder) -> XMLDocument:
+    """Stream a recovered document into *builder* (an index unit, or
+    :class:`TextCheck`), timed like any ingest; it was valid when
+    acknowledged, so a syntax error means the bytes rotted."""
     try:
-        return ingest_document(text, doc_id, name=name, check=check)
+        return ingest_document(text, doc_id, name=name, builder=builder)
     except XMLSyntaxError as exc:
         raise StorageError(
             f"recovered document {doc_id} of {store.directory} no longer "

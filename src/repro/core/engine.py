@@ -36,18 +36,20 @@ from repro.core.durable import (compose_serving, incompatibilities,
                                 pending_document, units_from_base)
 from repro.errors import (ConfigError, SearchTimeout, StorageError,
                           ValidationError)
-from repro.index.builder import GKSIndex, build_index
+from repro.index.builder import GKSIndex, IndexBuilder
 from repro.index.composite import CompositeIndex
 from repro.index.segments import (MANIFEST_NAME, PendingDocument,
                                   SegmentStore)
-from repro.index.sharding import ShardedIndex, build_sharded_index
+from repro.index.sharding import ShardedBuilder, ShardedIndex
 from repro.obs.locks import new_lock, new_rlock
 from repro.obs.metrics import MetricsRegistry, global_registry
 from repro.obs.stats import SlowQuery, SlowQueryLog
 from repro.obs.trace import NullTracer, Span, Tracer
 from repro.xmltree.dewey import Dewey, format_dewey
 from repro.xmltree.node import XMLNode
-from repro.xmltree.repository import Repository, ingest_document
+from repro.xmltree.repository import (Repository, Source, TextCheck,
+                                      ingest_document, path_sources,
+                                      text_sources)
 from repro.xmltree.serialize import serialize_node
 
 
@@ -145,15 +147,25 @@ class GKSEngine:
         self._relax_vocab: tuple | None = None
 
     @staticmethod
-    def _build_index(repository: Repository,
-                     config: EngineConfig) -> GKSIndex | ShardedIndex:
+    def _build_index(repository: Repository, config: EngineConfig,
+                     sources: list[Source] | None = None
+                     ) -> GKSIndex | ShardedIndex:
+        """Index *repository* — or, given *sources*, ingest them into it
+        in the same pass: each text's one scan is its check and its
+        index, and it enters the repository text-backed."""
         if config.shards > 1:
-            return build_sharded_index(
-                repository, analyzer=config.analyzer,
-                index_tags=config.index_tags, shards=config.shards,
-                strategy=config.shard_strategy)
-        return build_index(repository, analyzer=config.analyzer,
-                           index_tags=config.index_tags)
+            builder = ShardedBuilder(
+                analyzer=config.analyzer, index_tags=config.index_tags,
+                shards=config.shards, strategy=config.shard_strategy)
+        else:
+            builder = IndexBuilder(analyzer=config.analyzer,
+                                   index_tags=config.index_tags)
+        if sources is None:
+            for document in repository:
+                builder.add_document_unchecked(document)
+        else:
+            repository.ingest(sources, config.recovery, builder)
+        return builder.build(corpus_crc32=repository.corpus_crc32)
 
     def _with_tables(self, index):
         """*index* as published: probabilistic engines attach the
@@ -201,18 +213,23 @@ class GKSEngine:
         the store holds documents the source corpus does not, so
         silently starting over would be data loss.
 
-        Parse when it will build, check when it will load: while the
-        index file or store manifest exists, source texts are only
-        checked (same errors; ``salvage`` parses) and each tree is built
-        on first read — search reads only the index.
+        No tree is built to open: search reads only the index.  When
+        the open builds, each source text is scanned once, by the
+        element stream that indexes it — the well-formedness check, so
+        a document failing part-way under ``skip_document`` is taken
+        back out and quarantined; while the index file or store manifest
+        exists the texts are only checked.  Each document keeps its text
+        and builds its tree on the first read of ``.root``; ``salvage``
+        and ``.json`` sources are parsed into trees.
 
         The open is traced: an ``open`` root span (on *tracer* when
         given, and retained in :meth:`recent_traces`) with a ``parse``
-        child around reading the source (``documents``, ``checked``,
-        ``parsed``) and a ``build`` child — carrying
-        ``nodes``, ``tokens`` and ``postings`` — around indexing it; a
-        durable open nests its build — or, recovering, ``manifest``,
-        ``texts``, ``segments`` and ``wal_tail`` — under a ``store`` child.
+        child around reading the source (``documents`` read, how many of
+        them ``checked`` or ``parsed``) and a ``build`` child — carrying ``streamed`` (the
+        documents indexed from their text), ``nodes``, ``tokens`` and
+        ``postings`` — around indexing it; a durable open nests its
+        build — or, recovering, ``manifest``, ``texts``, ``segments``
+        and ``wal_tail`` — under a ``store`` child.
         """
         if config is None:
             config = EngineConfig()
@@ -222,21 +239,27 @@ class GKSEngine:
             tracer = Tracer()
         with tracer.span("open") as root:
             with tracer.span("parse") as span:
-                repository = _resolve_source(source, config)
-                checked = sum(not doc.parsed for doc in repository)
-                span.set(documents=len(repository), checked=checked,
-                         parsed=len(repository) - checked)
-            engine = cls._open(repository, config, tracer)
+                repository, sources = _read_source(source, config)
+                if sources is None:
+                    checked = sum(not doc.parsed for doc in repository)
+                    span.set(documents=len(repository), checked=checked,
+                             parsed=len(repository) - checked)
+                else:  # read only: the build streams them
+                    span.set(documents=len(sources), checked=0, parsed=0)
+            engine = cls._open(repository, config, tracer, sources)
         engine._recent_traces.append(root)
         return engine
 
     @classmethod
     def _open(cls, repository: Repository, config: EngineConfig,
-              tracer: Tracer) -> "GKSEngine":
+              tracer: Tracer, sources: list[Source] | None
+              ) -> "GKSEngine":
         def build(repository: Repository, config: EngineConfig):
             with tracer.span("build") as span:
-                index = cls._build_index(repository, config)
-                span.set(**_build_facts(index))
+                index = cls._build_index(repository, config, sources)
+                span.set(streamed=sum(not document.parsed
+                                      for document in repository),
+                         **_build_facts(index))
             return index
 
         if config.store_path is not None:
@@ -643,12 +666,14 @@ class GKSEngine:
                      tracer: Tracer | None = None) -> dict:
         """Append one XML document to the repository and the index.
 
-        The document is parsed (validated) first, appended to the
-        fsync'd write-ahead log when the engine has a store
-        (``config.store_path`` — the write is crash-safe from there),
-        *then* indexed as a one-document memtable unit and published in
-        a new immutable serving snapshot: the previous snapshot is never
+        The text is streamed into a one-document memtable unit first —
+        the scan is the well-formedness check, so a malformed document
+        never reaches the log — then appended to the fsync'd write-ahead
+        log when the engine has a store (``config.store_path`` — the
+        write is crash-safe from there), and the unit published in a new
+        immutable serving snapshot: the previous snapshot is never
         touched, so in-flight searches finish on the one they captured.
+        The document keeps its text; its tree is built on first read.
         Crossing ``memtable_docs`` pending documents merges the memtable
         into one run per shard (and, past ``compact_segments`` runs per
         shard, merges the chain) inside the same mutation hold; with a
@@ -663,8 +688,9 @@ class GKSEngine:
 
         Traced like :meth:`open`: an ``add_document`` root span (on
         *tracer* when given, retained in :meth:`recent_traces`) with
-        ``parse``, ``wal`` (durable engines), ``build`` and
-        ``recompose`` children; a flush it triggers is its own root.
+        ``parse`` (the stream into the unit), ``wal`` (durable engines),
+        ``build`` (finishing the unit) and ``recompose`` children; a
+        flush it triggers is its own root.
         """
         if tracer is None:
             tracer = Tracer()
@@ -674,11 +700,13 @@ class GKSEngine:
     def _add_locked(self, text: str, name: str | None,
                     tracer: Tracer) -> dict:  # holds: _mutation_lock
         with tracer.span("add_document") as root:
-            # Parse *before* the WAL append: a malformed document must
+            # Stream *before* the WAL append: a malformed document must
             # fail the caller, never poison the log that recovery replays.
             with tracer.span("parse"):
+                builder = IndexBuilder(analyzer=self.config.analyzer,
+                                       index_tags=self.config.index_tags)
                 document = ingest_document(text, len(self.repository),
-                                           name=name)
+                                           name=name, builder=builder)
             info = {"doc_id": document.doc_id, "name": document.name}
             lsn = None
             if self._store is not None:
@@ -692,7 +720,7 @@ class GKSEngine:
             try:
                 with tracer.span("build") as span:
                     pending = pending_document(document, text, lsn,
-                                               self.config)
+                                               builder.build(), self.config)
                     span.set(**_build_facts(pending.unit))
                 self._pending.append(pending)
                 with tracer.span("recompose"):
@@ -964,12 +992,13 @@ def _build_facts(index) -> dict:
                             for _, unit in units_of(index))}
 
 
-def _resolve_source(source, config: EngineConfig) -> Repository:
-    """Turn an ``open`` *source* into a :class:`Repository` — checking
-    its texts instead of parsing them when an index on disk will serve
-    it."""
+def _read_source(source, config: EngineConfig
+                 ) -> tuple[Repository, list[Source] | None]:
+    """Read an ``open`` *source*: a :class:`Repository` as it is; texts
+    or files into sources for the build to stream — or, when an index
+    on disk will serve them, checked into a repository now."""
     if isinstance(source, Repository):
-        return source
+        return source, None
     if not isinstance(source, (Texts, Paths)):
         if isinstance(source, (str, Path)):
             source = [source]
@@ -987,10 +1016,13 @@ def _resolve_source(source, config: EngineConfig) -> Repository:
             raise ConfigError(
                 "source mixes XML texts and paths; wrap it in Texts(...) "
                 "or Paths(...) to state which it is")
-    check = ((config.store_path is not None
-              and (Path(config.store_path) / MANIFEST_NAME).exists())
-             or (config.index_path is not None
-                 and Path(config.index_path).exists()))
-    if isinstance(source, Texts):
-        return Repository._read_texts(source, config.recovery, check)
-    return Repository._read_paths(source, config.recovery, check)
+    sources = (text_sources(source) if isinstance(source, Texts)
+               else path_sources(source))
+    repository = Repository()
+    if ((config.store_path is not None
+         and (Path(config.store_path) / MANIFEST_NAME).exists())
+            or (config.index_path is not None
+                and Path(config.index_path).exists())):
+        repository.ingest(sources, config.recovery, TextCheck)
+        return repository, None
+    return repository, sources

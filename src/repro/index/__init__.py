@@ -3,15 +3,14 @@ and the durable write path (WAL + segmented store)."""
 
 from repro.index.builder import GKSIndex, IndexBuilder, build_index
 from repro.index.categorize import (CategoryRecord, NodeCategory,
-                                    StreamingCategorizer, categorize_tree,
-                                    iter_categories)
+                                    categorize_tree)
 from repro.index.composite import CompositeIndex, merge_indexes
 from repro.index.hashtables import NodeHashes
 from repro.index.inverted import InvertedIndex
 from repro.index.postings import (MergedEntry, count_in_subtree,
                                   merge_posting_lists, subtree_range)
 from repro.index.sharding import (Shard, ShardedIndex, build_sharded_index,
-                                  partition_documents, shard_of)
+                                  shard_of)
 from repro.index.segments import (PendingDocument, SegmentRecord,
                                   SegmentStore, StoreManifest, TextsRecord,
                                   read_manifest, write_manifest)
@@ -25,11 +24,11 @@ __all__ = [
     "IndexStats", "InvertedIndex", "MergedEntry", "NodeCategory",
     "NodeHashes", "PendingDocument",
     "SegmentRecord", "SegmentStore", "Shard", "ShardedIndex",
-    "StoreManifest", "StreamingCategorizer", "TextsRecord", "WALFrame",
+    "StoreManifest", "TextsRecord", "WALFrame",
     "WALReplay", "WriteAheadLog", "atomic_write_json_gz", "build_index",
     "build_sharded_index", "categorize_tree", "count_in_subtree",
-    "index_size_bytes", "iter_categories", "load_index", "merge_indexes",
-    "merge_posting_lists", "partition_documents", "read_manifest",
+    "index_size_bytes", "load_index", "merge_indexes",
+    "merge_posting_lists", "read_manifest",
     "replay_wal", "save_index", "shard_of", "subtree_range",
     "write_manifest",
 ]

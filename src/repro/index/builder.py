@@ -9,11 +9,12 @@ queries run against:
 
 "Since XML nodes arrive pre-order (an ancestor of an XML node always
 appears before it), the hash tables and the inverted index are created in a
-single pass over XML data."  The builder accepts materialised
-documents/repositories or raw XML text; text is parsed one document at a
-time and every document goes through the same walk
-(:meth:`IndexBuilder._walk`), so the two entry points cannot disagree and
-a text build never holds more than one document's tree.
+single pass over XML data."  The builder consumes the parser's element
+stream and nothing else: a text is indexed straight from the scanner's
+tokens, without a tree, and a tree replays itself as the same calls, so
+the two cannot disagree (docs/ALGORITHMS.md §9).  A document that fails
+part-way is rolled back: the builder ends equal to one that never saw
+it.
 """
 
 from __future__ import annotations
@@ -22,15 +23,14 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.errors import IndexError_
-from repro.index.categorize import NodeCategory, StreamingCategorizer
+from repro.index.categorize import (AN, CATEGORIES, CN, EN, LEAF_WITH_TEXT,
+                                    RN, close_element, close_root)
 from repro.index.hashtables import NodeHashes
 from repro.index.inverted import InvertedIndex
 from repro.index.statistics import IndexStats
 from repro.obs.metrics import global_registry
 from repro.obs.trace import DEFAULT_CLOCK, NOOP_TRACER
 from repro.text.analyzer import DEFAULT_ANALYZER, Analyzer
-from repro.xmltree.node import XMLNode
-from repro.xmltree.parser import parse_document
 from repro.xmltree.repository import Repository
 from repro.xmltree.tree import XMLDocument
 
@@ -117,6 +117,9 @@ class IndexBuilder:
         self._hashes = NodeHashes()
         self._stats = IndexStats()
         self._names: list[str] = []
+        # tag -> keywords: a dict lookup per element instead of a call
+        # into the analyzer's memo (~5 % of a build)
+        self._tag_keywords: dict[str, list[str]] = {}
         self._built = False
         self._clock = clock if clock is not None else DEFAULT_CLOCK
         self._started = self._clock()
@@ -131,7 +134,7 @@ class IndexBuilder:
             raise IndexError_(
                 f"document {document.name!r} has doc id {document.doc_id}, "
                 f"expected {len(self._names)}")
-        self._ingest(document)
+        self._index(document)
 
     def add_document_unchecked(self, document: XMLDocument) -> None:
         """Index one document *keeping its global doc id*.
@@ -142,13 +145,7 @@ class IndexBuilder:
         repository-wide Dewey id, which is what makes the union of shard
         search results exactly the monolithic answer.
         """
-        self._check_open()
-        self._ingest(document)
-
-    def _ingest(self, document: XMLDocument) -> None:
-        self._names.append(document.name)
-        self._stats.documents += 1
-        self._walk(document.root)
+        self._index(document)
 
     def add_repository(self, repository: Repository) -> None:
         """Index every document of *repository* in order."""
@@ -157,89 +154,112 @@ class IndexBuilder:
 
     def add_xml(self, text: str, name: str | None = None,
                 doc_id: int | None = None) -> None:
-        """Index raw XML text; its tree lives only for this call.
+        """Index raw XML text straight from its element stream (no tree).
 
         With an explicit *doc_id* the document is indexed under that
         global document number instead of the next consecutive one —
         the text counterpart of :meth:`add_document_unchecked` that
         shard builds drive from raw corpus texts.  Malformed text raises
-        before the builder has recorded anything of the document.
+        and leaves the builder as it was before the call.
         """
-        self._check_open()
         if doc_id is None:
             doc_id = len(self._names)
-        self._ingest(parse_document(text, doc_id=doc_id, name=name))
+        self.add_document_unchecked(
+            XMLDocument(None, name, text=text, doc_id=doc_id))
 
     # ------------------------------------------------------------------
-    def _walk(self, root: XMLNode) -> None:
-        """The one build driver: every document, however it arrived, is
-        indexed by this pre-order walk of its tree.
+    def _index(self, document: XMLDocument) -> None:
+        """The one build driver: index *document*'s element stream.
 
-        An element's tag keywords and then the keywords of its direct
-        text (``XMLNode.text`` — the parser's single definition) are
-        posted at its Dewey id when it opens; when it closes, the
-        categorizer releases the records of its children.
+        ``start`` posts an element's tag keywords; ``end`` posts its
+        direct-text keywords and closes it in the categoriser (a leaf
+        inline, anything else through :func:`close_element`, which files
+        the children's hash rows).  The counters reach :class:`IndexStats`
+        once, at the end; if the stream raises, what the document added
+        is taken back.
         """
-        categorizer = StreamingCategorizer()
-        start, end = categorizer.start, categorizer.end
+        self._check_open()
         analyze = self.analyzer.analyze
         analyze_tag = self.analyzer.analyze_tag
-        index_tags = self.index_tags
+        tag_memo = self._tag_keywords if self.index_tags else None
         add_all = self._inverted.add_all
-        file_records = self._file_records
-        text_keywords = tag_keywords = 0
-        stack: list[XMLNode | None] = [root]  # None closes the open element
-        while stack:
-            node = stack.pop()
-            if node is None:
-                file_records(end())
-                continue
-            dewey, tag, has_text = node.dewey, node.tag, node.has_text
-            start(dewey, tag, has_text)
-            if index_tags:
-                keywords = analyze_tag(tag)
+        entity, element = self._hashes._entity, self._hashes._element
+        by_tag = self._stats.category_by_tag
+        tally = [0, 0, 0, 0, 0]  # AN, RN, EN, CN, then repeating ENs
+        pending: list = []     # closed elements' summaries (categorize)
+        marks: list[int] = []  # per open element: its children's start
+        text_keywords = tag_keywords = deepest = 0
+
+        def file(tag, dewey, child_count, category, repeated):
+            if category == EN:
+                entity[dewey] = child_count
+                if repeated:
+                    element[dewey] = child_count
+                    tally[4] += 1
+            elif category != AN:
+                # repeating and connecting nodes; attribute nodes are
+                # deliberately kept out of both tables
+                element[dewey] = child_count
+            tally[category] += 1
+            if tag not in by_tag:
+                by_tag[tag] = CATEGORIES[category].value
+
+        def start(dewey, tag):
+            nonlocal tag_keywords
+            marks.append(len(pending))
+            if tag_memo is not None:
+                keywords = tag_memo.get(tag)
+                if keywords is None:
+                    keywords = tag_memo[tag] = analyze_tag(tag)
                 tag_keywords += len(keywords)
                 add_all(keywords, dewey)
-            if has_text:
-                keywords = analyze(node.text)
+
+        def end(dewey, tag, text):
+            nonlocal text_keywords, deepest
+            has_text = False
+            if text and not text.isspace():
+                has_text = True
+                keywords = analyze(text)
                 text_keywords += len(keywords)
                 add_all(keywords, dewey)
-            stack.append(None)
-            stack.extend(reversed(node.children))
-        self._stats.text_keywords += text_keywords
-        self._stats.tag_keywords += tag_keywords
-
-    def _file_records(self, records) -> None:
-        """File categorization records into the hash tables and the
-        Table 4/5 counters.
-
-        An element that is both entity and repeating counts as an entity
-        node for the primary-category histogram *and* as a repeating
-        node — matching Table 5, whose four counts sum to more than the
-        "Total Nodes" column would otherwise allow for some corpora (the
-        paper files dual-role nodes in both hash tables, §2.4).
-        """
-        stats = self._stats
-        add_record = self._hashes.add_record
-        by_tag = stats.category_by_tag
-        for record in records:
-            add_record(record)
-            category = record.category
-            stats.total_nodes += 1
-            if category is NodeCategory.ATTRIBUTE:
-                stats.attribute_nodes += 1
-            elif category is NodeCategory.ENTITY:
-                stats.entity_nodes += 1
-                if record.is_repeating:
-                    stats.repeating_nodes += 1
-            elif category is NodeCategory.REPEATING:
-                stats.repeating_nodes += 1
+            mark = marks.pop()
+            if mark == len(pending):  # a leaf: the deepest are leaves
+                pending.append((tag, dewey, 0,
+                                LEAF_WITH_TEXT if has_text else 0))
+                if len(dewey) > deepest:
+                    deepest = len(dewey)
             else:
-                stats.connecting_nodes += 1
-            if len(record.dewey) > stats.max_depth + 1:
-                stats.max_depth = len(record.dewey) - 1
-            if record.tag not in by_tag:
-                by_tag[record.tag] = category.value
+                close_element(pending, mark, tag, dewey, has_text, file)
+
+        rows = len(entity), len(element), len(by_tag)
+        try:
+            document.stream(start, end)
+        except BaseException:
+            self._roll_back(document.doc_id, *rows)
+            raise
+        close_root(pending, file)
+        stats = self._stats
+        stats.documents += 1
+        stats.total_nodes += sum(tally[:4])
+        stats.attribute_nodes += tally[AN]
+        stats.entity_nodes += tally[EN]
+        stats.repeating_nodes += tally[RN] + tally[4]
+        stats.connecting_nodes += tally[CN]
+        stats.text_keywords += text_keywords
+        stats.tag_keywords += tag_keywords
+        stats.max_depth = max(stats.max_depth, deepest - 1)
+        self._names.append(document.name)
+
+    def _roll_back(self, doc_id: int, entities: int, elements: int,
+                   tags: int) -> None:
+        """Take back a failed document: its postings, and the hash rows
+        and first-seen tags it appended (dicts keep insertion order)."""
+        self._inverted.discard_document(doc_id)
+        for table, kept in ((self._hashes._entity, entities),
+                            (self._hashes._element, elements),
+                            (self._stats.category_by_tag, tags)):
+            for _ in range(len(table) - kept):
+                table.popitem()
 
     def _check_open(self) -> None:
         if self._built:
@@ -247,8 +267,9 @@ class IndexBuilder:
                               "create a new builder")
 
     # ------------------------------------------------------------------
-    def build(self) -> GKSIndex:
-        """Finish and return the index (builder becomes unusable)."""
+    def build(self, corpus_crc32: int | None = None) -> GKSIndex:
+        """Finish and return the index (builder becomes unusable);
+        *corpus_crc32* is the CRC of the texts it was built over."""
         self._check_open()
         self._built = True
         self._stats.build_seconds = self._clock() - self._started
@@ -267,7 +288,8 @@ class IndexBuilder:
         return GKSIndex(inverted=self._inverted, hashes=self._hashes,
                         stats=self._stats, analyzer=self.analyzer,
                         index_tags=self.index_tags,
-                        document_names=tuple(self._names))
+                        document_names=tuple(self._names),
+                        corpus_crc32=corpus_crc32)
 
 
 def build_index(source: Repository | XMLDocument | str,
@@ -277,7 +299,7 @@ def build_index(source: Repository | XMLDocument | str,
     builder = IndexBuilder(analyzer=analyzer, index_tags=index_tags)
     if isinstance(source, Repository):
         builder.add_repository(source)
-        return replace(builder.build(), corpus_crc32=source.corpus_crc32)
+        return builder.build(corpus_crc32=source.corpus_crc32)
     if isinstance(source, XMLDocument):
         builder.add_document(source)
     elif isinstance(source, str):

@@ -32,20 +32,25 @@ This reproduces all of the paper's examples: ``<Area>`` (attr ``Name``,
 groups under connecting ``<Courses>``) is EN; ``<Courses>`` is CN (no
 attribute); a single-author DBLP ``<article>`` is CN (§7.2).
 
-The classifier runs in a single pass in document order (XML arrives
-pre-order).  A subtlety: a node's RN status depends on *later* same-label
-siblings, so a node's record is only emitted once its parent closes — still
-one pass, with O(depth · fan-out) buffered state.
+The classifier runs in a single pass over the element stream (XML
+arrives pre-order).  A node's RN status depends on *later* same-label
+siblings, so each closed element leaves a summary tuple on a shared
+``pending`` list, and :func:`close_element` — the one rule — classifies
+and files the children when their parent closes (docs/ALGORITHMS.md
+§2).  The index builder files them into its hash tables;
+:func:`categorize_tree` into :class:`CategoryRecord` objects.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Callable
 
 from repro.xmltree.dewey import Dewey
 from repro.xmltree.node import XMLNode
+from repro.xmltree.tree import replay_tree
 
 
 class NodeCategory(str, Enum):
@@ -72,143 +77,112 @@ class CategoryRecord:
         return self.category is NodeCategory.ENTITY
 
 
-class _Frame:
-    """Per-element state while streaming in document order.
+# A closed element's summary flags.
+_ENTITY, _ATTRIBUTE_SHAPE, _QUALIFYING, _GROUP = 1, 2, 4, 8
+#: the flags of a leaf with text: attribute-shaped, and a qualifying
+#: attribute for its ancestors (a leaf without text has none)
+LEAF_WITH_TEXT = _ATTRIBUTE_SHAPE | _QUALIFYING
 
-    While the element is open the frame collects its children; once it
-    closes, the same object carries the element's summary (the last five
-    slots) on its parent's ``pending`` list until the parent closes and
-    the sibling counts that decide RN status are complete.
+#: category codes :func:`close_element` files, indexing this tuple
+AN, RN, EN, CN = range(4)
+CATEGORIES = (NodeCategory.ATTRIBUTE, NodeCategory.REPEATING,
+              NodeCategory.ENTITY, NodeCategory.CONNECTING)
+
+#: ``file(tag, dewey, child_count, category_code, is_repeating)``
+File = Callable[[str, Dewey, int, int, bool], None]
+
+
+def close_element(pending: list, mark: int, tag: str, dewey: Dewey,
+                  has_text: bool, file: File) -> None:
+    """Close one element of the stream; ``pending[mark:]`` holds its
+    children's summaries in document order.
+
+    The children's sibling counts are now complete, so each is
+    classified and handed to *file*; they are replaced on *pending* by
+    the element's own summary.  Entity rule (module docstring): a
+    qualifying attribute and a repeating group whose LCA with it is this
+    element.
     """
-
-    __slots__ = ("dewey", "tag", "child_tags", "has_text", "pending",
-                 "is_entity", "is_attribute_shape", "has_qualifying_attr",
-                 "has_group", "child_count")
-
-    def __init__(self, dewey: Dewey, tag: str, has_text: bool) -> None:
-        self.dewey = dewey
-        self.tag = tag
-        self.child_tags: dict[str, int] = {}
-        self.has_text = has_text
-        self.pending: list[_Frame] = []
-
-    def finalize(self, repeated: bool) -> CategoryRecord:
-        if self.is_entity:
-            category = NodeCategory.ENTITY
-        elif repeated:
-            category = NodeCategory.REPEATING
-        elif self.is_attribute_shape:
-            category = NodeCategory.ATTRIBUTE
-        else:
-            category = NodeCategory.CONNECTING
-        return CategoryRecord(self.dewey, self.tag, category, repeated,
-                              self.child_count)
-
-
-class StreamingCategorizer:
-    """Single-pass categorizer fed with start/text/end callbacks.
-
-    Call :meth:`start` when an element opens, :meth:`text` for character
-    data (or pass ``has_text`` to :meth:`start` when it is known up
-    front), :meth:`end` when it closes.  :meth:`end` returns the records
-    it could finalize: the closed element's *children* (their sibling
-    counts are now complete), plus — when the root closes — the root
-    itself.
-    """
-
-    def __init__(self) -> None:
-        self._stack: list[_Frame] = []
-
-    @property
-    def depth(self) -> int:
-        return len(self._stack)
-
-    def start(self, dewey: Dewey, tag: str, has_text: bool = False) -> None:
-        if self._stack:
-            child_tags = self._stack[-1].child_tags
-            child_tags[tag] = child_tags.get(tag, 0) + 1
-        self._stack.append(_Frame(dewey, tag, has_text))
-
-    def text(self, content: str) -> None:
-        if self._stack and content.strip():
-            self._stack[-1].has_text = True
-
-    def end(self) -> list[CategoryRecord]:
-        frame = self._stack.pop()
-        records = _close_frame(frame)
-        if self._stack:
-            self._stack[-1].pending.append(frame)
-        else:
-            records.append(frame.finalize(repeated=False))
-        return records
-
-
-def _close_frame(frame: _Frame) -> list[CategoryRecord]:
-    """Finalize the closed frame's children; summarise the frame itself."""
-    children = frame.pending
-    frame.child_count = len(children)
-    if not children:  # a leaf: nothing to finalize, nothing to relate
-        frame.is_attribute_shape = frame.has_qualifying_attr = frame.has_text
-        frame.is_entity = frame.has_group = False
-        return []
-    child_tags = frame.child_tags
+    count = len(pending) - mark
+    if not count:  # a leaf: nothing to file, nothing to relate
+        pending.append((tag, dewey, 0, LEAF_WITH_TEXT if has_text else 0))
+        return
+    children = pending[mark:]
+    del pending[mark:]
+    repeats: set | tuple = ()
+    if count > 1:
+        tags = [child[0] for child in children]
+        if len(set(tags)) < count:
+            repeats = {child_tag for child_tag, seen in Counter(tags).items()
+                       if seen > 1}
     # Children holding a qualifying attribute / a repeating group: how
     # many, and one of each.  A group and an attribute under *different*
     # children exist unless both counts are 1 and name the same child.
     attr_children = group_children = 0
     attr_child = group_child = -1
     own_group = False
-    records: list[CategoryRecord] = []
-    for ordinal, child in enumerate(children):
-        repeated = child_tags[child.tag] >= 2
-        records.append(child.finalize(repeated))
+    for ordinal, (child_tag, child, child_count, flags) in \
+            enumerate(children):
+        repeated = child_tag in repeats
+        if flags & _ENTITY:
+            file(child_tag, child, child_count, EN, repeated)
+        elif repeated:
+            file(child_tag, child, child_count, RN, True)
+        elif flags & _ATTRIBUTE_SHAPE:
+            file(child_tag, child, child_count, AN, False)
+        else:
+            file(child_tag, child, child_count, CN, False)
         if repeated:
             own_group = True
-        elif child.has_qualifying_attr:
+        elif flags & _QUALIFYING:
             # Attributes propagate upward through non-repeating children
-            # only: an AN inside a repeating node describes that repetition,
-            # not the ancestor's context.
+            # only: an AN inside a repeating node describes that
+            # repetition, not the ancestor's context.
             attr_children += 1
             attr_child = ordinal
-        if repeated or child.has_group:
+        if repeated or flags & _GROUP:
             group_children += 1
             group_child = ordinal
-    frame.is_attribute_shape = False
-    frame.has_qualifying_attr = attr_children > 0
-    frame.has_group = group_children > 0
-    frame.is_entity = attr_children > 0 and (
-        own_group or (group_children > 0 and (
-            attr_children > 1 or group_children > 1
-            or attr_child != group_child)))
-    frame.pending = frame.child_tags = None  # the summary needs neither
-    return records
+    flags = 0
+    if attr_children:
+        flags = _QUALIFYING
+        if own_group or (group_children and (
+                attr_children > 1 or group_children > 1
+                or attr_child != group_child)):
+            flags |= _ENTITY
+    if group_children:
+        flags |= _GROUP
+    pending.append((tag, dewey, count, flags))
+
+
+def close_root(pending: list, file: File) -> None:
+    """File the root, the stream's last summary; it has no siblings."""
+    tag, dewey, child_count, flags = pending.pop()
+    category = (EN if flags & _ENTITY
+                else AN if flags & _ATTRIBUTE_SHAPE else CN)
+    file(tag, dewey, child_count, category, False)
 
 
 def categorize_tree(root: XMLNode) -> dict[Dewey, CategoryRecord]:
-    """Categorize every element of a materialised tree.
-
-    Drives the same :class:`StreamingCategorizer` over the tree, so there
-    is exactly one categorization semantics in the library.  Uses an
-    explicit stack — document depth is not limited by Python's recursion
-    limit.
-    """
-    categorizer = StreamingCategorizer()
+    """Categorize every element of a materialised tree: the tree is
+    replayed as the element stream through :func:`close_element`, so
+    there is exactly one categorization semantics in the library."""
     records: dict[Dewey, CategoryRecord] = {}
-    stack: list[XMLNode | None] = [root]  # None closes the open element
-    while stack:
-        node = stack.pop()
-        if node is None:
-            for record in categorizer.end():
-                records[record.dewey] = record
-            continue
-        categorizer.start(node.dewey, node.tag, node.has_text)
-        stack.append(None)
-        stack.extend(reversed(node.children))
+    pending: list = []
+    marks: list[int] = []
+
+    def file(tag, dewey, child_count, category, repeated):
+        records[dewey] = CategoryRecord(dewey, tag, CATEGORIES[category],
+                                        repeated, child_count)
+
+    def start(dewey, tag):
+        marks.append(len(pending))
+
+    def end(dewey, tag, text):
+        close_element(pending, marks.pop(), tag, dewey,
+                      bool(text and not text.isspace()), file)
+
+    replay_tree(root, start, end)
+    close_root(pending, file)
     return records
 
-
-def iter_categories(root: XMLNode) -> Iterator[CategoryRecord]:
-    """Yield category records for a tree in document order."""
-    records = categorize_tree(root)
-    for node in root.iter_subtree():
-        yield records[node.dewey]

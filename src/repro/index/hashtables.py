@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.index.categorize import CategoryRecord, NodeCategory
 from repro.xmltree.dewey import Dewey, ancestors_of
 
 
@@ -28,21 +27,6 @@ class NodeHashes:
     def __init__(self) -> None:
         self._entity: dict[Dewey, int] = {}
         self._element: dict[Dewey, int] = {}
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def add_record(self, record: CategoryRecord) -> None:
-        """File one categorization record into the right table(s)."""
-        category = record.category
-        if category is NodeCategory.ENTITY:
-            self._entity[record.dewey] = record.child_count
-            if record.is_repeating:
-                self._element[record.dewey] = record.child_count
-        elif category is not NodeCategory.ATTRIBUTE:
-            # repeating and connecting nodes; attribute nodes are
-            # deliberately kept out of both tables
-            self._element[record.dewey] = record.child_count
 
     @classmethod
     def from_mappings(cls, entity: dict[Dewey, int],

@@ -50,6 +50,20 @@ class InvertedIndex:
                 if posting_list[position] != dewey:
                     posting_list.insert(position, dewey)
 
+    def discard_document(self, doc_id: int) -> None:
+        """Drop every posting of document *doc_id* — a failed document's
+        rollback.  Keywords it introduced go with it, so the vocabulary
+        keeps the order it had before."""
+        postings = self._postings
+        low, high = (doc_id,), (doc_id + 1,)
+        for keyword in [keyword for keyword, posting_list in postings.items()
+                        if posting_list[-1] >= low]:
+            posting_list = postings[keyword]
+            del posting_list[bisect_left(posting_list, low):
+                             bisect_left(posting_list, high)]
+            if not posting_list:
+                del postings[keyword]
+
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Iterable[Dewey]]
                      ) -> "InvertedIndex":

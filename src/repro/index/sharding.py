@@ -9,7 +9,8 @@ a monolithic index answers.
 
 This module provides what is shard-specific: partitioning strategies,
 the :class:`ShardedIndex` layout on top of the composite, and
-:func:`build_sharded_index`, the per-shard build loop.
+:class:`ShardedBuilder`, which routes each document to its shard's
+builder.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.index.builder import GKSIndex, IndexBuilder
 from repro.index.composite import CompositeIndex
 from repro.text.analyzer import DEFAULT_ANALYZER, Analyzer
 from repro.xmltree.repository import Repository
+from repro.xmltree.tree import XMLDocument
 
 PARTITION_STRATEGIES = ("round_robin", "hash")
 
@@ -43,21 +45,6 @@ def shard_of(doc_id: int, name: str, shards: int, strategy: str) -> int:
     raise ConfigError(
         f"unknown shard strategy {strategy!r}; "
         f"expected one of {PARTITION_STRATEGIES}")
-
-
-def partition_documents(names: Sequence[str], shards: int,
-                        strategy: str = "round_robin"
-                        ) -> list[tuple[int, ...]]:
-    """Assign doc ids 0..n-1 to shards; returns per-shard sorted id tuples.
-
-    Shards may come out empty (more shards than documents, or an unlucky
-    hash): an empty shard holds an empty index and contributes nothing
-    to any query, which is exactly correct.
-    """
-    assignments: list[list[int]] = [[] for _ in range(shards)]
-    for doc_id, name in enumerate(names):
-        assignments[shard_of(doc_id, name, shards, strategy)].append(doc_id)
-    return [tuple(ids) for ids in assignments]
 
 
 @dataclass(frozen=True)
@@ -120,25 +107,52 @@ class ShardedIndex(CompositeIndex):
         } for shard in self.shards]
 
 
+class ShardedBuilder:
+    """One :class:`IndexBuilder` per shard, fed a corpus in document
+    order: each document goes to its shard's builder (:func:`shard_of`,
+    decided per document), so a sharded open streams each text once."""
+
+    def __init__(self, analyzer: Analyzer = DEFAULT_ANALYZER,
+                 index_tags: bool = True, shards: int = 1,
+                 strategy: str = "round_robin") -> None:
+        self.analyzer = analyzer
+        self.strategy = strategy
+        self._builders = [IndexBuilder(analyzer=analyzer,
+                                       index_tags=index_tags)
+                          for _ in range(shards)]
+        self._doc_ids: list[list[int]] = [[] for _ in range(shards)]
+        self._names: list[str] = []
+
+    def add_document_unchecked(self, document: XMLDocument) -> None:
+        """Index *document* (global doc id) in its shard's builder."""
+        shard_id = shard_of(document.doc_id, document.name,
+                            len(self._builders), self.strategy)
+        self._builders[shard_id].add_document_unchecked(document)
+        self._doc_ids[shard_id].append(document.doc_id)
+        self._names.append(document.name)
+
+    def build(self, corpus_crc32: int | None = None) -> ShardedIndex:
+        shards = [Shard(shard_id=shard_id, doc_ids=tuple(doc_ids),
+                        index=builder.build())
+                  for shard_id, (builder, doc_ids) in enumerate(
+                      zip(self._builders, self._doc_ids))]
+        return ShardedIndex(shards, strategy=self.strategy,
+                            document_names=self._names,
+                            analyzer=self.analyzer,
+                            corpus_crc32=corpus_crc32)
+
+
 def build_sharded_index(repository: Repository,
                         analyzer: Analyzer = DEFAULT_ANALYZER,
                         index_tags: bool = True, shards: int = 1,
                         strategy: str = "round_robin") -> ShardedIndex:
-    """Index *repository* into *shards* document shards, one after another.
+    """Index *repository* into *shards* document shards.
 
     The sharded counterpart of :func:`repro.index.builder.build_index`:
-    partition the documents, then run the ordinary builder over each
-    partition.
+    each document, in order, goes to its shard's ordinary builder.
     """
-    names = [document.name for document in repository]
-    built = []
-    for shard_id, doc_ids in enumerate(
-            partition_documents(names, shards, strategy)):
-        builder = IndexBuilder(analyzer=analyzer, index_tags=index_tags)
-        for doc_id in doc_ids:
-            builder.add_document_unchecked(repository[doc_id])
-        built.append(Shard(shard_id=shard_id, doc_ids=doc_ids,
-                           index=builder.build()))
-    return ShardedIndex(built, strategy=strategy, document_names=names,
-                        analyzer=analyzer,
-                        corpus_crc32=repository.corpus_crc32)
+    builder = ShardedBuilder(analyzer=analyzer, index_tags=index_tags,
+                             shards=shards, strategy=strategy)
+    for document in repository:
+        builder.add_document_unchecked(document)
+    return builder.build(corpus_crc32=repository.corpus_crc32)

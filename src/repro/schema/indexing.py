@@ -33,8 +33,10 @@ def build_schema_index(repository: Repository,
         schema = infer_schema(repository)
     type_map = categorize_by_schema(repository, schema)
 
-    hashes = NodeHashes()
-    entity_count = 0
+    # entity types in entityHash (and elementHash too when they
+    # repeat), repeating and connecting types in elementHash, attribute
+    # types in neither
+    entity, element = {}, {}
     for document in repository:
         for node in document.root.iter_subtree():
             assignment = type_map.get(node.dewey)
@@ -42,21 +44,16 @@ def build_schema_index(repository: Repository,
                 continue
             category = assignment.category
             if category is NodeCategory.ENTITY:
-                entity_count += 1
-            _file(hashes, node.dewey, node.child_count, category,
-                  assignment.is_repeating)
+                entity[node.dewey] = node.child_count
+            if (category is not NodeCategory.ATTRIBUTE
+                    and (category is not NodeCategory.ENTITY
+                         or assignment.is_repeating)):
+                element[node.dewey] = node.child_count
 
     stats = base.stats
-    stats.entity_nodes = entity_count
-    return GKSIndex(inverted=base.inverted, hashes=hashes, stats=stats,
-                    analyzer=base.analyzer, index_tags=index_tags,
+    stats.entity_nodes = len(entity)
+    return GKSIndex(inverted=base.inverted,
+                    hashes=NodeHashes.from_mappings(entity, element),
+                    stats=stats, analyzer=base.analyzer,
+                    index_tags=index_tags,
                     document_names=base.document_names)
-
-
-def _file(hashes: NodeHashes, dewey, child_count: int,
-          category: NodeCategory, is_repeating: bool) -> None:
-    from repro.index.categorize import CategoryRecord
-
-    hashes.add_record(CategoryRecord(
-        dewey=dewey, tag="", category=category,
-        is_repeating=is_repeating, child_count=child_count))

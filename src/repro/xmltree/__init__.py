@@ -9,7 +9,7 @@ from repro.xmltree.json_adapter import (json_to_document,
 from repro.xmltree.node import XMLNode, build_tree
 from repro.xmltree.parser import (RecoveryPolicy, SalvageLog, TreeBuilder,
                                   iter_events, iter_events_salvage,
-                                  parse_document, parse_documents)
+                                  parse_document)
 from repro.xmltree.repository import IngestFailure, Repository
 from repro.xmltree.serialize import (serialize_document, serialize_node)
 from repro.xmltree.tree import XMLDocument
@@ -21,7 +21,7 @@ __all__ = [
     "format_dewey", "is_ancestor", "is_ancestor_or_self", "iter_events",
     "iter_events_salvage",
     "json_to_document", "lca_of", "make_dewey", "parse_dewey",
-    "parse_document", "parse_documents", "parse_json_document",
+    "parse_document", "parse_json_document",
     "serialize_document", "serialize_node",
     "subtree_interval",
 ]

@@ -15,10 +15,14 @@ Supported XML subset (ample for the corpora the paper evaluates on):
 
 Design notes
 ------------
-``iter_events`` is a generator, so indexing large inputs never materialises
-the document; ``parse_document`` builds an :class:`XMLDocument` for callers
-that want the tree, and ``check_document`` proves a text would parse.
-Malformed input raises :class:`XMLSyntaxError` with a 1-based line/column and a 0-based character offset.
+``stream_document`` drives the *element stream* — ``start(dewey, tag)``
+when an element opens, ``end(dewey, tag, text)`` with its joined direct
+text when it closes — which the index builder consumes without a tree;
+without consumers it only proves a text would parse.  ``parse_document``
+feeds the same stream to a :class:`TreeBuilder` for callers that want
+the tree, and ``iter_events`` yields the raw parse events.  Malformed
+input raises :class:`XMLSyntaxError` with a 1-based line/column and a
+0-based character offset.
 
 Both run one strict loop, ``_scan``: one compiled master pattern matched
 per token (the text run before a ``<`` and the end or start tag after
@@ -51,11 +55,12 @@ from __future__ import annotations
 import enum
 import re
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.errors import ConfigError, XMLSyntaxError
 from repro.xmltree.events import (Comment, EndElement, ParseEvent,
                                   ProcessingInstruction, StartElement, Text)
+from repro.xmltree.dewey import Dewey
 from repro.xmltree.node import XMLNode
 from repro.xmltree.tree import XMLDocument
 
@@ -238,7 +243,8 @@ def _entity_error(message: str, scanner: _Scanner | None) -> XMLSyntaxError:
 
 
 # What the strict loop yields: ``(kind, value, attributes)``, *value* a tag
-# or a text — or, for ``_EVENT``, an event the careful scanner built.
+# or a text — or, for ``_EVENT``, an event the careful scanner (or the
+# salvage parser) built.  The fast path's start tags have no attributes.
 _START, _END, _TEXT, _EVENT = range(4)
 
 
@@ -277,7 +283,7 @@ def _scan(text: str) -> Iterator[tuple]:
             elif open_tags or not roots_seen:
                 if not open_tags:
                     roots_seen = 1
-                yield _START, tag, {}
+                yield _START, tag, None
                 if empty:
                     yield _END, tag, None
                 else:
@@ -317,13 +323,6 @@ def _scan(text: str) -> Iterator[tuple]:
         raise scanner.error("document has no root element")
 
 
-def check_document(text: str) -> None:
-    """Run the strict loop over *text* and build nothing: raises the
-    :class:`XMLSyntaxError` :func:`parse_document` would (same message
-    and position), at 30-50 % of its cost on the generated corpora."""
-    deque(_scan(text), maxlen=0)
-
-
 def iter_events(text: str) -> Iterator[ParseEvent]:
     """Tokenize *text* into a stream of parse events.
 
@@ -333,7 +332,7 @@ def iter_events(text: str) -> Iterator[ParseEvent]:
     """
     for kind, value, attributes in _scan(text):
         if kind == _START:
-            yield StartElement(value, attributes)
+            yield StartElement(value)
         elif kind == _END:
             yield EndElement(value)
         elif kind == _TEXT:
@@ -576,75 +575,127 @@ def _scan_attributes(scanner: _Scanner,
 
 
 class TreeBuilder:
-    """Assemble an :class:`XMLDocument` from a stream of parse events.
+    """Assemble an :class:`XMLDocument` (named *name*) from the element
+    stream's ``start``/``end`` calls (see :func:`_stream`)."""
 
-    Parameters
-    ----------
-    doc_id:
-        Document number used as the Dewey prefix.
-    attributes_as_children:
-        When true (the default), each XML attribute ``k="v"`` becomes a child
-        element ``<k>v</k>`` — the representation keyword search operates on
-        (the paper's model has no separate attribute axis, and corpora such
-        as Mondial carry their data in XML attributes).
-    name:
-        Optional document name, e.g. a file name.
-    """
-
-    def __init__(self, doc_id: int = 0, attributes_as_children: bool = True,
-                 name: str | None = None) -> None:
-        self.doc_id = doc_id
-        self.attributes_as_children = attributes_as_children
+    def __init__(self, name: str | None = None) -> None:
         self.name = name
         self._root: XMLNode | None = None
         self._stack: list[XMLNode] = []
-        self._text_parts: list[list[str]] = []
 
-    def feed(self, event: ParseEvent) -> None:
-        """Consume one parse event."""
-        if isinstance(event, StartElement):
-            self._start(event.tag, event.attributes)
-        elif isinstance(event, Text):
-            self._text(event.content)
-        elif isinstance(event, EndElement):
-            self._end()
-        # comments and PIs carry no searchable content
-
-    def _start(self, tag: str, attributes: dict[str, str]) -> None:
+    def start(self, dewey: Dewey, tag: str) -> None:
+        node = XMLNode(tag, dewey)
         stack = self._stack
         if stack:
-            node = stack[-1].add_child(tag)
+            parent = stack[-1]
+            node.parent = parent
+            parent.children.append(node)
         else:
-            node = self._root = XMLNode(tag, (self.doc_id,))
-        if attributes:
-            if self.attributes_as_children:
-                for key, value in attributes.items():
-                    node.add_child(key, text=value)
-            else:
-                node.xml_attributes = dict(attributes)
+            self._root = node
         stack.append(node)
-        self._text_parts.append([])
 
-    def _text(self, content: str) -> None:
-        if self._stack:
-            self._text_parts[-1].append(content)
-
-    def _end(self) -> None:
-        """Close the open element; its *direct text* — the one definition
-        indexing, snippets and exports share — is every character-data
-        and CDATA piece directly inside it, joined in document order
-        (comments, PIs and child elements neither contribute nor
-        separate), with surrounding whitespace stripped."""
+    def end(self, dewey: Dewey, tag: str, text: str | None) -> None:
         node = self._stack.pop()
-        text = "".join(self._text_parts.pop()).strip()
-        if text:
+        if text is not None:
             node.text = text
 
+    def attributes(self, attributes: dict[str, str]) -> None:
+        """Keep the open element's XML attributes raw (attributes not
+        read as children)."""
+        self._stack[-1].xml_attributes = dict(attributes)
+
     def document(self) -> XMLDocument:
-        """Return the finished document (after all events were fed)."""
+        """Return the finished document (after the whole stream)."""
         if self._root is None or self._stack:
             raise XMLSyntaxError("document incomplete: unbalanced events")
         return XMLDocument(self._root, name=self.name)
+
+
+def _stream(tokens: Iterable[tuple], start: Callable, end: Callable,
+            doc_id: int, attributes_as_children: bool,
+            keep_attributes: Callable | None = None) -> None:
+    """The element cursor: turn scanner tokens into ``start(dewey, tag)``
+    / ``end(dewey, tag, text)`` calls, the one element stream every tree
+    and every index is built from.
+
+    It allocates the Dewey ids and joins each element's *direct text* —
+    every character-data and CDATA piece directly inside it, in document
+    order, stripped (``None`` when empty): the one definition indexing,
+    snippets and exports share.  Under *attributes_as_children* each
+    attribute ``k="v"`` is a child ``<k>`` with the text ``v`` as
+    written; otherwise they go to *keep_attributes*.  Comments and PIs
+    are dropped.
+    """
+    deweys: list[Dewey] = []   # the open elements' Dewey ids
+    ordinals: list[int] = []   # per open element: its children so far
+    # per open element: None, its first non-blank text piece, or a list
+    # of its pieces (a blank first piece would be stripped anyway)
+    texts: list = []
+    for kind, value, attributes in tokens:
+        if kind == _EVENT:  # the careful scanner's event, or salvage's
+            if isinstance(value, StartElement):
+                kind, value, attributes = _START, value.tag, value.attributes
+            elif isinstance(value, EndElement):
+                kind, value = _END, value.tag
+            elif isinstance(value, Text) and deweys:
+                kind, value = _TEXT, value.content
+            else:
+                continue
+        if kind == _START:
+            if deweys:
+                ordinal = ordinals[-1]
+                ordinals[-1] = ordinal + 1
+                dewey = deweys[-1] + (ordinal,)
+            else:
+                dewey = (doc_id,)
+            start(dewey, value)
+            deweys.append(dewey)
+            ordinals.append(0)
+            texts.append(None)
+            if not attributes:
+                continue
+            if attributes_as_children:
+                for ordinal, (key, text) in enumerate(attributes.items()):
+                    child = dewey + (ordinal,)
+                    start(child, key)
+                    end(child, key, text)
+                ordinals[-1] = len(attributes)
+            elif keep_attributes is not None:
+                keep_attributes(attributes)
+        elif kind == _END:
+            ordinals.pop()
+            pieces = texts.pop()
+            if pieces is not None:
+                if pieces.__class__ is str:
+                    pieces = pieces.strip() or None
+                else:
+                    pieces = "".join(pieces).strip() or None
+            end(deweys.pop(), value, pieces)
+        else:
+            pieces = texts[-1]
+            if pieces is None:
+                if not value.isspace():
+                    texts[-1] = value
+            elif pieces.__class__ is str:
+                texts[-1] = [pieces, value]
+            else:
+                pieces.append(value)
+
+
+def stream_document(text: str, start: Callable | None = None,
+                    end: Callable | None = None, *, doc_id: int = 0,
+                    attributes_as_children: bool = True) -> None:
+    """Run the strict loop over *text*, feeding its element stream (see
+    :func:`_stream`) to *start* / *end*; with neither, only check it.
+
+    Raises the :class:`XMLSyntaxError` :func:`parse_document` would,
+    after the calls for what preceded the error.  A bare check costs
+    30-50 % of a parse.
+    """
+    if start is None:
+        deque(_scan(text), maxlen=0)
+    else:
+        _stream(_scan(text), start, end, doc_id, attributes_as_children)
 
 
 def parse_document(text: str, doc_id: int = 0,
@@ -659,35 +710,13 @@ def parse_document(text: str, doc_id: int = 0,
     ``SKIP_DOCUMENT`` raise :class:`XMLSyntaxError` on the first error —
     the skip decision belongs to the repository, not the parser.
     """
-    policy = RecoveryPolicy.coerce(policy)
-    builder = TreeBuilder(doc_id=doc_id,
-                          attributes_as_children=attributes_as_children,
-                          name=name)
-    if policy is RecoveryPolicy.SALVAGE:
-        for event in iter_events_salvage(text, log=salvage_log):
-            builder.feed(event)
-        return builder.document()
-    start, add_text, end = builder._start, builder._text, builder._end
-    for kind, value, attributes in _scan(text):
-        if kind == _START:
-            start(value, attributes)
-        elif kind == _END:
-            end()
-        elif kind == _TEXT:
-            add_text(value)
-        else:
-            builder.feed(value)
+    if RecoveryPolicy.coerce(policy) is RecoveryPolicy.SALVAGE:
+        tokens = ((_EVENT, event, None)
+                  for event in iter_events_salvage(text, log=salvage_log))
+    else:
+        tokens = _scan(text)
+    builder = TreeBuilder(name)
+    _stream(tokens, builder.start, builder.end, doc_id,
+            attributes_as_children, builder.attributes)
     return builder.document()
 
-
-def parse_documents(texts: Iterable[str], first_doc_id: int = 0,
-                    attributes_as_children: bool = True,
-                    policy: RecoveryPolicy | str = RecoveryPolicy.STRICT,
-                    ) -> list[XMLDocument]:
-    """Parse several XML strings into consecutively numbered documents."""
-    return [
-        parse_document(text, doc_id=first_doc_id + offset,
-                       attributes_as_children=attributes_as_children,
-                       policy=policy)
-        for offset, text in enumerate(texts)
-    ]

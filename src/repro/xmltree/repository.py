@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import zlib
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from repro.errors import (DocumentLoadError,
-                          GKSError,
                           IngestFailure,
                           ValidationError,
                           XMLSyntaxError)
@@ -26,51 +25,103 @@ from repro.xmltree import dewey as dw
 from repro.xmltree.dewey import Dewey
 from repro.xmltree.node import XMLNode
 from repro.xmltree.parser import (RecoveryPolicy, SalvageLog,
-                                  check_document, parse_document)
+                                  parse_document)
 from repro.xmltree.tree import XMLDocument
 
-__all__ = ["IngestFailure", "Repository", "ingest_document"]
-
-
-def _failure_for(name: str, error: GKSError) -> IngestFailure:
-    position = ""
-    if isinstance(error, XMLSyntaxError):
-        position = error.position_text()
-    return IngestFailure(name=name, error=error, position=position)
+__all__ = ["IngestFailure", "Repository", "Source", "TextCheck",
+           "ingest_document", "path_sources", "text_sources"]
 
 
 def _ingest_counter(name: str, help: str):
     return global_registry().counter(f"gks_ingest_{name}_total", help=help)
 
 
+class Source(NamedTuple):
+    """One corpus item read but not yet ingested: its text (or the error
+    that kept it from being read), the document's name, what quarantine
+    calls it, and the file it came from (a ``.json`` file is JSON)."""
+
+    text: str | None
+    name: str | None = None
+    label: str | None = None
+    path: Path | None = None
+    error: DocumentLoadError | None = None
+
+
+def text_sources(texts: Iterable[str]) -> list[Source]:
+    """XML texts as sources, labelled by position."""
+    return [Source(text, label=f"text[{offset}]")
+            for offset, text in enumerate(texts)]
+
+
+def path_sources(paths: Iterable[str | Path],
+                 encoding: str = "utf-8") -> list[Source]:
+    """Read corpus files (one document per file) as sources; an
+    unreadable or undecodable file becomes a :class:`DocumentLoadError`
+    naming it."""
+    sources = []
+    for path in map(Path, paths):
+        try:
+            text = path.read_text(encoding=encoding)
+        # ValueError: undecodable bytes
+        except (OSError, ValueError) as exc:
+            sources.append(Source(None, path.name, path=path,
+                                  error=_load_error(path, exc)))
+        else:
+            sources.append(Source(text, path.name, path=path))
+    return sources
+
+
+def _load_error(path: Path, exc: Exception) -> DocumentLoadError:
+    error = DocumentLoadError(f"cannot read corpus file {path}: {exc}",
+                              path=path)
+    error.__cause__ = exc
+    return error
+
+
+class TextCheck:
+    """The builder of an open whose index is already on disk: each text
+    is only checked (the strict loop, no tree, no index) and enters the
+    repository text-backed."""
+
+    @staticmethod
+    def add_document_unchecked(document: XMLDocument) -> None:
+        if not document.parsed:
+            document.stream(None, None)  # no consumers: the check alone
+
+
 def ingest_document(text: str, doc_id: int, name: str | None = None,
                     attributes_as_children: bool = True,
                     policy: RecoveryPolicy = RecoveryPolicy.STRICT,
                     salvage_log: SalvageLog | None = None,
-                    check: bool = False) -> XMLDocument:
-    """Parse one XML document bound for a repository — a corpus text, an
-    added document or a recovered one — filing the parse in
+                    builder=None) -> XMLDocument:
+    """Read one XML document bound for a repository — a corpus text, an
+    added document or a recovered one — filing the read in
     ``gks_ingest_parse_seconds`` (beside ``gks_index_build_seconds``).
 
-    With *check* — for texts an index on disk covers — the text is only
-    checked (:func:`check_document`) and the tree built on the first read
-    of ``.root``; ``SALVAGE`` always parses, as only the parser repairs.
+    With a *builder* (an ``IndexBuilder``, a ``ShardedBuilder`` or
+    :class:`TextCheck`) the document is text-backed — its tree built on
+    the first read of ``.root`` — and ``builder.add_document_unchecked``
+    streams its text: one scan is the check and the index.  Without one,
+    or under ``SALVAGE`` (only the parser repairs), it is parsed into a
+    tree, which the builder replays.
 
-    A document that does not parse raises and is not timed.  It is
-    counted as ingested only when it enters the repository:
-    ``Repository.add(document, text=text)``.
+    A document that does not parse raises, untimed, and the builder has
+    taken it back.  It is counted as ingested only when it enters the
+    repository: ``Repository.add(document, text=text)``.
     """
     started = DEFAULT_CLOCK()
-    if check and policy is not RecoveryPolicy.SALVAGE:
-        check_document(text)
-        document = XMLDocument(
-            None, name, text=text, doc_id=doc_id,
-            attributes_as_children=attributes_as_children)
-    else:
+    if builder is None or policy is RecoveryPolicy.SALVAGE:
         document = parse_document(
             text, doc_id=doc_id,
             attributes_as_children=attributes_as_children, name=name,
             policy=policy, salvage_log=salvage_log)
+    else:
+        document = XMLDocument(
+            None, name, text=text, doc_id=doc_id,
+            attributes_as_children=attributes_as_children)
+    if builder is not None:
+        builder.add_document_unchecked(document)
     global_registry().histogram(
         "gks_ingest_parse_seconds",
         help="Wall time of parsing one document.").observe(
@@ -158,40 +209,9 @@ class Repository:
         quarantined and ``None`` is returned instead of raising.  *label*
         names the document in quarantine reports when *name* is unset.
         """
-        return self._parse(text, name, attributes_as_children, policy,
-                           label)
-
-    def _parse(self, text: str, name: str | None,
-               attributes_as_children: bool, policy: RecoveryPolicy | str,
-               label: str | None, check: bool = False) -> XMLDocument | None:
-        """:meth:`parse`; with *check*, see :func:`ingest_document`."""
-        policy = RecoveryPolicy.coerce(policy)
-        parse_policy = (RecoveryPolicy.SALVAGE
-                        if policy is RecoveryPolicy.SALVAGE
-                        else RecoveryPolicy.STRICT)
-        if label is None:
-            label = (name if name is not None
-                     else f"text[{len(self._documents)}]")
-        salvage_log = SalvageLog()
-        try:
-            document = ingest_document(
-                text, len(self._documents), name=name,
-                attributes_as_children=attributes_as_children,
-                policy=parse_policy, salvage_log=salvage_log, check=check)
-        except XMLSyntaxError as error:
-            if policy is RecoveryPolicy.STRICT:
-                raise
-            self.ingest_failures.append(_failure_for(label, error))
-            _ingest_counter("quarantined_documents",
-                            "Documents quarantined during ingestion").inc()
-            return None
-        self.add(document, text=text)
-        if len(salvage_log):
-            _ingest_counter(
-                "salvage_repairs",
-                "Markup repairs made by the salvaging parser"
-            ).inc(len(salvage_log))
-        return document
+        return self._ingest(Source(text, name, label),
+                            RecoveryPolicy.coerce(policy), None,
+                            attributes_as_children)
 
     def parse_json(self, text: str, name: str | None = None,
                    root_tag: str = "root") -> XMLDocument:
@@ -203,6 +223,59 @@ class Repository:
                                        root_tag=root_tag, name=name)
         return self.add(document, text=text)
 
+    def ingest(self, sources: Iterable[Source],
+               policy: RecoveryPolicy | str = RecoveryPolicy.STRICT,
+               builder=None) -> None:
+        """Append *sources* in order through :func:`ingest_document`
+        with *builder* (a ``.json`` one through :meth:`parse_json`).
+        Under a non-strict *policy* one that cannot be read or parsed is
+        quarantined instead of aborting the ingest.
+        """
+        policy = RecoveryPolicy.coerce(policy)
+        for source in sources:
+            self._ingest(source, policy, builder)
+
+    def _ingest(self, source: Source, policy: RecoveryPolicy, builder,
+                attributes_as_children: bool = True) -> XMLDocument | None:
+        text, name, path, error = source.text, source.name, source.path, \
+            source.error
+        if error is None and path is not None \
+                and path.suffix.lower() == ".json":
+            try:
+                document = self.parse_json(text, name=name)
+            except ValueError as exc:  # JSON that does not parse
+                error = _load_error(path, exc)
+            else:
+                if builder is not None:
+                    builder.add_document_unchecked(document)
+                return document
+        salvage_log = SalvageLog()
+        if error is None:
+            try:
+                document = ingest_document(
+                    text, len(self._documents), name,
+                    attributes_as_children, policy, salvage_log, builder)
+            except XMLSyntaxError as exc:
+                error = exc
+        if error is not None:
+            if policy is RecoveryPolicy.STRICT:
+                raise error
+            self.ingest_failures.append(IngestFailure(
+                name=source.label or name or f"text[{len(self._documents)}]",
+                error=error, position=(error.position_text()
+                                       if isinstance(error, XMLSyntaxError)
+                                       else "")))
+            _ingest_counter("quarantined_documents",
+                            "Documents quarantined during ingestion").inc()
+            return None
+        self.add(document, text=text)
+        if salvage_log:
+            _ingest_counter(
+                "salvage_repairs",
+                "Markup repairs made by the salvaging parser"
+            ).inc(len(salvage_log))
+        return document
+
     @classmethod
     def from_texts(cls, texts: Iterable[str],
                    policy: RecoveryPolicy | str = RecoveryPolicy.STRICT,
@@ -212,16 +285,8 @@ class Repository:
         Under a non-strict *policy* malformed texts are quarantined on
         :attr:`quarantine` instead of aborting the whole build.
         """
-        return cls._read_texts(texts, policy)
-
-    @classmethod
-    def _read_texts(cls, texts: Iterable[str],
-                    policy: RecoveryPolicy | str,
-                    check: bool = False) -> "Repository":
         repository = cls()
-        for offset, text in enumerate(texts):
-            repository._parse(text, None, True, policy, f"text[{offset}]",
-                              check)
+        repository.ingest(text_sources(texts), policy)
         return repository
 
     @classmethod
@@ -237,36 +302,8 @@ class Repository:
         :class:`DocumentLoadError` naming the offending path (strict
         policy) or is quarantined alongside parse failures otherwise.
         """
-        return cls._read_paths(paths, policy, encoding=encoding)
-
-    @classmethod
-    def _read_paths(cls, paths: Iterable[str | Path],
-                    policy: RecoveryPolicy | str, check: bool = False,
-                    encoding: str = "utf-8") -> "Repository":
-        policy = RecoveryPolicy.coerce(policy)
         repository = cls()
-        for path in paths:
-            path = Path(path)
-            is_json = path.suffix.lower() == ".json"
-            try:
-                text = path.read_text(encoding=encoding)
-                if is_json:
-                    repository.parse_json(text, name=path.name)
-            # ValueError: undecodable bytes, or JSON that does not parse
-            except (OSError, ValueError) as exc:
-                error = DocumentLoadError(
-                    f"cannot read corpus file {path}: {exc}", path=path)
-                error.__cause__ = exc
-                if policy is RecoveryPolicy.STRICT:
-                    raise error from exc
-                repository.ingest_failures.append(
-                    IngestFailure(name=path.name, error=error))
-                _ingest_counter(
-                    "quarantined_documents",
-                    "Documents quarantined during ingestion").inc()
-                continue
-            if not is_json:
-                repository._parse(text, path.name, True, policy, None, check)
+        repository.ingest(path_sources(paths, encoding), policy)
         return repository
 
     def extend_replicated(self, times: int) -> "Repository":

@@ -19,10 +19,10 @@ class XMLDocument:
     (paper §2.4: "Dewey id for each node has been appended with the document
     id"), which is what lets a single index span a multi-file repository.
 
-    A document whose index is already on disk may be *text-backed*
-    (``root=None`` plus its *text*, checked well-formed): search reads
-    only the index, so the tree is parsed on the first read of
-    :attr:`root`, and the text dropped.
+    A document an open or ``add_document`` read is *text-backed*
+    (``root=None`` plus its *text*, proved well-formed by the scan that
+    indexed or checked it): search reads only the index, so the tree is
+    parsed on the first read of :attr:`root`, and the text dropped.
     """
 
     def __init__(self, root: XMLNode | None, name: str | None = None, *,
@@ -70,6 +70,24 @@ class XMLDocument:
         """Whether the tree exists yet."""
         return self._root is not None
 
+    def stream(self, start, end) -> None:
+        """Feed this document's element stream to *start* / *end* (see
+        :func:`repro.xmltree.parser.stream_document`): from its text
+        while it has no tree, else by replaying the tree."""
+        root = self._root
+        if root is None:
+            # .root sets the tree before it drops the text: no lock needed
+            text = self._text
+            if text is not None:
+                from repro.xmltree.parser import stream_document
+
+                stream_document(
+                    text, start, end, doc_id=self.doc_id,
+                    attributes_as_children=self._attributes_as_children)
+                return
+            root = self._root
+        replay_tree(root, start, end)
+
     # ------------------------------------------------------------------
     def __iter__(self) -> Iterator[XMLNode]:
         return self.root.iter_subtree()
@@ -116,3 +134,22 @@ class XMLDocument:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<XMLDocument {self.name!r} doc={self.doc_id}>"
+
+
+def replay_tree(root: XMLNode, start, end) -> None:
+    """Replay an existing tree as the element stream: ``start(dewey,
+    tag)`` in pre-order, ``end(dewey, tag, text)`` when each element's
+    subtree is done — the calls the parser makes for the same text."""
+    stack: list = [root]  # a 1-tuple closes its element
+    while stack:
+        node = stack.pop()
+        if node.__class__ is tuple:
+            node = node[0]
+            end(node.dewey, node.tag, node.text)
+        elif node.children:
+            start(node.dewey, node.tag)
+            stack.append((node,))
+            stack.extend(reversed(node.children))
+        else:
+            start(node.dewey, node.tag)
+            end(node.dewey, node.tag, node.text)

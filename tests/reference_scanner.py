@@ -7,7 +7,8 @@ the scanner moved to compiled patterns: ``read_name`` and
 ``_scan_markup`` tries six ``startswith`` tests in order.  It is kept
 only so ``tests/test_parser*.py`` can hold the fast scanner to it —
 event for event, repair for repair, error position for error position,
-and, fed to a :class:`TreeBuilder`, tree for tree.
+and, fed to the element cursor (``_stream``) and a ``TreeBuilder``,
+tree for tree.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from typing import Iterator
 from repro.errors import XMLSyntaxError
 from repro.xmltree.events import (Comment, EndElement, ParseEvent,
                                   ProcessingInstruction, StartElement, Text)
-from repro.xmltree.parser import (_PREDEFINED_ENTITIES, SalvageLog,
-                                  TreeBuilder, _is_name_char,
-                                  _is_name_start)
+from repro.xmltree.parser import (_EVENT, _PREDEFINED_ENTITIES, SalvageLog,
+                                  TreeBuilder, _is_name_char, _is_name_start,
+                                  _stream)
 
 
 class _Scanner:
@@ -447,18 +448,19 @@ def tree_outcome(parse, text: str) -> tuple:
 
 
 def reference_document(text: str, attributes_as_children: bool = True):
-    """The tree a :class:`TreeBuilder` builds from this reference's
+    """The tree the parser's element cursor builds from this reference's
     events."""
-    builder = TreeBuilder(attributes_as_children=attributes_as_children)
-    for event in iter_events(text):
-        builder.feed(event)
+    builder = TreeBuilder()
+    _stream(((_EVENT, event, None) for event in iter_events(text)),
+            builder.start, builder.end, 0, attributes_as_children,
+            builder.attributes)
     return builder.document()
 
 
 def assert_same_scan(text: str) -> None:
     """The production scanner reads *text* exactly as this reference does,
     strict and salvaging, and ``parse_document`` builds the tree a
-    :class:`TreeBuilder` fed this reference's events builds — attributes
+    cursor fed this reference's events builds — attributes
     as children and kept raw."""
     from repro.xmltree import parser
 

@@ -5,9 +5,13 @@ sentence in the paper.
 """
 
 from repro.datasets.toy import figure2a
-from repro.index.categorize import (NodeCategory, StreamingCategorizer,
-                                    categorize_tree)
+from repro.index.builder import build_index
+from repro.index.categorize import (CATEGORIES, CategoryRecord,
+                                    NodeCategory, categorize_tree,
+                                    close_element, close_root)
 from repro.xmltree.node import build_tree
+from repro.xmltree.parser import stream_document
+from repro.xmltree.serialize import serialize_node
 
 
 def categories_by_path(root):
@@ -128,21 +132,39 @@ class TestRules:
 
 class TestStreamingEquivalence:
     def test_streaming_matches_tree_walk(self):
+        # The parser's element stream of the serialised tree, through the
+        # one rule, files exactly what categorize_tree records — and the
+        # index builder's hash tables hold those rows, in that order.
         root = figure2a()
-        categorizer = StreamingCategorizer()
-        streamed = {}
+        text = serialize_node(root)
+        pending, marks, streamed = [], [], {}
 
-        def walk(node):
-            categorizer.start(node.dewey, node.tag)
-            if node.has_text:
-                categorizer.text(node.text)
-            for child in node.children:
-                walk(child)
-            for record in categorizer.end():
-                streamed[record.dewey] = record
+        def file(tag, dewey, child_count, category, repeated):
+            streamed[dewey] = CategoryRecord(dewey, tag, CATEGORIES[category],
+                                             repeated, child_count)
 
-        walk(root)
-        assert streamed == categorize_tree(root)
+        def start(dewey, tag):
+            marks.append(len(pending))
+
+        def end(dewey, tag, text):
+            close_element(pending, marks.pop(), tag, dewey,
+                          bool(text and text.strip()), file)
+
+        stream_document(text, start, end)
+        close_root(pending, file)
+        records = categorize_tree(root)
+        assert streamed == records
+        assert list(streamed) == list(records)
+        hashes = build_index(text).hashes
+        assert hashes.entity_table == {
+            dewey: record.child_count for dewey, record in records.items()
+            if record.category is NodeCategory.ENTITY}
+        assert list(hashes.element_table) == [
+            dewey for dewey, record in records.items()
+            if record.category in (NodeCategory.REPEATING,
+                                   NodeCategory.CONNECTING)
+            or (record.category is NodeCategory.ENTITY
+                and record.is_repeating)]
 
     def test_records_emitted_once_per_node(self):
         root = figure2a()

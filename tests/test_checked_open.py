@@ -27,7 +27,8 @@ from repro.index.storage import (atomic_write_json_gz, load_index,
 from repro.obs.metrics import global_registry
 from repro.obs.trace import Tracer
 from repro.xmltree.parser import RecoveryPolicy, parse_document
-from repro.xmltree.repository import Repository, ingest_document
+from repro.xmltree.repository import (Repository, TextCheck,
+                                      ingest_document, text_sources)
 from repro.xmltree.serialize import serialize_document
 from tests.reference_scanner import tree_outcome
 from tests.test_parser_conformance import MALFORMED, WELL_FORMED
@@ -42,7 +43,7 @@ def _trees_built() -> float:
 
 
 def _checked(text: str, attributes_as_children: bool = True):
-    return ingest_document(text, 0, check=True,
+    return ingest_document(text, 0, builder=TextCheck,
                            attributes_as_children=attributes_as_children)
 
 
@@ -110,7 +111,8 @@ class TestCheckedIsParsed:
         texts = [BOOKS[0], *MALFORMED[:8], BOOKS[1]]
         policy = RecoveryPolicy.SKIP_DOCUMENT
         parsed = Repository.from_texts(texts, policy=policy)
-        checked = Repository._read_texts(texts, policy, check=True)
+        checked = Repository()
+        checked.ingest(text_sources(texts), policy, TextCheck)
         assert _failures(checked) == _failures(parsed)
         assert [d.name for d in checked] == [d.name for d in parsed]
         assert not any(document.parsed for document in checked)
@@ -144,10 +146,26 @@ class TestCheckedIsParsed:
         salvaged = GKSEngine.open(paths, config.replace(recovery="salvage"))
         assert all(document.parsed for document in salvaged.repository)
 
-    def test_a_fresh_open_parses(self, tmp_path):
-        engine = GKSEngine.open(Texts(BOOKS),
-                                index_path=tmp_path / "idx")
-        assert all(document.parsed for document in engine.repository)
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_fresh_open_streams_and_builds_no_tree(self, tmp_path,
+                                                     shards):
+        # the build's stream is the check: every document enters
+        # text-backed, searching builds no tree, a snippet builds one
+        before = _trees_built()
+        tracer = Tracer()
+        engine = GKSEngine.open(Texts(BOOKS), index_path=tmp_path / "idx",
+                                shards=shards, tracer=tracer)
+        root = tracer.roots[-1]
+        assert root.find("parse").attributes == {
+            "documents": 4, "checked": 0, "parsed": 0}
+        assert root.find("build").attributes["streamed"] == 4
+        assert not any(document.parsed for document in engine.repository)
+        response = engine.search("karen alpha")
+        assert len(response.nodes) == 4
+        engine.search_top_k("entry", 2)
+        assert _trees_built() == before
+        assert "alpha entry" in engine.snippet(response.nodes[0])
+        assert _trees_built() == before + 1
 
 
 class TestStaleCorpus:
@@ -236,8 +254,7 @@ class TestRecoveredStore:
                 "documents": 2, "checked": 2, "parsed": 0}
             texts = root.find("store").find("texts").attributes
             assert texts == {"documents": 2, "checked": 2, "parsed": 0}
-            assert [d.parsed for d in engine.repository] == \
-                [False, False, False, False, True]
+            assert not any(d.parsed for d in engine.repository)
             response = engine.search("alpha")
             assert {node.dewey[0] for node in response.nodes} == \
                 {0, 1, 2, 3, 4}

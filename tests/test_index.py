@@ -218,10 +218,17 @@ class TestBuilder:
         builder.add_xml("<a>x</a>")
         with pytest.raises(XMLSyntaxError):
             builder.add_xml("<b>y<c>z</b>")
+        # failing deep inside, after new keywords, tags and hash rows
+        with pytest.raises(XMLSyntaxError):
+            builder.add_xml("<b><d><e>w</e><e>v</e></d><f>u</f><g></b>")
         builder.add_xml("<b>y</b>")
         index = builder.build()
         assert index.document_names == ("doc0", "doc1")
         assert index.postings("z") == [] and index.stats.documents == 2
+        clean = IndexBuilder()
+        clean.add_xml("<a>x</a>")
+        clean.add_xml("<b>y</b>")
+        assert index_facts(index) == index_facts(clean.build())
 
     def test_multi_document_postings_carry_doc_ids(self):
         repo = Repository.from_texts(["<r><a>karen</a></r>",

@@ -463,8 +463,10 @@ class TestIngestObservability:
     def test_parse_and_build_children_cover_the_root(self):
         # A ticking clock charges 1 per reading; on top of that, time
         # passes where ingest work is done: pulling a document from the
-        # source (parse) and analysing a text (build).  Work that moved
-        # out of the two children would show as uncovered root time.
+        # source (parse) and analysing a text — in the open's build,
+        # which streams the texts, and in the parse of an add, which
+        # streams its unit.  Work that moved out of the children would
+        # show as uncovered root time.
         clock = FakeClock(auto_advance=1.0)
 
         class Busy(Analyzer):
@@ -486,9 +488,10 @@ class TestIngestObservability:
         assert root.name == "open"
         assert [child.name for child in root.children] == ["parse", "build"]
         assert root.find("parse").attributes == {
-            "documents": 4, "checked": 0, "parsed": 4}
+            "documents": 4, "checked": 0, "parsed": 0}
         stats = engine.index.stats
         assert root.find("build").attributes == {
+            "streamed": 4,
             "nodes": stats.total_nodes, "tokens": stats.total_keywords,
             "postings": engine.index.inverted.total_postings}
         assert stats.total_nodes == 12

@@ -27,8 +27,7 @@ from repro.core.topk import search_top_k
 from repro.datasets.registry import load_dataset
 from repro.errors import ConfigError, GKSError, StorageError
 from repro.index.builder import IndexBuilder
-from repro.index.sharding import (ShardedIndex, build_sharded_index,
-                                  partition_documents, shard_of)
+from repro.index.sharding import ShardedIndex, build_sharded_index, shard_of
 from repro.index.storage import check_index, load_index, save_index
 from repro.testing.faults import FakeClock, TornWriter
 from repro.xmltree.repository import Repository
@@ -106,14 +105,22 @@ class TestPartitioning:
         first = shard_of(0, "corpus.xml", 4, "hash")
         assert shard_of(99, "corpus.xml", 4, "hash") == first
 
+    @staticmethod
+    def _partitions(names, shards, strategy):
+        repository = Repository()
+        for name in names:
+            repository.parse("<a>x</a>", name=name)
+        return [shard.doc_ids for shard in build_sharded_index(
+            repository, shards=shards, strategy=strategy).shards]
+
     def test_partition_covers_every_document_once(self):
         names = [f"d{i}.xml" for i in range(11)]
         for strategy in ("round_robin", "hash"):
-            partitions = partition_documents(names, 4, strategy)
+            partitions = self._partitions(names, 4, strategy)
             assert sorted(sum(partitions, ())) == list(range(11))
 
     def test_empty_shards_are_allowed(self):
-        partitions = partition_documents(["only.xml"], 7, "round_robin")
+        partitions = self._partitions(["only.xml"], 7, "round_robin")
         assert partitions[0] == (0,)
         assert all(not p for p in partitions[1:])
 
@@ -415,12 +422,14 @@ class TestAddDocument:
         engine.search("keyword")
         assert engine.cache_info()["size"] == 1
 
-        import repro.core.durable as durable
+        import repro.core.engine as engine_module
 
-        def boom(document, analyzer, index_tags):
+        def boom(*args):
             raise RuntimeError("mid-append crash")
 
-        monkeypatch.setattr(durable, "build_unit", boom)
+        # the unit is streamed before the repository grows; what can
+        # still fail after it grew is filing the unit in the memtable
+        monkeypatch.setattr(engine_module, "pending_document", boom)
         with pytest.raises(RuntimeError):
             engine.add_document(self.NEW_DOC)
         # the repository already grew, so stale responses must be gone
