@@ -1,9 +1,9 @@
 """E-EXT — extension benchmarks: schema categorization, top-k exactness,
 incremental maintenance, JSON ingestion.
 
-These are not paper tables; they quantify the future-work features the
-paper sketches (§2.2 schema-level categorization, §8 analytics) and the
-engineering extensions (top-k, append-only maintenance, JSON).
+These are not paper tables; they quantify the future-work feature the
+paper sketches (§2.2 schema-level categorization) and the engineering
+extensions (top-k, append-only maintenance, JSON).
 """
 
 from __future__ import annotations

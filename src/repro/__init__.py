@@ -24,7 +24,6 @@ See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
 """
 
-from repro.analytics import aggregate, facets, histogram
 from repro.baselines import (elca, naive_gks, slca_indexed_lookup_eager,
                              slca_scan)
 from repro.core import (DegradationReport, EngineConfig, GKSEngine,
@@ -56,10 +55,10 @@ __all__ = [
     "RecoveryPolicy", "Refinement", "Repository", "SearchBudget",
     "SearchOptions", "SearchTimeout", "ServeConfig", "ServerCore",
     "ShardedIndex", "StorageError", "Texts",
-    "XMLDocument", "XMLNode", "aggregate",
+    "XMLDocument", "XMLNode",
     "build_index", "build_schema_index",
     "build_sharded_index",
-    "categorize_tree", "elca", "facets", "histogram", "infer_schema",
+    "categorize_tree", "elca", "infer_schema",
     "load_dataset", "load_index", "naive_gks", "parse_document",
     "parse_json_document", "save_index", "search",
     "search_top_k", "sharded_search", "sharded_top_k",

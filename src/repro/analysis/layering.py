@@ -3,7 +3,7 @@
 The repository's layering (DESIGN.md §5.4)::
 
     errors  →  text, xmltree  →  index, schema  →  core, obs
-            →  serve, baselines, eval  →  cli, shell
+            →  serve, baselines, eval  →  cli
 
 ``L001`` flags a module whose *top-level* imports reach a higher layer
 than its own; ``L002`` flags import cycles between packages.  Two
@@ -18,7 +18,7 @@ documented refinements:
 * **Deferred imports are exempt.**  Only module-level (top-level)
   imports define the architecture graph.  An import inside a function
   body is the sanctioned plug-point for a lower layer to call *up* at
-  runtime (e.g. the engine lazily importing ``analytics``) — it cannot
+  runtime (e.g. the engine lazily importing ``serve``) — it cannot
   create an import-time cycle and is not counted.
 
 Packages the original DAG statement does not name are slotted where
@@ -26,7 +26,7 @@ their dependencies put them: ``datasets``/``testing`` with
 ``index``/``schema``; ``semantics`` (the query-modes subsystem: it
 imports ``index`` and ``core.config``, and ``core.engine`` calls it
 through deferred imports) with ``core``/``obs``;
-``analytics``/``analysis``/``serve`` with ``baselines``/``eval``; the
+``analysis``/``serve`` with ``baselines``/``eval``; the
 ``__init__``/``__main__`` facades with the CLI.
 """
 
@@ -45,9 +45,8 @@ LAYER_OF = {
     "text": 1, "xmltree": 1,
     "index": 2, "schema": 2, "datasets": 2, "testing": 2,
     "core": 3, "obs": 3, "semantics": 3,
-    "baselines": 4, "eval": 4, "analytics": 4, "analysis": 4,
-    "serve": 4,
-    "cli": 5, "shell": 5, "api": 5, "__init__": 5,
+    "baselines": 4, "eval": 4, "analysis": 4, "serve": 4,
+    "cli": 5, "api": 5, "__init__": 5,
     "__main__": 5,
 }
 
@@ -85,7 +84,7 @@ class LayeringRule(Rule):
     rule_id = "L001"
     title = ("package imports must follow the layer DAG errors -> "
              "text/xmltree -> index/schema -> core/obs -> "
-             "baselines/eval -> cli/shell")
+             "baselines/eval -> cli")
 
     def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         if module.package is None:

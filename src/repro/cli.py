@@ -8,7 +8,6 @@ Subcommands mirror the system's three engines (Fig. 3):
 * ``gks di FILE... -q QUERY``          print the DI for a query
 * ``gks categorize FILE...``           print the Table 5 category counts
 * ``gks schema FILE...``               print the inferred schema
-* ``gks facet FILE... -q QUERY -c COL``  facet a response by a column
 * ``gks xpath FILE... -p PATH``        evaluate an XPath-lite expression
 * ``gks dataset NAME -o DIR``          emit a synthetic corpus as XML
 * ``gks stats FILE... [-q QUERY]``     observability report (metrics,
@@ -79,7 +78,7 @@ _CONFIG_FLAGS = {
                "probability tables at index time), or "
                "no-but-semantic-match rewrites when the strict answer "
                "is empty (relaxed); a served request's ?mode= still "
-               "wins, the shell switches with :mode"),
+               "wins"),
     "--threshold": ("threshold", None,
                     "probabilistic mode: drop results with probability "
                     "below this"),
@@ -199,24 +198,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
                                      help="print the inferred schema")
     schema_cmd.add_argument("files", nargs="+")
 
-    facet_cmd = commands.add_parser(
-        "facet", help="facet a query response by a context attribute")
-    facet_cmd.add_argument("files", nargs="+")
-    facet_cmd.add_argument("-q", "--query", required=True)
-    facet_cmd.add_argument("-s", type=int, default=1)
-    facet_cmd.add_argument("-c", "--column", required=True,
-                           help="attribute tag to facet by (e.g. year)")
-    facet_cmd.add_argument("--top", type=int, default=10)
-
     xpath_cmd = commands.add_parser(
         "xpath", help="evaluate an XPath-lite expression")
     xpath_cmd.add_argument("files", nargs="+")
     xpath_cmd.add_argument("-p", "--path", required=True)
-
-    shell_cmd = commands.add_parser(
-        "shell", help="interactive exploration REPL")
-    shell_cmd.add_argument("files", nargs="+")
-    _add_config_flags(shell_cmd, "--mode", "--threshold")
 
     check_cmd = commands.add_parser(
         "check-index",
@@ -321,9 +306,7 @@ def main(argv: list[str] | None = None) -> int:
         "di": _cmd_di,
         "categorize": _cmd_categorize,
         "schema": _cmd_schema,
-        "facet": _cmd_facet,
         "xpath": _cmd_xpath,
-        "shell": _cmd_shell,
         "check-index": _cmd_check_index,
         "lint": _cmd_lint,
         "race": _cmd_race,
@@ -335,13 +318,6 @@ def main(argv: list[str] | None = None) -> int:
     except GKSError as error:
         print(f"gks: error: {error}", file=sys.stderr)
         return 1
-
-
-def _cmd_shell(args: argparse.Namespace) -> int:
-    from repro.shell import run_shell
-
-    run_shell(_engine(args), sys.stdin, print)
-    return 0
 
 
 #: ``check-index`` report keys: what ``format`` takes from the summary
@@ -730,19 +706,6 @@ def _cmd_schema(args: argparse.Namespace) -> int:
     from repro.schema import infer_schema
 
     print(infer_schema(Repository.from_paths(args.files)).render())
-    return 0
-
-
-def _cmd_facet(args: argparse.Namespace) -> int:
-    engine = _engine(args)
-    response = engine.search(args.query, s=args.s)
-    report = engine.facets(response, args.column, top=args.top)
-    if not report.buckets:
-        print(f"no values for column {args.column!r} "
-              f"({report.missing} record(s) lack it)")
-        return 0
-    for bucket in report:
-        print(f"{bucket.value}\t{bucket.count}\t{bucket.weight:.3f}")
     return 0
 
 

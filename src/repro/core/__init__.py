@@ -7,11 +7,7 @@ from repro.core.engine import GKSEngine
 from repro.core.scatter import sharded_search, sharded_top_k
 from repro.core.explain import RankExplanation, explain_rank
 from repro.core.export import (insights_to_dict, node_to_dict,
-                               response_to_dict, session_to_dict)
-from repro.core.highlight import highlight_snippet, highlight_text
-from repro.core.threshold import SProfile, s_profile, suggest_s
-from repro.core.grouping import ResultGroup, dominant_group, group_by_tag
-from repro.core.session import ExplorationSession, SessionStep
+                               response_to_dict)
 from repro.core.insights import (Insight, InsightReport, attribute_nodes_of,
                                  discover_insights, discover_recursive)
 from repro.core.lce import LCEInfo, LCEResult, discover_lce
@@ -31,13 +27,10 @@ __all__ = [
     "DegradationReport", "EngineConfig", "Paths", "SearchBudget",
     "SearchOptions", "Texts",
     "sharded_search", "sharded_top_k",
-    "ExplorationSession", "GKSEngine", "GKSResponse", "Insight",
-    "InsightReport", "LCEInfo", "RankExplanation", "ResultGroup",
-    "SProfile", "SessionStep", "chunk_keep_set", "dominant_group",
-    "explain_rank", "group_by_tag", "highlight_snippet",
-    "highlight_text", "insights_to_dict", "node_to_dict",
-    "response_chunk", "response_to_dict", "s_profile", "session_to_dict",
-    "suggest_s",
+    "GKSEngine", "GKSResponse", "Insight", "InsightReport", "LCEInfo",
+    "RankExplanation", "chunk_keep_set", "explain_rank",
+    "insights_to_dict", "node_to_dict", "response_chunk",
+    "response_to_dict",
     "LCEResult", "LCPEntry", "LCPList", "Query", "RankBreakdown",
     "RankedNode", "Refinement", "RefinementKind",
     "attribute_nodes_of", "compute_lcp_list", "discover_insights",

@@ -52,6 +52,9 @@ from repro.xmltree.repository import (Repository, Source, TextCheck,
                                       text_sources)
 from repro.xmltree.serialize import serialize_node
 
+#: Recent query traces an engine keeps for inspection.
+TRACE_CAPACITY = 32
+
 
 class GKSEngine:
     """Generic Keyword Search over one XML repository."""
@@ -60,8 +63,6 @@ class GKSEngine:
                  index: GKSIndex | CompositeIndex | None = None,
                  metrics: MetricsRegistry | None = None,
                  slow_query_threshold_s: float = 0.5,
-                 slow_log_capacity: int = 128,
-                 trace_capacity: int = 32,
                  config: EngineConfig | None = None) -> None:
         if config is None:
             config = EngineConfig()
@@ -89,10 +90,8 @@ class GKSEngine:
         # default), the slow-query ring buffer, and the recent-trace ring.
         self.metrics_registry = (metrics if metrics is not None
                                  else global_registry())
-        self.slow_log = SlowQueryLog(threshold_s=slow_query_threshold_s,
-                                     capacity=slow_log_capacity)
-        self._recent_traces: deque[Span] = deque(maxlen=max(1,
-                                                            trace_capacity))
+        self.slow_log = SlowQueryLog(threshold_s=slow_query_threshold_s)
+        self._recent_traces: deque[Span] = deque(maxlen=TRACE_CAPACITY)
         # Per-shard series exist only on engines that scatter-gather;
         # looked up once, fed from each response's per-unit stats.
         self._shard_metrics = None
@@ -868,21 +867,6 @@ class GKSEngine:
             self._response_cache.clear()
 
     # ------------------------------------------------------------------
-    # Analytics (paper §8 future work)
-    # ------------------------------------------------------------------
-    def facets(self, response: GKSResponse, column, top: int | None = None):
-        """Facet the response records by a context attribute."""
-        from repro.analytics.aggregate import facets
-
-        return facets(self.repository, response, column, top=top)
-
-    def aggregate(self, response: GKSResponse, column):
-        """Numeric summary of a context attribute over the response."""
-        from repro.analytics.aggregate import aggregate
-
-        return aggregate(self.repository, response, column)
-
-    # ------------------------------------------------------------------
     # Search Analysis Engine
     # ------------------------------------------------------------------
     def insights(self, response: GKSResponse, top: int = 10) -> InsightReport:
@@ -926,27 +910,6 @@ class GKSEngine:
         return serialize_node(
             element, indent=indent,
             keep=lambda child: len(child.dewey) - base <= max_depth)
-
-    def suggest_s(self, query: str | Query, min_results: int = 1) -> int:
-        """Data-driven threshold: the strictest ``s`` that still answers."""
-        from repro.core.threshold import suggest_s
-
-        if isinstance(query, str):
-            query = self.parse_query(query)
-        return suggest_s(self.index, query, min_results=min_results)
-
-    def highlighted_snippet(self, node: Dewey | RankedNode,
-                            query: Query, indent: int = 2,
-                            marker: str = "**") -> str:
-        """Snippet with the query keywords marked in text values."""
-        from repro.core.highlight import highlight_snippet
-
-        dewey = node.dewey if isinstance(node, RankedNode) else node
-        element = self.repository.node_at(dewey)
-        if element is None:
-            return f"<!-- missing node {format_dewey(dewey)} -->"
-        return highlight_snippet(element, query, analyzer=self.analyzer,
-                                 indent=indent, marker=marker)
 
     def response_chunk(self, node: RankedNode, indent: int = 2) -> str:
         """The Fig. 2(b)-style pruned chunk: context attributes plus the

@@ -2,9 +2,8 @@
 
 Library clients (web frontends, notebooks) want plain data, not
 dataclasses.  ``response_to_dict`` captures the ranked nodes with their
-evidence; ``insights_to_dict`` the DI; ``session_to_dict`` a whole
-exploration transcript.  Everything nests only JSON types, so
-``json.dumps`` works directly.
+evidence; ``insights_to_dict`` the DI.  Everything nests only JSON
+types, so ``json.dumps`` works directly.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from typing import Any
 
 from repro.core.insights import InsightReport
 from repro.core.results import GKSResponse, RankedNode
-from repro.core.session import ExplorationSession
 from repro.xmltree.dewey import format_dewey
 from repro.xmltree.repository import Repository
 
@@ -83,26 +81,3 @@ def insights_to_dict(report: InsightReport) -> dict[str, Any]:
         "weighted_keywords": dict(report.weighted_keywords),
     }
 
-
-def session_to_dict(session: ExplorationSession,
-                    repository: Repository | None = None
-                    ) -> dict[str, Any]:
-    return {
-        "steps": [
-            {
-                "note": step.note,
-                "response": response_to_dict(step.response, repository),
-                "insights": insights_to_dict(step.insights),
-                "refinements": [
-                    {
-                        "kind": refinement.kind.value,
-                        "keywords": list(refinement.keywords),
-                        "support": refinement.support,
-                        "node_count": refinement.node_count,
-                    }
-                    for refinement in step.refinements
-                ],
-            }
-            for step in session.steps
-        ]
-    }

@@ -135,7 +135,7 @@ class CompositeIndex:
     """Immutable set of document-disjoint units, quacking like a
     :class:`GKSIndex`.
 
-    Validation, insights, snippet lookups, ``suggest_s``, persistence
+    Validation, insights, snippet lookups, persistence
     and the search pipeline itself talk to this object exactly as they
     would to a monolithic index.  ``postings()`` answers with the merge
     of the unit posting lists (cached per keyword); ``inverted`` and

@@ -9,7 +9,7 @@ entries, LCE nodes, response nodes emitted), and the serving context
 stage-breakdown bench consume this record instead of re-timing searches.
 
 :class:`SlowQueryLog` keeps the most recent above-threshold queries in a
-bounded ring buffer so a long-running ``gks shell``/serve session can be
+bounded ring buffer so a long-running ``gks serve`` process can be
 asked "what was slow lately?" without unbounded memory.
 """
 

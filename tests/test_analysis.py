@@ -294,8 +294,8 @@ class TestLayering:
         module = module_from(
             tmp_path, "src/repro/core/x.py",
             "def plug():\n"
-            "    from repro.analytics.aggregate import facet\n"
-            "    return facet\n")
+            "    from repro.serve.core import ServerCore\n"
+            "    return ServerCore\n")
         findings = [finding for finding in lint_modules([module])
                     if finding.rule_id == "L001"]
         assert findings == []

@@ -1,6 +1,5 @@
 """Tests for the command-line interface."""
 
-import io
 from dataclasses import fields
 
 import pytest
@@ -185,10 +184,8 @@ FILE_COMMANDS = {
     "search": ["-q", "karen"],
     "topk": ["-q", "karen"],
     "di": ["-q", "karen"],
-    "facet": ["-q", "karen", "-c", "name"],
     "xpath": ["-p", "catalog/name"],
     "schema": [],
-    "shell": [],
     "stats": ["-q", "karen"],
     "race": ["--scenario", "cache", "--threads", "2", "--rounds", "1",
              "--iterations", "2"],
@@ -208,6 +205,12 @@ class TestOneCorpusLoader:
                         '"students": ["Karen", "Zoe"]}]}')
         return path
 
+    def test_every_file_command_is_listed(self):
+        subcommands = build_arg_parser()._subparsers._group_actions[0]
+        assert set(FILE_COMMANDS) == {
+            name for name, command in subcommands.choices.items()
+            if any(action.dest == "files" for action in command._actions)}
+
     @pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
     def test_missing_file_is_a_typed_error(self, command, tmp_path,
                                            capsys):
@@ -226,7 +229,6 @@ class TestOneCorpusLoader:
                                                 tmp_path, monkeypatch,
                                                 capsys):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr("sys.stdin", io.StringIO(""))
         assert main([command, str(json_corpus),
                      *FILE_COMMANDS[command]]) == 0
         assert "Traceback" not in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Tests for the extended CLI subcommands (topk/schema/facet/xpath/JSON)."""
+"""Tests for the extended CLI subcommands (topk/schema/xpath/JSON)."""
 
 import pytest
 
@@ -45,18 +45,6 @@ class TestSchema:
         out = capsys.readouterr().out
         assert "lib/book -> (author+" in out
         assert "#PCDATA" in out
-
-
-class TestFacet:
-    def test_facet_by_year(self, xml_corpus, capsys):
-        assert main(["facet", str(xml_corpus), "-q", "ann",
-                     "-c", "year"]) == 0
-        out = capsys.readouterr().out
-        assert "1999" in out and "2005" in out
-
-    def test_facet_missing_column(self, xml_corpus, capsys):
-        main(["facet", str(xml_corpus), "-q", "ann", "-c", "publisher"])
-        assert "no values" in capsys.readouterr().out
 
 
 class TestXPath:

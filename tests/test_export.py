@@ -1,4 +1,4 @@
-"""Tests for JSON export of responses, insights and sessions."""
+"""Tests for JSON export of responses and insights."""
 
 import json
 
@@ -6,8 +6,7 @@ import pytest
 
 from repro.core.engine import GKSEngine
 from repro.core.export import (insights_to_dict, node_to_dict,
-                               response_to_dict, session_to_dict)
-from repro.core.session import ExplorationSession
+                               response_to_dict)
 from repro.datasets.registry import load_dataset
 
 
@@ -63,14 +62,3 @@ class TestInsightExport:
         assert first["weight"] > 0
         assert payload["weighted_keywords"]
 
-
-class TestSessionExport:
-    def test_whole_session_round_trips_through_json(self, engine):
-        session = ExplorationSession(engine)
-        session.run("karen mike", note="start")
-        session.drill_down()
-        payload = session_to_dict(session, engine.repository)
-        decoded = json.loads(json.dumps(payload))
-        assert len(decoded["steps"]) == 2
-        assert decoded["steps"][0]["note"] == "start"
-        assert decoded["steps"][1]["response"]["nodes"]
