@@ -924,12 +924,14 @@ class GKSEngine:
         """Render the potential-flow account behind a node's rank (§5)."""
         from repro.core.explain import explain_rank
 
-        breakdown = node.breakdown
+        breakdown, probability = node.breakdown, None
         if breakdown is None:
+            probability = node.score  # a probabilistic node's rank
             breakdown = rank_node(self.index, Query.of(
                 list(node.matched_keywords) or ["?"]), node.dewey)
-        return explain_rank(self.index, breakdown,
-                            repository=self.repository).render()
+        return replace(explain_rank(self.index, breakdown,
+                                    repository=self.repository),
+                       probability=probability).render()
 
     def describe(self, node: RankedNode) -> str:
         """One-line human summary of a result row."""

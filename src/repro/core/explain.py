@@ -44,12 +44,16 @@ class RankExplanation:
     score: float
     initial_potential: int
     terminals: tuple[TerminalExplanation, ...]
+    #: a probabilistic node's rank; ``score`` is then its structural rank
+    probability: float | None = None
 
     def render(self) -> str:
+        rank = (f"rank = {self.score:.4f}" if self.probability is None
+                else f"probability = {self.probability:.4f}, "
+                     f"structural rank = {self.score:.4f}")
         lines = [
             f"node {format_dewey(self.dewey)}: "
-            f"P = {self.initial_potential} distinct keyword(s), "
-            f"rank = {self.score:.4f}"
+            f"P = {self.initial_potential} distinct keyword(s), {rank}"
         ]
         for terminal in self.terminals:
             route = " / ".join(

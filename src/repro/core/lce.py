@@ -79,8 +79,10 @@ class LCEResult:
                     pool.setdefault(candidate, info.estimated_keywords)
         return pool
 
-    def response_deweys(self) -> list[Dewey]:
-        """The GKS response node set ``RQ(s)`` (§4.2).
+    def response_deweys(self, fallback: dict[Dewey, int] | None = None
+                        ) -> list[Dewey]:
+        """The GKS response node set ``RQ(s)`` (§4.2); *fallback* is
+        :meth:`fallback_candidates` when the caller already has it.
 
         Surviving LCE nodes plus the LCP nodes that have no corresponding
         LCE node.  "The nodes in GKS response set follow the semantics of
@@ -92,7 +94,8 @@ class LCEResult:
         return {x2} rather than {x1, x2, r} for Q1.
         """
         survivors = list(self.lce)
-        filtered = set(self.fallback_candidates())
+        filtered = set(self.fallback_candidates() if fallback is None
+                       else fallback)
         ordered = sorted(set(survivors) | filtered)
         # In Dewey (document) order every tuple strictly between a node and
         # its subtree end is a descendant, so a candidate has a candidate
@@ -120,7 +123,8 @@ def discover_lce(lcp: LCPList, sl: list[MergedEntry],
     entity, nearest entity strictly above (= nearest entity of the
     parent) — about the same few nodes over and over: block windows
     overlap and siblings share their ancestors.  Each answer is memoised
-    for the duration of the call.  The tables are only ever reached
+    for the call in one table (node → nearest entity of its lift; an
+    element's lift is itself).  The tables are only ever reached
     through ``index.hashes`` methods: routed, stacked and lazily decoded
     tables answer the same way.
     """
@@ -129,7 +133,6 @@ def discover_lce(lcp: LCPList, sl: list[MergedEntry],
     mapping, unmapped = result.mapping, result.unmapped
     is_attribute = index.hashes.is_attribute
     nearest_entity = index.hashes.nearest_entity
-    entities: dict[Dewey, Dewey | None] = {}
     owners: dict[Dewey, Dewey | None] = {}
 
     def lift(dewey: Dewey) -> Dewey:
@@ -144,10 +147,10 @@ def discover_lce(lcp: LCPList, sl: list[MergedEntry],
         return dewey
 
     def entity_of(node: Dewey) -> Dewey | None:
-        """Nearest entity ancestor-or-self of *node*."""
-        entity = entities.get(node, _UNKNOWN)
+        """Nearest entity ancestor-or-self of the element *node*."""
+        entity = owners.get(node, _UNKNOWN)
         if entity is _UNKNOWN:
-            entity = entities[node] = nearest_entity(node)
+            entity = owners[node] = nearest_entity(node)
         return entity
 
     def independent_witness(candidate: Dewey, left: int,

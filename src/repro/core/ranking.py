@@ -50,6 +50,18 @@ class RankBreakdown:
     def distinct_keywords(self) -> int:
         return self.initial_potential
 
+    @staticmethod
+    def _build(dewey, score, initial_potential, terminals) -> "RankBreakdown":
+        """``RankBreakdown(...)`` with its fields written straight into the
+        instance dict, as :meth:`RankedNode._build`."""
+        record = object.__new__(RankBreakdown)
+        fields = record.__dict__
+        fields["dewey"] = dewey
+        fields["score"] = score
+        fields["initial_potential"] = initial_potential
+        fields["terminals"] = terminals
+        return record
+
 
 def keyword_occurrences(index: GKSIndex, keyword: str,
                         dewey: Dewey) -> list[Dewey]:
@@ -89,18 +101,27 @@ def received_potential(index: GKSIndex, root: Dewey, terminal: Dewey,
 
 def subtree_terminals(index: GKSIndex, query: Query,
                       dewey: Dewey) -> dict[str, tuple[Dewey, ...]]:
-    """Matched query keyword → its terminal points in ``subtree(dewey)``.
+    """Matched query keyword → its terminal points in ``subtree(dewey)``."""
+    return rank_node(index, query, dewey).terminals
 
-    Per keyword this is ``terminal_points(keyword_occurrences(...))``,
-    found with as few probes of the posting list as the answer allows:
-    one bisect lands on the first posting at or after *dewey*, which
-    lies in the subtree iff *dewey* is a prefix of it (for about half
-    of all (node, keyword) pairs it is not, and the keyword is done);
-    a look at the next posting settles the common single-occurrence
-    case; only a longer run pays the second bisect, the slice and the
-    minimum-depth scan.
+
+def rank_node(index: GKSIndex, query: Query, dewey: Dewey) -> RankBreakdown:
+    """Rank one response node for *query* with the potential-flow model.
+
+    Per keyword, one bisect lands on the first posting at or after
+    *dewey*: about half the time it lies outside the subtree and the
+    keyword is done, the next posting settles a single occurrence, and
+    only a longer run pays a second bisect and a depth scan.
+
+    The score is a float sum, so its value depends on the order of the
+    operations: each terminal's share is divided top-down, one
+    ``flowed /= children`` per path node (:func:`received_potential`),
+    and the shares are added keyword by keyword, terminals in document
+    order.  Keep that order — recorded rankings compare scores exactly.
     """
     depth = len(dewey)
+    # the postings of subtree(dewey) are exactly those in [dewey, after)
+    after = dewey[:-1] + (dewey[-1] + 1,)
     postings_of = index.postings
     terminals: dict[str, tuple[Dewey, ...]] = {}
     for keyword in query.keywords:
@@ -110,42 +131,34 @@ def subtree_terminals(index: GKSIndex, query: Query,
         if lo == size:
             continue
         first = postings[lo]
-        if first[:depth] != dewey:
+        if first >= after:
             continue
-        if lo + 1 == size or postings[lo + 1][:depth] != dewey:
+        if lo + 1 == size or postings[lo + 1] >= after:
             terminals[keyword] = (first,)
         else:
-            hi = bisect_left(postings, dewey[:-1] + (dewey[-1] + 1,),
-                             lo + 2)
+            hi = bisect_left(postings, after, lo + 2)
             terminals[keyword] = terminal_points(postings[lo:hi])
-    return terminals
-
-
-def rank_node(index: GKSIndex, query: Query, dewey: Dewey) -> RankBreakdown:
-    """Rank one response node for *query* with the potential-flow model.
-
-    The score is a float sum, so its value depends on the order of the
-    operations: each terminal's share is divided top-down, one
-    ``flowed /= children`` per path node (:func:`received_potential`),
-    and the shares are added keyword by keyword, terminals in document
-    order.  Keep that order — recorded rankings compare scores exactly.
-    """
-    terminals = subtree_terminals(index, query, dewey)
     potential = len(terminals)
     source = float(potential)
-    depth = len(dewey)
     child_count = index.hashes.child_count
+    # every path below the node starts by dividing by its own count
+    fanout = child_count(dewey) or 1
+    below = depth + 1
     score = 0.0
     for points in terminals.values():
         for terminal in points:
             flowed = source
-            for length in range(depth, len(terminal)):
-                children = child_count(terminal[:length])
-                if children and children > 1:
-                    flowed /= children
+            end = len(terminal)
+            if end > depth:
+                if fanout > 1:
+                    flowed /= fanout
+                if end > below:
+                    for length in range(below, end):
+                        children = child_count(terminal[:length])
+                        if children and children > 1:
+                            flowed /= children
             score += flowed
-    return RankBreakdown(dewey=dewey, score=score,
-                         initial_potential=potential, terminals=terminals)
+    return RankBreakdown._build(dewey, score, potential, terminals)
 
 
 def rank_by_keyword_count(index: GKSIndex, query: Query,

@@ -100,6 +100,22 @@ class RankedNode:
         """Descending score, then coverage, then document order."""
         return (-self.score, -self.distinct_keywords, self.dewey)
 
+    @staticmethod
+    def _build(dewey, score, distinct_keywords, matched_keywords, is_lce,
+               estimated_keywords, breakdown) -> "RankedNode":
+        """``RankedNode(...)`` of a strict-mode node without a frozen
+        ``__setattr__`` per field (the rest keep their default, ``None``)."""
+        node = object.__new__(RankedNode)
+        fields = node.__dict__
+        fields["dewey"] = dewey
+        fields["score"] = score
+        fields["distinct_keywords"] = distinct_keywords
+        fields["matched_keywords"] = matched_keywords
+        fields["is_lce"] = is_lce
+        fields["estimated_keywords"] = estimated_keywords
+        fields["breakdown"] = breakdown
+        return node
+
 
 @dataclass(frozen=True)
 class GKSResponse:

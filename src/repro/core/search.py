@@ -38,6 +38,7 @@ report.
 from __future__ import annotations
 
 from bisect import bisect_right
+from operator import attrgetter
 from typing import Callable
 
 from repro.core.budget import SearchBudget
@@ -73,7 +74,8 @@ class _Unit:
     """One unit's trip through discovery, and what ranking needs of it."""
 
     __slots__ = ("label", "index", "budget", "sl", "lcp_entries", "lce",
-                 "lce_nodes", "fallback", "lcp_seconds", "lce_seconds")
+                 "lce_nodes", "fallback", "lce_info", "fallback_estimate",
+                 "lcp_seconds", "lce_seconds")
 
     def __init__(self, label: int, index: GKSIndex,
                  budget: SearchBudget | None) -> None:
@@ -85,6 +87,7 @@ class _Unit:
         self.lce = lce
         self.lce_nodes = lce.lce
         self.fallback = lce.fallback_candidates()
+        self.lce_info, self.fallback_estimate = lce.lce.get, self.fallback.get
 
 
 #: a response candidate with the unit that owns its document
@@ -242,7 +245,7 @@ def _candidates(units: list[_Unit], budget: SearchBudget | None
     entities: list[Candidate] = []
     others: list[Candidate] = []
     for unit in units:
-        deweys = unit.lce.response_deweys()
+        deweys = unit.lce.response_deweys(unit.fallback)
         split = len(unit.lce_nodes)
         entities += [(dewey, unit) for dewey in deweys[:split]]
         others += [(dewey, unit) for dewey in deweys[split:]]
@@ -266,21 +269,22 @@ def rank_all(query: Query, ranker: Ranker, candidates: list[Candidate],
     document, and sort by :meth:`RankedNode.sort_key`."""
     ranked: list[RankedNode] = []
     total = len(candidates)
+    build = RankedNode._build
     for dewey, unit in candidates:
         if budget is not None and not budget.admit_node(len(ranked), total):
             break
         breakdown = ranker(unit.index, query, dewey)
-        info = unit.lce_nodes.get(dewey)
-        ranked.append(RankedNode(
-            dewey=dewey,
-            score=breakdown.score,
-            distinct_keywords=breakdown.distinct_keywords,
-            matched_keywords=breakdown.matched_keywords,
-            is_lce=info is not None,
-            estimated_keywords=(info.estimated_keywords if info is not None
-                                else unit.fallback.get(dewey, query.s)),
-            breakdown=breakdown))
-    ranked.sort(key=RankedNode.sort_key)
+        info = unit.lce_info(dewey)
+        ranked.append(build(
+            dewey, breakdown.score, breakdown.initial_potential,
+            tuple(breakdown.terminals), info is not None,
+            info.estimated_keywords if info is not None
+            else unit.fallback_estimate(dewey, query.s),
+            breakdown))
+    # sort_key's order as two C-level sorts: document order, then a
+    # stable descending (score, coverage)
+    ranked.sort(key=attrgetter("dewey"))
+    ranked.sort(key=attrgetter("score", "distinct_keywords"), reverse=True)
     span.add("ranked", len(ranked))
     return ranked
 

@@ -84,12 +84,12 @@ class GKSIndex:
             return self.inverted.postings(keyword, tracer)
         cached = self._phrase_cache.get(keyword)
         if cached is None:
-            from repro.index.postings import intersect_postings
+            from repro.index.postings import cache_list, intersect_postings
 
             cached = intersect_postings(
                 [self.inverted.postings(word, tracer)
                  for word in keyword.split()])
-            self._phrase_cache[keyword] = cached
+            cache_list(self._phrase_cache, keyword, cached)
         return cached
 
 

@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 from repro.index.builder import GKSIndex
 from repro.index.hashtables import NodeHashes
 from repro.index.inverted import InvertedIndex
-from repro.index.postings import merge_sorted_runs
+from repro.index.postings import cache_list, merge_sorted_runs
 from repro.index.statistics import IndexStats
 from repro.obs.locks import new_lock
 from repro.obs.trace import NOOP_TRACER
@@ -197,9 +197,11 @@ class CompositeIndex:
             merged = merge_sorted_runs(
                 unit.postings(keyword, tracer) for unit in self.units)
             with self._cache_lock:
-                # setdefault publishes exactly one list per keyword even
-                # when two threads merged it concurrently
-                cached = self._postings_cache.setdefault(keyword, merged)
+                # publish exactly one list per keyword even when two
+                # threads merged it concurrently
+                if keyword not in self._postings_cache:
+                    cache_list(self._postings_cache, keyword, merged)
+                cached = self._postings_cache[keyword]
         return cached
 
     @property

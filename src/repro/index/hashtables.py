@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.xmltree.dewey import Dewey, ancestors_of
+from repro.xmltree.dewey import Dewey
 
 
 class NodeHashes:
@@ -67,19 +67,19 @@ class NodeHashes:
 
     def nearest_entity(self, dewey: Dewey) -> Dewey | None:
         """Nearest entity ancestor-or-self of *dewey* (LCE candidate)."""
-        if dewey in self._entity:
-            return dewey
-        for ancestor in ancestors_of(dewey):
-            if ancestor in self._entity:
+        entity = self._entity
+        for length in range(len(dewey), 0, -1):
+            ancestor = dewey[:length]
+            if ancestor in entity:
                 return ancestor
         return None
 
     def entity_ancestors(self, dewey: Dewey) -> Iterator[Dewey]:
         """All entity ancestors-or-self, nearest first."""
-        if dewey in self._entity:
-            yield dewey
-        for ancestor in ancestors_of(dewey):
-            if ancestor in self._entity:
+        entity = self._entity
+        for length in range(len(dewey), 0, -1):
+            ancestor = dewey[:length]
+            if ancestor in entity:
                 yield ancestor
 
     # ------------------------------------------------------------------

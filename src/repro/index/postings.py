@@ -20,6 +20,21 @@ from repro.xmltree.dewey import Dewey, subtree_interval
 
 PostingList = list[Dewey]
 
+#: Bound on an index's derived lists (phrases, merged units) of client
+#: keywords: far above any query's keyword count, probed per candidate.
+DERIVED_LISTS_CACHED = 256
+
+
+def cache_list(cache: dict, keyword: str, postings: PostingList) -> None:
+    """``cache[keyword] = postings``, evicting the oldest entry when full;
+    a lock-free caller's eviction raced by another thread is skipped."""
+    if len(cache) >= DERIVED_LISTS_CACHED:
+        try:
+            cache.pop(next(iter(cache), None), None)
+        except RuntimeError:  # the dict changed under the iterator
+            pass
+    cache[keyword] = postings
+
 
 def subtree_range(postings: Sequence[Dewey],
                   ancestor: Dewey) -> tuple[int, int]:

@@ -1,5 +1,7 @@
 """Tests for rank explanations and the ASCII figure renderers."""
 
+import re
+
 import pytest
 
 from repro.core.explain import explain_rank
@@ -47,6 +49,22 @@ class TestExplain:
         text = figure2a_engine.explain(response[0])
         assert "rank =" in text
         assert "Students" in text
+
+    def test_probabilistic_node_reports_its_probability(self):
+        from repro.api import EngineConfig, GKSEngine, Texts
+
+        engine = GKSEngine.open(Texts([
+            "<bib><paper><title>keyword search</title><year>2016</year>"
+            "</paper><paper><title>graph search</title></paper></bib>"]),
+            EngineConfig(mode="probabilistic"))
+        response = engine.search("keyword search", s=1)
+        node = next(node for node in response if node.dewey == (0,))
+        assert node.breakdown is None and node.score == 1.0
+        first = engine.explain(node).splitlines()[0]
+        match = re.fullmatch(r"node 0: P = 2 distinct keyword\(s\), "
+                             r"probability = 1\.0000, "
+                             r"structural rank = (\d+\.\d{4})", first)
+        assert match and float(match[1]) != node.score
 
     def test_terminal_at_node_itself(self, figure2a_engine):
         # tag keyword 'course' terminates at the Course node itself

@@ -16,6 +16,7 @@ from repro.core.query import Query
 from repro.core.search import search
 from repro.index.builder import build_index
 from repro.index.composite import CompositeIndex, merge_indexes
+from repro.index.postings import DERIVED_LISTS_CACHED
 from repro.text.analyzer import DEFAULT_ANALYZER
 from repro.xmltree.parser import parse_document
 from repro.xmltree.repository import Repository
@@ -137,6 +138,30 @@ class TestEngineMaintenance:
         assert response[0].dewey[0] == 1
         # snippets resolve against the updated repository
         assert "zoe" in engine.snippet(response[0])
+
+    def test_derived_list_caches_stay_bounded(self, tmp_path):
+        """Client-chosen keywords cannot grow an index's caches: the
+        phrase intersections of a plain index and the merged lists of a
+        store's composite both keep the last ``DERIVED_LISTS_CACHED``."""
+        plain = GKSEngine.open(Texts(BASE), EngineConfig(cache_size=0))
+        store = GKSEngine.open(Texts(BASE[:1]), EngineConfig(
+            store_path=tmp_path / "store", memtable_docs=8, cache_size=0))
+        try:
+            store.add_document(BASE[1])
+            assert isinstance(store.index, CompositeIndex)
+            probes = ('"peter buneman" keyword', "buneman search")
+            before = [[(n.dewey, n.score) for n in engine.search(probe)]
+                      for engine in (plain, store) for probe in probes]
+            for i in range(DERIVED_LISTS_CACHED + 20):
+                plain.search(f'"peter w{i}" keyword')
+                store.search(f"zz{i} keyword")
+            assert len(plain.index._phrase_cache) <= DERIVED_LISTS_CACHED
+            assert len(store.index._postings_cache) <= DERIVED_LISTS_CACHED
+            after = [[(n.dewey, n.score) for n in engine.search(probe)]
+                     for engine in (plain, store) for probe in probes]
+            assert after == before and all(before)
+        finally:
+            store.close()
 
     def test_phrase_cache_not_stale_after_append(self):
         engine = GKSEngine(Repository.from_texts([DOC0]))

@@ -1,12 +1,18 @@
 """Unit tests for potential-flow ranking (paper §5, Example 5)."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
+from repro.api import EngineConfig, GKSEngine, Texts
 from repro.core.query import Query
-from repro.core.ranking import (keyword_occurrences, rank_by_keyword_count,
-                                rank_node, received_potential,
-                                terminal_points)
+from repro.core.ranking import (RankBreakdown, keyword_occurrences,
+                                rank_by_keyword_count, rank_node,
+                                received_potential, terminal_points)
+from repro.core.results import RankedNode, RelaxationStep
+from repro.core.search import search
 from repro.index.builder import build_index
+from repro.index.composite import CompositeIndex
 from repro.index.sharding import build_sharded_index
 from repro.index.storage import load_index, save_index
 from repro.xmltree.repository import Repository
@@ -173,3 +179,73 @@ class TestRankNodeEqualsComposition:
                           codec="varint-dag")
         self.check(load_index(path),
                    [node.dewey for node in repository.iter_nodes()])
+
+    def test_store_composite_index(self, repository, tmp_path):
+        """A flushed segment plus two memtable units: hash lookups go
+        through the routed tables, postings through merged lists."""
+        engine = GKSEngine.open(Texts(self.CORPUS[:1]), EngineConfig(
+            store_path=tmp_path / "store", memtable_docs=8, cache_size=0))
+        try:
+            for text in self.CORPUS[1:]:
+                engine.add_document(text)
+            assert isinstance(engine.index, CompositeIndex)
+            assert len(engine.index.units) == 3
+            self.check(engine.index,
+                       [node.dewey for node in repository.iter_nodes()])
+        finally:
+            engine.close()
+
+
+class TestRecordContract:
+    """What ``RankedNode`` and ``RankBreakdown`` promise, whichever way
+    they were built: the search path writes them without ``__init__``."""
+
+    @pytest.fixture(scope="class")
+    def node(self, figure1_index):
+        return search(figure1_index, Query.of(["a", "b"], s=2)).nodes[0]
+
+    def test_built_equals_constructed(self, node):
+        breakdown = node.breakdown
+        assert type(node) is RankedNode
+        assert type(breakdown) is RankBreakdown
+        assert breakdown == RankBreakdown(
+            dewey=breakdown.dewey, score=breakdown.score,
+            initial_potential=breakdown.initial_potential,
+            terminals=breakdown.terminals)
+        twin = RankedNode(
+            dewey=node.dewey, score=node.score,
+            distinct_keywords=node.distinct_keywords,
+            matched_keywords=node.matched_keywords, is_lce=node.is_lce,
+            estimated_keywords=node.estimated_keywords,
+            breakdown=breakdown)
+        assert twin == node and hash(twin) == hash(node)
+        assert repr(twin) == repr(node)
+        assert node.probability is None and node.relaxation is None
+
+    def test_fields_are_frozen(self, node):
+        with pytest.raises(FrozenInstanceError):
+            node.score = 0.0
+        with pytest.raises(FrozenInstanceError):
+            node.breakdown.score = 0.0
+
+    def test_breakdown_is_not_compared_hashed_or_shown(self, node):
+        bare = replace(node, breakdown=None)
+        assert bare == node and hash(bare) == hash(node)
+        assert "breakdown" not in repr(node)
+        assert repr(bare) == repr(node)
+
+    def test_replace_keeps_every_other_field(self, node):
+        step = RelaxationStep(op="drop", source="b", replacement=None,
+                              keywords=("a",), penalty=1.0)
+        relaxed = replace(node, relaxation=step)
+        assert relaxed.relaxation is step
+        assert relaxed.breakdown is node.breakdown
+        assert relaxed != node
+        assert replace(relaxed, relaxation=None) == node
+
+    def test_keyword_construction_defaults(self):
+        node = RankedNode(dewey=(9, 9), score=1.0, distinct_keywords=1,
+                          matched_keywords=("karen",), is_lce=False,
+                          estimated_keywords=1, probability=0.5)
+        assert node.breakdown is None and node.probability == 0.5
+        assert node.sort_key() == (-1.0, -1, (9, 9))
