@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Codec smoke test: build the same corpus under both codecs via the
-# CLI, verify both files shallow and deep, assert the varint-dag file
-# is smaller on the redundancy-heavy mirrors corpus, that two saves of
-# one index are byte-identical (printing the raw bytes before/after the
-# compression-level change), and confirm the two indexes answer a query
-# identically.
+# CLI, verify both files and the committed v4 file shallow and deep,
+# assert the varint-dag file is smaller on the redundancy-heavy mirrors
+# corpus, that two saves of one index are byte-identical (printing the
+# raw bytes before/after the compression-level change), and confirm the
+# two indexes answer a query identically.
 #
 # Usage:  bash scripts/smoke_codec.sh
 set -euo pipefail
@@ -37,8 +37,18 @@ OUT="$(python -m repro check-index "$WORKDIR/dag.gksindex" --json)"
 echo "$OUT"
 grep -q '"codec": "varint-dag"' <<<"$OUT" || {
     echo "FAIL: --json did not report the varint-dag codec" >&2; exit 1; }
+grep -q '"version": 5' <<<"$OUT" || {
+    echo "FAIL: --json did not report format version 5" >&2; exit 1; }
+
+echo "== a v4 file (read-only format) checks clean, shallow and deep =="
+V4=tests/golden/v4-mirrors.gksindex
+OUT="$(python -m repro check-index "$V4" --json)"
 grep -q '"version": 4' <<<"$OUT" || {
-    echo "FAIL: --json did not report format version 4" >&2; exit 1; }
+    echo "FAIL: --json did not report format version 4 for $V4" >&2; exit 1; }
+python -m repro check-index "$V4" >/dev/null || {
+    echo "FAIL: check-index rejected the v4 fixture" >&2; exit 1; }
+python -m repro check-index "$V4" --deep >/dev/null || {
+    echo "FAIL: deep audit rejected the v4 fixture" >&2; exit 1; }
 
 echo "== deep audit: semantic invariants hold for both codecs =="
 python -m repro check-index "$WORKDIR/raw.gks" --deep >/dev/null || {

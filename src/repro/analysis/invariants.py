@@ -35,7 +35,7 @@ equivalence and ranking potential-flow sound:
 ``manifest-crc``
     Each manifest entry's stored CRC32 matches its shard payload.
 ``codec-block-crc`` / ``codec-block-metadata`` / ``codec-dag-suffix``
-    Binary (v4) indexes only: every posting block's stored bytes match
+    Binary indexes only: every posting block's stored bytes match
     their CRC32, decoded block content agrees with the directory
     metadata (counts, first keys, frame bounds), and the DAG
     shared-subtree tables are present, sorted and consistent with

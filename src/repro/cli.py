@@ -84,7 +84,7 @@ _CONFIG_FLAGS = {
                     "below this"),
     "--codec": ("codec", CODEC_NAMES,
                 "on-disk representation: raw (gzip JSON envelope) or "
-                "varint-dag (v4 binary codec: delta+varint blocks, "
+                "varint-dag (binary codec: delta+varint blocks, "
                 "DAG-shared subtrees, lazy loading)"),
     "--recover": ("recovery", [policy.value for policy in RecoveryPolicy],
                   "malformed-input handling: abort (strict), quarantine "

@@ -262,7 +262,7 @@ class EngineConfig:
         On-disk representation of every index file the engine
         writes — the ``index_path`` cache *and* the segments of a
         ``store_path`` store: ``"raw"`` (the JSON envelope formats,
-        eager loading) or ``"varint-dag"`` (the v4 binary codec —
+        eager loading) or ``"varint-dag"`` (the binary codec —
         delta+varint posting blocks, DAG-shared subtrees, lazy
         mmap-backed loading).  Either codec opens files written by the
         other and a store may hold segments of both; the codec only

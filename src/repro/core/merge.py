@@ -29,7 +29,7 @@ def merged_list(index: GKSIndex, query: Query,
     A :class:`SearchBudget` caps the result at ``max_sl`` entries (the
     kept prefix is a coherent leading slice of the corpus in document
     order) and charges the merge against the deadline; *tracer* gets a
-    ``decode`` span per keyword a loaded v4 index decodes on this touch.
+    ``decode`` span per keyword a loaded binary index decodes on this touch.
     """
     sl = merge_posting_lists(
         index.postings(keyword, tracer) for keyword in query.keywords)

@@ -5,11 +5,11 @@ tables (sorted postings, ``entityHash``, ``elementHash``).  Two are
 registered: ``raw`` — the gzip-JSON envelopes, storage versions 2
 (monolithic) and 3 (shard manifest + per-shard payloads), dotted Dewey
 strings, eager loading — and ``varint-dag``, the binary format (storage
-version 4) most of this module is about.  Callers pick a codec by name
-only when they *write* (:func:`resolve_codec`, ``EngineConfig.codec``);
-readers never need the name — :func:`sniff_codec` hands a file to the
-codec that wrote it, so index files and store segments of both codecs
-mix freely.
+version 5, version 4 read-only) most of this module is about.  Callers
+pick a codec by name only when they *write* (:func:`resolve_codec`,
+``EngineConfig.codec``); readers never need the name —
+:func:`sniff_codec` hands a file to the codec that wrote it, so index
+files and store segments of both codecs mix freely.
 
 Besides ``save`` / ``load`` every codec offers the *unrepaired* view of
 a file: ``decode`` expands it into a :class:`DecodedIndex` — plain
@@ -44,9 +44,10 @@ The binary format layers three ideas:
   tables) are concatenated into ~64 KiB frames, each deflated as one
   zlib stream — small chunks share compression context instead of
   paying per-chunk headers.  :func:`load_binary_index` reads only the
-  gzip JSON header and the per-shard binary directory; frames inflate
-  on first touch (mmap-backed), so cold open never decodes a posting
-  and a query decodes only its own keywords.
+  gzip JSON header and each shard directory's fixed tables; a
+  keyword's directory entry parses and frames inflate on first touch
+  (mmap-backed), so cold open never decodes a posting and a query
+  parses and decodes only its own keywords.
 
 File layout::
 
@@ -54,19 +55,20 @@ File layout::
             | shard0 directory (zlib) | shard0 frames...
             | shard1 directory (zlib) | shard1 frames... | ...
 
-    header = {"version": 4, "codec": "varint-dag", "crc32": crc(body),
+    header = {"version": 5, "codec": "varint-dag", "crc32": crc(body),
               "body": {layout, strategy?, analyzer, document_names,
                        shards: [{shard_id, doc_ids?, document_names,
                                  stats, directory: [comp, raw, crc32],
                                  frames: [[comp, raw, crc32], ...]}]}}
 
-The directory is a front-coded binary table: per keyword its literal
-block metadata (frame/offset/length/count/CRC/first) and the ids of
-the DAG nodes whose subtrees contain it; per DAG node its occurrence
-prefixes and the locations of its suffix/hash tables.  Every region is
-CRC-checked: the header over its canonical body, the directory and
-each frame over their stored bytes, and each literal block over its
-raw payload.
+The directory (:class:`_Directory`) is a vocabulary blob under a
+fixed-width offset table, one self-contained entry per keyword — its
+literal block metadata (frame/offset/length/count/CRC/first) and, per
+DAG node whose subtrees contain it, that node's suffix-table location
+— and a DAG section: per node its occurrence prefixes and hash-table
+locations.  Every region is CRC-checked: the header over its canonical
+body, the directory and each frame over their stored bytes, and each
+literal block over its raw payload.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
 from pathlib import Path
-from typing import Protocol, Sequence, runtime_checkable
+from typing import NamedTuple, Protocol, Sequence, runtime_checkable
 
 from repro.errors import ConfigError, StorageError
 from repro.index.builder import GKSIndex
@@ -103,9 +105,12 @@ from repro.xmltree.dewey import (Dewey, DeweyError, format_dewey,
 #: the binary format.  Version 1 (no checksum) is retired and refused.
 FORMAT_VERSION = 2
 FORMAT_VERSION_SHARDED = 3
-FORMAT_VERSION_BINARY = 4
+FORMAT_VERSION_BINARY = 5
 
-#: File magic of the binary (v4) index format.
+#: Binary versions a reader accepts; only the last one is written.
+BINARY_VERSIONS_READ = (4, FORMAT_VERSION_BINARY)
+
+#: File magic of the binary index format, every version.
 MAGIC = b"GKSIDX04"
 
 #: Literal postings per block — the skip + integrity granularity.
@@ -211,11 +216,6 @@ def write_svarint(out: bytearray, value: int) -> None:
     write_uvarint(out, value << 1 if value >= 0 else ((-value) << 1) - 1)
 
 
-def read_svarint(data: bytes, pos: int) -> tuple[int, int]:
-    raw, pos = read_uvarint(data, pos)
-    return (raw >> 1) if not raw & 1 else -((raw + 1) >> 1), pos
-
-
 def _write_dewey(out: bytearray, dewey: Dewey, previous: Dewey) -> None:
     """Front-code *dewey* against the previously written id."""
     lcp = 0
@@ -228,32 +228,16 @@ def _write_dewey(out: bytearray, dewey: Dewey, previous: Dewey) -> None:
         write_uvarint(out, component)
 
 
-def _read_dewey(data: bytes, pos: int,
-                previous: Dewey) -> tuple[Dewey, int]:
-    lcp, pos = read_uvarint(data, pos)
-    suffix_len, pos = read_uvarint(data, pos)
-    if lcp > len(previous):
-        raise StorageError(
-            f"codec data front-codes against a {lcp}-component prefix "
-            f"but only {len(previous)} are available",
-            diagnosis="corrupted")
-    components = list(previous[:lcp])
-    for _ in range(suffix_len):
-        component, pos = read_uvarint(data, pos)
-        components.append(component)
-    return tuple(components), pos
-
-
 def _decode_run(payload: bytes, count: int, what: str,
                 path: Path | None, *, counted: bool = False) -> list:
     """The block decode kernel: *count* front-coded Dewey ids (each one
     followed by a zigzag child count when *counted*) filling *payload*
     exactly, decoded in this one frame.
 
-    Equal to a loop over :func:`_read_dewey` (the reference the tests
-    compare against), with the varint reads inlined: nearly every value
-    in real data fits one byte, and a suffix made of single-byte
-    components is one ``tuple(bytes)``.
+    Equal to a loop of one :func:`read_uvarint` per field (the
+    reference the tests compare against), with the reads inlined: nearly
+    every value in real data fits one byte, and a suffix made of
+    single-byte components is one ``tuple(bytes)``.
     """
     items: list = []
     append = items.append
@@ -298,17 +282,6 @@ def _decode_run(payload: bytes, count: int, what: str,
         raise StorageError(f"{what} in {path} has trailing bytes",
                            diagnosis="corrupted", path=path)
     return items
-
-
-def _write_bytes_fc(out: bytearray, data: bytes, previous: bytes) -> None:
-    """Front-code a byte string (keyword) against the previous one."""
-    lcp = 0
-    limit = min(len(data), len(previous))
-    while lcp < limit and data[lcp] == previous[lcp]:
-        lcp += 1
-    write_uvarint(out, lcp)
-    write_uvarint(out, len(data) - lcp)
-    out.extend(data[lcp:])
 
 
 def _crc(stored: bytes) -> int:
@@ -496,7 +469,7 @@ class _FrameReader:
         self._cache[number] = raw
         global_registry().counter(
             "gks_codec_frames_inflated_total",
-            help="Frames of v4 index files inflated on first touch."
+            help="Frames of binary index files inflated on first touch."
         ).inc()
         return raw
 
@@ -603,12 +576,13 @@ def _plan_hash_table(table: dict[Dewey, int], dag: _DagModel | None,
     return literal
 
 
-def _suffix_chunk(suffixes: list[Dewey]) -> bytes:
+def _dewey_chunk(deweys: list[Dewey]) -> bytes:
+    """A front-coded run of Dewey ids (what :func:`_decode_run` reads)."""
     out = bytearray()
     previous: Dewey = ()
-    for suffix in suffixes:
-        _write_dewey(out, suffix, previous)
-        previous = suffix
+    for dewey in deweys:
+        _write_dewey(out, dewey, previous)
+        previous = dewey
     return bytes(out)
 
 
@@ -661,7 +635,7 @@ def _encode_shard_data(postings: dict[str, list[Dewey]],
     # suffix + hash chunks per dag node
     dag_suffix_locs: dict[tuple[int, int], tuple] = {}
     for (dag_id, keyword_index), suffixes in sorted(suffix_tables.items()):
-        payload = _suffix_chunk(suffixes)
+        payload = _dewey_chunk(suffixes)
         loc = frames.add(payload)
         dag_suffix_locs[(remap[dag_id], keyword_index)] = (
             loc, len(suffixes), _crc(payload))
@@ -677,49 +651,50 @@ def _encode_shard_data(postings: dict[str, list[Dewey]],
     element_payload = _hash_chunk(sorted(literal_element.items()))
     element_loc = frames.add(element_payload)
 
-    # ---- directory ---------------------------------------------------
-    out = bytearray()
-    write_uvarint(out, len(keyword_plans))
-    previous_kw = b""
-    for keyword, blocks, dag_ids in keyword_plans:
-        data = keyword.encode("utf-8")
-        _write_bytes_fc(out, data, previous_kw)
-        previous_kw = data
-        write_uvarint(out, len(blocks))
+    # ---- directory: fixed tables, keyword entries, the DAG section -----
+    vocabulary_blob = bytearray()
+    entries = bytearray()
+    word_ends: list[int] = []
+    entry_ends: list[int] = []
+    for keyword_index, (keyword, blocks, dag_ids) in enumerate(keyword_plans):
+        vocabulary_blob += keyword.encode("utf-8")
+        word_ends.append(len(vocabulary_blob))
+        write_uvarint(entries, len(blocks))
         previous_first: Dewey = ()
         for frame, offset, length, count, crc, first in blocks:
-            write_uvarint(out, frame)
-            write_uvarint(out, offset)
-            write_uvarint(out, length)
-            write_uvarint(out, count)
-            write_uvarint(out, crc)
-            _write_dewey(out, first, previous_first)
+            write_uvarint(entries, frame)
+            write_uvarint(entries, offset)
+            write_uvarint(entries, length)
+            write_uvarint(entries, count)
+            write_uvarint(entries, crc)
+            _write_dewey(entries, first, previous_first)
             previous_first = first
-        write_uvarint(out, len(dag_ids))
+        write_uvarint(entries, len(dag_ids))
         previous_id = 0
         for dag_id in dag_ids:
             dense = remap[dag_id]
-            write_uvarint(out, dense - previous_id)
+            write_uvarint(entries, dense - previous_id)
             previous_id = dense
+            loc, count, crc = dag_suffix_locs[(dense, keyword_index)]
+            _write_loc(entries, loc)
+            write_uvarint(entries, count)
+            write_uvarint(entries, crc)
+        entry_ends.append(len(entries))
+    offsets = struct.Struct(f"<{len(keyword_plans) + 1}I")
+    out = bytearray(struct.pack("<I", len(keyword_plans)))
+    out += offsets.pack(0, *word_ends)
+    out += offsets.pack(0, *entry_ends)
+    out += vocabulary_blob
+    out += entries
+    occurrences = [dag.occurrences[original] for original in used]
     write_uvarint(out, len(used))
-    for dense, original in enumerate(used):
-        prefixes = dag.occurrences[original]
+    run = _dewey_chunk([prefix for prefixes in occurrences
+                         for prefix in prefixes])
+    write_uvarint(out, len(run))
+    for prefixes in occurrences:
         write_uvarint(out, len(prefixes))
-        previous_prefix: Dewey = ()
-        for prefix in prefixes:
-            _write_dewey(out, prefix, previous_prefix)
-            previous_prefix = prefix
-        tables = [(keyword_index, entry)
-                  for (node, keyword_index), entry
-                  in dag_suffix_locs.items() if node == dense]
-        write_uvarint(out, len(tables))
-        previous_kw_index = 0
-        for keyword_index, (loc, count, crc) in sorted(tables):
-            write_uvarint(out, keyword_index - previous_kw_index)
-            previous_kw_index = keyword_index
-            _write_loc(out, loc)
-            write_uvarint(out, count)
-            write_uvarint(out, crc)
+    out += run
+    for dense in range(len(used)):
         for which in (0, 1):
             entry = dag_hash_locs.get((dense, which))
             if entry is None:
@@ -761,14 +736,14 @@ def _shard_regions(postings: dict, entity: dict, element: dict,
 def write_binary_index(index: GKSIndex | ShardedIndex,
                        path: str | Path, *, use_dag: bool = True,
                        tracer=NOOP_TRACER) -> Path:
-    """Persist *index* in the v4 binary format, atomically."""
+    """Persist *index* in the binary format (v5), atomically."""
     return _write_decoded(DecodedIndex.of(index), path, use_dag=use_dag,
                           tracer=tracer)
 
 
 def _write_decoded(decoded: DecodedIndex, path: str | Path, *,
                    use_dag: bool, tracer=NOOP_TRACER) -> Path:
-    """Encode a decoded view as a v4 file with fresh CRCs.
+    """Encode a decoded view as a binary (v5) file with fresh CRCs.
 
     Conditional keys (``strategy`` / ``doc_ids`` for sharded layouts,
     ``probabilities`` for non-empty tables — they are tiny next to the
@@ -819,7 +794,7 @@ def _write_file(body: dict, regions: list[bytes],
 # ----------------------------------------------------------------------
 
 def is_binary_index(path: str | Path) -> bool:
-    """True when *path* starts with the v4 magic (cheap sniff)."""
+    """True when *path* starts with the binary magic (cheap sniff)."""
     try:
         with open(path, "rb") as handle:
             return handle.read(len(MAGIC)) == MAGIC
@@ -863,7 +838,7 @@ def read_binary_header(path: str | Path) -> dict:
             f"cannot read index from {path}: header is corrupted "
             f"({exc})", diagnosis="corrupted", path=path) from exc
     if not isinstance(header, dict) or \
-            header.get("version") != FORMAT_VERSION_BINARY:
+            header.get("version") not in BINARY_VERSIONS_READ:
         version = header.get("version") if isinstance(header, dict) \
             else None
         raise StorageError(
@@ -897,144 +872,256 @@ def _map_blob(path: Path):
                            diagnosis="unreadable", path=path) from exc
 
 
+def _uvarints(data: bytes, pos: int, count: int) -> tuple[Sequence[int], int]:
+    """*count* plain uvarints from *pos*: ``(values, next pos)``.  A run
+    of one-byte values (most rows without a CRC) is the slice itself."""
+    run = data[pos:pos + count]
+    if len(run) == count and run.isascii():  # all one-byte
+        return run, pos + count
+    values = []
+    for _ in range(count):
+        value, pos = read_uvarint(data, pos)
+        values.append(value)
+    return values, pos
+
+
+def _front_coded(data: bytes, pos: int, lcp: int, suffix_len: int,
+                 previous: Dewey) -> tuple[Dewey, int]:
+    """The Dewey id whose ``lcp`` / suffix length were just read."""
+    if lcp > len(previous):
+        raise StorageError(
+            f"codec data front-codes against a {lcp}-component prefix "
+            f"but only {len(previous)} are available",
+            diagnosis="corrupted")
+    suffix, pos = _uvarints(data, pos, suffix_len)
+    return previous[:lcp] + tuple(suffix), pos
+
+
+def _blocks(data: bytes, pos: int) -> tuple[list, int]:
+    """A counted run of block rows ``(frame, offset, length, count, crc,
+    first)``, the first Dewey ids front-coded against each other."""
+    (n_blocks,), pos = _uvarints(data, pos, 1)
+    blocks = []
+    first: Dewey = ()
+    for _ in range(n_blocks):
+        (frame, offset, length, count, crc, lcp,
+         suffix_len), pos = _uvarints(data, pos, 7)
+        first, pos = _front_coded(data, pos, lcp, suffix_len, first)
+        blocks.append((frame, offset, length, count, crc, first))
+    return blocks, pos
+
+
+def _table_rows(data: bytes, pos: int) -> tuple[list, int]:
+    """A counted run of ``(id delta, frame, offset, length, count, crc)``
+    rows as ``(id, ((frame, offset, length), count, crc))``."""
+    (n_rows,), pos = _uvarints(data, pos, 1)
+    values, pos = _uvarints(data, pos, 6 * n_rows)
+    rows = list(zip(*[iter(values)] * 6))
+    return [(ident, ((frame, offset, length), count, crc))
+            for ident, (_, frame, offset, length, count, crc)
+            in zip(accumulate(row[0] for row in rows), rows)], pos
+
+
+class _Entry(NamedTuple):
+    """One keyword's directory entry: its literal blocks and its DAG
+    references ``(dag node, that node's suffix-table location for the
+    keyword)`` — ``None`` only where a v4 file lacks the table, which
+    decoding diagnoses."""
+
+    blocks: list
+    dags: list
+
+
 class _Directory:
-    """The parsed binary directory of one shard."""
+    """The binary directory of one shard (layout: DESIGN.md §5.8).
 
-    __slots__ = ("keywords", "keyword_ids", "blocks", "keyword_dags",
-                 "occurrences", "suffix_locs", "hash_locs",
-                 "entity_literal", "element_literal")
+    A v5 payload's construction reads the fixed offset tables, the
+    vocabulary and the DAG section (every query's hash lookups need it)
+    and rejects a payload its declared sizes do not fill exactly; a
+    keyword's entry parses on first touch, once (:meth:`entry`).  A v4
+    payload (read-only) parses whole, into the same entries.
+    """
 
-    def __init__(self, payload: bytes, path: Path) -> None:
+    __slots__ = ("keywords", "keyword_ids", "occurrences", "hash_locs",
+                 "entity_literal", "element_literal", "_path", "_entries",
+                 "_entry_bytes", "_entry_ends")
+
+    def __init__(self, payload: bytes, path: Path,
+                 version: int = FORMAT_VERSION_BINARY) -> None:
+        self._path = path
+        self._entries: dict[str, _Entry] = {}
+        self.hash_locs: dict[tuple[int, int], tuple] = {}
         try:
-            self._parse(payload)
+            if version == FORMAT_VERSION_BINARY:
+                self._open(payload)
+            else:
+                self._parse_v4(payload)
         except StorageError:
             raise
-        except (IndexError, ValueError, OverflowError) as exc:
+        except (IndexError, ValueError, OverflowError,
+                struct.error) as exc:
             raise StorageError(
                 f"cannot parse codec directory in {path}: {exc}",
                 diagnosis="corrupted", path=path) from exc
 
-    def _parse(self, payload: bytes) -> None:
-        """One pass, varint reads inlined as in :func:`_decode_run`:
-        *ints* reads a run of plain uvarints per call (a block row plus
-        the head of its first Dewey id, a node's whole table list)."""
-        pos = 0
+    def _open(self, payload: bytes) -> None:
+        count = int.from_bytes(payload[:4], "little")
+        tables = 4 + 8 * (count + 1)
+        if len(payload) < tables:
+            raise StorageError("codec directory ends inside its offset "
+                               "tables", diagnosis="truncated")
+        ends = struct.unpack_from(f"<{2 * count + 2}I", payload, 4)
+        word_ends, entry_ends = ends[:count + 1], ends[count + 1:]
+        for table in (word_ends, entry_ends):
+            if table[0] or list(table) != sorted(table):
+                raise StorageError("codec directory offsets do not ascend",
+                                   diagnosis="corrupted")
+        start = tables + word_ends[-1]
+        end = start + entry_ends[-1]
+        if len(payload) < end:
+            raise StorageError("codec directory ends inside its entries",
+                               diagnosis="truncated")
+        words = payload[tables:start]
+        self.keywords = [words[a:b].decode("utf-8")
+                         for a, b in zip(word_ends, word_ends[1:])]
+        self.keyword_ids = dict(zip(self.keywords, range(count)))
+        self._entry_bytes = payload[start:end]
+        self._entry_ends = entry_ends
+        (n_nodes, run_length), pos = _uvarints(payload, end, 2)
+        counts, pos = _uvarints(payload, pos, n_nodes)
+        if pos + run_length > len(payload):
+            raise StorageError("codec directory ends inside its DAG "
+                               "occurrences", diagnosis="truncated")
+        prefixes = _decode_run(payload[pos:pos + run_length], sum(counts),
+                               "DAG occurrence table", self._path)
+        bounds = list(accumulate(counts, initial=0))
+        self.occurrences = [prefixes[a:b]
+                            for a, b in zip(bounds, bounds[1:])]
+        pos += run_length
+        for dag_id in range(n_nodes):
+            pos = self._hash_locs(payload, pos, dag_id)
+        if self._literal_locs(payload, pos) != len(payload):
+            raise StorageError("codec directory has trailing bytes",
+                               diagnosis="corrupted")
 
-        def ints(count: int):
-            nonlocal pos
-            run = payload[pos:pos + count]
-            if len(run) == count and run.isascii():  # all one-byte
-                pos += count
-                return run
-            values = []
-            append = values.append
-            at = pos
-            try:
-                for _ in range(count):
-                    value = payload[at]
-                    at += 1
-                    if value >= 0x80:
-                        value &= 0x7F
-                        shift = 7
-                        while True:
-                            byte = payload[at]
-                            at += 1
-                            if byte < 0x80:
-                                break
-                            value |= (byte & 0x7F) << shift
-                            shift += 7
-                        value |= byte << shift
-                    append(value)
-            except IndexError:
-                raise StorageError("truncated varint in codec data",
-                                   diagnosis="truncated") from None
-            pos = at
-            return values
+    def _hash_locs(self, payload: bytes, pos: int, dag_id: int) -> int:
+        for which in (0, 1):
+            (count,), pos = _uvarints(payload, pos, 1)
+            if count:
+                (frame, offset, length, crc), pos = _uvarints(payload, pos,
+                                                              4)
+                self.hash_locs[(dag_id, which)] = (
+                    (frame, offset, length), count, crc)
+        return pos
 
-        def dewey(lcp: int, suffix_len: int, previous: Dewey) -> Dewey:
-            if lcp > len(previous):
-                raise StorageError(
-                    f"codec data front-codes against a {lcp}-component "
-                    f"prefix but only {len(previous)} are available",
-                    diagnosis="corrupted")
-            return previous[:lcp] + tuple(ints(suffix_len))
+    def _literal_locs(self, payload: bytes, pos: int) -> int:
+        literals = []
+        for _ in range(2):
+            (count, frame, offset, length, crc), pos = _uvarints(payload,
+                                                                 pos, 5)
+            literals.append(((frame, offset, length), count, crc))
+        self.entity_literal, self.element_literal = literals
+        return pos
 
-        n_keywords, = ints(1)
+    def entry(self, keyword: str) -> _Entry | None:
+        """*keyword*'s entry (``None`` for an unknown keyword): parsed on
+        first touch, the same object from then on."""
+        entry = self._entries.get(keyword)
+        if entry is None:
+            index = self.keyword_ids.get(keyword)
+            if index is None:
+                return None
+            parsed = self._parse_entry(keyword, index)
+            entry = self._entries.setdefault(keyword, parsed)
+            if entry is parsed:  # racing first touches install one entry
+                _entries_parsed().inc()
+        return entry
+
+    def _parse_entry(self, keyword: str, index: int) -> _Entry:
+        data = self._entry_bytes[self._entry_ends[index]:
+                                 self._entry_ends[index + 1]]
+        try:
+            blocks, pos = _blocks(data, 0)
+            dags, pos = _table_rows(data, pos)
+            if dags and dags[-1][0] >= len(self.occurrences):
+                raise StorageError(f"references DAG node {dags[-1][0]} of "
+                                   f"{len(self.occurrences)}")
+            if pos != len(data):
+                raise StorageError("has trailing bytes")
+        except StorageError as exc:
+            raise StorageError(
+                f"directory entry of keyword {keyword!r} in {self._path} "
+                f"is malformed: {exc}", diagnosis="corrupted",
+                path=self._path) from None
+        return _Entry(blocks, dags)
+
+    def _parse_v4(self, payload: bytes) -> None:
+        """The whole v4 payload in one pass, every entry included."""
+        (n_keywords,), pos = _uvarints(payload, 0, 1)
         self.keywords: list[str] = []
-        self.blocks: dict[str, list] = {}
-        self.keyword_dags: dict[str, list[int]] = {}
+        plans = []
         previous_kw = b""
         for _ in range(n_keywords):
-            lcp, suffix_len = ints(2)
+            (lcp, suffix_len), pos = _uvarints(payload, pos, 2)
             if lcp > len(previous_kw) or pos + suffix_len > len(payload):
                 raise StorageError("corrupt front-coded string in directory",
                                    diagnosis="corrupted")
             previous_kw = previous_kw[:lcp] + payload[pos:pos + suffix_len]
             pos += suffix_len
-            keyword = previous_kw.decode("utf-8")
-            self.keywords.append(keyword)
-            n_blocks, = ints(1)
-            blocks = []
-            first: Dewey = ()
-            for _ in range(n_blocks):
-                frame, offset, length, count, crc, lcp, suffix_len = ints(7)
-                first = dewey(lcp, suffix_len, first)
-                blocks.append((frame, offset, length, count, crc, first))
-            self.blocks[keyword] = blocks
-            n_dags, = ints(1)
-            self.keyword_dags[keyword] = list(accumulate(ints(n_dags)))
+            self.keywords.append(previous_kw.decode("utf-8"))
+            blocks, pos = _blocks(payload, pos)
+            (n_dags,), pos = _uvarints(payload, pos, 1)
+            deltas, pos = _uvarints(payload, pos, n_dags)
+            plans.append((blocks, list(accumulate(deltas))))
         self.keyword_ids = {keyword: i
                             for i, keyword in enumerate(self.keywords)}
-        n_dag_nodes, = ints(1)
+        (n_dag_nodes,), pos = _uvarints(payload, pos, 1)
         self.occurrences: list[list[Dewey]] = []
-        self.suffix_locs: dict[tuple[int, int], tuple] = {}
-        self.hash_locs: dict[tuple[int, int], tuple] = {}
+        suffix_locs: dict[tuple[int, int], tuple] = {}
         for dag_id in range(n_dag_nodes):
-            n_occ, = ints(1)
+            (n_occ,), pos = _uvarints(payload, pos, 1)
             prefixes = []
             prefix: Dewey = ()
             for _ in range(n_occ):
-                prefix = dewey(*ints(2), prefix)
+                (lcp, suffix_len), pos = _uvarints(payload, pos, 2)
+                prefix, pos = _front_coded(payload, pos, lcp, suffix_len,
+                                           prefix)
                 prefixes.append(prefix)
             self.occurrences.append(prefixes)
-            n_tables, = ints(1)
-            rows = iter(ints(6 * n_tables))
-            keyword_index = 0
-            for delta, frame, offset, length, count, crc in zip(*[rows] * 6):
-                keyword_index += delta
-                self.suffix_locs[(dag_id, keyword_index)] = (
-                    (frame, offset, length), count, crc)
-            for which in (0, 1):
-                count, = ints(1)
-                if not count:
-                    continue
-                frame, offset, length, crc = ints(4)
-                self.hash_locs[(dag_id, which)] = (
-                    (frame, offset, length), count, crc)
-        literals = []
-        for _ in range(2):
-            count, frame, offset, length, crc = ints(5)
-            literals.append(((frame, offset, length), count, crc))
-        self.entity_literal, self.element_literal = literals
-        if pos != len(payload):
-            raise StorageError(
-                "codec directory has trailing bytes",
-                diagnosis="corrupted")
+            tables, pos = _table_rows(payload, pos)
+            suffix_locs.update(((dag_id, keyword_index), table)
+                               for keyword_index, table in tables)
+            pos = self._hash_locs(payload, pos, dag_id)
+        if self._literal_locs(payload, pos) != len(payload):
+            raise StorageError("codec directory has trailing bytes",
+                               diagnosis="corrupted")
+        self._entries = {
+            keyword: _Entry(blocks, [(dag_id, suffix_locs.get((dag_id, i)))
+                                     for dag_id in dag_ids])
+            for i, (keyword, (blocks, dag_ids))
+            in enumerate(zip(self.keywords, plans))}
+        _entries_parsed().inc(len(self._entries))
 
     def posting_count(self, keyword: str) -> int:
-        """Length of *keyword*'s posting list, from metadata alone:
+        """Length of *keyword*'s posting list, from its entry alone:
         literal block counts plus, per covering DAG node, its suffix
         count once per occurrence (0 for an unknown keyword)."""
-        keyword_index = self.keyword_ids.get(keyword)
-        if keyword_index is None:
+        entry = self.entry(keyword)
+        if entry is None:
             return 0
-        total = sum(block[3] for block in self.blocks[keyword])
-        for dag_id in self.keyword_dags[keyword]:
+        total = sum(block[3] for block in entry.blocks)
+        for dag_id, table in entry.dags:
             # a missing table counts nothing here; decoding diagnoses it
-            entry = self.suffix_locs.get((dag_id, keyword_index))
-            if entry is not None:
-                total += entry[1] * len(self.occurrences[dag_id])
+            if table is not None:
+                total += table[1] * len(self.occurrences[dag_id])
         return total
+
+
+def _entries_parsed():
+    return global_registry().counter(
+        "gks_codec_directory_entries_parsed_total",
+        help="Keyword entries of binary index directories parsed: one "
+             "per keyword on its first touch (v5), all at load (v4).")
 
 
 class _ShardReader:
@@ -1045,7 +1132,7 @@ class _ShardReader:
         self.frames = frames
         self.directory = directory
         self.path = path
-        self._suffix_cache: dict[tuple[int, int], list[Dewey]] = {}
+        self._suffix_cache: dict[tuple, list[Dewey]] = {}
 
     def _table_chunk(self, entry: tuple, what: str) -> bytes:
         (frame, offset, length), _count, crc = entry
@@ -1073,21 +1160,21 @@ class _ShardReader:
                 f"metadata", diagnosis="corrupted", path=self.path)
         return postings
 
-    def suffixes(self, dag_id: int, keyword_index: int) -> list[Dewey]:
-        key = (dag_id, keyword_index)
-        cached = self._suffix_cache.get(key)
-        if cached is not None:
-            return cached
-        entry = self.directory.suffix_locs.get(key)
-        if entry is None:
+    def suffixes(self, dag_id: int, table: tuple | None) -> list[Dewey]:
+        """One keyword's suffix table under DAG node *dag_id*, as its
+        directory entry locates it."""
+        if table is None:
             raise StorageError(
                 f"keyword references DAG node {dag_id} but no suffix "
                 f"table exists for it in {self.path}",
                 diagnosis="corrupted", path=self.path)
+        cached = self._suffix_cache.get(table)
+        if cached is not None:
+            return cached
         what = f"dag suffixes {dag_id}"
-        suffixes = _decode_run(self._table_chunk(entry, what), entry[1],
+        suffixes = _decode_run(self._table_chunk(table, what), table[1],
                                what, self.path)
-        self._suffix_cache[key] = suffixes
+        self._suffix_cache[table] = suffixes
         return suffixes
 
     def _decode_hash(self, entry: tuple, what: str) -> list:
@@ -1129,15 +1216,15 @@ def _decode_keyword(reader: _ShardReader, keyword: str,
     segments by key reproduces exact document order).
     """
     directory = reader.directory
-    keyword_index = directory.keyword_ids[keyword]
     what = f"posting block for keyword {keyword!r}"
     with tracer.span("decode", keyword=keyword) as span:
         started = tracer.clock()
+        entry = directory.entry(keyword)
         segments: list[tuple] = [(block[5], block, None)
-                                 for block in directory.blocks[keyword]]
+                                 for block in entry.blocks]
         blocks = len(segments)
-        for dag_id in directory.keyword_dags[keyword]:
-            suffixes = reader.suffixes(dag_id, keyword_index)
+        for dag_id, table in entry.dags:
+            suffixes = reader.suffixes(dag_id, table)
             segments += [(prefix, None, suffixes)
                          for prefix in directory.occurrences[dag_id]]
         if len(segments) > blocks:
@@ -1153,10 +1240,10 @@ def _decode_keyword(reader: _ShardReader, keyword: str,
         span.add("postings", len(postings))
     registry = global_registry()
     registry.counter("gks_codec_blocks_decoded_total",
-                     help="Literal posting blocks decoded from v4 files."
+                     help="Literal posting blocks decoded from binary files."
                      ).inc(blocks)
     registry.counter("gks_codec_postings_decoded_total",
-                     help="Postings decoded or expanded from v4 files."
+                     help="Postings decoded or expanded from binary files."
                      ).inc(len(postings))
     registry.histogram("gks_codec_decode_seconds",
                        help="Wall time to decode one keyword's postings."
@@ -1237,8 +1324,8 @@ class LazyNodeHashes(NodeHashes):
         return table
 
 
-def _section_reader(section: dict, buffer, cursor: int,
-                    path: Path) -> tuple[_ShardReader, int]:
+def _section_reader(section: dict, buffer, cursor: int, path: Path,
+                    version: int) -> tuple[_ShardReader, int]:
     """Build one shard's reader; returns it plus the next region offset."""
     try:
         dir_comp, dir_raw, dir_crc = section["directory"]
@@ -1273,7 +1360,7 @@ def _section_reader(section: dict, buffer, cursor: int,
         offsets.append(cursor)
         cursor += comp_size
     frames = _FrameReader(buffer, offsets, frame_table, path)
-    directory = _Directory(payload, path)
+    directory = _Directory(payload, path, version)
     return _ShardReader(frames, directory, path), cursor
 
 
@@ -1302,11 +1389,13 @@ def _prob_tables(raw_tables: dict | None, path: Path):
 
 
 def load_binary_index(path: str | Path) -> "GKSIndex | ShardedIndex":
-    """Open a v4 binary index over the mmap'd file.
+    """Open a binary index (v5, or a read-only v4) over the mmap'd file.
 
-    Only the header and the per-shard directories are parsed up front;
-    a keyword's postings and the two hash tables decode on first touch
-    and are plain lists and dicts from then on.
+    Up front: the header, and per shard its directory's fixed tables
+    and DAG section.  A keyword's directory entry and postings and the
+    two hash tables parse and decode on first touch, where a corrupt
+    one raises :class:`StorageError`; they are plain lists and dicts
+    from then on.
     """
     path = Path(path)
     header = read_binary_header(path)
@@ -1328,7 +1417,7 @@ def load_binary_index(path: str | Path) -> "GKSIndex | ShardedIndex":
                 f"{len(sections)} shard sections",
                 diagnosis="corrupted", path=path)
         reader, _cursor = _section_reader(sections[0], buffer, cursor,
-                                          path)
+                                          path, header["version"])
         return _shard_index(sections[0], reader, analyzer, flags)
     if layout != "sharded":
         raise StorageError(
@@ -1336,7 +1425,8 @@ def load_binary_index(path: str | Path) -> "GKSIndex | ShardedIndex":
             diagnosis="version-mismatch", path=path)
     shards = []
     for section in sections:
-        reader, cursor = _section_reader(section, buffer, cursor, path)
+        reader, cursor = _section_reader(section, buffer, cursor, path,
+                                         header["version"])
         index = _shard_index(section, reader, analyzer, flags)
         shards.append(Shard(shard_id=int(section.get("shard_id", 0)),
                             doc_ids=tuple(section.get("doc_ids", ())),
@@ -1450,7 +1540,8 @@ def decode_file(path: str | Path, on_violation=None) -> DecodedIndex:
     cursor = header["blob_offset"]
     shards = []
     for section in body.get("shards", []):
-        reader, cursor = _section_reader(section, buffer, cursor, path)
+        reader, cursor = _section_reader(section, buffer, cursor, path,
+                                         header["version"])
         directory = reader.directory
         postings: dict[str, list[Dewey]] = {}
         for keyword in directory.keywords:
@@ -1459,18 +1550,25 @@ def decode_file(path: str | Path, on_violation=None) -> DecodedIndex:
             except StorageError as exc:
                 report(exc)
                 postings[keyword] = []
-        for key in sorted(directory.suffix_locs):
+        for keyword in directory.keywords:
             try:
-                suffixes = reader.suffixes(*key)
-            except StorageError as exc:
-                report(exc)
-                continue
-            if any(suffixes[i] >= suffixes[i + 1]
-                   for i in range(len(suffixes) - 1)):
-                report(StorageError(
-                    f"DAG node {key[0]} suffix table for keyword index "
-                    f"{key[1]} in {path} is not strictly sorted",
-                    diagnosis="corrupted", path=path))
+                dags = directory.entry(keyword).dags
+            except StorageError:
+                continue  # reported with the keyword's postings
+            for dag_id, table in dags:
+                if table is None:
+                    continue  # reported with the keyword's postings
+                try:
+                    suffixes = reader.suffixes(dag_id, table)
+                except StorageError as exc:
+                    report(exc)
+                    continue
+                if any(suffixes[i] >= suffixes[i + 1]
+                       for i in range(len(suffixes) - 1)):
+                    report(StorageError(
+                        f"DAG node {dag_id} suffix table for keyword "
+                        f"{keyword!r} in {path} is not strictly sorted",
+                        diagnosis="corrupted", path=path))
         for dag_id, prefixes in enumerate(directory.occurrences):
             if any(prefixes[i] >= prefixes[i + 1]
                    for i in range(len(prefixes) - 1)):
@@ -1521,9 +1619,9 @@ class Codec(Protocol):
     :class:`StorageError` otherwise — and ``encode`` seals a decoded
     view back under fresh checksums.  ``describe`` states how the file
     is laid out (``version``, ``codec``, ``layout``, ``shards``,
-    ``mode``), from the index ``load`` returned when given one, and
-    ``check`` raises :class:`StorageError` for what a load that
-    succeeded has not verified — the structural half of ``gks
+    ``mode``), and ``check`` raises :class:`StorageError` for what a
+    load that succeeded has not verified — both use the index ``load``
+    returned when given one; ``check`` is the structural half of ``gks
     check-index``; whether the tables are right is the deep audit's
     question (:mod:`repro.analysis.invariants`).  Codecs are
     stateless singletons registered in :data:`CODECS`; a writer picks
@@ -1545,12 +1643,18 @@ class Codec(Protocol):
 
     def describe(self, path, index=None) -> dict: ...
 
-    def check(self, path) -> None: ...
+    def check(self, path, index=None) -> None: ...
+
+
+def _units(index) -> list[GKSIndex]:
+    if isinstance(index, ShardedIndex):
+        return [shard.index for shard in index.shards]
+    return [index]
 
 
 def _describe(codec: Codec, version: int, index) -> dict:
     sharded = isinstance(index, ShardedIndex)
-    units = [shard.index for shard in index.shards] if sharded else [index]
+    units = _units(index)
     return {"version": version, "codec": codec.name,
             "layout": "sharded" if sharded else "monolithic",
             "shards": len(units),
@@ -1768,13 +1872,13 @@ class RawCodec:
                          if isinstance(index, ShardedIndex)
                          else FORMAT_VERSION, index)
 
-    def check(self, path) -> None:
+    def check(self, path, index=None) -> None:
         """Nothing left: the eager load verified every CRC and parsed
         every Dewey id."""
 
 
 class VarintDagCodec:
-    """The v4 binary format: varint/delta blocks + DAG sharing, lazy."""
+    """The binary format: varint/delta blocks + DAG sharing, lazy."""
 
     name = "varint-dag"
 
@@ -1796,13 +1900,20 @@ class VarintDagCodec:
         return _write_decoded(decoded, path, use_dag=False)
 
     def describe(self, path, index=None) -> dict:
-        return _describe(self, FORMAT_VERSION_BINARY,
+        """``version`` is the file's own: a v4 file says 4."""
+        return _describe(self, read_binary_header(path)["version"],
                          self.load(path) if index is None else index)
 
-    def check(self, path) -> None:
+    def check(self, path, index=None) -> None:
         """Bytes-level: every region against its CRC (:func:`verify_frames`)
-        — the lazy load touched only the header and directories."""
+        — the lazy load read only the header and the directories' fixed
+        tables — and every keyword's directory entry of *index* (loaded
+        when not given) parsed."""
         verify_frames(path)
+        for unit in _units(self.load(path) if index is None else index):
+            directory = unit.inverted._reader.directory
+            for keyword in directory.keywords:
+                directory.entry(keyword)
 
 
 CODECS: dict[str, Codec] = {"raw": RawCodec(),

@@ -80,7 +80,7 @@ class InvertedIndex:
         """The sorted posting list ``S_i`` for *keyword* (empty if absent).
 
         *tracer* is for indexes that decode a list on first touch (a
-        loaded v4 file records a ``decode`` span); nothing to trace here.
+        loaded binary file records a ``decode`` span); nothing to trace here.
         """
         return self._postings.get(keyword, [])
 

@@ -13,7 +13,7 @@ needs at query time compresses into two maps keyed by Dewey id:
 
 :class:`ProbTables` is that pair as a frozen, JSON-serialisable value —
 compiled once at index time (see :mod:`repro.semantics.pdoc`) and
-persisted alongside the postings by both the raw envelope and the v4
+persisted alongside the postings by both the raw envelope and the binary
 binary codec.  It lives in the index layer so the storage/codec modules
 can serialise it without importing upward into ``repro.semantics``.
 """

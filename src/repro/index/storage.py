@@ -7,12 +7,12 @@ the home of the gzip+JSON primitives every on-disk artefact shares.  It
 knows no file layout: a save goes to the codec named by the caller, a
 read to the first registered codec whose ``sniff`` claims the file
 (:mod:`repro.index.codec` — ``raw``, the gzip-JSON envelopes, storage
-versions 2 and 3; ``varint-dag``, the v4 binary format).
+versions 2 and 3; ``varint-dag``, the binary format, v5).
 
 Durability
 ----------
 Every write is atomic (:func:`atomic_write_bytes`, under the gzip+JSON
-writers and the v4 writer alike): the bytes go to a temporary file in
+writers and the binary writer alike): the bytes go to a temporary file in
 the target directory, are fsynced, and renamed over the destination — a
 crash mid-write can never leave a truncated index under the final name.
 Deflate streams are written at :data:`DEFLATE_LEVEL`.  Every format embeds
@@ -41,7 +41,7 @@ from repro.obs.metrics import global_registry
 
 
 #: zlib level of every deflate stream written: the gzip+JSON artefacts
-#: (index files, segments, texts sidecars, manifests) and the v4 frames
+#: (index files, segments, texts sidecars, manifests) and the binary frames
 #: and directories.  Measured, not the library's default 9 — the sweep
 #: is in EXPERIMENTS.md, "write path: where a compaction goes".
 DEFLATE_LEVEL = 6
@@ -58,7 +58,7 @@ def payload_crc32(payload: dict) -> int:
     """CRC32 of the canonical JSON of *payload*.
 
     The one checksum of every JSON region on disk — raw envelopes and
-    shard manifests, the v4 header, the store MANIFEST — so writers,
+    shard manifests, the binary header, the store MANIFEST — so writers,
     the deep audit and the fault injectors agree byte for byte.
     """
     return zlib.crc32(canonical_json(payload)) & 0xFFFFFFFF
@@ -137,7 +137,7 @@ def save_index(index: GKSIndex | ShardedIndex, path: str | Path,
 
     ``"raw"`` (default) writes the JSON envelopes — v2 for a plain
     :class:`GKSIndex`, v3 (shard manifest + per-shard CRCs) for a
-    :class:`ShardedIndex`; ``"varint-dag"`` writes the v4 binary format.
+    :class:`ShardedIndex`; ``"varint-dag"`` writes the binary format (v5).
     Unknown codec names raise :class:`~repro.errors.ConfigError`.
     Returns the path written.
     """
@@ -160,8 +160,9 @@ def load_index(path: str | Path) -> GKSIndex | ShardedIndex:
     sniffs it.  Returns a :class:`ShardedIndex` for sharded files and a
     plain :class:`GKSIndex` otherwise.  Raises :class:`StorageError`
     carrying a ``diagnosis`` naming the failure class (truncated /
-    corrupted / version-mismatch / unreadable); a verified index is
-    returned whole or not at all.
+    corrupted / version-mismatch / unreadable).  A binary file's load
+    verifies its header and directory tables; the rest verifies (and
+    raises) on first touch, and :func:`check_index` verifies all of it.
     """
     from repro.index.codec import sniff_codec
 
@@ -237,13 +238,13 @@ def check_index(path: str | Path) -> dict:
         return summary
     codec = sniff_codec(path)
     summary["codec"] = codec.name
-    # the whole summary stays inside the guard: a lazily loaded v4
+    # the whole summary stays inside the guard: a lazily loaded binary
     # index can surface a truncated or corrupt region only when its
     # tables are first touched, not at load time
     try:
         index = load_index(path)
         summary.update(codec.describe(path, index))
-        # per shard: a v4 file answers both from its directories, the
+        # per shard: a binary file answers both from its directories, the
         # merged ``inverted`` of a sharded index would decode every list
         parts = ([shard.index.inverted for shard in index.shards]
                  if isinstance(index, ShardedIndex) else [index.inverted])
@@ -255,7 +256,7 @@ def check_index(path: str | Path) -> dict:
             entity_nodes=index.hashes.entity_count,
             element_nodes=index.hashes.element_count,
             total_nodes=index.stats.total_nodes)
-        codec.check(path)
+        codec.check(path, index)
     except StorageError as exc:
         summary.update(diagnosis=exc.diagnosis or "corrupted",
                        error=str(exc))
@@ -268,6 +269,7 @@ def check_index(path: str | Path) -> dict:
 
 def _check_store(directory: Path) -> dict:
     """:func:`check_index` of a segmented store directory."""
+    from repro.index.codec import sniff_codec
     from repro.index.segments import WAL_NAME, file_crc32, read_manifest
     from repro.index.wal import replay_wal
 
@@ -283,7 +285,8 @@ def _check_store(directory: Path) -> dict:
                                    f"manifest CRC32", diagnosis="corrupted")
         for record in manifest.segments:
             step = f"segment {record.file}: "
-            load_index(directory / record.file)
+            segment = directory / record.file
+            sniff_codec(segment).check(segment, load_index(segment))
         step = "WAL: "
         replay = replay_wal(directory / WAL_NAME)
     except StorageError as exc:

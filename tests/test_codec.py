@@ -15,9 +15,13 @@ thing at the engine, broker and HTTP surfaces.
 from __future__ import annotations
 
 import json
+import random
+import sys
 import threading
 import urllib.error
 import urllib.request
+import zlib
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -37,11 +41,11 @@ from repro.errors import ConfigError, StorageError, ValidationError
 from repro.eval.querygen import WorkloadSpec, generate_queries
 from repro.index.builder import IndexBuilder, build_index
 from repro.index.codec import (CODEC_NAMES, Codec, RawCodec, VarintDagCodec,
-                               _decode_run, _read_dewey, _write_dewey,
+                               _decode_run, _write_dewey, _write_file,
                                decode_file, is_binary_index,
-                               load_binary_index, read_svarint,
-                               resolve_codec, write_binary_index,
-                               write_svarint)
+                               load_binary_index, read_binary_header,
+                               read_uvarint, resolve_codec,
+                               write_binary_index, write_svarint)
 from repro.index.composite import _RoutedHashes
 from repro.index.hashtables import NodeHashes
 from repro.index.inverted import InvertedIndex
@@ -278,15 +282,15 @@ class TestCodecAPI:
 
     def test_describe_layout_reports_codec(self, tmp_path):
         index = build_index(Repository.from_texts(CORPUS))
-        raw_path, v4_path = tmp_path / "raw.idx", tmp_path / "v4.idx"
+        raw_path, binary_path = tmp_path / "raw.idx", tmp_path / "binary.idx"
         RawCodec().save(index, raw_path)
-        VarintDagCodec().save(index, v4_path)
+        VarintDagCodec().save(index, binary_path)
         raw_layout = describe_layout(raw_path)
-        v4_layout = describe_layout(v4_path)
+        binary_layout = describe_layout(binary_path)
         assert raw_layout["codec"] == "raw"
-        assert v4_layout["codec"] == "varint-dag"
-        assert v4_layout["version"] == 4
-        assert raw_layout["layout"] == v4_layout["layout"] == "monolithic"
+        assert binary_layout["codec"] == "varint-dag"
+        assert binary_layout["version"] == 5
+        assert raw_layout["layout"] == binary_layout["layout"] == "monolithic"
 
     def test_either_codec_opens_the_other(self, tmp_path):
         index = build_index(Repository.from_texts(CORPUS))
@@ -469,6 +473,40 @@ def _mirrors_repo():
     return generate_mirrors(scale=1, seed=3)
 
 
+#: ``_mirrors_repo()`` saved as varint-dag by the v4 writer (format
+#: version 4): the committed sample of a file the current writer no
+#: longer produces
+V4_FIXTURE = Path(__file__).parent / "golden" / "v4-mirrors.gksindex"
+
+
+def _directory_payloads(path) -> list[bytes]:
+    """Every shard's inflated directory payload in a binary file."""
+    data = Path(path).read_bytes()
+    header = read_binary_header(path)
+    cursor = header["blob_offset"]
+    payloads = []
+    for section in header["body"]["shards"]:
+        stored = section["directory"][0]
+        payloads.append(zlib.decompress(data[cursor:cursor + stored]))
+        cursor += stored + sum(row[0] for row in section["frames"])
+    return payloads
+
+
+def _reseal_directory(path, mutate) -> None:
+    """Replace a one-shard file's directory by ``mutate(payload)``, under
+    fresh CRCs: what only a parse of the payload can catch."""
+    data = Path(path).read_bytes()
+    header = read_binary_header(path)
+    cursor = header["blob_offset"]
+    section, = header["body"]["shards"]
+    stored = section["directory"][0]
+    payload = mutate(zlib.decompress(data[cursor:cursor + stored]))
+    directory = zlib.compress(payload)
+    section["directory"] = [len(directory), len(payload),
+                            zlib.crc32(directory)]
+    _write_file(header["body"], [directory, data[cursor + stored:]], path)
+
+
 def _build(repo, shards):
     return (build_index(repo) if shards == 1
             else build_sharded_index(repo, shards=shards))
@@ -478,6 +516,27 @@ def _units(index):
     """The per-shard (or the one) plain ``GKSIndex`` objects."""
     return ([shard.index for shard in index.shards]
             if hasattr(index, "shards") else [index])
+
+
+def _read_dewey(data: bytes, pos: int, previous) -> tuple:
+    """One front-coded Dewey id, one ``read_uvarint`` per field."""
+    lcp, pos = read_uvarint(data, pos)
+    suffix_len, pos = read_uvarint(data, pos)
+    if lcp > len(previous):
+        raise StorageError(
+            f"codec data front-codes against a {lcp}-component prefix "
+            f"but only {len(previous)} are available",
+            diagnosis="corrupted")
+    components = list(previous[:lcp])
+    for _ in range(suffix_len):
+        component, pos = read_uvarint(data, pos)
+        components.append(component)
+    return tuple(components), pos
+
+
+def read_svarint(data: bytes, pos: int) -> tuple[int, int]:
+    raw, pos = read_uvarint(data, pos)
+    return (raw >> 1) if not raw & 1 else -((raw + 1) >> 1), pos
 
 
 def _reference_run(payload, count, counted=False):
@@ -635,10 +694,11 @@ class TestLaziness:
             lambda block, what: touched.append(block) or
             decode_block(block, what))
         assert loaded.postings("alpha") == built.postings("alpha")
-        blocks = reader.directory.blocks
-        assert len(blocks["alpha"]) > 1 and len(blocks["beta"]) > 1
-        assert touched == blocks["alpha"]
-        assert not set(touched) & set(blocks["beta"])
+        alpha, beta = (reader.directory.entry(keyword).blocks
+                       for keyword in ("alpha", "beta"))
+        assert len(alpha) > 1 and len(beta) > 1
+        assert touched == alpha
+        assert not set(touched) & set(beta)
         assert "beta" not in loaded.inverted._decoded
 
     def test_a_failed_decode_is_never_cached(self, tmp_path):
@@ -646,7 +706,7 @@ class TestLaziness:
         built = build_index(Repository.from_texts(texts))
         loaded = _roundtrip(built, tmp_path)
         reader, = self._readers(loaded)
-        blocks = reader.directory.blocks["alpha"]
+        blocks = reader.directory.entry("alpha").blocks
         assert len(blocks) > 1
         # tamper the *last* block behind its now stale CRC: the frame
         # itself was verified when it was inflated
@@ -667,13 +727,160 @@ class TestLaziness:
         built = build_index(Repository.from_texts(CORPUS))
         loaded = _roundtrip(built, tmp_path)
         reader, = self._readers(loaded)
-        blocks = reader.directory.blocks["keyword"]
+        blocks = reader.directory.entry("keyword").blocks
         first = blocks[0]
         blocks[0] = first[:5] + (first[5] + (7,),)
         with pytest.raises(StorageError, match="directory metadata"):
             loaded.postings("keyword")
         blocks[0] = first[:3] + (first[3] + 1,) + first[4:]
         assert _diagnosis(loaded.postings, "keyword") == "truncated"
+
+
+class TestLazyDirectory:
+    """A load parses the fixed tables; a keyword's entry parses once,
+    on its first touch; v4 files parse whole and stay readable."""
+
+    TEXTS = [f"<r><a>alpha w{i}</a><b>beta w{i}</b></r>" for i in range(8)]
+
+    @staticmethod
+    def _parsed() -> int:
+        return global_registry().counter(
+            "gks_codec_directory_entries_parsed_total").total()
+
+    def _saved(self, tmp_path, built=None):
+        built = built or build_index(Repository.from_texts(self.TEXTS))
+        path = tmp_path / "dag.idx"
+        VarintDagCodec().save(built, path)
+        return built, path
+
+    def test_a_load_parses_no_entry_and_a_touch_one(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        before = self._parsed()
+        loaded = load_index(path)
+        assert len(loaded.inverted) > 2 and "beta" in loaded.inverted
+        assert self._parsed() == before
+        loaded.postings("alpha")
+        assert self._parsed() == before + 1
+        loaded.postings("alpha")
+        loaded.inverted.document_frequency("alpha")
+        loaded.postings("no-such-keyword")
+        assert self._parsed() == before + 1
+
+    def test_a_search_parses_its_keywords_in_the_vocabulary(self,
+                                                             tmp_path):
+        built, path = self._saved(tmp_path, build_index(_mirrors_repo()))
+        query = Query.parse("license rivera zzyzx", s=1,
+                            analyzer=built.analyzer)
+        known = {keyword for keyword in query.keywords
+                 if keyword in built.inverted}
+        assert 0 < len(known) < len(query.keywords)
+        for _ in range(2):  # the count repeats exactly
+            loaded = load_index(path)
+            before = self._parsed()
+            assert _signature(search(loaded, query)) == \
+                _signature(search(built, query))
+            assert self._parsed() - before == len(known)
+
+    def test_check_index_parses_every_entry(self, tmp_path):
+        built, path = self._saved(tmp_path)
+        before = self._parsed()
+        assert check_index(path)["ok"]
+        assert self._parsed() - before == len(built.inverted)
+
+    def test_a_resealed_malformed_entry_fails_at_first_touch(
+            self, tmp_path, capsys):
+        built, path = self._saved(tmp_path)
+        position = sorted(built.inverted.vocabulary).index("alpha")
+
+        def break_alpha(payload: bytes) -> bytes:
+            # alpha's block count -> 127: more rows than its entry holds
+            count = int.from_bytes(payload[:4], "little")
+            ends = [int.from_bytes(payload[at:at + 4], "little")
+                    for at in range(4, 4 + 8 * (count + 1), 4)]
+            at = 4 + 8 * (count + 1) + ends[count] + ends[count + 1 + position]
+            return payload[:at] + b"\x7f" + payload[at + 1:]
+
+        _reseal_directory(path, break_alpha)
+        loaded = load_index(path)  # sizes still add up: the load passes
+        assert loaded.postings("beta") == built.postings("beta")
+        for _ in range(2):
+            assert _diagnosis(loaded.postings, "alpha") == "corrupted"
+        report = check_index(path)
+        assert not report["ok"] and report["diagnosis"] == "corrupted"
+        assert "'alpha'" in report["error"]
+        assert main(["check-index", str(path)]) == 1
+        capsys.readouterr()
+
+    def test_a_v4_file_stays_readable(self, capsys):
+        built = build_index(_mirrors_repo())
+        before = self._parsed()
+        loaded = load_index(V4_FIXTURE)
+        # v4 has no per-keyword offsets: its load parses every entry
+        assert self._parsed() - before == len(built.inverted)
+        assert sorted(loaded.inverted.vocabulary) == \
+            sorted(built.inverted.vocabulary)
+        for keyword in built.inverted.vocabulary:
+            assert loaded.postings(keyword) == built.postings(keyword)
+            assert loaded.inverted.document_frequency(keyword) == \
+                built.inverted.document_frequency(keyword)
+        assert loaded.hashes.entity_table == built.hashes.entity_table
+        assert loaded.hashes.element_table == built.hashes.element_table
+        assert describe_layout(V4_FIXTURE)["version"] == 4
+        assert check_index(V4_FIXTURE)["ok"]
+        assert verify_store(V4_FIXTURE) == []
+        assert main(["check-index", str(V4_FIXTURE), "--deep"]) == 0
+        capsys.readouterr()
+
+    def test_concurrent_first_touches_share_one_memo(self, tmp_path):
+        built, path = self._saved(tmp_path, build_index(_mirrors_repo()))
+        vocabulary = sorted(built.inverted.vocabulary)
+        want = {keyword: (built.postings(keyword),
+                          built.inverted.document_frequency(keyword))
+                for keyword in vocabulary}
+        loaded = load_index(path)
+        directory = loaded.inverted._reader.directory
+        barrier = threading.Barrier(8)
+        results, entries, errors = [], [], []
+
+        def read_all(seed: int) -> None:
+            order = list(vocabulary)
+            random.Random(seed).shuffle(order)
+            try:
+                barrier.wait(timeout=30)
+                # the entry each thread's first touch hands back
+                entries.append({keyword: directory.entry(keyword)
+                                for keyword in order})
+                results.append({keyword: (
+                    loaded.postings(keyword),
+                    loaded.inverted.document_frequency(keyword))
+                    for keyword in order})
+            except Exception as exc:  # surfaced by the asserts below
+                errors.append(exc)
+
+        before = self._parsed()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read_all, args=(seed,))
+                       for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(results) == 8
+        assert all(result == want for result in results)
+        # one memoised entry per keyword, whatever the first touches
+        # raced: every thread holds the same object; only an installed
+        # entry counts (the registry's counters are not atomic across
+        # threads, so a racing increment may drop)
+        assert sorted(directory._entries) == vocabulary
+        assert all(seen[keyword] is directory.entry(keyword)
+                   for seen in entries for keyword in vocabulary)
+        assert 0 < self._parsed() - before <= len(vocabulary)
 
 
 class TestDecodeKernel:
@@ -796,7 +1003,7 @@ class TestCodecObservability:
         assert frames >= 1 and keywords == 1
         assert decoded == len(postings) > 0
         assert blocks == len(
-            loaded.inverted._reader.directory.blocks[keyword])
+            loaded.inverted._reader.directory.entry(keyword).blocks)
         loaded.postings(keyword)
         assert self._totals() == [was + step for was, step in zip(
             before, (frames, blocks, decoded, keywords))]

@@ -26,8 +26,7 @@ from repro.errors import StorageError
 from repro.index.builder import build_index
 from repro.index.codec import (CODECS, FORMAT_VERSION,
                                FORMAT_VERSION_SHARDED, DecodedIndex,
-                               _Directory, _read_dewey, read_uvarint,
-                               write_uvarint)
+                               _Directory, read_uvarint)
 from repro.index.segments import SegmentStore, read_manifest
 from repro.index.sharding import build_sharded_index
 from repro.index.storage import (DEFLATE_LEVEL, check_index, load_index,
@@ -39,8 +38,9 @@ from repro.xmltree.dewey import format_dewey, parse_dewey
 from repro.xmltree.node import build_tree
 from repro.xmltree.repository import Repository
 
-from tests.test_codec import (CORPUS, _index_fingerprint, _mirrors_repo,
-                              spec_strategy)
+from tests.test_codec import (CORPUS, V4_FIXTURE, _directory_payloads,
+                              _index_fingerprint, _mirrors_repo,
+                              _read_dewey, spec_strategy)
 from tests.test_durability import BASE, EXTRA, _config, _signature
 
 RAW = CODECS["raw"]
@@ -416,42 +416,116 @@ class TestWritePathSpans:
 
 
 # ----------------------------------------------------------------------
-# the v4 directory kernel against the per-field reference it replaced
+# the directory kernel against a per-field reference of each format
 # ----------------------------------------------------------------------
-def _reference_directory(payload: bytes) -> dict:
-    """``_Directory._parse`` as one ``read_uvarint`` call per field."""
-    pos = 0
+def _field_reader(payload: bytes):
+    """``(field, dewey, at)``: one ``read_uvarint`` per varint, one
+    ``_read_dewey`` per front-coded id, and the current position."""
+    cursor = [0]
 
     def field():
-        nonlocal pos
-        value, pos = read_uvarint(payload, pos)
+        value, cursor[0] = read_uvarint(payload, cursor[0])
         return value
 
     def dewey(previous):
-        nonlocal pos
-        value, pos = _read_dewey(payload, pos, previous)
+        value, cursor[0] = _read_dewey(payload, cursor[0], previous)
         return value
 
-    out = {"keywords": [], "blocks": {}, "keyword_dags": {},
-           "occurrences": [], "suffix_locs": {}, "hash_locs": {}}
-    previous_kw = b""
-    for _ in range(field()):
-        lcp, suffix_len = field(), field()
-        previous_kw = previous_kw[:lcp] + payload[pos:pos + suffix_len]
-        pos += suffix_len
-        keyword = previous_kw.decode("utf-8")
-        out["keywords"].append(keyword)
+    def at(pos=None):
+        if pos is not None:
+            cursor[0] = pos
+        return cursor[0]
+
+    return field, dewey, at
+
+
+def _reference_literals(field, out) -> None:
+    for name in ("entity_literal", "element_literal"):
+        count, frame, offset, length, crc = (field() for _ in range(5))
+        out[name] = ((frame, offset, length), count, crc)
+
+
+def _reference_hash_locs(field, out, dag_id) -> None:
+    for which in (0, 1):
+        count = field()
+        if count:
+            frame, offset, length, crc = (field() for _ in range(4))
+            out["hash_locs"][(dag_id, which)] = (
+                (frame, offset, length), count, crc)
+
+
+def _reference_directory(payload: bytes) -> dict:
+    """A v5 ``_Directory``, every entry forced, read one field at a
+    time: ``int.from_bytes`` per offset, ``read_uvarint`` per varint."""
+    def word(index):
+        return int.from_bytes(payload[4 * index:4 * index + 4], "little")
+
+    n_keywords = word(0)
+    word_ends = [word(1 + i) for i in range(n_keywords + 1)]
+    entry_ends = [word(n_keywords + 2 + i) for i in range(n_keywords + 1)]
+    start = 4 + 8 * (n_keywords + 1)
+    keywords = [payload[start + a:start + b].decode("utf-8")
+                for a, b in zip(word_ends, word_ends[1:])]
+    base = start + word_ends[-1]
+    field, dewey, at = _field_reader(payload)
+    out = {"keywords": keywords,
+           "keyword_ids": {k: i for i, k in enumerate(keywords)},
+           "entries": {}, "occurrences": [], "hash_locs": {}}
+    for index, keyword in enumerate(keywords):
+        at(base + entry_ends[index])
         blocks, first = [], ()
         for _ in range(field()):
             row = [field() for _ in range(5)]
             first = dewey(first)
             blocks.append((*row, first))
-        out["blocks"][keyword] = blocks
+        dags, dag_id = [], 0
+        for _ in range(field()):
+            dag_id += field()
+            frame, offset, length, count, crc = (field() for _ in range(5))
+            dags.append((dag_id, ((frame, offset, length), count, crc)))
+        assert at() == base + entry_ends[index + 1]
+        out["entries"][keyword] = (blocks, dags)
+    at(base + entry_ends[-1])
+    n_nodes, run_length = field(), field()
+    counts = [field() for _ in range(n_nodes)]
+    run_end = at() + run_length
+    prefix = ()
+    for count in counts:
+        prefixes = []
+        for _ in range(count):
+            prefix = dewey(prefix)
+            prefixes.append(prefix)
+        out["occurrences"].append(prefixes)
+    assert at() == run_end
+    for dag_id in range(n_nodes):
+        _reference_hash_locs(field, out, dag_id)
+    _reference_literals(field, out)
+    assert at() == len(payload)
+    return out
+
+
+def _reference_directory_v4(payload: bytes) -> dict:
+    """A v4 ``_Directory`` read one field at a time."""
+    field, dewey, at = _field_reader(payload)
+    out = {"keywords": [], "entries": {}, "occurrences": [],
+           "hash_locs": {}}
+    plans, suffix_locs = [], {}
+    previous_kw = b""
+    for _ in range(field()):
+        lcp, suffix_len = field(), field()
+        previous_kw = previous_kw[:lcp] + payload[at():at() + suffix_len]
+        at(at() + suffix_len)
+        out["keywords"].append(previous_kw.decode("utf-8"))
+        blocks, first = [], ()
+        for _ in range(field()):
+            row = [field() for _ in range(5)]
+            first = dewey(first)
+            blocks.append((*row, first))
         dag_ids, current = [], 0
         for _ in range(field()):
             current += field()
             dag_ids.append(current)
-        out["keyword_dags"][keyword] = dag_ids
+        plans.append((blocks, dag_ids))
     out["keyword_ids"] = {k: i for i, k in enumerate(out["keywords"])}
     for dag_id in range(field()):
         prefixes, prefix = [], ()
@@ -463,75 +537,73 @@ def _reference_directory(payload: bytes) -> dict:
         for _ in range(field()):
             keyword_index += field()
             frame, offset, length, count, crc = (field() for _ in range(5))
-            out["suffix_locs"][(dag_id, keyword_index)] = (
+            suffix_locs[(dag_id, keyword_index)] = (
                 (frame, offset, length), count, crc)
-        for which in (0, 1):
-            count = field()
-            if count:
-                frame, offset, length, crc = (field() for _ in range(4))
-                out["hash_locs"][(dag_id, which)] = (
-                    (frame, offset, length), count, crc)
-    for name in ("entity_literal", "element_literal"):
-        count, frame, offset, length, crc = (field() for _ in range(5))
-        out[name] = ((frame, offset, length), count, crc)
-    assert pos == len(payload)
+        _reference_hash_locs(field, out, dag_id)
+    _reference_literals(field, out)
+    assert at() == len(payload)
+    for index, (keyword, (blocks, dag_ids)) in enumerate(
+            zip(out["keywords"], plans)):
+        out["entries"][keyword] = (blocks, [
+            (dag_id, suffix_locs.get((dag_id, index))) for dag_id in dag_ids])
     return out
 
 
-def _directories(index, directory, monkeypatch) -> list[bytes]:
-    """The raw directory payloads of *index* saved as varint-dag."""
-    path = save_index(index, directory / "dir.gksindex", codec="varint-dag")
-    seen: list[bytes] = []
-    original = _Directory.__init__
+def _assert_parsed_like(parsed: _Directory, reference: dict) -> None:
+    for name in ("keywords", "keyword_ids", "occurrences", "hash_locs",
+                 "entity_literal", "element_literal"):
+        assert getattr(parsed, name) == reference[name], name
+    assert {keyword: parsed.entry(keyword)
+            for keyword in parsed.keywords} == reference["entries"]
 
-    def spy(self, payload, where):
-        seen.append(bytes(payload))
-        original(self, payload, where)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(_Directory, "__init__", spy)
-        load_index(path)
-    return seen
+def _payloads(index, directory) -> list[bytes]:
+    """The directory payloads of *index* saved as varint-dag."""
+    return _directory_payloads(save_index(
+        index, directory / "dir.gksindex", codec="varint-dag"))
 
 
 class TestDirectoryKernel:
     @pytest.mark.parametrize("shards", [1, 2])
-    def test_equals_the_per_field_reference(self, tmp_path, shards,
-                                            monkeypatch):
+    def test_equals_the_per_field_reference(self, tmp_path, shards):
         repository = _mirrors_repo()
         index = (build_index(repository) if shards == 1
                  else build_sharded_index(repository, shards=shards))
-        payloads = _directories(index, tmp_path, monkeypatch)
+        payloads = _payloads(index, tmp_path)
         assert len(payloads) == shards
         for payload in payloads:
-            parsed = _Directory(payload, tmp_path)
             reference = _reference_directory(payload)
-            assert reference["suffix_locs"]  # the DAG section is exercised
-            for slot in _Directory.__slots__:
-                assert getattr(parsed, slot) == reference[slot], slot
+            # the DAG section is exercised
+            assert any(dags for _, dags in reference["entries"].values())
+            _assert_parsed_like(_Directory(payload, tmp_path), reference)
 
-    def test_every_truncation_is_a_storage_error(self, tmp_path,
-                                                 monkeypatch):
-        payload, = _directories(_index(), tmp_path, monkeypatch)
+    def test_a_v4_payload_equals_the_v4_reference(self):
+        payload, = _directory_payloads(V4_FIXTURE)
+        reference = _reference_directory_v4(payload)
+        assert any(dags for _, dags in reference["entries"].values())
+        _assert_parsed_like(_Directory(payload, V4_FIXTURE, 4), reference)
+
+    def test_every_truncation_is_a_storage_error(self, tmp_path):
+        payload, = _payloads(build_index(_mirrors_repo()), tmp_path)
         for cut in range(len(payload)):
             with pytest.raises(StorageError) as excinfo:
                 _Directory(payload[:cut], tmp_path)
             assert excinfo.value.diagnosis in ("truncated", "corrupted")
 
-    def test_overlong_input_is_a_storage_error(self, tmp_path,
-                                               monkeypatch):
-        payload, = _directories(_index(), tmp_path, monkeypatch)
+    def test_overlong_input_is_a_storage_error(self, tmp_path):
+        payload, = _payloads(build_index(_mirrors_repo()), tmp_path)
         with pytest.raises(StorageError) as excinfo:
             _Directory(payload + b"\x00", tmp_path)
         assert excinfo.value.diagnosis == "corrupted"
-        huge = bytearray()
-        write_uvarint(huge, 1 << 70)  # a count no payload can hold
-        with pytest.raises(StorageError):
-            _Directory(bytes(huge) + payload[1:], tmp_path)
+        # a keyword count no payload can hold
+        with pytest.raises(StorageError) as excinfo:
+            _Directory(b"\xff" * 4 + payload[4:], tmp_path)
+        assert excinfo.value.diagnosis == "truncated"
 
     def test_a_short_all_ascii_run_is_truncated(self, tmp_path):
         # a slice of one-byte values that is shorter than the run asked
         # for must fall through to the checked path
-        with pytest.raises(StorageError) as excinfo:
-            _Directory(b"\x01\x00", tmp_path)
-        assert excinfo.value.diagnosis == "truncated"
+        for version in (4, 5):
+            with pytest.raises(StorageError) as excinfo:
+                _Directory(b"\x01\x00", tmp_path, version)
+            assert excinfo.value.diagnosis == "truncated"
