@@ -65,6 +65,20 @@ echo "gks_serve_coalesced_total = ${COALESCED:-absent}"
     echo "FAIL: concurrent duplicates were not coalesced" >&2
     grep "^gks_serve" <<<"$METRICS" >&2; exit 1; }
 
+echo "== tags rendered from label-path rows, no tree built =="
+grep -q '"tag_path"' "$WORKDIR/resp.1" || {
+    echo "FAIL: the response carried no tag_path" >&2; exit 1; }
+TREES="$(awk '/^gks_ingest_deferred_trees_total/ {print int($2)}' \
+    <<<"$METRICS" | tail -1)"
+ROWS="$(awk '/^gks_xmltree_tag_rows_filled_total/ {print int($2)}' \
+    <<<"$METRICS" | tail -1)"
+echo "gks_ingest_deferred_trees_total = ${TREES:-absent}"
+echo "gks_xmltree_tag_rows_filled_total = ${ROWS:-absent}"
+[ "${TREES:-0}" -eq 0 ] || {
+    echo "FAIL: serving built a tree" >&2; exit 1; }
+[ "${ROWS:-0}" -ge 1 ] || {
+    echo "FAIL: no document filled its label-path rows" >&2; exit 1; }
+
 echo "== wrong-typed bodies answer 400 + a JSON type =="
 post_expect_400() {  # route, body
     local code

@@ -140,10 +140,10 @@ class GKSEngine:
         self._store: SegmentStore | None = None
         self._durable_units = units_from_base(index)
         self._pending: list[PendingDocument] = []
-        # Relaxed-mode rewrite vocabulary, cached per serving generation
-        # (the corpus walk is linear; redoing it per query would dominate
-        # the rescue path).
+        # Relaxed-mode rewrite vocabulary, cached per serving generation;
+        # its per-document parts (doc id → part) are read once each.
         self._relax_vocab: tuple | None = None
+        self._relax_documents: dict = {}
 
     @staticmethod
     def _build_index(repository: Repository, config: EngineConfig,
@@ -460,7 +460,8 @@ class GKSEngine:
         generation = self._generation
         if cached is not None and cached[0] == generation:
             return cached[1]
-        vocabulary = relaxation_vocabulary(self.repository, self.analyzer)
+        vocabulary = relaxation_vocabulary(self.repository, self.analyzer,
+                                           self._relax_documents)
         self._relax_vocab = (generation, vocabulary)
         return vocabulary
 
@@ -935,8 +936,8 @@ class GKSEngine:
 
     def describe(self, node: RankedNode) -> str:
         """One-line human summary of a result row."""
-        element = self.repository.node_at(node.dewey)
-        tag = element.tag if element is not None else "?"
+        labels = self.repository.tag_path(node.dewey)
+        tag = labels[-1] if labels is not None else "?"
         keywords = ", ".join(node.matched_keywords)
         return (f"<{tag}> {node.dewey_text}  score={node.score:.3f}  "
                 f"keywords[{node.distinct_keywords}]={{{keywords}}}")

@@ -32,10 +32,10 @@ def node_to_dict(node: RankedNode,
     if node.relaxation is not None:
         payload["relaxation"] = node.relaxation.to_dict()
     if repository is not None:
-        element = repository.node_at(node.dewey)
-        if element is not None:
-            payload["tag"] = element.tag
-            payload["tag_path"] = element.tag_path()
+        labels = repository.tag_path(node.dewey)
+        if labels is not None:
+            payload["tag"] = labels[-1]
+            payload["tag_path"] = list(labels)
     return payload
 
 

@@ -38,8 +38,8 @@ from repro.core.results import (GKSResponse, RankedNode, RelaxationStep,
 from repro.obs.metrics import MetricsRegistry, global_registry
 from repro.obs.trace import NOOP_TRACER
 from repro.text.analyzer import Analyzer
-from repro.xmltree.node import XMLNode
 from repro.xmltree.repository import Repository
+from repro.xmltree.tree import XMLDocument
 
 #: Fixed edit penalties; cheaper edits always outrank costlier ones.
 PENALTIES = {"generalize": 0.25, "substitute": 0.30, "drop": 0.40}
@@ -60,51 +60,69 @@ class RelaxVocabulary:
     siblings: dict[str, frozenset[str]]
 
 
-def _direct_keywords(node: XMLNode, analyzer: Analyzer) -> set[str]:
-    keywords = set(analyzer.analyze_tag(node.tag))
-    if node.has_text:
-        keywords.update(analyzer.analyze(node.text))
-    return keywords
+def document_vocabulary(document: XMLDocument, analyzer: Analyzer
+                        ) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+    """One document's ``(tag_parents, siblings)`` from its element stream:
+    an element relates its children's keywords when it closes."""
+    tag_parents: dict[str, set[str]] = {}
+    siblings: dict[str, set[str]] = {}
+    # per open element: its closed children's (tag keywords, keywords)
+    families: list[list[tuple]] = [[]]
+
+    def start(dewey, tag):
+        families.append([])
+
+    def end(dewey, tag, text):
+        children = families.pop()
+        tags = analyzer.analyze_tag(tag)
+        keywords = set(tags)
+        if text and text.strip():
+            keywords.update(analyzer.analyze(text))
+        families[-1].append((tags, keywords))
+        if not children:
+            return
+        counts: dict[str, int] = {}
+        for _, terms in children:
+            for term in terms:
+                counts[term] = counts.get(term, 0) + 1
+        for child_tags, terms in children:
+            for keyword in child_tags:
+                tag_parents.setdefault(keyword, set()).update(tags)
+            # Terms in other children: count≥2 means the term also occurs
+            # outside this child; count==1 outside means it occurs only
+            # elsewhere.
+            others = {term for term, count in counts.items()
+                      if count >= 2 or term not in terms}
+            for keyword in terms:
+                siblings.setdefault(keyword, set()).update(
+                    others - {keyword})
+
+    document.stream(start, end)
+    return tag_parents, siblings
 
 
-def relaxation_vocabulary(repository: Repository,
-                          analyzer: Analyzer) -> RelaxVocabulary:
-    """Walk the corpus once and derive the single-edit vocabulary.
+def relaxation_vocabulary(repository: Repository, analyzer: Analyzer,
+                          memo: dict | None = None) -> RelaxVocabulary:
+    """Merge the documents' vocabularies into the single-edit one.
 
     A term ``t`` is a sibling term of ``k`` iff some parent has two
     distinct children ``a ≠ b`` with ``k`` directly in ``a`` and ``t``
     directly in ``b``; a tag keyword ``g`` generalizes ``k`` iff some
     element whose tag analyzes to ``k`` sits under an element whose tag
-    analyzes to ``g``.
+    analyzes to ``g``.  *memo* (doc id → :func:`document_vocabulary`)
+    keeps each document's part across calls.
     """
     tag_parents: dict[str, set[str]] = {}
     siblings: dict[str, set[str]] = {}
+    memo = {} if memo is None else memo
     for document in repository:
-        stack = [document.root]
-        while stack:
-            node = stack.pop()
-            stack.extend(node.children)
-            if not node.children:
-                continue
-            parent_tags = set(analyzer.analyze_tag(node.tag))
-            child_terms = [_direct_keywords(child, analyzer)
-                           for child in node.children]
-            counts: dict[str, int] = {}
-            for terms in child_terms:
-                for term in terms:
-                    counts[term] = counts.get(term, 0) + 1
-            for child, terms in zip(node.children, child_terms):
-                for keyword in analyzer.analyze_tag(child.tag):
-                    tag_parents.setdefault(keyword, set()).update(
-                        parent_tags)
-                # Terms in other children: count≥2 means the term also
-                # occurs outside this child; count==1 outside means it
-                # occurs only elsewhere.
-                others = {term for term, count in counts.items()
-                          if count >= 2 or term not in terms}
-                for keyword in terms:
-                    siblings.setdefault(keyword, set()).update(
-                        others - {keyword})
+        part = memo.get(document.doc_id)
+        if part is None:
+            part = memo[document.doc_id] = document_vocabulary(document,
+                                                               analyzer)
+        for merged, found in zip((tag_parents, siblings), part):
+            for keyword, terms in found.items():
+                merged.setdefault(keyword, set()).update(terms)
     return RelaxVocabulary(
         tag_parents={k: frozenset(v - {k}) for k, v in tag_parents.items()},
         siblings={k: frozenset(v) for k, v in siblings.items()})

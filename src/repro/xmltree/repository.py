@@ -359,6 +359,14 @@ class Repository:
             return None
         return self._documents[doc_id].node_at(dewey)
 
+    def tag_path(self, dewey: Dewey) -> tuple[str, ...] | None:
+        """The labels from *dewey*'s document root down to it, from the
+        document's label-path rows (``None`` where :meth:`node_at` is)."""
+        doc_id = dw.document_of(dewey)
+        if doc_id >= len(self._documents):
+            return None
+        return self._documents[doc_id].tag_path(dewey)
+
     def iter_nodes(self) -> Iterator[XMLNode]:
         """All element nodes of all documents, in global document order."""
         for document in self._documents:

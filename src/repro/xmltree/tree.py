@@ -88,6 +88,39 @@ class XMLDocument:
             root = self._root
         replay_tree(root, start, end)
 
+    def tag_path(self, dewey: Dewey) -> tuple[str, ...] | None:
+        """The labels from the root down to *dewey* (``None`` where
+        :meth:`node_at` is), from label-path rows — each element's path
+        id, and the distinct paths — filled from the element stream."""
+        rows = self.__dict__.get("_rows") or self._fill_rows()
+        path = rows[0].get(dewey)
+        return None if path is None else rows[1][path]
+
+    def _fill_rows(self) -> tuple[dict, list]:
+        ids: dict[Dewey, int] = {}
+        paths: list[tuple[str, ...]] = [()]
+        interned: dict[tuple[int, str], int] = {}  # (parent path, tag)
+        open_paths = [0]
+
+        def start(dewey, tag):
+            key = (open_paths[-1], tag)
+            path = interned.get(key)
+            if path is None:
+                path = interned[key] = len(paths)
+                paths.append(paths[key[0]] + (tag,))
+            ids[dewey] = path
+            open_paths.append(path)
+
+        self.stream(start, lambda dewey, tag, text: open_paths.pop())
+        # an atomic set-if-absent: concurrent first calls install one
+        rows = self.__dict__.setdefault("_rows", (ids, paths))
+        if rows[0] is ids:
+            global_registry().counter(
+                "gks_xmltree_tag_rows_filled_total",
+                help="Documents whose label-path rows were filled from "
+                     "their element stream.").inc()
+        return rows
+
     # ------------------------------------------------------------------
     def __iter__(self) -> Iterator[XMLNode]:
         return self.root.iter_subtree()

@@ -1,0 +1,331 @@
+"""A rendered node's ``tag`` / ``tag_path`` come from its document's
+label-path rows, filled from the element stream: serving builds no tree.
+
+The bar: for every kind of document — checked texts (a fresh open, an
+``index_path`` cache, a recovered store), salvaged, ``.json`` and
+replicated trees, either ``attributes_as_children`` — the rows equal
+``XMLNode.tag`` / ``XMLNode.tag_path()``; an id the repository does not
+hold renders no tag; and the relaxed mode's vocabulary, read from the
+same stream, equals the pairwise oracle.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import random
+import sys
+import threading
+import urllib.request
+
+import pytest
+
+from repro import cli
+from repro.baselines.relaxation import _pairwise_vocabulary
+from repro.core.config import EngineConfig, Paths, Texts
+from repro.core.engine import GKSEngine
+from repro.core.export import node_to_dict, response_to_dict
+from repro.datasets.registry import dataset_names, load_dataset
+from repro.obs.metrics import MetricsRegistry, global_registry
+from repro.semantics.relax import relaxation_vocabulary
+from repro.serve import ServeConfig, ServerCore, serve_http
+from repro.text.analyzer import DEFAULT_ANALYZER
+from repro.xmltree.dewey import parse_dewey
+from repro.xmltree.repository import (Repository, TextCheck,
+                                      ingest_document)
+from repro.xmltree.serialize import escape_attribute, escape_text
+
+QUERIES = ["graph index", "databas storag", "rec", "merg token term"]
+
+
+def _counter(name: str) -> float:
+    return global_registry().counter(name).value()
+
+
+def _trees_built() -> float:
+    return _counter("gks_ingest_deferred_trees_total")
+
+
+def _rows_filled() -> float:
+    return _counter("gks_xmltree_tag_rows_filled_total")
+
+
+def _xml(node, attributes: bool) -> str:
+    """*node*'s subtree as XML; with *attributes*, each leaf child whose
+    tag is unique among its siblings is written as an attribute."""
+    tags = [child.tag for child in node.children]
+    moved = [child for child in node.children
+             if not child.children and child.text
+             and tags.count(child.tag) == 1] if attributes else []
+    head = node.tag + "".join(
+        f' {child.tag}="{escape_attribute(child.text)}"' for child in moved)
+    body = escape_text(node.text or "") + "".join(
+        _xml(child, attributes) for child in node.children
+        if child not in moved)
+    return f"<{head}>{body}</{node.tag}>"
+
+
+def _texts(name: str = "mirrors", attributes: bool = False) -> list[str]:
+    return [_xml(document.root, attributes) for document in load_dataset(name)]
+
+
+def _checked(texts: list[str], attributes_as_children: bool) -> Repository:
+    """*texts* as text-backed documents, as an open over a cache holds
+    them."""
+    repository = Repository()
+    for text in texts:
+        repository.add(ingest_document(
+            text, len(repository), builder=TextCheck,
+            attributes_as_children=attributes_as_children), text=text)
+    return repository
+
+
+def _assert_rows_equal_trees(repository: Repository, deweys: list) -> None:
+    labels = [repository.tag_path(dewey) for dewey in deweys]
+    assert labels == [tuple(repository.node_at(dewey).tag_path())
+                      for dewey in deweys]
+
+
+def _assert_payload_tags(repository: Repository, payload: dict) -> None:
+    assert payload["nodes"]
+    for node in payload["nodes"]:
+        element = repository.node_at(parse_dewey(node["dewey"]))
+        assert node["tag"] == element.tag
+        assert node["tag_path"] == element.tag_path()
+
+
+def _all_deweys(texts: list[str], attributes_as_children: bool = True):
+    reference = Repository()
+    for text in texts:
+        reference.parse(text, attributes_as_children=attributes_as_children)
+    return [node.dewey for document in reference for node in document]
+
+
+# ---------------------------------------------------------------------------
+# serving
+# ---------------------------------------------------------------------------
+class TestServingBuildsNoTree:
+    def test_http_searches_over_texts(self):
+        texts = _texts(attributes=True)
+        engine = GKSEngine.open(Texts(texts), EngineConfig(shards=2))
+        core = ServerCore(engine, ServeConfig(workers=2),
+                          registry=MetricsRegistry())
+        server = serve_http(core)
+        thread = threading.Thread(target=server.serve_forever,
+                                  kwargs={"poll_interval": 0.01},
+                                  daemon=True)
+        thread.start()
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        trees, filled = _trees_built(), _rows_filled()
+        payloads = []
+        try:
+            for query in QUERIES:
+                for k in ("", "&k=10"):
+                    url = f"{base}/search?q={query.replace(' ', '+')}{k}"
+                    with urllib.request.urlopen(url, timeout=10) as response:
+                        payloads.append(json.load(response))
+        finally:
+            server.shutdown()
+            server.server_close()
+            core.close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert _trees_built() == trees
+        assert not any(document.parsed for document in engine.repository)
+        assert 1 <= _rows_filled() - filled <= len(texts)
+        for payload in payloads:
+            _assert_payload_tags(engine.repository, payload)
+        assert max(len(payload["nodes"]) for payload in payloads[1::2]) == 10
+
+    def test_cli_search_builds_no_tree(self, tmp_path, capsys):
+        files = []
+        for offset, text in enumerate(_texts()):
+            path = tmp_path / f"doc{offset}.xml"
+            path.write_text(text, encoding="utf-8")
+            files.append(str(path))
+        trees = _trees_built()
+        assert cli.main(["search", *files, "-q", "graph index", "-s",
+                         "2"]) == 0
+        assert "node(s) for" in capsys.readouterr().out
+        assert _trees_built() == trees
+
+    def test_relaxed_search_over_texts_builds_no_tree(self):
+        engine = GKSEngine.open(Texts(_texts()))
+        trees = _trees_built()
+        response = engine.search("graph zzzunseen", s=2, mode="relaxed")
+        assert response.semantics.relaxed and response.nodes
+        assert _trees_built() == trees
+        assert not any(document.parsed for document in engine.repository)
+
+
+# ---------------------------------------------------------------------------
+# the rows equal the tree, for every kind of document
+# ---------------------------------------------------------------------------
+class TestRowsEqualTheTree:
+    @pytest.mark.parametrize("as_children", [True, False])
+    def test_checked_texts(self, as_children):
+        texts = _texts(attributes=True)
+        repository = _checked(texts, as_children)
+        deweys = _all_deweys(texts, as_children)
+        labels = [repository.tag_path(dewey) for dewey in deweys]
+        assert not any(document.parsed for document in repository)
+        assert labels == [tuple(repository.node_at(dewey).tag_path())
+                          for dewey in deweys]
+
+    @pytest.mark.parametrize("codec", ["raw", "varint-dag"])
+    def test_index_path_cache(self, tmp_path, codec):
+        texts = _texts(attributes=True)
+        config = EngineConfig(index_path=tmp_path / "idx", codec=codec)
+        GKSEngine.open(Texts(texts), config)
+        engine = GKSEngine.open(Texts(texts), config)
+        payload = response_to_dict(engine.search("graph index"),
+                                   engine.repository)
+        assert not any(document.parsed for document in engine.repository)
+        _assert_rows_equal_trees(engine.repository, _all_deweys(texts))
+        _assert_payload_tags(engine.repository, payload)
+
+    def test_recovered_store(self, tmp_path):
+        texts = _texts(attributes=True)
+        config = EngineConfig(store_path=tmp_path / "store", shards=2,
+                              memtable_docs=2)
+        GKSEngine.open(Texts(texts), config).close()
+        engine = GKSEngine.open(Texts(texts), config)
+        try:
+            payload = response_to_dict(engine.search("graph index"),
+                                       engine.repository)
+            assert not any(document.parsed
+                           for document in engine.repository)
+            _assert_rows_equal_trees(engine.repository, _all_deweys(texts))
+            _assert_payload_tags(engine.repository, payload)
+        finally:
+            engine.close()
+
+    def test_salvaged_documents(self):
+        texts = [text.replace("</rec>", "", 1) for text in _texts()]
+        engine = GKSEngine.open(Texts(texts),
+                                EngineConfig(recovery="salvage"))
+        assert all(document.parsed for document in engine.repository)
+        deweys = [node.dewey for document in engine.repository
+                  for node in document]
+        _assert_rows_equal_trees(engine.repository, deweys)
+
+    def test_json_documents(self, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"book": {"title": "graph index",
+                                             "tags": ["rec", "merg"]}}),
+                        encoding="utf-8")
+        (tmp_path / "b.xml").write_text(_texts()[0], encoding="utf-8")
+        engine = GKSEngine.open(Paths([path, tmp_path / "b.xml"]))
+        deweys = [node.dewey for document in engine.repository
+                  for node in document]
+        _assert_rows_equal_trees(engine.repository, deweys)
+        _assert_payload_tags(engine.repository, response_to_dict(
+            engine.search("graph index"), engine.repository))
+
+    def test_replicated_documents(self):
+        repository = load_dataset("mirrors").extend_replicated(2)
+        deweys = [node.dewey for document in repository
+                  for node in document]
+        _assert_rows_equal_trees(repository, deweys)
+        engine = GKSEngine(repository)
+        _assert_payload_tags(repository, response_to_dict(
+            engine.search("graph index"), repository))
+
+    def test_ids_the_repository_does_not_hold_render_no_tag(self):
+        engine = GKSEngine.open(Texts(_texts()))
+        node = engine.search("graph index")[0]
+        last = len(engine.repository) - 1
+        for dewey in [(last, 10 ** 6), (0, 0, 0, 0, 0, 0, 0, 0, 0),
+                      (last + 1,), (last + 1, 0)]:
+            assert engine.repository.tag_path(dewey) is None
+            assert engine.repository.node_at(dewey) is None
+            payload = node_to_dict(dataclasses.replace(node, dewey=dewey),
+                                   engine.repository)
+            assert "tag" not in payload and "tag_path" not in payload
+
+
+# ---------------------------------------------------------------------------
+# the relaxed mode's vocabulary
+# ---------------------------------------------------------------------------
+def _non_empty(mapping) -> dict:
+    return {key: set(terms) for key, terms in mapping.items() if terms}
+
+
+@pytest.mark.parametrize("as_children", [True, False])
+@pytest.mark.parametrize("name", dataset_names())
+def test_stream_vocabulary_equals_the_pairwise_oracle(name, as_children):
+    repository = _checked(_texts(name, attributes=True), as_children)
+    vocabulary = relaxation_vocabulary(repository, DEFAULT_ANALYZER)
+    assert not any(document.parsed for document in repository)
+    tag_parents, siblings = _pairwise_vocabulary(repository,
+                                                 DEFAULT_ANALYZER)
+    assert _non_empty(vocabulary.tag_parents) == _non_empty(tag_parents)
+    assert _non_empty(vocabulary.siblings) == _non_empty(siblings)
+
+
+def test_vocabulary_reads_each_document_once():
+    texts = _texts()
+    engine = GKSEngine.open(Texts(texts[:3]))
+    engine.search("graph zzzunseen", s=2, mode="relaxed")
+    parts = dict(engine._relax_documents)
+    for text in texts[3:]:
+        engine.add_document(text)
+    engine.search("graph zzzunseen", s=2, mode="relaxed")
+    assert sorted(engine._relax_documents) == list(range(len(texts)))
+    assert all(engine._relax_documents[doc_id] is part
+               for doc_id, part in parts.items())
+    merged = relaxation_vocabulary(_checked(texts, True), DEFAULT_ANALYZER)
+    assert engine._relaxation_vocabulary() == merged
+
+
+# ---------------------------------------------------------------------------
+# concurrent first renders
+# ---------------------------------------------------------------------------
+@pytest.mark.concurrency
+def test_concurrent_first_renders_install_one_rows_object():
+    texts = _texts(attributes=True)
+    engine = GKSEngine.open(Texts(texts), EngineConfig(shards=2))
+    responses = [engine.search(query) for query in QUERIES]
+    filled = _rows_filled()
+    results: dict[int, list] = {}
+    start = threading.Barrier(8)
+
+    def render(seed: int) -> None:
+        order = list(range(len(responses)))
+        random.Random(seed).shuffle(order)
+        start.wait(timeout=30)
+        payloads = {}
+        labels = []
+        for offset in order:
+            payloads[offset] = response_to_dict(responses[offset],
+                                                engine.repository)
+            labels.extend(engine.repository.tag_path(node.dewey)
+                          for node in responses[offset])
+        results[seed] = [payloads, labels, order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=render, args=(seed,))
+                   for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 8
+    first = results[0][0]
+    assert all(payloads == first for payloads, _, _ in results.values())
+    touched = {node.dewey[0] for response in responses for node in response}
+    documents = list(engine.repository)
+    assert all("_rows" in vars(documents[doc_id]) for doc_id in touched)
+    # the registry's counters are not atomic across threads: bounded
+    assert 1 <= _rows_filled() - filled <= len(touched)
+    for _, labels, order in results.values():
+        deweys = [node.dewey for offset in order
+                  for node in responses[offset]]
+        for dewey, found in zip(deweys, labels):
+            ids, paths = vars(documents[dewey[0]])["_rows"]
+            assert found is paths[ids[dewey]]
