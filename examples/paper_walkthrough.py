@@ -85,8 +85,9 @@ def example4() -> None:
     sl = merged_list(engine.index, query)
     lcp = compute_lcp_list(sl, 2)
     print(f"  |SL|={len(sl)}, LCP entries={len(lcp)}")
-    for dewey, entry in lcp.entries.items():
-        print(f"    {'.'.join(map(str, dewey))}: counter={entry.counter} "
+    for dewey, entry in lcp.entries.items():  # packed ids
+        print(f"    {engine.index.layout.format(dewey)}: "
+              f"counter={entry.counter} "
               f"-> estimate {lcp.estimated_keyword_count(dewey)}")
     print("  paper: estimates are s + counter - 1\n")
 

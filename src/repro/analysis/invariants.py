@@ -34,6 +34,9 @@ equivalence and ranking potential-flow sound:
     shard owns.
 ``manifest-crc``
     Each manifest entry's stored CRC32 matches its shard payload.
+``dewey-layout``
+    Every Dewey id fits the layout widths the file records (a load packs
+    ids under them; one that does not fit cannot be served).
 ``codec-block-crc`` / ``codec-block-metadata`` / ``codec-dag-suffix``
     Binary indexes only: every posting block's stored bytes match
     their CRC32, decoded block content agrees with the directory
@@ -72,7 +75,7 @@ from repro.index.codec import DecodedIndex, DecodedShard, sniff_codec
 from repro.index.sharding import (PARTITION_STRATEGIES, ShardedIndex,
                                   shard_of)
 from repro.text.analyzer import Analyzer
-from repro.xmltree.dewey import Dewey, format_dewey
+from repro.xmltree.dewey import Dewey, DeweyLayout, format_dewey
 from repro.xmltree.repository import Repository
 
 
@@ -183,6 +186,16 @@ def _audit_decoded(decoded: DecodedIndex, report: _Report) -> None:
         _audit_shard(shard, documents,
                      set(shard.doc_ids or ()) if sharded else None, report,
                      f"shard {shard.shard_id}" if sharded else "")
+    if decoded.dewey_widths is not None:
+        needed = DeweyLayout.covering(
+            dewey for shard in decoded.shards
+            for table in (*shard.postings.values(), shard.entity,
+                          shard.element)
+            for dewey in table)
+        if not DeweyLayout(decoded.dewey_widths).contains(needed):
+            report.add("dewey-layout",
+                       f"recorded widths {list(decoded.dewey_widths)} "
+                       f"cannot hold ids that need {list(needed.widths)}")
 
 
 def _audit_shard(shard: DecodedShard, documents: int,
@@ -509,4 +522,5 @@ INVARIANT_NAMES = (
     "segment-orphan", "segment-missing", "segment-crc",
     "segment-partition", "segment-routing", "wal-consistency",
     "codec-block-crc", "codec-block-metadata", "codec-dag-suffix",
+    "dewey-layout",
 )

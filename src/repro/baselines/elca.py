@@ -21,6 +21,7 @@ Cross-validated against the brute-force oracle on randomized trees.
 
 from __future__ import annotations
 
+from repro.baselines.lca import dewey_postings
 from repro.baselines.slca import slca_indexed_lookup_eager
 from repro.core.query import Query
 from repro.index.builder import GKSIndex
@@ -64,7 +65,7 @@ def elca(index: GKSIndex, query: Query) -> list[Dewey]:
 def _has_exclusive_witnesses(index: GKSIndex, query: Query, dewey: Dewey,
                              zones: list[Dewey]) -> bool:
     for keyword in query.keywords:
-        postings = index.postings(keyword)
+        postings = dewey_postings(index, keyword)
         inside = count_in_subtree(postings, dewey)
         excluded = sum(count_in_subtree(postings, zone) for zone in zones)
         if inside - excluded <= 0:

@@ -22,10 +22,9 @@ brute-force oracle.  Complexity: O(d·|SL|) stack operations.
 
 from __future__ import annotations
 
-from repro.baselines.lca import posting_lists
+from repro.baselines.lca import posting_lists, tagged_merge
 from repro.core.query import Query
 from repro.index.builder import GKSIndex
-from repro.index.postings import merge_posting_lists
 from repro.xmltree.dewey import Dewey
 
 
@@ -44,15 +43,13 @@ def elca_stack(index: GKSIndex, query: Query) -> list[Dewey]:
     if any(not postings for postings in lists):
         return []
     keyword_count = len(lists)
-    merged = merge_posting_lists(lists)
-
     stack: list[_Frame] = []
     results: list[Dewey] = []
 
-    for entry in merged:
-        _align_stack(stack, entry.dewey, keyword_count, results)
-        stack[-1].total[entry.keyword] = True
-        stack[-1].available[entry.keyword] = True
+    for dewey, keyword in tagged_merge(lists):
+        _align_stack(stack, dewey, keyword_count, results)
+        stack[-1].total[keyword] = True
+        stack[-1].available[keyword] = True
 
     while stack:
         _pop(stack, results)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.baselines.lca import dewey_postings
 from repro.baselines.target_type import (TypeScore, entity_type_instances,
                                          score_types)
 from repro.core.query import Query
@@ -93,6 +94,6 @@ def _instances_containing(index: GKSIndex, deweys: list[Dewey],
 
 
 def _occurs(index: GKSIndex, keyword: str, dewey: Dewey) -> bool:
-    postings = index.postings(keyword)
+    postings = dewey_postings(index, keyword)
     lo, hi = subtree_range(postings, dewey)
     return lo != hi

@@ -1,9 +1,10 @@
 """Shared LCA machinery for the baseline algorithms.
 
 The SLCA/ELCA baselines ([13], [17] in the paper) operate on the same
-inverted index as GKS: per-keyword sorted Dewey posting lists.  This module
-holds the pieces they share — closest-posting lookups and the notion of a
-*match set* (one posting per keyword).
+inverted index as GKS: per-keyword sorted Dewey posting lists, unpacked
+into tuples here (the oracles work on tuples).  This module holds the
+pieces they share — closest-posting lookups and the notion of a *match
+set* (one posting per keyword).
 """
 
 from __future__ import annotations
@@ -16,9 +17,21 @@ from repro.index.builder import GKSIndex
 from repro.xmltree.dewey import Dewey, common_prefix, is_ancestor_or_self
 
 
+def dewey_postings(index: GKSIndex, keyword: str) -> list[Dewey]:
+    """*keyword*'s posting list as Dewey tuples."""
+    return list(map(index.layout.unpack, index.postings(keyword)))
+
+
 def posting_lists(index: GKSIndex, query: Query) -> list[list[Dewey]]:
     """The per-keyword posting lists ``S1 … Sn`` for a query."""
-    return [index.postings(keyword) for keyword in query.keywords]
+    return [dewey_postings(index, keyword) for keyword in query.keywords]
+
+
+def tagged_merge(lists: Sequence[Sequence[Dewey]]) -> list[tuple[Dewey, int]]:
+    """``(dewey, list index)`` over all lists, in document order (ties by
+    list index)."""
+    return sorted((dewey, position) for position, postings
+                  in enumerate(lists) for dewey in postings)
 
 
 def left_match(postings: Sequence[Dewey], bound: Dewey) -> Dewey | None:

@@ -15,7 +15,8 @@ callables:
   purely statistical, blind to structure.
 
 Both share the terminal-point bookkeeping with the potential-flow ranker
-so responses remain comparable.
+so responses remain comparable, and like every ranker they receive and
+record ids packed under the index's layout.
 """
 
 from __future__ import annotations
@@ -27,25 +28,24 @@ from repro.core.query import Query
 from repro.core.ranking import (RankBreakdown, keyword_occurrences,
                                 terminal_points)
 from repro.index.builder import GKSIndex
-from repro.xmltree.dewey import Dewey
 
 
-def xrank_ranker(index: GKSIndex, query: Query, dewey: Dewey,
+def xrank_ranker(index: GKSIndex, query: Query, dewey: int,
                  decay: float = 0.85) -> RankBreakdown:
     """XRank-style rank: decay per edge between node and occurrence."""
-    terminals: dict[str, tuple[Dewey, ...]] = {}
+    layout = index.layout
+    terminals: dict[str, tuple[int, ...]] = {}
     score = 0.0
     for keyword in query.keywords:
         points = terminal_points(keyword_occurrences(index, keyword,
-                                                     dewey))
+                                                     dewey), layout)
         if not points:
             continue
         terminals[keyword] = points
-        distance = len(points[0]) - len(dewey)
+        distance = layout.depth(points[0]) - layout.depth(dewey)
         score += decay ** distance
-    return RankBreakdown(dewey=dewey, score=score,
-                         initial_potential=len(terminals),
-                         terminals=terminals)
+    return RankBreakdown.packed(dewey, score, len(terminals), terminals,
+                                layout)
 
 
 def make_xrank_ranker(decay: float):
@@ -54,7 +54,7 @@ def make_xrank_ranker(decay: float):
 
 
 def xsearch_ranker(index: GKSIndex, query: Query,
-                   dewey: Dewey) -> RankBreakdown:
+                   dewey: int) -> RankBreakdown:
     """XSEarch-style TF·IDF rank over the result subtree.
 
     ``tf`` is the occurrence count of the keyword inside the subtree,
@@ -62,18 +62,17 @@ def xsearch_ranker(index: GKSIndex, query: Query,
     the total element count.
     """
     total_nodes = max(index.stats.total_nodes, 1)
-    terminals: dict[str, tuple[Dewey, ...]] = {}
+    terminals: dict[str, tuple[int, ...]] = {}
     score = 0.0
     for keyword in query.keywords:
         occurrences = keyword_occurrences(index, keyword, dewey)
         if not occurrences:
             continue
-        terminals[keyword] = terminal_points(occurrences)
+        terminals[keyword] = terminal_points(occurrences, index.layout)
         tf = 1.0 + math.log(len(occurrences))
         # len(postings) handles phrase keywords too
         df = max(len(index.postings(keyword)), 1)
         idf = math.log(1 + total_nodes / df)
         score += tf * idf
-    return RankBreakdown(dewey=dewey, score=score,
-                         initial_potential=len(terminals),
-                         terminals=terminals)
+    return RankBreakdown.packed(dewey, score, len(terminals), terminals,
+                                index.layout)

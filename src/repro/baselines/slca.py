@@ -17,7 +17,8 @@ Both are cross-validated against the brute-force oracle in the test suite.
 
 from __future__ import annotations
 
-from repro.baselines.lca import (match_lca, posting_lists, remove_ancestors)
+from repro.baselines.lca import (dewey_postings, match_lca, posting_lists,
+                                 remove_ancestors, tagged_merge)
 from repro.core.query import Query
 from repro.index.builder import GKSIndex
 from repro.xmltree.dewey import Dewey, common_prefix
@@ -51,12 +52,10 @@ def slca_scan(index: GKSIndex, query: Query) -> list[Dewey]:
     lists = posting_lists(index, query)
     if any(not postings for postings in lists):
         return []
-    from repro.index.postings import merge_posting_lists
-
     last_seen: dict[int, Dewey] = {}
     candidates: list[Dewey] = []
-    for entry in merge_posting_lists(lists):
-        last_seen[entry.keyword] = entry.dewey
+    for dewey, keyword in tagged_merge(lists):
+        last_seen[keyword] = dewey
         if len(last_seen) == len(lists):
             lca: Dewey | None = None
             for dewey in last_seen.values():
@@ -79,7 +78,7 @@ def contains_all_keywords(index: GKSIndex, query: Query,
     from repro.index.postings import subtree_range
 
     for keyword in query.keywords:
-        postings = index.postings(keyword)
+        postings = dewey_postings(index, keyword)
         lo, hi = subtree_range(postings, dewey)
         if lo == hi:
             return False

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.baselines.lca import dewey_postings
 from repro.core.query import Query
 from repro.index.builder import GKSIndex
 from repro.index.postings import subtree_range
@@ -76,7 +77,7 @@ def score_types(index: GKSIndex, query: Query,
         coverage: dict[str, float] = {}
         confidence = math.log(1 + len(deweys))
         for keyword in query.keywords:
-            postings = index.postings(keyword)
+            postings = dewey_postings(index, keyword)
             holding = sum(
                 1 for dewey in deweys
                 if subtree_range(postings, dewey)[0]

@@ -233,12 +233,12 @@ class SearchBudget:
     def admit_sl(self, sl: list) -> list:
         """Apply the ``max_sl`` cap to a freshly merged list.
 
-        Returns the (possibly truncated) list; trips the budget when it
-        had to cut.
+        Returns the list, truncated in place (it keeps its type); trips
+        the budget when it had to cut.
         """
         if self.max_sl is not None and len(sl) > self.max_sl:
             self.trip("merge", "max_sl", self.max_sl, len(sl))
-            return sl[:self.max_sl]
+            del sl[self.max_sl:]
         return sl
 
     def admit_node(self, ranked_so_far: int,

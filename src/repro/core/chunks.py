@@ -33,8 +33,10 @@ def chunk_keep_set(index: GKSIndex, query: Query,
     """
     keep: set[Dewey] = set()
     root = node.dewey
+    layout = index.layout
     for keyword in node.matched_keywords:
-        for occurrence in keyword_occurrences(index, keyword, root):
+        for occurrence in map(layout.unpack, keyword_occurrences(
+                index, keyword, layout.pack(root))):
             for length in range(len(root) + 1, len(occurrence) + 1):
                 keep.add(occurrence[:length])
     return keep

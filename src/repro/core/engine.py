@@ -31,8 +31,9 @@ from repro.core.refinement import Refinement, suggest
 from repro.core.ranking import rank_node
 from repro.core.results import GKSResponse, RankedNode, SemanticsInfo
 from repro.core.search import Ranker, search, units_of
-from repro.core.durable import (compose_serving, incompatibilities,
-                                merge_chains, merge_memtable, open_durable,
+from repro.core.durable import (admit_unit, compose_serving,
+                                incompatibilities, merge_chains,
+                                merge_memtable, open_durable,
                                 pending_document, units_from_base)
 from repro.errors import (ConfigError, SearchTimeout, StorageError,
                           ValidationError)
@@ -140,6 +141,8 @@ class GKSEngine:
         self._store: SegmentStore | None = None
         self._durable_units = units_from_base(index)
         self._pending: list[PendingDocument] = []
+        # the one Dewey layout every unit packs under (repro.core.durable)
+        self._layout = index.layout
         # Relaxed-mode rewrite vocabulary, cached per serving generation;
         # its per-document parts (doc id → part) are read once each.
         self._relax_vocab: tuple | None = None
@@ -704,7 +707,8 @@ class GKSEngine:
             # fail the caller, never poison the log that recovery replays.
             with tracer.span("parse"):
                 builder = IndexBuilder(analyzer=self.config.analyzer,
-                                       index_tags=self.config.index_tags)
+                                       index_tags=self.config.index_tags,
+                                       layout=self._layout)
                 document = ingest_document(text, len(self.repository),
                                            name=name, builder=builder)
             info = {"doc_id": document.doc_id, "name": document.name}
@@ -719,8 +723,11 @@ class GKSEngine:
             self.repository.add(document, text=text)
             try:
                 with tracer.span("build") as span:
-                    pending = pending_document(document, text, lsn,
-                                               builder.build(), self.config)
+                    unit, self._layout = admit_unit(
+                        builder.build(), self._durable_units, self._pending,
+                        self._layout)
+                    pending = pending_document(document, text, lsn, unit,
+                                               self.config)
                     span.set(**_build_facts(pending.unit))
                 self._pending.append(pending)
                 with tracer.span("recompose"):
@@ -929,7 +936,8 @@ class GKSEngine:
         if breakdown is None:
             probability = node.score  # a probabilistic node's rank
             breakdown = rank_node(self.index, Query.of(
-                list(node.matched_keywords) or ["?"]), node.dewey)
+                list(node.matched_keywords) or ["?"]),
+                self.index.layout.pack(node.dewey))
         return replace(explain_rank(self.index, breakdown,
                                     repository=self.repository),
                        probability=probability).render()

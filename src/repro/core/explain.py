@@ -90,7 +90,7 @@ def _flow_steps(index: GKSIndex, root: Dewey, terminal: Dewey,
     steps: list[FlowStep] = []
     for length in range(len(root), len(terminal)):
         prefix = terminal[:length]
-        children = index.hashes.child_count(prefix) or 1
+        children = index.hashes.child_count(index.layout.pack(prefix)) or 1
         tag = None
         if repository is not None:
             node = repository.node_at(prefix)

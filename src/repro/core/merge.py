@@ -10,18 +10,18 @@ from __future__ import annotations
 
 from repro.core.budget import SearchBudget
 from repro.index.builder import GKSIndex
-from repro.index.postings import MergedEntry, merge_posting_lists
+from repro.index.postings import MergedList, merge_posting_lists
 from repro.core.query import Query
 from repro.obs.trace import NOOP_TRACER
 
 
 def merged_list(index: GKSIndex, query: Query,
                 budget: SearchBudget | None = None,
-                tracer=NOOP_TRACER) -> list[MergedEntry]:
+                tracer=NOOP_TRACER) -> MergedList:
     """The sorted merged list ``SL`` of all query-keyword postings.
 
-    Entry *i* carries ``keyword`` = the index of its keyword in
-    ``query.keywords``.  Keywords absent from the corpus simply contribute
+    An entry is ``id << sl.keyword_bits | keyword``: a packed Dewey id
+    and the index of its keyword in ``query.keywords``.  Keywords absent from the corpus simply contribute
     empty lists; ``|SL| <= Σ|Si|`` with equality unless an element holds
     two query keywords at the same Dewey id under the same keyword
     (impossible — posting lists are deduplicated per keyword).
@@ -32,7 +32,8 @@ def merged_list(index: GKSIndex, query: Query,
     ``decode`` span per keyword a loaded binary index decodes on this touch.
     """
     sl = merge_posting_lists(
-        index.postings(keyword, tracer) for keyword in query.keywords)
+        [index.postings(keyword, tracer) for keyword in query.keywords],
+        index.layout)
     if budget is not None:
         sl = budget.admit_sl(sl)
         budget.checkpoint("merge", len(sl), len(sl))

@@ -7,7 +7,7 @@ from repro.index.categorize import (CategoryRecord, NodeCategory,
 from repro.index.composite import CompositeIndex, merge_indexes
 from repro.index.hashtables import NodeHashes
 from repro.index.inverted import InvertedIndex
-from repro.index.postings import (MergedEntry, count_in_subtree,
+from repro.index.postings import (MergedList, count_in_subtree,
                                   merge_posting_lists, subtree_range)
 from repro.index.sharding import (Shard, ShardedIndex, build_sharded_index,
                                   shard_of)
@@ -21,7 +21,7 @@ from repro.index.wal import (WALFrame, WALReplay, WriteAheadLog, replay_wal)
 
 __all__ = [
     "CategoryRecord", "CompositeIndex", "GKSIndex", "IndexBuilder",
-    "IndexStats", "InvertedIndex", "MergedEntry", "NodeCategory",
+    "IndexStats", "InvertedIndex", "MergedList", "NodeCategory",
     "NodeHashes", "PendingDocument",
     "SegmentRecord", "SegmentStore", "Shard", "ShardedIndex",
     "StoreManifest", "TextsRecord", "WALFrame",

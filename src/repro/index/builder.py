@@ -15,10 +15,18 @@ tokens, without a tree, and a tree replays itself as the same calls, so
 the two cannot disagree (docs/ALGORITHMS.md §9).  A document that fails
 part-way is rolled back: the builder ends equal to one that never saw
 it.
+
+Every Dewey id is packed while it streams (:class:`DeweyLayout`): an
+element's id is its parent's packed id plus its own stored component,
+one shift and one OR.  A component wider, or an element deeper, than
+the layout grows it by one bit more than it needs, re-packing only the
+held ids the change moves: widening the first level inside the first
+document moves nothing.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -31,6 +39,7 @@ from repro.index.statistics import IndexStats
 from repro.obs.metrics import global_registry
 from repro.obs.trace import DEFAULT_CLOCK, NOOP_TRACER
 from repro.text.analyzer import DEFAULT_ANALYZER, Analyzer
+from repro.xmltree.dewey import DeweyLayout
 from repro.xmltree.repository import Repository
 from repro.xmltree.tree import XMLDocument
 
@@ -40,12 +49,14 @@ class GKSIndex:
     """The complete on-disk-able GKS index of one repository.
 
     Searching needs nothing but this object; the engine keeps the
-    repository around only to render result snippets.
+    repository around only to render result snippets.  Postings and
+    hash keys are Dewey ids packed under :attr:`layout`.
     """
 
     inverted: InvertedIndex
     hashes: NodeHashes
     stats: IndexStats
+    layout: DeweyLayout = field(default_factory=DeweyLayout, compare=False)
     analyzer: Analyzer = field(default=DEFAULT_ANALYZER)
     #: whether element names were indexed (``None``: a saved file that
     #: does not record it)
@@ -70,6 +81,24 @@ class GKSIndex:
     def with_probabilities(self, tables) -> "GKSIndex":
         """A copy carrying *tables*; every structure is shared."""
         return replace(self, probabilities=tables)
+
+    def relaid(self, layout: DeweyLayout) -> "GKSIndex":
+        """This index with every id re-packed under *layout* (which must
+        contain :attr:`layout`); itself when the layouts are equal."""
+        if layout == self.layout:
+            return self
+        move = layout.converter(self.layout)
+        inverted = InvertedIndex()
+        inverted._postings = {keyword: list(map(move, postings))
+                              for keyword, postings in self.inverted.items()}
+        return replace(self, inverted=inverted, layout=layout,
+                       hashes=NodeHashes.from_mappings(
+                           dict(zip(map(move, self.hashes.entity_table),
+                                    self.hashes.entity_table.values())),
+                           dict(zip(map(move, self.hashes.element_table),
+                                    self.hashes.element_table.values())),
+                           layout),
+                       _phrase_cache={})
 
     def postings(self, keyword: str, tracer=NOOP_TRACER):
         """Posting list for a keyword — or a phrase keyword.
@@ -106,15 +135,21 @@ class IndexBuilder:
     clock:
         Injectable time source for ``stats.build_seconds`` (defaults to
         the tracer clock, :data:`repro.obs.trace.DEFAULT_CLOCK`).
+    layout:
+        The layout to start from — an engine's, so that its units agree
+        unless a document outgrows it.
     """
 
     def __init__(self, analyzer: Analyzer = DEFAULT_ANALYZER,
                  index_tags: bool = True,
-                 clock: Callable[[], float] | None = None) -> None:
+                 clock: Callable[[], float] | None = None,
+                 layout: DeweyLayout | None = None) -> None:
         self.analyzer = analyzer
         self.index_tags = index_tags
+        self._layout = layout if layout is not None else DeweyLayout()
+        self._last_doc = 0   # the highest document number held
         self._inverted = InvertedIndex()
-        self._hashes = NodeHashes()
+        self._hashes = NodeHashes(self._layout)
         self._stats = IndexStats()
         self._names: list[str] = []
         # tag -> keywords: a dict lookup per element instead of a call
@@ -171,12 +206,12 @@ class IndexBuilder:
     def _index(self, document: XMLDocument) -> None:
         """The one build driver: index *document*'s element stream.
 
-        ``start`` posts an element's tag keywords; ``end`` posts its
-        direct-text keywords and closes it in the categoriser (a leaf
-        inline, anything else through :func:`close_element`, which files
-        the children's hash rows).  The counters reach :class:`IndexStats`
-        once, at the end; if the stream raises, what the document added
-        is taken back.
+        ``start`` packs the element's id from its parent's and posts its
+        tag keywords; ``end`` posts its direct-text keywords and closes
+        it in the categoriser (a leaf inline, anything else through
+        :func:`close_element`, which files the children's hash rows).
+        The counters reach :class:`IndexStats` once, at the end; if the
+        stream raises, what the document added is taken back.
         """
         self._check_open()
         analyze = self.analyzer.analyze
@@ -188,7 +223,13 @@ class IndexBuilder:
         tally = [0, 0, 0, 0, 0]  # AN, RN, EN, CN, then repeating ENs
         pending: list = []     # closed elements' summaries (categorize)
         marks: list[int] = []  # per open element: its children's start
+        opened: list[int] = []  # the open elements' packed ids
         text_keywords = tag_keywords = deepest = 0
+        self._last_doc = max(self._last_doc, document.doc_id)
+        shifts = self._layout.shifts
+        # one past the deepest level a stored component is checked
+        # against 0: a deeper element always grows the layout
+        bounds = self._layout.limits + (0,)
 
         def file(tag, dewey, child_count, category, repeated):
             if category == EN:
@@ -204,32 +245,48 @@ class IndexBuilder:
             if tag not in by_tag:
                 by_tag[tag] = CATEGORIES[category].value
 
+        def grow(level, stored):
+            nonlocal shifts, bounds
+            self._grow(level, stored, opened, pending)
+            shifts = self._layout.shifts
+            bounds = self._layout.limits + (0,)
+
         def start(dewey, tag):
             nonlocal tag_keywords
+            level = len(dewey) - 1
+            if level:
+                stored = dewey[-1] + 1
+                if stored >= bounds[level]:
+                    grow(level, stored)
+                packed = opened[-1] | stored << shifts[level]
+            else:
+                packed = dewey[0] << shifts[0]
+            opened.append(packed)
             marks.append(len(pending))
             if tag_memo is not None:
                 keywords = tag_memo.get(tag)
                 if keywords is None:
                     keywords = tag_memo[tag] = analyze_tag(tag)
                 tag_keywords += len(keywords)
-                add_all(keywords, dewey)
+                add_all(keywords, packed)
 
         def end(dewey, tag, text):
             nonlocal text_keywords, deepest
+            packed = opened.pop()
             has_text = False
             if text and not text.isspace():
                 has_text = True
                 keywords = analyze(text)
                 text_keywords += len(keywords)
-                add_all(keywords, dewey)
+                add_all(keywords, packed)
             mark = marks.pop()
             if mark == len(pending):  # a leaf: the deepest are leaves
-                pending.append((tag, dewey, 0,
+                pending.append((tag, packed, 0,
                                 LEAF_WITH_TEXT if has_text else 0))
                 if len(dewey) > deepest:
                     deepest = len(dewey)
             else:
-                close_element(pending, mark, tag, dewey, has_text, file)
+                close_element(pending, mark, tag, packed, has_text, file)
 
         rows = len(entity), len(element), len(by_tag)
         try:
@@ -250,11 +307,61 @@ class IndexBuilder:
         stats.max_depth = max(stats.max_depth, deepest - 1)
         self._names.append(document.name)
 
+    def _grow(self, level: int, stored: int, opened: list,
+              pending: list) -> None:
+        """Widen *level* (or add it, one below the deepest) so *stored*
+        fits, with one bit to spare, and re-pack what moves.
+
+        Every held id at or above the widened field's top bit moves up
+        by the added bits; the ids below it keep their value.  Posting
+        lists are sorted, so the moving ids are each list's tail; the
+        hash tables are re-keyed in place, in insertion order.
+        """
+        old = self._layout
+        widths = list(old.widths)
+        width = stored.bit_length() + 1
+        if level > len(widths):
+            # new levels go below every field, so every held id moves:
+            # past eight levels the level count doubles, and a deep
+            # document grows the layout O(log depth) times
+            added = [width] + [2] * (len(widths) - 1 if level > 8 else 0)
+            widths += added
+            width, top = sum(added), 0
+        else:
+            width = max(width, widths[level - 1] + 1)
+            top = old.shifts[level - 1]
+            widths[level - 1], width = width, width - widths[level - 1]
+        self._layout = DeweyLayout(widths)
+        self._hashes.layout = self._layout
+        bound = 1 << top
+        low = bound - 1
+
+        def move(packed: int) -> int:
+            if packed < bound:
+                return packed
+            return (packed >> top) << (top + width) | (packed & low)
+
+        opened[:] = map(move, opened)
+        pending[:] = [(tag, move(dewey), count, flags)
+                      for tag, dewey, count, flags in pending]
+        if (self._last_doc + 1) << old.inner_bits <= bound:
+            return  # nothing held reaches the moved bits
+        for posting_list in self._inverted._postings.values():
+            first = bisect_left(posting_list, bound)
+            if first < len(posting_list):
+                posting_list[first:] = map(move, posting_list[first:])
+        for table in (self._hashes._entity, self._hashes._element):
+            if max(table, default=-1) >= bound:
+                rows = list(table.items())
+                table.clear()
+                table.update((move(dewey), count) for dewey, count in rows)
+
     def _roll_back(self, doc_id: int, entities: int, elements: int,
                    tags: int) -> None:
         """Take back a failed document: its postings, and the hash rows
         and first-seen tags it appended (dicts keep insertion order)."""
-        self._inverted.discard_document(doc_id)
+        shift = self._layout.inner_bits
+        self._inverted.discard_range(doc_id << shift, doc_id + 1 << shift)
         for table, kept in ((self._hashes._entity, entities),
                             (self._hashes._element, elements),
                             (self._stats.category_by_tag, tags)):
@@ -286,7 +393,8 @@ class IndexBuilder:
                        help="Documents in the most recently built index."
                        ).set(self._stats.documents)
         return GKSIndex(inverted=self._inverted, hashes=self._hashes,
-                        stats=self._stats, analyzer=self.analyzer,
+                        stats=self._stats, layout=self._layout,
+                        analyzer=self.analyzer,
                         index_tags=self.index_tags,
                         document_names=tuple(self._names),
                         corpus_crc32=corpus_crc32)

@@ -7,7 +7,9 @@ over *disjoint* document sets therefore compose exactly:
 * a posting belongs to one document, so the union of the units' posting
   lists is a disjoint sorted union — precisely the monolithic list;
 * hash keys start with the document number, so the units' tables never
-  collide and every lookup routes to the one unit owning the document;
+  collide and every lookup routes to the one unit owning the document
+  (all units share one :class:`~repro.xmltree.dewey.DeweyLayout`, so the
+  number is a packed id's top bits);
 * no pipeline stage crosses a document boundary — an LCP block across
   two documents has an empty common prefix, LCE discovery walks entity
   *ancestors* (same document), ranking flows potential inside one
@@ -26,6 +28,7 @@ from __future__ import annotations
 import copy
 from typing import Iterator, Sequence
 
+from repro.errors import IndexError_
 from repro.index.builder import GKSIndex
 from repro.index.hashtables import NodeHashes
 from repro.index.inverted import InvertedIndex
@@ -34,12 +37,21 @@ from repro.index.statistics import IndexStats
 from repro.obs.locks import new_lock
 from repro.obs.trace import NOOP_TRACER
 from repro.text.analyzer import DEFAULT_ANALYZER, Analyzer
-from repro.xmltree.dewey import Dewey
+from repro.xmltree.dewey import DeweyLayout
 
 #: One unit with the documents it owns: ``(doc_ids, index)``.  The index
 #: carries **global** Dewey ids; only its ``document_names``/``stats``
 #: are local to the unit.
 Run = tuple[tuple[int, ...], GKSIndex]
+
+
+def shared_layout(units: Sequence[GKSIndex]) -> DeweyLayout:
+    """The one layout every unit packs its ids under."""
+    layouts = {unit.layout for unit in units}
+    if len(layouts) > 1:
+        raise IndexError_(f"units packed under different layouts: "
+                          f"{sorted(layouts, key=repr)}")
+    return layouts.pop() if layouts else DeweyLayout()
 
 
 def merge_stats(stats_list: Sequence[IndexStats]) -> IndexStats:
@@ -68,39 +80,41 @@ _NO_TABLES = NodeHashes()
 class _RoutedHashes:
     """A :class:`NodeHashes` view over all units, routed by document.
 
-    Every hash key's first Dewey component is its document number and a
+    Every hash key carries its document number (its top bits) and a
     document lives in exactly one unit, so each lookup forwards to the
     owning unit's tables.  Ancestor walks stay inside one document,
     hence inside one unit.
     """
 
-    def __init__(self, runs: Sequence[Run]) -> None:
+    def __init__(self, runs: Sequence[Run], layout: DeweyLayout) -> None:
         self._units = tuple(unit for _, unit in runs)
         self._owner: dict[int, GKSIndex] = {
             doc_id: unit for doc_ids, unit in runs for doc_id in doc_ids}
+        self.layout = layout
+        self._shift = layout.inner_bits
 
-    def _tables_for(self, dewey: Dewey) -> NodeHashes:
-        unit = self._owner.get(dewey[0]) if dewey else None
+    def _tables_for(self, dewey: int) -> NodeHashes:
+        unit = self._owner.get(dewey >> self._shift)
         return _NO_TABLES if unit is None else unit.hashes
 
     # -- the paper's two functions ------------------------------------
-    def is_entity(self, dewey: Dewey) -> int | None:
+    def is_entity(self, dewey: int) -> int | None:
         return self._tables_for(dewey).is_entity(dewey)
 
-    def is_element(self, dewey: Dewey) -> int | None:
+    def is_element(self, dewey: int) -> int | None:
         return self._tables_for(dewey).is_element(dewey)
 
     # -- derived lookups ----------------------------------------------
-    def child_count(self, dewey: Dewey) -> int | None:
+    def child_count(self, dewey: int) -> int | None:
         return self._tables_for(dewey).child_count(dewey)
 
-    def is_attribute(self, dewey: Dewey) -> bool:
+    def is_attribute(self, dewey: int) -> bool:
         return self._tables_for(dewey).is_attribute(dewey)
 
-    def nearest_entity(self, dewey: Dewey) -> Dewey | None:
+    def nearest_entity(self, dewey: int) -> int | None:
         return self._tables_for(dewey).nearest_entity(dewey)
 
-    def entity_ancestors(self, dewey: Dewey) -> Iterator[Dewey]:
+    def entity_ancestors(self, dewey: int) -> Iterator[int]:
         return self._tables_for(dewey).entity_ancestors(dewey)
 
     # -- aggregates (validation, stats, persistence) -------------------
@@ -113,15 +127,15 @@ class _RoutedHashes:
         return sum(unit.hashes.element_count for unit in self._units)
 
     @property
-    def entity_table(self) -> dict[Dewey, int]:
-        merged: dict[Dewey, int] = {}
+    def entity_table(self) -> dict[int, int]:
+        merged: dict[int, int] = {}
         for unit in self._units:
             merged.update(unit.hashes.entity_table)
         return merged
 
     @property
-    def element_table(self) -> dict[Dewey, int]:
-        merged: dict[Dewey, int] = {}
+    def element_table(self) -> dict[int, int]:
+        merged: dict[int, int] = {}
         for unit in self._units:
             merged.update(unit.hashes.element_table)
         return merged
@@ -149,7 +163,8 @@ class CompositeIndex:
 
     def __init__(self, runs: Sequence[Run],
                  analyzer: Analyzer = DEFAULT_ANALYZER,
-                 document_names: Sequence[str] | None = None) -> None:
+                 document_names: Sequence[str] | None = None,
+                 layout: DeweyLayout | None = None) -> None:
         self.units: tuple[GKSIndex, ...] = tuple(unit for _, unit in runs)
         self.analyzer = analyzer
         if document_names is None:
@@ -160,8 +175,12 @@ class CompositeIndex:
         self.index_tags = self.units[0].index_tags if self.units else True
         #: p-document probability tables, as on :class:`GKSIndex`
         self.probabilities: "object | None" = None
-        self.hashes = _RoutedHashes(runs)
-        self._postings_cache: dict[str, list[Dewey]] = {}
+        #: the units' one layout (*layout* names it for a unit-less
+        #: shard of a family)
+        self.layout = layout if layout is not None else shared_layout(
+            self.units)
+        self.hashes = _RoutedHashes(runs, self.layout)
+        self._postings_cache: dict[str, list[int]] = {}
         self._merged_inverted: InvertedIndex | None = None
         self._merged_stats: IndexStats | None = None
         # The lazily merged views are probed from the scatter-gather and
@@ -183,7 +202,7 @@ class CompositeIndex:
     def depth(self) -> int:
         return max((unit.depth for unit in self.units), default=0)
 
-    def postings(self, keyword: str, tracer=NOOP_TRACER) -> list[Dewey]:
+    def postings(self, keyword: str, tracer=NOOP_TRACER) -> list[int]:
         """Global posting list: disjoint sorted union over units.
 
         Phrase keywords intersect *within* each unit first — every word
@@ -249,7 +268,7 @@ def merge_indexes(runs: Sequence[Run]) -> GKSIndex:
         inverted=merged.inverted,
         hashes=NodeHashes.from_mappings(
             entity=merged.hashes.entity_table,
-            element=merged.hashes.element_table),
-        stats=merged.stats, analyzer=merged.analyzer,
+            element=merged.hashes.element_table, layout=merged.layout),
+        stats=merged.stats, layout=merged.layout, analyzer=merged.analyzer,
         index_tags=merged.index_tags,
         document_names=merged.document_names)

@@ -2,7 +2,8 @@
 
 For each unique keyword appearing in the repository — after stop-word
 removal and stemming — the index keeps a sorted list of the Dewey ids of
-the elements that directly contain it (Table 3).  Element tag names are
+the elements that directly contain it (Table 3), packed into ints under
+the index's :class:`~repro.xmltree.dewey.DeweyLayout`.  Element tag names are
 indexed the same way (queries such as QM2 search for the tags ``country``
 and ``name``), flagged separately so statistics can tell them apart.
 """
@@ -14,11 +15,10 @@ from typing import Iterable, Iterator, Mapping
 
 from repro.index.postings import PostingList
 from repro.obs.trace import NOOP_TRACER
-from repro.xmltree.dewey import Dewey
 
 
 class InvertedIndex:
-    """Keyword → sorted Dewey posting list."""
+    """Keyword → sorted list of packed Dewey ids."""
 
     def __init__(self) -> None:
         self._postings: dict[str, PostingList] = {}
@@ -26,11 +26,11 @@ class InvertedIndex:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def add(self, keyword: str, dewey: Dewey) -> None:
+    def add(self, keyword: str, dewey: int) -> None:
         """Post *keyword* at *dewey*."""
         self.add_all((keyword,), dewey)
 
-    def add_all(self, keywords: Iterable[str], dewey: Dewey) -> None:
+    def add_all(self, keywords: Iterable[str], dewey: int) -> None:
         """Post every keyword of *keywords* at *dewey*.
 
         The builder emits postings in document order, so appends dominate;
@@ -50,12 +50,11 @@ class InvertedIndex:
                 if posting_list[position] != dewey:
                     posting_list.insert(position, dewey)
 
-    def discard_document(self, doc_id: int) -> None:
-        """Drop every posting of document *doc_id* — a failed document's
-        rollback.  Keywords it introduced go with it, so the vocabulary
-        keeps the order it had before."""
+    def discard_range(self, low: int, high: int) -> None:
+        """Drop every posting in ``[low, high)`` — one document's ids, a
+        failed document's rollback.  Keywords it introduced go with it,
+        so the vocabulary keeps the order it had before."""
         postings = self._postings
-        low, high = (doc_id,), (doc_id + 1,)
         for keyword in [keyword for keyword, posting_list in postings.items()
                         if posting_list[-1] >= low]:
             posting_list = postings[keyword]
@@ -65,12 +64,13 @@ class InvertedIndex:
                 del postings[keyword]
 
     @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Iterable[Dewey]]
+    def from_mapping(cls, mapping: Mapping[str, Iterable[int]]
                      ) -> "InvertedIndex":
-        """Rebuild an index from stored data (posting lists re-sorted)."""
+        """Rebuild an index from stored packed ids (posting lists
+        re-sorted and de-duplicated)."""
         index = cls()
         for keyword, deweys in mapping.items():
-            index._postings[keyword] = sorted(set(map(tuple, deweys)))
+            index._postings[keyword] = sorted(set(deweys))
         return index
 
     # ------------------------------------------------------------------

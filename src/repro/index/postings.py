@@ -1,24 +1,25 @@
 """Posting lists: sorted Dewey-id lists per keyword (paper §2.4).
 
 "The inverted index list for a keyword ki contains the Dewey id of all the
-nodes which contain that keyword."  A posting is simply a Dewey tuple; a
-posting list is kept sorted in document order, which by the Dewey/pre-order
-correspondence means plain tuple order.
+nodes which contain that keyword."  A posting is a Dewey id packed into an
+int (:class:`~repro.xmltree.dewey.DeweyLayout`); a posting list is kept
+sorted in document order, which the packing makes plain int order.
 
-This module also provides the sorted-list primitives used by the search
-engine: binary search for the contiguous Dewey range of a subtree, and the
-k-way merge of several posting lists into the paper's list ``SL``.
+This module also provides the sorted-list primitives: the k-way merge of
+posting lists into the paper's list ``SL``, intersection for phrases, and
+for the oracles' tuple lists the binary search of a subtree's range.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import repeat
+from operator import lshift, or_
 from typing import Iterable, Sequence
 
-from repro.xmltree.dewey import Dewey, subtree_interval
+from repro.xmltree.dewey import Dewey, DeweyLayout, subtree_interval
 
-PostingList = list[Dewey]
+PostingList = list[int]
 
 #: Bound on an index's derived lists (phrases, merged units) of client
 #: keywords: far above any query's keyword count, probed per candidate.
@@ -38,7 +39,7 @@ def cache_list(cache: dict, keyword: str, postings: PostingList) -> None:
 
 def subtree_range(postings: Sequence[Dewey],
                   ancestor: Dewey) -> tuple[int, int]:
-    """Half-open index range of postings inside ``subtree(ancestor)``.
+    """Half-open index range of tuple postings inside ``subtree(ancestor)``.
 
     Because descendant ids are exactly the tuples with *ancestor* as a
     prefix, and tuple order is document order, the matching postings form a
@@ -57,7 +58,7 @@ def count_in_subtree(postings: Sequence[Dewey], ancestor: Dewey) -> int:
 
 
 def intersect_postings(lists: list[PostingList]) -> PostingList:
-    """Dewey ids present in *every* list (all sorted; result sorted).
+    """Ids present in *every* list (all sorted; result sorted).
 
     Used for phrase keywords ("Peter Buneman"): a node matches the phrase
     when its direct content holds every word of it — a bag-of-words-
@@ -87,26 +88,18 @@ def intersect_postings(lists: list[PostingList]) -> PostingList:
     return result
 
 
-class MergedEntry(tuple):
-    """One entry of the merged list ``SL``: ``(dewey, keyword_index)``.
+class MergedList(list):
+    """The merged list ``SL``: sorted ints ``id << keyword_bits | keyword``.
 
-    Implemented as a plain tuple subclass so entries sort by Dewey id first
-    (document order) and by keyword index second (deterministic ties when
-    one element contains several query keywords).
+    ``id`` is a packed Dewey id and ``keyword`` the index of its query
+    keyword, so entries sort by document order first and by keyword
+    second (deterministic ties when one element holds several query
+    keywords), and an entry is one machine word while the id stays
+    within one.  :attr:`layout` is the ids' layout.  Truncate it in
+    place (``del sl[n:]``): a slice is a plain list without them.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, dewey: Dewey, keyword: int) -> "MergedEntry":
-        return super().__new__(cls, (dewey, keyword))
-
-    @property
-    def dewey(self) -> Dewey:
-        return self[0]
-
-    @property
-    def keyword(self) -> int:
-        return self[1]
+    __slots__ = ("keyword_bits", "layout")
 
 
 def merge_sorted_runs(runs: Iterable[Iterable]) -> list:
@@ -124,15 +117,26 @@ def merge_sorted_runs(runs: Iterable[Iterable]) -> list:
     return merged
 
 
-def merge_posting_lists(lists: Iterable[Sequence[Dewey]]) -> list[MergedEntry]:
+def merge_posting_lists(lists: Sequence[Sequence[int]],
+                        layout: DeweyLayout) -> MergedList:
     """k-way merge of sorted posting lists into the sorted list ``SL``.
 
-    Each input list *i* contributes entries tagged with keyword index *i*;
-    equal Dewey ids under several keywords order by keyword index.  Runs
-    in O(|SL|·log k) comparisons (:func:`merge_sorted_runs`), matching the
-    paper's O(d·|SL|·log n) bound (each Dewey comparison is O(d)).
+    List *i* contributes ``id << keyword_bits | i`` per id, where
+    ``keyword_bits`` is just wide enough for the last index; equal ids
+    under several keywords order by keyword index.  Runs in
+    O(|SL|·log k) int comparisons (:func:`merge_sorted_runs`).
     """
-    new = tuple.__new__  # skips MergedEntry.__new__'s Python frame
-    return merge_sorted_runs(
-        map(new, repeat(MergedEntry), zip(posting_list, repeat(index)))
-        for index, posting_list in enumerate(lists))
+    lists = list(lists)
+    bits = (len(lists) - 1).bit_length() if lists else 0
+    merged = MergedList()
+    merged.keyword_bits, merged.layout = bits, layout
+    for index, posting_list in enumerate(lists):
+        if index:
+            merged += map(or_, map(lshift, posting_list, repeat(bits)),
+                          repeat(index))
+        elif bits:
+            merged += map(lshift, posting_list, repeat(bits))
+        else:
+            merged += posting_list
+    merged.sort()
+    return merged

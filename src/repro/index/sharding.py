@@ -23,6 +23,7 @@ from repro.errors import ConfigError
 from repro.index.builder import GKSIndex, IndexBuilder
 from repro.index.composite import CompositeIndex
 from repro.text.analyzer import DEFAULT_ANALYZER, Analyzer
+from repro.xmltree.dewey import DeweyLayout
 from repro.xmltree.repository import Repository
 from repro.xmltree.tree import XMLDocument
 
@@ -132,10 +133,16 @@ class ShardedBuilder:
         self._names.append(document.name)
 
     def build(self, corpus_crc32: int | None = None) -> ShardedIndex:
+        """Finish every shard, each re-packed under the union of their
+        layouts where it differs (the shards of one index share one)."""
+        units = [builder.build() for builder in self._builders]
+        layout = DeweyLayout()
+        for unit in units:
+            layout = layout.union(unit.layout)
         shards = [Shard(shard_id=shard_id, doc_ids=tuple(doc_ids),
-                        index=builder.build())
-                  for shard_id, (builder, doc_ids) in enumerate(
-                      zip(self._builders, self._doc_ids))]
+                        index=unit.relaid(layout))
+                  for shard_id, (unit, doc_ids) in enumerate(
+                      zip(units, self._doc_ids))]
         return ShardedIndex(shards, strategy=self.strategy,
                             document_names=self._names,
                             analyzer=self.analyzer,

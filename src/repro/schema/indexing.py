@@ -43,17 +43,19 @@ def build_schema_index(repository: Repository,
             if assignment is None:
                 continue
             category = assignment.category
+            packed = base.layout.pack(node.dewey)
             if category is NodeCategory.ENTITY:
-                entity[node.dewey] = node.child_count
+                entity[packed] = node.child_count
             if (category is not NodeCategory.ATTRIBUTE
                     and (category is not NodeCategory.ENTITY
                          or assignment.is_repeating)):
-                element[node.dewey] = node.child_count
+                element[packed] = node.child_count
 
     stats = base.stats
     stats.entity_nodes = len(entity)
     return GKSIndex(inverted=base.inverted,
-                    hashes=NodeHashes.from_mappings(entity, element),
-                    stats=stats, analyzer=base.analyzer,
+                    hashes=NodeHashes.from_mappings(entity, element,
+                                                    base.layout),
+                    stats=stats, layout=base.layout, analyzer=base.analyzer,
                     index_tags=index_tags,
                     document_names=base.document_names)

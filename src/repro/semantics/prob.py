@@ -69,8 +69,9 @@ def _occurrences(index: GKSIndex, keywords: tuple[str, ...]
                  ) -> dict[Dewey, int]:
     """Dewey → bitmask of the query keywords occurring directly there."""
     occ: dict[Dewey, int] = {}
+    unpack = index.layout.unpack
     for bit, keyword in enumerate(keywords):
-        for dewey in index.postings(keyword):
+        for dewey in map(unpack, index.postings(keyword)):
             occ[dewey] = occ.get(dewey, 0) | (1 << bit)
     return occ
 

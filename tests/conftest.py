@@ -58,3 +58,14 @@ FIG1 = {
 @pytest.fixture(scope="session")
 def fig1_ids() -> dict:
     return dict(FIG1)
+
+
+def unpacked(index, table: dict) -> dict:
+    """A hash table of *index* keyed by Dewey tuples (ids are packed)."""
+    return {index.layout.unpack(dewey): value
+            for dewey, value in table.items()}
+
+
+def tuple_postings(index, keyword: str) -> list:
+    """*keyword*'s postings in *index* as Dewey tuples."""
+    return list(map(index.layout.unpack, index.postings(keyword)))

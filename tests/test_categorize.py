@@ -12,6 +12,7 @@ from repro.index.categorize import (CATEGORIES, CategoryRecord,
 from repro.xmltree.node import build_tree
 from repro.xmltree.parser import stream_document
 from repro.xmltree.serialize import serialize_node
+from tests.conftest import unpacked
 
 
 def categories_by_path(root):
@@ -155,11 +156,11 @@ class TestStreamingEquivalence:
         records = categorize_tree(root)
         assert streamed == records
         assert list(streamed) == list(records)
-        hashes = build_index(text).hashes
-        assert hashes.entity_table == {
+        index = build_index(text)
+        assert unpacked(index, index.hashes.entity_table) == {
             dewey: record.child_count for dewey, record in records.items()
             if record.category is NodeCategory.ENTITY}
-        assert list(hashes.element_table) == [
+        assert list(unpacked(index, index.hashes.element_table)) == [
             dewey for dewey, record in records.items()
             if record.category in (NodeCategory.REPEATING,
                                    NodeCategory.CONNECTING)

@@ -80,8 +80,9 @@ class TestDBLPPlants:
                   if sum(1 for child in node.children
                          if child.tag == "author") == 1]
         assert single, "bulk generation must produce 1-author entries"
+        pack = dblp_engine.index.layout.pack
         for node in single[:10]:
-            assert hashes.is_entity(node.dewey) is None
+            assert hashes.is_entity(pack(node.dewey)) is None
 
     def test_multi_author_articles_are_entities(self, dblp_engine):
         repository = dblp_engine.repository
@@ -89,8 +90,9 @@ class TestDBLPPlants:
         multi = [node for node in repository[0].root.children
                  if sum(1 for child in node.children
                         if child.tag == "author") >= 2]
+        pack = dblp_engine.index.layout.pack
         for node in multi[:10]:
-            assert hashes.is_entity(node.dewey) is not None
+            assert hashes.is_entity(pack(node.dewey)) is not None
 
 
 class TestSigmodPlants:
@@ -136,7 +138,8 @@ class TestShapes:
         repository = load_dataset("nasa")
         index = build_index(repository)
         postings = index.postings("quasar")
-        assert postings and all(len(dewey) >= 3 for dewey in postings)
+        assert postings and all(index.layout.depth(dewey) >= 2
+                                for dewey in postings)
 
     def test_interpro_publications_are_entities(self):
         repository = load_dataset("interpro")
@@ -144,7 +147,8 @@ class TestShapes:
         publication = next(
             node for node in repository.iter_nodes()
             if node.tag == "publication")
-        assert index.hashes.is_entity(publication.dewey) is not None
+        assert index.hashes.is_entity(
+            index.layout.pack(publication.dewey)) is not None
 
     def test_figure_fixtures_match_paper_counts(self):
         fig2a = load_dataset("figure2a")

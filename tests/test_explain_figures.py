@@ -6,16 +6,16 @@ import pytest
 
 from repro.core.explain import explain_rank
 from repro.core.query import Query
-from repro.core.ranking import rank_node
 from repro.core.search import search
 from repro.eval.figures import render_bar_chart, render_scatter
+from tests.test_ranking import rank
 
 
 class TestExplain:
     def test_explanation_sums_to_score(self, figure1_index, figure1_repo,
                                        fig1_ids):
         query = Query.of(["a", "b", "c", "d"], s=2)
-        breakdown = rank_node(figure1_index, query, fig1_ids["x3"])
+        breakdown = rank(figure1_index, query, fig1_ids["x3"])
         explanation = explain_rank(figure1_index, breakdown,
                                    repository=figure1_repo)
         total = sum(terminal.received
@@ -25,7 +25,7 @@ class TestExplain:
     def test_steps_carry_tags_and_counts(self, figure1_index,
                                          figure1_repo, fig1_ids):
         query = Query.of(["d"], s=1)
-        breakdown = rank_node(figure1_index, query, fig1_ids["x3"])
+        breakdown = rank(figure1_index, query, fig1_ids["x3"])
         explanation = explain_rank(figure1_index, breakdown,
                                    repository=figure1_repo)
         d_terminal = explanation.terminals[0]
@@ -37,7 +37,7 @@ class TestExplain:
     def test_render_mentions_everything(self, figure1_index,
                                         figure1_repo, fig1_ids):
         query = Query.of(["a", "b"], s=2)
-        breakdown = rank_node(figure1_index, query, fig1_ids["x2"])
+        breakdown = rank(figure1_index, query, fig1_ids["x2"])
         text = explain_rank(figure1_index, breakdown,
                             repository=figure1_repo).render()
         assert "P = 2" in text

@@ -134,7 +134,8 @@ class TestRankingModels:
         from repro.baselines.ranking_models import xrank_ranker
 
         query = Query.of(["a", "b", "d"], s=2)
-        x3 = xrank_ranker(figure1_index, query, fig1_ids["x3"])
+        x3 = xrank_ranker(figure1_index, query,
+                          figure1_index.layout.pack(fig1_ids["x3"]))
         # a, b at distance 1 (decay^1), d at distance 2 (decay^2)
         assert x3.score == pytest.approx(0.85 + 0.85 + 0.85 ** 2)
 
@@ -142,8 +143,8 @@ class TestRankingModels:
         from repro.baselines.ranking_models import make_xrank_ranker
 
         query = Query.of(["a"], s=1)
-        strict = make_xrank_ranker(0.5)(figure1_index, query,
-                                        fig1_ids["x3"])
+        strict = make_xrank_ranker(0.5)(
+            figure1_index, query, figure1_index.layout.pack(fig1_ids["x3"]))
         assert strict.score == pytest.approx(0.5)
 
     def test_xsearch_idf_favours_rare_keywords(self, dblp):
@@ -153,7 +154,8 @@ class TestRankingModels:
         # one node containing a rare vs a frequent keyword
         rare_query = Query.parse('"Marek Rusinkiewicz"')
         articles = index.postings("marek rusinkiewicz")
-        node = articles[0][:2]  # the article element
+        # the article element (ranker ids are packed)
+        node = index.layout.pack(index.layout.unpack(articles[0])[:2])
         rare = xsearch_ranker(index, rare_query, node)
         common = xsearch_ranker(index, Query.of(["articl"]), node)
         # 'articl'... may not be present; fall back to a frequent tag

@@ -20,7 +20,9 @@ from repro.index.statistics import IndexStats
 from repro.text.analyzer import Analyzer
 from repro.xmltree.repository import Repository
 from repro.xmltree.serialize import serialize_node
+from repro.xmltree.dewey import DeweyLayout
 from repro.xmltree.tree import XMLDocument
+from tests.conftest import tuple_postings, unpacked
 
 
 def index_facts(index) -> tuple:
@@ -28,10 +30,12 @@ def index_facts(index) -> tuple:
     hash tables in filing order, every counter but the stopwatch."""
     stats = asdict(index.stats)
     del stats["build_seconds"]
-    return (list(index.inverted.items()),
-            list(index.hashes.entity_table.items()),
-            list(index.hashes.element_table.items()), stats,
-            index.document_names)
+    unpack = index.layout.unpack
+    return ([(keyword, list(map(unpack, postings)))
+             for keyword, postings in index.inverted.items()],
+            list(unpacked(index, index.hashes.entity_table).items()),
+            list(unpacked(index, index.hashes.element_table).items()),
+            stats, index.document_names)
 
 
 WORDS = ["foo", "bar", "baz", "qux", "Karen", "publications", "2001"]
@@ -67,14 +71,17 @@ def fig2a_index():
 
 class TestInvertedIndex:
     def test_add_keeps_sorted_and_deduped(self):
+        layout = DeweyLayout([3])
+        pack = layout.pack
         index = InvertedIndex()
-        index.add("k", (0, 2))
-        index.add("k", (0, 2))      # duplicate
-        index.add("k", (0, 5))
-        index.add("k", (0, 3))      # out of order (mixed content case)
-        assert index.postings("k") == [(0, 2), (0, 3), (0, 5)]
-        built = GKSIndex(inverted=index, hashes=NodeHashes(),
-                         stats=IndexStats(documents=1),
+        index.add("k", pack((0, 2)))
+        index.add("k", pack((0, 2)))      # duplicate
+        index.add("k", pack((0, 5)))
+        index.add("k", pack((0, 3)))      # out of order (mixed content)
+        assert index.postings("k") == [pack((0, 2)), pack((0, 3)),
+                                       pack((0, 5))]
+        built = GKSIndex(inverted=index, hashes=NodeHashes(layout),
+                         stats=IndexStats(documents=1), layout=layout,
                          document_names=("doc",))
         assert verify_index(built) == []
 
@@ -100,14 +107,23 @@ class TestPostingOps:
         assert count_in_subtree(postings, (2,)) == 0
 
     def test_merge_tags_keyword_indexes(self):
-        merged = merge_posting_lists([[(0, 1), (0, 5)], [(0, 3)]])
-        assert [(entry.dewey, entry.keyword) for entry in merged] == \
-            [((0, 1), 0), ((0, 3), 1), ((0, 5), 0)]
+        layout = DeweyLayout([3])
+        pack = layout.pack
+        merged = merge_posting_lists(
+            [[pack((0, 1)), pack((0, 5))], [pack((0, 3))]], layout)
+        assert merged.keyword_bits == 1
+        assert [(layout.unpack(entry >> 1), entry & 1)
+                for entry in merged] == [((0, 1), 0), ((0, 3), 1),
+                                         ((0, 5), 0)]
 
     def test_merge_result_is_sorted(self):
-        merged = merge_posting_lists([[(0, 1)], [(0, 0), (1, 0)], []])
-        deweys = [entry.dewey for entry in merged]
-        assert deweys == sorted(deweys)
+        layout = DeweyLayout([1])
+        pack = layout.pack
+        merged = merge_posting_lists(
+            [[pack((1, 0))], [pack((0, 0)), pack((2, 0))], []], layout)
+        deweys = [layout.unpack(entry >> merged.keyword_bits)
+                  for entry in merged]
+        assert deweys == sorted(deweys) == [(0, 0), (1, 0), (2, 0)]
 
     def test_intersect_postings(self):
         a = [(0, 1), (0, 2), (0, 5)]
@@ -122,20 +138,21 @@ class TestPostingOps:
 class TestTable3:
     def test_karen_and_mike_postings(self, fig2a_index):
         # Table 3: Karen → did.0.1.1.0.1.0, did.0.1.1.2.1.0, …
-        karen = fig2a_index.postings("karen")
+        karen = tuple_postings(fig2a_index, "karen")
         assert (0, 1, 1, 0, 1, 0) in karen
         assert (0, 1, 1, 2, 1, 0) in karen
-        mike = fig2a_index.postings("mike")
+        mike = tuple_postings(fig2a_index, "mike")
         assert (0, 1, 1, 0, 1, 1) in mike
 
     def test_tag_names_are_indexed(self, fig2a_index):
         # queries may search element names (QM2: 'country', 'name')
         assert fig2a_index.postings("student")
-        assert (0, 1, 0) in fig2a_index.postings("name")
+        assert (0, 1, 0) in tuple_postings(fig2a_index, "name")
 
     def test_phrase_postings_intersect_per_element(self, fig2a_index):
         # phrase keywords hold *analysed* words ("mining" stems to "mine")
-        assert fig2a_index.postings("data mine") == [(0, 1, 1, 0, 0)]
+        assert tuple_postings(fig2a_index, "data mine") == \
+            [(0, 1, 1, 0, 0)]
         assert fig2a_index.postings("data serena") == []
 
 
@@ -143,29 +160,36 @@ class TestHashTables:
     def test_is_entity_and_is_element_return_child_counts(self,
                                                           fig2a_index):
         hashes = fig2a_index.hashes
-        assert hashes.is_entity((0, 1)) == 2          # Area
-        assert hashes.is_element((0, 1, 1)) == 3      # Courses (CN)
-        assert hashes.is_entity((0, 1, 1)) is None
+        pack = fig2a_index.layout.pack
+        assert hashes.is_entity(pack((0, 1))) == 2          # Area
+        assert hashes.is_element(pack((0, 1, 1))) == 3      # Courses (CN)
+        assert hashes.is_entity(pack((0, 1, 1))) is None
         # Course is both entity and repeating → in both tables (§2.4)
-        assert hashes.is_entity((0, 1, 1, 0)) == 2
-        assert hashes.is_element((0, 1, 1, 0)) == 2
+        assert hashes.is_entity(pack((0, 1, 1, 0))) == 2
+        assert hashes.is_element(pack((0, 1, 1, 0))) == 2
 
     def test_attribute_nodes_in_neither_table(self, fig2a_index):
         hashes = fig2a_index.hashes
-        assert hashes.is_entity((0, 1, 0)) is None
-        assert hashes.is_element((0, 1, 0)) is None
-        assert hashes.is_attribute((0, 1, 0))
+        pack = fig2a_index.layout.pack
+        assert hashes.is_entity(pack((0, 1, 0))) is None
+        assert hashes.is_element(pack((0, 1, 0))) is None
+        assert hashes.is_attribute(pack((0, 1, 0)))
 
     def test_nearest_entity_walks_ancestors(self, fig2a_index):
         hashes = fig2a_index.hashes
+        pack, unpack = fig2a_index.layout.pack, fig2a_index.layout.unpack
         # Student node → nearest entity is its Course
-        assert hashes.nearest_entity((0, 1, 1, 0, 1, 0)) == (0, 1, 1, 0)
-        assert hashes.nearest_entity((0, 1, 1, 0)) == (0, 1, 1, 0)
+        assert unpack(hashes.nearest_entity(pack((0, 1, 1, 0, 1, 0)))) \
+            == (0, 1, 1, 0)
+        assert unpack(hashes.nearest_entity(pack((0, 1, 1, 0)))) == \
+            (0, 1, 1, 0)
 
     def test_entity_ancestors_ordered_nearest_first(self, fig2a_index):
+        layout = fig2a_index.layout
         chain = list(fig2a_index.hashes.entity_ancestors(
-            (0, 1, 1, 0, 1, 0)))
-        assert chain == [(0, 1, 1, 0), (0, 1), (0,)]
+            layout.pack((0, 1, 1, 0, 1, 0))))
+        assert list(map(layout.unpack, chain)) == \
+            [(0, 1, 1, 0), (0, 1), (0,)]
 
 
 class TestBuilder:
@@ -234,7 +258,7 @@ class TestBuilder:
         repo = Repository.from_texts(["<r><a>karen</a></r>",
                                       "<r><a>karen</a></r>"])
         index = build_index(repo)
-        assert index.postings("karen") == [(0, 0), (1, 0)]
+        assert tuple_postings(index, "karen") == [(0, 0), (1, 0)]
 
     def test_builder_rejects_use_after_build(self):
         builder = IndexBuilder()

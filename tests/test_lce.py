@@ -19,6 +19,11 @@ def run_pipeline(index, keywords, s):
     return discover_lce(lcp, sl, index), sl
 
 
+def lce_nodes(index, result) -> set:
+    """The LCE nodes of *result* as Dewey tuples (ids are packed)."""
+    return set(map(index.layout.unpack, result.lce))
+
+
 @pytest.fixture(scope="module")
 def fig2a_index():
     repo = Repository()
@@ -34,7 +39,7 @@ class TestExample3:
         result, _ = run_pipeline(
             fig2a_index, ["student", "karen", "mike", "john", "harri"], 2)
         courses = {(0, 1, 1, 0), (0, 1, 1, 1), (0, 1, 1, 2)}
-        assert courses <= set(result.lce)
+        assert courses <= lce_nodes(fig2a_index, result)
 
     def test_every_lce_node_is_an_entity(self, fig2a_index):
         result, _ = run_pipeline(
@@ -55,8 +60,9 @@ class TestWitnesses:
         # Area even though Courses below also match.
         result, _ = run_pipeline(fig2a_index,
                                  ["databas", "karen", "mike"], 2)
-        assert (0, 1) in result.lce            # Area survives
-        assert (0, 1, 1, 0) in result.lce      # Data Mining course too
+        found = lce_nodes(fig2a_index, result)
+        assert (0, 1) in found                 # Area survives
+        assert (0, 1, 1, 0) in found           # Data Mining course too
 
     def test_ancestor_without_witness_is_evicted(self):
         # Both keywords only inside the deeper entity: the outer entity
@@ -72,11 +78,12 @@ class TestWitnesses:
         repo = Repository()
         repo.add_root(root)
         index = build_index(repo)
-        assert index.hashes.is_entity((0,)) is not None
-        assert index.hashes.is_entity((0, 1, 0)) is not None
+        pack = index.layout.pack
+        assert index.hashes.is_entity(pack((0,))) is not None
+        assert index.hashes.is_entity(pack((0, 1, 0))) is not None
         result, _ = run_pipeline(index, ["karen", "mike"], 2)
-        assert (0, 1, 0) in result.lce
-        assert (0,) not in result.lce
+        assert (0, 1, 0) in lce_nodes(index, result)
+        assert (0,) not in lce_nodes(index, result)
 
 
 class TestUnmapped:
@@ -90,13 +97,13 @@ class TestUnmapped:
                                                  fig1_ids):
         result, _ = run_pipeline(figure1_index, ["a", "b", "c"], 3)
         response = result.response_deweys()
-        assert response == [fig1_ids["x2"]]
+        assert response == [figure1_index.layout.pack(fig1_ids["x2"])]
 
     def test_attribute_lcp_is_lifted_to_parent(self, fig2a_index):
         # s=1 on a keyword that lives in an attribute node: the candidate
         # must be the attribute's parent (Def 2.1.1), then its entity.
         result, _ = run_pipeline(fig2a_index, ["databas"], 1)
-        assert (0, 1) in result.lce          # Area, not the Name AN
+        assert (0, 1) in lce_nodes(fig2a_index, result)  # Area, not the AN
 
 
 class TestEstimates:
@@ -105,6 +112,6 @@ class TestEstimates:
         # counter-based estimates ≥ its exact distinct count
         result, sl = run_pipeline(
             fig2a_index, ["karen", "mike", "john"], 2)
-        course = result.lce.get((0, 1, 1, 0))
+        course = result.lce.get(fig2a_index.layout.pack((0, 1, 1, 0)))
         assert course is not None
         assert course.estimated_keywords >= 2

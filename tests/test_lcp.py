@@ -7,11 +7,38 @@ import pytest
 from repro.core.lcp import LCPList, compute_lcp_list, sliding_blocks
 from repro.core.merge import merged_list
 from repro.core.query import Query
-from repro.index.postings import MergedEntry, merge_posting_lists
+from repro.index.postings import MergedList, merge_posting_lists
+from repro.xmltree.dewey import DeweyLayout
 
 
 def entries(*pairs):
-    return [MergedEntry(dewey, keyword) for dewey, keyword in pairs]
+    """A merged list of ``(Dewey tuple, keyword)`` pairs, packed under
+    the narrowest layout covering them."""
+    layout = DeweyLayout.covering([dewey for dewey, _ in pairs])
+    bits = max((keyword for _, keyword in pairs), default=0).bit_length()
+    sl = MergedList(layout.pack(dewey) << bits | keyword
+                    for dewey, keyword in pairs)
+    sl.keyword_bits, sl.layout = bits, layout
+    return sl
+
+
+def keyword_at(sl, position):
+    return sl[position] & ((1 << sl.keyword_bits) - 1)
+
+
+def dewey_at(sl, position):
+    return sl.layout.unpack(sl[position] >> sl.keyword_bits)
+
+
+def unpacked_blocks(sl, s):
+    """``sliding_blocks`` with its prefixes as tuples (``()``: none)."""
+    return [(left, right,
+             () if prefix is None else sl.layout.unpack(prefix))
+            for left, right, prefix in sliding_blocks(sl, s)]
+
+
+def entry_of(sl, lcp, dewey):
+    return lcp.entries[sl.layout.pack(dewey)]
 
 
 class TestSlidingBlocks:
@@ -19,7 +46,7 @@ class TestSlidingBlocks:
         sl = entries(((0, 0), 0), ((0, 1), 0), ((0, 2), 1), ((0, 3), 0))
         blocks = sliding_blocks(sl, 2)
         for left, right, _ in blocks:
-            keywords = {sl[i].keyword for i in range(left, right + 1)}
+            keywords = {keyword_at(sl, i) for i in range(left, right + 1)}
             assert len(keywords) >= 2
 
     def test_blocks_are_minimal_windows(self):
@@ -35,7 +62,7 @@ class TestSlidingBlocks:
 
     def test_s_equal_one_blocks_are_singletons(self):
         sl = entries(((0, 0), 0), ((0, 5), 1))
-        blocks = sliding_blocks(sl, 1)
+        blocks = unpacked_blocks(sl, 1)
         assert [(l, r) for l, r, _ in blocks] == [(0, 0), (1, 1)]
         assert [prefix for _, _, prefix in blocks] == [(0, 0), (0, 5)]
 
@@ -45,7 +72,7 @@ class TestSlidingBlocks:
 
     def test_cross_document_block_has_empty_prefix(self):
         sl = entries(((0, 0), 0), ((1, 0), 1))
-        blocks = sliding_blocks(sl, 2)
+        blocks = unpacked_blocks(sl, 2)
         assert blocks == [(0, 1, ())]
 
 
@@ -53,13 +80,14 @@ class TestLCPList:
     def test_counter_increments_for_repeated_prefix(self):
         sl = entries(((0, 0, 0), 0), ((0, 0, 1), 1), ((0, 0, 2), 0))
         lcp = compute_lcp_list(sl, 2)
-        assert lcp.entries[(0, 0)].counter == 2
-        assert lcp.estimated_keyword_count((0, 0)) == 3  # s+counter−1
+        assert entry_of(sl, lcp, (0, 0)).counter == 2
+        assert lcp.estimated_keyword_count(
+            sl.layout.pack((0, 0))) == 3  # s+counter−1
 
     def test_first_block_positions_recorded(self):
         sl = entries(((0, 0, 0), 0), ((0, 0, 1), 1))
         lcp = compute_lcp_list(sl, 2)
-        entry = lcp.entries[(0, 0)]
+        entry = entry_of(sl, lcp, (0, 0))
         assert (entry.first_left, entry.first_right) == (0, 1)
 
     def test_cross_document_blocks_skipped(self):
@@ -70,12 +98,13 @@ class TestLCPList:
         sl = entries(((0, 0, 0), 0), ((0, 0, 1), 1), ((0, 1, 0), 0),
                      ((0, 1, 1), 1))
         lcp = compute_lcp_list(sl, 2)
-        assert lcp.deweys()[0] == (0, 0)
+        assert lcp.deweys()[0] == sl.layout.pack((0, 0))
 
     def test_contains_and_len(self):
+        layout = DeweyLayout([2])
         lcp = LCPList(s=2)
-        lcp.file((0, 1), 0, 1)
-        assert (0, 1) in lcp and (0, 2) not in lcp
+        lcp.file(layout.pack((0, 1)), 0, 1)
+        assert layout.pack((0, 1)) in lcp and layout.pack((0, 2)) not in lcp
         assert len(lcp) == 1
 
 
@@ -96,45 +125,45 @@ class TestPaperExample4:
 
     def test_lcp_list_matches_figure(self):
         lcp = compute_lcp_list(self.SL, 2)
-        assert lcp.entries[(0, 0, 1)].counter == 1
-        assert lcp.entries[(0, 0, 1, 1, 0)].counter == 2
-        assert lcp.entries[(0,)].counter == 1          # the 'did' entry
-        assert lcp.entries[(0, 1, 0)].counter == 1
+        assert entry_of(self.SL, lcp, (0, 0, 1)).counter == 1
+        assert entry_of(self.SL, lcp, (0, 0, 1, 1, 0)).counter == 2
+        assert entry_of(self.SL, lcp, (0,)).counter == 1   # the 'did' entry
+        assert entry_of(self.SL, lcp, (0, 1, 0)).counter == 1
 
     def test_estimates_match_figure(self):
         lcp = compute_lcp_list(self.SL, 2)
-        assert lcp.estimated_keyword_count((0, 0, 1)) == 2
-        assert lcp.estimated_keyword_count((0, 0, 1, 1, 0)) == 3
+        pack = self.SL.layout.pack
+        assert lcp.estimated_keyword_count(pack((0, 0, 1))) == 2
+        assert lcp.estimated_keyword_count(pack((0, 0, 1, 1, 0))) == 3
 
 
 class TestMergedList:
     def test_merged_list_uses_query_keyword_order(self, figure1_index):
         query = Query.of(["a", "b"])
         sl = merged_list(figure1_index, query)
-        deweys = [entry.dewey for entry in sl]
+        deweys = [dewey_at(sl, i) for i in range(len(sl))]
         assert deweys == sorted(deweys)
-        keywords = {entry.keyword for entry in sl}
+        keywords = {keyword_at(sl, i) for i in range(len(sl))}
         assert keywords == {0, 1}
 
     def test_absent_keyword_contributes_nothing(self, figure1_index):
         query = Query.of(["a", "zzz"])
         sl = merged_list(figure1_index, query)
-        assert all(entry.keyword == 0 for entry in sl)
+        assert all(keyword_at(sl, i) == 0 for i in range(len(sl)))
 
 
 def heap_merged(lists):
-    """The tagged ``heapq.merge`` that ``merge_posting_lists`` replaced."""
-    return [MergedEntry(dewey, index)
-            for dewey, index in heapq.merge(
-                *([(dewey, index) for dewey in posting_list]
-                  for index, posting_list in enumerate(lists)))]
+    """A tagged ``heapq.merge`` over tuple lists: ``(dewey, index)``."""
+    return list(heapq.merge(
+        *([(dewey, index) for dewey in posting_list]
+          for index, posting_list in enumerate(lists))))
 
 
 def filed_blocks(sl, s):
     """The LCP list obtained by filing ``sliding_blocks(sl, s)``."""
     expected = LCPList(s=s)
     for left, right, prefix in sliding_blocks(sl, s):
-        if prefix:
+        if prefix is not None:
             expected.file(prefix, left, right)
     return expected
 
@@ -153,14 +182,20 @@ class TestMergeAgainstHeapReference:
         [[(0,), (0, 1, 0), (2, 0)], [(0, 1), (1,), (1, 0, 0)]],
     ])
     def test_equals_reference(self, lists):
-        merged = merge_posting_lists(lists)
-        assert merged == heap_merged(lists)
-        assert all(isinstance(entry, MergedEntry) for entry in merged)
+        layout = DeweyLayout.covering(
+            [dewey for posting_list in lists for dewey in posting_list])
+        merged = merge_posting_lists(
+            [list(map(layout.pack, posting_list)) for posting_list in lists],
+            layout)
+        assert isinstance(merged, MergedList) and merged.layout == layout
+        assert [(dewey_at(merged, i), keyword_at(merged, i))
+                for i in range(len(merged))] == heap_merged(lists)
 
     def test_accepts_a_generator_of_lists(self):
-        lists = [[(0, 1)], [(0, 0)]]
-        assert merge_posting_lists(lst for lst in lists) == \
-            heap_merged(lists)
+        layout = DeweyLayout([2])
+        lists = [[layout.pack((0, 1))], [layout.pack((0, 0))]]
+        merged = merge_posting_lists((lst for lst in lists), layout)
+        assert list(merged) == [lists[1][0] << 1 | 1, lists[0][0] << 1]
 
 
 class TestSweepAgainstReferenceBlocks:
@@ -183,7 +218,7 @@ class TestSweepAgainstReferenceBlocks:
         self.check(sl, 3)
 
     def test_empty_and_single_keyword_lists(self):
-        self.check([], 2)
+        self.check(entries(), 2)
         self.check(entries(((0, 0), 0), ((0, 1), 0)), 2)
 
     @pytest.mark.parametrize("keywords", [["a", "b"], ["a", "b", "c", "d"],

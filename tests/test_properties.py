@@ -10,22 +10,22 @@ from hypothesis import given, settings
 from repro.baselines.bruteforce import (brute_candidates, brute_elca,
                                         brute_slca, subtree_keyword_map)
 from repro.baselines.elca import elca
+from repro.baselines.lca import dewey_postings
 from repro.baselines.slca import slca_indexed_lookup_eager, slca_scan
 from repro.core.lcp import compute_lcp_list, sliding_blocks
 from repro.core.merge import merged_list
 from repro.core.query import Query
-from repro.core.ranking import rank_node
 from repro.core.search import search
 from repro.index.builder import build_index
-from repro.index.postings import MergedEntry, merge_posting_lists
+from repro.index.postings import MergedList, merge_posting_lists
 from repro.text.analyzer import Analyzer
-from repro.xmltree.dewey import is_ancestor_or_self
+from repro.xmltree.dewey import DeweyLayout, is_ancestor_or_self
 from repro.xmltree.node import build_tree
 from repro.xmltree.parser import parse_document
 from repro.xmltree.repository import Repository
 from repro.xmltree.serialize import serialize_node
-from tests.test_lcp import filed_blocks, heap_merged
-from tests.test_ranking import composed_rank
+from tests.test_lcp import dewey_at, filed_blocks, heap_merged, keyword_at
+from tests.test_ranking import composed_rank, rank
 
 # Text keywords use an alphabet the analyzer maps to itself.
 KEYWORDS = ["kilo", "lima", "mike", "november", "oscar"]
@@ -125,7 +125,8 @@ def test_gks_response_coverage(case):
                for other in candidate_set):
             continue  # not minimal
         lifted = candidate
-        if len(candidate) > 1 and index.hashes.is_attribute(candidate):
+        if len(candidate) > 1 and index.hashes.is_attribute(
+                index.layout.pack(candidate)):
             lifted = candidate[:-1]
         assert any(is_ancestor_or_self(lifted, dewey)
                    or is_ancestor_or_self(dewey, lifted)
@@ -140,11 +141,12 @@ def test_lcp_blocks_have_s_unique_keywords(case):
     index = build_index(repo, analyzer=ANALYZER)
     sl = merged_list(index, query)
     for left, right, prefix in sliding_blocks(sl, query.effective_s):
-        block_keywords = {sl[i].keyword for i in range(left, right + 1)}
+        block_keywords = {keyword_at(sl, i) for i in range(left, right + 1)}
         assert len(block_keywords) == query.effective_s
-        if prefix:
+        if prefix is not None:
             for position in range(left, right + 1):
-                assert is_ancestor_or_self(prefix, sl[position].dewey)
+                assert is_ancestor_or_self(sl.layout.unpack(prefix),
+                                           dewey_at(sl, position))
 
 
 DEWEYS = st.lists(st.integers(min_value=0, max_value=3), min_size=1,
@@ -159,11 +161,14 @@ def test_merge_equals_tagged_heap_merge(lists):
     document order, equal Dewey ids ordered by keyword index, empty
     lists contributing nothing."""
     reference = heap_merged(lists)
-    merged = merge_posting_lists(lists)
-    assert merged == reference
-    assert all(type(entry) is MergedEntry for entry in merged)
-    assert [(entry.dewey, entry.keyword) for entry in merged] == \
-        [tuple(entry) for entry in reference]
+    layout = DeweyLayout.covering(
+        [dewey for posting_list in lists for dewey in posting_list])
+    merged = merge_posting_lists(
+        [list(map(layout.pack, posting_list)) for posting_list in lists],
+        layout)
+    assert type(merged) is MergedList and merged == sorted(merged)
+    assert [(dewey_at(merged, i), keyword_at(merged, i))
+            for i in range(len(merged))] == reference
 
 
 @settings(max_examples=100, deadline=None)
@@ -190,7 +195,7 @@ def test_rank_node_equals_the_readable_composition(case):
     repo, query = case
     index = build_index(repo, analyzer=ANALYZER)
     for node in repo.iter_nodes():
-        breakdown = rank_node(index, query, node.dewey)
+        breakdown = rank(index, query, node.dewey)
         score, terminals = composed_rank(index, query, node.dewey)
         assert breakdown.score == score
         assert breakdown.terminals == terminals
@@ -221,7 +226,7 @@ def test_ranking_bounds(case):
     index = build_index(repo, analyzer=ANALYZER)
     response = search(index, query)
     for node in response:
-        breakdown = rank_node(index, query, node.dewey)
+        breakdown = rank(index, query, node.dewey)
         assert breakdown.score > 0
         terminal_count = sum(len(points)
                              for points in breakdown.terminals.values())
@@ -264,5 +269,6 @@ def test_subtree_keyword_map_consistency(spec):
     for dewey, keywords in mapping.items():
         for keyword in KEYWORDS:
             expected = keyword in keywords
-            found = count_in_subtree(index.postings(keyword), dewey) > 0
+            found = count_in_subtree(
+                dewey_postings(index, keyword), dewey) > 0
             assert expected == found

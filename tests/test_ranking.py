@@ -15,20 +15,33 @@ from repro.index.builder import build_index
 from repro.index.composite import CompositeIndex
 from repro.index.sharding import build_sharded_index
 from repro.index.storage import load_index, save_index
+from repro.xmltree.dewey import DeweyLayout
 from repro.xmltree.repository import Repository
 
 
+def rank(index, query, dewey, ranker=rank_node):
+    """*ranker* on the Dewey tuple *dewey* (rankers take packed ids)."""
+    return ranker(index, query, index.layout.pack(dewey))
+
+
 class TestTerminalPoints:
+    LAYOUT = DeweyLayout([3, 3])
+
+    def points(self, deweys):
+        layout = self.LAYOUT
+        return tuple(map(layout.unpack, terminal_points(
+            list(map(layout.pack, deweys)), layout)))
+
     def test_highest_occurrence_only(self):
-        points = terminal_points([(0, 1), (0, 2, 5), (0, 3)])
+        points = self.points([(0, 1), (0, 2, 5), (0, 3)])
         assert points == ((0, 1), (0, 3))  # depth-1 beats depth-2
 
     def test_multiple_at_highest_level_all_count(self):
-        points = terminal_points([(0, 1), (0, 2)])
+        points = self.points([(0, 1), (0, 2)])
         assert len(points) == 2
 
     def test_empty(self):
-        assert terminal_points([]) == ()
+        assert terminal_points([], self.LAYOUT) == ()
 
 
 class TestReceivedPotential:
@@ -50,22 +63,21 @@ class TestExample5:
     QUERY = Query.of(["a", "b", "c", "d"], s=2)
 
     def test_x2_rank(self, figure1_index, fig1_ids):
-        breakdown = rank_node(figure1_index, self.QUERY, fig1_ids["x2"])
+        breakdown = rank(figure1_index, self.QUERY, fig1_ids["x2"])
         assert breakdown.score == pytest.approx(3.0)
         assert breakdown.initial_potential == 3
 
     def test_x3_rank(self, figure1_index, fig1_ids):
-        breakdown = rank_node(figure1_index, self.QUERY, fig1_ids["x3"])
+        breakdown = rank(figure1_index, self.QUERY, fig1_ids["x3"])
         assert breakdown.score == pytest.approx(2.5)
 
     def test_x4_rank(self, figure1_index, fig1_ids):
-        breakdown = rank_node(figure1_index, self.QUERY, fig1_ids["x4"])
+        breakdown = rank(figure1_index, self.QUERY, fig1_ids["x4"])
         assert breakdown.score == pytest.approx(2.0)
 
     def test_order_matches_paper(self, figure1_index, fig1_ids):
         scores = {
-            name: rank_node(figure1_index, self.QUERY,
-                            fig1_ids[name]).score
+            name: rank(figure1_index, self.QUERY, fig1_ids[name]).score
             for name in ("x2", "x3", "x4")
         }
         assert scores["x2"] > scores["x3"] > scores["x4"]
@@ -74,53 +86,58 @@ class TestExample5:
 class TestBreakdowns:
     def test_matched_keywords_recorded(self, figure1_index, fig1_ids):
         query = Query.of(["a", "b", "c", "d"])
-        breakdown = rank_node(figure1_index, query, fig1_ids["x3"])
+        breakdown = rank(figure1_index, query, fig1_ids["x3"])
         assert set(breakdown.matched_keywords) == {"a", "b", "d"}
         assert breakdown.distinct_keywords == 3
 
     def test_absent_keywords_do_not_contribute(self, figure1_index,
                                                fig1_ids):
         query = Query.of(["a", "zzz"])
-        breakdown = rank_node(figure1_index, query, fig1_ids["x2"])
+        breakdown = rank(figure1_index, query, fig1_ids["x2"])
         assert breakdown.initial_potential == 1
         assert "zzz" not in breakdown.terminals
 
     def test_node_without_keywords_scores_zero(self, figure1_index,
                                                fig1_ids):
         query = Query.of(["zzz"])
-        breakdown = rank_node(figure1_index, query, fig1_ids["x2"])
+        breakdown = rank(figure1_index, query, fig1_ids["x2"])
         assert breakdown.score == 0.0
 
     def test_rank_is_positive_when_keywords_present(self, figure1_index,
                                                     fig1_ids):
         query = Query.of(["a"])
-        assert rank_node(figure1_index, query,
-                         fig1_ids["x1"]).score > 0
+        assert rank(figure1_index, query, fig1_ids["x1"]).score > 0
 
 
 class TestKeywordCountBaseline:
     def test_count_ranker_ignores_structure(self, figure1_index, fig1_ids):
         query = Query.of(["a", "b", "c", "d"], s=2)
-        x3 = rank_by_keyword_count(figure1_index, query, fig1_ids["x3"])
-        x2 = rank_by_keyword_count(figure1_index, query, fig1_ids["x2"])
+        x3 = rank(figure1_index, query, fig1_ids["x3"],
+                 rank_by_keyword_count)
+        x2 = rank(figure1_index, query, fig1_ids["x2"],
+                 rank_by_keyword_count)
         assert x3.score == x2.score == 3.0  # both match 3 keywords
 
     def test_count_ranker_terminals_match_flow_ranker(self, figure1_index,
                                                       fig1_ids):
         query = Query.of(["a", "b"])
-        flow = rank_node(figure1_index, query, fig1_ids["x3"])
-        count = rank_by_keyword_count(figure1_index, query, fig1_ids["x3"])
+        flow = rank(figure1_index, query, fig1_ids["x3"])
+        count = rank(figure1_index, query, fig1_ids["x3"],
+                 rank_by_keyword_count)
         assert flow.terminals == count.terminals
 
 
 def composed_rank(index, query, dewey):
     """``rank_node`` spelled with the readable single-purpose helpers:
-    the reference its one-loop form is held to."""
+    the reference its one-loop form is held to (*dewey* and the
+    terminals are tuples)."""
+    layout = index.layout
     terminals = {}
     for keyword in query.keywords:
-        points = terminal_points(keyword_occurrences(index, keyword, dewey))
+        points = terminal_points(keyword_occurrences(
+            index, keyword, layout.pack(dewey)), layout)
         if points:
-            terminals[keyword] = points
+            terminals[keyword] = tuple(map(layout.unpack, points))
     score = 0.0
     for points in terminals.values():
         for terminal in points:
@@ -152,7 +169,7 @@ class TestRankNodeEqualsComposition:
     def check(self, index, deweys):
         for query in self.QUERIES:
             for dewey in deweys:
-                breakdown = rank_node(index, query, dewey)
+                breakdown = rank(index, query, dewey)
                 score, terminals = composed_rank(index, query, dewey)
                 assert breakdown.score == score
                 assert breakdown.terminals == terminals

@@ -28,6 +28,7 @@ from repro.text.analyzer import DEFAULT_ANALYZER
 from repro.xmltree.parser import RecoveryPolicy, parse_document
 from repro.xmltree.repository import Repository, ingest_document
 from repro.xmltree.serialize import serialize_document
+from tests.conftest import unpacked
 from tests.test_parser_conformance import WELL_FORMED
 
 # the battery's one case whose vocabulary order the stream changes: <a>
@@ -40,10 +41,13 @@ def facts(index) -> dict:
     tables in insertion order."""
     stats = index.stats.to_dict()
     del stats["build_seconds"]
+    unpack = index.layout.unpack
     return {"vocabulary": [keyword for keyword, _ in index.inverted.items()],
-            "postings": dict(index.inverted.items()),
-            "entity": list(index.hashes.entity_table.items()),
-            "element": list(index.hashes.element_table.items()),
+            "postings": {keyword: list(map(unpack, postings))
+                         for keyword, postings in index.inverted.items()},
+            "entity": list(unpacked(index, index.hashes.entity_table).items()),
+            "element": list(unpacked(index,
+                                     index.hashes.element_table).items()),
             "stats": stats,
             "category_by_tag": index.stats.category_by_tag,
             "names": tuple(index.document_names)}

@@ -87,7 +87,7 @@ class TestValidator:
 
     def test_unknown_document_detected(self, healthy):
         _, index = healthy
-        index.inverted.postings("karen").append((9, 0))
+        index.inverted.postings("karen").append(index.layout.pack((9, 0)))
         violations = verify_index(index)
         assert "postings-document" in self._invariants(violations)
         assert any("unknown document" in violation.detail

@@ -132,7 +132,8 @@ class TestWriterOutput:
         assert envelope["version"] == FORMAT_VERSION
         assert payload_crc32(envelope["payload"]) == envelope["crc32"]
         assert {"analyzer", "document_names", "stats", "entity_hash",
-                "element_hash", "postings"} == set(envelope["payload"])
+                "element_hash", "postings",
+                "dewey_widths"} == set(envelope["payload"])
 
     def test_v3_structure_and_crcs(self, tmp_path):
         envelope = read_json_gz(save_index(_index(2), tmp_path / "idx.gz"))
@@ -195,6 +196,8 @@ def _reference_payload(decoded: DecodedIndex, shard) -> dict:
     }
     if shard.probabilities:
         payload["probabilities"] = shard.probabilities
+    if decoded.dewey_widths is not None:  # the additive layout key
+        payload["dewey_widths"] = list(decoded.dewey_widths)
     return payload
 
 
