@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Codec smoke test: build the same corpus under both codecs via the
 # CLI, verify both files and the committed v4 file shallow and deep,
+# check that the committed v5 file written before files recorded their
+# Dewey widths loads and answers like a fresh build,
 # assert the varint-dag file is smaller on the redundancy-heavy mirrors
 # corpus, that two saves of one index are byte-identical (printing the
 # raw bytes before/after the compression-level change), and confirm the
@@ -49,6 +51,40 @@ python -m repro check-index "$V4" >/dev/null || {
     echo "FAIL: check-index rejected the v4 fixture" >&2; exit 1; }
 python -m repro check-index "$V4" --deep >/dev/null || {
     echo "FAIL: deep audit rejected the v4 fixture" >&2; exit 1; }
+
+echo "== a v5 file without recorded Dewey widths answers like a fresh build =="
+V5=tests/golden/v5-mirrors.gksindex
+python -m repro check-index "$V5" >/dev/null || {
+    echo "FAIL: check-index rejected the v5 fixture" >&2; exit 1; }
+python -m repro check-index "$V5" --deep >/dev/null || {
+    echo "FAIL: deep audit rejected the v5 fixture" >&2; exit 1; }
+python - "$V5" <<'EOF'
+import sys
+
+from repro.core.query import Query
+from repro.core.search import search
+from repro.datasets.mirrors import generate_mirrors
+from repro.index.builder import build_index
+from repro.index.codec import read_binary_header
+from repro.index.storage import load_index
+
+path = sys.argv[1]
+assert "dewey_widths" not in read_binary_header(path)["body"], \
+    "the v5 fixture must predate the dewey_widths key"
+built = build_index(generate_mirrors(scale=1, seed=3))
+loaded = load_index(path)
+sig = lambda response: [(n.dewey, n.score) for n in response.nodes]
+answered = 0
+for text, s in (("license rivera", 1), ("license rivera archive", 2),
+                ("databases compression", 1)):
+    query = Query.parse(text, s=s, analyzer=built.analyzer)
+    want = sig(search(built, query))
+    assert sig(search(loaded, query)) == want, f"{text!r} differs"
+    answered += len(want)
+assert answered, "the v5 fixture queries returned no nodes"
+print(f"v5 fixture (widths derived at load) answered {answered} node(s) "
+      f"like a fresh build, layout {list(loaded.layout.widths)}")
+EOF
 
 echo "== deep audit: semantic invariants hold for both codecs =="
 python -m repro check-index "$WORKDIR/raw.gks" --deep >/dev/null || {
