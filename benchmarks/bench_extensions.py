@@ -1,9 +1,9 @@
 """E-EXT — extension benchmarks: schema categorization, top-k exactness,
-incremental maintenance, JSON ingestion.
+incremental maintenance.
 
 These are not paper tables; they quantify the future-work feature the
 paper sketches (§2.2 schema-level categorization) and the engineering
-extensions (top-k, append-only maintenance, JSON).
+extensions (top-k, append-only maintenance).
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ from repro.core.topk import search_top_k
 from repro.datasets.registry import load_dataset
 from repro.eval.reporting import render_table
 from repro.eval.runner import engine_for, frequency_ladder
-from repro.index.builder import build_index
 from repro.schema import (build_schema_index, compare_with_instance_level,
                           infer_schema)
-from repro.xmltree.json_adapter import json_to_document
 from repro.xmltree.serialize import serialize_document
 
 RANKERS = (rank_node, rank_by_keyword_count, xrank_ranker, xsearch_ranker)
@@ -93,20 +91,3 @@ def test_incremental_append_speed(benchmark):
 
     index = benchmark.pedantic(append_once, rounds=3, iterations=1)
     assert index.stats.documents == 2
-
-
-def test_json_ingestion_speed(benchmark):
-    """JSON record batch → tree → index, end to end."""
-    records = [{"title": f"record {i}", "year": 1990 + i % 20,
-                "authors": [f"author{i % 7}", f"author{(i + 1) % 7}"]}
-               for i in range(500)]
-
-    def ingest():
-        from repro.xmltree.repository import Repository
-
-        repository = Repository()
-        repository.add(json_to_document({"records": records}))
-        return build_index(repository)
-
-    index = benchmark(ingest)
-    assert index.postings("author1")

@@ -41,8 +41,7 @@ from repro.schema import build_schema_index, infer_schema
 from repro.serve import ServeConfig, ServerCore
 from repro.text import Analyzer
 from repro.xmltree import (IngestFailure, RecoveryPolicy, Repository,
-                           XMLDocument, XMLNode, parse_document,
-                           parse_json_document)
+                           XMLDocument, XMLNode, parse_document)
 
 __version__ = "1.0.0"
 
@@ -60,7 +59,7 @@ __all__ = [
     "build_sharded_index",
     "categorize_tree", "elca", "infer_schema",
     "load_dataset", "load_index", "naive_gks", "parse_document",
-    "parse_json_document", "save_index", "search",
+    "save_index", "search",
     "search_top_k", "sharded_search", "sharded_top_k",
     "slca_indexed_lookup_eager", "slca_scan",
 ]

@@ -4,11 +4,9 @@ Subcommands mirror the system's three engines (Fig. 3):
 
 * ``gks index FILE...  -o INDEX``     build and persist an index
 * ``gks search FILE... -q QUERY -s N``  run a query, print ranked results
-* ``gks topk FILE... -q QUERY -k K``    top-k: the head of the full ranking
 * ``gks di FILE... -q QUERY``          print the DI for a query
 * ``gks categorize FILE...``           print the Table 5 category counts
 * ``gks schema FILE...``               print the inferred schema
-* ``gks xpath FILE... -p PATH``        evaluate an XPath-lite expression
 * ``gks dataset NAME -o DIR``          emit a synthetic corpus as XML
 * ``gks stats FILE... [-q QUERY]``     observability report (metrics,
   per-query stats, slow queries; ``--prom``/``--json`` exposition)
@@ -29,8 +27,7 @@ Subcommands mirror the system's three engines (Fig. 3):
   (``/search``, ``/healthz``, ``/metrics``) with bounded admission and
   request coalescing; SIGTERM drains gracefully
 
-``FILE`` arguments ending in ``.json`` are ingested through the JSON
-adapter; everything else is parsed as XML.
+Every ``FILE`` argument is parsed as XML.
 """
 
 from __future__ import annotations
@@ -176,13 +173,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                       "--memtable-docs", "--compact-segments", "--shards",
                       "--strategy")
 
-    topk_cmd = commands.add_parser(
-        "topk", help="top-k search: the k best of the full ranking")
-    topk_cmd.add_argument("files", nargs="+")
-    topk_cmd.add_argument("-q", "--query", required=True)
-    topk_cmd.add_argument("-s", type=int, default=1)
-    topk_cmd.add_argument("-k", type=int, default=5)
-
     di_cmd = commands.add_parser("di", help="deeper analytical insights")
     di_cmd.add_argument("files", nargs="+")
     di_cmd.add_argument("-q", "--query", required=True)
@@ -197,11 +187,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     schema_cmd = commands.add_parser("schema",
                                      help="print the inferred schema")
     schema_cmd.add_argument("files", nargs="+")
-
-    xpath_cmd = commands.add_parser(
-        "xpath", help="evaluate an XPath-lite expression")
-    xpath_cmd.add_argument("files", nargs="+")
-    xpath_cmd.add_argument("-p", "--path", required=True)
 
     check_cmd = commands.add_parser(
         "check-index",
@@ -302,11 +287,9 @@ def main(argv: list[str] | None = None) -> int:
         "index": _cmd_index,
         "search": _cmd_search,
         "serve": _cmd_serve,
-        "topk": _cmd_topk,
         "di": _cmd_di,
         "categorize": _cmd_categorize,
         "schema": _cmd_schema,
-        "xpath": _cmd_xpath,
         "check-index": _cmd_check_index,
         "lint": _cmd_lint,
         "race": _cmd_race,
@@ -693,32 +676,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_topk(args: argparse.Namespace) -> int:
-    engine = _engine(args)
-    response = engine.search_top_k(args.query, k=args.k, s=args.s)
-    print(f"top {args.k} of RQ(s) for {response.query}")
-    for node in response:
-        print(" ", engine.describe(node))
-    return 0
-
-
 def _cmd_schema(args: argparse.Namespace) -> int:
     from repro.schema import infer_schema
 
     print(infer_schema(Repository.from_paths(args.files)).render())
-    return 0
-
-
-def _cmd_xpath(args: argparse.Namespace) -> int:
-    from repro.xmltree.serialize import serialize_node
-    from repro.xmltree.xpath import select
-
-    total = 0
-    for document in Repository.from_paths(args.files):
-        for node in select(document.root, args.path):
-            total += 1
-            print(serialize_node(node))
-    print(f"-- {total} node(s)")
     return 0
 
 

@@ -70,13 +70,10 @@ def build_unit(document: XMLDocument, analyzer: Analyzer,
 def family_layout(durable_units: UnitRuns,
                   pending: Sequence[PendingDocument]) -> DeweyLayout:
     """The narrowest layout every unit of the family fits."""
-    layout = DeweyLayout()
-    for chain in durable_units.values():
-        for _, unit in chain:
-            layout = layout.union(unit.layout)
-    for doc in pending:
-        layout = layout.union(doc.unit.layout)
-    return layout
+    return DeweyLayout().union(
+        *(unit.layout for chain in durable_units.values()
+          for _, unit in chain),
+        *(doc.unit.layout for doc in pending))
 
 
 def relayout(durable_units: UnitRuns, pending: list[PendingDocument],

@@ -222,7 +222,7 @@ class GKSEngine:
         back out and quarantined; while the index file or store manifest
         exists the texts are only checked.  Each document keeps its text
         and builds its tree on the first read of ``.root``; ``salvage``
-        and ``.json`` sources are parsed into trees.
+        sources are parsed into trees.
 
         The open is traced: an ``open`` root span (on *tracer* when
         given, and retained in :meth:`recent_traces`) with a ``parse``

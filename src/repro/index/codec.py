@@ -247,9 +247,7 @@ def _assemble(decoded: DecodedIndex, layouts: Sequence[DeweyLayout],
     de-duplicated (``from_mapping``): a load repairs what only a decode
     (and so the deep audit) can show."""
     analyzer = Analyzer.from_flags(decoded.analyzer)
-    family = DeweyLayout()
-    for layout in layouts:
-        family = family.union(layout)
+    family = DeweyLayout().union(*layouts)
     units = [GKSIndex(
         inverted=InvertedIndex.from_mapping(shard.postings),
         hashes=NodeHashes.from_mappings(shard.entity, shard.element,

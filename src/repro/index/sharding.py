@@ -136,9 +136,7 @@ class ShardedBuilder:
         """Finish every shard, each re-packed under the union of their
         layouts where it differs (the shards of one index share one)."""
         units = [builder.build() for builder in self._builders]
-        layout = DeweyLayout()
-        for unit in units:
-            layout = layout.union(unit.layout)
+        layout = DeweyLayout().union(*(unit.layout for unit in units))
         shards = [Shard(shard_id=shard_id, doc_ids=tuple(doc_ids),
                         index=unit.relaid(layout))
                   for shard_id, (unit, doc_ids) in enumerate(

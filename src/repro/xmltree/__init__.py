@@ -4,8 +4,6 @@ from repro.xmltree.dewey import (Dewey, ancestors_of, block_lcp,
                                  common_prefix, depth_of, format_dewey,
                                  is_ancestor, is_ancestor_or_self, lca_of,
                                  make_dewey, parse_dewey, subtree_interval)
-from repro.xmltree.json_adapter import (json_to_document,
-                                        parse_json_document)
 from repro.xmltree.node import XMLNode, build_tree
 from repro.xmltree.parser import (RecoveryPolicy, SalvageLog, TreeBuilder,
                                   iter_events, iter_events_salvage,
@@ -20,8 +18,7 @@ __all__ = [
     "ancestors_of", "block_lcp", "build_tree", "common_prefix", "depth_of",
     "format_dewey", "is_ancestor", "is_ancestor_or_self", "iter_events",
     "iter_events_salvage",
-    "json_to_document", "lca_of", "make_dewey", "parse_dewey",
-    "parse_document", "parse_json_document",
+    "lca_of", "make_dewey", "parse_dewey", "parse_document",
     "serialize_document", "serialize_node",
     "subtree_interval",
 ]

@@ -23,6 +23,7 @@ properties: int order is document order, and a subtree is the interval
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from repro.errors import DeweyError
@@ -395,15 +396,15 @@ class DeweyLayout:
                     needed[level - 1] = bits
         return cls(needed)
 
-    def union(self, other: "DeweyLayout") -> "DeweyLayout":
-        """The narrowest layout both *self* and *other* fit in."""
-        if other == self:
+    def union(self, *others: "DeweyLayout") -> "DeweyLayout":
+        """The narrowest layout *self* and every one of *others* fit in
+        (*self* itself when they all equal it)."""
+        others = [other for other in others if other != self]
+        if not others:
             return self
-        levels = max(len(self.widths), len(other.widths))
-        return DeweyLayout(max(
-            self.widths[level] if level < len(self.widths) else 0,
-            other.widths[level] if level < len(other.widths) else 0)
-            for level in range(levels))
+        return DeweyLayout(map(max, zip_longest(
+            self.widths, *(other.widths for other in others),
+            fillvalue=0)))
 
     def contains(self, other: "DeweyLayout") -> bool:
         """True when every id of *other* fits this layout."""

@@ -38,13 +38,12 @@ def _ingest_counter(name: str, help: str):
 
 class Source(NamedTuple):
     """One corpus item read but not yet ingested: its text (or the error
-    that kept it from being read), the document's name, what quarantine
-    calls it, and the file it came from (a ``.json`` file is JSON)."""
+    that kept it from being read), the document's name and what
+    quarantine calls it."""
 
     text: str | None
     name: str | None = None
     label: str | None = None
-    path: Path | None = None
     error: DocumentLoadError | None = None
 
 
@@ -65,10 +64,10 @@ def path_sources(paths: Iterable[str | Path],
             text = path.read_text(encoding=encoding)
         # ValueError: undecodable bytes
         except (OSError, ValueError) as exc:
-            sources.append(Source(None, path.name, path=path,
+            sources.append(Source(None, path.name,
                                   error=_load_error(path, exc)))
         else:
-            sources.append(Source(text, path.name, path=path))
+            sources.append(Source(text, path.name))
     return sources
 
 
@@ -166,8 +165,8 @@ class Repository:
         Given the *text* it was parsed from, the document and its bytes
         are counted once in ``gks_ingest_documents_total`` /
         ``gks_ingest_bytes_total`` — every way a text enters a repository
-        (``parse``, ``parse_json``, ``GKSEngine.add_document``, store
-        recovery) comes through here, and extends :attr:`corpus_crc32`.
+        (``parse``, ``GKSEngine.add_document``, store recovery) comes
+        through here, and extends :attr:`corpus_crc32`.
         """
         expected = len(self._documents)
         if document.doc_id != expected:
@@ -213,23 +212,12 @@ class Repository:
                             RecoveryPolicy.coerce(policy), None,
                             attributes_as_children)
 
-    def parse_json(self, text: str, name: str | None = None,
-                   root_tag: str = "root") -> XMLDocument:
-        """Parse JSON text as the next document (see
-        :mod:`repro.xmltree.json_adapter`)."""
-        from repro.xmltree.json_adapter import parse_json_document
-
-        document = parse_json_document(text, doc_id=len(self._documents),
-                                       root_tag=root_tag, name=name)
-        return self.add(document, text=text)
-
     def ingest(self, sources: Iterable[Source],
                policy: RecoveryPolicy | str = RecoveryPolicy.STRICT,
                builder=None) -> None:
         """Append *sources* in order through :func:`ingest_document`
-        with *builder* (a ``.json`` one through :meth:`parse_json`).
-        Under a non-strict *policy* one that cannot be read or parsed is
-        quarantined instead of aborting the ingest.
+        with *builder*.  Under a non-strict *policy* one that cannot be
+        read or parsed is quarantined instead of aborting the ingest.
         """
         policy = RecoveryPolicy.coerce(policy)
         for source in sources:
@@ -237,18 +225,7 @@ class Repository:
 
     def _ingest(self, source: Source, policy: RecoveryPolicy, builder,
                 attributes_as_children: bool = True) -> XMLDocument | None:
-        text, name, path, error = source.text, source.name, source.path, \
-            source.error
-        if error is None and path is not None \
-                and path.suffix.lower() == ".json":
-            try:
-                document = self.parse_json(text, name=name)
-            except ValueError as exc:  # JSON that does not parse
-                error = _load_error(path, exc)
-            else:
-                if builder is not None:
-                    builder.add_document_unchecked(document)
-                return document
+        text, name, error = source.text, source.name, source.error
         salvage_log = SalvageLog()
         if error is None:
             try:
@@ -296,11 +273,10 @@ class Repository:
                    ) -> "Repository":
         """Build a repository from corpus files on disk (one doc per file).
 
-        The one file loader: a ``.json`` file goes through the JSON
-        adapter (:meth:`parse_json`), everything else is parsed as XML.
-        An unreadable or undecodable file — or malformed JSON — raises
-        :class:`DocumentLoadError` naming the offending path (strict
-        policy) or is quarantined alongside parse failures otherwise.
+        Every file is parsed as XML.  An unreadable or undecodable file
+        raises :class:`DocumentLoadError` naming the offending path
+        (strict policy) or is quarantined alongside parse failures
+        otherwise.
         """
         repository = cls()
         repository.ingest(path_sources(paths, encoding), policy)

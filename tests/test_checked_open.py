@@ -134,15 +134,14 @@ class TestCheckedIsParsed:
         assert (strict.value.message, strict.value.offset) == \
             (parsed.value.message, parsed.value.offset)
 
-    def test_salvage_and_json_still_parse(self, tmp_path):
+    def test_salvage_still_parses(self, tmp_path):
         (tmp_path / "a.xml").write_text(BOOKS[0], encoding="utf-8")
-        (tmp_path / "b.json").write_text('{"title": "alpha"}',
-                                         encoding="utf-8")
-        paths = Paths([tmp_path / "a.xml", tmp_path / "b.json"])
+        (tmp_path / "b.xml").write_text(BOOKS[1], encoding="utf-8")
+        paths = Paths([tmp_path / "a.xml", tmp_path / "b.xml"])
         config = EngineConfig(index_path=tmp_path / "idx")
         GKSEngine.open(paths, config)
         engine = GKSEngine.open(paths, config)
-        assert [d.parsed for d in engine.repository] == [False, True]
+        assert [d.parsed for d in engine.repository] == [False, False]
         salvaged = GKSEngine.open(paths, config.replace(recovery="salvage"))
         assert all(document.parsed for document in salvaged.repository)
 

@@ -182,9 +182,7 @@ class TestDataset:
 #: make it run to completion on a small corpus
 FILE_COMMANDS = {
     "search": ["-q", "karen"],
-    "topk": ["-q", "karen"],
     "di": ["-q", "karen"],
-    "xpath": ["-p", "catalog/name"],
     "schema": [],
     "stats": ["-q", "karen"],
     "race": ["--scenario", "cache", "--threads", "2", "--rounds", "1",
@@ -221,27 +219,26 @@ class TestOneCorpusLoader:
         assert "gks: error: cannot read corpus file" in captured.err
         assert "Traceback" not in captured.err
 
-    # serve blocks until signalled; it opens its corpus through the same
-    # _engine as the rest
-    @pytest.mark.parametrize("command", sorted(set(FILE_COMMANDS)
-                                               - {"serve"}))
-    def test_json_file_goes_through_the_adapter(self, command, json_corpus,
-                                                tmp_path, monkeypatch,
-                                                capsys):
+    # every file is read as XML: JSON text is malformed input (serve
+    # fails in the same _engine open, before it listens)
+    @pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+    def test_json_file_is_a_typed_error(self, command, json_corpus,
+                                        tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main([command, str(json_corpus),
-                     *FILE_COMMANDS[command]]) == 0
-        assert "Traceback" not in capsys.readouterr().err
+                     *FILE_COMMANDS[command]]) == 1
+        captured = capsys.readouterr()
+        assert "gks: error:" in captured.err
+        assert "Traceback" not in captured.err
 
-    def test_json_routes_list_identical_nodes(self, json_corpus, tmp_path,
-                                              capsys):
-        assert main(["search", str(json_corpus), "-q", "karen zoe"]) == 0
+    def test_routes_list_identical_nodes(self, corpus, tmp_path, capsys):
+        assert main(["search", str(corpus), "-q", "karen zoe"]) == 0
         printed = [line.strip() for line
                    in capsys.readouterr().out.splitlines()[1:]]
-        engine = GKSEngine.open(Paths([json_corpus]))
+        engine = GKSEngine.open(Paths([corpus]))
         assert printed == [engine.describe(node)
                            for node in engine.search("karen zoe")]
-        assert main(["index", str(json_corpus), "-o",
+        assert main(["index", str(corpus), "-o",
                      str(tmp_path / "out.gks")]) == 0
         assert (f"indexed {engine.index.stats.total_nodes} nodes"
                 in capsys.readouterr().out)
@@ -262,6 +259,15 @@ class TestParser:
             main(["exp", "run", "spec.json", "-o", "out"])
         assert excinfo.value.code == 2
         assert "invalid choice: 'exp'" in capsys.readouterr().err
+
+    def test_topk_and_xpath_are_gone(self, corpus, capsys):
+        # top-k is ``search -k``; there is no path language
+        for argv in (["topk", str(corpus), "-q", "karen"],
+                     ["xpath", str(corpus), "-p", "Dept"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
 
     def test_config_flags_cannot_drift_from_engine_config(self):
         defaults = EngineConfig()

@@ -1,8 +1,10 @@
-"""Tests for the extended CLI subcommands (topk/schema/xpath/JSON)."""
+"""Tests for the extended CLI subcommands (top-k as search -k/schema)."""
 
 import pytest
 
 from repro.cli import main
+from repro.core.config import Paths
+from repro.core.engine import GKSEngine
 
 
 @pytest.fixture
@@ -18,25 +20,27 @@ def xml_corpus(tmp_path):
     return path
 
 
-@pytest.fixture
-def json_corpus(tmp_path):
-    path = tmp_path / "courses.json"
-    path.write_text(
-        '{"catalog": ['
-        '{"name": "Data Mining", "students": ["Karen", "Mike"]},'
-        '{"name": "AI", "students": ["Karen", "Zoe"]}]}')
-    return path
-
-
 class TestTopK:
+    """Top-k from the command line is ``gks search -k``: the head of the
+    full ranking, the nodes ``search_top_k`` returns."""
+
     def test_topk_prints_k_results(self, xml_corpus, capsys):
-        assert main(["topk", str(xml_corpus), "-q", "ann", "-k", "1"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("score=") == 1
+        assert main(["search", str(xml_corpus), "-q", "ann", "-k", "1"]) \
+            == 0
+        printed = [line.strip() for line
+                   in capsys.readouterr().out.splitlines()[1:]]
+        engine = GKSEngine.open(Paths([xml_corpus]))
+        assert printed == [engine.describe(node)
+                           for node in engine.search_top_k("ann", k=1)]
+        assert len(printed) == 1
 
     def test_topk_header(self, xml_corpus, capsys):
-        main(["topk", str(xml_corpus), "-q", "ann", "-k", "2"])
-        assert "top 2" in capsys.readouterr().out
+        # the header counts the full answer; -k only cuts the listing
+        main(["search", str(xml_corpus), "-q", "ann", "-k", "1"])
+        header, *listed = capsys.readouterr().out.splitlines()
+        full = GKSEngine.open(Paths([xml_corpus])).search("ann")
+        assert header.startswith(f"{len(full)} node(s) for ")
+        assert len(listed) == 1 < len(full)
 
 
 class TestSchema:
@@ -47,31 +51,7 @@ class TestSchema:
         assert "#PCDATA" in out
 
 
-class TestXPath:
-    def test_xpath_selects_and_counts(self, xml_corpus, capsys):
-        assert main(["xpath", str(xml_corpus), "-p",
-                     "book[author='Bob']/title"]) == 0
-        out = capsys.readouterr().out
-        assert "<title>Alpha</title>" in out
-        assert "-- 1 node(s)" in out
-
-
-class TestJSONIngestion:
-    def test_search_over_json_file(self, json_corpus, capsys):
-        assert main(["search", str(json_corpus), "-q", "karen mike",
-                     "-s", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "1 node(s)" in out
-
-    def test_explain_flag(self, json_corpus, capsys):
-        main(["search", str(json_corpus), "-q", "karen", "--explain"])
+class TestExplain:
+    def test_explain_flag(self, xml_corpus, capsys):
+        main(["search", str(xml_corpus), "-q", "ann", "--explain"])
         assert "rank =" in capsys.readouterr().out
-
-    def test_mixed_xml_and_json(self, xml_corpus, json_corpus, capsys):
-        main(["search", str(xml_corpus), str(json_corpus), "-q", "karen"])
-        out = capsys.readouterr().out
-        assert "node(s) for" in out
-
-    def test_di_over_json(self, json_corpus, capsys):
-        main(["di", str(json_corpus), "-q", "karen mike", "-s", "2"])
-        assert "Data Mining" in capsys.readouterr().out

@@ -22,13 +22,6 @@ class TestConstruction:
         engine = GKSEngine.open(Paths([path]))
         assert len(engine.search("karen")) == 1
 
-    def test_from_json_path(self, tmp_path):
-        path = tmp_path / "doc.json"
-        path.write_text('{"a": "karen"}')
-        engine = GKSEngine.open(Paths([path]))
-        assert len(engine.search("karen")) == 1
-        assert engine.repository[0].root.tag == "root"
-
     @pytest.mark.parametrize("field", ["store_path", "index_path"])
     def test_persistence_fields_need_open(self, figure2a_repo, tmp_path,
                                           field):

@@ -8,7 +8,6 @@ from repro.index.storage import load_index, save_index
 from repro.xmltree.node import XMLNode
 from repro.xmltree.repository import Repository
 from repro.xmltree.serialize import serialize_document
-from repro.xmltree.xpath import select
 
 
 class TestPersistedEngineLifecycle:
@@ -59,14 +58,18 @@ class TestMultiFileCorpus:
         assert tags.count("SPEECH") >= 3
 
 
-class TestXPathAsGroundTruth:
-    """XPath-lite results agree with keyword-search results."""
+class TestTreeWalkAsGroundTruth:
+    """A brute-force walk of the tree agrees with keyword search."""
 
     def test_author_articles_match(self):
         engine = GKSEngine(load_dataset("dblp"))
         root = engine.repository[0].root
-        expected = {node.dewey for node in select(
-            root, "article[author='Marek Rusinkiewicz']")}
+        expected = {node.dewey for node in root.iter_subtree()
+                    if node.tag == "article" and any(
+                        child.tag == "author"
+                        and child.text == "Marek Rusinkiewicz"
+                        for child in node.children)}
+        assert expected
         response = engine.search('"Marek Rusinkiewicz"', s=1)
         found = {node.dewey for node in response
                  if engine.node_at(node.dewey).tag == "article"}

@@ -11,7 +11,6 @@ from repro.core.topk import search_top_k
 from repro.index.builder import build_index
 from repro.schema.inference import infer_schema
 from repro.text.analyzer import Analyzer
-from repro.xmltree.json_adapter import json_to_document
 from repro.xmltree.node import build_tree
 from repro.xmltree.repository import Repository
 
@@ -79,61 +78,3 @@ def test_schema_occurrences_sum_to_node_count(spec):
     schema = infer_schema(root)
     total = sum(element_type.occurrences for element_type in schema)
     assert total == sum(1 for _ in root.iter_subtree())
-
-
-# ----------------------------------------------------------------------
-# JSON adapter properties
-# ----------------------------------------------------------------------
-json_scalars = st.one_of(
-    st.none(), st.booleans(), st.integers(min_value=-10 ** 6,
-                                          max_value=10 ** 6),
-    st.sampled_from(KEYWORDS))
-
-json_values = st.recursive(
-    json_scalars,
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.dictionaries(st.sampled_from(["alpha", "beta", "gamma"]),
-                        children, max_size=4)),
-    max_leaves=20)
-
-
-@settings(max_examples=120, deadline=None)
-@given(json_values)
-def test_json_adapter_preserves_scalars(value):
-    """Every scalar in the JSON value appears as text in the tree, and
-    the tree has valid consecutive Dewey ids."""
-    document = json_to_document(value)
-
-    scalars: list[str] = []
-
-    def collect(node) -> None:
-        if isinstance(node, dict):
-            for child in node.values():
-                collect(child)
-        elif isinstance(node, list):
-            for child in node:
-                collect(child)
-        elif node is not None:
-            if isinstance(node, bool):
-                scalars.append("true" if node else "false")
-            else:
-                scalars.append(str(node))
-
-    collect(value)
-    texts = [node.text for node in document.root.iter_subtree()
-             if node.has_text]
-    assert sorted(texts) == sorted(scalars)
-
-    for node in document.root.iter_subtree():
-        for ordinal, child in enumerate(node.children):
-            assert child.dewey == node.dewey + (ordinal,)
-
-
-@settings(max_examples=60, deadline=None)
-@given(json_values)
-def test_json_trees_are_indexable(value):
-    repository = Repository()
-    repository.add(json_to_document(value))
-    index = build_index(repository, analyzer=ANALYZER)
-    assert index.stats.total_nodes >= 1

@@ -185,19 +185,19 @@ class TestQuarantine:
         names = {failure.name for failure in repository.quarantine}
         assert names == {"bad.xml", "gone.xml"}
 
-    def test_from_paths_malformed_json(self, tmp_path):
-        good = tmp_path / "good.json"
-        good.write_text('{"a": "karen"}')
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"a": "karen"')
-        with pytest.raises(DocumentLoadError) as excinfo:
-            Repository.from_paths([good, bad])
-        assert excinfo.value.path == bad
-        repository = Repository.from_paths([bad, good],
+    def test_from_paths_quarantines_a_json_file(self, tmp_path):
+        # JSON is not XML: a .json file is malformed input like any other
+        data = tmp_path / "x.json"
+        data.write_text('{"a": "karen"}')
+        good = tmp_path / "y.xml"
+        good.write_text("<r><a>karen</a></r>")
+        with pytest.raises(XMLSyntaxError):
+            Repository.from_paths([data, good])
+        repository = Repository.from_paths([data, good],
                                            policy="skip_document")
-        assert [document.name for document in repository] == ["good.json"]
+        assert [document.name for document in repository] == ["y.xml"]
         assert [failure.name for failure in repository.quarantine] == \
-            ["bad.json"]
+            ["x.json"]
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,8 @@
 label-path rows, filled from the element stream: serving builds no tree.
 
 The bar: for every kind of document — checked texts (a fresh open, an
-``index_path`` cache, a recovered store), salvaged, ``.json`` and
-replicated trees, either ``attributes_as_children`` — the rows equal
+``index_path`` cache, a recovered store), salvaged and replicated
+trees, either ``attributes_as_children`` — the rows equal
 ``XMLNode.tag`` / ``XMLNode.tag_path()``; an id the repository does not
 hold renders no tag; and the relaxed mode's vocabulary, read from the
 same stream, equals the pairwise oracle.
@@ -22,7 +22,7 @@ import pytest
 
 from repro import cli
 from repro.baselines.relaxation import _pairwise_vocabulary
-from repro.core.config import EngineConfig, Paths, Texts
+from repro.core.config import EngineConfig, Texts
 from repro.core.engine import GKSEngine
 from repro.core.export import node_to_dict, response_to_dict
 from repro.datasets.registry import dataset_names, load_dataset
@@ -208,19 +208,6 @@ class TestRowsEqualTheTree:
         deweys = [node.dewey for document in engine.repository
                   for node in document]
         _assert_rows_equal_trees(engine.repository, deweys)
-
-    def test_json_documents(self, tmp_path):
-        path = tmp_path / "a.json"
-        path.write_text(json.dumps({"book": {"title": "graph index",
-                                             "tags": ["rec", "merg"]}}),
-                        encoding="utf-8")
-        (tmp_path / "b.xml").write_text(_texts()[0], encoding="utf-8")
-        engine = GKSEngine.open(Paths([path, tmp_path / "b.xml"]))
-        deweys = [node.dewey for document in engine.repository
-                  for node in document]
-        _assert_rows_equal_trees(engine.repository, deweys)
-        _assert_payload_tags(engine.repository, response_to_dict(
-            engine.search("graph index"), engine.repository))
 
     def test_replicated_documents(self):
         repository = load_dataset("mirrors").extend_replicated(2)
