@@ -16,9 +16,8 @@ from repro.core.search import search
 from repro.core.topk import search_top_k
 from repro.datasets.registry import load_dataset
 from repro.eval.reporting import render_table
-from repro.eval.runner import engine_for, frequency_ladder
-from repro.schema import (build_schema_index, compare_with_instance_level,
-                          infer_schema)
+from repro.eval.runner import engine_for
+from repro.schema import compare_with_instance_level, infer_schema
 from repro.xmltree.serialize import serialize_document
 
 RANKERS = (rank_node, rank_by_keyword_count, xrank_ranker, xsearch_ranker)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.query import Query
 from repro.core.search import search
 from repro.eval.reporting import render_series
 from repro.eval.runner import engine_for, figure8_series, queries_for_figure8

@@ -14,7 +14,6 @@ import pytest
 
 from repro.baselines.fslca import fslca
 from repro.baselines.ranking_models import xrank_ranker, xsearch_ranker
-from repro.core.ranking import rank_node
 from repro.eval.metrics import response_rank_score
 from repro.eval.reporting import render_table
 from repro.eval.runner import engine_for

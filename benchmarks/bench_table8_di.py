@@ -14,7 +14,7 @@ import pytest
 
 from repro.eval.reporting import render_table
 from repro.eval.runner import engine_for, refinement_case, table8_rows
-from repro.eval.workload import TABLE6, by_id
+from repro.eval.workload import by_id
 
 
 @pytest.mark.parametrize("qid", ["QD1", "QD2", "QM1", "QI1"])

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Query-modes smoke test: exercise the semantics subsystem end-to-end
 # through the CLI — probabilistic search over a p-document (tables
-# compiled at index time, thresholded results, both codecs), the
-# relaxed no-but-semantic-match fallback with provenance, the typed
-# mode-compatibility error, and strict-mode byte-identity of the
-# persisted payload.
+# compiled from the corpus, thresholded results), the relaxed
+# no-but-semantic-match fallback with provenance, a strict engine
+# answering probabilistic queries over a probabilistic engine's cache
+# (both codecs), and index files that record no query mode.
 #
 # Usage:  bash scripts/smoke_semantics.sh
 set -euo pipefail
@@ -64,58 +64,44 @@ grep -q "dropped 'papaya'" <<<"$OUT" || {
 grep -q "mode=relaxed" <<<"$OUT" || {
     echo "FAIL: --trace did not reflect relaxed mode" >&2; exit 1; }
 
-echo "== persisted probabilistic index reports its mode (both codecs) =="
-python - "$WORKDIR" <<'EOF'
+echo "== a strict engine answers probabilistic queries over a probabilistic engine's cache (both codecs) =="
+OUT="$(python - "$WORKDIR" <<'EOF'
 import sys
 from pathlib import Path
 
-from repro.core.config import EngineConfig
+from repro.core.config import EngineConfig, Paths
 from repro.core.engine import GKSEngine
-from repro.index.storage import save_index
-from repro.xmltree.repository import Repository
 
 workdir = Path(sys.argv[1])
-repository = Repository()
-repository.parse((workdir / "pdoc.xml").read_text(), name="pdoc.xml")
-engine = GKSEngine(repository, config=EngineConfig(mode="probabilistic"))
-save_index(engine.index, workdir / "prob.gks")
-save_index(engine.index, workdir / "prob.gksindex", codec="varint-dag")
+source = Paths([workdir / "pdoc.xml"])
+for codec, name in (("raw", "prob.gks"), ("varint-dag", "prob.gksindex")):
+    cache = workdir / name
+    GKSEngine.open(source, EngineConfig(mode="probabilistic", codec=codec,
+                                        index_path=cache))
+    written = cache.read_bytes()
+    strict = GKSEngine.open(source, EngineConfig(codec=codec,
+                                                 index_path=cache))
+    if cache.read_bytes() != written:
+        sys.exit(f"FAIL: the strict engine rebuilt {name}")
+    for node in strict.search("apple", mode="probabilistic").nodes:
+        print(f"{codec} {node.dewey} p={node.probability:.4f}")
 EOF
+)"
+echo "$OUT"
+for CODEC in raw varint-dag; do
+    grep -q "^$CODEC .* p=0.5000" <<<"$OUT" || {
+        echo "FAIL: strict engine over the $CODEC cache lacks p=0.5" >&2
+        exit 1; }
+done
+
+echo "== index files record no query mode (both codecs) =="
 for INDEX in "$WORKDIR/prob.gks" "$WORKDIR/prob.gksindex"; do
     OUT="$(python -m repro check-index "$INDEX" --json)"
     echo "$OUT"
-    grep -q '"mode": "probabilistic"' <<<"$OUT" || {
-        echo "FAIL: check-index --json lacks the probabilistic mode" \
-             "for $INDEX" >&2; exit 1; }
+    if grep -q '"mode"' <<<"$OUT"; then
+        echo "FAIL: check-index --json reports a mode for $INDEX" >&2
+        exit 1
+    fi
 done
-
-echo "== strict open of a table-carrying index is a typed error =="
-python - "$WORKDIR" <<'EOF'
-import sys
-from pathlib import Path
-
-from repro.core.config import EngineConfig
-from repro.core.engine import GKSEngine
-from repro.errors import ConfigError
-from repro.xmltree.repository import Repository
-
-workdir = Path(sys.argv[1])
-repository = Repository()
-repository.parse((workdir / "pdoc.xml").read_text(), name="pdoc.xml")
-try:
-    GKSEngine.open(repository,
-                   config=EngineConfig(index_path=workdir / "prob.gks"))
-except ConfigError as error:
-    print(f"typed refusal: {error}")
-else:
-    sys.exit("FAIL: strict engine accepted a probabilistic index")
-EOF
-
-echo "== strict index payload carries no probability tables =="
-OUT="$(python -m repro index "$WORKDIR/plain.xml" -o "$WORKDIR/strict.gks")"
-OUT="$(python -m repro check-index "$WORKDIR/strict.gks" --json)"
-echo "$OUT"
-grep -q '"mode": "strict"' <<<"$OUT" || {
-    echo "FAIL: strict index did not report mode strict" >&2; exit 1; }
 
 echo "smoke_semantics OK"

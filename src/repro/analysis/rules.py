@@ -1,4 +1,4 @@
-"""Project-specific lint rules: timing, error surface, mutability.
+"""Project-specific lint rules: timing, error surface, mutability, imports.
 
 Rule catalog (ids are what ``# gks: ignore[...]`` takes):
 
@@ -21,6 +21,10 @@ Rule catalog (ids are what ``# gks: ignore[...]`` takes):
 ``M002``  ``@dataclass`` in ``repro.core.config`` / ``repro.obs.stats``
           not declared ``frozen=True`` — config and stats records are
           part of the cached/hashable surface and must stay immutable.
+``I001``  Unused import: a module-level ``import`` binding never read
+          in its module (an ``ast.Name`` load or a name inside a
+          string annotation); names listed in ``__all__`` count as
+          read and ``__init__.py`` facades are exempt (any file).
 ========  ==========================================================
 
 The architecture (layering) rules ``L001``/``L002`` live in
@@ -195,3 +199,53 @@ class FrozenDataclassRule(Rule):
                     return False
             return True
         return False
+
+
+@register
+class UnusedImportRule(Rule):
+    """I001 — every module-level import binding is read in its module."""
+
+    rule_id = "I001"
+    title = ("no unused module-level imports (__all__ entries count as "
+             "read; __init__.py facades are exempt)")
+
+    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
+        if module.path.name == "__init__.py":
+            return
+        read = _read_names(module.tree)
+        for statement in module.tree.body:
+            if not isinstance(statement, (ast.Import, ast.ImportFrom)) or \
+                    getattr(statement, "module", None) == "__future__":
+                continue
+            for alias in statement.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "*" and name not in read:
+                    yield self.finding(
+                        module, alias.lineno,
+                        f"{name!r} is imported but never used; drop it")
+
+
+def _read_names(tree: ast.AST) -> set[str]:
+    """Names *tree* reads: ``ast.Name`` loads, and the names inside the
+    strings of annotations and of an ``__all__`` assignment."""
+    read: set[str] = set()
+    quoted: list[ast.AST] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__"
+                for target in node.targets):
+            quoted.append(node.value)
+        quoted.extend(getattr(node, key) for key in ("annotation", "returns")
+                      if getattr(node, key, None) is not None)
+    for expression in quoted:
+        for node in ast.walk(expression):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    parsed = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                read.update(name.id for name in ast.walk(parsed)
+                            if isinstance(name, ast.Name))
+    return read

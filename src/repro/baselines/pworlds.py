@@ -17,8 +17,7 @@ import itertools
 from repro.baselines.bruteforce import node_keywords
 from repro.core.query import Query
 from repro.errors import ValidationError
-from repro.index.probtables import ProbTables
-from repro.semantics.pdoc import compile_tables
+from repro.semantics.pdoc import ProbTables, compile_tables
 from repro.text.analyzer import DEFAULT_ANALYZER, Analyzer
 from repro.xmltree.dewey import Dewey
 from repro.xmltree.node import XMLNode

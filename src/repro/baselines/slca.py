@@ -65,13 +65,6 @@ def slca_scan(index: GKSIndex, query: Query) -> list[Dewey]:
     return remove_ancestors(candidates)
 
 
-def is_slca(index: GKSIndex, query: Query, dewey: Dewey) -> bool:
-    """Membership test used by tests: *dewey* contains all keywords and no
-    descendant posting pattern does (checked via the eager algorithm)."""
-    return any(dewey == result
-               for result in slca_indexed_lookup_eager(index, query))
-
-
 def contains_all_keywords(index: GKSIndex, query: Query,
                           dewey: Dewey) -> bool:
     """True when every query keyword occurs in ``subtree(dewey)``."""

@@ -70,9 +70,9 @@ _CONFIG_FLAGS = {
                            "per-shard segment runs that trigger "
                            "automatic compaction"),
     "--mode": ("mode", MODES,
-               "query semantics: exact matching (strict), p-document "
-               "probability scoring (probabilistic; compiles "
-               "probability tables at index time), or "
+               "default query semantics: exact matching (strict), "
+               "p-document probability scoring (probabilistic; tables "
+               "compiled from the corpus on first use), or "
                "no-but-semantic-match rewrites when the strict answer "
                "is empty (relaxed); a served request's ?mode= still "
                "wins"),
@@ -304,10 +304,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 #: ``check-index`` report keys: what ``format`` takes from the summary
-#: (a store has no ``mode``, a file no ``segments``/``generation``), and
-#: what ``summary`` takes, besides a sharded layout's ``strategy``, for a
-#: file (in text order) and for a store.
-_FORMAT_KEYS = ("version", "codec", "layout", "shards", "mode", "segments",
+#: (a file has no ``segments``/``generation``), and what ``summary``
+#: takes, besides a sharded layout's ``strategy``, for a file (in text
+#: order) and for a store.
+_FORMAT_KEYS = ("version", "codec", "layout", "shards", "segments",
                 "generation")
 _FILE_COUNTERS = ("size_bytes", "documents", "total_nodes", "entity_nodes",
                   "element_nodes", "keywords", "postings")
@@ -392,7 +392,7 @@ def _render_check_report(report: dict) -> str:
                        f" store({fmt.get('shards', '?')})")
     elif "version" in fmt:
         format_line = (f"v{fmt['version']} {fmt['codec']} "
-                       f"{fmt['layout']}({fmt['shards']}) {fmt['mode']}")
+                       f"{fmt['layout']}({fmt['shards']})")
     else:  # a file that does not load still names the codec claiming it
         format_line = fmt.get("codec", "unknown")
     verdict = "OK" if report["ok"] else "BAD"

@@ -140,9 +140,9 @@ class SearchOptions:
     mode:
         Query semantics for this request: ``"strict"``,
         ``"probabilistic"`` or ``"relaxed"``; ``None`` uses the
-        engine's ``EngineConfig.mode``.  Probabilistic requests need an
-        engine opened in probabilistic mode (the index must carry the
-        compiled probability tables).
+        engine's ``EngineConfig.mode``.  Any engine serves every mode:
+        the first probabilistic request of a serving generation compiles
+        the corpus's probability tables.
     threshold:
         Probabilistic-mode result filter: only nodes whose
         possible-worlds probability is ≥ this value are returned.
@@ -271,10 +271,10 @@ class EngineConfig:
         Default query semantics (``repro.semantics``): ``"strict"``
         (the classic pipeline), ``"probabilistic"`` (p-document
         evaluation — the ``p:`` annotations are compiled into
-        probability tables at index time) or ``"relaxed"``
-        (no-but-semantic-match rescue of empty strict results).
-        Per-request ``SearchOptions.mode`` overrides it; only an engine
-        opened in probabilistic mode can serve probabilistic requests.
+        probability tables from the corpus, not stored in the index) or
+        ``"relaxed"`` (no-but-semantic-match rescue of empty strict
+        results).  Per-request ``SearchOptions.mode`` overrides it; it
+        changes nothing that is built or saved.
     threshold:
         Default probabilistic-mode probability filter in [0, 1].
     """

@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable
 
 from repro.core.budget import SearchBudget
 from repro.core.config import (EngineConfig, Paths, SearchOptions,
@@ -111,7 +110,7 @@ class GKSEngine:
                          "admission)."))
         if index is None:
             index = self._build_index(repository, config)
-        self.index = self._with_tables(index)
+        self.index = index
         # LRU response cache — the system's one result cache; keyed by
         # (keywords, s, ranker); responses are immutable so sharing them
         # is safe.  Every event that can change an answer (add_document,
@@ -143,10 +142,10 @@ class GKSEngine:
         self._pending: list[PendingDocument] = []
         # the one Dewey layout every unit packs under (repro.core.durable)
         self._layout = index.layout
-        # Relaxed-mode rewrite vocabulary, cached per serving generation;
-        # its per-document parts (doc id → part) are read once each.
-        self._relax_vocab: tuple | None = None
-        self._relax_documents: dict = {}
+        # What non-strict modes derive from the corpus, per derivation:
+        # (generation, value), and its parts by doc id (_corpus_derived)
+        self._derived: dict = {}
+        self._derived_parts: dict = {}
 
     @staticmethod
     def _build_index(repository: Repository, config: EngineConfig,
@@ -168,17 +167,6 @@ class GKSEngine:
         else:
             repository.ingest(sources, config.recovery, builder)
         return builder.build(corpus_crc32=repository.corpus_crc32)
-
-    def _with_tables(self, index):
-        """*index* as published: probabilistic engines attach the
-        p-document tables here.  They are compiled from the repository
-        (which recovery rebuilds), so units, merged runs and on-disk
-        segments never carry them."""
-        if self.config.mode != "probabilistic":
-            return index
-        from repro.semantics import attach_tables
-
-        return attach_tables(index, self.repository)
 
     # ------------------------------------------------------------------
     # Construction conveniences
@@ -286,20 +274,6 @@ class GKSEngine:
                 on_disk_codec = sniff_codec(config.index_path).name
             except StorageError:
                 loaded = None  # unreadable cache: rebuild and rewrite
-            if loaded is not None:
-                from repro.semantics import has_prob_tables
-
-                if (has_prob_tables(loaded)
-                        and config.mode != "probabilistic"):
-                    # A typed error, not a rebuild: the caller persisted
-                    # probabilistic tables on purpose, and silently
-                    # serving them strict would change query semantics.
-                    raise ConfigError(
-                        f"index at {config.index_path} carries "
-                        "probabilistic tables but the engine mode is "
-                        f"{config.mode!r}; open it with "
-                        "EngineConfig(mode='probabilistic') or rebuild "
-                        "the index cache")
             if (loaded is not None
                     and on_disk_codec == config.codec
                     and not incompatibilities(loaded, repository, config)):
@@ -455,18 +429,19 @@ class GKSEngine:
                 report=response.degradation)
         return response
 
-    def _relaxation_vocabulary(self):
-        """The relaxed-mode rewrite vocabulary for the current corpus."""
-        from repro.semantics import relaxation_vocabulary
-
-        cached = self._relax_vocab
+    def _corpus_derived(self, derive, *args):
+        """``derive(repository, *args, parts)`` for the current serving
+        generation, computed at most once per generation.  *parts* (doc
+        id → that document's part) outlives generations, so each
+        document is read once per derivation however the corpus grows."""
+        cached = self._derived.get(derive)
         generation = self._generation
         if cached is not None and cached[0] == generation:
             return cached[1]
-        vocabulary = relaxation_vocabulary(self.repository, self.analyzer,
-                                           self._relax_documents)
-        self._relax_vocab = (generation, vocabulary)
-        return vocabulary
+        value = derive(self.repository, *args,
+                       self._derived_parts.setdefault(derive, {}))
+        self._derived[derive] = (generation, value)
+        return value
 
     def _semantic_search(self, request: SearchRequest,
                          tracer: Tracer | NullTracer | None) -> GKSResponse:
@@ -481,15 +456,14 @@ class GKSEngine:
         """
         query, budget = request.query, request.budget
         if request.mode == "probabilistic":
-            if self.config.mode != "probabilistic":
-                raise ConfigError(
-                    "probabilistic query on a non-probabilistic engine: "
-                    "open it with EngineConfig(mode='probabilistic') so "
-                    "the index carries compiled probability tables")
-            from repro.semantics import probabilistic_search
+            from repro.semantics import compile_tables, probabilistic_search
 
+            # the snapshot first: each of its documents is already in
+            # the repository the tables are compiled from
+            index = self.index
             return probabilistic_search(
-                self.index, query, threshold=request.threshold,
+                index, query, self._corpus_derived(compile_tables),
+                threshold=request.threshold,
                 budget=budget, tracer=tracer,
                 registry=self.metrics_registry)
         # relaxed; the sub-searches: same ranker and budget, plain strict
@@ -504,9 +478,10 @@ class GKSEngine:
                 strict, stats=replace(strict.stats, mode="relaxed"),
                 semantics=SemanticsInfo(mode="relaxed", relaxed=False))
         self._record_search(strict, tracer=tracer)
-        from repro.semantics import relax_search
+        from repro.semantics import relax_search, relaxation_vocabulary
 
-        vocabulary = self._relaxation_vocabulary()
+        vocabulary = self._corpus_derived(relaxation_vocabulary,
+                                          self.analyzer)
 
         def search_fn(rewritten: Query) -> GKSResponse:
             sub = (budget.subbudget(rebase=True)
@@ -859,9 +834,9 @@ class GKSEngine:
         mutation lock).  In-flight searches finish on the snapshot they
         captured; the generation bump keeps their responses out of the
         cache."""
-        self.index = self._with_tables(compose_serving(
+        self.index = compose_serving(
             self._durable_units, self._pending, self.config,
-            self.repository))
+            self.repository)
         self._generation += 1
         self.metrics_registry.gauge(
             "gks_memtable_pending",

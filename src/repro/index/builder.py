@@ -65,11 +65,6 @@ class GKSIndex:
     #: :attr:`Repository.corpus_crc32` of the corpus built over (``None``:
     #: not built from texts, or a saved file that does not record it)
     corpus_crc32: int | None = field(default=None, compare=False)
-    #: p-document probability tables (None/empty for deterministic corpora;
-    #: compiled by ``repro.semantics`` when the engine runs in
-    #: probabilistic mode and persisted by both codecs).
-    probabilities: "object | None" = field(default=None, repr=False,
-                                           compare=False)
     _phrase_cache: dict = field(default_factory=dict, repr=False,
                                 compare=False)
 
@@ -77,10 +72,6 @@ class GKSIndex:
     def depth(self) -> int:
         """Maximum element depth ``d`` over the repository (§4.2)."""
         return self.stats.max_depth
-
-    def with_probabilities(self, tables) -> "GKSIndex":
-        """A copy carrying *tables*; every structure is shared."""
-        return replace(self, probabilities=tables)
 
     def relaid(self, layout: DeweyLayout) -> "GKSIndex":
         """This index with every id re-packed under *layout* (which must

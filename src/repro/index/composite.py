@@ -25,7 +25,6 @@ module is the one place the argument is turned into code:
 
 from __future__ import annotations
 
-import copy
 from typing import Iterator, Sequence
 
 from repro.errors import IndexError_
@@ -173,8 +172,6 @@ class CompositeIndex:
         self.document_names: tuple[str, ...] = tuple(document_names)
         #: as on :class:`GKSIndex`; one engine config built every unit
         self.index_tags = self.units[0].index_tags if self.units else True
-        #: p-document probability tables, as on :class:`GKSIndex`
-        self.probabilities: "object | None" = None
         #: the units' one layout (*layout* names it for a unit-less
         #: shard of a family)
         self.layout = layout if layout is not None else shared_layout(
@@ -188,12 +185,6 @@ class CompositeIndex:
         # interleave a check-then-merge and publish half-built state.
         # guards: _postings_cache, _merged_inverted, _merged_stats
         self._cache_lock = new_lock("composite.cache")
-
-    def with_probabilities(self, tables) -> "CompositeIndex":
-        """A copy carrying *tables*; units and merged views are shared."""
-        clone = copy.copy(self)
-        clone.probabilities = tables
-        return clone
 
     # ------------------------------------------------------------------
     # GKSIndex interface

@@ -186,11 +186,11 @@ def describe_layout(path: str | Path) -> dict:
     Accepts every form ``check-index`` does.  An index file answers
     through its codec's ``describe``: ``version`` (storage format
     version), ``codec``, ``layout`` (``"monolithic"`` / ``"sharded"``),
-    ``shards`` and ``mode``.  A segmented store (the directory or its
+    and ``shards``.  A segmented store (the directory or its
     ``MANIFEST``) reports ``layout="store"``, the manifest's
     ``version`` / ``shards`` / ``segments`` / ``generation``, and as
-    ``codec`` the comma-joined sorted codecs its segments sniff as — no
-    ``mode``: the manifest does not record one.  Raises
+    ``codec`` the comma-joined sorted codecs its segments sniff as.
+    Raises
     :class:`StorageError` when the target cannot be read or parsed.
     """
     from repro.index.codec import sniff_codec

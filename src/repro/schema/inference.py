@@ -85,9 +85,6 @@ class Schema:
     def type_of(self, path: TagPath) -> ElementType | None:
         return self.types.get(tuple(path))
 
-    def type_of_node(self, node: XMLNode) -> ElementType | None:
-        return self.types.get(tuple(node.tag_path()))
-
     def __len__(self) -> int:
         return len(self.types)
 

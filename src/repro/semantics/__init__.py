@@ -20,17 +20,14 @@ existing semantics in this repo is.
 """
 
 from repro.core.config import MODES
-from repro.semantics.pdoc import (attach_tables, compile_tables,
-                                  extract_pdoc, has_prob_tables,
-                                  tables_of)
+from repro.semantics.pdoc import ProbTables, compile_tables, extract_pdoc
 from repro.semantics.prob import probabilistic_search
 from repro.semantics.relax import (RelaxVocabulary, relax_search,
                                    relaxation_candidates,
                                    relaxation_vocabulary)
 
 __all__ = [
-    "MODES", "RelaxVocabulary", "attach_tables", "compile_tables",
-    "extract_pdoc", "has_prob_tables", "probabilistic_search",
-    "relax_search", "relaxation_candidates", "relaxation_vocabulary",
-    "tables_of",
+    "MODES", "ProbTables", "RelaxVocabulary", "compile_tables",
+    "extract_pdoc", "probabilistic_search", "relax_search",
+    "relaxation_candidates", "relaxation_vocabulary",
 ]

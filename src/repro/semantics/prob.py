@@ -39,12 +39,10 @@ from repro.core.results import (GKSResponse, RankedNode, SemanticsInfo,
 from repro.core.search import units_of
 from repro.errors import ConfigError
 from repro.index.builder import GKSIndex
-from repro.index.probtables import ProbTables
 from repro.obs.metrics import MetricsRegistry, global_registry
 from repro.obs.trace import NOOP_TRACER
+from repro.semantics.pdoc import ProbTables
 from repro.xmltree.dewey import Dewey
-
-_EMPTY = ProbTables()
 
 #: Bitmask distribution type: keyword-subset mask → probability.
 Dist = dict[int, float]
@@ -123,12 +121,10 @@ def _distributions(union: dict[Dewey, int], occ: dict[Dewey, int],
     return dist
 
 
-def _evaluate_index(index: GKSIndex, query: Query, threshold: float,
-                    budget: SearchBudget | None, tracer,
+def _evaluate_index(index: GKSIndex, query: Query, tables: ProbTables,
+                    threshold: float, budget: SearchBudget | None, tracer,
                     counters: dict[str, int]) -> tuple[list[RankedNode], bool]:
     """Evaluate one (monolithic or shard) index; returns (nodes, tripped)."""
-    tables = index.probabilities if isinstance(index.probabilities,
-                                               ProbTables) else _EMPTY
     keywords = query.keywords
     need = query.s
 
@@ -184,19 +180,20 @@ def _evaluate_index(index: GKSIndex, query: Query, threshold: float,
 
 
 def probabilistic_search(index: GKSIndex, query: Query,
-                         *, threshold: float = 0.0,
+                         tables: ProbTables, *, threshold: float = 0.0,
                          budget: SearchBudget | None = None,
                          tracer=None,
                          registry: MetricsRegistry | None = None
                          ) -> GKSResponse:
     """Run one probabilistic-mode query and return the ranked response.
 
-    *index* must carry compiled :class:`ProbTables` (attach at build
-    time via :func:`repro.semantics.pdoc.attach_tables`); an index with
-    no tables is treated as fully deterministic — every candidate gets
-    probability 1.  Sharded indexes are evaluated shard by shard
-    (documents live whole in one shard, so per-shard results merge by
-    concatenation) under the shared *budget*.
+    *tables* are the corpus's p-document tables
+    (:func:`repro.semantics.pdoc.compile_tables`); empty tables make the
+    corpus fully deterministic — every candidate gets probability 1.
+    Their keys are global Dewey ids, so sharded indexes are evaluated
+    shard by shard against the one table (documents live whole in one
+    shard, so per-shard results merge by concatenation) under the
+    shared *budget*.
     """
     if tracer is None:
         tracer = NOOP_TRACER
@@ -220,7 +217,8 @@ def probabilistic_search(index: GKSIndex, query: Query,
         for shard_id, unit in units:
             with unit_tracer.span("shard", shard=shard_id):
                 part, halted = _evaluate_index(
-                    unit, effective, threshold, budget, tracer, counters)
+                    unit, effective, tables, threshold, budget, tracer,
+                    counters)
             nodes.extend(part)
             if halted:
                 break

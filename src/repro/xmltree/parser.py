@@ -310,8 +310,7 @@ def _scan(text: str) -> Iterator[tuple]:
             chunk = _scan_text(scanner)
             if chunk:
                 if not open_tags and chunk.strip():
-                    raise scanner.error(
-                        "character data outside the root element")
+                    raise _stray_data(scanner, pos, scanner.pos)
                 if open_tags:
                     yield _TEXT, chunk, None
         pos = scanner.pos
@@ -432,6 +431,14 @@ def _position_error(scanner: _Scanner, position: int,
         scanner.pos = saved
 
 
+def _stray_data(scanner: _Scanner, start: int, end: int) -> XMLSyntaxError:
+    """Character data ``text[start:end]`` outside the root element,
+    reported at its first non-blank raw character."""
+    raw = scanner.text[start:end]
+    return _position_error(scanner, end - len(raw.lstrip()),
+                           "character data outside the root element")
+
+
 def _scan_text(scanner: _Scanner, lenient: bool = False) -> str:
     start = scanner.pos
     end = scanner.text.find("<", start)
@@ -475,8 +482,7 @@ def _scan_markup(scanner: _Scanner, open_tags: list[str],
             if open_tags:
                 return [Text(content)]
             if content.strip() and not recover:
-                raise scanner.error(
-                    "character data outside the root element")
+                raise _stray_data(scanner, pos + 9, pos + 9 + len(content))
             return []
         if text.startswith(("DOCTYPE", "doctype"), pos + 2):
             _skip_doctype(scanner)

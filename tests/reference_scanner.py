@@ -160,10 +160,11 @@ def iter_events(text: str) -> Iterator[ParseEvent]:
                         raise scanner.error("multiple root elements")
                 yield event
             continue
+        start = scanner.pos
         chunk = _scan_text(scanner)
         if chunk:
             if not open_tags and chunk.strip():
-                raise scanner.error("character data outside the root element")
+                raise _stray_data(scanner, start, scanner.pos)
             if open_tags:
                 yield Text(chunk)
 
@@ -264,6 +265,14 @@ def _position_error(scanner: _Scanner, position: int,
         scanner.pos = saved
 
 
+def _stray_data(scanner: _Scanner, start: int, end: int) -> XMLSyntaxError:
+    """Character data ``text[start:end]`` outside the root element, at
+    its first non-blank raw character."""
+    raw = scanner.text[start:end]
+    return _position_error(scanner, end - len(raw.lstrip()),
+                           "character data outside the root element")
+
+
 def _scan_text(scanner: _Scanner, lenient: bool = False) -> str:
     start = scanner.pos
     end = scanner.text.find("<", start)
@@ -289,11 +298,12 @@ def _scan_markup(scanner: _Scanner, open_tags: list[str],
         return [Comment(scanner.take_until("-->", "comment"))]
     if scanner.startswith("<![CDATA["):
         scanner.advance(9)
+        start = scanner.pos
         content = scanner.take_until("]]>", "CDATA section")
         if open_tags:
             return [Text(content)]
         if content.strip() and not recover:
-            raise scanner.error("character data outside the root element")
+            raise _stray_data(scanner, start, start + len(content))
         return []
     if scanner.startswith("<?"):
         scanner.advance(2)

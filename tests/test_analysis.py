@@ -69,7 +69,7 @@ class TestEngine:
         ids = [rule.rule_id for rule in rule_catalog()]
         assert len(ids) == len(set(ids))  # unique
         for expected in ("L001", "L002", "T001", "E001", "E002",
-                         "M001", "M002", "C001", "C002", "C003"):
+                         "M001", "M002", "I001", "C001", "C002", "C003"):
             assert expected in ids
 
     def test_module_roles(self, tmp_path):
@@ -262,6 +262,55 @@ class TestFrozenDataclassRule:
         assert findings_for(tmp_path, "src/repro/core/config.py",
                             anchored, "M002") == []
         del source
+
+
+class TestUnusedImportRule:
+    POSITIVE = """\
+        import os.path
+        from json import (dumps,
+                          loads as parse)
+
+        def f(text):
+            return parse(text)
+        """
+
+    def test_fires_on_each_unread_binding(self, tmp_path):
+        findings = findings_for(tmp_path, "tests/test_x.py",
+                                self.POSITIVE, "I001")
+        assert [(finding.line, "'os'" in finding.message)
+                for finding in findings] == [(1, True), (2, False)]
+        assert "'dumps'" in findings[1].message
+
+    def test_silent_on_reads_all_and_facades(self, tmp_path):
+        source = """\
+            from __future__ import annotations
+
+            import typing
+            from pathlib import Path
+            from repro.index.builder import GKSIndex
+            from repro.errors import ConfigError
+
+            __all__ = ["ConfigError"]
+
+            def f(index: "GKSIndex | None" = None) -> typing.Any:
+                return Path
+            """
+        assert findings_for(tmp_path, "src/repro/eval/x.py",
+                            source, "I001") == []
+        assert findings_for(tmp_path, "src/repro/eval/__init__.py",
+                            self.POSITIVE, "I001") == []
+
+    def test_ignores_function_level_imports(self, tmp_path):
+        source = "def f():\n    import json\n"
+        assert findings_for(tmp_path, "tests/test_x.py",
+                            source, "I001") == []
+
+    def test_suppressed(self, tmp_path):
+        source = ("import os  # gks: ignore[I001]\n"
+                  "from json import (dumps,  # gks: ignore[I001]\n"
+                  "                  loads)  # gks: ignore[I001]\n")
+        assert findings_for(tmp_path, "tests/test_x.py",
+                            source, "I001") == []
 
 
 # ----------------------------------------------------------------------

@@ -255,7 +255,7 @@ class TestCodecAPI:
             GKSEngine.open(Texts(CORPUS)).search("keyword"))
         assert main(["check-index", str(path)]) == 0
         assert reads == [path, path]
-        assert "v2 raw monolithic(1) strict" in capsys.readouterr().out
+        assert "format: v2 raw monolithic(1)\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("codec", CODEC_NAMES)
     @pytest.mark.parametrize("saved_tags", (True, False))

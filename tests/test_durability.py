@@ -10,11 +10,9 @@ only unacknowledged writes, never acknowledged ones.
 from __future__ import annotations
 
 import json
-import os
 import shutil
 import threading
 import urllib.request
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +23,7 @@ from repro.core.config import EngineConfig, Texts
 from repro.core.engine import GKSEngine
 from repro.errors import ConfigError, Overloaded, StorageError
 from repro.index.codec import CODEC_NAMES
-from repro.index.segments import SegmentStore, read_manifest
+from repro.index.segments import read_manifest
 from repro.index.storage import describe_layout
 from repro.index.wal import (WAL_MAGIC, WriteAheadLog, replay_wal)
 from repro.obs.metrics import MetricsRegistry, global_registry

@@ -4,11 +4,8 @@ import pytest
 
 from repro.core.config import EngineConfig, Paths, Texts
 from repro.core.engine import GKSEngine
-from repro.datasets.toy import figure2a
 from repro.errors import ConfigError
 from repro.index.storage import load_index, save_index
-from repro.xmltree.repository import Repository
-from repro.xmltree.serialize import serialize_node
 
 
 class TestConstruction:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.explain import explain_rank
 from repro.core.query import Query
-from repro.core.search import search
 from repro.eval.figures import render_bar_chart, render_scatter
 from tests.test_ranking import rank
 

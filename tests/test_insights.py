@@ -7,7 +7,6 @@ from repro.core.query import Query
 from repro.core.refinement import (RefinementKind, suggest,
                                    suggest_expansions, suggest_subsets)
 from repro.core.search import search
-from repro.datasets.toy import figure2a
 
 
 class TestAttributeExtraction:

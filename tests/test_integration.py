@@ -1,7 +1,5 @@
 """End-to-end integration scenarios across the whole stack."""
 
-import pytest
-
 from repro.core.engine import GKSEngine
 from repro.datasets.registry import load_dataset
 from repro.index.storage import load_index, save_index

@@ -54,6 +54,17 @@ class TestTokenizer:
         with pytest.raises(XMLSyntaxError):
             list(iter_events("<a>&nope;</a>"))
 
+    @pytest.mark.parametrize("text, offset", [
+        ("abc<r/>", 0), ("<r/>abc", 4), ("<r/>\n  abc", 7),
+        ("<![CDATA[x]]><r/>", 9), ('{"a": 1}', 0)])
+    def test_stray_character_data_is_reported_where_it_starts(self, text,
+                                                               offset):
+        with pytest.raises(XMLSyntaxError,
+                           match="outside the root") as caught:
+            list(iter_events(text))
+        assert caught.value.offset == offset
+        assert_same_scan(text)
+
 
 #: the pieces malformed and well-formed markup is made of; characters
 #: where ``\\w``, ``isalnum`` and ``isalpha`` part ways ride along

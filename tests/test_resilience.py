@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import gzip
 import json
-import zlib
 
 import pytest
 

@@ -1,8 +1,6 @@
 """Tests for the experiment runners (content-level checks — the
 benchmarks wrap these same functions with timers)."""
 
-import pytest
-
 from repro.eval.runner import (build_hybrid_repository, engine_for,
                                feedback_table, figure9_series,
                                figure10_series, frequency_ladder,

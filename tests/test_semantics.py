@@ -22,11 +22,9 @@ from repro.core.engine import GKSEngine
 from repro.core.export import node_to_dict, response_to_dict
 from repro.core.query import Query
 from repro.errors import ConfigError, ValidationError
-from repro.index.storage import (check_index, describe_layout, load_index,
-                                 save_index)
+from repro.index.storage import check_index, describe_layout
 from repro.obs.metrics import MetricsRegistry
-from repro.semantics import (compile_tables, extract_pdoc,
-                             probabilistic_search, tables_of)
+from repro.semantics import compile_tables, extract_pdoc
 from repro.testing import KEYWORD_POOL, pdoc_corpus, pdoc_documents
 from repro.xmltree.repository import Repository
 
@@ -145,19 +143,34 @@ def test_threshold_filters_consistently(case, threshold):
        codec=st.sampled_from(["raw", "varint-dag"]),
        shards=st.sampled_from([1, 2]))
 def test_probabilistic_survives_persistence(case, codec, shards):
+    """Nothing probabilistic is saved: a probabilistic engine reopened
+    from its own cache and a strict engine over that cache answer
+    probabilistic queries exactly as the possible-worlds oracle."""
     import tempfile
     from pathlib import Path
 
     documents, query = case
-    engine = _engine(documents, shards=shards)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"index-{codec}-{shards}.idx"
-        save_index(engine.index, path, codec=codec)
-        loaded = load_index(path)
-        assert tables_of(loaded) == tables_of(engine.index)
-        direct = probabilistic_search(engine.index, query)
-        reloaded = probabilistic_search(loaded, query)
-        assert _probability_map(direct) == _probability_map(reloaded)
+        config = EngineConfig(mode="probabilistic", shards=shards,
+                              codec=codec, index_path=path)
+        GKSEngine.open(_repository(documents), config=config)
+        saved = path.read_bytes()
+        answers = [
+            _probability_map(GKSEngine.open(
+                _repository(documents), config=config.replace(mode=mode)
+            ).search(query, mode="probabilistic"))
+            for mode in ("probabilistic", "strict")]
+        assert path.read_bytes() == saved  # loaded, never rebuilt
+    reopened, strict = answers
+    assert list(reopened) == list(strict)
+    oracle = possible_worlds_probabilities(_repository(documents), query)
+    for dewey, probability in reopened.items():
+        assert strict[dewey] == pytest.approx(probability, abs=TOLERANCE)
+        assert probability == pytest.approx(oracle.get(dewey, 0.0),
+                                            abs=TOLERANCE)
+    assert {dewey for dewey, probability in oracle.items()
+            if probability > TOLERANCE} <= set(reopened)
 
 
 @settings(max_examples=20, deadline=None)
@@ -270,26 +283,33 @@ def test_strict_response_carries_no_semantics_keys(figure1_engine):
     assert "semantics_candidates" not in stats
 
 
-def test_strict_index_payload_has_no_tables(tmp_path, figure1_repo):
-    strict = GKSEngine(figure1_repo)
-    path = tmp_path / "strict.idx"
-    save_index(strict.index, path)
-    layout = describe_layout(path)
-    assert layout["mode"] == "strict"
-    assert check_index(path)["mode"] == "strict"
+@pytest.mark.parametrize("codec", ["raw", "varint-dag"])
+def test_index_files_record_no_mode(tmp_path, codec):
+    documents = ['<root><item p:type="IND">'
+                 '<name p:p="0.5">apple</name></item></root>']
+    path = tmp_path / "prob.idx"
+    GKSEngine.open(_repository(documents),
+                   config=EngineConfig(mode="probabilistic", codec=codec,
+                                       index_path=path))
+    assert "mode" not in describe_layout(path)
+    assert "mode" not in check_index(path)
 
 
 # ---------------------------------------------------------------------
-# mode capability and typed errors
+# every engine serves every mode
 # ---------------------------------------------------------------------
-def test_probabilistic_query_on_strict_engine_is_config_error(
-        figure1_engine):
-    with pytest.raises(ConfigError):
-        figure1_engine.search("karen", mode="probabilistic")
+def test_strict_engine_answers_probabilistic_queries(figure1_engine):
+    strict = figure1_engine.search("x1 x2", s=2)
+    response = figure1_engine.search("x1 x2", s=2, mode="probabilistic")
+    assert response.semantics.mode == "probabilistic"
+    # a corpus without p: annotations is certain everywhere
+    assert {node.probability for node in response.nodes} == {1.0}
+    assert strict.nodes
+    assert {node.dewey for node in strict.nodes} <= {
+        node.dewey for node in response.nodes}
 
 
-def test_table_carrying_index_needs_probabilistic_config(tmp_path,
-                                                        monkeypatch):
+def test_strict_engine_opens_a_probabilistic_cache(tmp_path, monkeypatch):
     documents = ['<root><item p:type="IND">'
                  '<name p:p="0.5">apple</name></item></root>']
     path = tmp_path / "prob.idx"
@@ -297,24 +317,32 @@ def test_table_carrying_index_needs_probabilistic_config(tmp_path,
                             config=EngineConfig(mode="probabilistic",
                                                 index_path=path))
     engine.search("apple")
-    assert path.exists()
-    with pytest.raises(ConfigError):
-        GKSEngine.open(_repository(documents),
-                       config=EngineConfig(index_path=path))
+    saved = path.read_bytes()
     compiled = []
 
-    def counting(repository):
+    def counting(repository, memo=None):
         compiled.append(repository)
-        return compile_tables(repository)
+        return compile_tables(repository, memo)
 
     monkeypatch.setattr("repro.semantics.compile_tables", counting)
-    monkeypatch.setattr("repro.semantics.pdoc.compile_tables", counting)
-    reopened = GKSEngine.open(
-        _repository(documents),
-        config=EngineConfig(mode="probabilistic", index_path=path))
-    assert tables_of(reopened.index) == tables_of(engine.index)
-    # compiled once, when the engine publishes the loaded index
-    assert len(compiled) == 1
+    strict = GKSEngine.open(_repository(documents),
+                            config=EngineConfig(index_path=path))
+    assert path.read_bytes() == saved  # loaded, not rebuilt
+    assert strict.search("apple").semantics is None
+    assert not compiled  # opening and strict queries compile nothing
+    for _ in range(2):
+        response = strict.search("apple", mode="probabilistic")
+        assert {node.probability for node in response.nodes} == {0.5}
+    assert len(compiled) == 1  # once per generation
+
+
+def test_malformed_annotation_fails_the_first_probabilistic_query():
+    documents = ['<root><a p:type="IND"><x p:p="nope">apple</x></a></root>']
+    engine = _engine(documents)
+    assert engine.search("apple", mode="strict").nodes
+    for _ in range(2):
+        with pytest.raises(ValidationError):
+            engine.search("apple")
 
 
 def test_search_options_validate_mode_and_threshold():

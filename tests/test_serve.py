@@ -28,7 +28,7 @@ from repro.obs.stats import QueryStats, SlowQuery
 from repro.serve import (LoadGenerator, OpenLoopSchedule, ServeConfig,
                          ServeHTTPServer, ServerCore, percentile,
                          serve_http)
-from repro.testing import BurstyArrivals, FakeClock, SlowEngine
+from repro.testing import BurstyArrivals, FakeClock
 from repro.xmltree.repository import Repository
 
 pytestmark = pytest.mark.serve

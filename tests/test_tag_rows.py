@@ -27,6 +27,7 @@ from repro.core.engine import GKSEngine
 from repro.core.export import node_to_dict, response_to_dict
 from repro.datasets.registry import dataset_names, load_dataset
 from repro.obs.metrics import MetricsRegistry, global_registry
+from repro.semantics.pdoc import extract_pdoc
 from repro.semantics.relax import relaxation_vocabulary
 from repro.serve import ServeConfig, ServerCore, serve_http
 from repro.text.analyzer import DEFAULT_ANALYZER
@@ -254,15 +255,59 @@ def test_vocabulary_reads_each_document_once():
     texts = _texts()
     engine = GKSEngine.open(Texts(texts[:3]))
     engine.search("graph zzzunseen", s=2, mode="relaxed")
-    parts = dict(engine._relax_documents)
+    documents = engine._derived_parts[relaxation_vocabulary]
+    parts = dict(documents)
     for text in texts[3:]:
         engine.add_document(text)
     engine.search("graph zzzunseen", s=2, mode="relaxed")
-    assert sorted(engine._relax_documents) == list(range(len(texts)))
-    assert all(engine._relax_documents[doc_id] is part
-               for doc_id, part in parts.items())
+    assert sorted(documents) == list(range(len(texts)))
+    assert all(documents[doc_id] is part for doc_id, part in parts.items())
     merged = relaxation_vocabulary(_checked(texts, True), DEFAULT_ANALYZER)
-    assert engine._relaxation_vocabulary() == merged
+    assert engine._corpus_derived(relaxation_vocabulary,
+                                  DEFAULT_ANALYZER) == merged
+
+
+P_TEXTS = ['<r><s p:type="IND"><i p:p="0.5">apple</i><i>pear</i></s></r>',
+           '<r><s p:type="MUX"><i p:p="0.4">apple</i>'
+           '<i p:p="0.6">fig</i></s></r>',
+           '<r><i>apple fig</i></r>']
+
+
+def _counting_extractions(monkeypatch) -> list:
+    extracted = []
+
+    def counting(root):
+        extracted.append(root.dewey[0])
+        return extract_pdoc(root)
+
+    monkeypatch.setattr("repro.semantics.pdoc.extract_pdoc", counting)
+    return extracted
+
+
+def test_tables_extract_each_document_once(monkeypatch):
+    extracted = _counting_extractions(monkeypatch)
+    engine = GKSEngine.open(Texts(P_TEXTS[:1]))
+    for _ in range(2):
+        engine.search("apple", mode="probabilistic")
+    for text in P_TEXTS[1:]:
+        engine.add_document(text)
+        for _ in range(2):
+            engine.search("apple fig", mode="probabilistic")
+    assert sorted(extracted) == list(range(len(P_TEXTS)))
+
+
+def test_probabilistic_add_document_defers_extraction(monkeypatch):
+    extracted = _counting_extractions(monkeypatch)
+    engine = GKSEngine.open(Texts(P_TEXTS[:1]),
+                            EngineConfig(mode="probabilistic"))
+    assert extracted == []  # opening extracts nothing
+    engine.search("apple")
+    assert extracted == [0]
+    for text in P_TEXTS[1:]:
+        engine.add_document(text)
+    assert extracted == [0]
+    engine.search("apple")
+    assert extracted == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -194,8 +194,6 @@ def _reference_payload(decoded: DecodedIndex, shard) -> dict:
         "postings": {keyword: [format_dewey(dewey) for dewey in postings]
                      for keyword, postings in shard.postings.items()},
     }
-    if shard.probabilities:
-        payload["probabilities"] = shard.probabilities
     if decoded.dewey_widths is not None:  # the additive layout key
         payload["dewey_widths"] = list(decoded.dewey_widths)
     return payload
@@ -225,8 +223,6 @@ def _assert_equals_reference(index, directory) -> None:
         assert list(got.postings) == list(want.postings)  # stored order
         assert got.shard_id == want.shard_id
         assert got.doc_ids == want.doc_ids
-        assert got.probabilities == json.loads(
-            json.dumps(want.probabilities))
 
 
 class TestMemoEqualsReference:
