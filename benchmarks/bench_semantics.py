@@ -36,14 +36,29 @@ QUERIES = [("databases compression", 1), ("rivera indexing", 1),
 RELAXED_QUERY = ("zyzzyva compression", 2)  # empty strict answer
 
 
-def _median_seconds(engine: GKSEngine, **kwargs) -> float:
-    samples = []
-    for _ in range(ROUNDS):
-        started = time.perf_counter()
-        for text, s in QUERIES:
-            engine.search(text, s=s, use_cache=False, **kwargs)
-        samples.append(time.perf_counter() - started)
-    return statistics.median(samples)
+def _round_seconds(engine: GKSEngine) -> float:
+    started = time.perf_counter()
+    for text, s in QUERIES:
+        engine.search(text, s=s, use_cache=False)
+    return time.perf_counter() - started
+
+
+def _interleaved_medians(strict_engine: GKSEngine,
+                         prob_engine: GKSEngine) -> tuple[float, float]:
+    """Median round time of each engine over ROUNDS pairs of rounds.
+
+    Each pair runs one round per engine, and the pairs alternate which
+    engine goes first, so a drift in host speed lands on both sides of
+    the ratio alike instead of on whichever engine ran second.
+    """
+    strict, prob = [], []
+    for pair in range(ROUNDS):
+        order = [(strict, strict_engine), (prob, prob_engine)]
+        if pair % 2:
+            order.reverse()
+        for samples, engine in order:
+            samples.append(_round_seconds(engine))
+    return statistics.median(strict), statistics.median(prob)
 
 
 def test_semantics_benchmark_report():
@@ -52,8 +67,7 @@ def test_semantics_benchmark_report():
     prob_engine = GKSEngine(repository,
                             config=EngineConfig(mode="probabilistic"))
 
-    strict_s = _median_seconds(strict_engine)
-    prob_s = _median_seconds(prob_engine)
+    strict_s, prob_s = _interleaved_medians(strict_engine, prob_engine)
     ratio = prob_s / strict_s if strict_s else float("inf")
 
     # relaxation trigger: empty strict answer -> single-edit sweep

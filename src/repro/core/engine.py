@@ -18,38 +18,30 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
-from pathlib import Path
 
 from repro.core.budget import SearchBudget
-from repro.core.config import (EngineConfig, Paths, SearchOptions,
-                               SearchRequest, Texts, resolve_request)
+from repro.core.config import (EngineConfig, SearchOptions, SearchRequest,
+                               resolve_request)
 from repro.core.insights import (InsightReport, discover_insights,
                                  discover_recursive)
 from repro.core.query import Query
 from repro.core.refinement import Refinement, suggest
 from repro.core.ranking import rank_node
 from repro.core.results import GKSResponse, RankedNode, SemanticsInfo
-from repro.core.search import Ranker, search, units_of
-from repro.core.durable import (admit_unit, compose_serving,
-                                incompatibilities, merge_chains,
-                                merge_memtable, open_durable,
-                                pending_document, units_from_base)
-from repro.errors import (ConfigError, SearchTimeout, StorageError,
-                          ValidationError)
-from repro.index.builder import GKSIndex, IndexBuilder
+from repro.core.search import Ranker, search
+from repro.core.durable import (WritePath, build_facts, build_index,
+                                cached_index, open_durable, read_source)
+from repro.errors import ConfigError, SearchTimeout, ValidationError
+from repro.index.builder import GKSIndex
 from repro.index.composite import CompositeIndex
-from repro.index.segments import (MANIFEST_NAME, PendingDocument,
-                                  SegmentStore)
-from repro.index.sharding import ShardedBuilder, ShardedIndex
+from repro.index.sharding import ShardedIndex
 from repro.obs.locks import new_lock, new_rlock
 from repro.obs.metrics import MetricsRegistry, global_registry
 from repro.obs.stats import SlowQuery, SlowQueryLog
 from repro.obs.trace import NullTracer, Span, Tracer
 from repro.xmltree.dewey import Dewey, format_dewey
 from repro.xmltree.node import XMLNode
-from repro.xmltree.repository import (Repository, Source, TextCheck,
-                                      ingest_document, path_sources,
-                                      text_sources)
+from repro.xmltree.repository import Repository, Source
 from repro.xmltree.serialize import serialize_node
 
 #: Recent query traces an engine keeps for inspection.
@@ -63,10 +55,14 @@ class GKSEngine:
                  index: GKSIndex | CompositeIndex | None = None,
                  metrics: MetricsRegistry | None = None,
                  slow_query_threshold_s: float = 0.5,
-                 config: EngineConfig | None = None) -> None:
+                 config: EngineConfig | None = None, *,
+                 _writes: WritePath | None = None) -> None:
         if config is None:
             config = EngineConfig()
-        if index is None:
+        if _writes is not None:
+            # open() hands over a write path it opened (a store's)
+            index = _writes.compose()
+        elif index is None:
             # only open() loads, saves, recovers or attaches a store; an
             # engine built here would silently persist nothing
             for name in ("store_path", "index_path"):
@@ -109,7 +105,7 @@ class GKSEngine:
                     help="SL entries processed per shard (after global "
                          "admission)."))
         if index is None:
-            index = self._build_index(repository, config)
+            index = build_index(repository, config)
         self.index = index
         # LRU response cache — the system's one result cache; keyed by
         # (keywords, s, ranker); responses are immutable so sharing them
@@ -129,44 +125,19 @@ class GKSEngine:
         self._cache_hits = 0
         self._cache_misses = 0
         self._cache_evictions = 0
-        # The write path: per-shard run chains plus a memtable of
-        # one-document units (repro.core.durable); open() attaches the
-        # store when config.store_path is set.  The RLock serializes
-        # mutations — an add_document that crosses the memtable
-        # threshold flushes inside the same hold.
-        # guards: index, _generation, _pending, _durable_units
+        # The write path (repro.core.durable.WritePath): the store, the
+        # per-shard run chains, the memtable and the Dewey layout.  The
+        # RLock serializes mutations — an add_document that crosses the
+        # memtable threshold flushes inside the same hold.
+        # guards: index, _generation, _writes
         self._mutation_lock = new_rlock("engine.mutation")
         self._generation = 0
-        self._store: SegmentStore | None = None
-        self._durable_units = units_from_base(index)
-        self._pending: list[PendingDocument] = []
-        # the one Dewey layout every unit packs under (repro.core.durable)
-        self._layout = index.layout
+        self._writes = (_writes if _writes is not None
+                        else WritePath.over(index, repository, config))
         # What non-strict modes derive from the corpus, per derivation:
         # (generation, value), and its parts by doc id (_corpus_derived)
         self._derived: dict = {}
         self._derived_parts: dict = {}
-
-    @staticmethod
-    def _build_index(repository: Repository, config: EngineConfig,
-                     sources: list[Source] | None = None
-                     ) -> GKSIndex | ShardedIndex:
-        """Index *repository* — or, given *sources*, ingest them into it
-        in the same pass: each text's one scan is its check and its
-        index, and it enters the repository text-backed."""
-        if config.shards > 1:
-            builder = ShardedBuilder(
-                analyzer=config.analyzer, index_tags=config.index_tags,
-                shards=config.shards, strategy=config.shard_strategy)
-        else:
-            builder = IndexBuilder(analyzer=config.analyzer,
-                                   index_tags=config.index_tags)
-        if sources is None:
-            for document in repository:
-                builder.add_document_unchecked(document)
-        else:
-            repository.ingest(sources, config.recovery, builder)
-        return builder.build(corpus_crc32=repository.corpus_crc32)
 
     # ------------------------------------------------------------------
     # Construction conveniences
@@ -229,7 +200,7 @@ class GKSEngine:
             tracer = Tracer()
         with tracer.span("open") as root:
             with tracer.span("parse") as span:
-                repository, sources = _read_source(source, config)
+                repository, sources = read_source(source, config)
                 if sources is None:
                     checked = sum(not doc.parsed for doc in repository)
                     span.set(documents=len(repository), checked=checked,
@@ -246,43 +217,27 @@ class GKSEngine:
               ) -> "GKSEngine":
         def build(repository: Repository, config: EngineConfig):
             with tracer.span("build") as span:
-                index = cls._build_index(repository, config, sources)
+                index = build_index(repository, config, sources)
                 span.set(streamed=sum(not document.parsed
                                       for document in repository),
-                         **_build_facts(index))
+                         **build_facts(index))
             return index
 
         if config.store_path is not None:
             with tracer.span("store"):
-                store, durable_units, pending = open_durable(
-                    repository, config, build, tracer)
-                engine = cls(repository, config=config,
-                             index=compose_serving(durable_units, pending,
-                                                   config, repository))
-            engine._store = store
-            engine._durable_units = durable_units
-            engine._pending = pending
-            return engine
+                return cls(repository, config=config,
+                           _writes=open_durable(repository, config, build,
+                                                tracer))
 
-        index: GKSIndex | ShardedIndex | None = None
-        if config.index_path is not None:
-            from repro.index.codec import sniff_codec
-            from repro.index.storage import load_index, save_index
-
-            try:
-                loaded = load_index(config.index_path)
-                on_disk_codec = sniff_codec(config.index_path).name
-            except StorageError:
-                loaded = None  # unreadable cache: rebuild and rewrite
-            if (loaded is not None
-                    and on_disk_codec == config.codec
-                    and not incompatibilities(loaded, repository, config)):
-                index = loaded
+        index = (cached_index(repository, config)
+                 if config.index_path is not None else None)
         rebuilt = index is None
         if rebuilt:
             index = build(repository, config)
         engine = cls(repository, index=index, config=config)
         if config.index_path is not None and rebuilt:
+            from repro.index.storage import save_index
+
             save_index(engine.index, config.index_path,
                        codec=config.codec)
         return engine
@@ -644,19 +599,19 @@ class GKSEngine:
                      tracer: Tracer | None = None) -> dict:
         """Append one XML document to the repository and the index.
 
-        The text is streamed into a one-document memtable unit first —
-        the scan is the well-formedness check, so a malformed document
-        never reaches the log — then appended to the fsync'd write-ahead
-        log when the engine has a store (``config.store_path`` — the
-        write is crash-safe from there), and the unit published in a new
-        immutable serving snapshot: the previous snapshot is never
-        touched, so in-flight searches finish on the one they captured.
+        The text is streamed into a one-document unit first
+        (:meth:`~repro.core.durable.WritePath.stream`; the scan is the
+        well-formedness check, so a malformed document never reaches the
+        log), appended to the fsync'd write-ahead log when the engine
+        has a store (``config.store_path``; the write is crash-safe from
+        there), admitted to the memtable
+        (:meth:`~repro.core.durable.WritePath.admit`, the step WAL
+        recovery shares) and published in a new immutable serving
+        snapshot, so in-flight searches finish on the one they captured.
         The document keeps its text; its tree is built on first read.
-        Crossing ``memtable_docs`` pending documents merges the memtable
-        into one run per shard (and, past ``compact_segments`` runs per
-        shard, merges the chain) inside the same mutation hold; with a
-        store both are persisted.  Runs of shards the document does not
-        land in are reused as they are.
+        Crossing ``memtable_docs`` pending documents flushes (and past
+        ``compact_segments`` runs per shard compacts) inside the same
+        mutation hold.
 
         The response cache is cleared — the repository has grown, so any
         cached response may be stale — and the returned info dict
@@ -677,48 +632,39 @@ class GKSEngine:
 
     def _add_locked(self, text: str, name: str | None,
                     tracer: Tracer) -> dict:  # holds: _mutation_lock
+        writes = self._writes
         with tracer.span("add_document") as root:
             # Stream *before* the WAL append: a malformed document must
             # fail the caller, never poison the log that recovery replays.
             with tracer.span("parse"):
-                builder = IndexBuilder(analyzer=self.config.analyzer,
-                                       index_tags=self.config.index_tags,
-                                       layout=self._layout)
-                document = ingest_document(text, len(self.repository),
-                                           name=name, builder=builder)
+                document, builder = writes.stream(text, name)
             info = {"doc_id": document.doc_id, "name": document.name}
             lsn = None
-            if self._store is not None:
+            if writes.store is not None:
                 with tracer.span("wal"):
-                    lsn = self._store.append(document.doc_id,
-                                             document.name, text)
+                    lsn = writes.store.append(document.doc_id,
+                                              document.name, text)
                 info.update(lsn=lsn, durable=True)
             # With a store the write is durable from here; apply it to
             # memory.
-            self.repository.add(document, text=text)
             try:
                 with tracer.span("build") as span:
-                    unit, self._layout = admit_unit(
-                        builder.build(), self._durable_units, self._pending,
-                        self._layout)
-                    pending = pending_document(document, text, lsn, unit,
-                                               self.config)
-                    span.set(**_build_facts(pending.unit))
-                self._pending.append(pending)
+                    pending = writes.admit(document, text, builder, lsn)
+                    span.set(**build_facts(pending.unit))
                 with tracer.span("recompose"):
                     self._recompose()
             finally:
-                # the repository already grew: even when indexing failed,
+                # the repository grows first: even when indexing failed,
                 # cached responses may be stale
                 with self._cache_lock:
                     self._response_cache.clear()
             root.set(doc_id=document.doc_id)
         self._recent_traces.append(root)
-        flushed = len(self._pending) >= self.config.memtable_docs
+        flushed = writes.flush_due()
         if flushed:
             self._flush_locked()
         info.update(generation=self._generation,
-                    pending=len(self._pending), flushed=flushed)
+                    pending=len(writes.pending), flushed=flushed)
         return info
 
     def flush(self) -> dict:
@@ -730,12 +676,13 @@ class GKSEngine:
         :class:`~repro.errors.StorageError` on a non-durable engine.
         """
         with self._mutation_lock:
-            self._require_store("flush")
-            count = len(self._pending)
+            writes = self._writes
+            writes.require_store("flush")
+            count = len(writes.pending)
             if count:
                 self._flush_locked()
             return {"flushed": count, "generation": self._generation,
-                    **self._store_generation()}
+                    **writes.store_generation()}
 
     def compact(self) -> dict:
         """Merge multi-run shards down to one segment each.
@@ -744,104 +691,52 @@ class GKSEngine:
         :class:`~repro.errors.StorageError` on a non-durable engine.
         """
         with self._mutation_lock:
-            self._require_store("compact")
-            compacted = self._compact_locked()
+            self._writes.require_store("compact")
+            compacted = self._merge_locked("compact")
             return {"compacted_shards": sorted(compacted),
                     "generation": self._generation,
-                    **self._store_generation()}
+                    **self._writes.store_generation()}
 
     def close(self) -> None:
         """Release the store's file handles (durable engines only)."""
         with self._mutation_lock:
-            if self._store is not None:
-                self._store.close()
-
-    def _require_store(self, operation: str) -> None:
-        if self._store is None:
-            raise StorageError(
-                f"cannot {operation}: engine has no segmented store "
-                f"(open it with config.store_path)", diagnosis="unwritable")
-
-    def _store_generation(self) -> dict:
-        if self._store is None:
-            return {}
-        return {"store_generation": self._store.manifest.generation}
+            self._writes.close()
 
     def _flush_locked(self) -> None:
-        """Merge the memtable into one run per shard; caller holds the
-        mutation lock.  With a store the runs are persisted and the WAL
-        checkpointed before memory changes.
+        """Merge the memtable into one run per shard, then compact every
+        chain that reached ``compact_segments``; caller holds the
+        mutation lock.  With a store the runs are persisted (and the WAL
+        checkpointed) before memory changes."""
+        self._merge_locked("flush")
+        if self._writes.compaction_due():
+            self._merge_locked("compact")
 
-        The whole operation is traced (a ``flush`` root span retained in
-        :meth:`recent_traces`; its ``segments`` child holds ``merge``,
-        then per segment ``encode`` and ``write``, then ``texts`` and
-        ``commit`` — a compaction's likewise) and timed into the
-        ``gks_store_flush_seconds`` histogram, so the write path is as
-        observable through ``/metrics`` as the query path.
-        """
-        tracer = Tracer()
-        count = len(self._pending)
-        with tracer.span("flush") as span:
-            with tracer.span("segments"):
-                with tracer.span("merge"):
-                    runs = merge_memtable(self._pending)
-                if self._store is not None:
-                    self._store.flush(self._pending, runs, tracer)
-            for shard_id, run in runs.items():
-                self._durable_units.setdefault(shard_id, []).append(run)
-            self._pending = []
-            with tracer.span("recompose"):
-                self._recompose()
-            span.set(documents=count, shards=len(runs),
-                     **self._store_generation())
-        self._recent_traces.append(tracer.roots[-1])
-        self.metrics_registry.histogram(
-            "gks_store_flush_seconds",
-            help="Wall time of memtable flushes (segments + recompose)."
-        ).observe(tracer.roots[-1].duration_s)
-        if any(len(chain) >= self.config.compact_segments
-               for chain in self._durable_units.values()):
-            self._compact_locked()
-
-    def _compact_locked(self) -> set[int]:
-        """Merge every multi-run chain down to one run; caller holds the
-        mutation lock.  With a store the merged runs replace the chain's
-        segments on disk before memory changes."""
-        tracer = Tracer()
-        with tracer.span("compact") as span:
-            with tracer.span("segments"):
-                with tracer.span("merge"):
-                    runs = merge_chains(self._durable_units)
-                if self._store is not None:
-                    self._store.compact(runs, tracer)
-            if runs:
-                for shard_id, run in runs.items():
-                    self._durable_units[shard_id] = [run]
-                with tracer.span("recompose"):
-                    self._recompose()
-            span.set(shards=len(runs), **self._store_generation())
-        if not runs:
-            return set()
-        self._recent_traces.append(tracer.roots[-1])
-        self.metrics_registry.histogram(
-            "gks_store_compaction_seconds",
-            help="Wall time of segment compactions (merge + recompose)."
-        ).observe(tracer.roots[-1].duration_s)
-        return set(runs)
+    def _merge_locked(self, operation: str) -> set[int]:
+        """One flush or compaction by the write path
+        (:meth:`~repro.core.durable.WritePath.merge`), published through
+        :meth:`_recompose`; its ``flush``/``compact`` root span — the
+        ``segments`` child holds ``merge``, then per segment ``encode``
+        and ``write``, then ``texts`` and ``commit`` — is retained in
+        :meth:`recent_traces` and timed into ``gks_store_flush_seconds``
+        / ``gks_store_compaction_seconds``, so the write path is as
+        observable through ``/metrics`` as the query path."""
+        root, shards = self._writes.merge(operation, self._recompose,
+                                          self.metrics_registry)
+        if root is not None:
+            self._recent_traces.append(root)
+        return shards
 
     def _recompose(self) -> None:  # holds: _mutation_lock
         """Publish a fresh immutable serving snapshot (caller holds the
         mutation lock).  In-flight searches finish on the snapshot they
         captured; the generation bump keeps their responses out of the
         cache."""
-        self.index = compose_serving(
-            self._durable_units, self._pending, self.config,
-            self.repository)
+        self.index = self._writes.compose()
         self._generation += 1
         self.metrics_registry.gauge(
             "gks_memtable_pending",
             help="Documents in the memtable awaiting a flush."
-        ).set(len(self._pending))
+        ).set(len(self._writes.pending))
         self.metrics_registry.gauge(
             "gks_engine_generation",
             help="Serving-snapshot generation of the engine."
@@ -924,54 +819,3 @@ class GKSEngine:
         keywords = ", ".join(node.matched_keywords)
         return (f"<{tag}> {node.dewey_text}  score={node.score:.3f}  "
                 f"keywords[{node.distinct_keywords}]={{{keywords}}}")
-
-
-# ----------------------------------------------------------------------
-# GKSEngine.open helpers
-# ----------------------------------------------------------------------
-def _looks_like_xml(item) -> bool:
-    return isinstance(item, str) and item.lstrip().startswith("<")
-
-
-def _build_facts(index) -> dict:
-    """What a ``build`` span reports about the index it produced."""
-    stats = index.stats
-    return {"nodes": stats.total_nodes, "tokens": stats.total_keywords,
-            "postings": sum(unit.inverted.total_postings
-                            for _, unit in units_of(index))}
-
-
-def _read_source(source, config: EngineConfig
-                 ) -> tuple[Repository, list[Source] | None]:
-    """Read an ``open`` *source*: a :class:`Repository` as it is; texts
-    or files into sources for the build to stream — or, when an index
-    on disk will serve them, checked into a repository now."""
-    if isinstance(source, Repository):
-        return source, None
-    if not isinstance(source, (Texts, Paths)):
-        if isinstance(source, (str, Path)):
-            source = [source]
-        try:
-            items = list(source)
-        except TypeError:
-            raise ConfigError(
-                f"cannot open source of type {type(source).__name__}; "
-                "expected a Repository, XML text(s) or corpus path(s)")
-        if all(_looks_like_xml(item) for item in items):
-            source = Texts(items)
-        elif not any(_looks_like_xml(item) for item in items):
-            source = Paths(items)
-        else:
-            raise ConfigError(
-                "source mixes XML texts and paths; wrap it in Texts(...) "
-                "or Paths(...) to state which it is")
-    sources = (text_sources(source) if isinstance(source, Texts)
-               else path_sources(source))
-    repository = Repository()
-    if ((config.store_path is not None
-         and (Path(config.store_path) / MANIFEST_NAME).exists())
-            or (config.index_path is not None
-                and Path(config.index_path).exists())):
-        repository.ingest(sources, config.recovery, TextCheck)
-        return repository, None
-    return repository, sources

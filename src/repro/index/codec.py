@@ -611,33 +611,9 @@ class _FrameReader:
                 f"codec chunk references frame {number} but only "
                 f"{len(self._table)} exist in {self._path}",
                 diagnosis="corrupted", path=self._path)
-        comp_size, raw_size, crc = self._table[number]
-        start = self._offsets[number]
-        stored = bytes(self._buffer[start:start + comp_size])
-        if len(stored) != comp_size:
-            raise StorageError(
-                f"frame {number} in {self._path} is truncated",
-                diagnosis="truncated", path=self._path)
-        if _crc(stored) != crc:
-            raise StorageError(
-                f"frame {number} in {self._path} fails its CRC32 — the "
-                f"file is corrupted", diagnosis="corrupted",
-                path=self._path)
-        if comp_size == raw_size:
-            raw = stored  # stored verbatim
-        else:
-            try:
-                raw = zlib.decompress(stored)
-            except zlib.error as exc:
-                raise StorageError(
-                    f"frame {number} in {self._path} does not inflate: "
-                    f"{exc}", diagnosis="corrupted",
-                    path=self._path) from exc
-        if len(raw) != raw_size:
-            raise StorageError(
-                f"frame {number} in {self._path} inflates to "
-                f"{len(raw)} bytes, header promises {raw_size}",
-                diagnosis="corrupted", path=self._path)
+        raw = _read_region(self._buffer, self._offsets[number],
+                           self._table[number], f"frame {number}",
+                           self._path, verbatim=True)
         self._cache[number] = raw
         global_registry().counter(
             "gks_codec_frames_inflated_total",
@@ -1557,38 +1533,60 @@ class LazyNodeHashes(NodeHashes):
         return table
 
 
-def _section_reader(section: dict, buffer, cursor: int, path: Path,
-                    version: int, layout: DeweyLayout | None = None
-                    ) -> tuple[_ShardReader, int]:
-    """Build one shard's reader; returns it plus the next region offset."""
+def _region_table(section: dict, path: Path) -> tuple[tuple, list[tuple]]:
+    """A shard section's ``(comp, raw, crc32)`` records: its directory's
+    and its frames'."""
     try:
-        dir_comp, dir_raw, dir_crc = section["directory"]
-        frame_table = section["frames"]
+        records = [(comp, raw, crc) for comp, raw, crc
+                   in [section["directory"], *section["frames"]]]
     except (KeyError, TypeError, ValueError) as exc:
         raise StorageError(
             f"shard section in {path} is missing its region table",
             diagnosis="corrupted", path=path) from exc
-    stored = bytes(buffer[cursor:cursor + dir_comp])
-    if len(stored) != dir_comp:
+    return records[0], records[1:]
+
+
+def _read_region(buffer, start: int, record: tuple, what: str, path: Path,
+                 *, verbatim: bool) -> bytes:
+    """The payload of the stored region at *start*, checked against its
+    header *record* ``(comp, raw, crc32)``: a short region is
+    ``truncated``; a CRC32 mismatch, a failed inflate or a wrong
+    inflated size is ``corrupted``.  A frame (*verbatim*) whose stored
+    and raw sizes agree was stored as it is; a directory is always
+    deflated."""
+    comp_size, raw_size, crc = record
+    stored = bytes(buffer[start:start + comp_size])
+    if len(stored) != comp_size:
         raise StorageError(
-            f"codec directory in {path} is truncated",
-            diagnosis="truncated", path=path)
-    if _crc(stored) != dir_crc:
+            f"{what} in {path} is truncated ({len(stored)} of "
+            f"{comp_size} byte(s))", diagnosis="truncated", path=path)
+    if _crc(stored) != crc:
         raise StorageError(
-            f"codec directory in {path} fails its CRC32 — the file is "
-            f"corrupted", diagnosis="corrupted", path=path)
+            f"{what} in {path} fails its CRC32 — the file is corrupted",
+            diagnosis="corrupted", path=path)
+    if verbatim and comp_size == raw_size:
+        return stored
     try:
         payload = zlib.decompress(stored)
     except zlib.error as exc:
         raise StorageError(
-            f"codec directory in {path} does not inflate: {exc}",
+            f"{what} in {path} does not inflate: {exc}",
             diagnosis="corrupted", path=path) from exc
-    if len(payload) != dir_raw:
+    if len(payload) != raw_size:
         raise StorageError(
-            f"codec directory in {path} inflates to {len(payload)} "
-            f"bytes, header promises {dir_raw}",
-            diagnosis="corrupted", path=path)
-    cursor += dir_comp
+            f"{what} in {path} inflates to {len(payload)} byte(s), "
+            f"header promises {raw_size}", diagnosis="corrupted", path=path)
+    return payload
+
+
+def _section_reader(section: dict, buffer, cursor: int, path: Path,
+                    version: int, layout: DeweyLayout | None = None
+                    ) -> tuple[_ShardReader, int]:
+    """Build one shard's reader; returns it plus the next region offset."""
+    directory_record, frame_table = _region_table(section, path)
+    payload = _read_region(buffer, cursor, directory_record,
+                           "codec directory", path, verbatim=False)
+    cursor += directory_record[0]
     offsets = []
     for comp_size, _raw_size, _crc32 in frame_table:
         offsets.append(cursor)
@@ -1690,41 +1688,15 @@ def verify_frames(path: str | Path) -> None:
     header = read_binary_header(path)
     buffer = _map_blob(path)
     cursor = header["blob_offset"]
-    for position, section in enumerate(header["body"].get("shards", [])):
-        try:
-            regions = [tuple(section["directory"])]
-            regions.extend(tuple(row) for row in section["frames"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StorageError(
-                f"shard section {position} in {path} is missing its "
-                f"region table", diagnosis="corrupted",
-                path=path) from exc
-        for comp_size, raw_size, crc32 in regions:
-            stored = bytes(buffer[cursor:cursor + comp_size])
-            if len(stored) != comp_size:
-                raise StorageError(
-                    f"region at offset {cursor} in {path} is truncated "
-                    f"({len(stored)} of {comp_size} byte(s))",
-                    diagnosis="truncated", path=path)
-            if _crc(stored) != crc32:
-                raise StorageError(
-                    f"region at offset {cursor} in {path} fails its "
-                    f"CRC32 — the file is corrupted",
-                    diagnosis="corrupted", path=path)
-            if comp_size != raw_size:
-                try:
-                    payload = zlib.decompress(stored)
-                except zlib.error as exc:
-                    raise StorageError(
-                        f"region at offset {cursor} in {path} does not "
-                        f"inflate: {exc}", diagnosis="corrupted",
-                        path=path) from exc
-                if len(payload) != raw_size:
-                    raise StorageError(
-                        f"region at offset {cursor} in {path} inflates "
-                        f"to {len(payload)} byte(s), header promises "
-                        f"{raw_size}", diagnosis="corrupted", path=path)
-            cursor += comp_size
+    for section in header["body"].get("shards", []):
+        directory_record, frame_table = _region_table(section, path)
+        regions = [(directory_record, False)]
+        regions.extend((record, True) for record in frame_table)
+        for record, verbatim in regions:
+            _read_region(buffer, cursor, record,
+                         f"region at offset {cursor}", path,
+                         verbatim=verbatim)
+            cursor += record[0]
     if cursor != len(buffer):
         raise StorageError(
             f"{len(buffer) - cursor} trailing byte(s) after the last "

@@ -14,7 +14,6 @@ values pass their own :class:`MetricsRegistry` or call
 
 from __future__ import annotations
 
-import json
 from repro.errors import ConfigError, ValidationError
 
 #: Histogram bucket upper bounds for second-valued durations.
@@ -254,9 +253,6 @@ class MetricsRegistry:
         """JSON-able {metric name: {type, help, values}} mapping."""
         return {name: metric.snapshot()
                 for name, metric in sorted(self._metrics.items())}
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
     def render_prometheus(self) -> str:
         """The registry in Prometheus text exposition format."""

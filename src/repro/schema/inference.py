@@ -56,11 +56,6 @@ class ElementType:
         bounds = self.child_multiplicity.get(tag)
         return bounds is not None and bounds[1] > 1
 
-    def is_optional_child(self, tag: str) -> bool:
-        """True when some instance lacks *tag* (a 'missing element')."""
-        bounds = self.child_multiplicity.get(tag)
-        return bounds is not None and bounds[0] == 0
-
     def content_model(self) -> str:
         """A DTD-flavoured rendering, e.g. ``(author+, title, year?)``."""
         parts = []

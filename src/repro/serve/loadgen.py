@@ -10,9 +10,8 @@ capacity the queue fills and the broker must shed.
 
 Both modes produce a :class:`LoadReport` with per-request outcomes,
 latency percentiles (p50/p95/p99) and shed/coalesce/timeout counts.
-Determinism: the arrival schedule is precomputed (uniform spacing, or
-exponential gaps from a seeded PRNG for Poisson arrivals), and both the
-clock and the sleeper are injectable, so tests replay identical
+Determinism: the arrival schedule is precomputed (uniform spacing),
+and both the clock and the sleeper are injectable, so tests replay identical
 schedules with a :class:`~repro.testing.faults.FakeClock` and no real
 sleeping.
 """
@@ -20,7 +19,6 @@ sleeping.
 from __future__ import annotations
 
 import math
-import random
 import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -207,29 +205,6 @@ class OpenLoopSchedule:
             LoadRequest(at_s=i * gap, query=queries[i % len(queries)],
                         **request_kwargs)
             for i in range(count)))
-
-    @classmethod
-    def poisson(cls, rate_rps: float, count: int, queries: Sequence[str],
-                seed: int = 0, **request_kwargs) -> "OpenLoopSchedule":
-        """*count* Poisson arrivals (exponential gaps) from a seeded PRNG.
-
-        Same seed, same schedule — byte-for-byte reproducible bursts.
-        """
-        if rate_rps <= 0:
-            raise ValidationError(f"rate_rps must be > 0: {rate_rps}")
-        if count < 1:
-            raise ValidationError(f"count must be >= 1: {count}")
-        if not queries:
-            raise ValidationError("queries must be non-empty")
-        rng = random.Random(seed)
-        at = 0.0
-        requests = []
-        for i in range(count):
-            requests.append(
-                LoadRequest(at_s=at, query=queries[i % len(queries)],
-                            **request_kwargs))
-            at += rng.expovariate(rate_rps)
-        return cls(tuple(requests))
 
     @property
     def duration_s(self) -> float:

@@ -54,20 +54,6 @@ class Analyzer:
             keywords = [stem for stem in map(porter_stem, keywords) if stem]
         return keywords
 
-    def analyze_unique(self, text: str) -> list[str]:
-        """Like :meth:`analyze` but de-duplicated, first occurrence wins.
-
-        Queries use this form: a query keyword counts once no matter how
-        often the user typed it.
-        """
-        seen: set[str] = set()
-        unique: list[str] = []
-        for keyword in self.analyze(text):
-            if keyword not in seen:
-                seen.add(keyword)
-                unique.append(keyword)
-        return unique
-
     def analyze_tag(self, tag: str) -> list[str]:
         """Normalise an element label for tag-name indexing.
 

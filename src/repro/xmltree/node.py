@@ -95,12 +95,6 @@ class XMLNode:
             yield node
             stack.extend(reversed(node.children))
 
-    def iter_descendants(self) -> Iterator["XMLNode"]:
-        """Yield all strict descendants in document order."""
-        subtree = self.iter_subtree()
-        next(subtree)
-        yield from subtree
-
     def iter_ancestors(self) -> Iterator["XMLNode"]:
         """Yield strict ancestors, nearest first."""
         node = self.parent
@@ -114,10 +108,6 @@ class XMLNode:
             if node.tag == tag:
                 return node
         return None
-
-    def find_all(self, tag: str) -> list["XMLNode"]:
-        """All descendants-or-self with the given tag, in document order."""
-        return [node for node in self.iter_subtree() if node.tag == tag]
 
     def path_from(self, ancestor: "XMLNode") -> list["XMLNode"]:
         """Nodes on the path *ancestor* → … → self, both ends included.

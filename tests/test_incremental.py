@@ -7,6 +7,8 @@ whichever way the units are currently grouped (memtable, merged runs,
 compacted chains; with a store or without; one shard or several).
 """
 
+import shutil
+
 import pytest
 
 from repro.core.config import EngineConfig, Texts
@@ -274,3 +276,47 @@ class TestOneLayoutPerFamily:
                     == [(node.dewey, node.score.hex()) for node in want]
         finally:
             reopened.close()
+
+    def test_recovery_admits_like_a_live_add(self, tmp_path):
+        """WAL recovery and a live add share one admit step: a crash copy
+        of a store, recovered, holds the live write path's memtable,
+        layout and chains, and answers alike."""
+        deeper = "<bib><x><y><z><w><v>keyword deep</v></w></z></y></x></bib>"
+        config = EngineConfig(shards=2, memtable_docs=3, cache_size=0,
+                              store_path=tmp_path / "store")
+        live = GKSEngine.open(Texts(BASE), config)
+        try:
+            for i, text in enumerate(FEED[:3]):  # one flush
+                live.add_document(text, name=f"feed{i}.xml")
+            # the WAL tail: a document that outgrows the layout between
+            # two that do not
+            live.add_document(FEED[3], name="feed3.xml")
+            layout = live._writes.layout
+            live.add_document(deeper)
+            assert live._writes.layout != layout
+            assert len(live._writes.pending) == 2
+            # the directory as a kill -9 leaves it: no close()
+            shutil.copytree(tmp_path / "store", tmp_path / "crashed")
+            recovered = GKSEngine.open(Texts(BASE), config.replace(
+                store_path=tmp_path / "crashed"))
+            try:
+                def state(engine):
+                    writes = engine._writes
+                    return ([(doc.doc_id, doc.shard_id, doc.lsn, doc.name)
+                             for doc in writes.pending],
+                            writes.layout,
+                            {shard_id: [doc_ids for doc_ids, _ in chain]
+                             for shard_id, chain in writes.chains.items()})
+
+                assert state(recovered) == state(live)
+                for raw in QUERIES + ["deep keyword"]:
+                    got = recovered.search(raw, s=1)
+                    want = live.search(raw, s=1)
+                    assert [(node.dewey, node.score.hex())
+                            for node in got.nodes] == \
+                        [(node.dewey, node.score.hex())
+                         for node in want.nodes]
+            finally:
+                recovered.close()
+        finally:
+            live.close()

@@ -36,11 +36,6 @@ class TestStructureQueries:
         assert deweys == sorted(deweys)
         assert deweys[0] == (0,)
 
-    def test_iter_descendants_excludes_self(self, small_tree):
-        descendants = list(small_tree.iter_descendants())
-        assert small_tree not in descendants
-        assert len(descendants) == 5
-
     def test_iter_ancestors_nearest_first(self, small_tree):
         leaf = small_tree.children[0].children[0]
         tags = [node.tag for node in leaf.iter_ancestors()]
@@ -48,7 +43,6 @@ class TestStructureQueries:
 
     def test_find_first_and_all(self, small_tree):
         assert small_tree.find_first("b").dewey == (0, 0, 0)
-        assert len(small_tree.find_all("a")) == 2
         assert small_tree.find_first("nope") is None
 
     def test_path_from_ancestor(self, small_tree):

@@ -198,7 +198,7 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.counter("a_total", help="help text").inc()
         registry.histogram("b_seconds", buckets=(0.1,)).observe(0.05)
-        parsed = json.loads(registry.to_json())
+        parsed = json.loads(json.dumps(registry.snapshot()))
         assert parsed["a_total"]["values"][""] == 1
         assert parsed["b_seconds"]["values"][""]["count"] == 1
 
@@ -557,7 +557,7 @@ class TestIngestObservability:
         def refuse(*args):
             raise StorageError("disk full", diagnosis="unwritable")
 
-        monkeypatch.setattr(engine._store, "append", refuse)
+        monkeypatch.setattr(engine._writes.store, "append", refuse)
         before = documents.value(), ingested.value(), parsed.count()
         with pytest.raises(StorageError):
             engine.add_document(self._book(1))

@@ -810,15 +810,6 @@ class TestLoadgen:
         queries = [request.query for request in schedule.requests]
         assert queries == ["a", "b", "a", "b", "a"]
 
-    def test_poisson_schedule_is_seed_deterministic(self):
-        first = OpenLoopSchedule.poisson(50.0, 20, ["q"], seed=42)
-        second = OpenLoopSchedule.poisson(50.0, 20, ["q"], seed=42)
-        other = OpenLoopSchedule.poisson(50.0, 20, ["q"], seed=43)
-        assert first.requests == second.requests
-        assert first.requests != other.requests
-        offsets = [request.at_s for request in first.requests]
-        assert offsets == sorted(offsets)
-
     def test_percentile_nearest_rank(self):
         values = [10.0, 20.0, 30.0, 40.0]
         assert percentile(values, 50) == 20.0

@@ -422,14 +422,14 @@ class TestAddDocument:
         engine.search("keyword")
         assert engine.cache_info()["size"] == 1
 
-        import repro.core.engine as engine_module
+        import repro.core.durable as durable_module
 
         def boom(*args):
             raise RuntimeError("mid-append crash")
 
         # the unit is streamed before the repository grows; what can
         # still fail after it grew is filing the unit in the memtable
-        monkeypatch.setattr(engine_module, "pending_document", boom)
+        monkeypatch.setattr(durable_module, "pending_document", boom)
         with pytest.raises(RuntimeError):
             engine.add_document(self.NEW_DOC)
         # the repository already grew, so stale responses must be gone

@@ -194,11 +194,6 @@ class TestAnalyzer:
         analyzer = Analyzer()
         assert analyzer.analyze("data data data") == ["data"] * 3
 
-    def test_analyze_unique_dedups_in_order(self):
-        analyzer = Analyzer()
-        assert analyzer.analyze_unique("search data search") == \
-            ["search", "data"]
-
     def test_stemming_can_be_disabled(self):
         analyzer = Analyzer(use_stemming=False)
         assert analyzer.analyze("publications") == ["publications"]
