@@ -52,6 +52,14 @@ grep -q 'engine.mutation -> index.wal' <<<"$RACE" || {
     echo "$RACE" >&2; exit 1; }
 echo "race harness clean; expected lock orderings observed"
 
+echo "== gks race on a corpus whose tag keywords are stop words =="
+printf '<r><a>karen</a><b>mike keyword</b></r>' > "$WORKDIR"/tags.xml
+RACE="$(python -m repro race "$WORKDIR"/tags.xml --scenario all --json)"
+grep -q '"ok": true' <<<"$RACE" || {
+    echo "FAIL: gks race reported findings on the tag-keyword corpus" >&2
+    echo "$RACE" >&2; exit 1; }
+echo "race harness clean on the tag-keyword corpus"
+
 python -m repro dataset figure1 -o "$WORKDIR"
 python -m repro dataset figure2a -o "$WORKDIR"
 

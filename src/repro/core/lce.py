@@ -16,16 +16,17 @@ in creation order:
 * ancestors that keep their witness get their statistics updated ("Update
   LCE node (e)" in Fig. 6).
 
-The result keeps, for every LCP entry, its mapping to an LCE node (or none:
-"there may exist some nodes in LCP list such that no corresponding entity
-node is found for them").  The GKS response is the surviving LCE nodes plus
-the unmapped LCP nodes (§4.2).  Every id here is packed under the index's
+An LCP entry with no entity ancestor-or-self is kept as *unmapped* ("there
+may exist some nodes in LCP list such that no corresponding entity node is
+found for them").  The GKS response is the surviving LCE nodes plus the
+unmapped LCP nodes (§4.2).  Every id here is packed under the index's
 :class:`~repro.xmltree.dewey.DeweyLayout`: a parent is one mask, and
 "inside ``subtree(e)``" is ``e <= x < layout.subtree_end(e)``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.core.budget import SearchBudget
@@ -45,10 +46,9 @@ class LCEInfo:
     dewey: int
     witness: int | None            # smallest independent witness position
     estimated_keywords: int        # the running s+counter−1 style estimate
-    blocks: int = 1                # LCP entries mapped here so far
     #: the (lifted) LCP candidates that mapped to this entity — the
     #: fallback response nodes should the entity fail Def 2.2.1.
-    candidates: list[int] = field(default_factory=list)
+    candidates: list[int]
 
 
 @dataclass
@@ -64,8 +64,6 @@ class LCEResult:
     #: §4.2 treats them as LCP nodes "for which no corresponding LCE node
     #: exists".
     rejected: dict[int, LCEInfo] = field(default_factory=dict)
-    #: LCP entry → LCE node it mapped to (absent key: no entity ancestor).
-    mapping: dict[int, int] = field(default_factory=dict)
     #: LCP entries with no entity ancestor-or-self at all (deduplicated,
     #: in creation order; values are the estimated keyword counts).
     unmapped: dict[int, int] = field(default_factory=dict)
@@ -76,7 +74,7 @@ class LCEResult:
         Maps each fallback node to its keyword-count estimate.
         """
         pool = dict(self.unmapped)
-        confirmed = set(self.lce)
+        confirmed = self.lce
         for info in self.rejected.values():
             for candidate in info.candidates:
                 if candidate not in confirmed:
@@ -97,19 +95,20 @@ class LCEResult:
         candidate strictly inside its subtree, which is what makes Table 1
         return {x2} rather than {x1, x2, r} for Q1.
         """
-        survivors = list(self.lce)
-        filtered = set(self.fallback_candidates() if fallback is None
-                       else fallback)
-        ordered = sorted(set(survivors) | filtered)
+        lce = self.lce
+        survivors = list(lce)
+        filtered = (self.fallback_candidates() if fallback is None
+                    else fallback).keys() - lce.keys()
+        ordered = sorted(lce.keys() | filtered)
         # In Dewey (document) order every id strictly between a node and
         # its subtree end is a descendant, so a candidate has a candidate
         # descendant iff its immediate successor is one: one sorted pass.
-        subtree_end = self.layout.subtree_end
-        for position, dewey in enumerate(ordered):
-            if dewey not in filtered or dewey in self.lce:
-                continue
-            if (position + 1 == len(ordered)
-                    or ordered[position + 1] >= subtree_end(dewey)):
+        layout = self.layout
+        level_of_bit, shifts = layout.level_of_bit, layout.shifts
+        inner = layout.inner_mask
+        for dewey, successor in zip(ordered, ordered[1:] + [math.inf]):
+            if dewey in filtered and successor >= dewey + (1 << shifts[
+                    level_of_bit[(dewey & -dewey & inner).bit_length()]]):
                 survivors.append(dewey)
         return survivors
 
@@ -126,15 +125,14 @@ def discover_lce(lcp: LCPList, sl: MergedList,
     entity, nearest entity strictly above (= nearest entity of the
     parent) — about the same few nodes over and over: block windows
     overlap and siblings share their ancestors.  Each answer is memoised
-    for the call in one table (node → nearest entity of its lift; an
-    element's lift is itself).  The tables are only ever reached
+    for the call in one table, ``owners`` (node → nearest entity of its
+    lift; an element's lift is itself).  The tables are only ever reached
     through ``index.hashes`` methods: routed, stacked and lazily decoded
     tables answer the same way.
     """
     layout = index.layout
     result = LCEResult(layout)
-    lce, rejected = result.lce, result.rejected
-    mapping, unmapped = result.mapping, result.unmapped
+    lce, rejected, unmapped = result.lce, result.rejected, result.unmapped
     is_attribute = index.hashes.is_attribute
     nearest_entity = index.hashes.nearest_entity
     owners: dict[int, int | None] = {}
@@ -142,24 +140,7 @@ def discover_lce(lcp: LCPList, sl: MergedList,
     inner = layout.inner_mask
     parent_masks = layout.lcp_masks  # by (v & -v).bit_length()
     level_of_bit, shifts = layout.level_of_bit, layout.shifts
-
-    def lift(dewey: int) -> int:
-        """Lift a node off an attribute node (Def 2.1.1).
-
-        "The parent node of an attribute node is considered the lowest
-        ancestor for keyword(s) in its value."  An element in neither
-        hash table is an AN; ANs are leaves, so a single lift suffices.
-        """
-        if dewey & inner and is_attribute(dewey):
-            return dewey & parent_masks[(dewey & -dewey).bit_length()]
-        return dewey
-
-    def entity_of(node: int) -> int | None:
-        """Nearest entity ancestor-or-self of the element *node*."""
-        entity = owners.get(node, _UNKNOWN)
-        if entity is _UNKNOWN:
-            entity = owners[node] = nearest_entity(node)
-        return entity
+    base = lcp.s - 1  # an entry's estimate is base + its counter
 
     def independent_witness(candidate: int, left: int,
                             right: int) -> int | None:
@@ -176,30 +157,75 @@ def discover_lce(lcp: LCPList, sl: MergedList,
             occurrence = sl[position] >> bits
             owner = owners.get(occurrence, _UNKNOWN)
             if owner is _UNKNOWN:
-                owner = owners[occurrence] = entity_of(lift(occurrence))
+                node = occurrence
+                if node & inner and is_attribute(node):
+                    node &= parent_masks[(node & -node).bit_length()]
+                owner = owners.get(node, _UNKNOWN)
+                if owner is _UNKNOWN:
+                    owner = owners[node] = nearest_entity(node)
+                owners[occurrence] = owner
             if owner == candidate:
                 return occurrence
         return None
 
-    def maintain_ancestors(entity: int, entry) -> None:
-        """Witness eviction + statistics update for entity ancestors
-        (Fig. 6).
+    total = len(lcp.entries)
+    for position, (dewey, entry) in enumerate(lcp.entries.items()):
+        if budget is not None and budget.checkpoint("lce", position, total):
+            break
+        # lift off an attribute node (Def 2.1.1: an element in neither
+        # hash table; ANs are leaves, so a single lift suffices)
+        candidate = dewey
+        if dewey & inner and is_attribute(dewey):
+            candidate = dewey & parent_masks[(dewey & -dewey).bit_length()]
+        entity = owners.get(candidate, _UNKNOWN)
+        if entity is _UNKNOWN:
+            entity = owners[candidate] = nearest_entity(candidate)
+        owners[dewey] = entity
+        counter = entry.counter
+        if entity is None:
+            previous = unmapped.get(candidate)
+            unmapped[candidate] = (base + counter if previous is None
+                                   else previous + counter)
+            continue
+        left, right = entry.first_left, entry.first_right
+        # a creating block that is the entry's own occurrence alone (all
+        # at s = 1) needs no scan: it witnesses `entity` and nothing else
+        alone = left == right and sl[left] >> bits == dewey
 
-        When *entity* enters (or grows), every entity ancestor already in
-        the LCE list either (a) loses its recorded witness because the
-        new entity's subtree swallowed it — then we try to re-witness it
-        from the current block, evicting it when that fails — or (b)
-        keeps its witness and gets its keyword estimate refreshed: the
-        current entry's blocks also fall in the ancestor's subtree
-        (Example 4: did.0.1 grows to 4 as did.0.1.1.0's two blocks are
-        filed).  Only entities are ever in the LCE list, so the walk
-        hops from entity to entity instead of visiting every prefix.
-        """
-        lowest = entity & -entity & inner
-        end = entity + (1 << shifts[level_of_bit[lowest.bit_length()]])
+        info = lce.get(entity)
+        if info is None:
+            info = rejected.pop(entity, None)
+            if info is not None:
+                # the entity lost its witness earlier; a new block can
+                # re-establish it ("e can come back in LCE list", §4.2)
+                info.witness = (dewey if alone else independent_witness(
+                    entity, left, right))
+                info.estimated_keywords += counter
+                info.candidates.append(candidate)
+                if info.witness is None:
+                    rejected[entity] = info
+                    continue
+                lce[entity] = info
+            else:
+                # First block for this entity: s + counter − 1 keywords
+                # (Example 4: did.0.1 enters with 2, did.0.1.1.0 with 3).
+                lce[entity] = LCEInfo(
+                    entity, dewey if alone else independent_witness(
+                        entity, left, right), base + counter, [candidate])
+        else:
+            # Another LCP entry mapped to the same entity: its blocks each
+            # contribute one further keyword occurrence to the estimate.
+            info.estimated_keywords += counter
+            info.candidates.append(candidate)
+
+        # Fig. 6 for the entity ancestors in the LCE list, hopping from
+        # entity to entity: one whose witness the entity's subtree
+        # swallowed is re-witnessed from this block or evicted (Lemma 5);
+        # a survivor's estimate grows by this entry's blocks (Example 4:
+        # did.0.1 grows to 4 as did.0.1.1.0's two blocks are filed).
+        end = 0  # the first id after subtree(entity), once it is needed
         ancestor = entity
         while ancestor & inner:
-            # entity_of(parent), inlined: this is the walk's hot path
             parent = ancestor & parent_masks[(ancestor & -ancestor)
                                              .bit_length()]
             ancestor = owners.get(parent, _UNKNOWN)
@@ -211,63 +237,18 @@ def discover_lce(lcp: LCPList, sl: MergedList,
             if info is None:
                 continue
             witness = info.witness
-            if witness is not None and entity <= witness < end:
-                replacement = independent_witness(
-                    ancestor, entry.first_left, entry.first_right)
-                if replacement is None:
-                    rejected[ancestor] = lce.pop(ancestor)
-                    continue
-                info.witness = replacement
-            # the ancestor survives: its subtree also covers this entry's
-            # blocks
-            info.estimated_keywords += entry.counter
-
-    total = len(lcp.entries)
-    for position, (dewey, entry) in enumerate(lcp.entries.items()):
-        if budget is not None and budget.checkpoint("lce", position, total):
-            break
-        candidate = lift(dewey)
-        entity = owners[dewey] = entity_of(candidate)
-        if entity is None:
-            estimate = lcp.s - 1 + entry.counter
-            previous = unmapped.get(candidate)
-            unmapped[candidate] = (estimate if previous is None
-                                   else previous + entry.counter)
-            continue
-        mapping[dewey] = entity
-
-        info = lce.get(entity)
-        if info is None:
-            info = rejected.pop(entity, None)
-            if info is not None:
-                # the entity lost its witness earlier; a new block can
-                # re-establish it ("e can come back in LCE list", §4.2)
-                info.witness = independent_witness(
-                    entity, entry.first_left, entry.first_right)
-                info.blocks += 1
-                info.estimated_keywords += entry.counter
-                info.candidates.append(candidate)
-                if info.witness is not None:
-                    lce[entity] = info
-                else:
-                    rejected[entity] = info
-                    continue
-            else:
-                # First block for this entity: s + counter − 1 keywords
-                # (Example 4: did.0.1 enters with 2, did.0.1.1.0 with 3).
-                lce[entity] = LCEInfo(
-                    dewey=entity,
-                    witness=independent_witness(
-                        entity, entry.first_left, entry.first_right),
-                    estimated_keywords=lcp.s - 1 + entry.counter,
-                    candidates=[candidate])
-        else:
-            # Another LCP entry mapped to the same entity: its blocks each
-            # contribute one further keyword occurrence to the estimate.
-            info.blocks += 1
-            info.estimated_keywords += entry.counter
-            info.candidates.append(candidate)
-        maintain_ancestors(entity, entry)
+            if witness is not None and witness >= entity:
+                if not end:
+                    end = entity + (1 << shifts[level_of_bit[
+                        (entity & -entity & inner).bit_length()]])
+                if witness < end:
+                    replacement = None if alone else independent_witness(
+                        ancestor, left, right)
+                    if replacement is None:
+                        rejected[ancestor] = lce.pop(ancestor)
+                        continue
+                    info.witness = replacement
+            info.estimated_keywords += counter
 
     # Entities that never obtained an independent witness are not LCE
     # nodes by Def 2.2.1: their mapped LCP candidates fall back into the

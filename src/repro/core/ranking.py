@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.query import Query
 from repro.index.builder import GKSIndex
@@ -125,22 +126,12 @@ def received_potential(index: GKSIndex, root: Dewey, terminal: Dewey,
     return flowed
 
 
-def subtree_terminals(index: GKSIndex, query: Query,
-                      dewey: int) -> dict[str, tuple[int, ...]]:
-    """Matched query keyword → its packed terminal points in
-    ``subtree(dewey)``."""
-    return rank_node(index, query, dewey).__dict__["_packed_terminals"]
-
-
-def rank_node(index: GKSIndex, query: Query, dewey: int) -> RankBreakdown:
-    """Rank one response node (a packed id) for *query* with the
-    potential-flow model.
-
-    Per keyword, one bisect lands on the first posting at or after
-    *dewey*: about half the time it lies outside the subtree and the
-    keyword is done, the next posting settles a single occurrence, and
-    only a longer run pays a second bisect and a depth scan.  An
-    occurrence at the node itself is its keyword's one terminal.
+def flow_scorer(index: GKSIndex, query: Query
+                ) -> Callable[[int], tuple[float, dict[str, tuple[int, ...]]]]:
+    """The potential-flow kernel bound to one index and query (posting
+    lists, ``child_count``, layout tables): packed node → ``(score,
+    terminals)``.  Per keyword one bisect, and a second plus a depth scan
+    only for a run of several occurrences in the subtree.
 
     The score is a float sum, so its value depends on the order of the
     operations: each terminal's share is divided top-down, one
@@ -149,55 +140,69 @@ def rank_node(index: GKSIndex, query: Query, dewey: int) -> RankBreakdown:
     order.  Keep that order — recorded rankings compare scores exactly.
     """
     layout = index.layout
-    level_of_bit = layout.level_of_bit
-    masks = layout.masks
-    depth = level_of_bit[(dewey & -dewey & layout.inner_mask).bit_length()]
-    # the postings of subtree(dewey) are exactly those in [dewey, after)
-    after = dewey + (1 << layout.shifts[depth])
-    postings_of = index.postings
-    terminals: dict[str, tuple[int, ...]] = {}
-    for keyword in query.keywords:
-        postings = postings_of(keyword)
-        lo = bisect_left(postings, dewey)
-        size = len(postings)
-        if lo == size:
-            continue
-        first = postings[lo]
-        if first >= after:
-            continue
-        if (first == dewey or lo + 1 == size
-                or postings[lo + 1] >= after):
-            terminals[keyword] = (first,)
-        else:
-            # strict descendants only: no document root among them
-            run = postings[lo:bisect_left(postings, after, lo + 2)]
-            levels = [level_of_bit[(occurrence & -occurrence).bit_length()]
-                      for occurrence in run]
-            shallowest = min(levels)
-            terminals[keyword] = tuple(
-                occurrence for occurrence, level in zip(run, levels)
-                if level == shallowest)
-    potential = len(terminals)
-    source = float(potential)
+    level_of_bit, masks = layout.level_of_bit, layout.masks
+    shifts, inner = layout.shifts, layout.inner_mask
     child_count = index.hashes.child_count
-    # every path below the node starts by dividing by its own count
-    fanout = child_count(dewey) or 1
-    below = depth + 1
-    score = 0.0
-    for points in terminals.values():
-        for terminal in points:
-            flowed = source
-            if terminal != dewey:
-                end = level_of_bit[(terminal & -terminal).bit_length()]
-                if fanout > 1:
-                    flowed /= fanout
-                if end > below:
-                    for level in range(below, end):
-                        children = child_count(terminal & masks[level])
-                        if children and children > 1:
-                            flowed /= children
-            score += flowed
-    return RankBreakdown.packed(dewey, score, potential, terminals, layout)
+    lists = []
+    for keyword in query.keywords:
+        postings = index.postings(keyword)
+        if postings:
+            lists.append((keyword, postings, len(postings)))
+
+    def score(dewey: int) -> tuple[float, dict[str, tuple[int, ...]]]:
+        depth = level_of_bit[(dewey & -dewey & inner).bit_length()]
+        # the postings of subtree(dewey) are exactly those in [dewey, after)
+        after = dewey + (1 << shifts[depth])
+        terminals: dict[str, tuple[int, ...]] = {}
+        for keyword, postings, size in lists:
+            lo = bisect_left(postings, dewey)
+            if lo == size:
+                continue
+            first = postings[lo]
+            if first >= after:
+                continue
+            if (first == dewey or lo + 1 == size
+                    or postings[lo + 1] >= after):
+                terminals[keyword] = (first,)
+            else:
+                # strict descendants only: no document root among them
+                run = postings[lo:bisect_left(postings, after, lo + 2)]
+                levels = [level_of_bit[(occurrence & -occurrence)
+                                       .bit_length()]
+                          for occurrence in run]
+                shallowest = min(levels)
+                terminals[keyword] = tuple([
+                    occurrence for occurrence, level in zip(run, levels)
+                    if level == shallowest])
+        source = float(len(terminals))
+        # every path below the node starts by dividing by its own count
+        fanout = child_count(dewey) or 1
+        below = depth + 1
+        total = 0.0
+        for points in terminals.values():
+            for terminal in points:
+                flowed = source
+                if terminal != dewey:
+                    end = level_of_bit[(terminal & -terminal).bit_length()]
+                    if fanout > 1:
+                        flowed /= fanout
+                    if end > below:
+                        for level in range(below, end):
+                            children = child_count(terminal & masks[level])
+                            if children and children > 1:
+                                flowed /= children
+                total += flowed
+        return total, terminals
+
+    return score
+
+
+def rank_node(index: GKSIndex, query: Query, dewey: int) -> RankBreakdown:
+    """Rank one response node (a packed id) for *query* with the
+    potential-flow model: :func:`flow_scorer` applied to one id."""
+    score, terminals = flow_scorer(index, query)(dewey)
+    return RankBreakdown.packed(dewey, score, len(terminals), terminals,
+                                index.layout)
 
 
 def rank_by_keyword_count(index: GKSIndex, query: Query,
@@ -206,6 +211,6 @@ def rank_by_keyword_count(index: GKSIndex, query: Query,
 
     Shares the terminal bookkeeping so the two rankers are comparable.
     """
-    terminals = subtree_terminals(index, query, dewey)
+    terminals = flow_scorer(index, query)(dewey)[1]
     return RankBreakdown.packed(dewey, float(len(terminals)),
                                 len(terminals), terminals, index.layout)

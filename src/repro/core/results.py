@@ -101,20 +101,42 @@ class RankedNode:
         return (-self.score, -self.distinct_keywords, self.dewey)
 
     @staticmethod
-    def _build(dewey, score, distinct_keywords, matched_keywords, is_lce,
-               estimated_keywords, breakdown) -> "RankedNode":
-        """``RankedNode(...)`` of a strict-mode node without a frozen
-        ``__setattr__`` per field (the rest keep their default, ``None``)."""
+    def _build(dewey, score, evidence, is_lce, estimated_keywords, packed,
+               layout) -> "RankedNode":
+        """A strict-mode node without a frozen ``__setattr__`` per field;
+        *evidence* is the flow kernel's terminals (``breakdown`` is built
+        from them on first read) or another ranker's record."""
         node = object.__new__(RankedNode)
         fields = node.__dict__
         fields["dewey"] = dewey
         fields["score"] = score
-        fields["distinct_keywords"] = distinct_keywords
-        fields["matched_keywords"] = matched_keywords
+        if type(evidence) is dict:
+            fields["distinct_keywords"] = len(evidence)
+            fields["matched_keywords"] = tuple(evidence)
+            fields["_terminals"] = (packed, evidence, layout)
+        else:
+            fields["distinct_keywords"] = evidence.initial_potential
+            fields["matched_keywords"] = evidence.matched_keywords
+            fields["breakdown"] = evidence
         fields["is_lce"] = is_lce
         fields["estimated_keywords"] = estimated_keywords
-        fields["breakdown"] = breakdown
         return node
+
+
+class _KeptTerminals:
+    """``RankedNode.breakdown`` built from the kept terminals on first
+    read (only ``explain`` reads it), then found in the instance dict."""
+
+    def __get__(self, node, owner=None):
+        if node is None:
+            return None  # the field's default, read off the class
+        fields = node.__dict__
+        packed, terminals, layout = fields["_terminals"]
+        return fields.setdefault("breakdown", RankBreakdown.packed(
+            packed, node.score, node.distinct_keywords, terminals, layout))
+
+
+RankedNode.breakdown = _KeptTerminals()
 
 
 @dataclass(frozen=True)

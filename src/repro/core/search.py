@@ -38,6 +38,7 @@ report.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import repeat
 from operator import attrgetter
 from typing import Callable
 
@@ -46,7 +47,7 @@ from repro.core.lce import LCEResult, discover_lce
 from repro.core.lcp import compute_lcp_list
 from repro.core.merge import merged_list
 from repro.core.query import Query
-from repro.core.ranking import RankBreakdown, rank_node
+from repro.core.ranking import RankBreakdown, flow_scorer, rank_node
 from repro.core.results import GKSResponse, RankedNode, respond
 from repro.index.builder import GKSIndex
 from repro.index.postings import merge_sorted_runs
@@ -74,22 +75,37 @@ def units_of(index) -> list[tuple[int, GKSIndex]]:
 class _Unit:
     """One unit's trip through discovery, and what ranking needs of it."""
 
-    __slots__ = ("label", "index", "budget", "unpack", "sl", "lcp_entries",
-                 "lce", "lce_nodes", "fallback", "lce_info",
-                 "fallback_estimate", "lcp_seconds", "lce_seconds")
+    __slots__ = ("label", "index", "budget", "sl", "lcp_entries", "lce",
+                 "lce_nodes", "fallback", "lcp_seconds", "lce_seconds",
+                 "bound")
 
     def __init__(self, label: int, index: GKSIndex,
                  budget: SearchBudget | None) -> None:
         self.label = label
         self.index = index
         self.budget = budget
-        self.unpack = index.layout.unpack
+        self.bound = None
 
     def found(self, lce: LCEResult) -> None:
         self.lce = lce
         self.lce_nodes = lce.lce
         self.fallback = lce.fallback_candidates()
-        self.lce_info, self.fallback_estimate = lce.lce.get, self.fallback.get
+
+    def bind(self, query: Query, ranker: Ranker) -> tuple:
+        """What the ranking loop reads of this unit, bound once: packed id
+        → ``(score, evidence)`` (the flow kernel, or any other *ranker*
+        adapted), the LCE and fallback ``get``, the layout, ``unpack``."""
+        if self.bound is None:
+            index = self.index
+            if ranker is rank_node:
+                score = flow_scorer(index, query)
+            else:
+                def score(dewey: int) -> tuple[float, RankBreakdown]:
+                    breakdown = ranker(index, query, dewey)
+                    return breakdown.score, breakdown
+            self.bound = (score, self.lce_nodes.get, self.fallback.get,
+                          index.layout, index.layout.unpack)
+        return self.bound
 
 
 #: a response candidate (packed id) with the unit that owns its document
@@ -245,8 +261,8 @@ def _candidates(units: list[_Unit], budget: SearchBudget | None
     for unit in units:
         deweys = unit.lce.response_deweys(unit.fallback)
         split = len(unit.lce_nodes)
-        entities += [(dewey, unit) for dewey in deweys[:split]]
-        others += [(dewey, unit) for dewey in deweys[split:]]
+        entities += zip(deweys[:split], repeat(unit))
+        others += zip(deweys[split:], repeat(unit))
     if len(units) > 1:
         # the units share one layout: the document is the id's top bits
         shift = units[0].index.layout.inner_bits
@@ -275,20 +291,23 @@ def rank_all(query: Query, ranker: Ranker, candidates: list[Candidate],
     ranked: list[RankedNode] = []
     packed: list[int] = []
     total = len(candidates)
+    s = query.s
     build = RankedNode._build
+    current = None
     for dewey, unit in candidates:
         if budget is not None and not budget.admit_node(len(ranked), total):
             break
-        breakdown = ranker(unit.index, query, dewey)
-        info = unit.lce_info(dewey)
+        if unit is not current:
+            current = unit
+            score_of, lce_info, fallback_estimate, layout, unpack = (
+                unit.bind(query, ranker))
+        score, evidence = score_of(dewey)
+        info = lce_info(dewey)
         packed.append(dewey)
         ranked.append(build(
-            unit.unpack(dewey), breakdown.score,
-            breakdown.initial_potential,
-            breakdown.matched_keywords, info is not None,
+            unpack(dewey), score, evidence, info is not None,
             info.estimated_keywords if info is not None
-            else unit.fallback_estimate(dewey, query.s),
-            breakdown))
+            else fallback_estimate(dewey, s), dewey, layout))
     # sort_key's order as two C-level sorts: document order (the packed
     # ids' order), then a stable descending (score, coverage)
     ranked = list(map(ranked.__getitem__,

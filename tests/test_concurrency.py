@@ -615,3 +615,18 @@ class TestRaceCli:
         assert ("engine.mutation -> index.wal"
                 in report["lock_order"]["edges"])
         assert report["lock_order"]["potential_deadlocks"] == []
+
+    def test_tag_keyword_corpus_has_no_findings(self, tmp_path, capsys):
+        """A tag such as ``<a>`` is in the vocabulary but is a stop word
+        to a query: the race queries skip it instead of counting every
+        ``QueryError`` as a finding."""
+        path = tmp_path / "tags.xml"
+        path.write_text("<r><a>karen</a><b>mike keyword</b></r>")
+        assert main(["race", str(path), "--scenario", "all", "--rounds",
+                     "1", "--iterations", "5", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] is True
+        for scenario in report["scenarios"].values():
+            assert scenario["operations"] > 0
+            assert scenario["violations"] == []
+            assert scenario["exceptions"] == []

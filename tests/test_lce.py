@@ -1,15 +1,19 @@
 """Unit tests for LCE discovery with independent witnesses (paper §4.2)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.lce import discover_lce
 from repro.core.lcp import compute_lcp_list
 from repro.core.merge import merged_list
 from repro.core.query import Query
+from repro.datasets.registry import dataset_names, load_dataset
 from repro.datasets.toy import figure2a
 from repro.index.builder import build_index
 from repro.xmltree.node import build_tree
 from repro.xmltree.repository import Repository
+from tests.test_answer_digest import queries
 
 
 def run_pipeline(index, keywords, s):
@@ -115,3 +119,97 @@ class TestEstimates:
         course = result.lce.get(fig2a_index.layout.pack((0, 1, 1, 0)))
         assert course is not None
         assert course.estimated_keywords >= 2
+
+
+class TestRegistryWitnesses:
+    """Every registry dataset, the two queries of
+    ``tests/test_answer_digest.py`` at s = 1, 2 and |Q|."""
+
+    @pytest.mark.parametrize("name", dataset_names())
+    def test_witnesses_and_estimates(self, name):
+        """A surviving LCE node is the nearest entity of its witness
+        (lifted off an attribute node) and estimates at least ``s``
+        keywords.
+
+        The estimate is not bounded by the exact distinct count: keywords
+        filed under a descendant entity before the node entered the LCE
+        list never reach its counter (mirrors and treebank have such
+        nodes at s = 1).  And a rejected entity never had a witness: a
+        witness is independent against the whole entity table, so no
+        entity that enters later can hold it in its subtree, and Lemma
+        5's eviction does not fire on an index (``TestLemma5`` drives it
+        through a stale table instead).
+        """
+        index = build_index(load_dataset(name))
+        hashes, layout = index.hashes, index.layout
+        for keywords in queries(index):
+            for s in sorted({1, 2, len(keywords)}):
+                result, _ = run_pipeline(index, keywords, s)
+                for dewey, info in result.lce.items():
+                    witness = info.witness
+                    if witness & layout.inner_mask and hashes.is_attribute(
+                            witness):
+                        witness = layout.pack(layout.unpack(witness)[:-1])
+                    assert hashes.nearest_entity(witness) == dewey
+                    assert info.estimated_keywords >= min(s, len(keywords))
+                assert all(info.witness is None
+                           for info in result.rejected.values())
+
+
+class _StaleEntities:
+    """``index.hashes`` whose nearest-entity answer for one node skips
+    the entity just above it, as a table that has not seen that entity
+    yet would."""
+
+    def __init__(self, hashes, node: int, answer: int) -> None:
+        self.hashes, self.node, self.answer = hashes, node, answer
+
+    def is_attribute(self, dewey: int) -> bool:
+        return self.hashes.is_attribute(dewey)
+
+    def nearest_entity(self, dewey: int) -> int | None:
+        if dewey == self.node:
+            return self.answer
+        return self.hashes.nearest_entity(dewey)
+
+
+class TestLemma5:
+    """The ancestor walk's eviction and re-admission (Fig. 6, Lemma 5),
+    driven through a stale entity table: at s = 1 the first ``karen``
+    maps to ``outer`` and is its witness; the second maps to the inner
+    entity, whose subtree swallows that witness, so ``outer`` is evicted;
+    the ``title`` under ``outer`` re-admits it with a fresh witness."""
+
+    def test_evicted_then_readmitted(self):
+        root = build_tree(("outer", [
+            ("items", [
+                ("inner", [("name", "other"), ("w", "karen"),
+                           ("w", "karen")]),
+                ("inner", [("name", "other"), ("w", "3"), ("w", "4")]),
+            ]),
+            ("title", "karen"),
+        ]))
+        repo = Repository()
+        repo.add_root(root)
+        index = build_index(repo)
+        pack = index.layout.pack
+        outer, inner = pack((0,)), pack((0, 0, 0))
+        first, second, title = (pack((0, 0, 0, 1)), pack((0, 0, 0, 2)),
+                                pack((0, 1)))
+        assert index.hashes.is_entity(inner) is not None
+        assert index.hashes.is_attribute(title)
+        stale = SimpleNamespace(layout=index.layout, hashes=_StaleEntities(
+            index.hashes, first, outer))
+        query = Query.of(["karen"], s=1)
+        sl = merged_list(index, query)
+        result = discover_lce(compute_lcp_list(sl, 1), sl, stale)
+        # outer left the list when inner entered and came back after it
+        assert list(result.lce) == [inner, outer]
+        assert not result.rejected and not result.unmapped
+        kept = result.lce[outer]
+        assert kept.witness == title
+        # the eviction skipped inner's refresh: 1 (first) + 1 (title)
+        assert kept.estimated_keywords == 2
+        assert kept.candidates == [first, outer]
+        assert result.lce[inner].witness == second
+        assert result.lce[inner].estimated_keywords == 1

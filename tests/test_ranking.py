@@ -5,6 +5,9 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 
 from repro.api import EngineConfig, GKSEngine, Texts
+from repro.core.lce import discover_lce
+from repro.core.lcp import compute_lcp_list
+from repro.core.merge import merged_list
 from repro.core.query import Query
 from repro.core.ranking import (RankBreakdown, keyword_occurrences,
                                 rank_by_keyword_count, rank_node,
@@ -146,9 +149,34 @@ def composed_rank(index, query, dewey):
     return score, terminals
 
 
+def direct_ranking(index, query, ranker):
+    """What a per-node loop over the discovery stages returns: every
+    response candidate ranked by one *ranker* call into a
+    ``RankedNode(...)``, sorted by ``sort_key`` — the reference the one
+    ranking loop is held to."""
+    query = query.with_s(query.effective_s)
+    sl = merged_list(index, query)
+    lce = discover_lce(compute_lcp_list(sl, query.s), sl, index)
+    fallback = lce.fallback_candidates()
+    nodes = []
+    for dewey in lce.response_deweys(fallback):
+        breakdown = ranker(index, query, dewey)
+        info = lce.lce.get(dewey)
+        nodes.append(RankedNode(
+            dewey=index.layout.unpack(dewey), score=breakdown.score,
+            distinct_keywords=breakdown.distinct_keywords,
+            matched_keywords=breakdown.matched_keywords,
+            is_lce=info is not None,
+            estimated_keywords=info.estimated_keywords
+            if info is not None else fallback[dewey],
+            breakdown=breakdown))
+    return sorted(nodes, key=RankedNode.sort_key)
+
+
 class TestRankNodeEqualsComposition:
     """Exact equality (``==`` on the float, same terminals in the same
-    order) on every node of a corpus, behind each kind of index."""
+    order) on every node of a corpus, behind each kind of index; and the
+    ranking loop's records equal ``rank_node`` on every candidate."""
 
     CORPUS = [
         "<bib><paper><author>peter buneman</author>"
@@ -175,6 +203,31 @@ class TestRankNodeEqualsComposition:
                 assert breakdown.terminals == terminals
                 assert list(breakdown.terminals) == list(terminals)
                 assert breakdown.initial_potential == len(terminals)
+        self.check_loop(index)
+
+    def check_loop(self, index):
+        """Every candidate of a response, as the ranking loop wrote it:
+        the score ``==`` ``rank_node``'s, the same keywords, and a
+        breakdown that is built only when read, with the same
+        terminals."""
+        ranked = 0
+        for query in self.QUERIES:
+            for s in (1, 2):
+                response = search(index, query.with_s(s))
+                for node in response:
+                    assert "breakdown" not in vars(node)
+                    expected = rank(index, response.query, node.dewey)
+                    assert node.score == expected.score
+                    assert (node.distinct_keywords
+                            == expected.distinct_keywords)
+                    assert (node.matched_keywords
+                            == expected.matched_keywords)
+                    assert node.breakdown.terminals == expected.terminals
+                    assert node.breakdown == expected
+                assert list(response) == direct_ranking(
+                    index, query.with_s(s), rank_node)
+                ranked += len(response)
+        assert ranked
 
     @pytest.fixture(scope="class")
     def repository(self):
@@ -211,6 +264,33 @@ class TestRankNodeEqualsComposition:
                        [node.dewey for node in repository.iter_nodes()])
         finally:
             engine.close()
+
+
+    @pytest.mark.parametrize("ranker", [rank_by_keyword_count, rank_node])
+    def test_custom_ranker_is_called_once_per_candidate(self, ranker):
+        """A ranker given as ``EngineConfig.ranker`` is called once per
+        candidate, and its breakdowns make the records a per-node loop
+        makes (``rank_node`` wrapped is a custom ranker too)."""
+        calls = []
+
+        def counting(index, query, dewey):
+            calls.append(dewey)
+            return ranker(index, query, dewey)
+
+        engine = GKSEngine.open(Texts(self.CORPUS), EngineConfig(
+            ranker=counting, cache_size=0))
+        index = engine.index
+        for query in self.QUERIES:
+            for s in (1, 2):
+                calls.clear()
+                response = engine.search(query, s=s)
+                assert sorted(calls) == sorted(
+                    index.layout.pack(node.dewey) for node in response)
+                assert len(set(calls)) == len(calls)
+                direct = direct_ranking(index, response.query, ranker)
+                assert list(response) == direct
+                assert ([node.breakdown for node in response]
+                        == [node.breakdown for node in direct])
 
 
 class TestRecordContract:
