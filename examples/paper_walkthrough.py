@@ -88,7 +88,7 @@ def example4() -> None:
     for dewey, entry in lcp.entries.items():  # packed ids
         print(f"    {engine.index.layout.format(dewey)}: "
               f"counter={entry.counter} "
-              f"-> estimate {lcp.estimated_keyword_count(dewey)}")
+              f"-> estimate {lcp.s + entry.counter - 1}")
     print("  paper: estimates are s + counter - 1\n")
 
 

@@ -5,8 +5,9 @@
 # Dewey widths loads and answers like a fresh build,
 # assert the varint-dag file is smaller on the redundancy-heavy mirrors
 # corpus, that two saves of one index are byte-identical (printing the
-# raw bytes before/after the compression-level change), and confirm the
-# two indexes answer a query identically.
+# raw bytes before/after the compression-level change), that saving a
+# loaded file (both codecs, 1 and 2 shards) gives back its bytes, and
+# confirm the two indexes answer a query identically.
 #
 # Usage:  bash scripts/smoke_codec.sh
 set -euo pipefail
@@ -101,6 +102,10 @@ echo "raw: $RAW_BYTES bytes   varint-dag: $DAG_BYTES bytes"
          "($RAW_BYTES)" >&2; exit 1; }
 
 echo "== determinism: two saves of one index are byte-identical =="
+python -m repro index "$WORKDIR"/mirrors_*.xml -o "$WORKDIR/raw2.gks" \
+    --shards 2 >/dev/null
+python -m repro index "$WORKDIR"/mirrors_*.xml -o "$WORKDIR/dag2.gksindex" \
+    --shards 2 --codec varint-dag >/dev/null
 python - "$WORKDIR" "$RAW_BYTES" <<'EOF'
 import gzip, sys
 from pathlib import Path
@@ -115,6 +120,15 @@ for name, codec in (("raw.gks", "raw"), ("dag.gksindex", "varint-dag")):
     if one.read_bytes() != two.read_bytes():
         sys.exit(f"FAIL: two {codec} saves of one index differ")
     print(f"{codec}: two saves, {one.stat().st_size} identical bytes")
+# fixpoint: a loaded file saves back to its own bytes
+for name, codec in (("raw.gks", "raw"), ("raw2.gks", "raw"),
+                    ("dag.gksindex", "varint-dag"),
+                    ("dag2.gksindex", "varint-dag")):
+    again = save_index(load_index(workdir / name), workdir / f"re-{name}",
+                       codec=codec)
+    if again.read_bytes() != (workdir / name).read_bytes():
+        sys.exit(f"FAIL: save(load({name})) differs from {name}")
+    print(f"{name}: save(load(f)) == f, {again.stat().st_size} bytes")
 # what the same JSON cost at the library's default level 9
 raw = (workdir / "raw.gks").read_bytes()
 before = len(gzip.compress(gzip.decompress(raw), 9, mtime=0))

@@ -47,31 +47,8 @@ class LCPList:
     s: int
     entries: dict[int, LCPEntry] = field(default_factory=dict)
 
-    def file(self, dewey: int, left: int, right: int) -> tuple[LCPEntry,
-                                                                 bool]:
-        """Record one block prefix; returns ``(entry, created)``."""
-        entry = self.entries.get(dewey)
-        if entry is None:
-            entry = LCPEntry(dewey=dewey, counter=1, first_left=left,
-                             first_right=right)
-            self.entries[dewey] = entry
-            return entry, True
-        entry.counter += 1
-        return entry, False
-
-    def estimated_keyword_count(self, dewey: int) -> int:
-        """``s + counter − 1`` for one entry (paper §4.1)."""
-        return self.s + self.entries[dewey].counter - 1
-
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __contains__(self, dewey: int) -> bool:
-        return dewey in self.entries
-
-    def deweys(self) -> list[int]:
-        """Entry ids in first-creation order."""
-        return list(self.entries)
 
 
 def sliding_blocks(sl: MergedList,

@@ -86,7 +86,6 @@ import json
 import mmap
 import struct
 import zlib
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import itemgetter, or_
@@ -106,7 +105,7 @@ from repro.obs.metrics import global_registry
 from repro.obs.trace import NOOP_TRACER
 from repro.text.analyzer import Analyzer
 from repro.xmltree.dewey import (Dewey, DeweyError, DeweyLayout,
-                                 format_dewey, parse_dewey, subtree_interval)
+                                 format_dewey, parse_dewey)
 
 #: Storage format versions: the raw envelopes (monolithic, sharded) and
 #: the binary format.  Version 1 (no checksum) is retired and refused.
@@ -464,7 +463,7 @@ def _crc(stored: bytes) -> int:
 # ----------------------------------------------------------------------
 
 class _DagModel:
-    """Bottom-up signature interning over the indexed node set.
+    """Children-first signature interning over the indexed node set.
 
     The node set is every posting Dewey plus every hash-table key,
     prefix-closed.  Two nodes receive the same DAG id exactly when
@@ -481,76 +480,85 @@ class _DagModel:
     parent but not another), so two structurally equal subtrees whose
     roots categorize differently must not share — they get different
     signatures and simply stay literal.
+
+    The nodes are sorted once, into document order, and walked twice.
+    Backwards, every child closes before its parent, so a node's
+    ``(step, dag id)`` pairs are complete when it is reached — appended
+    in descending step order, canonical without a sort — and DAG ids
+    are numbered in this interning order.  Forwards, each node inherits
+    its parent's *cover* or, being a shared DAG node under none, becomes
+    a topmost occurrence and covers itself: ``cover`` maps every covered
+    node to its topmost shared ancestor-or-self ``(prefix, dag id)``,
+    one tuple per occurrence, and ``occurrences`` lists each shared DAG
+    node's topmost occurrences in document order (an occurrence nested
+    inside another shared subtree is reached through *that* subtree's
+    expansion; a shared node that is never topmost contributes nothing).
     """
 
     def __init__(self, postings: dict, entity: dict, element: dict) -> None:
-        vocabulary = sorted(postings)
-        keyword_ids = {kw: i for i, kw in enumerate(vocabulary)}
-        local: dict[Dewey, list[int]] = {}
-        nodes: set[Dewey] = set()
-        for keyword, posting_list in postings.items():
-            kid = keyword_ids[keyword]
-            for dewey in posting_list:
-                local.setdefault(dewey, []).append(kid)
-                nodes.add(dewey)
+        local: dict[Dewey, tuple[int, ...]] = {}
+        get_local = local.get
+        for keyword_id, keyword in enumerate(sorted(postings)):
+            for dewey in postings[keyword]:
+                local[dewey] = get_local(dewey, ()) + (keyword_id,)
+        nodes = set(local)
         nodes.update(entity)
         nodes.update(element)
-        # prefix-close: every ancestor is a DAG node too
+        # prefix-close: walk up only until an ancestor is already known
         for dewey in list(nodes):
-            for depth in range(1, len(dewey)):
-                nodes.add(dewey[:depth])
-        children: dict[Dewey, list[Dewey]] = {}
-        for dewey in nodes:
-            if len(dewey) > 1:
-                children.setdefault(dewey[:-1], []).append(dewey)
+            parent = dewey[:-1]
+            while parent and parent not in nodes:
+                nodes.add(parent)
+                parent = parent[:-1]
+        order = sorted(nodes)
+        height = max(map(len, order), default=0)
 
         interned: dict[tuple, int] = {}
-        seen: dict[int, int] = {}
-        weight: dict[int, int] = {}
-        self.dag_of: dict[Dewey, int] = {}
-        for dewey in sorted(nodes, key=len, reverse=True):
-            child_sig = tuple(
-                (child[-1], self.dag_of[child])
-                for child in sorted(children.get(dewey, ())))
-            own = (entity.get(dewey, -1), element.get(dewey, -1))
-            signature = (own, tuple(sorted(local.get(dewey, ()))), child_sig)
+        weight: list[int] = []
+        seen: list[int] = []
+        ids: list[int] = []
+        # children[d]: (step, dag id) of closed depth-d nodes whose
+        # parent is still to come
+        children: list[list] = [[] for _ in range(height + 2)]
+        backwards = order[::-1]
+        # signature: (entity row, element row, keyword ids, *children)
+        for dewey, signature in zip(backwards, zip(
+                map(entity.get, backwards, repeat(-1)),
+                map(element.get, backwards, repeat(-1)),
+                map(get_local, backwards, repeat(())))):
+            depth = len(dewey)
+            below = children[depth + 1]
+            if below:
+                children[depth + 1] = []
+                signature += tuple(below)
             dag_id = interned.get(signature)
             if dag_id is None:
-                dag_id = len(interned)
-                interned[signature] = dag_id
-                weight[dag_id] = (
-                    len(signature[1])
-                    + (own[0] >= 0) + (own[1] >= 0)
-                    + sum(weight[cid] for _, cid in child_sig))
-            seen[dag_id] = seen.get(dag_id, 0) + 1
-            self.dag_of[dewey] = dag_id
-        shared = {dag_id for dag_id, count in seen.items()
+                dag_id = interned[signature] = len(weight)
+                weight.append(len(signature[2]) + (signature[0] >= 0)
+                              + (signature[1] >= 0)
+                              + sum(weight[child] for _, child in below))
+                seen.append(1)
+            else:
+                seen[dag_id] += 1
+            children[depth].append((dewey[-1], dag_id))
+            ids.append(dag_id)
+        shared = {dag_id for dag_id, count in enumerate(seen)
                   if count >= SHARED_MIN_OCCURRENCES
                   and weight[dag_id] >= SHARED_MIN_ENTRIES}
 
-        # topmost occurrences only: an occurrence nested inside another
-        # shared subtree is reached through *that* subtree's expansion
-        occurrences: dict[int, list[Dewey]] = {}
-        for dewey, dag_id in self.dag_of.items():
-            if dag_id not in shared:
-                continue
-            if any(self.dag_of.get(dewey[:depth]) in shared
-                   for depth in range(1, len(dewey))):
-                continue
-            occurrences.setdefault(dag_id, []).append(dewey)
-        # a shared node that is never topmost contributes nothing
-        self.occurrences = {dag_id: sorted(prefixes)
-                            for dag_id, prefixes in occurrences.items()}
-        self.shared = set(self.occurrences)
-
-    def topmost_shared(self, dewey: Dewey) -> tuple[Dewey, int] | None:
-        """The shallowest shared ancestor-or-self of *dewey*, if any."""
-        for depth in range(1, len(dewey) + 1):
-            prefix = dewey[:depth]
-            dag_id = self.dag_of.get(prefix)
-            if dag_id is not None and dag_id in self.shared:
-                return prefix, dag_id
-        return None
+        ids.reverse()
+        self.cover: dict[Dewey, tuple[Dewey, int]] = {}
+        self.occurrences: dict[int, list[Dewey]] = {}
+        covers: list = [None] * (height + 1)  # latest node's, per depth
+        for dewey, dag_id in zip(order, ids):
+            depth = len(dewey)
+            hit = covers[depth - 1]
+            if hit is None and dag_id in shared:
+                hit = (dewey, dag_id)
+                self.occurrences.setdefault(dag_id, []).append(dewey)
+            covers[depth] = hit
+            if hit is not None:
+                self.cover[dewey] = hit
 
 
 # ----------------------------------------------------------------------
@@ -635,93 +643,85 @@ class _FrameReader:
 # Encoding
 # ----------------------------------------------------------------------
 
+def _cover_spans(keys: Sequence[Dewey], values, dag: _DagModel,
+                 what: str) -> tuple[list[list], dict[int, list]]:
+    """Split sorted *keys* — Dewey ids, each paired with its entry of
+    *values* unless that is ``None`` — wherever the cover changes, one
+    cover probe per key (:class:`_DagModel`): a subtree is contiguous
+    in document order, so the keys one occurrence covers are
+    consecutive.  Returns the uncovered runs (whole ids) and, per DAG
+    node, its first occurrence's span (ids relative to it).  Every later
+    occurrence's span must equal that one, and since an occurrence
+    gives at most one span, as many spans as occurrences means each
+    gave one."""
+    runs: list[list] = []
+    tables: dict[int, list] = {}
+    spans = 0
+    current = ()  # no key's cover: the first key opens a span
+    known = members = None
+    for key, value, hit in zip(keys, values, map(dag.cover.get, keys)):
+        if hit is not current:
+            if known is not members and known != members:
+                raise _inconsistent(current[1], what)
+            current, members = hit, []
+            if hit is None:
+                runs.append(members)
+                known, cut = members, 0
+            else:
+                known = tables.setdefault(hit[1], members)
+                cut = len(hit[0])
+                spans += 1
+        members.append(key[cut:] if value is None else (key[cut:], value))
+    if known is not members and known != members:
+        raise _inconsistent(current[1], what)
+    if spans != sum(len(dag.occurrences.get(dag_id, ()))
+                    for dag_id in tables):
+        raise _inconsistent(sorted(tables), what)
+    return runs, tables
+
+
+def _inconsistent(dag_id, what: str) -> StorageError:
+    return StorageError(f"DAG node {dag_id} expands to differing {what} — "
+                        f"the DAG model is inconsistent",
+                        diagnosis="corrupted")
+
+
 def _plan_keyword(postings: Sequence[Dewey], keyword_index: int,
-                  dag: _DagModel | None, suffix_tables: dict,
+                  dag: _DagModel, suffix_tables: dict,
                   frames: _FrameWriter) -> tuple[list, list[int]]:
     """One keyword's directory entry: literal blocks + covering dag ids.
 
-    Postings are consumed left to right; whenever the next posting's
-    topmost shared ancestor exists, *all* postings inside that subtree
-    form a contiguous span starting right here (anything earlier in
-    the subtree would have been consumed by the same occurrence), so
-    the whole span is dropped from the literal stream — it will be
-    reconstructed from the occurrence table.  Literal blocks never
-    span a covered gap, which is what keeps the runtime segment order
-    a plain sort by first key.
+    A covered span is dropped from the literal stream — it will be
+    reconstructed from the occurrence table — and an uncovered one is
+    cut into blocks.  Literal blocks never span a covered gap, which is
+    what keeps the runtime segment order a plain sort by first key.
     """
+    runs, tables = _cover_spans(
+        postings, repeat(None), dag,
+        f"suffix sets for keyword index {keyword_index}")
     blocks: list = []
-    dag_ids: set[int] = set()
-    run: list[Dewey] = []
-
-    def flush_run() -> None:
+    for run in runs:
         for start in range(0, len(run), BLOCK_POSTINGS):
-            chunk_postings = run[start:start + BLOCK_POSTINGS]
-            out = bytearray()
-            previous: Dewey = ()
-            for dewey in chunk_postings:
-                _write_dewey(out, dewey, previous)
-                previous = dewey
-            payload = bytes(out)
+            chunk = run[start:start + BLOCK_POSTINGS]
+            payload = _dewey_chunk(chunk)
             frame, offset, length = frames.add(payload)
-            blocks.append((frame, offset, length, len(chunk_postings),
-                           _crc(payload), chunk_postings[0]))
-        run.clear()
-
-    i, total = 0, len(postings)
-    while i < total:
-        hit = dag.topmost_shared(postings[i]) if dag is not None else None
-        if hit is None:
-            run.append(postings[i])
-            i += 1
-            continue
-        flush_run()
-        prefix, dag_id = hit
-        _, upper = subtree_interval(prefix)
-        j = bisect_left(postings, upper, lo=i)
-        suffixes = [tuple(postings[k][len(prefix):]) for k in range(i, j)]
-        key = (dag_id, keyword_index)
-        known = suffix_tables.get(key)
-        if known is None:
-            suffix_tables[key] = suffixes
-        elif known != suffixes:
-            raise StorageError(
-                f"DAG node {dag_id} expands to differing suffix sets "
-                f"for keyword index {keyword_index} — the DAG model is "
-                f"inconsistent", diagnosis="corrupted")
-        dag_ids.add(dag_id)
-        i = j
-    flush_run()
-    return blocks, sorted(dag_ids)
+            blocks.append((frame, offset, length, len(chunk),
+                           _crc(payload), chunk[0]))
+    for dag_id, suffixes in tables.items():
+        suffix_tables[dag_id, keyword_index] = suffixes
+    return blocks, sorted(tables)
 
 
-def _plan_hash_table(table: dict[Dewey, int], dag: _DagModel | None,
-                     which: int, hash_tables: dict) -> dict[Dewey, int]:
-    """Split a hash table into literal rows + shared per-dag row sets."""
-    items = sorted(table.items())
-    keys = [dewey for dewey, _ in items]
-    literal: dict[Dewey, int] = {}
-    i, total = 0, len(items)
-    while i < total:
-        dewey, count = items[i]
-        hit = dag.topmost_shared(dewey) if dag is not None else None
-        if hit is None:
-            literal[dewey] = count
-            i += 1
-            continue
-        prefix, dag_id = hit
-        _, upper = subtree_interval(prefix)
-        j = bisect_left(keys, upper, lo=i)
-        rows = [(keys[k][len(prefix):], items[k][1]) for k in range(i, j)]
-        key = (dag_id, which)
-        known = hash_tables.get(key)
-        if known is None:
-            hash_tables[key] = rows
-        elif known != rows:
-            raise StorageError(
-                f"DAG node {dag_id} expands to differing hash rows — "
-                f"the DAG model is inconsistent", diagnosis="corrupted")
-        i = j
-    return literal
+def _plan_hash_table(table: dict[Dewey, int], dag: _DagModel, which: int,
+                     hash_tables: dict) -> list[tuple[Dewey, int]]:
+    """Split a hash table into its literal rows (sorted) + shared
+    per-dag row sets."""
+    keys = sorted(table)
+    runs, tables = _cover_spans(keys, map(table.__getitem__, keys), dag,
+                                "hash rows")
+    for dag_id, rows in tables.items():
+        hash_tables[dag_id, which] = rows
+    return [row for run in runs for row in run]
 
 
 def _dewey_chunk(deweys: list[Dewey]) -> bytes:
@@ -753,31 +753,29 @@ def _write_loc(out: bytearray, loc: tuple[int, int, int]) -> None:
 def _encode_shard_data(postings: dict[str, list[Dewey]],
                        entity: dict[Dewey, int],
                        element: dict[Dewey, int], *,
-                       use_dag: bool = True) -> tuple[bytes, list, int]:
-    """Encode one shard: (directory bytes, frame blobs+table, n_frames).
-
-    Returns the *uncompressed* directory payload, the finished frame
-    regions (list of stored blobs) and the frame table.
-    """
-    dag = (_DagModel(postings, entity, element) if use_dag else None)
+                       use_dag: bool = True,
+                       tracer=NOOP_TRACER) -> tuple[bytes, list, list]:
+    """Encode one shard: the *uncompressed* directory payload, the
+    finished frame regions (stored blobs) and the frame table.  The
+    ``plan`` span covers the DAG model and the planners (literal blocks
+    included)."""
     vocabulary = sorted(postings)
-    keyword_ids = {kw: i for i, kw in enumerate(vocabulary)}
     frames = _FrameWriter()
-
     suffix_tables: dict[tuple[int, int], list[Dewey]] = {}
-    keyword_plans = []
-    for keyword in vocabulary:
-        blocks, dag_ids = _plan_keyword(postings[keyword],
-                                        keyword_ids[keyword], dag,
-                                        suffix_tables, frames)
-        keyword_plans.append((keyword, blocks, dag_ids))
-
     hash_tables: dict[tuple[int, int], list] = {}
-    literal_entity = _plan_hash_table(entity, dag, 0, hash_tables)
-    literal_element = _plan_hash_table(element, dag, 1, hash_tables)
+    with tracer.span("plan"):
+        # an empty model covers nothing: every posting and row literal
+        dag = (_DagModel(postings, entity, element) if use_dag
+               else _DagModel({}, {}, {}))
+        keyword_plans = [
+            (keyword, *_plan_keyword(postings[keyword], keyword_index,
+                                     dag, suffix_tables, frames))
+            for keyword_index, keyword in enumerate(vocabulary)]
+        literal_entity = _plan_hash_table(entity, dag, 0, hash_tables)
+        literal_element = _plan_hash_table(element, dag, 1, hash_tables)
 
-    # dense file ids for the dag nodes actually used
-    used = sorted(dag.occurrences) if dag is not None else []
+    # dense file ids for the dag nodes actually used, in interning order
+    used = sorted(dag.occurrences)
     remap = {original: dense for dense, original in enumerate(used)}
 
     # suffix + hash chunks per dag node
@@ -794,9 +792,9 @@ def _encode_shard_data(postings: dict[str, list[Dewey]],
         dag_hash_locs[(remap[dag_id], which)] = (
             loc, len(rows), _crc(payload))
 
-    entity_payload = _hash_chunk(sorted(literal_entity.items()))
+    entity_payload = _hash_chunk(literal_entity)
     entity_loc = frames.add(entity_payload)
-    element_payload = _hash_chunk(sorted(literal_element.items()))
+    element_payload = _hash_chunk(literal_element)
     element_loc = frames.add(element_payload)
 
     # ---- directory: fixed tables, keyword entries, the DAG section -----
@@ -861,15 +859,15 @@ def _encode_shard_data(postings: dict[str, list[Dewey]],
         write_uvarint(out, _crc(payload))
 
     blobs, frame_table = frames.finish()
-    return bytes(out), [blobs, frame_table], len(blobs)
+    return bytes(out), blobs, frame_table
 
 
 def _shard_regions(postings: dict, entity: dict, element: dict,
                    stats: dict, document_names: list[str], *,
-                   use_dag: bool) -> tuple[dict, list[bytes]]:
+                   use_dag: bool, tracer) -> tuple[dict, list[bytes]]:
     """One shard's header section + its on-disk regions (dir + frames)."""
-    directory, (blobs, frame_table), _ = _encode_shard_data(
-        postings, entity, element, use_dag=use_dag)
+    directory, blobs, frame_table = _encode_shard_data(
+        postings, entity, element, use_dag=use_dag, tracer=tracer)
     directory_z = zlib.compress(directory, DEFLATE_LEVEL)
     section = {
         "document_names": document_names,
@@ -912,7 +910,7 @@ def _write_decoded(decoded: DecodedIndex, path: str | Path, *,
             section, shard_regions = _shard_regions(
                 shard.postings, shard.entity, shard.element,
                 dict(shard.stats), list(shard.document_names),
-                use_dag=use_dag)
+                use_dag=use_dag, tracer=tracer)
             section["shard_id"] = shard.shard_id
             if sharded and shard.doc_ids is not None:
                 section["doc_ids"] = list(shard.doc_ids)

@@ -25,7 +25,7 @@ module is the one place the argument is turned into code:
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.errors import IndexError_
 from repro.index.builder import GKSIndex
@@ -112,9 +112,6 @@ class _RoutedHashes:
 
     def nearest_entity(self, dewey: int) -> int | None:
         return self._tables_for(dewey).nearest_entity(dewey)
-
-    def entity_ancestors(self, dewey: int) -> Iterator[int]:
-        return self._tables_for(dewey).entity_ancestors(dewey)
 
     # -- aggregates (validation, stats, persistence) -------------------
     @property

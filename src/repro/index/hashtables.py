@@ -16,8 +16,6 @@ nodes (Def 2.1.1), and the ranker uses the child counts to split potential.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.xmltree.dewey import DeweyLayout
 
 
@@ -79,15 +77,6 @@ class NodeHashes:
             if ancestor in entity:
                 return ancestor
         return None
-
-    def entity_ancestors(self, dewey: int) -> Iterator[int]:
-        """All entity ancestors-or-self, nearest first."""
-        entity = self._entity
-        masks = self.layout.masks
-        for level in range(self.layout.depth(dewey), -1, -1):
-            ancestor = dewey & masks[level]
-            if ancestor in entity:
-                yield ancestor
 
     # ------------------------------------------------------------------
     @property

@@ -21,6 +21,7 @@ import threading
 import urllib.error
 import urllib.request
 import zlib
+from collections import Counter
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -40,7 +41,10 @@ from repro.datasets.mirrors import generate_mirrors
 from repro.errors import ConfigError, StorageError, ValidationError
 from repro.eval.querygen import WorkloadSpec, generate_queries
 from repro.index.builder import IndexBuilder, build_index
-from repro.index.codec import (CODEC_NAMES, Codec, RawCodec, VarintDagCodec,
+from repro.index import codec as codec_module
+from repro.index.codec import (CODEC_NAMES, SHARED_MIN_ENTRIES,
+                               SHARED_MIN_OCCURRENCES, Codec, DecodedIndex,
+                               DecodedShard, RawCodec, VarintDagCodec,
                                _decode_run, _write_dewey, _write_file,
                                decode_file, is_binary_index,
                                load_binary_index, read_binary_header,
@@ -50,13 +54,15 @@ from repro.index.composite import _RoutedHashes
 from repro.index.hashtables import NodeHashes
 from repro.index.inverted import InvertedIndex
 from repro.index.sharding import build_sharded_index
-from repro.index.storage import check_index, describe_layout, load_index
+from repro.index.storage import (check_index, describe_layout, load_index,
+                                 save_index)
 from repro.analysis.invariants import (INVARIANT_NAMES, verify_index,
                                        verify_store)
 from repro.obs.metrics import global_registry
 from repro.obs.trace import Tracer
 from repro.testing.faults import (FakeClock, IndexCorruptor, StoreCorruptor,
                                   TornWriter)
+from repro.xmltree.dewey import DeweyLayout
 from repro.xmltree.node import build_tree
 from repro.xmltree.repository import Repository
 from tests.conftest import tuple_postings, unpacked
@@ -206,6 +212,246 @@ class TestRoundTrip:
         write_binary_index(index, path, use_dag=False)
         loaded = load_binary_index(path)
         assert _index_fingerprint(loaded) == _index_fingerprint(index)
+
+
+# ---------------------------------------------------------------------------
+# DAG sharing: the writer against a brute-force reference
+# ---------------------------------------------------------------------------
+def _record_strategy():
+    """A small (tag, text-or-children) subtree spec."""
+    leaf = st.tuples(st.sampled_from(TAGS), st.sampled_from(KEYWORDS))
+    return st.recursive(
+        leaf,
+        lambda children: st.tuples(st.sampled_from(TAGS),
+                                   st.lists(children, min_size=1,
+                                            max_size=3)),
+        max_leaves=5)
+
+
+def _twisted(spec, keyword):
+    """*spec* differing from itself by one keyword of its first leaf."""
+    tag, body = spec
+    if isinstance(body, str):
+        return (tag, keyword if keyword != body else f"{body} {keyword}")
+    return (tag, [_twisted(body[0], keyword), *body[1:]])
+
+
+@st.composite
+def sharing_documents(draw):
+    """Document specs built from one random record: verbatim copies,
+    copies nested inside copies, one-keyword near-copies, and copies
+    that are an only child — whose root categorises differently from a
+    copy with same-tag siblings."""
+    record = draw(_record_strategy())
+    variants = {
+        "copy": record,
+        "near": _twisted(record, draw(st.sampled_from(KEYWORDS))),
+        "nested": ("vn", [record, ("vn", [record])]),
+        "alone": ("vx", [record]),
+    }
+    documents = draw(st.lists(
+        st.lists(st.sampled_from(sorted(variants)), min_size=1, max_size=6),
+        min_size=1, max_size=3))
+    return [("root", [variants[kind] for kind in kinds])
+            for kinds in documents]
+
+
+@st.composite
+def synthetic_tables(draw):
+    """Index tables no categoriser writes — rows drawn at random — built
+    from one random record: verbatim copies, copies nested inside
+    copies, copies with one keyword more, and copies whose root differs
+    in its entity row alone."""
+    steps = st.lists(st.integers(0, 2), max_size=2).map(tuple)
+    record = {path: (draw(st.sets(st.sampled_from(KEYWORDS), max_size=2)),
+                     draw(st.sampled_from((None, 1, 2))),
+                     draw(st.sampled_from((None, 0, 3))))
+              for path in {(), *draw(st.lists(steps, max_size=4))}}
+    keywords, entity, element = record[()]
+    variants = {
+        "copy": [((), record)],
+        "near": [((), {**record, (): (keywords | {"oscar"}, entity,
+                                      element)})],
+        "entity": [((), {**record, (): (keywords, 2 if entity == 1 else 1,
+                                        element)})],
+        "nested": [((), record), ((7,), record)],
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(variants)), min_size=1,
+                          max_size=6))
+    postings: dict[str, list] = {}
+    entity_table, element_table = {}, {}
+    for slot, kind in enumerate(kinds):
+        for offset, copy in variants[kind]:
+            for path, (words, in_entity, in_element) in copy.items():
+                dewey = (0, slot, *offset, *path)
+                for keyword in words:
+                    postings.setdefault(keyword, []).append(dewey)
+                if in_entity is not None:
+                    entity_table[dewey] = in_entity
+                if in_element is not None:
+                    element_table[dewey] = in_element
+    return DecodedShard(0, None, ("d0",), {}, {
+        keyword: sorted(ids) for keyword, ids in sorted(postings.items())},
+        dict(sorted(entity_table.items())),
+        dict(sorted(element_table.items())))
+
+
+def _reference_sharing(shard: DecodedShard) -> set[tuple]:
+    """The topmost occurrences of every shared subtree, one tuple per
+    DAG node, from first principles: a node's relative content is the
+    set of index entries under it (postings and both hash rows, ids
+    relative to it); content repeating ``SHARED_MIN_OCCURRENCES`` times
+    with ``SHARED_MIN_ENTRIES`` entries is shared, and only occurrences
+    under no shared ancestor count."""
+    entries = [(dewey, ("posting", keyword))
+               for keyword, postings in shard.postings.items()
+               for dewey in postings]
+    entries += [(dewey, ("entity", count))
+                for dewey, count in shard.entity.items()]
+    entries += [(dewey, ("element", count))
+                for dewey, count in shard.element.items()]
+    nodes = {dewey[:depth] for dewey, _ in entries
+             for depth in range(1, len(dewey) + 1)}
+    content = {node: frozenset((dewey[len(node):], what)
+                               for dewey, what in entries
+                               if dewey[:len(node)] == node)
+               for node in nodes}
+    repeats = Counter(content.values())
+    shared = {node for node in nodes
+              if repeats[content[node]] >= SHARED_MIN_OCCURRENCES
+              and len(content[node]) >= SHARED_MIN_ENTRIES}
+    classes: dict[frozenset, list] = {}
+    for node in sorted(shared):
+        if not any(node[:depth] in shared for depth in range(1, len(node))):
+            classes.setdefault(content[node], []).append(node)
+    return set(map(tuple, classes.values()))
+
+
+class TestDagSharing:
+    @settings(max_examples=80, deadline=None)
+    @given(specs=sharing_documents())
+    def test_writer_shares_what_the_reference_shares(self, specs,
+                                                     tmp_path_factory):
+        repo = Repository()
+        for spec in specs:
+            repo.add_root(build_tree(spec))
+        index = build_index(repo)
+        loaded = _roundtrip(index, tmp_path_factory.mktemp("share"))
+        written = loaded.inverted._reader.directory.occurrences
+        assert set(map(tuple, written)) == _reference_sharing(
+            DecodedIndex.of(index).shards[0])
+        assert len(written) == len(set(map(tuple, written)))
+        assert _index_fingerprint(loaded) == _index_fingerprint(index)
+
+    @settings(max_examples=80, deadline=None)
+    @given(shard=synthetic_tables())
+    def test_any_differing_row_keeps_subtrees_apart(self, shard,
+                                                    tmp_path_factory):
+        view = DecodedIndex.of(build_index(Repository.from_texts(
+            ["<r>kilo</r>"])))
+        view.shards = [shard]
+        view.dewey_widths = DeweyLayout.covering(
+            [*shard.entity, *shard.element,
+             *(dewey for ids in shard.postings.values() for dewey in ids)]
+        ).widths
+        path = tmp_path_factory.mktemp("rows") / "synthetic.gksindex"
+        codec_module._write_decoded(view, path, use_dag=True)
+        written = load_binary_index(path).inverted._reader.directory
+        assert set(map(tuple, written.occurrences)) == \
+            _reference_sharing(shard)
+        decoded = decode_file(path).shards[0]
+        assert ({keyword: sorted(ids)
+                 for keyword, ids in decoded.postings.items()},
+                decoded.entity, decoded.element) == \
+            (shard.postings, shard.entity, shard.element)
+
+    def test_writer_matches_the_reference_on_mirrors(self, tmp_path):
+        index = build_index(_mirrors_repo())
+        written = _roundtrip(index, tmp_path).inverted._reader.directory
+        reference = _reference_sharing(DecodedIndex.of(index).shards[0])
+        assert reference
+        assert set(map(tuple, written.occurrences)) == reference
+
+
+def _aliasing(alias_root):
+    """A DAG model that also covers the subtree at *alias_root* as an
+    occurrence of the first shared DAG node — two differing subtrees
+    under one id."""
+    class Aliasing(codec_module._DagModel):
+        def __init__(self, postings, entity, element):
+            super().__init__(postings, entity, element)
+            dag_id = min(self.occurrences)
+            hit = (alias_root, dag_id)
+            for dewey in (*entity, *element,
+                          *(d for ids in postings.values() for d in ids)):
+                if dewey[:len(alias_root)] == alias_root:
+                    self.cover[dewey] = hit
+            self.occurrences[dag_id] = sorted(
+                [*self.occurrences[dag_id], alias_root])
+    return Aliasing
+
+
+class TestDagConsistencyChecks:
+    RECORD = "<rec><name>kilo lima</name><note>mike november</note></rec>"
+    ENTITY = "<rec><name>kilo</name><tag>lima</tag><tag>mike</tag></rec>"
+
+    @pytest.mark.parametrize("last", [False, True])
+    @pytest.mark.parametrize("copy, variant, step, what", [
+        # a shared keyword at another relative path
+        (RECORD, "<rec><name>lima</name><note>kilo mike november</note>"
+                 "</rec>", (), "suffix sets"),
+        # a keyword the aliased subtree lacks
+        (RECORD, "<rec><name>kilo</name><note>mike november</note></rec>",
+         (), "suffix sets"),
+        # same postings, but an only child: no repeating-node row
+        (ENTITY, f"<box>{ENTITY}</box>", (0,), "hash rows"),
+    ], ids=["moved-keyword", "missing-keyword", "only-child"])
+    def test_an_aliased_subtree_fails_the_save(self, tmp_path, monkeypatch,
+                                               copy, variant, step, what,
+                                               last):
+        # the aliased subtree closes a span in the middle or at the end
+        parts = [copy, copy, variant] if last else [copy, variant, copy]
+        index = build_index(Repository.from_texts(
+            [f"<r>{''.join(parts)}</r>"]))
+        alias_root = (0, parts.index(variant), *step)
+        monkeypatch.setattr(codec_module, "_DagModel", _aliasing(alias_root))
+        path = tmp_path / "aliased.gksindex"
+        with pytest.raises(StorageError, match=what) as excinfo:
+            resolve_codec("varint-dag").save(index, path)
+        assert excinfo.value.diagnosis == "corrupted"
+        assert "DAG model is inconsistent" in str(excinfo.value)
+        assert not path.exists()
+        monkeypatch.undo()
+        resolve_codec("varint-dag").save(index, path)  # the real model
+        assert _index_fingerprint(load_binary_index(path)) == \
+            _index_fingerprint(index)
+
+
+class TestByteDeterminism:
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("codec", CODEC_NAMES)
+    def test_saving_a_loaded_file_gives_its_bytes(self, tmp_path, codec,
+                                                  shards):
+        first, again = tmp_path / "first", tmp_path / "again"
+        save_index(_build(_mirrors_repo(), shards), first, codec=codec)
+        save_index(load_index(first), again, codec=codec)
+        assert again.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_dag_bytes_ignore_dict_order(self, tmp_path, shards):
+        index = _build(_mirrors_repo(), shards)
+        write_binary_index(index, tmp_path / "ordered")
+        view = DecodedIndex.of(index)
+        rng = random.Random(shards)
+        for shard in view.shards:
+            for name in ("postings", "entity", "element"):
+                items = list(getattr(shard, name).items())
+                rng.shuffle(items)
+                setattr(shard, name, dict(items))
+        codec_module._write_decoded(view, tmp_path / "shuffled",
+                                    use_dag=True)
+        assert (tmp_path / "shuffled").read_bytes() == \
+            (tmp_path / "ordered").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1034,6 +1280,18 @@ class TestCodecObservability:
         # decoded once: the repeat records none
         search(loaded, query, tracer=tracer)
         assert tracer.roots[-1].find("decode") is None
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_traced_save_plans_each_shard_under_encode(self, tmp_path,
+                                                         shards):
+        tracer = Tracer()
+        resolve_codec("varint-dag").save(_build(_mirrors_repo(), shards),
+                                         tmp_path / "traced", tracer)
+        encode, write = tracer.roots
+        assert (encode.name, write.name) == ("encode", "write")
+        assert [span.name for span in encode.children] == ["plan"] * shards
+        assert sum(span.duration_s for span in encode.children) <= \
+            encode.duration_s
 
 
 # ---------------------------------------------------------------------------

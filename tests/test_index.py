@@ -185,11 +185,11 @@ class TestHashTables:
             (0, 1, 1, 0)
 
     def test_entity_ancestors_ordered_nearest_first(self, fig2a_index):
-        layout = fig2a_index.layout
-        chain = list(fig2a_index.hashes.entity_ancestors(
-            layout.pack((0, 1, 1, 0, 1, 0))))
-        assert list(map(layout.unpack, chain)) == \
-            [(0, 1, 1, 0), (0, 1), (0,)]
+        pack, hashes = fig2a_index.layout.pack, fig2a_index.hashes
+        student = (0, 1, 1, 0, 1, 0)
+        chain = [student[:depth] for depth in range(len(student), 0, -1)
+                 if hashes.is_entity(pack(student[:depth])) is not None]
+        assert chain == [(0, 1, 1, 0), (0, 1), (0,)]
 
 
 class TestBuilder:

@@ -4,7 +4,8 @@ import heapq
 
 import pytest
 
-from repro.core.lcp import LCPList, compute_lcp_list, sliding_blocks
+from repro.core.lcp import (LCPEntry, LCPList, compute_lcp_list,
+                            sliding_blocks)
 from repro.core.merge import merged_list
 from repro.core.query import Query
 from repro.index.postings import MergedList, merge_posting_lists
@@ -39,6 +40,11 @@ def unpacked_blocks(sl, s):
 
 def entry_of(sl, lcp, dewey):
     return lcp.entries[sl.layout.pack(dewey)]
+
+
+def estimate(sl, lcp, dewey):
+    """The paper's keyword estimate of one entry: ``s + counter − 1``."""
+    return lcp.s + entry_of(sl, lcp, dewey).counter - 1
 
 
 class TestSlidingBlocks:
@@ -81,8 +87,7 @@ class TestLCPList:
         sl = entries(((0, 0, 0), 0), ((0, 0, 1), 1), ((0, 0, 2), 0))
         lcp = compute_lcp_list(sl, 2)
         assert entry_of(sl, lcp, (0, 0)).counter == 2
-        assert lcp.estimated_keyword_count(
-            sl.layout.pack((0, 0))) == 3  # s+counter−1
+        assert estimate(sl, lcp, (0, 0)) == 3  # s+counter−1
 
     def test_first_block_positions_recorded(self):
         sl = entries(((0, 0, 0), 0), ((0, 0, 1), 1))
@@ -98,13 +103,14 @@ class TestLCPList:
         sl = entries(((0, 0, 0), 0), ((0, 0, 1), 1), ((0, 1, 0), 0),
                      ((0, 1, 1), 1))
         lcp = compute_lcp_list(sl, 2)
-        assert lcp.deweys()[0] == sl.layout.pack((0, 0))
+        assert next(iter(lcp.entries)) == sl.layout.pack((0, 0))
 
     def test_contains_and_len(self):
-        layout = DeweyLayout([2])
-        lcp = LCPList(s=2)
-        lcp.file(layout.pack((0, 1)), 0, 1)
-        assert layout.pack((0, 1)) in lcp and layout.pack((0, 2)) not in lcp
+        sl = entries(((0, 1, 0), 0), ((0, 1, 1), 1))
+        lcp = compute_lcp_list(sl, 2)
+        pack = sl.layout.pack
+        assert pack((0, 1)) in lcp.entries
+        assert pack((0, 2)) not in lcp.entries
         assert len(lcp) == 1
 
 
@@ -132,9 +138,8 @@ class TestPaperExample4:
 
     def test_estimates_match_figure(self):
         lcp = compute_lcp_list(self.SL, 2)
-        pack = self.SL.layout.pack
-        assert lcp.estimated_keyword_count(pack((0, 0, 1))) == 2
-        assert lcp.estimated_keyword_count(pack((0, 0, 1, 1, 0))) == 3
+        assert estimate(self.SL, lcp, (0, 0, 1)) == 2
+        assert estimate(self.SL, lcp, (0, 0, 1, 1, 0)) == 3
 
 
 class TestMergedList:
@@ -163,8 +168,13 @@ def filed_blocks(sl, s):
     """The LCP list obtained by filing ``sliding_blocks(sl, s)``."""
     expected = LCPList(s=s)
     for left, right, prefix in sliding_blocks(sl, s):
-        if prefix is not None:
-            expected.file(prefix, left, right)
+        if prefix is None:
+            continue
+        entry = expected.entries.get(prefix)
+        if entry is None:
+            expected.entries[prefix] = LCPEntry(prefix, 1, left, right)
+        else:
+            entry.counter += 1
     return expected
 
 
@@ -207,7 +217,7 @@ class TestSweepAgainstReferenceBlocks:
             lcp = compute_lcp_list(sl, s)
             expected = filed_blocks(sl, s)
             assert lcp == expected
-            assert lcp.deweys() == expected.deweys()
+            assert list(lcp.entries) == list(expected.entries)
 
     def test_paper_example(self):
         self.check(TestPaperExample4.SL, 2)

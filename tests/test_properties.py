@@ -184,7 +184,7 @@ def test_lcp_list_equals_filing_the_reference_blocks(case):
         expected = filed_blocks(sl, s)
         lcp = compute_lcp_list(sl, s)
         assert lcp == expected
-        assert lcp.deweys() == expected.deweys()
+        assert list(lcp.entries) == list(expected.entries)
 
 
 @settings(max_examples=100, deadline=None)

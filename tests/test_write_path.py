@@ -369,6 +369,10 @@ class TestWritePathSpans:
         assert _children(flush.find("segments")) == [
             "merge", "encode", "write", "encode", "write", "texts",
             "commit"]
+        # a varint-dag segment's encode shows its planning
+        assert [_children(span) for span in flush.find("segments").children
+                if span.name == "encode"] == \
+            [["plan"] if codec == "varint-dag" else []] * 2
         compact = next(t for t in traces if t.name == "compact")
         inner = _children(compact.find("segments"))
         assert inner[:2] == ["merge", "verify"]
