@@ -1,19 +1,13 @@
-"""Query-modes benchmark: probabilistic overhead and relaxation latency.
+"""Query-modes benchmark: probabilistic overhead.
 
-Two claims of the semantics subsystem are measured and gated, and the
+One claim of the semantics subsystem is measured and gated, and the
 record lands in ``benchmarks/results/BENCH_semantics.json``:
-
-* **Probabilistic mode is pay-for-what-you-use.**  On a corpus with no
-  ``p:`` annotations the compiled tables are empty and the
-  subset-distribution DP is skipped, so a probabilistic engine must
-  answer within 2x the strict engine's median latency on the same
-  query mix (the gate is deliberately loose: the remaining overhead is
-  the per-result existence lookup and the mode dispatch).
-* **Relaxation pays only when it fires.**  The no-but-semantic-match
-  sweep runs one strict sub-search per single-edit rewrite, so its
-  latency is recorded alongside the candidate count it actually
-  evaluated — a trigger on an empty strict answer, not a tax on every
-  query.
+**probabilistic mode is pay-for-what-you-use.**  On a corpus with no
+``p:`` annotations the compiled tables are empty and no
+subset distribution is built, so a probabilistic engine must answer
+within 2x the strict engine's median latency on the same query mix
+(the gate is deliberately loose: the remaining overhead is the stack
+pass over the merged list and the mode dispatch).
 """
 
 from __future__ import annotations
@@ -33,7 +27,6 @@ ROUNDS = 30
 OVERHEAD_GATE = 2.0
 QUERIES = [("databases compression", 1), ("rivera indexing", 1),
            ("storage streams retrieval", 2)]
-RELAXED_QUERY = ("zyzzyva compression", 2)  # empty strict answer
 
 
 def _round_seconds(engine: GKSEngine) -> float:
@@ -70,20 +63,6 @@ def test_semantics_benchmark_report():
     strict_s, prob_s = _interleaved_medians(strict_engine, prob_engine)
     ratio = prob_s / strict_s if strict_s else float("inf")
 
-    # relaxation trigger: empty strict answer -> single-edit sweep
-    text, s = RELAXED_QUERY
-    strict = strict_engine.search(text, s=s, use_cache=False)
-    assert not strict.nodes, "relaxation query must miss strictly"
-    samples = []
-    response = None
-    for _ in range(ROUNDS):
-        started = time.perf_counter()
-        response = strict_engine.search(text, s=s, mode="relaxed",
-                                        use_cache=False)
-        samples.append(time.perf_counter() - started)
-    relaxed_s = statistics.median(samples)
-    candidates = response.stats.semantics_candidates
-
     record = {
         "corpus": {"dataset": "mirrors", "scale": 2,
                    "documents": len(repository),
@@ -94,10 +73,6 @@ def test_semantics_benchmark_report():
         "probabilistic_median_s": prob_s,
         "probabilistic_over_strict": ratio,
         "overhead_gate": OVERHEAD_GATE,
-        "relaxation": {"query": text, "s": s,
-                       "candidates": candidates,
-                       "median_trigger_s": relaxed_s,
-                       "results": len(response.nodes)},
     }
     RESULTS_PATH.parent.mkdir(exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(record, indent=2, sort_keys=True)

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Query-modes smoke test: exercise the semantics subsystem end-to-end
 # through the CLI — probabilistic search over a p-document (tables
-# compiled from the corpus, thresholded results), the relaxed
-# no-but-semantic-match fallback with provenance, a strict engine
+# compiled from the corpus, thresholded results), the removed relaxed
+# mode as a usage error, a strict engine
 # answering probabilistic queries over a probabilistic engine's cache
 # (both codecs), and index files that record no query mode.
 #
@@ -55,14 +55,18 @@ echo "$OUT"
 grep -q "p=0.6000" <<<"$OUT" || {
     echo "FAIL: MUX weight did not normalise to 0.6" >&2; exit 1; }
 
-echo "== relaxed mode rescues an empty strict answer =="
-OUT="$(python -m repro search "$WORKDIR/plain.xml" -q "papaya pie" -s 2 \
-       --mode relaxed --trace)"
-echo "$OUT"
-grep -q "dropped 'papaya'" <<<"$OUT" || {
-    echo "FAIL: relaxed result lacks drop provenance" >&2; exit 1; }
-grep -q "mode=relaxed" <<<"$OUT" || {
-    echo "FAIL: --trace did not reflect relaxed mode" >&2; exit 1; }
+echo "== --mode relaxed is a usage error =="
+STATUS=0
+ERR="$(python -m repro search "$WORKDIR/plain.xml" -q "papaya pie" -s 2 \
+       --mode relaxed 2>&1 >/dev/null)" || STATUS=$?
+echo "$ERR"
+[ "$STATUS" -eq 2 ] || {
+    echo "FAIL: --mode relaxed exited $STATUS, not 2" >&2; exit 1; }
+grep -q "invalid choice: 'relaxed'" <<<"$ERR" || {
+    echo "FAIL: --mode relaxed was not named as the bad choice" >&2; exit 1; }
+if grep -q "Traceback" <<<"$ERR"; then
+    echo "FAIL: --mode relaxed printed a traceback" >&2; exit 1
+fi
 
 echo "== a strict engine answers probabilistic queries over a probabilistic engine's cache (both codecs) =="
 OUT="$(python - "$WORKDIR" <<'EOF'

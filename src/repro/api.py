@@ -21,11 +21,9 @@ Quickstart::
 
 Query semantics are part of the surface too: ``EngineConfig.mode`` /
 ``SearchOptions.mode`` select one of :data:`MODES` (``strict`` |
-``probabilistic`` | ``relaxed``), probabilistic results carry
-``RankedNode.probability`` and relaxed results a
-:class:`RelaxationStep` in ``RankedNode.relaxation``; non-strict
-responses describe themselves in ``GKSResponse.semantics``
-(:class:`SemanticsInfo`).
+``probabilistic``), probabilistic results carry
+``RankedNode.probability`` and describe themselves in
+``GKSResponse.semantics`` (:class:`SemanticsInfo`).
 
 ``GKSEngine.open`` is the one blessed constructor — it sniffs raw XML
 texts, corpus paths and :class:`~repro.xmltree.repository.Repository`
@@ -40,8 +38,7 @@ from repro.core.budget import SearchBudget
 from repro.core.config import (MODES, EngineConfig, Paths,
                                SearchOptions, Texts)
 from repro.core.engine import GKSEngine
-from repro.core.results import (GKSResponse, RankedNode,
-                                RelaxationStep, SemanticsInfo)
+from repro.core.results import GKSResponse, RankedNode, SemanticsInfo
 from repro.errors import (ConfigError, GKSError, Overloaded, QueryError,
                           SearchTimeout, StorageError, ValidationError,
                           XMLSyntaxError)
@@ -50,7 +47,7 @@ from repro.index.codec import CODEC_NAMES, Codec, resolve_codec
 __all__ = [
     "CODEC_NAMES", "Codec", "ConfigError", "EngineConfig", "GKSEngine",
     "GKSError", "GKSResponse", "MODES", "Overloaded", "Paths",
-    "QueryError", "RankedNode", "RelaxationStep", "SearchBudget",
+    "QueryError", "RankedNode", "SearchBudget",
     "SearchOptions", "SearchTimeout", "SemanticsInfo", "StorageError",
     "Texts", "ValidationError", "XMLSyntaxError", "resolve_codec",
 ]

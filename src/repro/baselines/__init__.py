@@ -17,7 +17,6 @@ from repro.baselines.lca import (closest_match, left_match, match_lca,
                                  right_match)
 from repro.baselines.pworlds import (possible_worlds_probabilities,
                                      world_choices)
-from repro.baselines.relaxation import RelaxedHit, exhaustive_relaxation
 from repro.baselines.naive_gks import (keyword_subsets, naive_gks,
                                        subset_count)
 from repro.baselines.slca import (contains_all_keywords,
@@ -30,8 +29,7 @@ __all__ = [
     "entity_type_instances", "fslca", "slca_set_intersection",
     "keyword_subsets", "left_match", "make_xrank_ranker", "match_lca",
     "naive_gks", "node_keywords", "posting_lists",
-    "possible_worlds_probabilities", "RelaxedHit",
-    "exhaustive_relaxation", "world_choices", "remove_ancestors",
+    "possible_worlds_probabilities", "world_choices", "remove_ancestors",
     "right_match", "score_types", "slca_indexed_lookup_eager",
     "slca_scan", "subset_count", "subtree_keyword_map", "xrank_ranker",
     "xsearch_ranker",

@@ -72,10 +72,8 @@ _CONFIG_FLAGS = {
     "--mode": ("mode", MODES,
                "default query semantics: exact matching (strict), "
                "p-document probability scoring (probabilistic; tables "
-               "compiled from the corpus on first use), or "
-               "no-but-semantic-match rewrites when the strict answer "
-               "is empty (relaxed); a served request's ?mode= still "
-               "wins"),
+               "compiled from the corpus on first use); a served "
+               "request's ?mode= still wins"),
     "--threshold": ("threshold", None,
                     "probabilistic mode: drop results with probability "
                     "below this"),
@@ -588,11 +586,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     layout = f", {shards} shard(s)" if shards > 1 else ""
     semantics = ""
     if response.semantics is not None:
-        semantics = f", mode={response.semantics.mode}"
-        if response.semantics.mode == "probabilistic":
-            semantics += f" >= {args.threshold:g}"
-        elif not response.semantics.relaxed:
-            semantics += " (strict answer non-empty; no rewrites)"
+        semantics = (f", mode={response.semantics.mode} "
+                     f">= {args.threshold:g}")
     print(f"{len(response)} node(s) for {response.query}  "
           f"[|SL|={stats.postings_scanned}, "
           f"{stats.total_seconds * 1000:.1f} ms{layout}{semantics}]")
@@ -600,9 +595,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         line = engine.describe(node)
         if node.probability is not None:
             line += f"  p={node.probability:.4f}"
-        if node.relaxation is not None:
-            line += (f"  [{node.relaxation.describe()}, "
-                     f"penalty={node.relaxation.penalty:g}]")
         print(" ", line)
         if args.snippets:
             print(engine.snippet(node))

@@ -50,9 +50,8 @@ def _default_ranker() -> Callable:
 
 
 #: Query semantics modes (the ``repro.semantics`` subsystem): strict
-#: ``min(s,|Q|)`` containment, probabilistic p-document evaluation, or
-#: no-but-semantic-match relaxation of empty strict results.
-MODES = ("strict", "probabilistic", "relaxed")
+#: ``min(s,|Q|)`` containment, or probabilistic p-document evaluation.
+MODES = ("strict", "probabilistic")
 
 
 def _check_mode(mode: str) -> None:
@@ -138,11 +137,11 @@ class SearchOptions:
         budget built from it keeps the operator's ``max_sl`` /
         ``max_nodes`` caps from ``EngineConfig.budget``.
     mode:
-        Query semantics for this request: ``"strict"``,
-        ``"probabilistic"`` or ``"relaxed"``; ``None`` uses the
-        engine's ``EngineConfig.mode``.  Any engine serves every mode:
-        the first probabilistic request of a serving generation compiles
-        the corpus's probability tables.
+        Query semantics for this request: ``"strict"`` or
+        ``"probabilistic"``; ``None`` uses the engine's
+        ``EngineConfig.mode``.  Any engine serves every mode: the first
+        probabilistic request of a serving generation compiles the
+        corpus's probability tables.
     threshold:
         Probabilistic-mode result filter: only nodes whose
         possible-worlds probability is ≥ this value are returned.
@@ -269,11 +268,10 @@ class EngineConfig:
         selects what *new* saves write.
     mode:
         Default query semantics (``repro.semantics``): ``"strict"``
-        (the classic pipeline), ``"probabilistic"`` (p-document
+        (the classic pipeline) or ``"probabilistic"`` (p-document
         evaluation — the ``p:`` annotations are compiled into
-        probability tables from the corpus, not stored in the index) or
-        ``"relaxed"`` (no-but-semantic-match rescue of empty strict
-        results).  Per-request ``SearchOptions.mode`` overrides it; it
+        probability tables from the corpus, not stored in the index).
+        Per-request ``SearchOptions.mode`` overrides it; it
         changes nothing that is built or saved.
     threshold:
         Default probabilistic-mode probability filter in [0, 1].
@@ -411,6 +409,10 @@ def resolve_request(config: EngineConfig, query: str | Query,
             mode = options.mode
         if threshold is None:
             threshold = options.threshold
+    if mode is not None:
+        _check_mode(mode)
+    if threshold is not None:
+        _check_threshold(threshold)
     if deadline_s is None:
         deadline_s = default_deadline_s
     shareable = (budget is None and deadline_s is None

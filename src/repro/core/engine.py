@@ -27,7 +27,7 @@ from repro.core.insights import (InsightReport, discover_insights,
 from repro.core.query import Query
 from repro.core.refinement import Refinement, suggest
 from repro.core.ranking import rank_node
-from repro.core.results import GKSResponse, RankedNode, SemanticsInfo
+from repro.core.results import GKSResponse, RankedNode
 from repro.core.search import Ranker, search
 from repro.core.durable import (WritePath, build_facts, build_index,
                                 cached_index, open_durable, read_source)
@@ -134,7 +134,7 @@ class GKSEngine:
         self._generation = 0
         self._writes = (_writes if _writes is not None
                         else WritePath.over(index, repository, config))
-        # What non-strict modes derive from the corpus, per derivation:
+        # What probabilistic mode derives from the corpus, per derivation:
         # (generation, value), and its parts by doc id (_corpus_derived)
         self._derived: dict = {}
         self._derived_parts: dict = {}
@@ -298,10 +298,9 @@ class GKSEngine:
 
         ``mode`` selects the query semantics (``repro.semantics``):
         ``"strict"`` is the classic pipeline, ``"probabilistic"``
-        evaluates p-document probabilities (filtered by ``threshold``),
-        ``"relaxed"`` rescues an empty strict result with penalty-ranked
-        single-edit rewrites.  Non-strict responses never touch the LRU
-        cache, so strict output stays byte-identical.
+        evaluates p-document probabilities (filtered by ``threshold``).
+        Probabilistic responses never touch the LRU cache, so strict
+        output stays byte-identical.
         """
         return self._run(
             resolve_request(self.config, query, options, s=s, k=k,
@@ -384,8 +383,8 @@ class GKSEngine:
                 report=response.degradation)
         return response
 
-    def _corpus_derived(self, derive, *args):
-        """``derive(repository, *args, parts)`` for the current serving
+    def _corpus_derived(self, derive):
+        """``derive(repository, parts)`` for the current serving
         generation, computed at most once per generation.  *parts* (doc
         id → that document's part) outlives generations, so each
         document is read once per derivation however the corpus grows."""
@@ -393,59 +392,29 @@ class GKSEngine:
         generation = self._generation
         if cached is not None and cached[0] == generation:
             return cached[1]
-        value = derive(self.repository, *args,
+        value = derive(self.repository,
                        self._derived_parts.setdefault(derive, {}))
         self._derived[derive] = (generation, value)
         return value
 
     def _semantic_search(self, request: SearchRequest,
                          tracer: Tracer | NullTracer | None) -> GKSResponse:
-        """The full answer of a non-strict query, via ``repro.semantics``.
+        """The full answer of a probabilistic query, via
+        ``repro.semantics``.
 
         Deferred import: semantics sits beside core in the layer DAG but
-        this facade must not pay for it on the strict path.  Non-strict
+        this facade must not pay for it on the strict path.  These
         responses bypass the LRU cache entirely (in both directions).
-        Note the relaxed flow files its strict sub-searches with the
-        metrics, so ``gks_searches_total`` counts them too — documented
-        in DESIGN.md §5.10.
         """
-        query, budget = request.query, request.budget
-        if request.mode == "probabilistic":
-            from repro.semantics import compile_tables, probabilistic_search
+        from repro.semantics import compile_tables, probabilistic_search
 
-            # the snapshot first: each of its documents is already in
-            # the repository the tables are compiled from
-            index = self.index
-            return probabilistic_search(
-                index, query, self._corpus_derived(compile_tables),
-                threshold=request.threshold,
-                budget=budget, tracer=tracer,
-                registry=self.metrics_registry)
-        # relaxed; the sub-searches: same ranker and budget, plain strict
-        # pipeline — uncached, never truncated, never raising
-        inner = request._replace(mode="strict", use_cache=False,
-                                 strict_deadline=False, k=None)
-        strict = self._strict_answer(inner, tracer)
-        if strict.nodes:
-            # Strict answered: same nodes, provenance says "relaxed mode,
-            # no relaxation needed"; filed once, as this request.
-            return replace(
-                strict, stats=replace(strict.stats, mode="relaxed"),
-                semantics=SemanticsInfo(mode="relaxed", relaxed=False))
-        self._record_search(strict, tracer=tracer)
-        from repro.semantics import relax_search, relaxation_vocabulary
-
-        vocabulary = self._corpus_derived(relaxation_vocabulary,
-                                          self.analyzer)
-
-        def search_fn(rewritten: Query) -> GKSResponse:
-            sub = (budget.subbudget(rebase=True)
-                   if budget is not None else None)
-            return self._run(
-                inner._replace(query=rewritten, budget=sub), None, None)
-
-        return relax_search(query, vocabulary, search_fn, budget=budget,
-                            tracer=tracer, registry=self.metrics_registry)
+        # the snapshot first: each of its documents is already in the
+        # repository the tables are compiled from
+        index = self.index
+        return probabilistic_search(
+            index, request.query, self._corpus_derived(compile_tables),
+            threshold=request.threshold, budget=request.budget,
+            tracer=tracer, registry=self.metrics_registry)
 
     def search_top_k(self, query: str | Query, k: int | None = None,
                      s: int | None = None, *,

@@ -29,8 +29,6 @@ def node_to_dict(node: RankedNode,
     # conditional keys: strict payloads stay byte-identical
     if node.probability is not None:
         payload["probability"] = node.probability
-    if node.relaxation is not None:
-        payload["relaxation"] = node.relaxation.to_dict()
     if repository is not None:
         labels = repository.tag_path(node.dewey)
         if labels is not None:

@@ -13,60 +13,21 @@ from repro.xmltree.dewey import Dewey, format_dewey
 
 
 @dataclass(frozen=True)
-class RelaxationStep:
-    """One single-edit query rewrite applied by the relaxation pipeline.
-
-    ``op`` is ``"drop"`` | ``"generalize"`` | ``"substitute"``;
-    ``source`` is the original query keyword the edit touched and
-    ``replacement`` the keyword that took its place (``None`` for a
-    drop).  ``keywords`` is the full rewritten keyword tuple and
-    ``penalty`` the fixed cost of the edit — relaxed results rank by
-    ``(penalty, -score)`` so cheaper rewrites always come first.
-    """
-
-    op: str
-    source: str
-    replacement: str | None
-    keywords: tuple[str, ...]
-    penalty: float
-
-    def describe(self) -> str:
-        if self.op == "drop":
-            return f"dropped {self.source!r}"
-        verb = "generalized" if self.op == "generalize" else "substituted"
-        return f"{verb} {self.source!r} -> {self.replacement!r}"
-
-    def to_dict(self) -> dict:
-        return {"op": self.op, "source": self.source,
-                "replacement": self.replacement,
-                "keywords": list(self.keywords), "penalty": self.penalty}
-
-
-@dataclass(frozen=True)
 class SemanticsInfo:
     """Provenance for a non-strict query mode (``repro.semantics``).
 
     Attached to :class:`GKSResponse` only when the request ran in
-    probabilistic or relaxed mode — strict responses carry ``None`` so
-    their wire shape is unchanged.  ``relaxed`` is True when the strict
-    pipeline came back empty and relaxation actually produced the
-    result set; ``relaxations`` lists the rewrites that contributed at
-    least one surviving node, cheapest first.
+    probabilistic mode — strict responses carry ``None`` so their wire
+    shape is unchanged.
     """
 
     mode: str
     threshold: float | None = None
-    relaxed: bool = False
-    relaxations: tuple[RelaxationStep, ...] = ()
 
     def to_dict(self) -> dict:
         payload: dict = {"mode": self.mode}
         if self.threshold is not None:
             payload["threshold"] = self.threshold
-        if self.relaxed:
-            payload["relaxed"] = True
-            payload["relaxations"] = [step.to_dict()
-                                      for step in self.relaxations]
         return payload
 
 
@@ -76,10 +37,8 @@ class RankedNode:
 
     ``probability`` is populated only in probabilistic mode (the
     possible-worlds marginal that the node exists and its subtree meets
-    the ``min(s, |Q|)`` bar); ``relaxation`` only in relaxed mode (the
-    query rewrite that produced the node).  Both default to ``None`` so
-    strict-mode responses are byte-identical to their pre-semantics
-    shape.
+    the ``min(s, |Q|)`` bar).  It defaults to ``None`` so strict-mode
+    responses are byte-identical to their pre-semantics shape.
     """
 
     dewey: Dewey
@@ -90,7 +49,6 @@ class RankedNode:
     estimated_keywords: int
     breakdown: RankBreakdown = field(repr=False, compare=False, default=None)
     probability: float | None = None
-    relaxation: RelaxationStep | None = None
 
     @property
     def dewey_text(self) -> str:

@@ -48,15 +48,12 @@ class QueryStats:
     #: engine calls); joins this record to the HTTP response header,
     #: span trees and the slow-query log.
     request_id: str | None = None
-    #: Query semantics mode ("strict" | "probabilistic" | "relaxed").
+    #: Query semantics mode ("strict" | "probabilistic").
     #: Non-strict values surface in to_dict()/render(); the strict
     #: default is omitted so pre-semantics wire shapes are unchanged.
     mode: str = "strict"
-    #: Candidates the semantics subsystem evaluated (probabilistic
-    #: candidate nodes, or relaxation rewrites).
+    #: Candidate nodes the probabilistic search evaluated.
     semantics_candidates: int = 0
-    #: True when an empty strict result was rescued by relaxation.
-    relaxed: bool = False
     #: ``(shard id, lcp + lce seconds, SL entries)`` per unit when the
     #: query ran over several; what the engine files under ``gks_shard_*``
     units: tuple[tuple[int, float, int], ...] = ()
@@ -108,8 +105,6 @@ class QueryStats:
         if self.mode != "strict":
             payload["mode"] = self.mode
             payload["semantics_candidates"] = self.semantics_candidates
-        if self.relaxed:
-            payload["relaxed"] = True
         return payload
 
     def render(self) -> str:
@@ -119,8 +114,6 @@ class QueryStats:
         flags = []
         if self.mode != "strict":
             flags.append(f"mode={self.mode}")
-        if self.relaxed:
-            flags.append("relaxed")
         if self.cache_hit:
             flags.append("cache-hit")
         if self.degraded:

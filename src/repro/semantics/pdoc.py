@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ValidationError
-from repro.xmltree.dewey import Dewey, format_dewey
+from repro.errors import DeweyError, ValidationError
+from repro.xmltree.dewey import Dewey, DeweyLayout, format_dewey
 from repro.xmltree.node import XMLNode
 from repro.xmltree.repository import Repository
 
@@ -54,18 +54,22 @@ class ProbTables:
 
     kinds: dict[Dewey, str] = field(default_factory=dict)
     edge_p: dict[Dewey, float] = field(default_factory=dict)
+    _packed: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __bool__(self) -> bool:
         return bool(self.kinds) or bool(self.edge_p)
 
-    def existence(self, dewey: Dewey) -> float:
-        """P(node exists) = product of uncertain edges on its root path."""
-        prob = 1.0
-        for depth in range(2, len(dewey) + 1):
-            edge = self.edge_p.get(dewey[:depth])
-            if edge is not None:
-                prob *= edge
-        return prob
+    def packed(self, layout: DeweyLayout
+               ) -> tuple[dict[int, str], dict[int, float]]:
+        """``(kinds, edge_p)`` keyed by packed id under *layout*, built
+        once per layout and table.  A node that does not fit *layout*
+        holds no indexed node, so a search under it never reaches one."""
+        view = self._packed.get(layout)
+        if view is None:  # two racing searches build equal views
+            view = self._packed[layout] = (_repack(self.kinds, layout),
+                                           _repack(self.edge_p, layout))
+        return view
 
     def mux_siblings(self, parent: Dewey) -> list[Dewey]:
         """The participating children of a MUX node, in document order."""
@@ -74,6 +78,16 @@ class ProbTables:
         width = len(parent) + 1
         return sorted(d for d in self.edge_p
                       if len(d) == width and d[:-1] == parent)
+
+
+def _repack(table: dict, layout: DeweyLayout) -> dict:
+    packed = {}
+    for dewey, value in table.items():
+        try:
+            packed[layout.pack(dewey)] = value
+        except DeweyError:
+            continue
+    return packed
 
 
 def merge_tables(parts: "list[ProbTables]") -> ProbTables:

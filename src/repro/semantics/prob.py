@@ -1,55 +1,35 @@
 """Probabilistic keyword search over p-documents (exact, budget-aware).
 
-For every candidate node ``n`` this computes the possible-worlds
-marginal
-
-    P(n) = P(n exists) × P(subtree(n) holds ≥ min(s,|Q|) distinct
-                           query keywords | n exists)
-
-under the PrXML independence semantics: choices at distinct
-distributional nodes are independent, a MUX node's annotated children
-are one mutually exclusive choice, and deleting a node deletes its
-subtree.  The result set is every node with ``P(n) ≥ threshold``,
-ordered by descending probability then document order.
-
-The evaluation is exact, not sampled.  Per document it builds the
-*occurrence trie* — all Dewey prefixes of the query keywords' posting
-entries — and runs one bottom-up **keyword-subset distribution** pass:
-``dist[v]`` maps each subset (bitmask) of the query keywords to the
-probability that exactly that subset appears in ``v``'s subtree, given
-``v`` exists.  Ordinary/IND children combine by subset-union
-convolution (an uncertain child contributes ``(1-p)·δ∅ + p·dist[c]``);
-a MUX node's annotated children combine as the mixture
-``Σ wᵢ·dist[cᵢ] + (1-Σw)·δ∅``.  Restricting to the occurrence trie is
-exact because keyword-free subtrees can only contribute ``δ∅``.
-
-Candidates are the trie nodes whose *all-present* keyword union meets
-the bar — any other node has probability 0.  On a deterministic corpus
-(empty tables) every candidate has probability 1 and the distribution
-pass is skipped entirely, which keeps probabilistic mode within the
-benchmarked 2× of strict on ordinary documents.
+A node's answer is ``P(n exists) × P(subtree(n) holds ≥ min(s,|Q|)
+query keywords | n exists)`` over PrXML's possible worlds, kept when
+``≥ threshold``, by descending probability then document order.  Each
+unit's merged list ``SL`` (:func:`repro.core.merge.merged_list`) is
+folded in one document-order stack pass: a node's keyword-subset
+distribution is final when it pops, and it folds into its parent's at
+once (DESIGN.md §5.10).  Empty tables build no distribution.  ``max_sl``
+does not apply: a list cut inside a document would change probabilities.
 """
 
 from __future__ import annotations
 
 from repro.core.budget import SearchBudget
+from repro.core.merge import merged_list
 from repro.core.query import Query
 from repro.core.results import (GKSResponse, RankedNode, SemanticsInfo,
                                 respond)
 from repro.core.search import units_of
-from repro.errors import ConfigError
 from repro.index.builder import GKSIndex
+from repro.index.postings import MergedList
 from repro.obs.metrics import MetricsRegistry, global_registry
 from repro.obs.trace import NOOP_TRACER
 from repro.semantics.pdoc import ProbTables
-from repro.xmltree.dewey import Dewey
 
-#: Bitmask distribution type: keyword-subset mask → probability.
+#: keyword-subset bitmask → probability
 Dist = dict[int, float]
 
-
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
+# an open node: [id, subtree end, level, own mask, union mask, existence,
+# dist and MUX mixture (None until a child folds in), MUX weight]
+_ID, _END, _LEVEL, _OWN, _UNION, _EXIST, _DIST, _MIX, _WEIGHT = range(9)
 
 
 def _convolve(left: Dist, right: Dist) -> Dist:
@@ -63,187 +43,163 @@ def _convolve(left: Dist, right: Dist) -> Dist:
     return out
 
 
-def _occurrences(index: GKSIndex, keywords: tuple[str, ...]
-                 ) -> dict[Dewey, int]:
-    """Dewey → bitmask of the query keywords occurring directly there."""
-    occ: dict[Dewey, int] = {}
-    unpack = index.layout.unpack
-    for bit, keyword in enumerate(keywords):
-        for dewey in map(unpack, index.postings(keyword)):
-            occ[dewey] = occ.get(dewey, 0) | (1 << bit)
-    return occ
+def _scaled_into(target: Dist, dist: Dist, prob: float) -> Dist:
+    for mask, share in dist.items():
+        target[mask] = target.get(mask, 0.0) + prob * share
+    return target
 
 
-def _union_masks(occ: dict[Dewey, int]) -> dict[Dewey, int]:
-    """Every prefix of an occurrence → union mask of its subtree."""
-    union: dict[Dewey, int] = {}
-    for dewey, mask in occ.items():
-        for depth in range(1, len(dewey) + 1):
-            prefix = dewey[:depth]
-            union[prefix] = union.get(prefix, 0) | mask
-    return union
+def _fold(sl: MergedList, need: int, packed) -> tuple[int, list]:
+    """One stack pass over *sl* under *packed*, the tables' ``(kinds,
+    edge_p)`` by packed id (``None``: a deterministic corpus).  Returns
+    the distinct ids and the candidates ``(id, union mask,
+    probability)`` in document order."""
+    layout, shift = sl.layout, sl.keyword_bits
+    masks, shifts, low = layout.masks, layout.shifts, (1 << shift) - 1
+    kinds, edge_p = packed if packed is not None else ({}, {})
+    stack: list[list] = []
+    candidates: list[tuple[int, int, float]] = []
+    distinct = 0
 
-
-def _distributions(union: dict[Dewey, int], occ: dict[Dewey, int],
-                   tables: ProbTables) -> dict[Dewey, Dist]:
-    """One bottom-up subset-distribution pass over the occurrence trie."""
-    children: dict[Dewey, list[Dewey]] = {}
-    for dewey in union:
-        if len(dewey) > 1:
-            children.setdefault(dewey[:-1], []).append(dewey)
-    dist: dict[Dewey, Dist] = {}
-    for dewey in sorted(union, key=len, reverse=True):
-        base: Dist = {occ.get(dewey, 0): 1.0}
-        mux = tables.kinds.get(dewey) == "MUX"
-        mixture: Dist = {}
-        weight_total = 0.0
-        for child in children.get(dewey, ()):
-            branch = dist[child]
-            prob = tables.edge_p.get(child)
-            if mux and prob is not None:
-                # Annotated MUX children form one exclusive choice.
-                weight_total += prob
-                for mask, share in branch.items():
-                    mixture[mask] = mixture.get(mask, 0.0) + prob * share
-                continue
-            if prob is not None and prob < 1.0:
-                mixed: Dist = {0: 1.0 - prob}
-                for mask, share in branch.items():
-                    mixed[mask] = mixed.get(mask, 0.0) + prob * share
-                branch = mixed
-            base = _convolve(base, branch)
-        if mixture or weight_total:
-            leftover = 1.0 - weight_total
+    def pop() -> None:
+        frame = stack.pop()
+        node, union = frame[_ID], frame[_UNION]
+        parent = stack[-1] if stack else None
+        if parent is not None:
+            parent[_UNION] |= union
+        if packed is None:
+            if union.bit_count() >= need:
+                candidates.append((node, union, 1.0))
+            return
+        dist = frame[_DIST] or {frame[_OWN]: 1.0}
+        if frame[_MIX] is not None:
+            leftover = 1.0 - frame[_WEIGHT]
             if leftover > 0.0:
-                mixture[0] = mixture.get(0, 0.0) + leftover
-            base = _convolve(base, mixture)
-        dist[dewey] = base
-    return dist
+                frame[_MIX][0] = frame[_MIX].get(0, 0.0) + leftover
+            dist = _convolve(dist, frame[_MIX])
+        if union.bit_count() >= need:
+            tail = sum(share for mask, share in dist.items()
+                       if mask.bit_count() >= need)
+            candidates.append((node, union, frame[_EXIST] * tail))
+        if parent is None:
+            return
+        prob = edge_p.get(node)
+        if prob is not None and kinds.get(parent[_ID]) == "MUX":
+            # one exclusive choice: Σ wᵢ·distᵢ, plus (1-Σw)·δ∅ at its pop
+            parent[_WEIGHT] += prob
+            parent[_MIX] = _scaled_into(parent[_MIX] or {}, dist, prob)
+            return
+        if prob is not None and prob < 1.0:  # (1-p)·δ∅ + p·dist
+            dist = _scaled_into({0: 1.0 - prob}, dist, prob)
+        parent[_DIST] = _convolve(parent[_DIST] or {parent[_OWN]: 1.0},
+                                  dist)
+
+    for entry in sl:
+        node, bit = entry >> shift, 1 << (entry & low)
+        if stack and stack[-1][_ID] == node:
+            stack[-1][_OWN] |= bit
+            stack[-1][_UNION] |= bit
+            continue
+        while stack and node >= stack[-1][_END]:
+            pop()
+        distinct += 1
+        first = stack[-1][_LEVEL] + 1 if stack else 0
+        for level in range(first, layout.depth(node) + 1):
+            ancestor = node & masks[level]
+            exist = stack[-1][_EXIST] if stack else 1.0
+            if ancestor in edge_p:
+                exist *= edge_p[ancestor]
+            stack.append([ancestor, ancestor + (1 << shifts[level]), level,
+                          0, 0, exist, None, None, 0.0])
+        stack[-1][_OWN] = stack[-1][_UNION] = bit
+    while stack:
+        pop()
+    candidates.sort()
+    return distinct, candidates
 
 
-def _evaluate_index(index: GKSIndex, query: Query, tables: ProbTables,
-                    threshold: float, budget: SearchBudget | None, tracer,
-                    counters: dict[str, int]) -> tuple[list[RankedNode], bool]:
-    """Evaluate one (monolithic or shard) index; returns (nodes, tripped)."""
-    keywords = query.keywords
-    need = query.s
-
-    with tracer.span("postings") as span:
-        occ = _occurrences(index, keywords)
-        span.add("occurrences", len(occ))
-    counters["postings"] += len(occ)
-    if budget is not None and budget.checkpoint("merge", len(occ), len(occ)):
-        return [], True
-
-    union = _union_masks(occ)
-    candidates = sorted(dewey for dewey, mask in union.items()
-                        if _popcount(mask) >= need)
-    counters["candidates"] += len(candidates)
-
-    dist: dict[Dewey, Dist] | None = None
-    if tables:
-        with tracer.span("distributions") as span:
-            dist = _distributions(union, occ, tables)
-            span.add("trie_nodes", len(dist))
-
-    nodes: list[RankedNode] = []
-    halted = False
+def _evaluate(unit: GKSIndex, query: Query, tables: ProbTables,
+              threshold: float, budget: SearchBudget | None, tracer,
+              nodes: list[RankedNode]) -> tuple[int, int, bool]:
+    """Append one unit's answer to *nodes*, the answer so far (the
+    budget's ``max_nodes`` caps it whole); returns ``(distinct ids,
+    candidates, tripped)``."""
+    with tracer.span("merge") as span:
+        sl = merged_list(unit, query, tracer=tracer)
+        span.add("sl", len(sl))
+    with tracer.span("fold") as span:
+        distinct, candidates = _fold(
+            sl, query.s, tables.packed(sl.layout) if tables else None)
+        span.add("candidates", len(candidates))
+    if budget is not None and budget.checkpoint("merge", distinct, distinct):
+        return distinct, 0, True
+    total, unpack, halted = len(candidates), sl.layout.unpack, False
+    before = len(nodes)
     with tracer.span("evaluate") as span:
-        for processed, dewey in enumerate(candidates):
-            if budget is not None and budget.checkpoint(
-                    "prob", processed, len(candidates)):
-                halted = True
+        for processed, (node, union, probability) in enumerate(candidates):
+            halted = budget is not None and (
+                budget.checkpoint("prob", processed, total)
+                or not budget.admit_node(len(nodes), total))
+            if halted:
                 break
-            if budget is not None and not budget.admit_node(
-                    len(nodes), len(candidates)):
-                halted = True
-                break
-            if dist is None:
-                probability = 1.0
-            else:
-                tail = sum(share for mask, share in dist[dewey].items()
-                           if _popcount(mask) >= need)
-                probability = tables.existence(dewey) * tail
             if probability < threshold:
                 continue
-            mask = union[dewey]
-            matched = tuple(kw for bit, kw in enumerate(keywords)
-                            if mask >> bit & 1)
+            matched = tuple(keyword for bit, keyword
+                            in enumerate(query.keywords) if union >> bit & 1)
             nodes.append(RankedNode(
-                dewey=dewey, score=probability,
-                distinct_keywords=_popcount(mask),
-                matched_keywords=matched, is_lce=False,
-                estimated_keywords=_popcount(mask),
+                dewey=unpack(node), score=probability,
+                distinct_keywords=len(matched), matched_keywords=matched,
+                is_lce=False, estimated_keywords=len(matched),
                 probability=probability))
-        span.add("emitted", len(nodes))
-    return nodes, halted
+        span.add("emitted", len(nodes) - before)
+    return distinct, total, halted
 
 
 def probabilistic_search(index: GKSIndex, query: Query,
                          tables: ProbTables, *, threshold: float = 0.0,
-                         budget: SearchBudget | None = None,
-                         tracer=None,
+                         budget: SearchBudget | None = None, tracer=None,
                          registry: MetricsRegistry | None = None
                          ) -> GKSResponse:
-    """Run one probabilistic-mode query and return the ranked response.
-
-    *tables* are the corpus's p-document tables
-    (:func:`repro.semantics.pdoc.compile_tables`); empty tables make the
-    corpus fully deterministic — every candidate gets probability 1.
-    Their keys are global Dewey ids, so sharded indexes are evaluated
-    shard by shard against the one table (documents live whole in one
-    shard, so per-shard results merge by concatenation) under the
-    shared *budget*.
-    """
-    if tracer is None:
-        tracer = NOOP_TRACER
-    if registry is None:
-        registry = global_registry()
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigError(
-            f"probability threshold {threshold!r} outside [0, 1]")
-    clock = tracer.clock
+    """One probabilistic query over *tables*
+    (:func:`repro.semantics.pdoc.compile_tables`).  Their keys are global
+    Dewey ids and a document lives in one unit, so the units' answers,
+    evaluated under the shared *budget*, concatenate."""
+    tracer = NOOP_TRACER if tracer is None else tracer
+    registry = global_registry() if registry is None else registry
     effective = query.with_s(query.effective_s)
     if budget is not None:
         budget.start()
-
-    counters = {"postings": 0, "candidates": 0}
+    postings = evaluated = 0
     nodes: list[RankedNode] = []
     with tracer.span("prob_search", query=" ".join(effective.keywords),
                      s=effective.s, threshold=threshold) as root:
-        started = clock()
+        started = tracer.clock()
         units = units_of(index)
         unit_tracer = tracer if len(units) > 1 else NOOP_TRACER
         for shard_id, unit in units:
             with unit_tracer.span("shard", shard=shard_id):
-                part, halted = _evaluate_index(
+                distinct, candidates, halted = _evaluate(
                     unit, effective, tables, threshold, budget, tracer,
-                    counters)
-            nodes.extend(part)
+                    nodes)
+            postings += distinct
+            evaluated += candidates
             if halted:
                 break
         nodes.sort(key=lambda node: (-node.score, node.dewey))
-        finished = clock()
+        seconds = tracer.clock() - started
         root.set(mode="probabilistic", emitted=len(nodes))
 
-    seconds = finished - started
-    registry.counter(
-        "gks_semantics_searches_total",
-        help="Searches served by the repro.semantics subsystem."
-    ).inc(labels={"mode": "probabilistic"})
-    registry.counter(
-        "gks_semantics_prob_candidates_total",
-        help="Candidate nodes evaluated by probabilistic search."
-    ).inc(counters["candidates"])
-    registry.histogram(
-        "gks_semantics_seconds",
-        help="Wall time of semantics-mode searches."
-    ).observe(seconds, labels={"mode": "probabilistic"})
-
+    mode = {"mode": "probabilistic"}
+    registry.counter("gks_semantics_searches_total", help="Searches served "
+                     "by the repro.semantics subsystem.").inc(labels=mode)
+    registry.counter("gks_semantics_prob_candidates_total", help="Candidate "
+                     "nodes evaluated by probabilistic search.").inc(evaluated)
+    registry.histogram("gks_semantics_seconds", help="Wall time of "
+                       "semantics-mode searches.").observe(seconds,
+                                                           labels=mode)
     return respond(effective, nodes, budget, root,
                    semantics=SemanticsInfo(mode="probabilistic",
                                            threshold=threshold),
                    total_seconds=seconds, rank_seconds=seconds,
-                   postings_scanned=counters["postings"],
-                   mode="probabilistic",
-                   semantics_candidates=counters["candidates"])
+                   postings_scanned=postings, mode="probabilistic",
+                   semantics_candidates=evaluated)

@@ -235,9 +235,8 @@ class GKSRequestHandler(BaseHTTPRequestHandler):
             payload["serve"] = _serve_envelope(response)
             return payload
 
-        # bad queries and mode-capability mismatches (asking a strict
-        # server for probabilistic results) are the client's fault; the
-        # rest are ours
+        # bad queries, options and modes are the client's fault; the rest
+        # are ours
         self._answer(work, (QueryError, ValidationError, ConfigError),
                      headers={"X-Request-Id": rid})
 

@@ -298,9 +298,8 @@ class TestQueryStats:
         ({}, "karen mike", None, 3),
         ({"shards": 2}, "karen mike", None, 3),
         ({"mode": "probabilistic"}, "karen mike", "probabilistic", None),
-        ({}, "karen papaya", "relaxed", None),
     ], ids=["mono", "sharded", "degraded", "sharded-degraded",
-            "probabilistic", "relaxed"])
+            "probabilistic"])
     def test_one_account_per_answer(self, config, query, mode, max_sl):
         """Whether an answer is degraded is one fact, read off the budget
         once; a sharded answer's per-unit |SL| adds up to its own."""

@@ -12,7 +12,7 @@ from repro.core.query import Query
 from repro.core.ranking import (RankBreakdown, keyword_occurrences,
                                 rank_by_keyword_count, rank_node,
                                 received_potential, terminal_points)
-from repro.core.results import RankedNode, RelaxationStep
+from repro.core.results import RankedNode
 from repro.core.search import search
 from repro.index.builder import build_index
 from repro.index.composite import CompositeIndex
@@ -317,7 +317,7 @@ class TestRecordContract:
             breakdown=breakdown)
         assert twin == node and hash(twin) == hash(node)
         assert repr(twin) == repr(node)
-        assert node.probability is None and node.relaxation is None
+        assert node.probability is None
 
     def test_fields_are_frozen(self, node):
         with pytest.raises(FrozenInstanceError):
@@ -332,13 +332,11 @@ class TestRecordContract:
         assert repr(bare) == repr(node)
 
     def test_replace_keeps_every_other_field(self, node):
-        step = RelaxationStep(op="drop", source="b", replacement=None,
-                              keywords=("a",), penalty=1.0)
-        relaxed = replace(node, relaxation=step)
-        assert relaxed.relaxation is step
-        assert relaxed.breakdown is node.breakdown
-        assert relaxed != node
-        assert replace(relaxed, relaxation=None) == node
+        weighted = replace(node, probability=0.5)
+        assert weighted.probability == 0.5
+        assert weighted.breakdown is node.breakdown
+        assert weighted != node
+        assert replace(weighted, probability=None) == node
 
     def test_keyword_construction_defaults(self):
         node = RankedNode(dewey=(9, 9), score=1.0, distinct_keywords=1,

@@ -4,9 +4,9 @@ label-path rows, filled from the element stream: serving builds no tree.
 The bar: for every kind of document — checked texts (a fresh open, an
 ``index_path`` cache, a recovered store), salvaged and replicated
 trees, either ``attributes_as_children`` — the rows equal
-``XMLNode.tag`` / ``XMLNode.tag_path()``; an id the repository does not
-hold renders no tag; and the relaxed mode's vocabulary, read from the
-same stream, equals the pairwise oracle.
+``XMLNode.tag`` / ``XMLNode.tag_path()``; and an id the repository does
+not hold renders no tag.  The probabilistic mode's tables, derived from
+the corpus, read each document once however the corpus grows.
 """
 
 from __future__ import annotations
@@ -21,16 +21,13 @@ import urllib.request
 import pytest
 
 from repro import cli
-from repro.baselines.relaxation import _pairwise_vocabulary
 from repro.core.config import EngineConfig, Texts
 from repro.core.engine import GKSEngine
 from repro.core.export import node_to_dict, response_to_dict
-from repro.datasets.registry import dataset_names, load_dataset
+from repro.datasets.registry import load_dataset
 from repro.obs.metrics import MetricsRegistry, global_registry
-from repro.semantics.pdoc import extract_pdoc
-from repro.semantics.relax import relaxation_vocabulary
+from repro.semantics.pdoc import compile_tables, extract_pdoc
 from repro.serve import ServeConfig, ServerCore, serve_http
-from repro.text.analyzer import DEFAULT_ANALYZER
 from repro.xmltree.dewey import parse_dewey
 from repro.xmltree.repository import (Repository, TextCheck,
                                       ingest_document)
@@ -150,14 +147,6 @@ class TestServingBuildsNoTree:
         assert "node(s) for" in capsys.readouterr().out
         assert _trees_built() == trees
 
-    def test_relaxed_search_over_texts_builds_no_tree(self):
-        engine = GKSEngine.open(Texts(_texts()))
-        trees = _trees_built()
-        response = engine.search("graph zzzunseen", s=2, mode="relaxed")
-        assert response.semantics.relaxed and response.nodes
-        assert _trees_built() == trees
-        assert not any(document.parsed for document in engine.repository)
-
 
 # ---------------------------------------------------------------------------
 # the rows equal the tree, for every kind of document
@@ -233,40 +222,8 @@ class TestRowsEqualTheTree:
 
 
 # ---------------------------------------------------------------------------
-# the relaxed mode's vocabulary
+# the probabilistic mode's tables
 # ---------------------------------------------------------------------------
-def _non_empty(mapping) -> dict:
-    return {key: set(terms) for key, terms in mapping.items() if terms}
-
-
-@pytest.mark.parametrize("as_children", [True, False])
-@pytest.mark.parametrize("name", dataset_names())
-def test_stream_vocabulary_equals_the_pairwise_oracle(name, as_children):
-    repository = _checked(_texts(name, attributes=True), as_children)
-    vocabulary = relaxation_vocabulary(repository, DEFAULT_ANALYZER)
-    assert not any(document.parsed for document in repository)
-    tag_parents, siblings = _pairwise_vocabulary(repository,
-                                                 DEFAULT_ANALYZER)
-    assert _non_empty(vocabulary.tag_parents) == _non_empty(tag_parents)
-    assert _non_empty(vocabulary.siblings) == _non_empty(siblings)
-
-
-def test_vocabulary_reads_each_document_once():
-    texts = _texts()
-    engine = GKSEngine.open(Texts(texts[:3]))
-    engine.search("graph zzzunseen", s=2, mode="relaxed")
-    documents = engine._derived_parts[relaxation_vocabulary]
-    parts = dict(documents)
-    for text in texts[3:]:
-        engine.add_document(text)
-    engine.search("graph zzzunseen", s=2, mode="relaxed")
-    assert sorted(documents) == list(range(len(texts)))
-    assert all(documents[doc_id] is part for doc_id, part in parts.items())
-    merged = relaxation_vocabulary(_checked(texts, True), DEFAULT_ANALYZER)
-    assert engine._corpus_derived(relaxation_vocabulary,
-                                  DEFAULT_ANALYZER) == merged
-
-
 P_TEXTS = ['<r><s p:type="IND"><i p:p="0.5">apple</i><i>pear</i></s></r>',
            '<r><s p:type="MUX"><i p:p="0.4">apple</i>'
            '<i p:p="0.6">fig</i></s></r>',
@@ -294,6 +251,23 @@ def test_tables_extract_each_document_once(monkeypatch):
         for _ in range(2):
             engine.search("apple fig", mode="probabilistic")
     assert sorted(extracted) == list(range(len(P_TEXTS)))
+
+
+def test_derived_parts_read_each_document_once():
+    """The per-document parts outlive generations: a grown corpus
+    derives only its new documents, and the tables equal a fresh
+    compile of the whole corpus."""
+    engine = GKSEngine.open(Texts(P_TEXTS[:1]))
+    engine.search("apple", mode="probabilistic")
+    documents = engine._derived_parts[compile_tables]
+    parts = dict(documents)
+    for text in P_TEXTS[1:]:
+        engine.add_document(text)
+    engine.search("apple", mode="probabilistic")
+    assert sorted(documents) == list(range(len(P_TEXTS)))
+    assert all(documents[doc_id] is part for doc_id, part in parts.items())
+    assert engine._corpus_derived(compile_tables) == compile_tables(
+        _checked(P_TEXTS, True))
 
 
 def test_probabilistic_add_document_defers_extraction(monkeypatch):

@@ -1,8 +1,8 @@
-"""The wire does not move: what five kinds of answer print, against a
+"""The wire does not move: what four kinds of answer print, against a
 recorded golden (``tests/golden/wire.json``).
 
-For a strict monolithic, a strict two-shard, a budget-degraded, a
-probabilistic and a relaxed answer this pins ``response_to_dict`` (the
+For a strict monolithic, a strict two-shard, a budget-degraded and a
+probabilistic answer this pins ``response_to_dict`` (the
 ``/search`` body), ``QueryStats.to_dict()``/``render()`` and the header
 line of ``gks search``, with every timing zeroed.  Regenerate the golden
 only for an intended wire change::
@@ -50,8 +50,6 @@ CASES = {
     "probabilistic": ({"mode": "probabilistic", "threshold": 0.1},
                       "apple banana", 2, None,
                       ["--mode", "probabilistic", "--threshold", "0.1"]),
-    "relaxed": ({"mode": "relaxed"}, "apple papaya", 2, None,
-                ["--mode", "relaxed"]),
 }
 
 
