@@ -8,7 +8,10 @@
 # `check-index --deep` must find
 # the store clean.  Finish with a SIGTERM and require a clean drain, then
 # rewrite the store's segments at gzip level 9 (an old store), recover it
-# and deep-check it again.
+# and deep-check it again.  Last, a second store (--compact-segments 3)
+# is fed until an automatic compaction merges a size tier: the
+# generation-1 segment must still be in its MANIFEST, and the same
+# SIGKILL recovery and deep audit run over it.
 #
 # Usage:  bash scripts/smoke_durability.sh
 set -euo pipefail
@@ -27,9 +30,9 @@ trap cleanup EXIT
 
 boot_server() {
     local log="$1"
+    shift
     python -m repro serve "$WORKDIR"/figure2a_0.xml \
-        --port 0 --serve-workers 2 \
-        --store "$STORE" --memtable-docs 3 --compact-segments 2 \
+        --port 0 --serve-workers 2 --store "$STORE" "$@" \
         >"$log" 2>&1 &
     SERVER_PID=$!
     for _ in $(seq 1 50); do
@@ -47,7 +50,7 @@ echo "== generate toy corpus =="
 python -m repro dataset figure2a -o "$WORKDIR"
 
 echo "== boot gks serve over a fresh segmented store =="
-boot_server "$WORKDIR/serve1.log"
+boot_server "$WORKDIR/serve1.log" --memtable-docs 3 --compact-segments 2
 echo "serving on $BASE (store: $STORE)"
 curl -fsS "$BASE/healthz"
 echo
@@ -92,7 +95,7 @@ grep -q '"durable": true' "$WORKDIR/post.straggler" || {
     echo "FAIL: straggler POST was not acknowledged" >&2; exit 1; }
 
 echo "== restart on the same store: recovery must be lossless =="
-boot_server "$WORKDIR/serve2.log"
+boot_server "$WORKDIR/serve2.log" --memtable-docs 3 --compact-segments 2
 echo "recovered server on $BASE"
 curl -fsS "$BASE/search?q=smoketest" >"$WORKDIR/recovered.json"
 grep -q '"nodes"' "$WORKDIR/recovered.json" || {
@@ -175,6 +178,63 @@ engine.close()
 assert len(hits) >= posted, f"level-9 store lost documents: {len(hits)} hits"
 print(f"level-9 store recovered: {len(hits)} hit(s)")
 EOF
+python -m repro check-index "$STORE" --deep
+
+echo "== a tiered compaction keeps the generation-1 segment =="
+# memtable 2, tier of 3: three flushes of two small documents each fill
+# the tier beside the heavier base, which the compaction must not touch
+STORE="$WORKDIR/tiered"
+TIERED_FLAGS=(--memtable-docs 2 --compact-segments 3)
+boot_server "$WORKDIR/serve3.log" "${TIERED_FLAGS[@]}"
+TIERED=6
+for n in $(seq 1 "$TIERED"); do
+    curl -fsS -X POST "$BASE/documents" \
+        -H 'Content-Type: application/json' \
+        -d "{\"text\": \"<dblp><article><title>tiered $n</title><author>tieredsmoke</author></article></dblp>\", \"name\": \"tiered$n.xml\"}" \
+        >"$WORKDIR/tiered.$n"
+    grep -q '"durable": true' "$WORKDIR/tiered.$n" || {
+        echo "FAIL: tiered POST $n was not acknowledged" >&2; exit 1; }
+done
+python - "$STORE" "$TIERED" <<'EOF'
+import sys
+from repro.index.segments import read_manifest
+
+manifest = read_manifest(sys.argv[1])
+tiered = int(sys.argv[2])
+runs = [(record.generation, record.doc_ids) for record in manifest.segments]
+assert [gen for gen, _ in runs].count(1) == 1, \
+    f"the generation-1 segment was rewritten: {runs}"
+assert any(len(doc_ids) == tiered for _, doc_ids in runs), \
+    f"no tier of {tiered} documents was compacted: {runs}"
+print(f"segments (generation, documents): {runs}")
+EOF
+curl -fsS -X POST "$BASE/documents" \
+    -H 'Content-Type: application/json' \
+    -d '{"text": "<dblp><article><title>tiered straggler</title><author>tieredsmoke</author></article></dblp>", "name": "tiered-straggler.xml"}' \
+    >"$WORKDIR/tiered.straggler"
+grep -q '"durable": true' "$WORKDIR/tiered.straggler" || {
+    echo "FAIL: tiered straggler POST was not acknowledged" >&2; exit 1; }
+kill -9 "$SERVER_PID"
+wait "$SERVER_PID" 2>/dev/null || true
+SERVER_PID=""
+boot_server "$WORKDIR/serve4.log" "${TIERED_FLAGS[@]}"
+curl -fsS "$BASE/search?q=tieredsmoke" >"$WORKDIR/tiered.json"
+python - "$WORKDIR/tiered.json" "$TIERED" <<'EOF'
+import json, sys
+nodes = json.load(open(sys.argv[1]))["nodes"]
+documents = {int(node["dewey"].split(".")[0]) for node in nodes}
+expected = set(range(1, int(sys.argv[2]) + 2))
+assert documents == expected, \
+    f"recovered tiered store answers over documents {sorted(documents)}"
+print(f"tiered store recovered: documents {sorted(documents)} answer")
+EOF
+kill -TERM "$SERVER_PID"
+STATUS=0
+wait "$SERVER_PID" || STATUS=$?
+SERVER_PID=""
+[ "$STATUS" -eq 0 ] || {
+    echo "FAIL: recovered tiered server exited with status $STATUS" >&2
+    cat "$WORKDIR/serve4.log" >&2; exit 1; }
 python -m repro check-index "$STORE" --deep
 
 echo "smoke_durability OK"

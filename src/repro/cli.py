@@ -67,8 +67,10 @@ _CONFIG_FLAGS = {
                         "pending documents that trigger an automatic "
                         "flush"),
     "--compact-segments": ("compact_segments", None,
-                           "per-shard segment runs that trigger "
-                           "automatic compaction"),
+                           "runs in a shard's newest size tier that "
+                           "trigger an automatic compaction of that tier "
+                           "(runs no heavier than the newer ones it "
+                           "holds; /admin/compact still merges all)"),
     "--mode": ("mode", MODES,
                "default query semantics: exact matching (strict), "
                "p-document probability scoring (probabilistic; tables "

@@ -254,9 +254,15 @@ class EngineConfig:
         shard (written as a new on-disk segment when ``store_path`` is
         set; governs store-less engines too).
     compact_segments:
-        Auto-compaction threshold — after a flush, any shard whose run
-        chain reaches this length is merged down to one run (replacing
-        its segments on disk when ``store_path`` is set).
+        Auto-compaction threshold — after a flush, any shard whose
+        newest *size tier* holds this many runs has that tier merged
+        into one run (replacing those segments on disk when
+        ``store_path`` is set).  The tier is the newest two runs of the
+        shard's chain, grown backwards while the next older run has no
+        more nodes than the tier holds, so a heavy base or earlier
+        merge is not rewritten until the newer runs outweigh it.
+        An explicit ``GKSEngine.compact()`` still merges every chain
+        down to one run.
     codec:
         On-disk representation of every index file the engine
         writes — the ``index_path`` cache *and* the segments of a

@@ -16,9 +16,11 @@ a memtable of one-document units, all document-disjoint in the sense of
   :class:`~repro.index.composite.CompositeIndex` per shard (the bare
   unit when a shard is a single run), wrapped in a
   :class:`~repro.index.sharding.ShardedIndex` for scatter-gather.
-* **merge** — the memtable into one run per shard (a flush), a chain
-  into one run (a compaction).  Merging happens here, on the in-memory
-  units; the store only persists the finished runs.
+* **merge** — the memtable into one run per shard (a flush), the
+  newest size tier of a chain into one run (an automatic compaction,
+  :func:`tier_start`) or every chain whole (an explicit one).  Merging
+  happens here, on the in-memory units; the store only persists the
+  finished runs.
 * **open / recover** — every open reads its source (:func:`read_source`)
   and builds the base index (:func:`build_index`) unless an index file
   (:func:`cached_index`) or a store serves it.  No manifest yet: build
@@ -159,6 +161,35 @@ def pending_document(document: XMLDocument, text: str, lsn: int | None,
         shard_id=shard_of(document.doc_id, document.name, config.shards,
                           config.shard_strategy),
         name=document.name, text=text, unit=unit)
+
+
+def tier_start(sizes: Sequence[int]) -> int:
+    """Where the newest size tier of a chain of runs weighing *sizes*
+    (oldest first) starts: the newest two runs, grown backwards while the
+    next older run weighs no more than the tier already holds.  A
+    compaction merges ``chain[tier_start(sizes):]``, so a run heavier
+    than everything after it — the base corpus, an earlier merge — stays
+    as it is until the newer runs outweigh it (size-tiered merging: each
+    record is rewritten O(log n) times, not once per compaction)."""
+    start = max(len(sizes) - 2, 0)
+    held = sum(sizes[start:])
+    while start and sizes[start - 1] <= held:
+        start -= 1
+        held += sizes[start]
+    return start
+
+
+def compaction_start(sizes: Sequence[int], compact_segments: int) -> int:
+    """Where an automatic compaction of a chain weighing *sizes* starts:
+    at the newest tier once it holds *compact_segments* runs — moved
+    back while the run that tier merges into fills the next older tier,
+    so a cascade is one merge — or ``len(sizes)`` when no tier is full."""
+    sizes = list(sizes)
+    start = len(sizes)
+    while len(sizes) - (tier := tier_start(sizes)) >= compact_segments:
+        start = tier
+        sizes[tier:] = [sum(sizes[tier:])]
+    return start
 
 
 def _merge_runs(runs: Sequence[Run]) -> Run:
@@ -302,14 +333,27 @@ class WritePath:
     def flush_due(self) -> bool:
         return len(self.pending) >= self.memtable_docs
 
-    def compaction_due(self) -> bool:
-        return any(len(chain) >= self.compact_segments
-                   for chain in self.chains.values())
+    def tiers(self) -> dict[int, int]:
+        """Per shard whose newest size tier (:func:`tier_start`, runs
+        weighed by ``stats.total_nodes``) holds ``compact_segments`` runs
+        or more: where in its chain the automatic compaction starts
+        (:func:`compaction_start`)."""
+        starts = {}
+        for shard_id, chain in self.chains.items():
+            start = compaction_start(
+                [unit.stats.total_nodes for _, unit in chain],
+                self.compact_segments)
+            if start < len(chain):
+                starts[shard_id] = start
+        return starts
 
     def merge(self, operation: str, publish: Callable[[], None],
-              registry: MetricsRegistry) -> tuple[Span | None, set[int]]:
+              registry: MetricsRegistry,
+              starts: dict[int, int] | None = None
+              ) -> tuple[Span | None, set[int]]:
         """One ``"flush"`` (the memtable into one run per shard) or
-        ``"compact"`` (every multi-run chain into one run).
+        ``"compact"``: per shard in *starts*, ``chain[start:]`` into one
+        run; without *starts*, every multi-run chain whole.
 
         With a store the merged runs are persisted before the chains
         change.  Traced as a root span named *operation* (its
@@ -320,14 +364,16 @@ class WritePath:
         """
         flush = operation == "flush"
         count = len(self.pending)
+        if starts is None:
+            starts = {shard_id: 0 for shard_id, chain in self.chains.items()
+                      if len(chain) >= 2}
         tracer = Tracer()
         with tracer.span(operation) as span:
             with tracer.span("segments"):
                 with tracer.span("merge"):
                     runs = self._memtable_runs() if flush else {
-                        shard_id: _merge_runs(chain)
-                        for shard_id, chain in sorted(self.chains.items())
-                        if len(chain) >= 2}
+                        shard_id: _merge_runs(self.chains[shard_id][start:])
+                        for shard_id, start in sorted(starts.items())}
                 if self.store is not None:
                     if flush:
                         self.store.flush(self.pending, runs, tracer)
@@ -337,7 +383,7 @@ class WritePath:
                 if flush:
                     self.chains.setdefault(shard_id, []).append(run)
                 else:
-                    self.chains[shard_id] = [run]
+                    self.chains[shard_id][starts[shard_id]:] = [run]
             if flush:
                 self.pending = []
             if runs:

@@ -578,9 +578,10 @@ class GKSEngine:
         recovery shares) and published in a new immutable serving
         snapshot, so in-flight searches finish on the one they captured.
         The document keeps its text; its tree is built on first read.
-        Crossing ``memtable_docs`` pending documents flushes (and past
-        ``compact_segments`` runs per shard compacts) inside the same
-        mutation hold.
+        Crossing ``memtable_docs`` pending documents flushes inside the
+        same mutation hold, and a shard whose newest size tier then
+        holds ``compact_segments`` runs merges that tier (not its whole
+        chain: a heavier base stays on disk as it is).
 
         The response cache is cleared — the repository has grown, so any
         cached response may be stale — and the returned info dict
@@ -640,8 +641,9 @@ class GKSEngine:
         """Flush the memtable to an immutable on-disk segment.
 
         No-op (``{"flushed": 0, ...}``) when nothing is pending.  After
-        the flush, any shard whose segment chain reached
-        ``config.compact_segments`` is compacted.  Raises
+        the flush, any shard whose newest size tier holds
+        ``config.compact_segments`` runs has that tier compacted
+        (:meth:`~repro.core.durable.WritePath.tiers`).  Raises
         :class:`~repro.errors.StorageError` on a non-durable engine.
         """
         with self._mutation_lock:
@@ -654,7 +656,8 @@ class GKSEngine:
                     **writes.store_generation()}
 
     def compact(self) -> dict:
-        """Merge multi-run shards down to one segment each.
+        """Merge multi-run shards down to one segment each — every
+        chain whole, whatever its size tiers.
 
         Returns the shards compacted (possibly none).  Raises
         :class:`~repro.errors.StorageError` on a non-durable engine.
@@ -672,15 +675,18 @@ class GKSEngine:
             self._writes.close()
 
     def _flush_locked(self) -> None:
-        """Merge the memtable into one run per shard, then compact every
-        chain that reached ``compact_segments``; caller holds the
-        mutation lock.  With a store the runs are persisted (and the WAL
-        checkpointed) before memory changes."""
+        """Merge the memtable into one run per shard, then, per shard
+        whose newest size tier holds ``compact_segments`` runs, merge
+        that tier (:meth:`~repro.core.durable.WritePath.tiers`); caller
+        holds the mutation lock.  With a store the runs are persisted
+        (and the WAL checkpointed) before memory changes."""
         self._merge_locked("flush")
-        if self._writes.compaction_due():
-            self._merge_locked("compact")
+        tiers = self._writes.tiers()
+        if tiers:
+            self._merge_locked("compact", tiers)
 
-    def _merge_locked(self, operation: str) -> set[int]:
+    def _merge_locked(self, operation: str,
+                      starts: dict[int, int] | None = None) -> set[int]:
         """One flush or compaction by the write path
         (:meth:`~repro.core.durable.WritePath.merge`), published through
         :meth:`_recompose`; its ``flush``/``compact`` root span — the
@@ -690,7 +696,7 @@ class GKSEngine:
         / ``gks_store_compaction_seconds``, so the write path is as
         observable through ``/metrics`` as the query path."""
         root, shards = self._writes.merge(operation, self._recompose,
-                                          self.metrics_registry)
+                                          self.metrics_registry, starts)
         if root is not None:
             self._recent_traces.append(root)
         return shards

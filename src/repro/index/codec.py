@@ -1887,6 +1887,15 @@ def _hash_rows(parse, table: dict) -> dict[Dewey, int]:
     return dict(zip(map(parse, table), table.values()))
 
 
+def _posting_fragment(keyword: str, rendered) -> bytes:
+    """``canonical_json({keyword: list(rendered)})[1:-1]`` in one join:
+    rendered Dewey ids are digits and dots, which JSON quotes as they
+    are, so only the keyword goes through the encoder."""
+    body = '","'.join(rendered)
+    return (f'{json.dumps(keyword)}:["{body}"]' if body
+            else f'{json.dumps(keyword)}:[]').encode()
+
+
 def _seal_payload(shard: DecodedShard, analyzer: dict, render,
                   widths: tuple[int, ...] | None) -> tuple[bytes, int]:
     """One shard's payload as stored JSON, and the CRC32 of its
@@ -1907,8 +1916,7 @@ def _seal_payload(shard: DecodedShard, analyzer: dict, render,
         payload["dewey_widths"] = list(widths)
     parts = {key: canonical_json({key: value})[1:-1]
              for key, value in payload.items()}
-    lists = {keyword: canonical_json(
-                 {keyword: list(map(render, posting_list))})[1:-1]
+    lists = {keyword: _posting_fragment(keyword, map(render, posting_list))
              for keyword, posting_list in shard.postings.items()}
 
     def joined(keywords) -> bytes:

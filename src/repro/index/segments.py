@@ -521,30 +521,25 @@ class SegmentStore:
         ).inc(len(pending))
 
     def compact(self, runs: Mapping[int, Run], tracer=NOOP_TRACER) -> None:
-        """Replace each shard's segment chain in *runs* by its merged run.
+        """Replace, per shard in *runs*, the newest segments its merged
+        run covers by that run.
 
-        Texts sidecars are merged alongside; spans as in :meth:`flush`,
-        plus ``verify`` around the checksum pass.  Every replaced segment
-        is CRC-verified before anything is written, and the replaced files
-        are deleted only *after* the new manifest is durable — a crash
-        anywhere in between leaves orphans for the next open, never a
-        dangling reference.  No-op when there is nothing to replace.
+        A run must cover exactly the documents of a suffix of its
+        shard's chain (segments in document order); older segments stay
+        as they are.  Texts sidecars are merged alongside; spans as in
+        :meth:`flush`, plus ``verify`` around the checksum pass.  Every
+        replaced segment — and no other — is CRC-verified before anything
+        is written, and the replaced files are deleted only *after* the
+        new manifest is durable — a crash anywhere in between leaves
+        orphans for the next open, never a dangling reference.  No-op
+        when there is nothing to replace.
         """
         manifest = self.manifest
         merge_texts = len(manifest.texts) >= 2
         if not runs and not merge_texts:
             return
-        replaced = [record for record in manifest.segments
-                    if record.shard_id in runs]
-        for shard_id, (doc_ids, _) in runs.items():
-            covered = sorted(doc_id for record in replaced
-                             if record.shard_id == shard_id
-                             for doc_id in record.doc_ids)
-            if covered != sorted(doc_ids):
-                raise ValidationError(
-                    f"compaction run of shard {shard_id} covers "
-                    f"documents {sorted(doc_ids)} but its segments hold "
-                    f"{covered}")
+        replaced = [record for shard_id, (doc_ids, _) in sorted(runs.items())
+                    for record in self._suffix(shard_id, doc_ids)]
         with tracer.span("verify"):
             for record in replaced:
                 self._verified(record, "segment")
@@ -564,7 +559,7 @@ class SegmentStore:
             self._commit(
                 generation=generation,
                 segments=tuple(record for record in manifest.segments
-                               if record.shard_id not in runs) + segments,
+                               if record not in replaced) + segments,
                 texts=texts)
             for file_name in stale:
                 try:
@@ -574,6 +569,27 @@ class SegmentStore:
         global_registry().counter(
             "gks_store_compactions_total",
             help="Segment compactions committed to the store.").inc()
+
+    def _suffix(self, shard_id: int, doc_ids) -> list[SegmentRecord]:
+        """The newest segments of *shard_id* whose documents are exactly
+        *doc_ids*; :class:`ValidationError` when no suffix of the chain
+        holds them."""
+        chain = sorted((record for record in self.manifest.segments
+                        if record.shard_id == shard_id),
+                       key=lambda record: min(record.doc_ids))
+        wanted = sorted(doc_ids)
+        start, held = len(chain), 0
+        while start and held < len(wanted):
+            start -= 1
+            held += len(chain[start].doc_ids)
+        suffix = chain[start:]
+        if not wanted or sorted(doc_id for record in suffix
+                                for doc_id in record.doc_ids) != wanted:
+            raise ValidationError(
+                f"compaction run of shard {shard_id} covers documents "
+                f"{wanted} but no suffix of its segments holds them: "
+                f"{[list(record.doc_ids) for record in chain]}")
+        return suffix
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<SegmentStore {self.directory} "

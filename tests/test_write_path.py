@@ -26,11 +26,12 @@ from repro.errors import StorageError
 from repro.index.builder import build_index
 from repro.index.codec import (CODECS, FORMAT_VERSION,
                                FORMAT_VERSION_SHARDED, DecodedIndex,
-                               _Directory, read_uvarint)
+                               _Directory, _posting_fragment, read_uvarint)
 from repro.index.segments import SegmentStore, read_manifest
 from repro.index.sharding import build_sharded_index
-from repro.index.storage import (DEFLATE_LEVEL, check_index, load_index,
-                                 payload_crc32, read_json_gz, save_index)
+from repro.index.storage import (DEFLATE_LEVEL, canonical_json,
+                                 check_index, load_index, payload_crc32,
+                                 read_json_gz, save_index)
 from repro.obs.metrics import global_registry
 from repro.obs.trace import Tracer
 from repro.testing import pdoc_corpus
@@ -161,6 +162,23 @@ class TestWriterOutput:
         loaded = load_index(save_index(index, tmp_path / "idx.gz"))
         assert loaded.document_names == index.document_names
         assert _index_fingerprint(loaded) == _index_fingerprint(index)
+
+    @pytest.mark.parametrize("keyword", [
+        "plain", 'qu"ote', "back\\slash", "ctl\x00\x1f\n\t\x7f",
+        "caf\u00e9", "\u65e5\u672c", "\U0001f600", ""])
+    @pytest.mark.parametrize("ids", [[], ["0"], ["0.1.2", "3", "12.0.7"]],
+                             ids=["empty", "one", "three"])
+    def test_a_posting_fragment_is_its_canonical_json(self, keyword, ids):
+        assert _posting_fragment(keyword, iter(ids)) == \
+            canonical_json({keyword: ids})[1:-1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(keyword=st.text(),
+           ids=st.lists(st.lists(st.integers(0, 10 ** 6), min_size=1,
+                                 max_size=6).map(format_dewey)))
+    def test_any_keyword_and_ids_join_like_the_encoder(self, keyword, ids):
+        assert _posting_fragment(keyword, iter(ids)) == \
+            canonical_json({keyword: ids})[1:-1]
 
     @pytest.mark.parametrize("codec", sorted(CODECS))
     @pytest.mark.parametrize("shards", [1, 2])
