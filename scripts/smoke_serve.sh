@@ -2,8 +2,11 @@
 # Serving smoke test: boot `gks serve` on an ephemeral port over the toy
 # corpus (with an injected per-query delay so requests overlap), fire
 # concurrent duplicate queries, and assert from /metrics that the broker
-# coalesced them onto one in-flight computation.  Then post wrong-typed
-# bodies and require typed 400s (no traceback in the server log).
+# coalesced them onto one in-flight computation.  Send one query twice
+# and require a miss then a hit with byte-identical nodes, both equal to
+# the library's `response_to_dict` dump plus the envelope.  Then post
+# wrong-typed bodies and require typed 400s (no traceback in the server
+# log).
 # Finish with a SIGTERM and require a clean drain.
 #
 # Usage:  bash scripts/smoke_serve.sh
@@ -78,6 +81,47 @@ echo "gks_xmltree_tag_rows_filled_total = ${ROWS:-absent}"
     echo "FAIL: serving built a tree" >&2; exit 1; }
 [ "${ROWS:-0}" -ge 1 ] || {
     echo "FAIL: no document filled its label-path rows" >&2; exit 1; }
+
+echo "== a miss and its hit send the library's bytes =="
+curl -fsS "$BASE/search?q=karen+julie&s=1" >"$WORKDIR/miss.json"
+curl -fsS "$BASE/search?q=karen+julie&s=1" >"$WORKDIR/hit.json"
+python - "$WORKDIR/figure2a_0.xml" "$WORKDIR/miss.json" \
+    "$WORKDIR/hit.json" <<'PY'
+import json
+import sys
+
+from repro import GKSEngine, Paths
+from repro.core.export import response_to_dict
+
+corpus, miss, hit = sys.argv[1], *(open(path, "rb").read()
+                                   for path in sys.argv[2:])
+
+
+def nodes(body: bytes) -> bytes:  # the envelope is the last key
+    return body[body.index(b'"nodes": ['):body.rindex(b', "serve": ')]
+
+
+served = [json.loads(body) for body in (miss, hit)]
+flags = [payload["serve"]["cache_hit"] for payload in served]
+assert flags == [False, True], f"FAIL: cache_hit read {flags}"
+assert nodes(miss) == nodes(hit), "FAIL: the hit's nodes differ in bytes"
+# the library's dict view of the same query, with the served run's
+# timings and envelope, dumps to exactly the bytes sent
+engine = GKSEngine.open(Paths([corpus]))
+library = response_to_dict(engine.search("karen julie", s=1),
+                           engine.repository)
+for body, payload in zip((miss, hit), served):
+    timed = ("seconds", "stages")
+    assert {key: value for key, value in library["profile"].items()
+            if key not in timed} == {
+        key: value for key, value in payload["profile"].items()
+        if key not in timed}, "FAIL: the profile counts differ"
+    expected = json.dumps({**library, "profile": payload["profile"],
+                           "serve": payload["serve"]}).encode("utf-8")
+    assert body == expected, "FAIL: the body is not the library's dump"
+print(f"{len(served[0]['nodes'])} nodes, miss and hit byte-identical "
+      "to the library dump")
+PY
 
 echo "== wrong-typed bodies answer 400 + a JSON type =="
 post_expect_400() {  # route, body

@@ -19,7 +19,10 @@ Routes
     :meth:`SearchOptions.from_mapping`, and the resulting record travels
     to the engine as it is.  Responds with the
     :func:`repro.core.export.response_to_dict` payload plus a ``serve``
-    envelope (degradation report, cache/coalesce provenance).
+    envelope (degradation report, cache/coalesce provenance), written
+    by :func:`repro.core.export.response_to_json`: the same bytes
+    ``json.dumps`` prints for that dict, with each node rendered once
+    and kept on the node, so a cache hit re-renders none.
 ``POST /documents``
     Append one XML document (JSON body ``{"text": "<xml...>",
     "name"?: ...}``) through the broker; on a durable engine the write
@@ -58,7 +61,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core.config import SearchOptions
-from repro.core.export import response_to_dict
+from repro.core.export import response_to_json
 from repro.errors import (ConfigError, GKSError, Overloaded, QueryError,
                           SearchTimeout, ValidationError, XMLSyntaxError)
 from repro.serve.core import ServerCore
@@ -91,9 +94,11 @@ class GKSRequestHandler(BaseHTTPRequestHandler):
         return self.server.core  # type: ignore[attr-defined]
 
     # -- plumbing -------------------------------------------------------
-    def _send_json(self, status: int, payload: dict,
+    def _send_json(self, status: int, payload: dict | bytes,
                    headers: dict[str, str] | None = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        """Send *payload*: a dict to dump, or a body already encoded."""
+        body = (payload if isinstance(payload, bytes)
+                else json.dumps(payload).encode("utf-8"))
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -211,7 +216,7 @@ class GKSRequestHandler(BaseHTTPRequestHandler):
         if not _CLIENT_REQUEST_ID.fullmatch(rid):
             rid = self.core.mint_request_id()
 
-        def work() -> dict:
+        def work() -> bytes:
             params = self._params()
             raw = self._pop_text(params, "q", "query")
             # ``{"options": {...}}`` in the body (or a JSON object in the
@@ -230,10 +235,9 @@ class GKSRequestHandler(BaseHTTPRequestHandler):
             options = SearchOptions.from_mapping(tuning) if tuning else None
             response = self.core.search(raw, options=options,
                                         request_id=rid)
-            payload = response_to_dict(
-                response, repository=self.core.engine.repository)
-            payload["serve"] = _serve_envelope(response)
-            return payload
+            return response_to_json(
+                response, self.core.engine.repository,
+                {"serve": _serve_envelope(response)})
 
         # bad queries, options and modes are the client's fault; the rest
         # are ours
