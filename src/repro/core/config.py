@@ -43,6 +43,17 @@ class Paths(tuple):
         return super().__new__(cls, tuple(items))
 
 
+def checked_replace(record, overrides: dict):
+    """A copy of the frozen config *record* with *overrides* applied
+    (re-validated by its ``__post_init__``); a name that is not one of
+    its fields raises :class:`ConfigError` instead of being ignored."""
+    unknown = set(overrides) - {f.name for f in fields(record)}
+    if unknown:
+        raise ConfigError(f"unknown {type(record).__name__} field(s): "
+                          f"{sorted(unknown)}")
+    return replace(record, **overrides)
+
+
 def _default_ranker() -> Callable:
     from repro.core.ranking import rank_node
 
@@ -200,12 +211,7 @@ class SearchOptions:
 
     def replace(self, **overrides) -> "SearchOptions":
         """A copy with *overrides* applied (re-validated)."""
-        known = {f.name for f in fields(self)}
-        unknown = set(overrides) - known
-        if unknown:
-            raise ConfigError(
-                f"unknown SearchOptions field(s): {sorted(unknown)}")
-        return replace(self, **overrides)
+        return checked_replace(self, overrides)
 
 
 @dataclass(frozen=True)
@@ -341,12 +347,7 @@ class EngineConfig:
 
     def replace(self, **overrides) -> "EngineConfig":
         """A copy with *overrides* applied (re-validated)."""
-        known = {f.name for f in fields(self)}
-        unknown = set(overrides) - known
-        if unknown:
-            raise ConfigError(
-                f"unknown EngineConfig field(s): {sorted(unknown)}")
-        return replace(self, **overrides)
+        return checked_replace(self, overrides)
 
 
 class SearchRequest(NamedTuple):

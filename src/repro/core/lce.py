@@ -9,11 +9,11 @@ in creation order:
   that (nearest) entity — its LCE candidate;
 * when an entity is first added, its independent witness is located at the
   block boundaries ``p1``/``p2`` (Lemma 4); we additionally fall back to a
-  block scan for robustness, and record the witness Dewey id;
-* when a *descendant* entity is added later and swallows an ancestor's
-  witness, the ancestor is evicted (Lemma 5's maintenance) — it may return
-  if a later block supplies a fresh independent witness;
-* ancestors that keep their witness get their statistics updated ("Update
+  block scan for robustness, and record the witness Dewey id.  That is the
+  entity's only witness test: a witness is independent against the whole
+  entity table, so no entity added later can hold it in its subtree, and
+  Lemma 5's maintenance has nothing to do;
+* entity ancestors in the LCE list get their statistics updated ("Update
   LCE node (e)" in Fig. 6).
 
 An LCP entry with no entity ancestor-or-self is kept as *unmapped* ("there
@@ -58,9 +58,9 @@ class LCEResult:
 
     layout: DeweyLayout = field(default_factory=DeweyLayout)
     lce: dict[int, LCEInfo] = field(default_factory=dict)
-    #: Entity candidates that turned out not to be LCE nodes (no
-    #: independent witness was ever found, or a descendant swallowed it) —
-    #: their *mapped LCP candidates* fall back into the response pool:
+    #: Entity candidates that turned out not to be LCE nodes (their
+    #: creating block held no independent witness) — their *mapped LCP
+    #: candidates* fall back into the response pool:
     #: §4.2 treats them as LCP nodes "for which no corresponding LCE node
     #: exists".
     rejected: dict[int, LCEInfo] = field(default_factory=dict)
@@ -116,7 +116,7 @@ class LCEResult:
 def discover_lce(lcp: LCPList, sl: MergedList,
                  index: GKSIndex,
                  budget: SearchBudget | None = None) -> LCEResult:
-    """Map LCP entries to LCE nodes with witness maintenance.
+    """Map LCP entries to LCE nodes, each witnessed by its creating block.
 
     With a budget the walk polls the deadline between LCP entries and
     stops early when it trips; already-discovered LCE nodes are kept.
@@ -139,7 +139,6 @@ def discover_lce(lcp: LCPList, sl: MergedList,
     bits = sl.keyword_bits
     inner = layout.inner_mask
     parent_masks = layout.lcp_masks  # by (v & -v).bit_length()
-    level_of_bit, shifts = layout.level_of_bit, layout.shifts
     base = lcp.s - 1  # an entry's estimate is base + its counter
 
     def independent_witness(candidate: int, left: int,
@@ -150,8 +149,7 @@ def discover_lce(lcp: LCPList, sl: MergedList,
         entity ancestor-or-self is *candidate* itself (no deeper entity
         contains it).  Lemma 4 says checking the block boundaries
         suffices; we scan from the left boundary so the smallest
-        qualifying Dewey id is returned, which is also what the eviction
-        rule needs.
+        qualifying Dewey id is returned.
         """
         for position in range(left, right + 1):
             occurrence = sl[position] >> bits
@@ -187,43 +185,28 @@ def discover_lce(lcp: LCPList, sl: MergedList,
             unmapped[candidate] = (base + counter if previous is None
                                    else previous + counter)
             continue
-        left, right = entry.first_left, entry.first_right
-        # a creating block that is the entry's own occurrence alone (all
-        # at s = 1) needs no scan: it witnesses `entity` and nothing else
-        alone = left == right and sl[left] >> bits == dewey
-
         info = lce.get(entity)
         if info is None:
-            info = rejected.pop(entity, None)
-            if info is not None:
-                # the entity lost its witness earlier; a new block can
-                # re-establish it ("e can come back in LCE list", §4.2)
-                info.witness = (dewey if alone else independent_witness(
-                    entity, left, right))
-                info.estimated_keywords += counter
-                info.candidates.append(candidate)
-                if info.witness is None:
-                    rejected[entity] = info
-                    continue
-                lce[entity] = info
-            else:
-                # First block for this entity: s + counter − 1 keywords
-                # (Example 4: did.0.1 enters with 2, did.0.1.1.0 with 3).
-                lce[entity] = LCEInfo(
-                    entity, dewey if alone else independent_witness(
-                        entity, left, right), base + counter, [candidate])
+            # First block for this entity: its one witness test, and
+            # s + counter − 1 keywords (Example 4: did.0.1 enters with 2,
+            # did.0.1.1.0 with 3).  A creating block that is the entry's
+            # own occurrence alone (all at s = 1) needs no scan: it
+            # witnesses `entity` and nothing else.
+            left, right = entry.first_left, entry.first_right
+            witness = (dewey if left == right and sl[left] >> bits == dewey
+                       else independent_witness(entity, left, right))
+            lce[entity] = LCEInfo(entity, witness, base + counter,
+                                  [candidate])
         else:
             # Another LCP entry mapped to the same entity: its blocks each
             # contribute one further keyword occurrence to the estimate.
             info.estimated_keywords += counter
             info.candidates.append(candidate)
 
-        # Fig. 6 for the entity ancestors in the LCE list, hopping from
-        # entity to entity: one whose witness the entity's subtree
-        # swallowed is re-witnessed from this block or evicted (Lemma 5);
-        # a survivor's estimate grows by this entry's blocks (Example 4:
-        # did.0.1 grows to 4 as did.0.1.1.0's two blocks are filed).
-        end = 0  # the first id after subtree(entity), once it is needed
+        # Fig. 6's "Update LCE node (e)" for the entity ancestors in the
+        # LCE list, hopping from entity to entity: each estimate grows by
+        # this entry's blocks (Example 4: did.0.1 grows to 4 as
+        # did.0.1.1.0's two blocks are filed).
         ancestor = entity
         while ancestor & inner:
             parent = ancestor & parent_masks[(ancestor & -ancestor)
@@ -234,21 +217,8 @@ def discover_lce(lcp: LCPList, sl: MergedList,
             if ancestor is None:
                 break
             info = lce.get(ancestor)
-            if info is None:
-                continue
-            witness = info.witness
-            if witness is not None and witness >= entity:
-                if not end:
-                    end = entity + (1 << shifts[level_of_bit[
-                        (entity & -entity & inner).bit_length()]])
-                if witness < end:
-                    replacement = None if alone else independent_witness(
-                        ancestor, left, right)
-                    if replacement is None:
-                        rejected[ancestor] = lce.pop(ancestor)
-                        continue
-                    info.witness = replacement
-            info.estimated_keywords += counter
+            if info is not None:
+                info.estimated_keywords += counter
 
     # Entities that never obtained an independent witness are not LCE
     # nodes by Def 2.2.1: their mapped LCP candidates fall back into the

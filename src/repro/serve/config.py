@@ -8,8 +8,9 @@ silently ignoring them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
+from repro.core.config import checked_replace
 from repro.errors import ConfigError
 
 
@@ -58,9 +59,4 @@ class ServeConfig:
 
     def replace(self, **overrides) -> "ServeConfig":
         """A copy with *overrides* applied (re-validated)."""
-        known = {f.name for f in fields(self)}
-        unknown = set(overrides) - known
-        if unknown:
-            raise ConfigError(
-                f"unknown ServeConfig field(s): {sorted(unknown)}")
-        return replace(self, **overrides)
+        return checked_replace(self, overrides)

@@ -1,13 +1,12 @@
 """Unit tests for LCE discovery with independent witnesses (paper §4.2)."""
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.core.lce import discover_lce
 from repro.core.lcp import compute_lcp_list
 from repro.core.merge import merged_list
 from repro.core.query import Query
+from repro.core.search import search
 from repro.datasets.registry import dataset_names, load_dataset
 from repro.datasets.toy import figure2a
 from repro.index.builder import build_index
@@ -26,6 +25,23 @@ def run_pipeline(index, keywords, s):
 def lce_nodes(index, result) -> set:
     """The LCE nodes of *result* as Dewey tuples (ids are packed)."""
     return set(map(index.layout.unpack, result.lce))
+
+
+def check_witness_rule(index, result) -> None:
+    """Discovery's one witness rule: a surviving LCE node is the nearest
+    entity of its witness (lifted off an attribute node), no survivor's
+    witness lies inside the subtree of another survivor below it, and a
+    rejected entity has no witness."""
+    hashes, layout = index.hashes, index.layout
+    for dewey, info in result.lce.items():
+        lifted = info.witness
+        if lifted & layout.inner_mask and hashes.is_attribute(lifted):
+            lifted = layout.pack(layout.unpack(lifted)[:-1])
+        assert hashes.nearest_entity(lifted) == dewey
+        for other in result.lce:
+            if dewey < other < layout.subtree_end(dewey):
+                assert not other <= info.witness < layout.subtree_end(other)
+    assert all(info.witness is None for info in result.rejected.values())
 
 
 @pytest.fixture(scope="module")
@@ -127,89 +143,43 @@ class TestRegistryWitnesses:
 
     @pytest.mark.parametrize("name", dataset_names())
     def test_witnesses_and_estimates(self, name):
-        """A surviving LCE node is the nearest entity of its witness
-        (lifted off an attribute node) and estimates at least ``s``
-        keywords.
+        """:func:`check_witness_rule` holds, and a surviving LCE node
+        estimates at least ``s`` keywords.
 
-        The estimate is not bounded by the exact distinct count: keywords
-        filed under a descendant entity before the node entered the LCE
-        list never reach its counter (mirrors and treebank have such
-        nodes at s = 1).  And a rejected entity never had a witness: a
-        witness is independent against the whole entity table, so no
-        entity that enters later can hold it in its subtree, and Lemma
-        5's eviction does not fire on an index (``TestLemma5`` drives it
-        through a stale table instead).
+        The estimate is not bounded by the exact distinct count
+        (:class:`TestPaperEstimate`).  A witness is independent against
+        the whole entity table, so no entity that enters later can hold
+        it in its subtree, and the walk needs no Lemma 5 maintenance.
+        ``tests/test_properties.py::test_lce_witness_rule`` checks the
+        same rule on random trees, at every s.
         """
         index = build_index(load_dataset(name))
-        hashes, layout = index.hashes, index.layout
         for keywords in queries(index):
             for s in sorted({1, 2, len(keywords)}):
                 result, _ = run_pipeline(index, keywords, s)
-                for dewey, info in result.lce.items():
-                    witness = info.witness
-                    if witness & layout.inner_mask and hashes.is_attribute(
-                            witness):
-                        witness = layout.pack(layout.unpack(witness)[:-1])
-                    assert hashes.nearest_entity(witness) == dewey
-                    assert info.estimated_keywords >= min(s, len(keywords))
-                assert all(info.witness is None
-                           for info in result.rejected.values())
+                check_witness_rule(index, result)
+                assert all(info.estimated_keywords >= min(s, len(keywords))
+                           for info in result.lce.values())
 
 
-class _StaleEntities:
-    """``index.hashes`` whose nearest-entity answer for one node skips
-    the entity just above it, as a table that has not seen that entity
-    yet would."""
+class TestPaperEstimate:
+    """The paper's keyword estimate is at least ``s``
+    (``tests/test_properties.py::test_estimated_counts_at_least_s``) but
+    no bound on the exact distinct count: keywords filed under a
+    descendant entity before a node entered the LCE list never reach its
+    counter.  These are the undercounted nodes at s = 1, pinned."""
 
-    def __init__(self, hashes, node: int, answer: int) -> None:
-        self.hashes, self.node, self.answer = hashes, node, answer
-
-    def is_attribute(self, dewey: int) -> bool:
-        return self.hashes.is_attribute(dewey)
-
-    def nearest_entity(self, dewey: int) -> int | None:
-        if dewey == self.node:
-            return self.answer
-        return self.hashes.nearest_entity(dewey)
-
-
-class TestLemma5:
-    """The ancestor walk's eviction and re-admission (Fig. 6, Lemma 5),
-    driven through a stale entity table: at s = 1 the first ``karen``
-    maps to ``outer`` and is its witness; the second maps to the inner
-    entity, whose subtree swallows that witness, so ``outer`` is evicted;
-    the ``title`` under ``outer`` re-admits it with a fresh witness."""
-
-    def test_evicted_then_readmitted(self):
-        root = build_tree(("outer", [
-            ("items", [
-                ("inner", [("name", "other"), ("w", "karen"),
-                           ("w", "karen")]),
-                ("inner", [("name", "other"), ("w", "3"), ("w", "4")]),
-            ]),
-            ("title", "karen"),
-        ]))
-        repo = Repository()
-        repo.add_root(root)
-        index = build_index(repo)
-        pack = index.layout.pack
-        outer, inner = pack((0,)), pack((0, 0, 0))
-        first, second, title = (pack((0, 0, 0, 1)), pack((0, 0, 0, 2)),
-                                pack((0, 1)))
-        assert index.hashes.is_entity(inner) is not None
-        assert index.hashes.is_attribute(title)
-        stale = SimpleNamespace(layout=index.layout, hashes=_StaleEntities(
-            index.hashes, first, outer))
-        query = Query.of(["karen"], s=1)
-        sl = merged_list(index, query)
-        result = discover_lce(compute_lcp_list(sl, 1), sl, stale)
-        # outer left the list when inner entered and came back after it
-        assert list(result.lce) == [inner, outer]
-        assert not result.rejected and not result.unmapped
-        kept = result.lce[outer]
-        assert kept.witness == title
-        # the eviction skipped inner's refresh: 1 (first) + 1 (title)
-        assert kept.estimated_keywords == 2
-        assert kept.candidates == [first, outer]
-        assert result.lce[inner].witness == second
-        assert result.lce[inner].estimated_keywords == 1
+    @pytest.mark.parametrize("name, keywords, exact, estimates", [
+        ("mirrors", ("titl", "guid", "year", "compress"), 4,
+         {(0,): 2, (1,): 3, (3,): 3, (5,): 3}),
+        ("treebank", ("pp", "np", "whnp", "index"), 2, {(0, 75): 1}),
+    ], ids=["mirrors", "treebank"])
+    def test_undercounts_the_exact_count(self, name, keywords, exact,
+                                         estimates):
+        index = build_index(load_dataset(name))
+        response = search(index, Query.of(list(keywords), s=1))
+        undercounted = [node for node in response
+                        if node.estimated_keywords < node.distinct_keywords]
+        assert {node.dewey: node.estimated_keywords
+                for node in undercounted} == estimates
+        assert {node.distinct_keywords for node in undercounted} == {exact}

@@ -12,6 +12,7 @@ from repro.baselines.bruteforce import (brute_candidates, brute_elca,
 from repro.baselines.elca import elca
 from repro.baselines.lca import dewey_postings
 from repro.baselines.slca import slca_indexed_lookup_eager, slca_scan
+from repro.core.lce import discover_lce
 from repro.core.lcp import compute_lcp_list, sliding_blocks
 from repro.core.merge import merged_list
 from repro.core.query import Query
@@ -24,6 +25,7 @@ from repro.xmltree.node import build_tree
 from repro.xmltree.parser import parse_document
 from repro.xmltree.repository import Repository
 from repro.xmltree.serialize import serialize_node
+from tests.test_lce import check_witness_rule
 from tests.test_lcp import dewey_at, filed_blocks, heap_merged, keyword_at
 from tests.test_ranking import composed_rank, rank
 
@@ -242,6 +244,20 @@ def test_estimated_counts_at_least_s(case):
     response = search(index, query)
     for node in response:
         assert node.estimated_keywords >= query.effective_s
+
+
+@settings(max_examples=200, deadline=None)
+@given(repo_and_query())
+def test_lce_witness_rule(case):
+    """The registry's ``check_witness_rule`` on random trees, at every s:
+    no survivor's witness lies inside a deeper survivor, so the case
+    Lemma 5's eviction would handle cannot arise."""
+    repo, query = case
+    index = build_index(repo, analyzer=ANALYZER)
+    sl = merged_list(index, query)
+    for s in range(1, len(query.keywords) + 1):
+        check_witness_rule(index,
+                           discover_lce(compute_lcp_list(sl, s), sl, index))
 
 
 @settings(max_examples=100, deadline=None)
