@@ -68,25 +68,22 @@ if grep -q "Traceback" <<<"$ERR"; then
     echo "FAIL: --mode relaxed printed a traceback" >&2; exit 1
 fi
 
-echo "== a strict engine answers probabilistic queries over a probabilistic engine's cache (both codecs) =="
+echo "== a strict engine answers probabilistic queries over a probabilistic engine's saved index (both codecs) =="
 OUT="$(python - "$WORKDIR" <<'EOF'
 import sys
 from pathlib import Path
 
+from repro import Repository, load_index, save_index
 from repro.core.config import EngineConfig, Paths
 from repro.core.engine import GKSEngine
 
 workdir = Path(sys.argv[1])
 source = Paths([workdir / "pdoc.xml"])
 for codec, name in (("raw", "prob.gks"), ("varint-dag", "prob.gksindex")):
-    cache = workdir / name
-    GKSEngine.open(source, EngineConfig(mode="probabilistic", codec=codec,
-                                        index_path=cache))
-    written = cache.read_bytes()
-    strict = GKSEngine.open(source, EngineConfig(codec=codec,
-                                                 index_path=cache))
-    if cache.read_bytes() != written:
-        sys.exit(f"FAIL: the strict engine rebuilt {name}")
+    path = workdir / name
+    prob = GKSEngine.open(source, EngineConfig(mode="probabilistic"))
+    save_index(prob.index, path, codec=codec)
+    strict = GKSEngine(Repository.from_paths(source), index=load_index(path))
     for node in strict.search("apple", mode="probabilistic").nodes:
         print(f"{codec} {node.dewey} p={node.probability:.4f}")
 EOF
@@ -94,7 +91,7 @@ EOF
 echo "$OUT"
 for CODEC in raw varint-dag; do
     grep -q "^$CODEC .* p=0.5000" <<<"$OUT" || {
-        echo "FAIL: strict engine over the $CODEC cache lacks p=0.5" >&2
+        echo "FAIL: strict engine over the $CODEC saved index lacks p=0.5" >&2
         exit 1; }
 done
 

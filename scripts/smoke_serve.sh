@@ -28,7 +28,7 @@ python -m repro dataset figure2a -o "$WORKDIR"
 
 echo "== boot gks serve on an ephemeral port =="
 python -m repro serve "$WORKDIR"/figure2a_0.xml \
-    --port 0 --serve-workers 2 --slow-ms 300 \
+    --port 0 --serve-workers 2 --inject-delay-ms 300 \
     >"$WORKDIR/serve.log" 2>&1 &
 SERVER_PID=$!
 

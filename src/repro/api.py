@@ -11,7 +11,7 @@ Quickstart::
 
     from repro.api import EngineConfig, GKSEngine, SearchOptions
 
-    config = EngineConfig(index_path="corpus.gksindex",
+    config = EngineConfig(store_path="corpus.store",
                           codec="varint-dag", shards=2)
     engine = GKSEngine.open(["a.xml", "b.xml"], config=config)
     response = engine.search("karen mike data mining",

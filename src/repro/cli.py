@@ -165,7 +165,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--no-coalesce", action="store_true",
                            help="disable singleflight coalescing of "
                                 "identical in-flight requests")
-    serve_cmd.add_argument("--slow-ms", type=float, default=0.0,
+    serve_cmd.add_argument("--inject-delay-ms", type=float, default=0.0,
                            help="testing hook: delay every engine "
                                 "search by this many milliseconds "
                                 "(makes coalescing observable)")
@@ -580,6 +580,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         options = SearchOptions(deadline_s=args.deadline_ms / 1000.0)
     response = engine.search(args.query, s=args.s, tracer=tracer,
                              options=options)
+    nodes = response.top(args.top)
     if response.degraded:
         print(f"warning: {response.degradation.render()}",
               file=sys.stderr)
@@ -593,7 +594,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     print(f"{len(response)} node(s) for {response.query}  "
           f"[|SL|={stats.postings_scanned}, "
           f"{stats.total_seconds * 1000:.1f} ms{layout}{semantics}]")
-    for node in response.top(args.top):
+    for node in nodes:
         line = engine.describe(node)
         if node.probability is not None:
             line += f"  p={node.probability:.4f}"
@@ -638,10 +639,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # its ~10^5 containers in the middle of a request.
     gc.collect()
     gc.freeze()
-    if args.slow_ms > 0:
+    if args.inject_delay_ms > 0:
         from repro.testing.faults import SlowEngine
 
-        engine = SlowEngine(engine, delay_s=args.slow_ms / 1000.0)
+        engine = SlowEngine(engine, delay_s=args.inject_delay_ms / 1000.0)
     config = ServeConfig(
         workers=args.serve_workers,
         queue_capacity=args.queue_capacity,

@@ -7,7 +7,7 @@ factory that consumes it::
 
     from repro import EngineConfig, GKSEngine
 
-    config = EngineConfig(s=2, shards=4, index_path="corpus.gksindex")
+    config = EngineConfig(s=2, shards=4, store_path="corpus.store")
     engine = GKSEngine.open(["a.xml", "b.xml"], config=config)
 
 ``open`` accepts a :class:`~repro.xmltree.repository.Repository`, a
@@ -244,16 +244,12 @@ class EngineConfig:
     shard_strategy:
         ``"round_robin"`` (by document number) or ``"hash"`` (by
         document name).
-    index_path:
-        Optional persisted-index location: loaded when present and
-        compatible, (re)built and saved otherwise.
     store_path:
         Optional segmented-store directory.  When set, the engine's
         write path becomes durable there: every
         ``add_document`` is write-ahead logged before it is applied, the
         memtable flushes to immutable segments, and ``open`` recovers
-        the exact index after a crash at any byte offset.  Mutually
-        exclusive with ``index_path`` (the store owns persistence).
+        the exact index after a crash at any byte offset.
     memtable_docs:
         Memtable flush threshold — once this many added documents are
         pending, their one-document units are merged into one run per
@@ -270,9 +266,9 @@ class EngineConfig:
         An explicit ``GKSEngine.compact()`` still merges every chain
         down to one run.
     codec:
-        On-disk representation of every index file the engine
-        writes — the ``index_path`` cache *and* the segments of a
-        ``store_path`` store: ``"raw"`` (the JSON envelope formats,
+        On-disk representation of the index files written under this
+        config — the segments of a ``store_path`` store and a
+        ``gks index -o`` file: ``"raw"`` (the JSON envelope formats,
         eager loading) or ``"varint-dag"`` (the binary codec —
         delta+varint posting blocks, DAG-shared subtrees, lazy
         mmap-backed loading).  Either codec opens files written by the
@@ -298,7 +294,6 @@ class EngineConfig:
     recovery: RecoveryPolicy | str = RecoveryPolicy.STRICT
     shards: int = 1
     shard_strategy: str = "round_robin"
-    index_path: str | Path | None = None
     store_path: str | Path | None = None
     memtable_docs: int = 64
     compact_segments: int = 4
@@ -334,10 +329,6 @@ class EngineConfig:
             raise ConfigError(
                 f"unknown codec {self.codec!r}; "
                 f"expected one of {CODEC_NAMES}")
-        if self.store_path is not None and self.index_path is not None:
-            raise ConfigError(
-                "store_path and index_path are mutually exclusive: the "
-                "segmented store owns persistence")
         _check_mode(self.mode)
         _check_threshold(self.threshold)
         # normalise early so a typo'd policy fails at config time, not

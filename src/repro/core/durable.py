@@ -22,14 +22,14 @@ a memtable of one-document units, all document-disjoint in the sense of
   happens here, on the in-memory units; the store only persists the
   finished runs.
 * **open / recover** — every open reads its source (:func:`read_source`)
-  and builds the base index (:func:`build_index`) unless an index file
-  (:func:`cached_index`) or a store serves it.  No manifest yet: build
-  the base index as usual, seed the store with generation-1 segments and an empty WAL.  Manifest
-  present: verify compatibility with the engine config and the base
-  corpus (never silently serve a different corpus), check the flushed
-  appended documents from the texts sidecars, load the verified segment
-  runs, then stream and admit the WAL tail's texts.  No tree is built:
-  each waits for a reader.  The composed index is node-for-node the one
+  and builds the base index (:func:`build_index`) unless a store serves
+  it.  No manifest yet: build the base index as usual, seed the store
+  with generation-1 segments and an empty WAL.  Manifest present:
+  verify compatibility with the engine config and the base corpus
+  (never silently serve a different corpus), check the flushed appended
+  documents from the texts sidecars, load the verified segment runs,
+  then stream and admit the WAL tail's texts.  No tree is built: each
+  waits for a reader.  The composed index is node-for-node the one
   a from-scratch rebuild over the same documents would produce.
 * **one layout** — every unit packs its Dewey ids under the engine's
   one :class:`~repro.xmltree.dewey.DeweyLayout`: a new unit is built in
@@ -114,8 +114,8 @@ def read_source(source, config: EngineConfig
                 ) -> tuple[Repository, list[Source] | None]:
     """Read a ``GKSEngine.open`` *source*: a :class:`Repository` as it
     is; texts or files into sources for the build to stream — or, when
-    an index file or store manifest on disk will serve them, checked
-    into a repository now."""
+    a store manifest on disk will serve them, checked into a repository
+    now."""
     if isinstance(source, Repository):
         return source, None
     if not isinstance(source, (Texts, Paths)):
@@ -138,10 +138,8 @@ def read_source(source, config: EngineConfig
     sources = (text_sources(source) if isinstance(source, Texts)
                else path_sources(source))
     repository = Repository()
-    if ((config.store_path is not None
-         and (Path(config.store_path) / MANIFEST_NAME).exists())
-            or (config.index_path is not None
-                and Path(config.index_path).exists())):
+    if (config.store_path is not None
+            and (Path(config.store_path) / MANIFEST_NAME).exists()):
         repository.ingest(sources, config.recovery, TextCheck)
         return repository, None
     return repository, sources
@@ -436,73 +434,36 @@ class WritePath:
             self.store.close()
 
 
-def incompatibilities(persisted: StoreManifest | GKSIndex | ShardedIndex,
-                      repository: Repository,
+def incompatibilities(manifest: StoreManifest, repository: Repository,
                       config: EngineConfig) -> list[str]:
-    """Why a persisted index or store cannot serve *repository* under
-    *config*; empty when it can.
-
-    One check over the same facts for both: the shard layout (the write
-    path routes new documents by it), whether element names were indexed
-    and the analyzer flags (else the keywords differ), and the base
-    document names and texts' CRC32 (else it is somebody else's corpus).
-    An index file without the CRC is a stale cache; a store without it
-    opens.
-    """
-    crc = persisted.corpus_crc32
-    if isinstance(persisted, StoreManifest):
-        shards, strategy = persisted.shards, persisted.strategy
-        flags = (persisted.use_stopwords, persisted.use_stemming)
-        names = persisted.document_names[:persisted.base_documents]
-    else:
-        sharded = isinstance(persisted, ShardedIndex)
-        shards = persisted.num_shards if sharded else 1
-        # one shard routes every document to itself, whatever the strategy
-        strategy = persisted.strategy if sharded else config.shard_strategy
-        flags = (persisted.analyzer.use_stopwords,
-                 persisted.analyzer.use_stemming)
-        names = tuple(persisted.document_names)
+    """Why the store recorded by *manifest* cannot serve *repository*
+    under *config*; empty when it can: another shard layout (the write
+    path routes new documents by it), ``index_tags`` or analyzer flags
+    (else the keywords differ), or other base documents — their names,
+    and their texts' CRC32 when the manifest records one."""
     problems = []
-    if shards != config.shards:
-        problems.append(f"{shards} shard(s), config wants {config.shards}")
-    if strategy != config.shard_strategy:
-        problems.append(f"strategy {strategy!r}, config wants "
+    if manifest.shards != config.shards:
+        problems.append(f"{manifest.shards} shard(s), config wants "
+                        f"{config.shards}")
+    if manifest.strategy != config.shard_strategy:
+        problems.append(f"strategy {manifest.strategy!r}, config wants "
                         f"{config.shard_strategy!r}")
-    if persisted.index_tags != config.index_tags:
-        problems.append(f"index_tags={persisted.index_tags}, config wants "
+    if manifest.index_tags != config.index_tags:
+        problems.append(f"index_tags={manifest.index_tags}, config wants "
                         f"{config.index_tags}")
-    if flags != (config.analyzer.use_stopwords,
-                 config.analyzer.use_stemming):
+    if (manifest.use_stopwords, manifest.use_stemming) != (
+            config.analyzer.use_stopwords, config.analyzer.use_stemming):
         problems.append("analyzer flags differ")
+    names = manifest.document_names[:manifest.base_documents]
     if names != tuple(document.name for document in repository):
         problems.append(f"built over {len(names)} base documents that are "
                         f"not the source's {len(repository)}")
-    if repository.corpus_crc32 is not None and crc != repository.corpus_crc32:
-        if crc is not None:
-            problems.append("built over base texts whose CRC32 differs from "
-                            "the source's")
-        elif not isinstance(persisted, StoreManifest):
-            problems.append("records no corpus CRC32")
+    crc = manifest.corpus_crc32
+    if (None not in (crc, repository.corpus_crc32)
+            and crc != repository.corpus_crc32):
+        problems.append("built over base texts whose CRC32 differs from "
+                        "the source's")
     return problems
-
-
-def cached_index(repository: Repository, config: EngineConfig
-                 ) -> GKSIndex | ShardedIndex | None:
-    """The index file at ``config.index_path`` when it can serve
-    *repository* under *config*; ``None`` — rebuild and rewrite it — when
-    it is missing, unreadable, in another codec or incompatible."""
-    from repro.index.codec import sniff_codec
-    from repro.index.storage import load_index
-
-    try:
-        loaded = load_index(config.index_path)
-        on_disk_codec = sniff_codec(config.index_path).name
-    except StorageError:
-        return None
-    if (on_disk_codec == config.codec
-            and not incompatibilities(loaded, repository, config)):
-        return loaded
-    return None
 
 
 def open_durable(repository: Repository, config: EngineConfig,

@@ -30,7 +30,7 @@ from repro.core.ranking import rank_node
 from repro.core.results import GKSResponse, RankedNode
 from repro.core.search import Ranker, search
 from repro.core.durable import (WritePath, build_facts, build_index,
-                                cached_index, open_durable, read_source)
+                                open_durable, read_source)
 from repro.errors import ConfigError, SearchTimeout, ValidationError
 from repro.index.builder import GKSIndex
 from repro.index.composite import CompositeIndex
@@ -62,15 +62,7 @@ class GKSEngine:
         if _writes is not None:
             # open() hands over a write path it opened (a store's)
             index = _writes.compose()
-        elif index is None:
-            # only open() loads, saves, recovers or attaches a store; an
-            # engine built here would silently persist nothing
-            for name in ("store_path", "index_path"):
-                if getattr(config, name) is not None:
-                    raise ConfigError(
-                        f"EngineConfig.{name} takes effect only through "
-                        f"GKSEngine.open(source, config)")
-        else:
+        elif index is not None:
             # the write path routes new documents by the layout the
             # index was built with, whatever the config record says
             layout = ((index.num_shards, index.strategy)
@@ -79,6 +71,12 @@ class GKSEngine:
             if layout != (config.shards, config.shard_strategy):
                 config = config.replace(shards=layout[0],
                                         shard_strategy=layout[1])
+        elif config.store_path is not None:
+            # only open() recovers or attaches a store; an engine built
+            # here would silently persist nothing
+            raise ConfigError(
+                "EngineConfig.store_path takes effect only through "
+                "GKSEngine.open(source, config)")
         self.config = config
         self.repository = repository
         self.analyzer = config.analyzer
@@ -156,30 +154,24 @@ class GKSEngine:
         Keyword *overrides* are applied to the config
         (``GKSEngine.open(src, shards=4)``).
 
-        With ``config.index_path`` set, a compatible persisted index is
-        loaded instead of rebuilding; a missing, corrupted or
-        incompatible file (different shard layout, ``index_tags``,
-        analyzer or corpus) falls back to a rebuild and the cache is
-        rewritten atomically — a cold cache is a slow start, never a
-        failed one.
-
         With ``config.store_path`` set, the engine opens a durable
-        segmented store there instead: an empty directory is initialised
+        segmented store there: an empty directory is initialised
         from a fresh build, an existing one is *recovered* — segments
         verified, appended documents checked, the WAL tail re-applied
         — and ``add_document`` becomes crash-safe (write-ahead logged,
-        flushed to immutable segments, compacted per shard).  Unlike the
-        ``index_path`` cache, a corrupted or incompatible store raises
-        :class:`~repro.errors.StorageError` rather than rebuilding:
-        the store holds documents the source corpus does not, so
-        silently starting over would be data loss.
+        flushed to immutable segments, compacted per shard).  A
+        corrupted or incompatible store raises
+        :class:`~repro.errors.StorageError` rather than rebuilding: the
+        store holds documents the source corpus does not, so silently
+        starting over would be data loss.  A saved index file is opened
+        as ``GKSEngine(repository, index=load_index(path))``.
 
         No tree is built to open: search reads only the index.  When
         the open builds, each source text is scanned once, by the
         element stream that indexes it — the well-formedness check, so
         a document failing part-way under ``skip_document`` is taken
-        back out and quarantined; while the index file or store manifest
-        exists the texts are only checked.  Each document keeps its text
+        back out and quarantined; while the store manifest exists the
+        texts are only checked.  Each document keeps its text
         and builds its tree on the first read of ``.root``; ``salvage``
         sources are parsed into trees.
 
@@ -229,18 +221,8 @@ class GKSEngine:
                            _writes=open_durable(repository, config, build,
                                                 tracer))
 
-        index = (cached_index(repository, config)
-                 if config.index_path is not None else None)
-        rebuilt = index is None
-        if rebuilt:
-            index = build(repository, config)
-        engine = cls(repository, index=index, config=config)
-        if config.index_path is not None and rebuilt:
-            from repro.index.storage import save_index
-
-            save_index(engine.index, config.index_path,
-                       codec=config.codec)
-        return engine
+        return cls(repository, index=build(repository, config),
+                   config=config)
 
     # ------------------------------------------------------------------
     # Search Engine

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ValidationError
+from repro.errors import ConfigError, ValidationError
 from repro.core.query import Query
 from repro.core.results import GKSResponse
 from repro.text.analyzer import DEFAULT_ANALYZER, Analyzer
@@ -138,6 +138,8 @@ def discover_insights(repository: Repository, response: GKSResponse,
     mode:
         R(e) extraction mode — see :func:`attribute_nodes_of`.
     """
+    if top < 1:
+        raise ConfigError(f"top must be positive: {top}")
     query_keywords = response.query.word_set()
     weighted: dict[str, float] = {}
     # (path, value) → [weight, supporting node count, analysed keyword]

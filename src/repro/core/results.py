@@ -143,6 +143,8 @@ class GKSResponse:
         return [node.dewey for node in self.nodes]
 
     def top(self, count: int) -> tuple[RankedNode, ...]:
+        if count < 1:
+            raise ConfigError(f"count must be positive: {count}")
         return self.nodes[:count]
 
     def head(self, k: int) -> "GKSResponse":

@@ -1,7 +1,7 @@
 """Parse when it will build, check when it will load.
 
-An open whose index is already on disk (an ``index_path`` file, a store
-manifest) only checks its texts for well-formedness and builds each tree
+An open whose index is already on disk (a store manifest) only checks
+its texts for well-formedness and builds each tree
 on first read.  The bar: a checked document is a parsed document — the
 same tree, the same error, the same quarantine — and an index on disk is
 never served for a corpus whose texts differ from the ones it was built
@@ -22,8 +22,7 @@ from repro.datasets.registry import load_dataset
 from repro.errors import StorageError, XMLSyntaxError
 from repro.index.segments import (file_crc32, read_manifest,
                                   write_manifest)
-from repro.index.storage import (atomic_write_json_gz, load_index,
-                                 read_json_gz, save_index)
+from repro.index.storage import atomic_write_json_gz, read_json_gz
 from repro.obs.metrics import global_registry
 from repro.obs.trace import Tracer
 from repro.xmltree.parser import RecoveryPolicy, parse_document
@@ -117,16 +116,20 @@ class TestCheckedIsParsed:
         assert [d.name for d in checked] == [d.name for d in parsed]
         assert not any(document.parsed for document in checked)
 
-    def test_open_over_a_cache_quarantines_as_a_parse_does(self, tmp_path):
+    def test_open_over_a_store_quarantines_as_a_parse_does(self,
+                                                           tmp_path):
         texts = Texts([BOOKS[0], "<a><b></a>", BOOKS[1]])
-        config = EngineConfig(index_path=tmp_path / "idx",
+        config = EngineConfig(store_path=tmp_path / "store",
                               recovery="skip_document")
         fresh = GKSEngine.open(texts, config)
+        fresh.close()
         tracer = Tracer()
-        cached = GKSEngine.open(texts, config, tracer=tracer)
+        reopened = GKSEngine.open(texts, config, tracer=tracer)
+        reopened.close()
         assert tracer.roots[-1].find("parse").attributes == {
             "documents": 2, "checked": 2, "parsed": 0}
-        assert _failures(cached.repository) == _failures(fresh.repository)
+        assert _failures(reopened.repository) == \
+            _failures(fresh.repository)
         with pytest.raises(XMLSyntaxError) as strict:
             GKSEngine.open(texts, config.replace(recovery="strict"))
         with pytest.raises(XMLSyntaxError) as parsed:
@@ -138,22 +141,22 @@ class TestCheckedIsParsed:
         (tmp_path / "a.xml").write_text(BOOKS[0], encoding="utf-8")
         (tmp_path / "b.xml").write_text(BOOKS[1], encoding="utf-8")
         paths = Paths([tmp_path / "a.xml", tmp_path / "b.xml"])
-        config = EngineConfig(index_path=tmp_path / "idx")
-        GKSEngine.open(paths, config)
+        config = EngineConfig(store_path=tmp_path / "store")
+        GKSEngine.open(paths, config).close()
         engine = GKSEngine.open(paths, config)
+        engine.close()
         assert [d.parsed for d in engine.repository] == [False, False]
         salvaged = GKSEngine.open(paths, config.replace(recovery="salvage"))
+        salvaged.close()
         assert all(document.parsed for document in salvaged.repository)
 
     @pytest.mark.parametrize("shards", [1, 2])
-    def test_a_fresh_open_streams_and_builds_no_tree(self, tmp_path,
-                                                     shards):
+    def test_a_fresh_open_streams_and_builds_no_tree(self, shards):
         # the build's stream is the check: every document enters
         # text-backed, searching builds no tree, a snippet builds one
         before = _trees_built()
         tracer = Tracer()
-        engine = GKSEngine.open(Texts(BOOKS), index_path=tmp_path / "idx",
-                                shards=shards, tracer=tracer)
+        engine = GKSEngine.open(Texts(BOOKS), shards=shards, tracer=tracer)
         root = tracer.roots[-1]
         assert root.find("parse").attributes == {
             "documents": 4, "checked": 0, "parsed": 0}
@@ -173,29 +176,6 @@ class TestStaleCorpus:
 
     ALPHA = ["<a><b>alpha</b></a>"]
     OMEGA = ["<a><b>omega</b></a>"]
-
-    @pytest.mark.parametrize("shards", [1, 2])
-    @pytest.mark.parametrize("codec", ["raw", "varint-dag"])
-    def test_a_cache_of_another_corpus_is_rebuilt(self, tmp_path, codec,
-                                                  shards):
-        config = EngineConfig(index_path=tmp_path / "idx", codec=codec,
-                              shards=shards)
-        GKSEngine.open(Texts(self.ALPHA * shards), config)
-        engine = GKSEngine.open(Texts(self.OMEGA * shards), config)
-        assert not engine.search("alpha").nodes
-        assert len(engine.search("omega").nodes) == shards
-        assert load_index(tmp_path / "idx").corpus_crc32 == \
-            Repository.from_texts(self.OMEGA * shards).corpus_crc32
-
-    def test_a_cache_without_the_crc_is_rebuilt(self, tmp_path):
-        path = tmp_path / "idx"
-        engine = GKSEngine.open(Texts(self.ALPHA), index_path=path)
-        crc = engine.index.corpus_crc32
-        assert crc == engine.repository.corpus_crc32 is not None
-        save_index(replace(engine.index, corpus_crc32=None), path)
-        assert load_index(path).corpus_crc32 is None
-        GKSEngine.open(Texts(self.ALPHA), index_path=path)
-        assert load_index(path).corpus_crc32 == crc
 
     def test_a_store_of_another_corpus_refuses_to_open(self, tmp_path):
         config = EngineConfig(store_path=tmp_path / "store")

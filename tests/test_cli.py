@@ -45,6 +45,17 @@ class TestSearch:
         out = capsys.readouterr().out
         assert out.count("score=") == 1
 
+    @pytest.mark.parametrize("count", ["0", "-1", "-2"])
+    def test_top_below_one_is_an_error(self, corpus, capsys, count):
+        # a count below 1 used to slice from the end: "3 node(s)" over
+        # a listing of 2
+        assert main(["search", str(corpus), "-q", "karen", "-k",
+                     count]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gks: error: count must be positive: " \
+                               f"{count}\n"
+
     def test_generous_deadline_stays_exact(self, corpus, capsys):
         assert main(["search", str(corpus), "-q", "karen mike",
                      "-s", "2", "--deadline-ms", "60000"]) == 0
@@ -68,6 +79,15 @@ class TestDI:
                      "-s", "2"]) == 0
         out = capsys.readouterr().out
         assert "Data Mining" in out
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_top_below_one_is_an_error(self, corpus, capsys, count):
+        assert main(["di", str(corpus), "-q", "karen mike", "-s", "2",
+                     "-m", count]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gks: error: top must be positive: " \
+                               f"{count}\n"
 
     def test_di_without_lce_nodes(self, tmp_path, capsys):
         path = tmp_path / "flat.xml"
@@ -259,6 +279,22 @@ class TestParser:
             main(["exp", "run", "spec.json", "-o", "out"])
         assert excinfo.value.code == 2
         assert "invalid choice: 'exp'" in capsys.readouterr().err
+
+    def test_serve_delay_flag_is_named_for_what_it_does(self, corpus,
+                                                        capsys):
+        # ``--slow-ms`` is the slow-log threshold of ``gks stats``; the
+        # serve flag injects a delay into every search
+        parser = build_arg_parser()
+        args = parser.parse_args(["serve", str(corpus),
+                                  "--inject-delay-ms", "5"])
+        assert args.inject_delay_ms == 5.0
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(["serve", str(corpus), "--slow-ms", "5"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --slow-ms" in \
+            capsys.readouterr().err
+        assert parser.parse_args(["stats", str(corpus), "--slow-ms",
+                                  "5"]).slow_ms == 5.0
 
     def test_topk_and_xpath_are_gone(self, corpus, capsys):
         # top-k is ``search -k``; there is no path language

@@ -97,6 +97,20 @@ ENTITY_CORPUS = [
     for i in range(4)]
 
 
+def _saved(texts, path, codec, **overrides):
+    """*texts* built under *overrides* and saved to *path* in *codec*."""
+    built = GKSEngine.open(Texts(texts), **overrides)
+    return save_index(built.index, path, codec=codec)
+
+
+def _reopened(texts, path, codec, **overrides) -> GKSEngine:
+    """An engine over the index of *texts*, saved to *path* in *codec*
+    and loaded back."""
+    return GKSEngine(Repository.from_texts(texts),
+                     index=load_index(_saved(texts, path, codec,
+                                             **overrides)))
+
+
 def _signature(response):
     """Everything a caller can observe about a response's content."""
     return (
@@ -482,8 +496,8 @@ class TestCodecAPI:
         assert not VarintDagCodec().sniff(raw_path)
 
     def test_one_read_per_open(self, tmp_path, monkeypatch, capsys):
-        """Reopening a raw ``index_path`` cache, and ``check-index`` on
-        it, each gunzip the file once — the codec name costs a sniff."""
+        """Reopening a raw saved index, and ``check-index`` on it, each
+        gunzip the file once — the codec name costs a sniff."""
         from repro.index import codec as codec_module
 
         reads = []
@@ -492,10 +506,10 @@ class TestCodecAPI:
             codec_module, "read_json_gz",
             lambda path, *args: reads.append(path)
             or read_json_gz(path, *args))
-        path = tmp_path / "cache.idx"
-        GKSEngine.open(Texts(CORPUS), index_path=path)
-        reads.clear()   # the miss that made the engine build and save
-        reopened = GKSEngine.open(Texts(CORPUS), index_path=path)
+        path = _saved(CORPUS, tmp_path / "saved.idx", "raw")
+        assert reads == []
+        reopened = GKSEngine(Repository.from_texts(CORPUS),
+                             index=load_index(path))
         assert reads == [path]
         assert _signature(reopened.search("keyword")) == _signature(
             GKSEngine.open(Texts(CORPUS)).search("keyword"))
@@ -505,20 +519,21 @@ class TestCodecAPI:
 
     @pytest.mark.parametrize("codec", CODEC_NAMES)
     @pytest.mark.parametrize("saved_tags", (True, False))
-    def test_index_path_cache_keys_on_index_tags(self, tmp_path, codec,
-                                                 saved_tags):
-        """A cache saved under one ``index_tags`` is rebuilt, never
-        served, under the other: ``book`` is a keyword only where element
-        names were indexed."""
-        texts = Texts(["<book><title>alpha</title></book>"])
-        path = tmp_path / "cache.idx"
-        GKSEngine.open(texts, index_path=path, codec=codec,
-                       index_tags=saved_tags)
-        reopened = GKSEngine.open(texts, index_path=path, codec=codec,
-                                  index_tags=not saved_tags)
-        assert bool(len(reopened.search("book"))) is (not saved_tags)
-        # the rewritten cache records the flag it was built under
-        assert load_index(path).index_tags is (not saved_tags)
+    def test_a_saved_index_records_its_flags(self, tmp_path, codec,
+                                             saved_tags):
+        """A saved file records the ``index_tags`` and corpus CRC32 it
+        was built under, and serves by them: ``book`` is a keyword only
+        where element names were indexed."""
+        texts = ["<book><title>alpha</title></book>"]
+        path = _saved(texts, tmp_path / "saved.idx", codec,
+                      index_tags=saved_tags)
+        loaded = load_index(path)
+        assert loaded.index_tags is saved_tags
+        repository = Repository.from_texts(texts)
+        assert loaded.corpus_crc32 == repository.corpus_crc32 is not None
+        engine = GKSEngine(repository, index=loaded,
+                           config=EngineConfig(index_tags=saved_tags))
+        assert bool(len(engine.search("book"))) is saved_tags
 
     def test_store_layout_names_what_the_segments_hold(self, tmp_path):
         for codec in CODEC_NAMES:
@@ -555,32 +570,25 @@ class TestCodecAPI:
 class TestEquivalence:
     @pytest.mark.parametrize("shards", (1, 2, 4))
     def test_codec_invisible_through_results(self, shards, tmp_path):
-        raw = GKSEngine.open(Texts(CORPUS), shards=shards,
-                             index_path=tmp_path / "raw.idx", codec="raw")
-        dag = GKSEngine.open(Texts(CORPUS), shards=shards,
-                             index_path=tmp_path / "dag.idx",
-                             codec="varint-dag")
-        assert describe_layout(tmp_path / "dag.idx")["codec"] == \
-            "varint-dag"
+        built = GKSEngine.open(Texts(CORPUS), shards=shards)
+        raw = _reopened(CORPUS, tmp_path / "raw.idx", "raw", shards=shards)
         # the lazy reopen is the interesting path: query straight off
         # the mmap-backed index, nothing pre-materialized
-        reopened = GKSEngine.open(Texts(CORPUS), shards=shards,
-                                  index_path=tmp_path / "dag.idx",
-                                  codec="varint-dag")
+        dag = _reopened(CORPUS, tmp_path / "dag.idx", "varint-dag",
+                        shards=shards)
+        assert describe_layout(tmp_path / "dag.idx")["codec"] == \
+            "varint-dag"
+        assert raw.config.shards == dag.config.shards == shards
         for query in QUERIES:
-            want = _signature(raw.search(query, use_cache=False))
+            want = _signature(built.search(query, use_cache=False))
+            assert _signature(raw.search(query, use_cache=False)) == want
             assert _signature(dag.search(query, use_cache=False)) == want
-            assert _signature(
-                reopened.search(query, use_cache=False)) == want
 
     @pytest.mark.parametrize("shards", (1, 2))
     def test_degraded_budget_path_equivalence(self, shards, tmp_path):
         raw = GKSEngine.open(Texts(CORPUS * 4), shards=shards)
-        GKSEngine.open(Texts(CORPUS * 4), shards=shards,
-                       index_path=tmp_path / "dag.idx", codec="varint-dag")
-        lazy = GKSEngine.open(Texts(CORPUS * 4), shards=shards,
-                              index_path=tmp_path / "dag.idx",
-                              codec="varint-dag")
+        lazy = _reopened(CORPUS * 4, tmp_path / "dag.idx", "varint-dag",
+                         shards=shards)
         budget = lambda: SearchBudget(max_sl=2)  # noqa: E731
         for query in QUERIES:
             want = raw.search(query, budget=budget(), use_cache=False)
@@ -588,18 +596,8 @@ class TestEquivalence:
             assert _signature(got) == _signature(want)
             assert got.degraded == want.degraded
 
-    def test_codec_switch_rewrites_cache(self, tmp_path):
-        path = tmp_path / "cache.idx"
-        GKSEngine.open(Texts(CORPUS), index_path=path, codec="varint-dag")
-        assert describe_layout(path)["codec"] == "varint-dag"
-        GKSEngine.open(Texts(CORPUS), index_path=path, codec="raw")
-        assert describe_layout(path)["codec"] == "raw"
-
     def test_top_k_equivalence_on_lazy_index(self, tmp_path):
-        GKSEngine.open(Texts(CORPUS), index_path=tmp_path / "d.idx",
-                       codec="varint-dag")
-        lazy = GKSEngine.open(Texts(CORPUS), index_path=tmp_path / "d.idx",
-                              codec="varint-dag")
+        lazy = _reopened(CORPUS, tmp_path / "d.idx", "varint-dag")
         eager = GKSEngine.open(Texts(CORPUS))
         for query in QUERIES:
             assert _signature(lazy.search_top_k(query, 3)) == \
@@ -1586,10 +1584,16 @@ class TestApiFacade:
         from repro.api import GKSEngine as Engine
         from repro.api import SearchOptions as Options
 
-        config = Config(index_path=tmp_path / "q.idx", codec="varint-dag")
+        config = Config(store_path=tmp_path / "corpus.store",
+                        codec="varint-dag", shards=2)
         engine = Engine.open(CORPUS, config=config)
         response = engine.search("keyword search", options=Options(s=2))
         assert response.nodes
+        engine.close()
+        reopened = Engine.open(CORPUS, config=config)
+        assert _signature(reopened.search(
+            "keyword search", options=Options(s=2))) == _signature(response)
+        reopened.close()
 
 
 # ---------------------------------------------------------------------------

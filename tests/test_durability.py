@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.analysis import verify_segmented_store
 from repro.core.config import EngineConfig, Texts
 from repro.core.engine import GKSEngine
-from repro.errors import ConfigError, Overloaded, StorageError
+from repro.errors import Overloaded, StorageError
 from repro.index.codec import CODEC_NAMES
 from repro.index.segments import read_manifest
 from repro.index.storage import describe_layout
@@ -433,11 +433,6 @@ class TestStoreLifecycle:
         with pytest.raises(StorageError) as excinfo:
             GKSEngine.open(Texts(BASE + [EXTRA[0]]), config=config)
         assert excinfo.value.diagnosis == "incompatible"
-
-    def test_store_path_excludes_index_path(self, tmp_path):
-        with pytest.raises(ConfigError):
-            EngineConfig(store_path=tmp_path / "s",
-                         index_path=tmp_path / "i.gksindex")
 
     def test_no_lsn_reuse_after_full_checkpoint(self, tmp_path):
         """After a flush truncates every frame, new appends must keep

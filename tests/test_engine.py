@@ -19,7 +19,7 @@ class TestConstruction:
         engine = GKSEngine.open(Paths([path]))
         assert len(engine.search("karen")) == 1
 
-    @pytest.mark.parametrize("field", ["store_path", "index_path"])
+    @pytest.mark.parametrize("field", ["store_path"])
     def test_persistence_fields_need_open(self, figure2a_repo, tmp_path,
                                           field):
         config = EngineConfig(**{field: tmp_path / "persisted"})
@@ -30,6 +30,13 @@ class TestConstruction:
         built = GKSEngine(figure2a_repo)
         assert GKSEngine(figure2a_repo, index=built.index,
                          config=config).config == config
+
+    def test_index_path_is_gone(self, tmp_path):
+        # a store persists an engine; a saved file opens through
+        # load_index — open() has no third way that rebuilds silently
+        with pytest.raises(ConfigError, match="index_path"):
+            GKSEngine.open("<a>karen</a>", index_path=tmp_path / "idx")
+        assert not (tmp_path / "idx").exists()
 
     def test_prebuilt_index_is_reused(self, figure2a_repo):
         first = GKSEngine(figure2a_repo)

@@ -7,6 +7,7 @@ from repro.core.query import Query
 from repro.core.refinement import (RefinementKind, suggest,
                                    suggest_expansions, suggest_subsets)
 from repro.core.search import search
+from repro.errors import ConfigError
 
 
 class TestAttributeExtraction:
@@ -41,6 +42,13 @@ class TestDIDiscovery:
     def run(self, repo, index, keywords, s, **kwargs):
         response = search(index, Query.of(keywords, s=s))
         return discover_insights(repo, response, **kwargs), response
+
+    @pytest.mark.parametrize("top", [0, -1])
+    def test_top_below_one_is_rejected(self, figure2a_repo, figure2a_index,
+                                       top):
+        with pytest.raises(ConfigError, match="top must be positive"):
+            self.run(figure2a_repo, figure2a_index,
+                     ["student", "karen", "mike", "john"], 4, top=top)
 
     def test_q5_exposes_data_mining(self, figure2a_repo, figure2a_index):
         report, _ = self.run(figure2a_repo, figure2a_index,

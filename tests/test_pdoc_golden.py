@@ -3,10 +3,10 @@
 Before probability tables left the index, a probabilistic engine wrote
 them into its files: a ``probabilities`` key in the raw payloads and in
 each binary shard section.  ``tests/golden/pdoc-*.gksindex`` are such
-files, written from :data:`PDOC_CORPUS` by ``GKSEngine.open(Texts(
-PDOC_CORPUS), config=EngineConfig(mode="probabilistic", shards=…,
-codec=…, index_path=…))`` with that older writer — today's writer stores
-no tables, so they cannot be regenerated.  The stale key sits under the
+files, written from :data:`PDOC_CORPUS` by a probabilistic engine
+(``EngineConfig(mode="probabilistic", shards=…, codec=…)``) with that
+older writer — today's writer stores no tables, so they cannot be
+regenerated.  The stale key sits under the
 file's CRC and is not read: every file must load, pass ``check-index``
 (plain and ``--deep``), and serve an engine of either mode whose
 probabilistic answers are the possible-worlds ones.
@@ -14,17 +14,17 @@ probabilistic answers are the possible-worlds ones.
 
 from __future__ import annotations
 
-import shutil
 from pathlib import Path
 
 import pytest
 
 from repro.baselines import possible_worlds_probabilities
 from repro.cli import main
-from repro.core.config import EngineConfig, Texts
+from repro.core.config import EngineConfig
 from repro.core.engine import GKSEngine
 from repro.core.query import Query
 from repro.index.storage import check_index, describe_layout, load_index
+from repro.xmltree.repository import Repository
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -76,15 +76,11 @@ def test_golden_file_loads_and_checks(name, capsys):
 
 @pytest.mark.parametrize("mode", ["strict", "probabilistic"])
 @pytest.mark.parametrize("name", CASES)
-def test_engine_over_golden_file_answers_possible_worlds(name, mode,
-                                                         tmp_path):
-    codec, shards = GOLDEN_FILES[name]
-    path = tmp_path / name
-    shutil.copyfile(GOLDEN / name, path)
-    engine = GKSEngine.open(Texts(PDOC_CORPUS), config=EngineConfig(
-        mode=mode, shards=shards, codec=codec, index_path=path))
-    # loaded, not rebuilt: a rebuild would rewrite the file
-    assert path.read_bytes() == (GOLDEN / name).read_bytes()
+def test_engine_over_golden_file_answers_possible_worlds(name, mode):
+    engine = GKSEngine(Repository.from_texts(PDOC_CORPUS),
+                       index=load_index(GOLDEN / name),
+                       config=EngineConfig(mode=mode))
+    assert engine.config.shards == GOLDEN_FILES[name][1]
     for query in QUERIES:
         oracle = possible_worlds_probabilities(engine.repository, query)
         response = engine.search(query, mode="probabilistic")

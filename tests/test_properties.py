@@ -32,6 +32,8 @@ from tests.test_ranking import composed_rank, rank
 # Text keywords use an alphabet the analyzer maps to itself.
 KEYWORDS = ["kilo", "lima", "mike", "november", "oscar"]
 TAGS = ["va", "vb", "vc", "vd"]
+#: an entity template's attribute leaf: no other element carries it
+ATTRIBUTE_TAG = "vn"
 
 ANALYZER = Analyzer(use_stemming=False)
 
@@ -49,16 +51,82 @@ def spec_strategy():
           else ("root", spec[1]))
 
 
+def entity_strategy():
+    """An entity node (Def 2.1.3, the AN + repeating-group rule of
+    ``repro.index.categorize``): a unique-tag attribute leaf beside two
+    or more same-tag siblings, each a leaf or itself an entity."""
+    def entity(member):
+        return st.tuples(
+            st.sampled_from(KEYWORDS), st.sampled_from(TAGS),
+            st.lists(member, min_size=2, max_size=3),
+        ).map(lambda parts: [(ATTRIBUTE_TAG, parts[0])]
+              + [(parts[1], body) for body in parts[2]])
+
+    # a member's body: a keyword (a leaf) or an entity's children
+    body = entity(st.recursive(st.sampled_from(KEYWORDS), entity,
+                               max_leaves=6))
+    return st.tuples(st.sampled_from(TAGS), body)
+
+
+def _with_child(spec, child, target: int, position: int):
+    """*spec* with *child* inserted at *position* among the children of
+    its *target*-th inner node (pre-order)."""
+    numbers = iter(range(target + 1))
+
+    def rebuild(node):
+        tag, body = node
+        if not isinstance(body, list):
+            return node
+        here = next(numbers, None)
+        children = [rebuild(item) for item in body]
+        if here == target:
+            children.insert(position % (len(children) + 1), child)
+        return tag, children
+
+    return rebuild(spec)
+
+
+def _inner_nodes(spec) -> int:
+    tag, body = spec
+    if not isinstance(body, list):
+        return 0
+    return 1 + sum(_inner_nodes(child) for child in body)
+
+
+def _query(draw) -> Query:
+    count = draw(st.integers(min_value=1, max_value=3))
+    keywords = draw(st.lists(st.sampled_from(KEYWORDS), min_size=count,
+                             max_size=count, unique=True))
+    s = draw(st.integers(min_value=1, max_value=count))
+    return Query.of(keywords, s=s)
+
+
 @st.composite
 def repo_and_query(draw):
     spec = draw(spec_strategy())
     repo = Repository()
     repo.add_root(build_tree(spec))
-    count = draw(st.integers(min_value=1, max_value=3))
-    keywords = draw(st.lists(st.sampled_from(KEYWORDS), min_size=count,
-                             max_size=count, unique=True))
-    s = draw(st.integers(min_value=1, max_value=count))
-    return repo, Query.of(keywords, s=s)
+    return repo, _query(draw)
+
+
+@st.composite
+def entity_repo_and_query(draw):
+    """:func:`repo_and_query` with an :func:`entity_strategy` subtree
+    placed under a random inner node: every tree holds an entity."""
+    spec = draw(spec_strategy())
+    target = draw(st.integers(min_value=0,
+                              max_value=_inner_nodes(spec) - 1))
+    spec = _with_child(spec, draw(entity_strategy()), target,
+                       draw(st.integers(min_value=0, max_value=4)))
+    repo = Repository()
+    repo.add_root(build_tree(spec))
+    return repo, _query(draw)
+
+
+def _entity_index(repo):
+    index = build_index(repo, analyzer=ANALYZER)
+    assert index.hashes.entity_count >= 1
+    return index
 
 
 @settings(max_examples=120, deadline=None)
@@ -87,11 +155,11 @@ def test_elca_matches_bruteforce(case):
 
 
 @settings(max_examples=120, deadline=None)
-@given(repo_and_query())
+@given(entity_repo_and_query())
 def test_gks_response_soundness(case):
     """Every response node's subtree really holds ≥ s distinct keywords."""
     repo, query = case
-    index = build_index(repo, analyzer=ANALYZER)
+    index = _entity_index(repo)
     response = search(index, query)
     candidates = set(brute_candidates(repo, query, analyzer=ANALYZER))
     for node in response:
@@ -100,7 +168,7 @@ def test_gks_response_soundness(case):
 
 
 @settings(max_examples=120, deadline=None)
-@given(repo_and_query())
+@given(entity_repo_and_query())
 def test_gks_response_coverage(case):
     """Minimal candidates are always represented, and matches imply a
     non-empty response.
@@ -113,7 +181,7 @@ def test_gks_response_coverage(case):
     x2, not x1).
     """
     repo, query = case
-    index = build_index(repo, analyzer=ANALYZER)
+    index = _entity_index(repo)
     response = search(index, query)
     candidates = brute_candidates(repo, query, analyzer=ANALYZER)
     candidate_set = set(candidates)
@@ -237,23 +305,24 @@ def test_ranking_bounds(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(repo_and_query())
+@given(entity_repo_and_query())
 def test_estimated_counts_at_least_s(case):
     repo, query = case
-    index = build_index(repo, analyzer=ANALYZER)
+    index = _entity_index(repo)
     response = search(index, query)
     for node in response:
         assert node.estimated_keywords >= query.effective_s
 
 
 @settings(max_examples=200, deadline=None)
-@given(repo_and_query())
+@given(entity_repo_and_query())
 def test_lce_witness_rule(case):
-    """The registry's ``check_witness_rule`` on random trees, at every s:
-    no survivor's witness lies inside a deeper survivor, so the case
-    Lemma 5's eviction would handle cannot arise."""
+    """The registry's ``check_witness_rule`` on random trees that hold
+    entities, at every s: no survivor's witness lies inside a deeper
+    survivor, so the case Lemma 5's eviction would handle cannot
+    arise."""
     repo, query = case
-    index = build_index(repo, analyzer=ANALYZER)
+    index = _entity_index(repo)
     sl = merged_list(index, query)
     for s in range(1, len(query.keywords) + 1):
         check_witness_rule(index,

@@ -492,44 +492,6 @@ class TestIndexHealth:
         assert "truncated" in out
 
 
-class TestEngineIndexCache:
-    def _write_corpus(self, tmp_path, count=6):
-        paths = []
-        for position, text in enumerate(make_corpus(count)):
-            path = tmp_path / f"doc{position}.xml"
-            path.write_text(text)
-            paths.append(path)
-        return paths
-
-    def test_cold_cache_written(self, tmp_path):
-        paths = self._write_corpus(tmp_path)
-        cache = tmp_path / "corpus.idx.gz"
-        engine = GKSEngine.open(paths, index_path=cache)
-        assert cache.exists()
-        assert check_index(cache)["ok"]
-        assert engine.search("karen").nodes
-
-    def test_warm_cache_used(self, tmp_path):
-        paths = self._write_corpus(tmp_path)
-        cache = tmp_path / "corpus.idx.gz"
-        GKSEngine.open(paths, index_path=cache)
-        stamp = cache.stat().st_mtime_ns
-        engine = GKSEngine.open(paths, index_path=cache)
-        assert cache.stat().st_mtime_ns == stamp  # not rewritten
-        assert engine.search("entry2").nodes
-
-    def test_torn_cache_rebuilt_and_rewritten(self, tmp_path):
-        paths = self._write_corpus(tmp_path)
-        cache = tmp_path / "corpus.idx.gz"
-        reference = GKSEngine.open(paths, index_path=cache)
-        TornWriter(seed=9).tear(cache, fraction=0.5)
-        assert check_index(cache)["ok"] is False
-        engine = GKSEngine.open(paths, index_path=cache)
-        assert check_index(cache)["ok"] is True  # rewritten atomically
-        assert engine.search("karen").deweys == \
-            reference.search("karen").deweys
-
-
 # ----------------------------------------------------------------------
 # Injector determinism
 # ----------------------------------------------------------------------

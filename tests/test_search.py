@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.query import Query
 from repro.core.search import search
+from repro.errors import ConfigError
 
 
 class TestTable1:
@@ -109,6 +110,13 @@ class TestResponseShape:
         response = search(figure1_index, Query.of(["a", "b", "c", "d"],
                                                   s=2))
         assert list(response.top(2)) == list(response.nodes[:2])
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_top_rejects_a_count_below_one(self, figure1_index, count):
+        response = search(figure1_index, Query.of(["a", "b"]))
+        assert len(response) > 1
+        with pytest.raises(ConfigError, match="count must be positive"):
+            response.top(count)
 
     def test_max_distinct_and_true_nodes(self, figure1_index, fig1_ids):
         response = search(figure1_index,

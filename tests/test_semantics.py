@@ -19,7 +19,8 @@ from repro.core.engine import GKSEngine
 from repro.core.export import response_to_dict
 from repro.core.query import Query
 from repro.errors import ConfigError, ValidationError
-from repro.index.storage import check_index, describe_layout
+from repro.index.storage import (check_index, describe_layout, load_index,
+                                 save_index)
 from repro.obs.metrics import MetricsRegistry
 from repro.semantics import compile_tables, extract_pdoc
 from repro.testing import KEYWORD_POOL, pdoc_corpus, pdoc_documents
@@ -140,25 +141,24 @@ def test_threshold_filters_consistently(case, threshold):
        codec=st.sampled_from(["raw", "varint-dag"]),
        shards=st.sampled_from([1, 2]))
 def test_probabilistic_survives_persistence(case, codec, shards):
-    """Nothing probabilistic is saved: a probabilistic engine reopened
-    from its own cache and a strict engine over that cache answer
+    """Nothing probabilistic is saved: a probabilistic engine and a
+    strict engine over a probabilistic engine's saved index answer
     probabilistic queries exactly as the possible-worlds oracle."""
     import tempfile
     from pathlib import Path
 
     documents, query = case
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / f"index-{codec}-{shards}.idx"
-        config = EngineConfig(mode="probabilistic", shards=shards,
-                              codec=codec, index_path=path)
-        GKSEngine.open(_repository(documents), config=config)
-        saved = path.read_bytes()
+        path = save_index(GKSEngine.open(
+            _repository(documents),
+            config=EngineConfig(mode="probabilistic", shards=shards)).index,
+            Path(tmp) / f"index-{codec}-{shards}.idx", codec=codec)
         answers = [
-            _probability_map(GKSEngine.open(
-                _repository(documents), config=config.replace(mode=mode)
+            _probability_map(GKSEngine(
+                _repository(documents), index=load_index(path),
+                config=EngineConfig(mode=mode)
             ).search(query, mode="probabilistic"))
             for mode in ("probabilistic", "strict")]
-        assert path.read_bytes() == saved  # loaded, never rebuilt
     reopened, strict = answers
     assert list(reopened) == list(strict)
     oracle = possible_worlds_probabilities(_repository(documents), query)
@@ -312,10 +312,9 @@ def test_strict_response_carries_no_semantics_keys(figure1_engine):
 def test_index_files_record_no_mode(tmp_path, codec):
     documents = ['<root><item p:type="IND">'
                  '<name p:p="0.5">apple</name></item></root>']
-    path = tmp_path / "prob.idx"
-    GKSEngine.open(_repository(documents),
-                   config=EngineConfig(mode="probabilistic", codec=codec,
-                                       index_path=path))
+    engine = GKSEngine.open(_repository(documents),
+                            config=EngineConfig(mode="probabilistic"))
+    path = save_index(engine.index, tmp_path / "prob.idx", codec=codec)
     assert "mode" not in describe_layout(path)
     assert "mode" not in check_index(path)
 
@@ -337,12 +336,10 @@ def test_strict_engine_answers_probabilistic_queries(figure1_engine):
 def test_strict_engine_opens_a_probabilistic_cache(tmp_path, monkeypatch):
     documents = ['<root><item p:type="IND">'
                  '<name p:p="0.5">apple</name></item></root>']
-    path = tmp_path / "prob.idx"
     engine = GKSEngine.open(_repository(documents),
-                            config=EngineConfig(mode="probabilistic",
-                                                index_path=path))
+                            config=EngineConfig(mode="probabilistic"))
     engine.search("apple")
-    saved = path.read_bytes()
+    path = save_index(engine.index, tmp_path / "prob.idx")
     compiled = []
 
     def counting(repository, memo=None):
@@ -350,9 +347,7 @@ def test_strict_engine_opens_a_probabilistic_cache(tmp_path, monkeypatch):
         return compile_tables(repository, memo)
 
     monkeypatch.setattr("repro.semantics.compile_tables", counting)
-    strict = GKSEngine.open(_repository(documents),
-                            config=EngineConfig(index_path=path))
-    assert path.read_bytes() == saved  # loaded, not rebuilt
+    strict = GKSEngine(_repository(documents), index=load_index(path))
     assert strict.search("apple").semantics is None
     assert not compiled  # opening and strict queries compile nothing
     for _ in range(2):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.budget import SearchBudget
-from repro.core.config import EngineConfig, Paths, Texts
+from repro.core.config import EngineConfig, Texts
 from repro.core.engine import GKSEngine
 from repro.core.query import Query
 from repro.core.scatter import sharded_search, sharded_top_k
@@ -357,39 +357,19 @@ class TestEngineConfig:
         assert strict.search("keyword search").query.effective_s == 2
         assert loose.search("keyword search").query.effective_s == 1
 
-    def test_index_path_round_trip_and_incompatible_rebuild(self, tmp_path):
-        paths = []
-        for position, text in enumerate(CORPUS):
-            path = tmp_path / f"doc{position}.xml"
-            path.write_text(text, encoding="utf-8")
-            paths.append(str(path))
-        cache = tmp_path / "cache.gks"
-        config = EngineConfig(shards=2, index_path=cache)
-
-        first = GKSEngine.open(Paths(paths), config=config)
-        assert cache.exists()
-        second = GKSEngine.open(Paths(paths), config=config)
+    def test_engine_over_a_saved_index_adopts_its_layout(self, tmp_path):
+        first = GKSEngine.open(Texts(CORPUS), shards=2)
+        path = save_index(first.index, tmp_path / "sharded.gks")
+        # the file's layout wins over the config's: new documents route
+        # by the shards the index was built with
+        second = GKSEngine(Repository.from_texts(CORPUS),
+                           index=load_index(path),
+                           config=EngineConfig(shards=1))
         assert isinstance(second.index, ShardedIndex)
+        assert (second.config.shards, second.config.shard_strategy) == \
+            (2, first.config.shard_strategy)
         assert _signature(second.search("keyword search")) == \
             _signature(first.search("keyword search"))
-
-        # a monolithic engine must not adopt the sharded cache: the file
-        # is rebuilt and rewritten, never served incompatibly
-        mono = GKSEngine.open(Paths(paths), config=config.replace(shards=1))
-        assert not isinstance(mono.index, ShardedIndex)
-        again = GKSEngine.open(Paths(paths), config=config.replace(shards=1))
-        assert not isinstance(again.index, ShardedIndex)
-
-    def test_index_path_survives_torn_cache(self, tmp_path):
-        path = tmp_path / "d.xml"
-        path.write_text(CORPUS[0], encoding="utf-8")
-        cache = tmp_path / "cache.gks"
-        config = EngineConfig(index_path=cache)
-        GKSEngine.open(Paths([str(path)]), config=config)
-        TornWriter(seed=3).tear(cache, fraction=0.5)
-        engine = GKSEngine.open(Paths([str(path)]), config=config)
-        assert engine.search("keyword").query is not None
-        assert check_index(cache)["ok"]  # cache was rewritten
 
 
 class TestAddDocument:

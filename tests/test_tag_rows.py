@@ -1,8 +1,8 @@
 """A rendered node's ``tag`` / ``tag_path`` come from its document's
 label-path rows, filled from the element stream: serving builds no tree.
 
-The bar: for every kind of document — checked texts (a fresh open, an
-``index_path`` cache, a recovered store), salvaged and replicated
+The bar: for every kind of document — checked texts (a fresh open, a
+saved index file, a recovered store), salvaged and replicated
 trees, either ``attributes_as_children`` — the rows equal
 ``XMLNode.tag`` / ``XMLNode.tag_path()``; and an id the repository does
 not hold renders no tag.  The probabilistic mode's tables, derived from
@@ -25,6 +25,7 @@ from repro.core.config import EngineConfig, Texts
 from repro.core.engine import GKSEngine
 from repro.core.export import node_to_dict, response_to_dict
 from repro.datasets.registry import load_dataset
+from repro.index.storage import load_index, save_index
 from repro.obs.metrics import MetricsRegistry, global_registry
 from repro.semantics.pdoc import compile_tables, extract_pdoc
 from repro.serve import ServeConfig, ServerCore, serve_http
@@ -68,7 +69,7 @@ def _texts(name: str = "mirrors", attributes: bool = False) -> list[str]:
 
 
 def _checked(texts: list[str], attributes_as_children: bool) -> Repository:
-    """*texts* as text-backed documents, as an open over a cache holds
+    """*texts* as text-backed documents, as an open over a store holds
     them."""
     repository = Repository()
     for text in texts:
@@ -163,11 +164,11 @@ class TestRowsEqualTheTree:
                           for dewey in deweys]
 
     @pytest.mark.parametrize("codec", ["raw", "varint-dag"])
-    def test_index_path_cache(self, tmp_path, codec):
+    def test_saved_index_file(self, tmp_path, codec):
         texts = _texts(attributes=True)
-        config = EngineConfig(index_path=tmp_path / "idx", codec=codec)
-        GKSEngine.open(Texts(texts), config)
-        engine = GKSEngine.open(Texts(texts), config)
+        path = save_index(GKSEngine.open(Texts(texts)).index,
+                          tmp_path / "idx", codec=codec)
+        engine = GKSEngine(_checked(texts, True), index=load_index(path))
         payload = response_to_dict(engine.search("graph index"),
                                    engine.repository)
         assert not any(document.parsed for document in engine.repository)

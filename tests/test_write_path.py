@@ -331,16 +331,6 @@ class TestMalformedContentIsTyped:
         out = capsys.readouterr().out
         assert "BAD" in out and "corrupted" in out
 
-    @pytest.mark.parametrize("case", ["0.x.1", "", "0.-1", "count"])
-    def test_engine_open_rebuilds_the_cache(self, tmp_path, case):
-        path = tmp_path / "cache.gz"
-        config = EngineConfig(index_path=path)
-        GKSEngine.open(Texts(CORPUS), config)
-        _reseal(path, case)
-        engine = GKSEngine.open(Texts(CORPUS), config)
-        assert engine.search("keyword").nodes
-        assert check_index(path)["ok"]  # rewritten, not left broken
-
     @pytest.mark.parametrize("case", ["0.x.1", "key:0.-1", "count"])
     def test_store_recovery_names_the_diagnosis(self, tmp_path, case):
         config = _config(tmp_path)
